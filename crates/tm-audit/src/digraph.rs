@@ -119,7 +119,8 @@ impl DiGraph {
         (order.len() == n).then_some(order)
     }
 
-    /// A cycle as a vertex path `v0 → v1 → … → v0`, if one exists.
+    /// A cycle as a vertex path `v0 → v1 → … → v0` starting at its smallest
+    /// vertex, if one exists.
     pub fn find_cycle(&self) -> Option<Vec<u32>> {
         const WHITE: u8 = 0;
         const GRAY: u8 = 1;
@@ -151,8 +152,19 @@ impl DiGraph {
                                 path.push(cur);
                                 cur = parent[cur as usize];
                             }
-                            path.push(child);
                             path.reverse();
+                            // Start the cycle at its smallest vertex: which
+                            // back edge the DFS meets first depends on the
+                            // order edges were inserted in (eagerly per
+                            // probe, or caught up at once), and the same
+                            // cycle must not read differently for it.
+                            let (at, &first) = path
+                                .iter()
+                                .enumerate()
+                                .min_by_key(|&(_, &v)| v)
+                                .expect("non-empty");
+                            path.rotate_left(at);
+                            path.push(first);
                             return Some(path);
                         }
                         _ => {}

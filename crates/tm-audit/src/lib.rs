@@ -14,18 +14,31 @@
 //!    stays a single never-taken branch.  For runs too big to hold whole,
 //!    [`stm_runtime::StreamingRecorder`] batches commits per session and
 //!    drains them to the auditor *while the run is still going*.
-//! 2. **Check** ([`saturation`], [`linearization`]) — Read Committed / Read
-//!    Atomic / Causal by polynomial saturation on a transaction digraph;
-//!    Snapshot Isolation / Serializability by constrained-linearization DFS
-//!    with a polynomial lost-update refutation and a recording-order fast
-//!    path.  Every verdict carries a witness (a commit order) or a concrete
-//!    violation (a cycle or a transaction pair).
+//! 2. **Check** ([`saturation`], [`linearization`]) — **verify first, search
+//!    on failure**.  Finding a commit order is NP-complete from Prefix
+//!    upwards, but *verifying* one is linear, the recorder supplies a
+//!    candidate (the recording order), and the hierarchy is strict (every
+//!    level implies all weaker ones).  So every audit first takes the
+//!    hint-ordered topological order of `so ∪ wr` and checks it against
+//!    reads-last-write in one pass; when it verifies, that one order is the
+//!    witness for all six levels ([`DecidedBy::Hint`]) and nothing else
+//!    runs.  Only a history (or window) whose recording order does *not*
+//!    verify enters the engine proper: Read Committed / Read Atomic / Causal
+//!    by polynomial saturation on a transaction digraph; Prefix / Snapshot
+//!    Isolation / Serializability by polynomial lost-update and write-skew
+//!    refutations, then constrained-linearization DFS, then (when asked) the
+//!    CDCL commit-order solver.  Every verdict carries a witness (a commit
+//!    order) or a concrete violation (a cycle or a transaction pair), and
+//!    says which of the three decided it.
 //! 3. **Stream** ([`window`]) — a [`WindowedAuditor`] audits rolling history
 //!    segments with bounded memory: the partial order grows incrementally
-//!    ([`po::TxnPartialOrder::extend`]), saturation re-derives only the
-//!    frontier new edges touched ([`saturation::resaturate`]), closure
-//!    reachability is a banded budget-bounded cache ([`digraph::Reach`]), and
-//!    a committed frontier carries write attribution across windows.
+//!    ([`po::TxnPartialOrder::extend`]) and is probed every few hundred
+//!    transactions — by the same linear check while it keeps verifying, and
+//!    from the first probe that does not, by incremental saturation that
+//!    re-derives only the frontier new edges touched
+//!    ([`saturation::resaturate`]) over a banded budget-bounded closure
+//!    cache ([`digraph::Reach`]).  A committed frontier carries write
+//!    attribution (and each writer's recording position) across windows.
 //!    Per-window verdicts merge into a whole-run report: **violations found
 //!    are real; cross-window SI/SER holds per window, attested, not certified
 //!    end-to-end** (see [`window`] for the full soundness statement).
@@ -106,8 +119,8 @@ pub use window::{
 pub use workload::{record_run, run_unrecorded, run_with_recorder, AuditRunConfig};
 
 use linearization::{
-    find_lost_update, find_same_source_skew, search_prefix, search_serializable,
-    search_snapshot_isolation, Search, DEFAULT_STATE_BUDGET,
+    certify_hint_order, find_lost_update, find_same_source_skew, search_prefix,
+    search_serializable, search_snapshot_isolation, Search, DEFAULT_STATE_BUDGET,
 };
 use po::TxnPartialOrder;
 use report::CommitOrderWitness;
@@ -171,16 +184,58 @@ pub fn audit(history: &AuditHistory) -> AuditReport {
 }
 
 /// Audit a history with explicit [`AuditOptions`] — the entry point the CLI's
-/// `--sat` flag reaches: DFS first, CDCL solver on whatever the DFS left
-/// undecided.
+/// `--sat` flag reaches.  **Verify first, search on failure**: the recording
+/// order is tried as a serial witness in one linear pass
+/// ([`linearization`]'s `certify_hint_order`); when it verifies, all six
+/// levels pass with that one order as their shared witness
+/// ([`DecidedBy::Hint`]) and nothing else runs.  Only when it does not — or
+/// when [`SatConfig::force`] asks for the solver's own verdict — does the
+/// history enter the saturation / DFS / CDCL engine.  Batch is the windowed
+/// engine's one unbounded window: [`WindowedAuditor`] takes the same two
+/// steps per window.
 pub fn audit_with_options(history: &AuditHistory, options: &AuditOptions) -> AuditReport {
+    audit_history(history, options, false)
+}
+
+/// [`audit_with_options`] with the verify-first step skipped, so every
+/// verdict comes from the search engine — the reference side of the
+/// certified-vs-searched differential tests, not an operating mode.
+#[doc(hidden)]
+pub fn audit_by_search(history: &AuditHistory, options: &AuditOptions) -> AuditReport {
+    audit_history(history, options, true)
+}
+
+fn audit_history(history: &AuditHistory, options: &AuditOptions, search_only: bool) -> AuditReport {
     let shape = history.shape();
     let po = match TxnPartialOrder::build(history) {
         Ok(po) => po,
         Err(err) => return defect_report(shape, &err),
     };
-    let causal = check_causal(&po);
-    audit_built(&po, shape, options.budget, causal, options.sat).0
+    if !search_only && !forces_search(options.sat) {
+        if let Some(order) = certify_hint_order(&po) {
+            return certified_report(&po, shape, &order);
+        }
+    }
+    searched_report(&po, shape, options.budget, check_causal(&po), options.sat).0
+}
+
+/// [`SatConfig::force`] wants the solver's verdict on every NP-hard level,
+/// so a forced audit never takes the verify-first shortcut.
+pub(crate) fn forces_search(sat: Option<SatConfig>) -> bool {
+    sat.is_some_and(|cfg| cfg.force)
+}
+
+/// The report of a history (or window) whose recording order verified as a
+/// serial order: one witness, rendered once, passes every level.
+pub(crate) fn certified_report(po: &TxnPartialOrder, shape: String, order: &[u32]) -> AuditReport {
+    let witness = order_witness(po, order);
+    let levels = Level::ALL
+        .iter()
+        .map(|&level| {
+            LevelReport::new(level, Outcome::Pass { witness: witness.clone() }).via(DecidedBy::Hint)
+        })
+        .collect();
+    AuditReport { shape, levels }
 }
 
 /// Every level fails with the same history defect (broken recording contract
@@ -198,24 +253,27 @@ pub(crate) fn defect_report(shape: String, err: &HistoryError) -> AuditReport {
 
 /// Audit a history, bounding each NP-hard search at `budget` DFS states.
 ///
-/// The hierarchy is exploited in both directions: a causal violation implies
-/// SI and SER violations (their searches never run), a serializability
-/// witness doubles as the SI witness, and an SI refutation refutes
-/// serializability even when the SER search itself ran out of budget.  An
-/// exhausted budget yields [`Outcome::Unknown`] — with the states explored,
-/// what is already refuted, and the budget a retry should use — never a
-/// verdict.
+/// A history whose recording order verifies never searches (see
+/// [`audit_with_options`]).  Otherwise the hierarchy is exploited in both
+/// directions: a causal violation implies SI and SER violations (their
+/// searches never run), a serializability witness doubles as the SI witness,
+/// and an SI refutation refutes serializability even when the SER search
+/// itself ran out of budget.  An exhausted budget yields
+/// [`Outcome::Unknown`] — with the states explored, what is already refuted,
+/// and the budget a retry should use — never a verdict.
 pub fn audit_with_budget(history: &AuditHistory, budget: u64) -> AuditReport {
     audit_with_options(history, &AuditOptions { budget, sat: None })
 }
 
-/// The verdict assembly shared by the batch path ([`audit_with_options`]) and
-/// the windowed engine ([`window`]): the partial order is already built and
-/// the causal saturation already run (incrementally, in the windowed case).
-/// When `sat_cfg` is set and the DFS leaves a level [`Outcome::Unknown`], the
-/// level escalates to the CDCL commit-order solver; the second return value
-/// reports what the solver spent (for the window telemetry meters).
-pub(crate) fn audit_built(
+/// The search-on-failure half, shared by the batch path
+/// ([`audit_with_options`]) and the windowed engine ([`window`]): the
+/// recording order did not verify, the partial order is built and the causal
+/// saturation run (incrementally, in the windowed case), and the hierarchy is
+/// climbed bottom-up.  When `sat_cfg` is set and the DFS leaves a level
+/// [`Outcome::Unknown`], the level escalates to the CDCL commit-order solver;
+/// the second return value reports what the solver spent (for the window
+/// telemetry meters).
+pub(crate) fn searched_report(
     po: &TxnPartialOrder,
     shape: String,
     budget: u64,
@@ -586,6 +644,31 @@ mod tests {
         let si = report.outcome(Level::SnapshotIsolation).unwrap();
         let ser = report.outcome(Level::Serializable).unwrap();
         assert_eq!(si, ser, "SI reuses the serializability witness");
+    }
+
+    /// Verify first: a recording order that is a serial order certifies
+    /// every level with the one witness, and nothing searches — not even on
+    /// a budget that could not afford a single DFS state.
+    #[test]
+    fn a_verified_recording_order_certifies_all_six_levels_with_one_witness() {
+        let mut h = AuditHistory::new(2, 0, 2);
+        h.push_txn(0, [(0, 0)], [(0, 1), (1, 1)]);
+        h.push_txn(1, [(0, 1)], [(0, 2)]);
+        h.push_txn(0, [(0, 2), (1, 1)], [(1, 2)]);
+        let report = audit_with_budget(&h, 0);
+        for l in &report.levels {
+            assert_eq!(l.decided_by, DecidedBy::Hint, "{report}");
+            assert_eq!(
+                l.outcome,
+                Outcome::Pass { witness: "commit order: s0:0 < s1:0 < s0:1".into() },
+                "{report}"
+            );
+        }
+        assert_eq!(report.decided_by(), DecidedBy::Hint);
+        // Searched, the same history passes the same levels by other means.
+        let searched = audit_by_search(&h, &AuditOptions::default());
+        assert_eq!(searched.summary(), report.summary());
+        assert!(searched.levels.iter().all(|l| l.decided_by == DecidedBy::Dfs), "{searched}");
     }
 
     #[test]

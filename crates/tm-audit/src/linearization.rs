@@ -1,21 +1,30 @@
-//! The NP-hard upper half of the hierarchy: Serializability and Snapshot
-//! Isolation, decided by constrained-linearization DFS (Biswas & Enea,
-//! Theorem 4.8 / the dbcop search) over the causally-saturated order.
+//! The NP-hard upper half of the hierarchy — Prefix, Snapshot Isolation and
+//! Serializability — and the linear check that usually makes deciding it
+//! unnecessary.
 //!
-//! Three layers keep the search practical on histories with tens of thousands
-//! of transactions:
-//!
-//! 1. **Polynomial refutation first** — the lost-update rule: two distinct
+//! 1. **Verify the recording order, for all six levels at once**
+//!    (`certify_hint_order`).  The recording order is almost the commit order
+//!    on the consistent backends, so the hint-ordered topological order of
+//!    `so ∪ wr` is checked against reads-last-write in O(history) before
+//!    anything else runs — before saturation, not after it.  If it explains
+//!    every read it *is* a serialization, hence (the hierarchy being strict)
+//!    a witness for every level below, and no search runs.  This is the first
+//!    step of [`crate::audit_with_options`] and of every probe and close of
+//!    the windowed engine; the rest of this module is what runs when it
+//!    fails.
+//! 2. **Polynomial refutation** — the lost-update rule: two distinct
 //!    transactions that read variable `x` from the *same* source and both
 //!    write `x` cannot be serialized (whichever is ordered second must have
 //!    read the other's write), and cannot both commit under snapshot
 //!    isolation's first-committer-wins.  This catches the entire PRAM-backend
-//!    failure mode in O(history) time, with a two-transaction witness.
-//! 2. **Hint fast path** — the recording order is almost the commit order on
-//!    the consistent backends, so the hint-ordered topological order of the
-//!    saturated constraints is verified in O(history) first; if it explains
-//!    every read, it *is* the witness and no search runs.
-//! 3. **Memoized DFS** — otherwise a backtracking search over linear
+//!    failure mode in O(history) time, with a two-transaction witness.  The
+//!    same-source skew rule does the same for write skew, for SER only.
+//! 3. **The saturated order** — the searches (Biswas & Enea, Theorem 4.8 /
+//!    the dbcop search) run over the causally-saturated constraints, whose
+//!    hint-ordered topological order is verified once more first: derived
+//!    write-write edges can repair an order the base relation alone left
+//!    wrong.
+//! 4. **Memoized DFS** — otherwise a backtracking search over linear
 //!    extensions runs, pruned by (a) the saturated partial order, (b) eager
 //!    write-blocking (a writer may not be placed while readers of the current
 //!    version are still pending — which is what makes the placed *set*
@@ -337,8 +346,30 @@ impl<'a> VersionState<'a> {
     }
 }
 
+/// The verify-first step every audit entry point starts with: take the
+/// hint-ordered topological order of `so ∪ wr` and check it against
+/// reads-last-write semantics.  A total order that extends `so ∪ wr` and in
+/// which every read observes the latest preceding write **is** a
+/// serialization, and the hierarchy is strict (SER ⊆ SI ⊆ Prefix ⊆ Causal ⊆
+/// RA ⊆ RC), so `Some(order)` witnesses all six levels at once — in
+/// O(history · log), with no saturation, closure or search.  `None` (a cyclic
+/// base relation, or an order some read contradicts) says nothing: the caller
+/// falls back to the saturation and search engines.
+///
+/// Reads still parked on a writer that has not arrived are not part of `po`
+/// yet, so mid-stream this certifies the wired prefix only; the order
+/// returned excludes the initial transaction.
+pub(crate) fn certify_hint_order(po: &TxnPartialOrder) -> Option<Vec<u32>> {
+    let mut order = po.base.topo_order_by(&po.hints)?;
+    if !verify_serial_order(po, po.n_vars(), &order) {
+        return None;
+    }
+    order.retain(|&t| t != ROOT);
+    Some(order)
+}
+
 /// Verify a full candidate order (dense indices, `ROOT` anywhere-first)
-/// against reads-last-write semantics — the O(history) fast path.
+/// against reads-last-write semantics — one O(history) pass.
 fn verify_serial_order(po: &TxnPartialOrder, n_vars: usize, order: &[u32]) -> bool {
     let mut last_writer = vec![ROOT; n_vars];
     for &t in order {

@@ -76,9 +76,11 @@
 //! replay ([`audit_sharded`]).
 
 use crate::history::AuditTxn;
-use crate::report::{json_escape, AuditReport, Level, LevelReport, Outcome};
+use crate::report::{json_escape, AuditReport, DecidedBy, Level, LevelReport, Outcome};
+use crate::telemetry::AuditTelemetry;
 use crate::window::{
-    Conviction, StreamReport, TxnSink, WindowConfig, WindowVerdict, WindowedAuditor,
+    recording_order, Conviction, StreamReport, TxnSink, WindowConfig, WindowVerdict,
+    WindowedAuditor,
 };
 use crate::AuditHistory;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -433,6 +435,9 @@ pub enum ShardEvent {
         txns: usize,
         /// Compact five-level verdict summary.
         summary: String,
+        /// What decided the window ([`AuditReport::decided_by`]): `Hint`
+        /// when its recording order certified every level.
+        decided_by: DecidedBy,
         /// Window-close-to-verdict latency.
         elapsed: Duration,
     },
@@ -611,12 +616,20 @@ impl std::fmt::Display for ShardedStreamReport {
     }
 }
 
+/// The registry a pipeline built without an explicit one reports into: the
+/// global one when metrics are on.
+fn global_registry() -> Option<&'static tm_telemetry::Registry> {
+    tm_telemetry::enabled().then(tm_telemetry::global)
+}
+
 /// One partition worker: drains routed batches into its own windowed
 /// auditor, updating counters and emitting events as windows close.
 struct PartitionWorker {
     receiver: Receiver<Vec<(usize, AuditTxn)>>,
     auditor: WindowedAuditor,
     counters: Arc<PartitionCounters>,
+    /// This lane's `audit_partition_queued` gauge, when metrics are on.
+    queue_gauge: Option<tm_telemetry::Gauge>,
     events: Option<Sender<ShardEvent>>,
     partition: usize,
     escalation: bool,
@@ -631,7 +644,14 @@ impl PartitionWorker {
             for (session, txn) in batch {
                 self.auditor.push(session, txn);
             }
-            self.counters.ingested.fetch_add(n, Ordering::Relaxed);
+            let ingested = self.counters.ingested.fetch_add(n, Ordering::Relaxed) + n;
+            // The consuming side keeps the depth gauge true: the router only
+            // writes it when it flushes, so without this it would still read
+            // the last flush-time depth after the queue has drained.
+            if let Some(gauge) = &self.queue_gauge {
+                let routed = self.counters.routed.load(Ordering::Relaxed);
+                gauge.set(routed.saturating_sub(ingested) as i64);
+            }
             self.counters.windows.store(self.auditor.windows_closed(), Ordering::Relaxed);
             // Live tail: announce windows closed (and any conviction) so far.
             let (verdicts, conviction) = (self.auditor.verdicts(), self.auditor.convicted());
@@ -679,6 +699,7 @@ impl PartitionWorker {
                 index: w.index,
                 txns: w.txns,
                 summary: w.report.summary(),
+                decided_by: w.report.decided_by(),
                 elapsed: w.audit_elapsed,
             });
         }
@@ -723,7 +744,15 @@ impl ShardedAuditor {
     /// `initial`.  Spawns one auditor thread per partition plus one for the
     /// escalation lane.
     pub fn new(n_vars: usize, initial: i64, config: ShardConfig) -> Self {
-        Self::build(n_vars, initial, config, None)
+        Self::build(n_vars, initial, config, None, global_registry(), false)
+    }
+
+    /// [`ShardedAuditor::new`] with every lane built by
+    /// [`WindowedAuditor::new_searching`] — the reference side of the
+    /// certified-vs-searched differential tests, not an operating mode.
+    #[doc(hidden)]
+    pub fn new_searching(n_vars: usize, initial: i64, config: ShardConfig) -> Self {
+        Self::build(n_vars, initial, config, None, global_registry(), true)
     }
 
     /// Like [`ShardedAuditor::new`], additionally streaming
@@ -735,17 +764,37 @@ impl ShardedAuditor {
         config: ShardConfig,
         events: Sender<ShardEvent>,
     ) -> Self {
-        Self::build(n_vars, initial, config, Some(events))
+        Self::build(n_vars, initial, config, Some(events), global_registry(), false)
     }
 
+    /// `registry` is where the pipeline's instruments live (`None`: metrics
+    /// off); `search_only` opens every lane window in search mode.
     fn build(
         n_vars: usize,
         initial: i64,
         config: ShardConfig,
         events: Option<Sender<ShardEvent>>,
+        registry: Option<&tm_telemetry::Registry>,
+        search_only: bool,
     ) -> Self {
         let config = config.normalized();
         let lanes = config.shards + 1; // partitions + escalation lane
+        let queue_gauges: Option<Vec<tm_telemetry::Gauge>> = registry.map(|registry| {
+            (0..lanes)
+                .map(|lane| {
+                    let label = if lane == config.shards {
+                        "escalation".to_string()
+                    } else {
+                        lane.to_string()
+                    };
+                    registry.gauge(
+                        "audit_partition_queued",
+                        &[("partition", label.as_str())],
+                        "txns",
+                    )
+                })
+                .collect()
+        });
         let mut senders = Vec::with_capacity(lanes);
         let mut counters = Vec::with_capacity(lanes);
         let mut workers = Vec::with_capacity(lanes);
@@ -767,10 +816,15 @@ impl ShardedAuditor {
             } else {
                 scaled
             };
+            let mut auditor = WindowedAuditor::build(n_vars, initial, window, search_only);
+            if let Some(registry) = registry {
+                auditor = auditor.with_telemetry(AuditTelemetry::from_registry(registry));
+            }
             let worker = PartitionWorker {
                 receiver: rx,
-                auditor: WindowedAuditor::new(n_vars, initial, window),
+                auditor,
                 counters: Arc::clone(&lane_counters),
+                queue_gauge: queue_gauges.as_ref().map(|gauges| gauges[lane].clone()),
                 events: events.clone(),
                 partition: lane,
                 escalation: lane == config.shards,
@@ -786,24 +840,8 @@ impl ShardedAuditor {
                     .expect("spawning a partition auditor thread"),
             );
         }
-        let queue_gauges = tm_telemetry::enabled().then(|| {
-            (0..lanes)
-                .map(|lane| {
-                    let label = if lane == config.shards {
-                        "escalation".to_string()
-                    } else {
-                        lane.to_string()
-                    };
-                    tm_telemetry::global().gauge(
-                        "audit_partition_queued",
-                        &[("partition", label.as_str())],
-                        "txns",
-                    )
-                })
-                .collect()
-        });
-        let escalated_counter = tm_telemetry::enabled()
-            .then(|| tm_telemetry::global().counter("audit_escalated_total", &[], "txns"));
+        let escalated_counter =
+            registry.map(|registry| registry.counter("audit_escalated_total", &[], "txns"));
         ShardedAuditor {
             config,
             router: BandRouter::new_static(config.shards),
@@ -1010,21 +1048,22 @@ fn merge_partitions(
     let levels = Level::ALL
         .iter()
         .map(|&level| {
-            let mut l = LevelReport::new(
+            // The merged verdict leans on the solver as soon as any lane's
+            // window did, and on the recording order only when every window
+            // of every lane was certified by it.
+            let by = DecidedBy::merged(
+                partitions
+                    .iter()
+                    .flat_map(|p| &p.stream.windows)
+                    .flat_map(|w| &w.report.levels)
+                    .filter(|r| r.level == level)
+                    .map(|r| r.decided_by),
+            );
+            LevelReport::new(
                 level,
                 merged_outcome(partitions, level, config.shards, escalated_txns),
-            );
-            // Mark levels whose merged verdict leans on any lane's solver.
-            if partitions.iter().any(|p| {
-                p.stream
-                    .merged
-                    .levels
-                    .iter()
-                    .any(|r| r.level == level && r.decided_by == crate::report::DecidedBy::Sat)
-            }) {
-                l = l.via_sat();
-            }
-            l
+            )
+            .via(by)
         })
         .collect();
     AuditReport { shape, levels }
@@ -1104,15 +1143,8 @@ fn merged_outcome(
 /// given the same history and config, routing, per-partition sub-streams and
 /// therefore every verdict are reproducible regardless of thread timing.
 pub fn audit_sharded(history: &AuditHistory, config: ShardConfig) -> ShardedStreamReport {
-    let mut all: Vec<(u64, usize, &AuditTxn)> = history
-        .sessions
-        .iter()
-        .enumerate()
-        .flat_map(|(s, session)| session.iter().map(move |txn| (txn.hint, s, txn)))
-        .collect();
-    all.sort_by_key(|&(hint, s, _)| (hint, s));
     let mut auditor = ShardedAuditor::new(history.n_vars, history.initial, config);
-    for (_, session, txn) in all {
+    for (session, txn) in recording_order(history) {
         auditor.push(session, txn.clone());
     }
     auditor.finish()
@@ -1131,13 +1163,6 @@ pub fn audit_sharded_adaptive(
     config: ShardConfig,
     rebalance_every: usize,
 ) -> ShardedStreamReport {
-    let mut all: Vec<(u64, usize, &AuditTxn)> = history
-        .sessions
-        .iter()
-        .enumerate()
-        .flat_map(|(s, session)| session.iter().map(move |txn| (txn.hint, s, txn)))
-        .collect();
-    all.sort_by_key(|&(hint, s, _)| (hint, s));
     let mut auditor = ShardedAuditor::new(
         history.n_vars,
         history.initial,
@@ -1146,7 +1171,7 @@ pub fn audit_sharded_adaptive(
     let probe = auditor.lag_probe();
     let router = auditor.router();
     let every = rebalance_every.max(1);
-    for (i, (_, session, txn)) in all.into_iter().enumerate() {
+    for (i, (session, txn)) in recording_order(history).into_iter().enumerate() {
         auditor.push(session, txn.clone());
         if (i + 1) % every == 0 {
             router.rebalance(&probe.sample());
@@ -1356,6 +1381,40 @@ mod tests {
             assert!(l.queued_max >= 1, "{lag:?}");
             assert!(l.queued_mean > 0.0, "{lag:?}");
         }
+    }
+
+    /// `audit_partition_queued` is true when read at rest: the router only
+    /// writes it at flush time (when the batch being flushed is still
+    /// queued), so the consuming side has to bring it back down.
+    #[test]
+    fn queue_gauges_read_zero_once_the_queues_have_drained() {
+        let registry = tm_telemetry::Registry::new();
+        let shards = 4;
+        let h = seeded_serializable_history(7, 64, 3, 400);
+        let mut auditor = ShardedAuditor::build(
+            h.n_vars,
+            h.initial,
+            cfg(shards, 16, 4),
+            None,
+            Some(&registry),
+            false,
+        );
+        for (session, txn) in recording_order(&h) {
+            auditor.push(session, txn.clone());
+        }
+        let report = auditor.finish();
+        let busy = report.partitions.iter().filter(|p| p.routed_txns > 0).count();
+        assert!(busy >= 3, "the stream must actually cross several lanes' queues");
+        for p in &report.partitions {
+            let label =
+                if p.escalation { "escalation".to_string() } else { p.partition.to_string() };
+            let gauge =
+                registry.gauge("audit_partition_queued", &[("partition", label.as_str())], "txns");
+            assert_eq!(gauge.get(), 0, "lane {label} still reads queued after finish()");
+        }
+        // The lanes report into the same registry.
+        let windows: usize = report.partitions.iter().map(|p| p.stream.windows.len()).sum();
+        assert_eq!(AuditTelemetry::from_registry(&registry).windows.get(), windows as u64);
     }
 
     #[test]

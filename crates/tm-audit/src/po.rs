@@ -204,16 +204,17 @@ impl TxnPartialOrder {
             }
         }
 
-        let mut first_read: HashMap<usize, i64> = HashMap::new();
-        for &(var, value) in &txn.reads {
-            match first_read.insert(var, value) {
+        for (i, &(var, value)) in txn.reads.iter().enumerate() {
+            // Read sets are a handful of entries: scanning the ones before
+            // this beats a per-transaction hash map on the ingest hot path.
+            match txn.reads[..i].iter().find(|&&(v, _)| v == var) {
                 None => {}
-                Some(prev) if prev == value => continue, // repeated read
-                Some(prev) => {
+                Some(&(_, first)) if first == value => continue, // repeated read
+                Some(&(_, first)) => {
                     return Err(HistoryError::NonRepeatableRead {
                         reader: id,
                         var,
-                        first: prev,
+                        first,
                         second: value,
                     })
                 }

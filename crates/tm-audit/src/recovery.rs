@@ -29,7 +29,7 @@
 //! auditing a history that never happened.
 
 use crate::history::TxnId;
-use crate::report::{AuditReport, Level, LevelReport, Outcome};
+use crate::report::{AuditReport, DecidedBy, Level, LevelReport, Outcome};
 use crate::window::{Conviction, WindowVerdict};
 use std::collections::HashMap;
 use std::fmt;
@@ -370,11 +370,10 @@ fn parse_verdict(value: &JsonValue) -> Result<WindowVerdict, RecoveryError> {
                 },
                 other => return Err(RecoveryError::new(format!("unknown outcome kind {other:?}"))),
             };
-            let mut report = LevelReport::new(level, outcome);
-            if field_str(l, "decided_by")? == "sat" {
-                report = report.via_sat();
-            }
-            Ok(report)
+            let by = field_str(l, "decided_by")?;
+            let by = DecidedBy::parse(by)
+                .ok_or_else(|| RecoveryError::new(format!("unknown verdict provenance {by:?}")))?;
+            Ok(LevelReport::new(level, outcome).via(by))
         })
         .collect::<Result<Vec<_>, RecoveryError>>()?;
     Ok(WindowVerdict {
@@ -693,7 +692,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, RecoveryError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::DecidedBy;
 
     fn sample_snapshot() -> FrontierSnapshot {
         FrontierSnapshot {
@@ -732,7 +730,8 @@ mod tests {
                         LevelReport::new(
                             Level::ReadCommitted,
                             Outcome::Pass { witness: "order exists".into() },
-                        ),
+                        )
+                        .via(DecidedBy::Hint),
                         LevelReport::new(
                             Level::SnapshotIsolation,
                             Outcome::Unknown {
@@ -760,7 +759,12 @@ mod tests {
         let json = snap.to_json();
         let parsed = FrontierSnapshot::parse(&json).expect("parse back");
         assert_eq!(parsed, snap);
-        // Spot-check the verdict internals survived with full fidelity.
+        // Spot-check the verdict internals survived with full fidelity —
+        // provenance included, so a resumed stream never re-attributes.
+        let by: Vec<DecidedBy> =
+            parsed.verdicts[0].report.levels.iter().map(|l| l.decided_by).collect();
+        assert_eq!(by, [DecidedBy::Hint, DecidedBy::Sat, DecidedBy::Dfs]);
+        assert!(FrontierSnapshot::parse(&json.replace("\"hint\"", "\"oracle\"")).is_err());
         let level = &parsed.verdicts[0].report.levels[1];
         assert_eq!(level.decided_by, DecidedBy::Sat);
         let Outcome::Unknown { states, refuted, next_budget, .. } = &level.outcome else {

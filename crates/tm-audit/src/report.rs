@@ -73,6 +73,10 @@ impl Level {
 /// Which engine settled a level's verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecidedBy {
+    /// The recording order itself: the hint-ordered topological order of
+    /// `so ∪ wr` verified as a serial witness in one linear pass, which
+    /// certifies all six levels at once and runs no search.
+    Hint,
     /// The polynomial saturation rules or the bounded constrained-
     /// linearization DFS.
     #[default]
@@ -85,8 +89,34 @@ impl DecidedBy {
     /// Stable string used in JSON reports.
     pub fn as_str(self) -> &'static str {
         match self {
+            DecidedBy::Hint => "hint",
             DecidedBy::Dfs => "dfs",
             DecidedBy::Sat => "sat",
+        }
+    }
+
+    /// Inverse of [`DecidedBy::as_str`].
+    pub fn parse(text: &str) -> Option<DecidedBy> {
+        [DecidedBy::Hint, DecidedBy::Dfs, DecidedBy::Sat].into_iter().find(|d| d.as_str() == text)
+    }
+
+    /// Provenance of a verdict merged from several: the solver's as soon as
+    /// any part leaned on it, the recording order's only when every part was
+    /// certified by it, the search's otherwise (and for no parts at all).
+    pub fn merged(parts: impl IntoIterator<Item = DecidedBy>) -> DecidedBy {
+        let (mut any, mut all_hint) = (false, true);
+        for part in parts {
+            match part {
+                DecidedBy::Sat => return DecidedBy::Sat,
+                DecidedBy::Dfs => all_hint = false,
+                DecidedBy::Hint => {}
+            }
+            any = true;
+        }
+        if any && all_hint {
+            DecidedBy::Hint
+        } else {
+            DecidedBy::Dfs
         }
     }
 }
@@ -170,9 +200,25 @@ impl LevelReport {
     }
 
     /// The same verdict re-attributed to the SAT escalation path.
-    pub fn via_sat(mut self) -> LevelReport {
-        self.decided_by = DecidedBy::Sat;
+    pub fn via_sat(self) -> LevelReport {
+        self.via(DecidedBy::Sat)
+    }
+
+    /// The same verdict re-attributed to `by`.
+    pub fn via(mut self, by: DecidedBy) -> LevelReport {
+        self.decided_by = by;
         self
+    }
+}
+
+impl LevelReport {
+    /// The `[hint]` / `[sat]` suffix of a decided verdict line; the default
+    /// search engine is left unmarked.
+    fn write_provenance(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.decided_by {
+            DecidedBy::Dfs => Ok(()),
+            by => write!(f, "  [{}]", by.as_str()),
+        }
     }
 }
 
@@ -181,17 +227,11 @@ impl fmt::Display for LevelReport {
         match &self.outcome {
             Outcome::Pass { witness } => {
                 write!(f, "{:<20} PASS  {}", self.level.name(), witness)?;
-                if self.decided_by == DecidedBy::Sat {
-                    f.write_str("  [sat]")?;
-                }
-                Ok(())
+                self.write_provenance(f)
             }
             Outcome::Fail { violation } => {
                 write!(f, "{:<20} FAIL  {}", self.level.name(), violation)?;
-                if self.decided_by == DecidedBy::Sat {
-                    f.write_str("  [sat]")?;
-                }
-                Ok(())
+                self.write_provenance(f)
             }
             Outcome::Unknown { reason, states, refuted, next_budget } => {
                 write!(
@@ -231,6 +271,13 @@ impl AuditReport {
     /// `true` if the level was checked and failed.
     pub fn fails(&self, level: Level) -> bool {
         self.outcome(level).is_some_and(Outcome::failed)
+    }
+
+    /// The engine the report as a whole leans on ([`DecidedBy::merged`] over
+    /// its levels): [`DecidedBy::Hint`] exactly when the recording order
+    /// certified every level.
+    pub fn decided_by(&self) -> DecidedBy {
+        DecidedBy::merged(self.levels.iter().map(|l| l.decided_by))
     }
 
     /// Compact one-line summary: `RC ✓ | RA ✓ | Causal ✓ | SI ✗ | SER ✗`.
@@ -411,6 +458,28 @@ mod tests {
         assert_eq!(Level::Prefix.name(), "prefix consistency");
         // The hierarchy ordering places Prefix between Causal and SI.
         assert!(Level::Causal < Level::Prefix && Level::Prefix < Level::SnapshotIsolation);
+    }
+
+    #[test]
+    fn provenance_round_trips_and_merges() {
+        use DecidedBy::{Dfs, Hint, Sat};
+        for by in [Hint, Dfs, Sat] {
+            assert_eq!(DecidedBy::parse(by.as_str()), Some(by));
+        }
+        assert_eq!(DecidedBy::parse("oracle"), None);
+        assert_eq!(DecidedBy::merged([Hint, Hint]), Hint);
+        assert_eq!(DecidedBy::merged([Hint, Dfs, Hint]), Dfs, "one searched part un-certifies");
+        assert_eq!(DecidedBy::merged([Hint, Dfs, Sat]), Sat);
+        assert_eq!(DecidedBy::merged([]), Dfs, "a vacuous pass was certified by nothing");
+
+        let mut r = sample();
+        assert_eq!(r.decided_by(), Sat);
+        for l in &mut r.levels {
+            l.decided_by = Hint;
+        }
+        assert_eq!(r.decided_by(), Hint);
+        assert!(r.to_json().contains("\"decided_by\":\"hint\""));
+        assert!(r.to_string().contains("PASS  order: init < s0:0  [hint]"), "{r}");
     }
 
     #[test]

@@ -28,13 +28,20 @@
 //!
 //! # Incremental re-saturation
 //!
-//! The streaming pipeline extends the partial order one commit batch at a
-//! time, so rerunning the fixpoint from scratch per batch would be quadratic
-//! in the window.  [`resaturate`] instead absorbs only the base edges that
-//! appeared since the last call (via [`TxnPartialOrder::edge_log`]) and
-//! derives a **dirty variable set**: a new edge `a → b` can only newly fire
-//! the rule for variable `x` if some writer of `x` reaches `a` (so its
-//! visibility grew) and some reader of `x` is reachable from `b`.  Ancestor /
+//! None of this runs for a history or window whose recording order verifies
+//! as a serial order (see [`crate::linearization`]): saturation is the
+//! search-on-failure half.  A window that stops verifying mid-stream calls
+//! [`resaturate`] for the first time then, and the edge-log cursor catches it
+//! up on everything extended so far.
+//!
+//! From there the streaming pipeline extends the partial order one commit
+//! batch at a time, so rerunning the fixpoint from scratch per batch would be
+//! quadratic in the window.  [`resaturate`] instead absorbs only the base
+//! edges that appeared since the last call (via
+//! [`TxnPartialOrder::edge_log`]) and derives a **dirty variable set**: a new
+//! edge `a → b` can only newly fire the rule for variable `x` if some writer
+//! of `x` reaches `a` (so its visibility grew) and some reader of `x` is
+//! reachable from `b`.  Ancestor /
 //! descendant marks from one DFS per new edge make that test cheap, and only
 //! dirty variables are re-scanned; edges derived in a round mark their own
 //! dirty variables for the next round, to the same fixpoint the whole-history

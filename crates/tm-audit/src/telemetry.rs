@@ -1,5 +1,7 @@
 //! The auditor's telemetry handles: per-window audit- and verdict-latency
-//! histograms, conviction and budget-consumption counters.
+//! histograms, the push-time probe latency, how many windows the recording
+//! order certified against how many had to search, conviction and
+//! budget-consumption counters.
 //!
 //! [`crate::window::WindowedAuditor::new`] attaches an [`AuditTelemetry`]
 //! only when [`tm_telemetry::enabled`] is set, mirroring the runtime's
@@ -18,6 +20,16 @@ use tm_telemetry::{Counter, Histogram, Registry};
 pub struct AuditTelemetry {
     /// Windows fully audited.
     pub windows: Counter,
+    /// Windows whose recording order verified as a serial order: all six
+    /// levels certified in one linear pass, no search.
+    pub certified: Counter,
+    /// Windows that fell back to saturation and search (including windows
+    /// with a recording-contract defect); `certified + searched = windows`.
+    pub searched: Counter,
+    /// Wall time of each push-time probe of the in-flight window
+    /// (frontier resolution, the verify-first pass, and in search mode the
+    /// incremental re-saturation) — the audit work done between closes.
+    pub sync_latency: Histogram,
     /// Wall time from window close to verdict (the audit itself).
     pub window_latency: Histogram,
     /// Wall time from window *open* to verdict — what an operator waits
@@ -44,6 +56,9 @@ impl AuditTelemetry {
     pub fn from_registry(registry: &Registry) -> Self {
         AuditTelemetry {
             windows: registry.counter("audit_windows_total", &[], "windows"),
+            certified: registry.counter("audit_windows_certified_total", &[], "windows"),
+            searched: registry.counter("audit_windows_searched_total", &[], "windows"),
+            sync_latency: registry.histogram("audit_window_sync_latency_ns", &[], "ns"),
             window_latency: registry.histogram("audit_window_latency_ns", &[], "ns"),
             verdict_latency: registry.histogram("audit_verdict_latency_ns", &[], "ns"),
             convictions: registry.counter("audit_convictions_total", &[], "convictions"),

@@ -1,26 +1,42 @@
 //! The streaming windowed audit engine: bounded-memory consistency verdicts
 //! over rolling history segments, while the run is still going.
 //!
-//! The batch auditor ([`crate::audit`]) needs the whole history in hand and
-//! lets closure state grow with the run — hopeless at the "millions of
-//! users" scale the ROADMAP aims for.  A [`WindowedAuditor`] instead audits
-//! **windows** of `size` transactions (consecutive in arrival order, with
-//! `overlap` transactions shared between neighbours), so every per-window
-//! structure — partial order, saturation graph, closure cache, SI/SER search
-//! — is bounded by the window, not the run:
+//! The batch auditor ([`crate::audit`]) needs the whole history in hand: it
+//! is this engine's one unbounded window.  A [`WindowedAuditor`] instead
+//! audits **windows** of `size` transactions (consecutive in arrival order,
+//! with `overlap` transactions shared between neighbours), so every
+//! per-window structure — partial order, saturation graph, closure cache,
+//! SI/SER search — is bounded by the window, not the run:
 //!
 //! * the partial order grows incrementally ([`TxnPartialOrder::extend`]),
 //!   parking reads whose writer has not arrived yet;
-//! * causal saturation re-derives only the frontier the new edges touched
-//!   ([`resaturate`]), with the banded budget-bounded [`crate::digraph::Reach`]
-//!   cache instead of a dense O(V²) closure;
+//! * every `batch` transactions, and at close, the window is **probed —
+//!   verify first, search on failure**.  While the recording order of what
+//!   is wired so far verifies as a serial order (one linear pass,
+//!   `certify_hint_order`), a probe has nothing else to do: a serial prefix
+//!   holds no causal cycle and no lost update.  A window that closes that
+//!   way passes all six levels with that order as its witness
+//!   ([`DecidedBy::Hint`]) and never builds a saturation graph or a closure.
+//!   From the first probe that does *not* verify, the window is in search
+//!   mode for good: causal saturation catches up from the edge log and then
+//!   re-derives only the frontier each batch of new edges touched
+//!   ([`resaturate`]), with the banded budget-bounded
+//!   [`crate::digraph::Reach`] cache instead of a dense O(V²) closure, the
+//!   lost-update rule runs at every probe (so convictions land mid-window),
+//!   and the close climbs the hierarchy through the DFS and, when asked, the
+//!   solver.  What selects the path is a property of the input — nothing is
+//!   configured;
 //! * between windows a **committed frontier** carries write attribution
 //!   forward: the last absorbed write per variable (materialized at window
 //!   open as real, session-chained stand-in transactions) plus all writes
 //!   from the most recent `retain_windows` windows (materialized on demand,
-//!   detached, when a cross-window read observes them).  Reads of values
-//!   older than the retention horizon are attributed to synthetic `past?n`
-//!   stand-ins and counted in [`StreamReport::evicted_attributions`];
+//!   detached, when a cross-window read observes them).  A stand-in keeps
+//!   its writer's recording-order hint, so it sorts where the real
+//!   transaction did.  Reads of values older than the retention horizon are
+//!   attributed to synthetic `past?n` stand-ins and counted in
+//!   [`StreamReport::evicted_attributions`].  Retained writers are bucketed
+//!   by absorbing window, so a close costs in proportion to the window, not
+//!   to the retention horizon;
 //! * the frontier also carries **read-modify-write facts** — per `(variable,
 //!   source value)`, the first absorbed transaction that read that source
 //!   and overwrote the variable.  Every incoming transaction is checked
@@ -29,7 +45,8 @@
 //!   matter how many windows apart the halves are (the signature failure of
 //!   a no-synchronization backend whose sessions happen to run back to back
 //!   in time) and without adding any ordering constraints to the per-window
-//!   SI/SER searches.
+//!   SI/SER searches.  A window so paired is never certified, whatever its
+//!   own order says.
 //!
 //! # Soundness
 //!
@@ -39,29 +56,40 @@
 //!   derived write-write) also holds in the whole history — frontier
 //!   stand-ins keep their real identity and session position, and dropped
 //!   knowledge only ever *removes* constraints — so **any violation reported
-//!   by any window is a real violation of the whole run**;
+//!   by any window is a real violation of the whole run**.  The verify-first
+//!   step never reports one: it only ever says pass, and every doubt (an
+//!   order that does not verify, a recording-contract defect, a carried rmw
+//!   fact, a forced solver run) defers to the search;
 //! * a **pass** certifies each window (including the carried frontier)
-//!   individually.  Anomalies whose entire evidence spans farther back than
-//!   the window plus retained frontier — e.g. a lost-update pair whose two
-//!   read-modify-writes are more than a window apart — can escape; the
-//!   merged report therefore words per-level passes as *attested per
-//!   window*, not certified end-to-end.  Growing `size`, `overlap` or
-//!   `retain_windows` trades memory for coverage, up to the batch auditor at
-//!   the limit.
+//!   individually.  A certified window's pass is *witnessed*: the order in
+//!   its report was checked, read by read, against the window's transactions
+//!   and stand-ins, and a serial order for them is a witness for every
+//!   weaker level too.  A searched window's pass is what it always was: the
+//!   saturation found no cycle and the search found an order (or, exhausted,
+//!   says `?`).  Either way the constraints are the window's, so anomalies
+//!   whose entire evidence spans farther back than the window plus retained
+//!   frontier — e.g. a lost-update pair whose two read-modify-writes are
+//!   more than a window apart — can escape; the merged report therefore
+//!   words per-level passes as *attested per window*, not certified
+//!   end-to-end.  Growing `size`, `overlap` or `retain_windows` trades
+//!   memory for coverage, up to the batch auditor at the limit.
 //!
 //! The randomized equivalence suite (`tests/audit_window_equivalence.rs`)
 //! checks that on seeded live runs from every backend the windowed verdicts
 //! agree with the whole-run batch verdicts on all six levels.
 
 use crate::history::{AuditTxn, HistoryError, TxnId};
-use crate::linearization::{find_lost_update, DEFAULT_STATE_BUDGET};
+use crate::linearization::{certify_hint_order, find_lost_update, DEFAULT_STATE_BUDGET};
 use crate::po::{TxnPartialOrder, EVICTED_SESSION};
 use crate::recovery::{FrontierSnapshot, RecoveryError};
 use crate::report::{json_escape, AuditReport, DecidedBy, Level, LevelReport, Outcome};
 use crate::saturation::{resaturate, CycleViolation, Saturated};
 use crate::telemetry::AuditTelemetry;
-use crate::{audit_built, defect_report, AuditHistory, SatConfig};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use crate::{
+    certified_report, defect_report, forces_search, searched_report, AuditHistory, SatConfig,
+};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 use stm_runtime::CommitBatch;
 
@@ -79,8 +107,9 @@ pub struct WindowConfig {
     /// How many windows of absorbed writes the frontier keeps resolvable
     /// (the latest write per variable is kept regardless).
     pub retain_windows: usize,
-    /// Incremental re-saturation granularity, in transactions: how often the
-    /// in-flight window refreshes its causal verdict and lost-update probe.
+    /// Probe granularity, in transactions: how often the in-flight window
+    /// re-verifies its recording order — or, once that has failed, refreshes
+    /// its causal verdict and lost-update probe.
     pub batch: usize,
     /// Escalate budget-exhausted windows to the CDCL commit-order solver.
     pub sat: Option<SatConfig>,
@@ -232,10 +261,12 @@ impl StreamReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"index\":{},\"txns\":{},\"summary\":\"{}\",\"elapsed_ms\":{:.3}}}",
+                "{{\"index\":{},\"txns\":{},\"summary\":\"{}\",\"decided_by\":\"{}\",\
+                 \"elapsed_ms\":{:.3}}}",
                 w.index,
                 w.txns,
                 json_escape(&w.report.summary()),
+                w.report.decided_by().as_str(),
                 w.audit_elapsed.as_secs_f64() * 1e3
             ));
         }
@@ -278,18 +309,60 @@ impl std::fmt::Display for StreamReport {
     }
 }
 
+/// One absorbed writer the frontier can still materialize as a stand-in.
+#[derive(Debug)]
+struct RetainedWriter {
+    id: TxnId,
+    /// The writer's recording-order hint, so its stand-in sorts where the
+    /// real transaction did: with every stand-in at hint 0 the latest writer
+    /// of `x` that also holds a stale write of `y` could sort after the
+    /// latest writer of `y`, and no window past the first would verify.
+    /// Kept in memory only — a resumed auditor reads it back from the log
+    /// ([`WindowedAuditor::restore_frontier_hints`]).
+    hint: u64,
+    /// Its writes still resolvable: exactly the `source_of` keys that point
+    /// at this writer.
+    writes: Vec<(usize, i64)>,
+}
+
+/// A retained writer's identity and where the frontier keeps it.
+#[derive(Debug, Clone, Copy)]
+struct WriterRef {
+    id: TxnId,
+    slot: u32,
+}
+
+/// Attribution of one retained `(var, value)`.
+#[derive(Debug, Clone, Copy)]
+struct Source {
+    /// Slot of the writer in [`Frontier::writers`].
+    writer: u32,
+    /// Window the write was absorbed in.
+    window: usize,
+    /// An rmw fact is keyed on this value (it goes when the value goes).
+    has_rmw: bool,
+}
+
 /// The committed frontier carried between windows: who wrote what, as far
 /// back as the retention horizon, plus the latest write per variable.
+///
+/// Retained writers are bucketed by the window that absorbed them, so the
+/// close-time bookkeeping is proportional to the window, not to the
+/// retention horizon: [`Frontier::evict`] drops the one bucket that fell off
+/// the horizon (sparing each variable's latest value) instead of scanning
+/// everything retained, and absorbing a transaction moves its write set in
+/// whole.
 #[derive(Debug, Default)]
 struct Frontier {
     /// The initial value of every variable (rmw facts key on it).
     initial: i64,
-    /// `(var, value)` → (writer, window it was absorbed in).
-    source_of: HashMap<(usize, i64), (TxnId, usize)>,
+    /// `(var, value)` → who wrote it and when it was absorbed.
+    source_of: HashMap<(usize, i64), Source>,
     /// var → latest absorbed value (kept resolvable forever).
     latest: Vec<Option<i64>>,
-    /// writer → its retained writes, for all-at-once materialization.
-    writes_of: HashMap<TxnId, Vec<(usize, i64)>>,
+    /// Retained writers, in slots recycled through `free_slots`.
+    writers: Vec<RetainedWriter>,
+    free_slots: Vec<u32>,
     /// `(var, source value)` → the first absorbed transaction that
     /// read-modify-wrote `var` from that source, and the value it wrote.
     ///
@@ -297,12 +370,19 @@ struct Frontier {
     /// that rmw the same variable from the same source can never both
     /// commit under SI/SER, *no matter how far apart they are in the
     /// stream*.  Remembering one rmw fact per `(var, source)` (O(vars ×
-    /// retained sources) memory) and re-materializing it — read included —
-    /// into later windows lets the in-window polynomial rule convict pairs
-    /// that arrival order serialized into different windows, e.g. a
-    /// no-synchronization backend whose sessions happen to run back to
-    /// back in time.
+    /// retained sources) memory) lets the auditor convict pairs that arrival
+    /// order serialized into different windows, e.g. a no-synchronization
+    /// backend whose sessions happen to run back to back in time.
     rmw_of: HashMap<(usize, i64), (TxnId, i64)>,
+    /// The writer slots absorbed per window, oldest window first.  A slot
+    /// listed here is not recycled before its bucket is dropped.
+    buckets: VecDeque<(usize, Vec<u32>)>,
+    /// Values superseded as their variable's latest since the last evict:
+    /// the only entries that can expire after their bucket has.
+    displaced: Vec<(usize, i64)>,
+    /// Rmw facts recorded since the last evict, still to be checked for a
+    /// resolvable source.
+    fresh_rmw: Vec<(usize, i64)>,
 }
 
 impl Frontier {
@@ -310,40 +390,116 @@ impl Frontier {
         Frontier { initial, latest: vec![None; n_vars], ..Frontier::default() }
     }
 
-    fn absorb(&mut self, id: TxnId, txn: &AuditTxn, window: usize) {
+    fn absorb(&mut self, id: TxnId, txn: AuditTxn, window: usize) {
         for &(var, value) in &txn.writes {
-            self.source_of.insert((var, value), (id, window));
-            self.writes_of.entry(id).or_default().push((var, value));
-            self.latest[var] = Some(value);
-            if let Some(&(_, source)) = txn.reads.iter().find(|&&(v, _)| v == var) {
-                self.rmw_of.entry((var, source)).or_insert((id, value));
+            if let Some(old) = self.latest[var].replace(value) {
+                if old != value {
+                    self.displaced.push((var, old));
+                }
             }
+            if let Some(&(_, source)) = txn.reads.iter().find(|&&(v, _)| v == var) {
+                if let Entry::Vacant(fact) = self.rmw_of.entry((var, source)) {
+                    fact.insert((id, value));
+                    self.fresh_rmw.push((var, source));
+                }
+            }
+        }
+        if !txn.writes.is_empty() {
+            self.retain_writer(RetainedWriter { id, hint: txn.hint, writes: txn.writes }, window);
+        }
+    }
+
+    /// Take in a writer absorbed in `window`.  Windows must arrive in
+    /// ascending order (absorption and snapshot restore both do).
+    fn retain_writer(&mut self, writer: RetainedWriter, window: usize) {
+        let slot = self.free_slots.pop().unwrap_or(self.writers.len() as u32);
+        for &key in &writer.writes {
+            let source = Source { writer: slot, window, has_rmw: false };
+            match self.source_of.insert(key, source) {
+                // A duplicated write value (a recording-contract break the
+                // window reports as a defect): the later writer owns the
+                // attribution, and an earlier writer left with nothing whose
+                // bucket is already gone has no one else to recycle it.
+                Some(old) if old.writer != slot => {
+                    let bucketed = self.buckets.front().is_some_and(|&(w, _)| w <= old.window);
+                    if self.forget_write(old.writer, key) && !bucketed {
+                        self.free_slots.push(old.writer);
+                    }
+                }
+                _ => {}
+            }
+        }
+        match self.writers.get_mut(slot as usize) {
+            Some(vacant) => *vacant = writer,
+            None => self.writers.push(writer),
+        }
+        match self.buckets.back_mut() {
+            Some((w, slots)) if *w == window => slots.push(slot),
+            _ => self.buckets.push_back((window, vec![slot])),
+        }
+    }
+
+    /// Take `key` off a writer; `true` if that was its last retained write.
+    fn forget_write(&mut self, slot: u32, key: (usize, i64)) -> bool {
+        let writes = &mut self.writers[slot as usize].writes;
+        writes.retain(|&k| k != key);
+        writes.is_empty()
+    }
+
+    /// Drop the attribution of `key`, and the rmw fact over it: facts over
+    /// written values live as long as their source stays resolvable.
+    fn forget_source(&mut self, key: (usize, i64)) {
+        if self.source_of.remove(&key).is_some_and(|source| source.has_rmw) {
+            self.rmw_of.remove(&key);
         }
     }
 
     /// Drop writes older than the retention horizon (keeping every
-    /// latest-per-var write) and rebuild the per-writer groupings.
+    /// latest-per-var write): the buckets that fell off it, plus whatever
+    /// outlived its bucket as a latest value and has since been superseded.
     fn evict(&mut self, window: usize, retain: usize) {
-        let latest = self.latest.clone();
-        self.source_of.retain(|&(var, value), &mut (_, w)| {
-            w + retain >= window || latest[var] == Some(value)
-        });
-        let mut writes_of: HashMap<TxnId, Vec<(usize, i64)>> = HashMap::new();
-        for (&(var, value), &(id, _)) in &self.source_of {
-            writes_of.entry(id).or_default().push((var, value));
+        let horizon = window.saturating_sub(retain);
+        while self.buckets.front().is_some_and(|&(w, _)| w < horizon) {
+            let (_, slots) = self.buckets.pop_front().expect("checked non-empty");
+            for slot in slots {
+                let mut writes = std::mem::take(&mut self.writers[slot as usize].writes);
+                writes.retain(|&(var, value)| {
+                    let survives = self.latest[var] == Some(value);
+                    if !survives {
+                        self.forget_source((var, value));
+                    }
+                    survives
+                });
+                if writes.is_empty() {
+                    self.free_slots.push(slot);
+                } else {
+                    self.writers[slot as usize].writes = writes;
+                }
+            }
         }
-        // Deterministic materialization order regardless of hash iteration.
-        for writes in writes_of.values_mut() {
-            writes.sort_unstable();
+        for key in std::mem::take(&mut self.displaced) {
+            match self.source_of.get(&key) {
+                Some(source) if source.window < horizon && self.latest[key.0] != Some(key.1) => {
+                    let slot = source.writer;
+                    self.forget_source(key);
+                    if self.forget_write(slot, key) {
+                        self.free_slots.push(slot);
+                    }
+                }
+                _ => {}
+            }
         }
-        self.writes_of = writes_of;
-        // Keep rmw facts over the initial value forever (O(vars)); facts
-        // over written values live as long as their source stays resolvable.
-        let initial = self.initial;
-        let source_of = &self.source_of;
-        self.rmw_of.retain(|&(var, source), _| {
-            source == initial || source_of.contains_key(&(var, source))
-        });
+        // Rmw facts over the initial value are kept forever (O(vars)); a
+        // fact over a value the frontier cannot resolve is not kept at all.
+        for key in std::mem::take(&mut self.fresh_rmw) {
+            match self.source_of.get_mut(&key) {
+                Some(source) => source.has_rmw = true,
+                None if key.1 == self.initial => {}
+                None => {
+                    self.rmw_of.remove(&key);
+                }
+            }
+        }
     }
 
     /// The remembered rmw fact over `(var, source value)`, if any.
@@ -351,34 +507,38 @@ impl Frontier {
         self.rmw_of.get(&(var, source)).copied()
     }
 
-    fn source(&self, var: usize, value: i64) -> Option<TxnId> {
-        self.source_of.get(&(var, value)).map(|&(id, _)| id)
+    fn source(&self, var: usize, value: i64) -> Option<WriterRef> {
+        self.source_of.get(&(var, value)).map(|source| WriterRef {
+            id: self.writers[source.writer as usize].id,
+            slot: source.writer,
+        })
     }
 
     /// The write-only stand-in for a frontier transaction: every retained
-    /// write, real facts all.  Reads are deliberately *not* materialized —
-    /// carried rmw facts are checked directly by the auditor's
-    /// cross-window lost-update rule instead of burdening the per-window
-    /// SI/SER searches with stale-read ordering constraints.
-    fn stand_in(&self, id: TxnId) -> AuditTxn {
-        let mut writes = self.writes_of.get(&id).cloned().unwrap_or_default();
+    /// write, real facts all, at the writer's recorded hint.  Reads are
+    /// deliberately *not* materialized — carried rmw facts are checked
+    /// directly by the auditor's cross-window lost-update rule instead of
+    /// burdening the per-window SI/SER searches with stale-read ordering
+    /// constraints.
+    fn stand_in(&self, writer: WriterRef) -> AuditTxn {
+        let writer = &self.writers[writer.slot as usize];
+        let mut writes = writer.writes.clone();
+        // Deterministic materialization order regardless of absorb order.
         writes.sort_unstable();
-        AuditTxn { reads: Vec::new(), writes, hint: 0, footprint: 0 }
+        AuditTxn { reads: Vec::new(), writes, hint: writer.hint, footprint: 0 }
     }
 
     /// The writers owning each variable's latest value — materialized
     /// (session-chained) at window open.
-    fn latest_writers(&self) -> Vec<TxnId> {
-        let mut out: Vec<TxnId> = self
+    fn latest_writers(&self) -> Vec<WriterRef> {
+        let mut out: Vec<WriterRef> = self
             .latest
             .iter()
             .enumerate()
-            .filter_map(|(var, v)| {
-                v.and_then(|val| self.source_of.get(&(var, val)).map(|&(id, _)| id))
-            })
+            .filter_map(|(var, v)| v.and_then(|val| self.source(var, val)))
             .collect();
-        out.sort_unstable();
-        out.dedup();
+        out.sort_unstable_by_key(|w| w.id);
+        out.dedup_by_key(|w| w.id);
         out
     }
 }
@@ -403,6 +563,10 @@ struct ActiveWindow {
     /// real violations of SI and SER, applied over the window's own verdict
     /// at close (their far half lives outside the window's partial order).
     cross_violations: Vec<String>,
+    /// Search mode, sticky per window: some probe could not verify the
+    /// recording order (or was not allowed to try), so every later probe and
+    /// the close re-saturate and search.  Until then `sat` stays empty.
+    searching: bool,
 }
 
 /// Audits a stream of committed transactions in rolling windows; see the
@@ -428,12 +592,32 @@ pub struct WindowedAuditor {
     first_conviction: Option<Conviction>,
     peak_window_txns: usize,
     peak_closure_bytes: usize,
+    /// Open every window in search mode (see [`WindowedAuditor::new_searching`]).
+    search_only: bool,
     tele: Option<AuditTelemetry>,
 }
 
 impl WindowedAuditor {
     /// An auditor for runs over `n_vars` variables starting at `initial`.
     pub fn new(n_vars: usize, initial: i64, config: WindowConfig) -> Self {
+        Self::build(n_vars, initial, config, false)
+    }
+
+    /// [`WindowedAuditor::new`] with the verify-first step skipped in every
+    /// window, so every verdict comes from the search engine — the reference
+    /// side of the certified-vs-searched differential tests, not an
+    /// operating mode.
+    #[doc(hidden)]
+    pub fn new_searching(n_vars: usize, initial: i64, config: WindowConfig) -> Self {
+        Self::build(n_vars, initial, config, true)
+    }
+
+    pub(crate) fn build(
+        n_vars: usize,
+        initial: i64,
+        config: WindowConfig,
+        search_only: bool,
+    ) -> Self {
         WindowedAuditor {
             n_vars,
             initial,
@@ -451,6 +635,7 @@ impl WindowedAuditor {
             first_conviction: None,
             peak_window_txns: 0,
             peak_closure_bytes: 0,
+            search_only,
             tele: AuditTelemetry::attach(),
         }
     }
@@ -522,7 +707,9 @@ impl WindowedAuditor {
             .frontier
             .source_of
             .iter()
-            .map(|(&(var, value), &(id, window))| (var, value, id, window))
+            .map(|(&(var, value), source)| {
+                (var, value, self.frontier.writers[source.writer as usize].id, source.window)
+            })
             .collect();
         source_of.sort_unstable();
         let mut rmw_of: Vec<(usize, i64, TxnId, i64)> = self
@@ -592,26 +779,30 @@ impl WindowedAuditor {
             }
         }
         let mut frontier = Frontier::new(snapshot.n_vars, snapshot.initial);
-        for &(var, value, id, window) in &snapshot.source_of {
-            if var >= snapshot.n_vars {
-                return Err(RecoveryError::new(format!(
-                    "snapshot names variable v{var} but declares only {} variables",
-                    snapshot.n_vars
-                )));
-            }
-            frontier.source_of.insert((var, value), (id, window));
-            frontier.writes_of.entry(id).or_default().push((var, value));
+        if let Some(&(var, ..)) = snapshot.source_of.iter().find(|s| s.0 >= snapshot.n_vars) {
+            return Err(RecoveryError::new(format!(
+                "snapshot names variable v{var} but declares only {} variables",
+                snapshot.n_vars
+            )));
         }
-        // The live frontier's groupings are rebuilt (sorted) on every
-        // evict; reproduce that exact shape.
-        for writes in frontier.writes_of.values_mut() {
-            writes.sort_unstable();
+        // A transaction's writes were absorbed together: regroup them per
+        // (window, writer), oldest window first.
+        let mut retained: Vec<&(usize, i64, TxnId, usize)> = snapshot.source_of.iter().collect();
+        retained.sort_by_key(|&&(_, _, id, window)| (window, id));
+        for group in retained.chunk_by(|a, b| (a.3, a.2) == (b.3, b.2)) {
+            let &(_, _, id, window) = group[0];
+            let writes = group.iter().map(|&&(var, value, ..)| (var, value)).collect();
+            // Hints are not persisted; see `restore_frontier_hints`.
+            frontier.retain_writer(RetainedWriter { id, hint: 0, writes }, window);
         }
         for &(var, value) in &snapshot.latest {
             frontier.latest[var] = Some(value);
         }
         for &(var, source, id, wrote) in &snapshot.rmw_of {
             frontier.rmw_of.insert((var, source), (id, wrote));
+            if let Some(entry) = frontier.source_of.get_mut(&(var, source)) {
+                entry.has_rmw = true;
+            }
         }
         Ok(WindowedAuditor {
             n_vars: snapshot.n_vars,
@@ -630,8 +821,25 @@ impl WindowedAuditor {
             first_conviction: snapshot.first_conviction.clone(),
             peak_window_txns: snapshot.peak_window_txns,
             peak_closure_bytes: snapshot.peak_closure_bytes,
+            search_only: false,
             tele: AuditTelemetry::attach(),
         })
+    }
+
+    /// Give the retained frontier writers their recording-order hints back
+    /// after [`WindowedAuditor::resume_from_frontier`].  The snapshot does
+    /// not persist them (they would grow it by two fifths), but whoever
+    /// resumes holds the log the snapshot was cut from, and `hint_of` reads
+    /// them off it.  Without this the resumed verdicts are still sound —
+    /// stand-ins sort at hint 0, as unknown as an evicted writer's — but
+    /// windows an uninterrupted run certifies from its recording order fall
+    /// back to the search.
+    pub fn restore_frontier_hints(&mut self, hint_of: impl Fn(TxnId) -> Option<u64>) {
+        for writer in &mut self.frontier.writers {
+            if let Some(hint) = hint_of(writer.id) {
+                writer.hint = hint;
+            }
+        }
     }
 
     /// Ingest one committed transaction.  Transactions of the same session
@@ -687,11 +895,11 @@ impl WindowedAuditor {
         let mut po = TxnPartialOrder::new(self.n_vars, self.initial);
         let mut materialized = HashSet::new();
         let mut defect = None;
-        for id in self.frontier.latest_writers() {
-            let txn = self.frontier.stand_in(id);
-            match po.extend(id, &txn) {
+        for writer in self.frontier.latest_writers() {
+            let txn = self.frontier.stand_in(writer);
+            match po.extend(writer.id, &txn) {
                 Ok(_) => {
-                    materialized.insert(id);
+                    materialized.insert(writer.id);
                 }
                 Err(err) => {
                     defect = Some(err);
@@ -709,6 +917,7 @@ impl WindowedAuditor {
             unsynced: 0,
             materialized,
             cross_violations: Vec::new(),
+            searching: self.search_only || forces_search(self.config.sat),
         });
     }
 
@@ -761,25 +970,43 @@ impl WindowedAuditor {
     /// Materialize a frontier transaction into the active window (detached:
     /// its session chain has moved on, and a fabricated session edge could
     /// invent a violation where dropping it only loses detection power).
-    fn materialize(&mut self, id: TxnId) {
-        if self.active.as_ref().expect("active window").materialized.contains(&id) {
+    fn materialize(&mut self, writer: WriterRef) {
+        if self.active.as_ref().expect("active window").materialized.contains(&writer.id) {
             return;
         }
-        let txn = self.frontier.stand_in(id);
+        let txn = self.frontier.stand_in(writer);
         let aw = self.active.as_mut().expect("active window");
-        if let Err(err) = aw.po.extend_detached(id, &txn) {
+        if let Err(err) = aw.po.extend_detached(writer.id, &txn) {
             aw.defect = Some(err);
         }
-        aw.materialized.insert(id);
+        aw.materialized.insert(writer.id);
     }
 
-    /// Resolve cross-window reads against the frontier, re-saturate the
-    /// causal constraints incrementally, and probe for convictions.
-    fn sync_active(&mut self) {
+    /// One probe of the in-flight window, timed: resolve cross-window reads
+    /// against the frontier, then **verify first** — if the recording order
+    /// of everything wired so far is a serial order, the probe is done and
+    /// the order is returned (a serial prefix holds no causal cycle and no
+    /// lost update, so there is nothing to convict).  Reads still parked on
+    /// a writer in flight are not wired yet and do not block a probe.  Only
+    /// when the order does not verify — or a carried rmw fact already paired
+    /// with this window, which convicts SI/SER whatever the window's own
+    /// order says — does the window enter search mode: re-saturate the
+    /// causal constraints (caught up lazily from the edge log) and probe for
+    /// convictions, at this and every later probe of the window.
+    fn sync_active(&mut self) -> Option<Vec<u32>> {
+        let started = self.tele.as_ref().map(|_| Instant::now());
+        let certified = self.probe();
+        if let (Some(tele), Some(started)) = (&self.tele, started) {
+            tele.sync_latency.record_duration(started.elapsed());
+        }
+        certified
+    }
+
+    fn probe(&mut self) -> Option<Vec<u32>> {
         let pending = self.active.as_ref().expect("active window").po.pending_values();
         for (var, value) in pending {
-            if let Some(id) = self.frontier.source(var, value) {
-                self.materialize(id);
+            if let Some(writer) = self.frontier.source(var, value) {
+                self.materialize(writer);
             }
             // Unknown values stay parked: either their writer is still in
             // flight within this window, or they are resolved as evicted
@@ -788,8 +1015,14 @@ impl WindowedAuditor {
         let aw = self.active.as_mut().expect("active window");
         aw.unsynced = 0;
         if aw.defect.is_some() {
-            return;
+            return None;
         }
+        if !aw.searching && aw.cross_violations.is_empty() {
+            if let Some(order) = certify_hint_order(&aw.po) {
+                return Some(order);
+            }
+        }
+        aw.searching = true;
         if aw.causal_failure.is_none() {
             if let Err(cycle) = resaturate(&mut aw.sat, &aw.po) {
                 aw.causal_failure = Some(cycle);
@@ -819,10 +1052,12 @@ impl WindowedAuditor {
                 }
             }
         }
+        None
     }
 
     /// Close the current window: final frontier resolution, evicted
-    /// stand-ins for anything past the horizon, the full six-level verdict,
+    /// stand-ins for anything past the horizon, the six-level verdict — from
+    /// the final order if it verifies, from the search engine otherwise —
     /// then absorb the non-overlap prefix into the frontier.
     fn close_window(&mut self, fin: bool) {
         if self.cur.is_empty() {
@@ -841,7 +1076,7 @@ impl WindowedAuditor {
             let pending_stuck = aw.po.pending_values().iter().all(|&(var, value)| {
                 match self.frontier.source(var, value) {
                     None => true,
-                    Some(id) => aw.materialized.contains(&id),
+                    Some(writer) => aw.materialized.contains(&writer.id),
                 }
             });
             if aw.defect.is_some() || pending_stuck {
@@ -866,7 +1101,9 @@ impl WindowedAuditor {
                 aw.defect = Some(err);
             }
         }
-        self.sync_active();
+        // The close-time check: every read is wired now, so an order that
+        // verifies here is a witness for the whole window.
+        let certified = self.sync_active();
 
         let aw = self.active.take().expect("active window");
         let window_txns = aw.extended;
@@ -896,14 +1133,16 @@ impl WindowedAuditor {
         }
         let defect = aw.defect.or_else(|| aw.po.seal().err());
         let cross_violations = aw.cross_violations.clone();
-        let mut report = match defect {
-            Some(err) => defect_report(shape, &err),
-            None => {
+        let mut report = match (defect, &certified) {
+            (Some(err), _) => defect_report(shape, &err),
+            (None, Some(order)) => certified_report(&aw.po, shape, order),
+            (None, None) => {
                 let causal = match aw.causal_failure {
                     Some(cycle) => Err(cycle),
                     None => Ok(aw.sat),
                 };
-                let (report, spent) = audit_built(&aw.po, shape, budget, causal, self.config.sat);
+                let (report, spent) =
+                    searched_report(&aw.po, shape, budget, causal, self.config.sat);
                 if let (Some(tele), true) = (&self.tele, spent.ran) {
                     tele.sat_windows.inc();
                     tele.sat_conflicts.add(spent.conflicts);
@@ -926,6 +1165,11 @@ impl WindowedAuditor {
         let audit_elapsed = started.elapsed();
         if let Some(tele) = &self.tele {
             tele.windows.inc();
+            if report.decided_by() == DecidedBy::Hint {
+                tele.certified.inc();
+            } else {
+                tele.searched.inc();
+            }
             tele.window_latency.record_duration(audit_elapsed);
             tele.verdict_latency.record_duration(aw.opened_at.elapsed());
             for l in &report.levels {
@@ -962,7 +1206,7 @@ impl WindowedAuditor {
 
         let absorb = if fin { self.cur.len() } else { self.cur.len() - self.config.overlap };
         for (id, txn) in self.cur.drain(..absorb) {
-            self.frontier.absorb(id, &txn, self.window_index);
+            self.frontier.absorb(id, txn, self.window_index);
         }
         self.window_index += 1;
         self.frontier.evict(self.window_index, self.config.retain_windows);
@@ -980,18 +1224,13 @@ impl WindowedAuditor {
         let levels = Level::ALL
             .iter()
             .map(|&level| {
-                let mut l = LevelReport::new(level, self.merged_outcome(level));
                 // The merged verdict leans on the solver as soon as any
-                // window's verdict for the level did.
-                if self.verdicts.iter().any(|w| {
-                    w.report
-                        .levels
-                        .iter()
-                        .any(|r| r.level == level && r.decided_by == DecidedBy::Sat)
-                }) {
-                    l = l.via_sat();
-                }
-                l
+                // window's verdict for the level did, and on the recording
+                // order only when every window was certified by it.
+                let by = DecidedBy::merged(self.verdicts.iter().flat_map(|w| {
+                    w.report.levels.iter().filter(|r| r.level == level).map(|r| r.decided_by)
+                }));
+                LevelReport::new(level, self.merged_outcome(level)).via(by)
             })
             .collect();
         AuditReport { shape, levels }
@@ -1245,18 +1484,24 @@ fn audit_txn_of(record: &stm_runtime::OwnedCommitRecord) -> AuditTxn {
 /// equivalence suite is built on.  Per-session hint order must match session
 /// order, which every recorder and adapter in this crate guarantees.
 pub fn audit_streamed(history: &AuditHistory, config: WindowConfig) -> StreamReport {
-    let mut all: Vec<(u64, usize, &AuditTxn)> = history
-        .sessions
-        .iter()
-        .enumerate()
-        .flat_map(|(s, session)| session.iter().map(move |txn| (txn.hint, s, txn)))
-        .collect();
-    all.sort_by_key(|&(hint, s, _)| (hint, s));
     let mut auditor = WindowedAuditor::new(history.n_vars, history.initial, config);
-    for (_, session, txn) in all {
+    for (session, txn) in recording_order(history) {
         auditor.push(session, txn.clone());
     }
     auditor.finish()
+}
+
+/// A history's transactions as `(session, transaction)` in recording (hint)
+/// order — the stream a recorder would have delivered.
+pub(crate) fn recording_order(history: &AuditHistory) -> Vec<(usize, &AuditTxn)> {
+    let mut all: Vec<(usize, &AuditTxn)> = history
+        .sessions
+        .iter()
+        .enumerate()
+        .flat_map(|(s, session)| session.iter().map(move |txn| (s, txn)))
+        .collect();
+    all.sort_by_key(|&(s, txn)| (txn.hint, s));
+    all
 }
 
 #[cfg(test)]
@@ -1265,6 +1510,261 @@ mod tests {
 
     fn cfg(size: usize, overlap: usize) -> WindowConfig {
         WindowConfig { size, overlap, ..WindowConfig::sized(size) }
+    }
+
+    /// Replay `h` in recording order through `auditor`.
+    fn replay(mut auditor: WindowedAuditor, h: &AuditHistory) -> StreamReport {
+        for (session, txn) in recording_order(h) {
+            auditor.push(session, txn.clone());
+        }
+        auditor.finish()
+    }
+
+    fn provenance(report: &AuditReport) -> Vec<DecidedBy> {
+        report.levels.iter().map(|l| l.decided_by).collect()
+    }
+
+    fn txn(hint: u64, reads: &[(usize, i64)], writes: &[(usize, i64)]) -> AuditTxn {
+        AuditTxn { reads: reads.to_vec(), writes: writes.to_vec(), hint, footprint: 0 }
+    }
+
+    /// The frontier where stand-in order decides: session 1's first
+    /// transaction holds the latest `x` and a stale `y`, session 0's the
+    /// latest `y` — and sorts *first* by identity.  The second window reads
+    /// both latest values.
+    fn stale_sibling_history() -> AuditHistory {
+        let (x, y) = (0, 1);
+        let mut h = AuditHistory::new(2, 0, 2);
+        h.push_txn(1, [], [(x, 10), (y, 20)]);
+        h.push_txn(0, [(y, 20)], [(y, 21)]);
+        h.push_txn(0, [(x, 10), (y, 21)], []);
+        h.push_txn(1, [(y, 21)], [(y, 22)]);
+        h
+    }
+
+    /// Stand-ins keep their recorded hint, so the window after the frontier
+    /// above is certified by its recording order; at hint 0 (a resumed
+    /// auditor nobody gave the hints back to) the stale `y` would sort after
+    /// the latest one and the same window has to search — and still passes.
+    #[test]
+    fn stand_ins_sort_by_their_recorded_hint() {
+        let h = stale_sibling_history();
+        let stream = audit_streamed(&h, cfg(2, 0));
+        assert_eq!(stream.windows.len(), 2);
+        for w in &stream.windows {
+            assert_eq!(provenance(&w.report), [DecidedBy::Hint; 6], "window {}", w.index);
+        }
+        assert_eq!(provenance(&stream.merged), [DecidedBy::Hint; 6]);
+        assert_eq!(stream.summary(), "RC ✓ | RA ✓ | Causal ✓ | Prefix ✓ | SI ✓ | SER ✓");
+
+        let order = recording_order(&h);
+        let resume_after_window_0 = || {
+            let mut live = WindowedAuditor::new(2, 0, cfg(2, 0));
+            for &(s, t) in &order[..2] {
+                live.push(s, t.clone());
+            }
+            let snap = FrontierSnapshot::parse(&live.boundary_snapshot().to_json()).unwrap();
+            assert_eq!(snap.replay_from, 2);
+            WindowedAuditor::resume_from_frontier(&snap, None).unwrap()
+        };
+        let finish = |mut auditor: WindowedAuditor| {
+            for &(s, t) in &order[2..] {
+                auditor.push(s, t.clone());
+            }
+            auditor.finish()
+        };
+
+        let unhinted = finish(resume_after_window_0());
+        assert_eq!(provenance(&unhinted.windows[1].report), [DecidedBy::Dfs; 6]);
+        assert_eq!(unhinted.summary(), stream.summary());
+
+        // With the hints read back off the log, the resumed stream certifies
+        // the same windows with the same witness.
+        let mut hinted = resume_after_window_0();
+        hinted.restore_frontier_hints(|id| h.txn(id).map(|t| t.hint));
+        let hinted = finish(hinted);
+        assert_eq!(hinted.merged, stream.merged);
+        for (resumed, live) in hinted.windows.iter().zip(&stream.windows) {
+            assert_eq!(resumed.report, live.report, "window {}", live.index);
+        }
+    }
+
+    /// Hints that mislead: one contradicts a write-read edge (the
+    /// topological order repairs that), one places a stale reader last (that
+    /// it cannot repair).  The order does not verify, the window falls back
+    /// to the search, and the search finds the serial order that exists.
+    #[test]
+    fn misleading_hints_fall_back_to_the_search_and_still_pass() {
+        let mut auditor = WindowedAuditor::new(1, 0, cfg(8, 0));
+        auditor.push(0, txn(9, &[(0, 0)], &[(0, 1)]));
+        auditor.push(1, txn(1, &[(0, 1)], &[(0, 2)])); // hint says: before its source
+        auditor.push(2, txn(20, &[(0, 0)], &[])); // hint says: last; must be first
+        let report = auditor.finish();
+        assert_eq!(report.summary(), "RC ✓ | RA ✓ | Causal ✓ | Prefix ✓ | SI ✓ | SER ✓");
+        assert_eq!(provenance(&report.windows[0].report), [DecidedBy::Dfs; 6]);
+        let Some(Outcome::Pass { witness }) = report.windows[0].report.outcome(Level::Serializable)
+        else {
+            panic!("expected a pass");
+        };
+        assert_eq!(witness, "commit order: s2:0 < s0:0 < s1:0");
+    }
+
+    /// A window whose own order verifies can still hold half of a lost
+    /// update: a late arrival (hint 8, delivered after hint 12) rmw's a
+    /// source an absorbed transaction already rmw'd.  The absorbed half's
+    /// stand-in is write-only and sorts after the late one, so the window's
+    /// recording order is serial — the carried rmw fact is what convicts,
+    /// and it must keep the window off the certified path.
+    #[test]
+    fn a_carried_rmw_fact_convicts_a_window_whose_own_order_verifies() {
+        let (u, v) = (0, 1);
+        let mut auditor = WindowedAuditor::new(2, 0, cfg(4, 0));
+        auditor.push(0, txn(0, &[], &[(v, 5)]));
+        auditor.push(0, txn(10, &[(v, 5)], &[(v, 6)])); // the absorbed half
+        auditor.push(0, txn(11, &[], &[(u, 100)]));
+        auditor.push(0, txn(12, &[], &[(u, 101)]));
+        assert_eq!(auditor.windows_closed(), 1);
+        auditor.push(1, txn(8, &[(v, 5)], &[(v, 7)])); // the late half
+        auditor.push(0, txn(13, &[], &[(u, 102)]));
+        let report = auditor.finish();
+
+        assert_eq!(provenance(&report.windows[0].report), [DecidedBy::Hint; 6]);
+        let second = &report.windows[1].report;
+        assert_eq!(second.summary(), "RC ✓ | RA ✓ | Causal ✓ | Prefix ✓ | SI ✗ | SER ✗");
+        assert_eq!(
+            provenance(second),
+            [DecidedBy::Dfs; 6],
+            "convicted windows are never certified"
+        );
+        let conviction = report.first_conviction.as_ref().expect("convicted");
+        assert_eq!(conviction.level, Level::SnapshotIsolation);
+        assert!(conviction.violation.contains("cross-window lost update on v1"), "{conviction:?}");
+        assert_eq!(provenance(&report.merged)[5], DecidedBy::Dfs);
+    }
+
+    /// `SatConfig::force` asks for the solver's verdict, so a forced window
+    /// (and a forced batch audit) never takes the certified path.
+    #[test]
+    fn forced_sat_is_never_certified_by_the_hint() {
+        let h = stale_sibling_history();
+        let forced = Some(SatConfig { force: true, ..SatConfig::default() });
+        let stream = audit_streamed(&h, WindowConfig { sat: forced, ..cfg(2, 0) });
+        let batch = crate::audit_with_options(
+            &h,
+            &crate::AuditOptions { budget: DEFAULT_STATE_BUDGET, sat: forced },
+        );
+        for report in stream.windows.iter().map(|w| &w.report).chain([&stream.merged, &batch]) {
+            assert_eq!(report.summary(), "RC ✓ | RA ✓ | Causal ✓ | Prefix ✓ | SI ✓ | SER ✓");
+            assert!(!provenance(report).contains(&DecidedBy::Hint), "{report}");
+            assert_eq!(provenance(report)[3..], [DecidedBy::Sat; 3], "{report}");
+        }
+        // Unforced, the same history is certified outright.
+        assert_eq!(provenance(&crate::audit(&h)), [DecidedBy::Hint; 6]);
+    }
+
+    /// The certified/searched meters add up to the window count, and the
+    /// push-time probes are metered too.
+    #[test]
+    fn telemetry_counts_certified_and_searched_windows() {
+        let registry = tm_telemetry::Registry::new();
+        let mut h = AuditHistory::new(2, 0, 2);
+        for i in 0..12i64 {
+            h.push_txn(0, [], [(0, 100 + i)]);
+        }
+        h.push_txn(0, [(1, 0)], [(1, 1)]);
+        h.push_txn(1, [(1, 0)], [(1, 2)]); // lost update in the last window
+        let auditor = WindowedAuditor::new(2, 0, cfg(4, 0))
+            .with_telemetry(AuditTelemetry::from_registry(&registry));
+        let report = replay(auditor, &h);
+        assert!(report.fails(Level::SnapshotIsolation));
+
+        let tele = AuditTelemetry::from_registry(&registry);
+        assert_eq!(tele.windows.get(), 4);
+        assert_eq!(tele.certified.get(), 3);
+        assert_eq!(tele.searched.get(), 1);
+        assert!(tele.sync_latency.count() >= 14, "one probe per push (batch 1) plus the closes");
+    }
+
+    /// The bucketed frontier against the definition it replaces: keep a
+    /// write while its window is within the horizon or it is its variable's
+    /// latest; keep an rmw fact while its source is the initial value or
+    /// still attributed.
+    #[test]
+    fn bucketed_eviction_matches_the_scan_it_replaced() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n_vars, retain) = (5usize, 3usize);
+            let mut frontier = Frontier::new(n_vars, 0);
+            let mut source_of: HashMap<(usize, i64), (TxnId, usize)> = HashMap::new();
+            let mut rmw_of: HashMap<(usize, i64), (TxnId, i64)> = HashMap::new();
+            let mut latest: Vec<Option<i64>> = vec![None; n_vars];
+            let mut next = 1i64;
+            for window in 0..30usize {
+                for seq in 0..rng.gen_range(0..6usize) {
+                    let id = TxnId { session: window % 3, seq: window * 10 + seq };
+                    let mut t = AuditTxn::default();
+                    for (var, current) in latest.iter().enumerate() {
+                        if rng.gen_bool(0.3) {
+                            // Sometimes an rmw over a current, an old or an
+                            // unattributed value; mostly a blind write.
+                            match rng.gen_range(0..5u32) {
+                                0 => t.reads.push((var, current.unwrap_or(0))),
+                                1 => t.reads.push((var, rng.gen_range(0..next))),
+                                _ => {}
+                            }
+                            t.writes.push((var, next));
+                            next += 1;
+                        }
+                    }
+                    for &(var, value) in &t.writes {
+                        source_of.insert((var, value), (id, window));
+                        latest[var] = Some(value);
+                        if let Some(&(_, source)) = t.reads.iter().find(|&&(v, _)| v == var) {
+                            rmw_of.entry((var, source)).or_insert((id, value));
+                        }
+                    }
+                    frontier.absorb(id, t, window);
+                }
+                source_of.retain(|&(var, value), &mut (_, w)| {
+                    w + retain > window || latest[var] == Some(value)
+                });
+                rmw_of.retain(|&(var, source), _| {
+                    source == 0 || source_of.contains_key(&(var, source))
+                });
+                frontier.evict(window + 1, retain);
+
+                let attributed: HashMap<(usize, i64), (TxnId, usize)> = frontier
+                    .source_of
+                    .iter()
+                    .map(|(&key, s)| (key, (frontier.writers[s.writer as usize].id, s.window)))
+                    .collect();
+                assert_eq!(attributed, source_of, "seed {seed} window {window}");
+                assert_eq!(frontier.rmw_of, rmw_of, "seed {seed} window {window}");
+                assert_eq!(frontier.latest, latest);
+                // Every attributed write, and nothing else, is on its writer.
+                let mut writers: Vec<WriterRef> =
+                    source_of.keys().filter_map(|&(var, v)| frontier.source(var, v)).collect();
+                writers.sort_unstable_by_key(|w| w.id);
+                writers.dedup_by_key(|w| w.id);
+                let mut on_writers: Vec<((usize, i64), TxnId)> = writers
+                    .iter()
+                    .flat_map(|&w| frontier.stand_in(w).writes.into_iter().map(move |k| (k, w.id)))
+                    .collect();
+                on_writers.sort_unstable();
+                let mut expected: Vec<((usize, i64), TxnId)> =
+                    source_of.iter().map(|(&k, &(id, _))| (k, id)).collect();
+                expected.sort_unstable();
+                assert_eq!(on_writers, expected, "seed {seed} window {window}");
+                let live: usize = frontier.writers.iter().filter(|w| !w.writes.is_empty()).count();
+                assert_eq!(
+                    live + frontier.free_slots.len(),
+                    frontier.writers.len(),
+                    "seed {seed} window {window}: an empty writer slot must be recycled"
+                );
+            }
+        }
     }
 
     /// A serializable cross-session handoff chain long enough to span many
@@ -1506,7 +2006,15 @@ mod tests {
         assert!(stream.windows.len() >= 13, "windows: {}", stream.windows.len());
         assert_eq!(stream.total_txns, 100);
         assert!(stream.peak_window_txns <= 10);
-        assert!(stream.peak_closure_bytes > 0);
+        // Every window of the healthy chain is certified by its recording
+        // order, so no closure is ever built; a window that searches builds
+        // one.
+        assert!(stream.windows.iter().all(|w| w.report.decided_by() == DecidedBy::Hint));
+        assert_eq!(stream.peak_closure_bytes, 0);
+        let searched = replay(WindowedAuditor::new_searching(4, 0, cfg(10, 3)), &h);
+        assert!(searched.windows.iter().all(|w| w.report.decided_by() == DecidedBy::Dfs));
+        assert!(searched.peak_closure_bytes > 0);
+        assert_eq!(searched.summary(), stream.summary());
         assert!(stream.verdict_latency_max() >= stream.verdict_latency_mean());
         let json = stream.to_json();
         assert!(json.contains("\"total_txns\":100"), "{json}");

@@ -48,8 +48,11 @@
 //! * `--sat[=conflicts=N[:max-txns=N][:force]]` — escalate any NP-hard level
 //!   the DFS left `Unknown` to the `tm-sat` CDCL commit-order solver: UNSAT
 //!   convicts (with the forced cycle as witness), a model passes (with the
-//!   decoded commit order), and verdicts carry `decided_by: "dfs"|"sat"`
-//!   provenance everywhere a report lands (stdout, `--json`, serve records).
+//!   decoded commit order), and verdicts carry `decided_by:
+//!   "hint"|"dfs"|"sat"` provenance everywhere a report lands (stdout,
+//!   `--json`, serve records) — `"hint"` for a history or window whose
+//!   recording order verified as a serial order, which certifies all six
+//!   levels in one pass and runs neither the DFS nor the solver.
 //!   `conflicts=N` bounds solver effort per window (exhaustion keeps
 //!   `Unknown`, with the retry hint recomputed as a conflict budget);
 //!   `max-txns=N` caps the window size the cubic encoding is materialized
@@ -688,12 +691,13 @@ fn lag_json(partitions: &[PartitionLag]) -> String {
 
 fn emit_event(emitter: &ServeEmitter, round: u64, event: &ShardEvent) {
     match event {
-        ShardEvent::Window { partition, escalation, index, txns, summary, elapsed } => {
+        ShardEvent::Window { partition, escalation, index, txns, summary, decided_by, elapsed } => {
             emitter.emit(&format!(
                 "{{\"type\":\"window\",\"round\":{round},\"partition\":{partition},\
                  \"escalation\":{escalation},\"window\":{index},\"txns\":{txns},\
-                 \"verdict\":\"{}\",\"elapsed_ms\":{:.3}}}",
+                 \"verdict\":\"{}\",\"decided_by\":\"{}\",\"elapsed_ms\":{:.3}}}",
                 json_escape(summary),
+                decided_by.as_str(),
                 elapsed.as_secs_f64() * 1e3
             ));
         }

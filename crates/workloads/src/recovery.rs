@@ -216,8 +216,12 @@ pub fn recover_round_auditor(
     let (mut auditor, replay_from, resumed_from_segment) = match snapshot {
         Some((segment, snap)) => {
             snap.check_continuation(&arrival).map_err(|e| format!("{}: {e}", dir.display()))?;
-            let auditor = WindowedAuditor::resume_from_frontier(&snap, sat)
+            let mut auditor = WindowedAuditor::resume_from_frontier(&snap, sat)
                 .map_err(|e| format!("{}: {e}", dir.display()))?;
+            // The snapshot does not persist the retained writers' hints; the
+            // log it was cut from holds them, and with them the resumed
+            // stream certifies exactly the windows an uninterrupted one does.
+            auditor.restore_frontier_hints(|id| history.txn(id).map(|txn| txn.hint));
             (auditor, snap.replay_from as usize, Some(segment))
         }
         None => {

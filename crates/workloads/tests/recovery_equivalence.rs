@@ -8,7 +8,7 @@
 //! histories with planted violations.
 
 use std::path::{Path, PathBuf};
-use tm_audit::{audit_streamed, AuditTxn, TxnSink, WindowConfig, WindowedAuditor};
+use tm_audit::{audit_streamed, AuditTxn, DecidedBy, TxnSink, WindowConfig, WindowedAuditor};
 use tm_history::{generate, GenConfig};
 use workloads::{recover_round_auditor, WalTee};
 
@@ -128,5 +128,76 @@ fn fifty_seeded_histories_recover_to_the_uninterrupted_verdict() {
     assert!(cold_replays > 0, "no crash landed before the first frontier snapshot");
     assert!(resumed_replays > 0, "no crash landed after a frontier snapshot");
     assert!(convicted > 0, "no seeded history carried a violation");
+    std::fs::remove_dir_all(&base).expect("cleanup");
+}
+
+/// A resumed stream certifies the windows an uninterrupted one does.  The
+/// frontier snapshot does not persist the retained writers' hints;
+/// `recover_round_auditor` reads them back off the log, so every window —
+/// carried in the snapshot or audited after the resume — comes out with the
+/// same provenance and the same witness, not merely the same verdict.
+#[test]
+fn resumed_healthy_streams_certify_the_same_windows_with_the_same_witness() {
+    let base =
+        std::env::temp_dir().join(format!("workloads-recovery-certified-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let mut window = WindowConfig::sized(32);
+    window.overlap = 4;
+    let (mut resumed_replays, mut certified_after_resume) = (0u32, 0usize);
+
+    for seed in 0..20u64 {
+        let history = generate(&GenConfig {
+            sessions: 3,
+            vars: 8,
+            txns_per_session: 60,
+            seed,
+            ..GenConfig::default()
+        })
+        .history;
+        let baseline = audit_streamed(&history, window);
+        assert!(
+            baseline.windows.iter().all(|w| w.report.decided_by() == DecidedBy::Hint),
+            "seed {seed}: a healthy replay certifies every window"
+        );
+
+        let mut order: Vec<(usize, &AuditTxn)> = history
+            .sessions
+            .iter()
+            .enumerate()
+            .flat_map(|(s, session)| session.iter().map(move |t| (s, t)))
+            .collect();
+        order.sort_by_key(|&(s, t)| (t.hint, s));
+        let cut = 40 + (seed as usize).wrapping_mul(7_919) % (order.len() - 41);
+
+        let dir = base.join(format!("seed-{seed}"));
+        let auditor = WindowedAuditor::new(history.n_vars, history.initial, window);
+        let mut tee = WalTee::create(&dir, history.sessions.len(), history.n_vars, auditor, || {})
+            .expect("wal tee");
+        for &(s, t) in &order[..cut] {
+            tee.push_txn(s, t.clone());
+        }
+        drop(tee); // kill -9
+
+        let recovery = recover_round_auditor(&dir, window, None)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_eq!((recovery.snapshot_txns + recovery.replayed_txns) as usize, cut, "seed {seed}");
+        let carried = recovery.auditor.windows_closed();
+        resumed_replays += u32::from(recovery.resumed_from_segment.is_some());
+        let mut auditor = recovery.auditor;
+        for &(s, t) in &order[cut..] {
+            auditor.push(s, t.clone());
+        }
+        let report = auditor.finish();
+        assert_eq!(report.merged, baseline.merged, "seed {seed}");
+        assert_eq!(report.windows.len(), baseline.windows.len(), "seed {seed}");
+        for (resumed, live) in report.windows.iter().zip(&baseline.windows) {
+            assert_eq!(resumed.report, live.report, "seed {seed} window {}", live.index);
+        }
+        if recovery.resumed_from_segment.is_some() {
+            certified_after_resume += report.windows.len() - carried;
+        }
+    }
+    assert!(resumed_replays >= 15, "crashes must land after a frontier snapshot");
+    assert!(certified_after_resume > 0, "windows audited after a resume must be compared");
     std::fs::remove_dir_all(&base).expect("cleanup");
 }
