@@ -17,8 +17,15 @@
 //! the writer arrives; [`TxnPartialOrder::seal`] turns any still-unresolved
 //! read into the thin-air-read defect, exactly as the batch path would.
 //! Every base edge (session order and write-read alike) is appended to an
-//! **edge log** so [`crate::saturation::resaturate`] can re-saturate only the
-//! frontier the new edges touched.
+//! **edge log** so [`crate::saturation::resaturate`] can absorb only what is
+//! new.
+//!
+//! Every transaction also gets a **chain position**: a session is a chain
+//! (each member has a base edge to the next), a detached stand-in is a chain
+//! of one.  Because consecutive members are joined by an edge, the members of
+//! a chain that reach any given vertex are always a prefix of it — which is
+//! what lets the causal saturation keep one `u32` per (vertex, chain) instead
+//! of a reachability closure.
 
 use crate::digraph::DiGraph;
 use crate::history::{AuditHistory, AuditTxn, HistoryError, TxnId};
@@ -55,8 +62,12 @@ pub struct TxnPartialOrder {
     pub base: DiGraph,
     /// `(var, value)` → dense writer (the unique-writer table).
     writer_of: HashMap<(usize, i64), u32>,
-    /// Session → dense index of the session's most recently extended txn.
-    session_tail: HashMap<usize, u32>,
+    /// Session → (dense index of its most recently extended txn, its chain).
+    session_tail: HashMap<usize, (u32, u32)>,
+    /// Per-transaction `(chain, 1-based position in it)`; the initial
+    /// transaction, which precedes every chain, is `(0, 0)`.
+    chain_pos: Vec<(u32, u32)>,
+    n_chains: u32,
     /// `(var, value)` → readers waiting for that writer to arrive.
     pending_reads: HashMap<(usize, i64), Vec<u32>>,
     /// Every base edge in insertion order, for incremental re-saturation.
@@ -79,6 +90,8 @@ impl TxnPartialOrder {
             base: DiGraph::new(1),
             writer_of: HashMap::new(),
             session_tail: HashMap::new(),
+            chain_pos: vec![(0, 0)],
+            n_chains: 0,
             pending_reads: HashMap::new(),
             edge_log: Vec::new(),
         }
@@ -112,6 +125,18 @@ impl TxnPartialOrder {
     /// Render a dense-index path (as produced by cycle detection).
     pub fn render_path(&self, path: &[u32]) -> String {
         path.iter().map(|&v| self.name(v)).collect::<Vec<_>>().join(" → ")
+    }
+
+    /// Number of chains: sessions seen so far plus detached stand-ins.
+    pub fn chains(&self) -> usize {
+        self.n_chains as usize
+    }
+
+    /// The `(chain, position)` of a transaction; positions start at 1 and
+    /// follow the chain's base edges.  [`ROOT`] belongs to no chain and
+    /// reads `(0, 0)`.
+    pub fn chain_pos(&self, dense: u32) -> (u32, u32) {
+        self.chain_pos[dense as usize]
     }
 
     /// Base edges in insertion order; [`crate::saturation::resaturate`] keeps
@@ -169,13 +194,19 @@ impl TxnPartialOrder {
         self.writes.push(Vec::new());
         self.hints.push(txn.hint + 1);
 
-        let prev = if chain {
-            let prev = self.session_tail.get(&id.session).copied().unwrap_or(ROOT);
-            self.session_tail.insert(id.session, dense);
-            prev
-        } else {
-            ROOT
+        let tail = if chain { self.session_tail.get_mut(&id.session) } else { None };
+        let (prev, chain_id) = match tail {
+            Some(tail) => (std::mem::replace(&mut tail.0, dense), tail.1),
+            None => {
+                let fresh = self.n_chains;
+                self.n_chains += 1;
+                if chain {
+                    self.session_tail.insert(id.session, (dense, fresh));
+                }
+                (ROOT, fresh)
+            }
         };
+        self.chain_pos.push((chain_id, self.chain_pos[prev as usize].1 + 1));
         self.add_base_edge(prev, dense);
 
         // Writes first, mirroring the batch path's writer-table-before-reads
@@ -401,6 +432,10 @@ mod tests {
         let c = po.extend(TxnId { session: 0, seq: 6 }, &read_txn(0, 2, 1)).unwrap();
         assert!(po.base.has_edge(a, c));
         assert!(po.base.has_edge(b, c), "wr edge from the detached writer");
+        // Session 0 is one chain, the detached vertex a chain of its own.
+        assert_eq!(po.chains(), 2);
+        assert_eq!([a, b, c].map(|v| po.chain_pos(v)), [(0, 1), (1, 1), (0, 2)]);
+        assert_eq!(po.chain_pos(ROOT), (0, 0));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The auditor's telemetry handles: per-window audit- and verdict-latency
 //! histograms, the push-time probe latency, how many windows the recording
-//! order certified against how many had to search, conviction and
+//! order certified against how many had to search (and, for those, the chain
+//! count and saturation rounds their cost depends on), conviction and
 //! budget-consumption counters.
 //!
 //! [`crate::window::WindowedAuditor::new`] attaches an [`AuditTelemetry`]
@@ -26,6 +27,12 @@ pub struct AuditTelemetry {
     /// Windows that fell back to saturation and search (including windows
     /// with a recording-contract defect); `certified + searched = windows`.
     pub searched: Counter,
+    /// Session chains (sessions plus detached stand-ins) in each searched
+    /// window at its close: the `k` every saturation round is linear in.
+    pub chains: Histogram,
+    /// Saturation rounds run by searched windows — with [`Self::chains`],
+    /// what a slow searched window's cost depends on.
+    pub saturation_rounds: Counter,
     /// Wall time of each push-time probe of the in-flight window
     /// (frontier resolution, the verify-first pass, and in search mode the
     /// incremental re-saturation) — the audit work done between closes.
@@ -58,6 +65,8 @@ impl AuditTelemetry {
             windows: registry.counter("audit_windows_total", &[], "windows"),
             certified: registry.counter("audit_windows_certified_total", &[], "windows"),
             searched: registry.counter("audit_windows_searched_total", &[], "windows"),
+            chains: registry.histogram("audit_window_chains", &[], "chains"),
+            saturation_rounds: registry.counter("audit_saturation_rounds_total", &[], "rounds"),
             sync_latency: registry.histogram("audit_window_sync_latency_ns", &[], "ns"),
             window_latency: registry.histogram("audit_window_latency_ns", &[], "ns"),
             verdict_latency: registry.histogram("audit_verdict_latency_ns", &[], "ns"),

@@ -5,7 +5,7 @@
 //! is this engine's one unbounded window.  A [`WindowedAuditor`] instead
 //! audits **windows** of `size` transactions (consecutive in arrival order,
 //! with `overlap` transactions shared between neighbours), so every
-//! per-window structure — partial order, saturation graph, closure cache,
+//! per-window structure — partial order, saturation graph, chain clocks,
 //! SI/SER search — is bounded by the window, not the run:
 //!
 //! * the partial order grows incrementally ([`TxnPartialOrder::extend`]),
@@ -19,9 +19,9 @@
 //!   ([`DecidedBy::Hint`]) and never builds a saturation graph or a closure.
 //!   From the first probe that does *not* verify, the window is in search
 //!   mode for good: causal saturation catches up from the edge log and then
-//!   re-derives only the frontier each batch of new edges touched
-//!   ([`resaturate`]), with the banded budget-bounded
-//!   [`crate::digraph::Reach`] cache instead of a dense O(V²) closure, the
+//!   absorbs each batch of new edges ([`resaturate`]), answering visibility
+//!   from one clock word per (transaction, session chain) instead of a
+//!   closure — [`StreamReport::peak_closure_bytes`] is that table — the
 //!   lost-update rule runs at every probe (so convictions land mid-window),
 //!   and the close climbs the hierarchy through the DFS and, when asked, the
 //!   solver.  What selects the path is a property of the input — nothing is
@@ -185,8 +185,9 @@ pub struct StreamReport {
     pub total_txns: u64,
     /// Largest window actually audited.
     pub peak_window_txns: usize,
-    /// High-water mark of resident closure (reachability cache) memory over
-    /// all windows — the number the dense whole-run design could not bound.
+    /// High-water mark over all windows of the saturation's reachability
+    /// state (the chain-clock table: vertices × chains × 4 bytes); 0 when
+    /// every window was certified by its recording order.
     pub peak_closure_bytes: usize,
     /// Reads attributed to synthetic stand-ins because their writer fell off
     /// the retention horizon (attested, not verified, attribution).
@@ -1112,7 +1113,8 @@ impl WindowedAuditor {
             "window {}: {} transactions (+{} frontier stand-ins), {} variables",
             self.window_index, window_txns, stand_ins, self.n_vars
         );
-        let closure_bytes = aw.sat.peak_closure_bytes();
+        let (closure_bytes, chains, rounds) =
+            (aw.sat.peak_closure_bytes(), aw.po.chains(), aw.sat.rounds);
         // Once some window definitely refuted SI/SER, later windows cannot
         // change the merged verdict for those levels (Fail wins the merge),
         // so their NP-hard searches run on a slashed budget: a pathological
@@ -1169,6 +1171,8 @@ impl WindowedAuditor {
                 tele.certified.inc();
             } else {
                 tele.searched.inc();
+                tele.chains.record(chains as u64);
+                tele.saturation_rounds.add(rounds as u64);
             }
             tele.window_latency.record_duration(audit_elapsed);
             tele.verdict_latency.record_duration(aw.opened_at.elapsed());
@@ -1662,8 +1666,9 @@ mod tests {
         assert_eq!(provenance(&crate::audit(&h)), [DecidedBy::Hint; 6]);
     }
 
-    /// The certified/searched meters add up to the window count, and the
-    /// push-time probes are metered too.
+    /// The certified/searched meters add up to the window count, the
+    /// push-time probes are metered too, and the searched window reports the
+    /// two things its cost depends on: its chains and its saturation rounds.
     #[test]
     fn telemetry_counts_certified_and_searched_windows() {
         let registry = tm_telemetry::Registry::new();
@@ -1683,6 +1688,10 @@ mod tests {
         assert_eq!(tele.certified.get(), 3);
         assert_eq!(tele.searched.get(), 1);
         assert!(tele.sync_latency.count() >= 14, "one probe per push (batch 1) plus the closes");
+        // Only the searched window samples: session 0 (continuing from its
+        // stand-in) and session 1.
+        assert_eq!((tele.chains.count(), tele.chains.sum()), (1, 2));
+        assert_eq!(tele.saturation_rounds.get(), 1, "nothing to derive: one pass over v1");
     }
 
     /// The bucketed frontier against the definition it replaces: keep a

@@ -80,21 +80,28 @@ impl CommitOrderWitness {
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()
     }
+
+    /// What [`fmt::Display`] prints for an order of `len` transactions,
+    /// asking `name` only for the positions that are shown — a window's
+    /// auditor renders a witness per verdict and must not name thousands of
+    /// transactions to print eight.
+    pub fn render(len: usize, name: impl Fn(usize) -> String) -> String {
+        let join = |range: std::ops::Range<usize>| range.map(&name).collect::<Vec<_>>().join(" < ");
+        if len <= 2 * Self::SHOWN {
+            format!("commit order: {}", join(0..len))
+        } else {
+            format!(
+                "commit order ({len} txns): {} < … < {}",
+                join(0..Self::SHOWN),
+                join(len - Self::SHOWN..len)
+            )
+        }
+    }
 }
 
 impl fmt::Display for CommitOrderWitness {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.order.len() <= 2 * Self::SHOWN {
-            write!(f, "commit order: {}", self.order.join(" < "))
-        } else {
-            write!(
-                f,
-                "commit order ({} txns): {} < … < {}",
-                self.order.len(),
-                self.order[..Self::SHOWN].join(" < "),
-                self.order[self.order.len() - Self::SHOWN..].join(" < ")
-            )
-        }
+        f.write_str(&Self::render(self.order.len(), |i| self.order[i].clone()))
     }
 }
 
