@@ -71,7 +71,7 @@ pub mod harness {
         (samples / 2).clamp(1, 3)
     }
 
-    /// Run `f` `samples` times — after [`warmup_iters`] unmeasured warm-up
+    /// Run `f` `samples` times — after `warmup_iters` unmeasured warm-up
     /// calls — print the report line, and return the raw samples.
     pub fn bench<T>(name: &str, samples: usize, mut f: impl FnMut() -> T) -> Samples {
         for _ in 0..warmup_iters(samples) {
@@ -175,17 +175,6 @@ pub mod harness {
         std::fs::write(path, samples_to_json(all))
     }
 
-    /// Run `f` once and report items/second for `items` units of work.
-    pub fn bench_throughput<T>(name: &str, items: u64, mut f: impl FnMut() -> T) -> f64 {
-        black_box(f());
-        let start = Instant::now();
-        black_box(f());
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        let rate = items as f64 / elapsed;
-        println!("{name:<60} {rate:>14.0} items/s  ({items} items in {elapsed:.3}s)");
-        rate
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -238,12 +227,6 @@ pub mod harness {
                 !json.contains("[4],\"scaling_efficiency\""),
                 "unmatched entries stay bare: {json}"
             );
-        }
-
-        #[test]
-        fn throughput_is_positive() {
-            let rate = bench_throughput("unit-test-rate", 100, || black_box(42));
-            assert!(rate > 0.0);
         }
     }
 }

@@ -8,8 +8,7 @@
 //! 1. **Typed variables** — [`TVar<T>`] handles over the word STM.  Any
 //!    [`TxnValue`] (ints, `bool`, fixed arrays, tuples) encodes to one or
 //!    more consecutive words and is read/written atomically inside a
-//!    transaction.  The old `VarId`-based word calls survive as deprecated
-//!    shims ([`Stm::alloc_var`], [`Txn::read_var`], [`Txn::write_var`]).
+//!    transaction.
 //! 2. **Open backends** — [`Stm::new`] takes anything `Into<BackendId>` and
 //!    resolves it through the [`registry`]: a [`registry::BackendSpec`] names
 //!    a backend, declares its P/C/L triangle position and constructs it.
@@ -56,17 +55,6 @@
 //! });
 //! assert_eq!(stm.read_now(pair), (8, true));
 //! ```
-//!
-//! ## Migrating from the `VarId` API
-//!
-//! | Old (deprecated) | New |
-//! |---|---|
-//! | `let v: VarId = stm.alloc(0)` | `let v: TVar<i64> = stm.alloc(0i64)` |
-//! | `tx.read(v)?` on `VarId` | `tx.read(v)?` on `TVar<i64>` (or `tx.read_var(v)?`) |
-//! | `tx.write(v, x)?` on `VarId` | `tx.write(v, x)?` on `TVar<i64>` (or `tx.write_var(v, x)?`) |
-//! | `Stm::new(BackendKind::X)` | unchanged (`BackendKind` converts into [`BackendId`]) |
-//! | `"tl2".to_string()` matching | `"tl2".parse::<BackendId>()?` via the [`registry`] |
-//! | hand-rolled retry loops | `Stm::run` + [`RetryPolicy`] / [`Stm::run_policy`] |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -195,12 +183,6 @@ impl Stm {
     pub fn alloc<T: TxnValue>(&self, initial: T) -> TVar<T> {
         let words = value::encode_to_words(&initial);
         TVar::from_base(self.backend.alloc_words(&words))
-    }
-
-    /// Allocate a raw word variable (pre-`TVar` API).
-    #[deprecated(since = "0.1.0", note = "migrate to `Stm::alloc` returning a typed `TVar<T>`")]
-    pub fn alloc_var(&self, initial: i64) -> VarId {
-        self.backend.alloc_words(&[initial])
     }
 
     /// Cumulative statistics (commits, aborts, retries, attempt histogram).
@@ -490,21 +472,6 @@ mod tests {
                     }
                 });
             });
-        }
-    }
-
-    #[test]
-    fn deprecated_var_id_shims_still_work() {
-        #![allow(deprecated)]
-        for kind in all_kinds() {
-            let stm = Stm::new(kind);
-            let v = stm.alloc_var(5);
-            let doubled = stm.run(|tx| {
-                let x = tx.read_var(v)?;
-                tx.write_var(v, x * 2)?;
-                tx.read_var(v)
-            });
-            assert_eq!(doubled, 10, "{kind:?}");
         }
     }
 

@@ -406,7 +406,7 @@ const SPIN_YIELD_EVERY: u32 = 1 << 10;
 /// Wait `spins` iterations (what [`RetryDecision::SpinThen`] asks for).
 ///
 /// Short waits busy-spin; long waits yield to the scheduler every
-/// [`SPIN_YIELD_EVERY`] iterations.  The yield is what makes pacing
+/// `SPIN_YIELD_EVERY` iterations.  The yield is what makes pacing
 /// policies *win throughput* — not just bound attempts — when threads
 /// outnumber cores: the conflicting transaction (often a preempted
 /// encounter-lock holder) can only finish on a core a paced waiter gives

@@ -57,7 +57,7 @@ pub struct Triangle {
 /// Everything the runtime needs to know about a backend.
 #[derive(Clone)]
 pub struct BackendSpec {
-    /// Canonical name (what [`BackendId`] displays and [`FromStr`] prefers).
+    /// Canonical name (what [`BackendId`] displays and [`std::str::FromStr`] prefers).
     pub name: &'static str,
     /// Accepted short names for parsing (e.g. `"tl2"` for `"tl2-blocking"`).
     pub aliases: &'static [&'static str],
@@ -81,7 +81,7 @@ impl fmt::Debug for BackendSpec {
 
 /// A cheap, copyable handle to a registered backend (its canonical name).
 ///
-/// Obtained from [`register`], [`BackendId::from_str`], the built-in
+/// Obtained from [`register`], [`str::parse`], the built-in
 /// constants ([`TL2_BLOCKING`], [`OBSTRUCTION_FREE`], [`PRAM_LOCAL`]) or a
 /// [`BackendKind`] conversion — every route guarantees the registry can
 /// resolve it.

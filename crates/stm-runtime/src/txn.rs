@@ -287,18 +287,6 @@ impl<'a> Txn<'a> {
         Ok(new)
     }
 
-    /// Read a raw word by [`VarId`] (pre-`TVar` API).
-    #[deprecated(since = "0.1.0", note = "migrate to `Txn::read` with a typed `TVar<T>`")]
-    pub fn read_var(&mut self, var: VarId) -> Result<i64, StmError> {
-        self.backend.read(self.data, var)
-    }
-
-    /// Write a raw word by [`VarId`] (pre-`TVar` API).
-    #[deprecated(since = "0.1.0", note = "migrate to `Txn::write` with a typed `TVar<T>`")]
-    pub fn write_var(&mut self, var: VarId, value: i64) -> Result<(), StmError> {
-        self.backend.write(self.data, var, value)
-    }
-
     /// Abort the current attempt explicitly.
     pub fn abort<T>(&mut self) -> Result<T, StmError> {
         Err(StmError::Aborted)

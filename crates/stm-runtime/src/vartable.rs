@@ -7,7 +7,7 @@
 //! the whole table against the data path.  `VarTable` removes that rendezvous:
 //!
 //! * **Reads are lock-free.**  Storage is a ladder of chunks whose sizes
-//!   double ([`FIRST_CHUNK`], then `2×`, `4×`, …).  A chunk, once created,
+//!   double (`FIRST_CHUNK`, then `2×`, `4×`, …).  A chunk, once created,
 //!   is never moved or freed, so `get` is two shifts, one `OnceLock` load
 //!   and an index — no lock, no `Arc` clone, no contention with allocators.
 //! * **Allocation only synchronizes allocators with allocators.**  A short

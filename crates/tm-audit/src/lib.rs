@@ -116,7 +116,7 @@ pub use window::{
     audit_streamed, Conviction, HistoryCollector, StreamMerger, StreamReport, TeeSink, TxnSink,
     WindowConfig, WindowVerdict, WindowedAuditor,
 };
-pub use workload::{record_run, run_unrecorded, run_with_recorder, AuditRunConfig};
+pub use workload::{record_run, AuditRunConfig};
 
 use linearization::{
     certify_hint_order, find_lost_update, find_same_source_skew, search_prefix,

@@ -859,9 +859,8 @@ impl WindowedAuditor {
 
     /// Ingest one batch from a [`stm_runtime::StreamingRecorder`] drain,
     /// **in arrival order**.  Raw shard arrival is per-session bursty; route
-    /// batches through a [`StreamMerger`] instead (as
-    /// `workloads::run_audited_streaming` does) so windows cut across
-    /// sessions in true recording order.
+    /// batches through a [`StreamMerger`] instead (as `workloads::run_live`
+    /// does) so windows cut across sessions in true recording order.
     pub fn ingest(&mut self, batch: &CommitBatch) {
         for record in &batch.records {
             self.push(batch.session, audit_txn_of(record));

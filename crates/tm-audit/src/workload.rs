@@ -59,9 +59,8 @@ fn unique_value(session: usize, counter: u64) -> i64 {
     ((session as i64 + 1) << 40) + counter as i64
 }
 
-/// The worker body shared by the recorded and unrecorded runs: the same
-/// transaction mix against the same variable pool, so the two modes differ
-/// only in whether a recorder is attached.
+/// One session's worker body: the transaction mix above against the shared
+/// variable pool.
 fn run_session(stm: &Stm, vars: &[TVar<i64>], config: AuditRunConfig, session: usize) {
     let mut rng = StdRng::seed_from_u64(config.seed ^ ((session as u64) << 32));
     let mut counter = 0u64;
@@ -97,16 +96,11 @@ fn run_session(stm: &Stm, vars: &[TVar<i64>], config: AuditRunConfig, session: u
     }
 }
 
-/// Run the register workload with an arbitrary recorder attached (every
-/// worker registers its session) and return the number of commits.  This is
-/// the entry point the streaming pipeline uses: hand it a
-/// [`stm_runtime::StreamingRecorder`] and drain batches from another thread
-/// while the workload runs.
-pub fn run_with_recorder(
-    config: AuditRunConfig,
-    recorder_arc: Arc<dyn stm_runtime::Recorder>,
-) -> u64 {
-    let stm = Stm::with_recorder(config.backend, recorder_arc);
+/// Run the register workload with recording on (every worker registers its
+/// session) and return the history.
+pub fn record_run(config: AuditRunConfig) -> AuditHistory {
+    let recorder_arc = Arc::new(HistoryRecorder::new(config.sessions, 0));
+    let stm = Stm::with_recorder(config.backend, Arc::clone(&recorder_arc) as _);
     let vars: Vec<TVar<i64>> = (0..config.vars).map(|_| stm.alloc(0i64)).collect();
     std::thread::scope(|scope| {
         let stm = &stm;
@@ -119,31 +113,10 @@ pub fn run_with_recorder(
             });
         }
     });
-    stm.stats().commits()
-}
-
-/// Run the register workload with recording on and return the history.
-pub fn record_run(config: AuditRunConfig) -> AuditHistory {
-    let recorder_arc = Arc::new(HistoryRecorder::new(config.sessions, 0));
-    run_with_recorder(config, Arc::clone(&recorder_arc) as _);
+    drop(stm);
     Arc::try_unwrap(recorder_arc)
         .unwrap_or_else(|_| panic!("recorder still shared after the run"))
         .into_history(config.vars)
-}
-
-/// Run the identical workload with no recorder attached and return the number
-/// of commits — the uninstrumented baseline for measuring recording overhead.
-pub fn run_unrecorded(config: AuditRunConfig) -> u64 {
-    let stm = Stm::new(config.backend);
-    let vars: Vec<TVar<i64>> = (0..config.vars).map(|_| stm.alloc(0i64)).collect();
-    std::thread::scope(|scope| {
-        let stm = &stm;
-        let vars = &vars;
-        for session in 0..config.sessions {
-            scope.spawn(move || run_session(stm, vars, config, session));
-        }
-    });
-    stm.stats().commits()
 }
 
 #[cfg(test)]
@@ -171,18 +144,6 @@ mod tests {
                 assert!(seen.insert(value), "duplicate write value {value}");
             }
         }
-    }
-
-    #[test]
-    fn unrecorded_runs_commit_the_same_workload() {
-        let config = AuditRunConfig {
-            backend: stm_runtime::registry::OBSTRUCTION_FREE,
-            sessions: 2,
-            txns_per_session: 40,
-            vars: 8,
-            seed: 7,
-        };
-        assert_eq!(run_unrecorded(config), 80);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!   cycle built from cross-plant interaction) can span more than a window
 //!   horizon or cross bands through in-band participants.  These are
 //!   **advisory**: logged and counted in the JSON summary, not gating;
-//! * the oracle's [`Planted::expected_failures`] must all be failed by the
+//! * the oracle's [`tm_history::Planted::expected_failures`] must all be failed by the
 //!   batch reference, and a plant-free history must pass every level;
 //! * `decode(encode(h))` must reproduce the history exactly.
 //!

@@ -14,13 +14,13 @@
 //!   lossless on captured histories: `decode(encode(h)) == h`, hints and
 //!   all, so replaying a decoded history through any audit topology
 //!   reproduces the live verdicts byte-for-byte.
-//! * [`generate`] — a parameterized adversarial history generator:
+//! * [`mod@generate`] — a parameterized adversarial history generator:
 //!   `sessions × vars × txns × events`, seeded and deterministic, with
 //!   anomaly-injection knobs that plant lost-update / write-skew /
 //!   causal-cycle patterns at chosen per-mille rates.  Planted anomalies
 //!   come with computable expected verdicts ([`generate::Planted`]), so
 //!   generated histories double as checker oracles.
-//! * [`minimize`] — delta-debugging reduction of a failing history to a
+//! * [`mod@minimize`] — delta-debugging reduction of a failing history to a
 //!   small reproducer that still trips the caller's predicate, keeping the
 //!   history well-formed (no reads of removed writes) so every reproducer
 //!   re-encodes as a valid wire document.

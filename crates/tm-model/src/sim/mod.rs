@@ -16,9 +16,9 @@
 //!
 //! The module is split into:
 //!
-//! * [`schedule`] — the schedule language (directives) and convenience constructors,
-//! * [`outcome`] — what a run returns (execution, per-transaction outcomes, reports),
-//! * [`engine`] — the thread/handshake machinery.
+//! * `schedule` — the schedule language (directives) and convenience constructors,
+//! * `outcome` — what a run returns (execution, per-transaction outcomes, reports),
+//! * `engine` — the thread/handshake machinery.
 
 mod engine;
 mod outcome;

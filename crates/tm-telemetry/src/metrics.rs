@@ -64,7 +64,7 @@ fn stripe_index() -> usize {
 }
 
 /// A monotonically increasing counter, striped across cache lines so
-/// concurrent recorders never contend (see [`COUNTER_STRIPES`]).
+/// concurrent recorders never contend (see `COUNTER_STRIPES`).
 #[derive(Debug, Clone)]
 pub struct Counter(Arc<[PaddedU64; COUNTER_STRIPES]>);
 

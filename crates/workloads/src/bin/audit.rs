@@ -9,7 +9,13 @@
 //!     --scenario scan-writers --retry backoff --audit
 //! ```
 //!
-//! Flags:
+//! Every invocation parses into one description — **what to audit** (a
+//! scenario × backend run, `--ingest`ed documents, or a `--recover`ed WAL
+//! directory) under **which plan** (`workloads::AuditPlan`: off, batch,
+//! windowed or sharded, with `--budget` / `--sat` / `--overlap` /
+//! `--adaptive` folded in) — and live runs, replays and every `--serve`
+//! endpoint execute that one plan through `workloads::run_live` /
+//! `workloads::Verdict::audit`.  Flags:
 //!
 //! * `--backend NAME|all` — any backend registered with
 //!   `stm_runtime::registry` (canonical name or alias: `tl2`, `ofree`,
@@ -29,22 +35,27 @@
 //! * `--txns N` — committed transactions per thread (default 2500);
 //! * `--vars N` — scenario variable pool size (default 64);
 //! * `--seed N` — workload seed (default 2024);
-//! * `--audit[=SPEC]` — audit the run: bare `--audit` checks the whole
-//!   history in one batch; `--audit=WINDOW` (a number) streams it through
-//!   rolling windows of `WINDOW` transactions, concurrently with the
-//!   workload, with bounded memory (the mode that scales past ~10⁵
-//!   transactions); `--audit=window[:size=N][:shards=K][:overlap=M]` is the
-//!   full streaming spec — `shards=K` fans the stream out to `K`
+//! * `--audit[=SPEC]` — the audit plan.  Absent: `Off`.  Bare `--audit`:
+//!   `Batch`, the whole history checked at once.  `--audit=WINDOW` (a
+//!   number): `Windowed`, rolling windows of `WINDOW` transactions audited
+//!   concurrently with the workload, with bounded memory (the plan that
+//!   scales past ~10⁵ transactions).
+//!   `--audit=window[:size=N][:shards=K][:overlap=M]` is the full streaming
+//!   spec — `shards=K` makes it `Sharded`: the stream fans out to `K`
 //!   per-variable-partition windowed auditors plus a cross-partition
-//!   escalation lane, so audit throughput scales with cores (see
-//!   `tm-audit::partition` for the soundness statement).  `--adaptive` adds
+//!   escalation lane (see `tm-audit::partition` for the soundness
+//!   statement).  `--adaptive` adds
 //!   the live band router on top: the lag sampler re-bands hot variable
 //!   partitions onto cooler auditor lanes mid-stream (verdicts stay sound;
 //!   routing is no longer reproducible across runs).  Only *recordable*
 //!   scenarios (unique write values) can be audited: asking for an audited
 //!   `bank` run is an error, and `--scenario all` skips it with a note;
-//! * `--overlap N` — window overlap for streaming mode (default WINDOW/8);
-//! * `--budget N` — SI/SER search state budget (default 2,000,000);
+//! * `--overlap N` — transactions re-audited at the head of the next window
+//!   (default WINDOW/8; wins over the spec's `overlap=`).  Must be smaller
+//!   than the window: an overlap ≥ the size would mean a stride of one
+//!   transaction, and is refused rather than clamped;
+//! * `--budget N` — SI/SER search state budget of the plan (default
+//!   2,000,000);
 //! * `--sat[=conflicts=N[:max-txns=N][:force]]` — escalate any NP-hard level
 //!   the DFS left `Unknown` to the `tm-sat` CDCL commit-order solver: UNSAT
 //!   convicts (with the forced cycle as witness), a model passes (with the
@@ -57,18 +68,18 @@
 //!   `Unknown`, with the retry hint recomputed as a conflict budget);
 //!   `max-txns=N` caps the window size the cubic encoding is materialized
 //!   for; `force` decides every NP-hard level by SAT alone (the differential
-//!   cross-check lane).  Applies to every mode: batch, streaming windows,
-//!   sharded lanes and `--ingest` replays;
+//!   cross-check lane).  Part of every plan: batch, windows, sharded lanes,
+//!   live or replayed;
 //! * `--export PATH` — capture the run's commit history exactly as the
 //!   auditor saw it (post-merge order, auditor-assigned hints) and write it
 //!   to PATH in the `tm-history` wire format (see `docs/history-format.md`).
 //!   Needs exactly one scenario and one backend, both recordable; composes
-//!   with every audit mode — without `--audit` the run is recorded but not
+//!   with every plan — without `--audit` the run is recorded but not
 //!   checked;
 //! * `--ingest FILE|-` — skip the workload entirely: decode wire-format
 //!   history documents from FILE (or stdin when the argument is `-`) and
-//!   audit each one through the configured mode (batch unless a streaming
-//!   or sharded `--audit=` spec is given).  Verdicts print per document and
+//!   audit each one under the plan (batch unless a windowed or sharded
+//!   `--audit=` spec is given).  Verdicts print per document and
 //!   land under `"ingest"` in the `--json` report; `--fail-on-violation`
 //!   covers ingested documents exactly like live runs.  Combined with
 //!   `--serve`, the endpoint audits newline-delimited history documents
@@ -105,9 +116,9 @@
 //!   process can tail);
 //! * `--metrics` — turn the telemetry spine on (`tm-telemetry`): runs report
 //!   per-backend commit/abort counters (aborts broken down by reason),
-//!   per-phase latency histograms and auditor gauges.  Batch/streaming runs
-//!   print the full snapshot after the run and embed it under `"telemetry"`
-//!   in the `--json` document; `--serve` additionally streams periodic
+//!   per-phase latency histograms and auditor gauges.  Live runs, `--ingest`
+//!   replays and `--recover` print the full snapshot at the end and embed it
+//!   under `"telemetry"` in the `--json` document; `--serve` additionally streams periodic
 //!   `{"type":"metrics"}` records, and dumps the runtime's bounded event
 //!   ring as one `{"type":"post-mortem"}` record on the first conviction;
 //! * `--json PATH` — additionally write the machine-readable report
@@ -121,6 +132,7 @@
 //! attempt percentiles and the scenario's own invariant are reported.
 
 use std::io::{BufRead, Write};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -128,18 +140,16 @@ use stm_runtime::{policy, BackendId, RetryPolicy};
 use tm_audit::linearization::DEFAULT_STATE_BUDGET;
 use tm_audit::report::json_escape;
 use tm_audit::{
-    audit_sharded, audit_streamed, audit_with_options, AuditHistory, AuditOptions, PartitionLag,
-    SatConfig, ShardConfig, ShardEvent, WindowConfig,
+    AuditHistory, AuditOptions, PartitionLag, SatConfig, ShardConfig, ShardEvent, WindowConfig,
 };
 use tm_history::{decode_all, encode, Decoder};
 use workloads::{
-    all_scenarios, run_scenario, run_scenario_audited_sharded,
-    run_scenario_audited_sharded_captured, run_scenario_audited_streaming,
-    run_scenario_audited_streaming_captured, run_scenario_audited_with,
-    run_scenario_audited_with_captured, run_scenario_captured, scenario_by_name, Scenario,
-    ScenarioConfig,
+    all_scenarios, run_live, scenario_by_name, AuditPlan, LivePlan, LiveReport, Scenario,
+    ScenarioConfig, Verdict, WalRound,
 };
 
+/// What `--audit[=SPEC]` asked for, before the knob flags are folded in:
+/// `parse_args` turns it into the [`AuditPlan`] everything else runs on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum AuditMode {
     Off,
@@ -200,7 +210,10 @@ struct Args {
     txns: usize,
     vars: usize,
     seed: u64,
-    mode: AuditMode,
+    /// `--audit[=SPEC]` with `--budget`, `--sat`, `--overlap` and
+    /// `--adaptive` folded in: the one description live runs, `--ingest`
+    /// replays and every `--serve` endpoint execute.
+    plan: AuditPlan,
     overlap: Option<usize>,
     budget: u64,
     sat: Option<SatConfig>,
@@ -213,7 +226,6 @@ struct Args {
     serve_rounds: u64,
     sink: Option<String>,
     metrics: bool,
-    adaptive: bool,
     wal: Option<String>,
     recover: Option<String>,
 }
@@ -229,7 +241,7 @@ impl Default for Args {
             txns: 2_500,
             vars: 64,
             seed: 2_024,
-            mode: AuditMode::Off,
+            plan: AuditPlan::Off,
             overlap: None,
             budget: DEFAULT_STATE_BUDGET,
             sat: None,
@@ -242,7 +254,6 @@ impl Default for Args {
             serve_rounds: 0,
             sink: None,
             metrics: false,
-            adaptive: false,
             wal: None,
             recover: None,
         }
@@ -286,75 +297,55 @@ fn parse_sat_spec(spec: &str) -> Result<SatConfig, String> {
     Ok(cfg)
 }
 
+/// The value following `flag`, parsed.
+fn value_of<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<String>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
+    let mut mode = AuditMode::Off;
+    let mut adaptive = false;
     let mut spec_overlap = None;
-    let mut it = argv.iter().peekable();
-    let value_of = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-                    flag: &str|
-     -> Result<String, String> {
-        it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-    };
+    let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--backend" => args.backends = parse_backends(&value_of(&mut it, "--backend")?)?,
+            "--backend" => args.backends = parse_backends(&value_of::<String>(&mut it, arg)?)?,
             "--scenario" => {
-                let (scenarios, all) = parse_scenarios(&value_of(&mut it, "--scenario")?)?;
-                args.scenarios = scenarios;
-                args.scenarios_are_all = all;
+                (args.scenarios, args.scenarios_are_all) =
+                    parse_scenarios(&value_of::<String>(&mut it, arg)?)?;
             }
-            "--retry" => args.policy = policy::parse_policy(&value_of(&mut it, "--retry")?)?,
-            "--threads" => {
-                args.threads = value_of(&mut it, "--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--txns" => {
-                args.txns =
-                    value_of(&mut it, "--txns")?.parse().map_err(|e| format!("--txns: {e}"))?
-            }
-            "--vars" => {
-                args.vars =
-                    value_of(&mut it, "--vars")?.parse().map_err(|e| format!("--vars: {e}"))?
-            }
-            "--seed" => {
-                args.seed =
-                    value_of(&mut it, "--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
-            }
-            "--overlap" => {
-                args.overlap = Some(
-                    value_of(&mut it, "--overlap")?
-                        .parse()
-                        .map_err(|e| format!("--overlap: {e}"))?,
-                )
-            }
-            "--budget" => {
-                args.budget =
-                    value_of(&mut it, "--budget")?.parse().map_err(|e| format!("--budget: {e}"))?
-            }
-            "--json" => args.json = Some(value_of(&mut it, "--json")?),
-            "--ingest" => args.ingest = Some(value_of(&mut it, "--ingest")?),
-            "--export" => args.export = Some(value_of(&mut it, "--export")?),
-            "--sink" => args.sink = Some(value_of(&mut it, "--sink")?),
-            "--wal" => args.wal = Some(value_of(&mut it, "--wal")?),
-            "--recover" => args.recover = Some(value_of(&mut it, "--recover")?),
+            "--retry" => args.policy = policy::parse_policy(&value_of::<String>(&mut it, arg)?)?,
+            "--threads" => args.threads = value_of(&mut it, arg)?,
+            "--txns" => args.txns = value_of(&mut it, arg)?,
+            "--vars" => args.vars = value_of(&mut it, arg)?,
+            "--seed" => args.seed = value_of(&mut it, arg)?,
+            "--overlap" => args.overlap = Some(value_of(&mut it, arg)?),
+            "--budget" => args.budget = value_of(&mut it, arg)?,
+            "--serve-rounds" => args.serve_rounds = value_of(&mut it, arg)?,
+            "--json" => args.json = Some(value_of(&mut it, arg)?),
+            "--ingest" => args.ingest = Some(value_of(&mut it, arg)?),
+            "--export" => args.export = Some(value_of(&mut it, arg)?),
+            "--sink" => args.sink = Some(value_of(&mut it, arg)?),
+            "--wal" => args.wal = Some(value_of(&mut it, arg)?),
+            "--recover" => args.recover = Some(value_of(&mut it, arg)?),
             "--fail-on-violation" => args.fail_on_violation = true,
             "--metrics" => args.metrics = true,
-            "--adaptive" => args.adaptive = true,
-            "--audit" => args.mode = AuditMode::Batch,
+            "--adaptive" => adaptive = true,
+            "--audit" => mode = AuditMode::Batch,
             "--sat" => args.sat = Some(SatConfig::default()),
             "--serve" => args.serve = true,
-            "--serve-rounds" => {
-                args.serve_rounds = value_of(&mut it, "--serve-rounds")?
-                    .parse()
-                    .map_err(|e| format!("--serve-rounds: {e}"))?
-            }
             "--list" => args.list = true,
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with("--audit=") => {
-                let (mode, overlap) = parse_audit_spec(&other["--audit=".len()..])?;
-                args.mode = mode;
-                spec_overlap = overlap;
+                (mode, spec_overlap) = parse_audit_spec(&other["--audit=".len()..])?;
             }
             other if other.starts_with("--sat=") => {
                 args.sat = Some(parse_sat_spec(&other["--sat=".len()..])?);
@@ -372,10 +363,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     --export (nothing runs, so there is nothing to capture)"
             .into());
     }
-    if args.ingest.is_some() && args.mode == AuditMode::Off && !args.serve {
+    if args.ingest.is_some() && mode == AuditMode::Off && !args.serve {
         // Ingesting without auditing would be a no-op; default to batch.
         // (Under --serve the streaming default below applies instead.)
-        args.mode = AuditMode::Batch;
+        mode = AuditMode::Batch;
     }
     if args.export.is_some() {
         if args.serve {
@@ -408,13 +399,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
     }
     if args.serve {
-        match args.mode {
+        match mode {
             // --wal logs the single merged commit stream, so its default (and
             // only) topology is the unsharded streaming auditor.
-            AuditMode::Off if args.wal.is_some() => {
-                args.mode = AuditMode::Streaming { window: 2_048 }
-            }
-            AuditMode::Off => args.mode = AuditMode::Sharded { window: 2_048, shards: 4 },
+            AuditMode::Off if args.wal.is_some() => mode = AuditMode::Streaming { window: 2_048 },
+            AuditMode::Off => mode = AuditMode::Sharded { window: 2_048, shards: 4 },
             AuditMode::Batch => {
                 return Err("--serve streams windowed verdicts; combine it with \
                             --audit=window[:shards=K], not batch --audit"
@@ -423,10 +412,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             AuditMode::Streaming { .. } | AuditMode::Sharded { .. } => {}
         }
         if args.wal.is_some() {
-            match args.mode {
-                AuditMode::Sharded { window, shards: 1 } => {
-                    args.mode = AuditMode::Streaming { window }
-                }
+            match mode {
+                AuditMode::Sharded { window, shards: 1 } => mode = AuditMode::Streaming { window },
                 AuditMode::Sharded { .. } => {
                     return Err("--wal logs the single merged commit stream; use \
                                 --audit=window[:size=N] (the streaming topology), not shards=K"
@@ -447,11 +434,27 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
         }
     }
-    if args.adaptive && !matches!(args.mode, AuditMode::Sharded { .. }) {
+    if adaptive && !matches!(mode, AuditMode::Sharded { .. }) {
         return Err("--adaptive re-bands the sharded auditor; combine it with \
                     --audit=window[:size=N]:shards=K (or --serve)"
             .into());
     }
+    args.plan = match mode {
+        AuditMode::Off => AuditPlan::Off,
+        AuditMode::Batch => AuditPlan::Batch(AuditOptions { budget: args.budget, sat: args.sat }),
+        // A generating --serve endpoint tails the sharded pipeline's event
+        // feed; one shard is the degenerate unprojected pipeline.
+        AuditMode::Streaming { window }
+            if args.serve && args.ingest.is_none() && args.wal.is_none() =>
+        {
+            AuditPlan::Sharded(ShardConfig::new(1, window_config(window, &args)?))
+        }
+        AuditMode::Streaming { window } => AuditPlan::Windowed(window_config(window, &args)?),
+        AuditMode::Sharded { window, shards } => AuditPlan::Sharded(ShardConfig {
+            adaptive,
+            ..ShardConfig::new(shards, window_config(window, &args)?)
+        }),
+    };
     Ok(args)
 }
 
@@ -557,20 +560,24 @@ fn print_run_line(run: &workloads::ScenarioRunReport) {
     }
 }
 
-fn window_config(window: usize, args: &Args) -> WindowConfig {
+/// The window shape `--audit=…`, `--budget`, `--sat` and `--overlap` add
+/// up to.  An overlap that does not fit inside the window is refused here:
+/// the auditor would clamp it to `size − 1`, a stride of one transaction,
+/// and audit hundreds of times more windows without a word.
+fn window_config(window: usize, args: &Args) -> Result<WindowConfig, String> {
     let mut wc = WindowConfig::sized(window);
     wc.budget = args.budget;
     wc.sat = args.sat;
     if let Some(overlap) = args.overlap {
+        if overlap >= wc.size {
+            return Err(format!(
+                "--overlap {overlap} must be smaller than the window of {} transactions",
+                wc.size
+            ));
+        }
         wc.overlap = overlap;
     }
-    wc
-}
-
-/// The batch-mode audit knobs: the DFS budget plus the optional `--sat`
-/// escalation stage.
-fn audit_options(args: &Args) -> AuditOptions {
-    AuditOptions { budget: args.budget, sat: args.sat }
+    Ok(wc)
 }
 
 /// Set by the SIGTERM/SIGINT handler; the serve loop finishes its current
@@ -721,63 +728,172 @@ fn emit_event(emitter: &ServeEmitter, round: u64, event: &ShardEvent) {
     }
 }
 
-/// The `--serve` ops endpoint: audited rounds back to back, each round's
-/// window verdicts / convictions / partition lag streamed as JSON lines
-/// while the workload runs, until SIGTERM/SIGINT or `--serve-rounds`.
-fn serve(args: &Args) -> ExitCode {
-    let (window, shards) = match args.mode {
-        AuditMode::Sharded { window, shards } => (window, shards),
-        AuditMode::Streaming { window } => (window, 1),
-        _ => unreachable!("parse_args forces a streaming mode under --serve"),
-    };
-    let scenario = &args.scenarios[0];
-    let backend = args.backends[0];
-    let emitter = match ServeEmitter::open(args.sink.as_deref()) {
-        Ok(emitter) => emitter,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
+/// A failed invocation: the message for stderr and the process exit code —
+/// 2 for bad input or a run that could not complete, 3 for an output file
+/// that could not be written.
+struct Failure {
+    code: u8,
+    message: String,
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure { code: 2, message }
+    }
+}
+
+fn write_file(path: &str, doc: &str) -> Result<(), Failure> {
+    std::fs::write(path, doc)
+        .map_err(|err| Failure { code: 3, message: format!("writing {path}: {err}") })
+}
+
+fn violation_exit(args: &Args, violated: bool) -> ExitCode {
+    if args.fail_on_violation && violated {
+        eprintln!("audit found definite violations (--fail-on-violation)");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+/// How every non-serve invocation ends — live runs, `--ingest` and
+/// `--recover` alike: the `--metrics` snapshot, the `--json` document
+/// (`{"<key>":[entries…]}`, plus `"telemetry"` under `--metrics`), then the
+/// `--fail-on-violation` exit code.
+fn finish_report(
+    args: &Args,
+    key: &str,
+    entries: &[String],
+    violated: bool,
+) -> Result<ExitCode, Failure> {
+    if args.metrics {
+        println!("telemetry snapshot:");
+        print!("{}", tm_telemetry::global().snapshot().to_text());
+        println!();
+    }
+    if let Some(path) = &args.json {
+        let telemetry = if args.metrics {
+            format!(",\"telemetry\":{}", tm_telemetry::global().snapshot().to_json())
+        } else {
+            String::new()
+        };
+        write_file(path, &format!("{{\"{key}\":[{}]{telemetry}}}", entries.join(",")))?;
+        println!("machine-readable report written to {path}");
+    }
+    Ok(violation_exit(args, violated))
+}
+
+fn scenario_config(args: &Args, backend: BackendId, seed: u64) -> ScenarioConfig {
+    ScenarioConfig {
+        backend,
+        threads: args.threads,
+        txns_per_thread: args.txns,
+        vars: args.vars,
+        seed,
+        policy: Arc::clone(&args.policy),
+    }
+}
+
+/// The window size and the *requested* shard count of a streaming plan (the
+/// pipeline clamps the count it actually runs with).
+fn stream_shape(plan: &AuditPlan) -> (usize, usize) {
+    match plan {
+        AuditPlan::Windowed(window) => (window.size, 1),
+        AuditPlan::Sharded(shard) => (shard.window.size, shard.shards),
+        AuditPlan::Off | AuditPlan::Batch(_) => {
+            unreachable!("parse_args forces a streaming plan under --serve")
         }
-    };
-    install_stop_handlers();
+    }
+}
+
+fn metrics_record(round: u64) -> String {
+    format!(
+        "{{\"type\":\"metrics\",\"round\":{round},\"snapshot\":{}}}",
+        tm_telemetry::global().snapshot().to_json()
+    )
+}
+
+/// The `serve-start` record of a workload-generating endpoint.
+fn emit_serve_start(emitter: &ServeEmitter, args: &Args, wal_dir: Option<&Path>) {
+    let (window, shards) = stream_shape(&args.plan);
+    let wal = wal_dir.map_or(String::new(), |dir| {
+        format!("\"wal\":\"{}\",", json_escape(&dir.display().to_string()))
+    });
     emitter.emit(&format!(
-        "{{\"type\":\"serve-start\",\"scenario\":\"{}\",\"backend\":\"{backend}\",\
+        "{{\"type\":\"serve-start\",\"scenario\":\"{}\",\"backend\":\"{}\",\
          \"shards\":{shards},\"window\":{window},\"threads\":{},\"txns_per_round\":{},\
-         \"pid\":{}}}",
-        scenario.name(),
+         {wal}\"pid\":{}}}",
+        args.scenarios[0].name(),
+        args.backends[0],
         args.threads,
         args.threads * args.txns,
         std::process::id()
     ));
+}
+
+/// The round loop every workload-generating endpoint shares: audited rounds
+/// back to back until SIGTERM/SIGINT or `--serve-rounds`, one `verdict`
+/// record (and, under `--metrics`, one guaranteed `metrics` record) per
+/// round, the sink mirror flushed at every round boundary.  `run_round` gets
+/// the in-process round counter and returns the round's id, its report and
+/// the extra fields its verdict record carries.
+fn serve_rounds(
+    args: &Args,
+    emitter: &ServeEmitter,
+    mut violated: bool,
+    mut run_round: impl FnMut(u64) -> Result<(u64, LiveReport, String), String>,
+) -> Result<ExitCode, Failure> {
     let mut rounds = 0u64;
-    let mut violated = false;
-    // One post-mortem per serve lifetime: the bounded event ring is dumped on
-    // the *first* conviction and never again (the flight recorder's contents
-    // after that point describe post-violation traffic).
-    let post_mortem_done = AtomicBool::new(false);
     while !STOP.load(Ordering::SeqCst) {
         if args.serve_rounds > 0 && rounds >= args.serve_rounds {
             break;
         }
-        let config = ScenarioConfig {
-            backend,
-            threads: args.threads,
-            txns_per_thread: args.txns,
-            vars: args.vars,
-            // A fresh seed per round: sustained traffic, not one replayed run.
-            seed: args.seed.wrapping_add(rounds),
-            policy: Arc::clone(&args.policy),
-        };
-        let shard = ShardConfig {
-            adaptive: args.adaptive,
-            ..ShardConfig::new(shards, window_config(window, args))
-        };
+        let (round, report, extra) = run_round(rounds)?;
+        violated |= report.violated();
+        let verdict = report.verdict.as_ref().expect("serve rounds run an audited plan");
+        emitter.emit(&format!(
+            "{{\"type\":\"verdict\",\"round\":{round},\"summary\":\"{}\",\"commits\":{},\
+             \"throughput\":{:.0},\"drain_ms\":{:.3},{extra}\"report\":{}}}",
+            json_escape(&verdict.merged().summary()),
+            report.run.commits,
+            report.run.throughput,
+            report.tail.as_secs_f64() * 1e3,
+            verdict.to_json()
+        ));
+        if args.metrics {
+            // Guaranteed snapshot per round, even when the round finishes
+            // inside the ticker's first 500 ms.
+            emitter.emit(&metrics_record(round));
+        }
+        // Round boundary: the sink mirror is durable up to the last full round
+        // even if the next one is cut short.
+        emitter.flush();
+        rounds += 1;
+    }
+    let reason = if STOP.load(Ordering::SeqCst) { "signal" } else { "rounds-exhausted" };
+    emitter
+        .emit(&format!("{{\"type\":\"serve-stop\",\"rounds\":{rounds},\"reason\":\"{reason}\"}}"));
+    emitter.flush();
+    Ok(violation_exit(args, violated))
+}
+
+/// The `--serve` ops endpoint: audited rounds back to back, each round's
+/// window verdicts / convictions / partition lag streamed as JSON lines
+/// while the workload runs, until SIGTERM/SIGINT or `--serve-rounds`.
+fn serve(args: &Args) -> Result<ExitCode, Failure> {
+    let emitter = ServeEmitter::open(args.sink.as_deref())?;
+    let emitter = &emitter;
+    install_stop_handlers();
+    emit_serve_start(emitter, args, None);
+    // One post-mortem per serve lifetime: the bounded event ring is dumped on
+    // the *first* conviction and never again (the flight recorder's contents
+    // after that point describe post-violation traffic).
+    let post_mortem_done = &AtomicBool::new(false);
+    serve_rounds(args, emitter, false, |round| {
+        // A fresh seed per round: sustained traffic, not one replayed run.
+        let config = scenario_config(args, args.backends[0], args.seed.wrapping_add(round));
         let (events_tx, events_rx) = std::sync::mpsc::channel::<ShardEvent>();
-        let round = rounds;
-        let round_done = AtomicBool::new(false);
+        let round_done = &AtomicBool::new(false);
         let report = std::thread::scope(|scope| {
-            let emitter = &emitter;
-            let post_mortem_done = &post_mortem_done;
             let printer = scope.spawn(move || {
                 while let Ok(event) = events_rx.recv() {
                     emit_event(emitter, round, &event);
@@ -794,7 +910,6 @@ fn serve(args: &Args) -> ExitCode {
                     }
                 }
             });
-            let round_done = &round_done;
             let ticker = args.metrics.then(|| {
                 scope.spawn(move || {
                     // Poll at 25 ms so shutdown is prompt; emit every 500 ms.
@@ -803,63 +918,22 @@ fn serve(args: &Args) -> ExitCode {
                         std::thread::sleep(std::time::Duration::from_millis(25));
                         ticks += 1;
                         if ticks.is_multiple_of(20) {
-                            emitter.emit(&format!(
-                                "{{\"type\":\"metrics\",\"round\":{round},\"snapshot\":{}}}",
-                                tm_telemetry::global().snapshot().to_json()
-                            ));
+                            emitter.emit(&metrics_record(round));
                         }
                     }
                 })
             });
-            let report =
-                run_scenario_audited_sharded(scenario.as_ref(), &config, shard, Some(events_tx));
+            let plan = LivePlan { events: Some(events_tx), ..LivePlan::new(args.plan) };
+            let report = run_live(args.scenarios[0].as_ref(), &config, plan);
             printer.join().expect("serve printer panicked");
             round_done.store(true, Ordering::SeqCst);
             if let Some(ticker) = ticker {
                 ticker.join().expect("serve metrics ticker panicked");
             }
             report
-        });
-        let report = match report {
-            Ok(report) => report,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        };
-        violated |= report.run.check.invariant == Some(false)
-            || tm_audit::Level::ALL.iter().any(|&l| report.sharded.fails(l));
-        emitter.emit(&format!(
-            "{{\"type\":\"verdict\",\"round\":{round},\"summary\":\"{}\",\"commits\":{},\
-             \"throughput\":{:.0},\"drain_ms\":{:.3},\"report\":{}}}",
-            json_escape(&report.sharded.summary()),
-            report.run.commits,
-            report.run.throughput,
-            report.drain_elapsed.as_secs_f64() * 1e3,
-            report.sharded.to_json()
-        ));
-        if args.metrics {
-            // Guaranteed snapshot per round, even when the round finishes
-            // inside the ticker's first 500 ms.
-            emitter.emit(&format!(
-                "{{\"type\":\"metrics\",\"round\":{round},\"snapshot\":{}}}",
-                tm_telemetry::global().snapshot().to_json()
-            ));
-        }
-        // Round boundary: the sink mirror is durable up to the last full round
-        // even if the next one is cut short.
-        emitter.flush();
-        rounds += 1;
-    }
-    let reason = if STOP.load(Ordering::SeqCst) { "signal" } else { "rounds-exhausted" };
-    emitter
-        .emit(&format!("{{\"type\":\"serve-stop\",\"rounds\":{rounds},\"reason\":\"{reason}\"}}"));
-    emitter.flush();
-    if args.fail_on_violation && violated {
-        eprintln!("audit found definite violations (--fail-on-violation)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+        })?;
+        Ok((round, report, String::new()))
+    })
 }
 
 /// Fold a [`workloads::RecoveredRoundReport`] into a serve record: the
@@ -875,16 +949,16 @@ fn recovered_record(report: &workloads::RecoveredRoundReport) -> String {
 /// wins, then the WAL directory's own `wal-meta.json` (the shape the round
 /// was actually produced with), then the serve default.  Rounds with a
 /// surviving snapshot ignore this — the snapshot's persisted config wins.
-fn recover_fallback_window(args: &Args, wal_dir: &std::path::Path) -> Result<WindowConfig, String> {
-    if let AuditMode::Streaming { window } = args.mode {
-        return Ok(window_config(window, args));
+fn recover_fallback_window(args: &Args, wal_dir: &Path) -> Result<WindowConfig, String> {
+    if let AuditPlan::Windowed(window) = args.plan {
+        return Ok(window);
     }
     if let Some(meta) = workloads::WalMeta::load(wal_dir)? {
         let mut window = meta.window;
         window.sat = args.sat;
         return Ok(window);
     }
-    Ok(window_config(2_048, args))
+    window_config(2_048, args)
 }
 
 /// Recover every incomplete round under `wal_dir`, emitting one
@@ -892,7 +966,7 @@ fn recover_fallback_window(args: &Args, wal_dir: &std::path::Path) -> Result<Win
 /// carries a definite violation.
 fn recover_rounds(
     args: &Args,
-    wal_dir: &std::path::Path,
+    wal_dir: &Path,
     emitter: &ServeEmitter,
     json_entries: &mut Vec<String>,
 ) -> Result<bool, String> {
@@ -913,270 +987,138 @@ fn recover_rounds(
 /// `--recover DIR` without `--serve`: finish auditing every crashed round
 /// under DIR and report the recovered verdicts like a live run would —
 /// stdout records, `--json` document, `--fail-on-violation` semantics.
-fn recover_cli(args: &Args) -> ExitCode {
-    let wal_dir = std::path::Path::new(args.recover.as_deref().expect("recover dispatch"));
-    let emitter = match ServeEmitter::open(args.sink.as_deref()) {
-        Ok(emitter) => emitter,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
+fn recover_cli(args: &Args) -> Result<ExitCode, Failure> {
+    let wal_dir = Path::new(args.recover.as_deref().expect("recover dispatch"));
+    let emitter = ServeEmitter::open(args.sink.as_deref())?;
     let mut json_entries = Vec::new();
-    let violated = match recover_rounds(args, wal_dir, &emitter, &mut json_entries) {
-        Ok(violated) => violated,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
+    let violated = recover_rounds(args, wal_dir, &emitter, &mut json_entries)?;
     if json_entries.is_empty() {
         println!("{}: no incomplete rounds; nothing to recover", wal_dir.display());
     }
-    if let Some(path) = &args.json {
-        let doc = format!("{{\"recovered\":[{}]}}", json_entries.join(","));
-        if let Err(err) = std::fs::write(path, doc) {
-            eprintln!("error: writing {path}: {err}");
-            return ExitCode::from(3);
-        }
-        println!("machine-readable report written to {path}");
-    }
-    if args.fail_on_violation && violated {
-        eprintln!("audit found definite violations (--fail-on-violation)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    finish_report(args, "recovered", &json_entries, violated)
 }
 
 /// `--serve --wal DIR`: audited rounds back to back like [`serve`], but
-/// through the streaming (single-auditor) topology with every committed
+/// through the windowed (single-auditor) plan with every committed
 /// transaction logged to `DIR/round-NNNN/` before it reaches the auditor.
 /// Segments seal at window boundaries (flushing + fsyncing the `--sink`
 /// mirror first), each seal persists the auditor's frontier snapshot, and a
 /// finished round gets a `complete.json` marker.  With `--recover DIR` the
 /// endpoint first finishes auditing any rounds a previous process left
 /// behind, then resumes serving at the next free round index.
-fn serve_wal(args: &Args) -> ExitCode {
-    let window = match args.mode {
-        AuditMode::Streaming { window } => window,
-        _ => unreachable!("parse_args forces the streaming topology under --wal"),
+fn serve_wal(args: &Args) -> Result<ExitCode, Failure> {
+    let AuditPlan::Windowed(window) = args.plan else {
+        unreachable!("parse_args forces the windowed plan under --wal")
     };
-    let wal_dir = std::path::Path::new(args.wal.as_deref().expect("wal dispatch"));
-    let scenario = &args.scenarios[0];
-    let backend = args.backends[0];
-    let emitter = match ServeEmitter::open(args.sink.as_deref()) {
-        Ok(emitter) => emitter,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
+    let wal_dir = Path::new(args.wal.as_deref().expect("wal dispatch"));
+    let wal_error = |err: std::io::Error| format!("--wal {}: {err}", wal_dir.display());
+    let emitter = ServeEmitter::open(args.sink.as_deref())?;
+    let emitter = &emitter;
     install_stop_handlers();
-    let wc = window_config(window, args);
     let meta = workloads::WalMeta {
-        scenario: scenario.name().to_string(),
-        backend: backend.to_string(),
+        scenario: args.scenarios[0].name().to_string(),
+        backend: args.backends[0].to_string(),
         threads: args.threads,
         txns_per_thread: args.txns,
         vars: args.vars,
         seed: args.seed,
-        window: wc,
+        window,
     };
-    if let Err(err) = meta.store(wal_dir) {
-        eprintln!("error: --wal {}: {err}", wal_dir.display());
-        return ExitCode::from(2);
-    }
-    emitter.emit(&format!(
-        "{{\"type\":\"serve-start\",\"scenario\":\"{}\",\"backend\":\"{backend}\",\
-         \"shards\":1,\"window\":{window},\"threads\":{},\"txns_per_round\":{},\
-         \"wal\":\"{}\",\"pid\":{}}}",
-        scenario.name(),
-        args.threads,
-        args.threads * args.txns,
-        json_escape(&wal_dir.display().to_string()),
-        std::process::id()
-    ));
-    let mut violated = false;
-    if args.recover.is_some() {
-        let mut entries = Vec::new();
-        match recover_rounds(args, wal_dir, &emitter, &mut entries) {
-            Ok(v) => violated |= v,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let mut rounds = 0u64;
-    while !STOP.load(Ordering::SeqCst) {
-        if args.serve_rounds > 0 && rounds >= args.serve_rounds {
-            break;
-        }
-        let round_index = match workloads::next_round_index(wal_dir) {
-            Ok(index) => index,
-            Err(err) => {
-                eprintln!("error: --wal {}: {err}", wal_dir.display());
-                return ExitCode::from(2);
-            }
-        };
+    meta.store(wal_dir).map_err(wal_error)?;
+    emit_serve_start(emitter, args, Some(wal_dir));
+    let recovered = match args.recover {
+        Some(_) => recover_rounds(args, wal_dir, emitter, &mut Vec::new())?,
+        None => false,
+    };
+    serve_rounds(args, emitter, recovered, |_| {
+        let round_index = workloads::next_round_index(wal_dir).map_err(wal_error)?;
         let round_dir = wal_dir.join(workloads::round_dir_name(round_index));
-        let config = ScenarioConfig {
-            backend,
-            threads: args.threads,
-            txns_per_thread: args.txns,
-            vars: args.vars,
-            // Seeded by the durable round index, not the in-process counter,
-            // so a restarted endpoint continues the seed sequence where the
-            // killed one stopped.
-            seed: args.seed.wrapping_add(round_index),
-            policy: Arc::clone(&args.policy),
-        };
-        let report = match workloads::run_scenario_audited_walled(
-            scenario.as_ref(),
-            &config,
-            wc,
-            &round_dir,
-            || emitter.sync(),
-        ) {
-            Ok(report) => report,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        };
-        violated |= report.run.check.invariant == Some(false)
-            || tm_audit::Level::ALL.iter().any(|&l| report.stream.fails(l));
-        emitter.emit(&format!(
-            "{{\"type\":\"verdict\",\"round\":{round_index},\"summary\":\"{}\",\"commits\":{},\
-             \"throughput\":{:.0},\"drain_ms\":{:.3},\"wal\":{{\"dir\":\"{}\",\
-             \"logged_txns\":{},\"sealed_segments\":{}}},\"report\":{}}}",
-            json_escape(&report.stream.summary()),
-            report.run.commits,
-            report.run.throughput,
-            report.drain_elapsed.as_secs_f64() * 1e3,
+        // Seeded by the durable round index, not the in-process counter,
+        // so a restarted endpoint continues the seed sequence where the
+        // killed one stopped.
+        let config = scenario_config(args, args.backends[0], args.seed.wrapping_add(round_index));
+        let wal = WalRound { dir: &round_dir, pre_seal: Box::new(|| emitter.sync()) };
+        let plan = LivePlan { wal: Some(wal), ..LivePlan::new(args.plan) };
+        let report = run_live(args.scenarios[0].as_ref(), &config, plan)?;
+        let stats = report.wal.expect("the round ran with a WAL attached");
+        let logged = format!(
+            "\"wal\":{{\"dir\":\"{}\",\"logged_txns\":{},\"sealed_segments\":{}}},",
             json_escape(&round_dir.display().to_string()),
-            report.wal.logged_txns,
-            report.wal.sealed_segments,
-            report.stream.to_json()
-        ));
-        if args.metrics {
-            emitter.emit(&format!(
-                "{{\"type\":\"metrics\",\"round\":{round_index},\"snapshot\":{}}}",
-                tm_telemetry::global().snapshot().to_json()
-            ));
+            stats.logged_txns,
+            stats.sealed_segments
+        );
+        Ok((round_index, report, logged))
+    })
+}
+
+/// Print one ingested document's verdict in its topology's words; returns
+/// the `"mode"` label of its `--json` entry.
+fn print_ingested(verdict: &Verdict, plan: &AuditPlan) -> &'static str {
+    match verdict {
+        Verdict::Batch(report) => {
+            for level in &report.levels {
+                println!("  {level}");
+            }
+            println!("  verdict: {}\n", report.summary());
+            "batch"
         }
-        emitter.flush();
-        rounds += 1;
+        Verdict::Windowed(stream) => {
+            println!(
+                "  verdict: {} ({} txns through {} windows)\n",
+                stream.merged.summary(),
+                stream.total_txns,
+                stream.windows.len()
+            );
+            "streaming"
+        }
+        Verdict::Sharded(sharded) => {
+            println!(
+                "  verdict: {} ({} txns through {} partitions + escalation lane)\n",
+                sharded.merged.summary(),
+                sharded.total_txns,
+                stream_shape(plan).1
+            );
+            "window-sharded"
+        }
     }
-    let reason = if STOP.load(Ordering::SeqCst) { "signal" } else { "rounds-exhausted" };
-    emitter
-        .emit(&format!("{{\"type\":\"serve-stop\",\"rounds\":{rounds},\"reason\":\"{reason}\"}}"));
-    emitter.flush();
-    if args.fail_on_violation && violated {
-        eprintln!("audit found definite violations (--fail-on-violation)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 /// `--ingest FILE|-` (batch invocation): decode every wire document from the
-/// file (or stdin), audit each through the configured mode, and report like
-/// a live run — per-document verdicts on stdout, `"ingest"` entries in the
-/// `--json` document, `--fail-on-violation` semantics intact.
-fn ingest(args: &Args) -> ExitCode {
+/// file (or stdin), audit each under the plan, and report like a live run —
+/// per-document verdicts on stdout, `"ingest"` entries in the `--json`
+/// document, `--fail-on-violation` semantics intact.
+fn ingest(args: &Args) -> Result<ExitCode, Failure> {
     let source = args.ingest.as_deref().expect("ingest dispatch");
     let text = if source == "-" {
         let mut text = String::new();
-        match std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut text) {
-            Ok(_) => text,
-            Err(e) => {
-                eprintln!("error: reading stdin: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut text)
+            .map_err(|e| format!("reading stdin: {e}"))?;
+        text
     } else {
-        match std::fs::read_to_string(source) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: {source}: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        std::fs::read_to_string(source).map_err(|e| format!("{source}: {e}"))?
     };
-    let histories = match decode_all(&text) {
-        Ok(histories) => histories,
-        Err(e) => {
-            eprintln!("error: {source}: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let histories = decode_all(&text).map_err(|e| format!("{source}: {e}"))?;
     if histories.is_empty() {
-        eprintln!("error: {source}: no history documents");
-        return ExitCode::from(2);
+        return Err(format!("{source}: no history documents").into());
     }
     let mut violated = false;
     let mut json_entries: Vec<String> = Vec::new();
     for (doc, history) in histories.iter().enumerate() {
         println!("history #{doc} from {source}: {}", history.shape());
-        let (mode_label, report_json) = match args.mode {
-            AuditMode::Off | AuditMode::Batch => {
-                let report = audit_with_options(history, &audit_options(args));
-                violated |= tm_audit::Level::ALL.iter().any(|&l| report.fails(l));
-                for level in &report.levels {
-                    println!("  {level}");
-                }
-                println!("  verdict: {}\n", report.summary());
-                ("batch", report.to_json())
-            }
-            AuditMode::Streaming { window } => {
-                let report = audit_streamed(history, window_config(window, args));
-                violated |= tm_audit::Level::ALL.iter().any(|&l| report.fails(l));
-                println!(
-                    "  verdict: {} ({} txns through {} windows)\n",
-                    report.merged.summary(),
-                    report.total_txns,
-                    report.windows.len()
-                );
-                // The merged report is timing-free, so ingest replays of the
-                // same document produce byte-identical JSON.
-                ("streaming", report.merged.to_json())
-            }
-            AuditMode::Sharded { window, shards } => {
-                let shard = ShardConfig {
-                    adaptive: args.adaptive,
-                    ..ShardConfig::new(shards, window_config(window, args))
-                };
-                let report = audit_sharded(history, shard);
-                violated |= tm_audit::Level::ALL.iter().any(|&l| report.fails(l));
-                println!(
-                    "  verdict: {} ({} txns through {} partitions + escalation lane)\n",
-                    report.merged.summary(),
-                    report.total_txns,
-                    shards
-                );
-                ("window-sharded", report.merged.to_json())
-            }
-        };
+        let verdict = Verdict::audit(history, &args.plan)
+            .expect("parse_args defaults --ingest to the batch plan");
+        violated |= verdict.violated();
+        let mode_label = print_ingested(&verdict, &args.plan);
+        // The merged report is timing-free, so ingest replays of the same
+        // document produce byte-identical JSON.
         json_entries.push(format!(
             "{{\"source\":\"ingest\",\"doc\":{doc},\"mode\":\"{mode_label}\",\"shape\":\"{}\",\
              \"report\":{}}}",
             json_escape(&history.shape()),
-            report_json
+            verdict.merged().to_json()
         ));
     }
-    if let Some(path) = &args.json {
-        let doc = format!("{{\"ingest\":[{}]}}", json_entries.join(","));
-        if let Err(err) = std::fs::write(path, doc) {
-            eprintln!("error: writing {path}: {err}");
-            return ExitCode::from(3);
-        }
-        println!("machine-readable report written to {path}");
-    }
-    if args.fail_on_violation && violated {
-        eprintln!("audit found definite violations (--fail-on-violation)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    finish_report(args, "ingest", &json_entries, violated)
 }
 
 /// `--serve --ingest FILE|-`: the ops endpoint fed by wire documents instead
@@ -1184,33 +1126,18 @@ fn ingest(args: &Args) -> ExitCode {
 /// a malformed document yields a positioned `ingest-error` record, then the
 /// decoder resyncs at the next document boundary (blank line) and keeps
 /// going — one bad batch does not take the endpoint down.
-fn serve_ingest(args: &Args) -> ExitCode {
+fn serve_ingest(args: &Args) -> Result<ExitCode, Failure> {
     let source = args.ingest.as_deref().expect("serve-ingest dispatch");
-    let emitter = match ServeEmitter::open(args.sink.as_deref()) {
-        Ok(emitter) => emitter,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
+    let emitter = ServeEmitter::open(args.sink.as_deref())?;
     install_stop_handlers();
     let reader: Box<dyn BufRead> = if source == "-" {
         Box::new(std::io::BufReader::new(std::io::stdin()))
     } else {
-        match std::fs::File::open(source) {
-            Ok(file) => Box::new(std::io::BufReader::new(file)),
-            Err(e) => {
-                eprintln!("error: {source}: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        let file = std::fs::File::open(source).map_err(|e| format!("{source}: {e}"))?;
+        Box::new(std::io::BufReader::new(file))
     };
     let mut decoder = Decoder::new(reader);
-    let (window, shards) = match args.mode {
-        AuditMode::Sharded { window, shards } => (window, shards),
-        AuditMode::Streaming { window } => (window, 1),
-        _ => unreachable!("parse_args forces a streaming mode under --serve"),
-    };
+    let (window, shards) = stream_shape(&args.plan);
     emitter.emit(&format!(
         "{{\"type\":\"serve-start\",\"mode\":\"ingest\",\"source\":\"{}\",\"shards\":{shards},\
          \"window\":{window},\"pid\":{}}}",
@@ -1227,35 +1154,15 @@ fn serve_ingest(args: &Args) -> ExitCode {
         }
         match decoder.next_history() {
             Ok(Some(history)) => {
-                let (summary, report_json, fails) = match args.mode {
-                    AuditMode::Sharded { .. } => {
-                        let shard = ShardConfig {
-                            adaptive: args.adaptive,
-                            ..ShardConfig::new(shards, window_config(window, args))
-                        };
-                        let report = audit_sharded(&history, shard);
-                        (
-                            report.merged.summary(),
-                            report.to_json(),
-                            tm_audit::Level::ALL.iter().any(|&l| report.fails(l)),
-                        )
-                    }
-                    _ => {
-                        let report = audit_streamed(&history, window_config(window, args));
-                        (
-                            report.merged.summary(),
-                            report.to_json(),
-                            tm_audit::Level::ALL.iter().any(|&l| report.fails(l)),
-                        )
-                    }
-                };
-                violated |= fails;
+                let verdict = Verdict::audit(&history, &args.plan)
+                    .expect("parse_args forces a streaming plan under --serve");
+                violated |= verdict.violated();
                 emitter.emit(&format!(
                     "{{\"type\":\"ingest-verdict\",\"doc\":{docs},\"shape\":\"{}\",\
                      \"summary\":\"{}\",\"report\":{}}}",
                     json_escape(&history.shape()),
-                    json_escape(&summary),
-                    report_json
+                    json_escape(&verdict.merged().summary()),
+                    verdict.to_json()
                 ));
                 docs += 1;
             }
@@ -1293,11 +1200,125 @@ fn serve_ingest(args: &Args) -> ExitCode {
          \"reason\":\"{reason}\"}}"
     ));
     emitter.flush();
-    if args.fail_on_violation && (violated || errors > 0) {
-        eprintln!("audit found definite violations (--fail-on-violation)");
-        return ExitCode::FAILURE;
+    Ok(violation_exit(args, violated || errors > 0))
+}
+
+/// Print a live run's audit lines in its topology's words and render its
+/// `--json` entry.
+fn print_live(report: &LiveReport) -> String {
+    print_run_line(&report.run);
+    let run = json_run_fields(&report.run);
+    let tail_ms = report.tail.as_secs_f64() * 1e3;
+    match &report.verdict {
+        None => {
+            println!();
+            format!("{{{run},\"mode\":\"off\"}}")
+        }
+        Some(Verdict::Batch(audit)) => {
+            println!("  checked in {:.3?}", report.tail);
+            for level in &audit.levels {
+                println!("  {level}");
+            }
+            println!("  verdict: {}\n", audit.summary());
+            format!(
+                "{{{run},\"mode\":\"batch\",\"audit_ms\":{tail_ms:.3},\"report\":{}}}",
+                audit.to_json()
+            )
+        }
+        Some(Verdict::Windowed(stream)) => {
+            println!(
+                "  merged verdict {:.3?} after run end ({} windowed txns)",
+                report.tail, stream.total_txns
+            );
+            print!("  {stream}");
+            println!("  verdict: {}\n", stream.summary());
+            format!(
+                "{{{run},\"mode\":\"streaming\",\"drain_ms\":{tail_ms:.3},\"report\":{}}}",
+                stream.to_json()
+            )
+        }
+        Some(Verdict::Sharded(sharded)) => {
+            println!(
+                "  merged verdict {:.3?} after run end ({} txns through {} partitions \
+                 + escalation lane{})",
+                report.tail,
+                sharded.total_txns,
+                sharded.config.shards,
+                if sharded.config.adaptive {
+                    format!(", {} adaptive band moves", report.band_moves)
+                } else {
+                    String::new()
+                }
+            );
+            print!("  {sharded}");
+            println!("  verdict: {}\n", sharded.summary());
+            format!(
+                "{{{run},\"mode\":\"window-sharded\",\"drain_ms\":{tail_ms:.3},\
+                 \"band_moves\":{},\"report\":{}}}",
+                report.band_moves,
+                sharded.to_json()
+            )
+        }
     }
-    ExitCode::SUCCESS
+}
+
+/// The default invocation: run every chosen scenario × backend under the
+/// plan, print and collect the reports, export the capture if asked.
+fn live(args: &Args) -> Result<ExitCode, Failure> {
+    let audited = !matches!(args.plan, AuditPlan::Off) || args.export.is_some();
+    let mut json_entries: Vec<String> = Vec::new();
+    let mut violated = false;
+    let mut exported: Option<AuditHistory> = None;
+    for scenario in &args.scenarios {
+        for &backend in &args.backends {
+            println!(
+                "scenario {} on {backend}: {} threads × {} txns over {} vars \
+                 (seed {}, retry {})",
+                scenario.name(),
+                args.threads,
+                args.txns,
+                args.vars,
+                args.seed,
+                args.policy.name()
+            );
+            if audited && !scenario.recordable() {
+                if args.scenarios_are_all {
+                    println!(
+                        "  skipped: {} is not auditable (no unique-write contract)\n",
+                        scenario.name()
+                    );
+                    continue;
+                }
+                return Err(format!(
+                    "scenario {:?} is not auditable (its writes are not globally \
+                     unique); run it without --audit/--export",
+                    scenario.name()
+                )
+                .into());
+            }
+            let plan = LivePlan { capture: args.export.is_some(), ..LivePlan::new(args.plan) };
+            let config = scenario_config(args, backend, args.seed);
+            let mut report = run_live(scenario.as_ref(), &config, plan)?;
+            violated |= report.violated();
+            json_entries.push(print_live(&report));
+            exported = report.history.take();
+        }
+    }
+
+    if let Some(path) = &args.export {
+        // parse_args pinned us to one scenario × backend, and non-recordable
+        // single scenarios errored above, so the capture must be present.
+        let history = exported.expect("--export run captured a history");
+        let doc = encode(&history);
+        write_file(path, &doc)?;
+        println!(
+            "history exported to {path} ({} txns, {} bytes, tm-history wire v{})",
+            history.txn_count(),
+            doc.len(),
+            tm_history::WIRE_VERSION
+        );
+    }
+    finish_report(args, "runs", &json_entries, violated)
 }
 
 fn main() -> ExitCode {
@@ -1331,245 +1352,23 @@ fn main() -> ExitCode {
             tm_telemetry::set_trace_enabled(true);
         }
     }
-    if args.recover.is_some() && !args.serve {
-        return recover_cli(&args);
-    }
-    if args.serve {
+    let outcome = if args.recover.is_some() && !args.serve {
+        recover_cli(&args)
+    } else if args.serve {
         if args.ingest.is_some() {
-            return serve_ingest(&args);
-        }
-        if args.wal.is_some() {
-            return serve_wal(&args);
-        }
-        return serve(&args);
-    }
-    if args.ingest.is_some() {
-        return ingest(&args);
-    }
-
-    let mut json_entries: Vec<String> = Vec::new();
-    let mut violated = false;
-    let mut exported: Option<AuditHistory> = None;
-    for scenario in &args.scenarios {
-        for &backend in &args.backends {
-            let config = ScenarioConfig {
-                backend,
-                threads: args.threads,
-                txns_per_thread: args.txns,
-                vars: args.vars,
-                seed: args.seed,
-                policy: Arc::clone(&args.policy),
-            };
-            println!(
-                "scenario {} on {backend}: {} threads × {} txns over {} vars \
-                 (seed {}, retry {})",
-                scenario.name(),
-                args.threads,
-                args.txns,
-                args.vars,
-                args.seed,
-                args.policy.name()
-            );
-            if (args.mode != AuditMode::Off || args.export.is_some()) && !scenario.recordable() {
-                if args.scenarios_are_all {
-                    println!(
-                        "  skipped: {} is not auditable (no unique-write contract)\n",
-                        scenario.name()
-                    );
-                    continue;
-                }
-                eprintln!(
-                    "error: scenario {:?} is not auditable (its writes are not globally \
-                     unique); run it without --audit/--export",
-                    scenario.name()
-                );
-                return ExitCode::from(2);
-            }
-            match args.mode {
-                AuditMode::Off => {
-                    let run = if args.export.is_some() {
-                        match run_scenario_captured(scenario.as_ref(), &config) {
-                            Ok((run, history)) => {
-                                exported = Some(history);
-                                run
-                            }
-                            Err(msg) => {
-                                eprintln!("error: {msg}");
-                                return ExitCode::from(2);
-                            }
-                        }
-                    } else {
-                        run_scenario(scenario.as_ref(), &config)
-                    };
-                    print_run_line(&run);
-                    println!();
-                    violated |= run.check.invariant == Some(false);
-                    json_entries.push(format!("{{{},\"mode\":\"off\"}}", json_run_fields(&run)));
-                }
-                AuditMode::Batch => {
-                    let options = audit_options(&args);
-                    let result = if args.export.is_some() {
-                        run_scenario_audited_with_captured(scenario.as_ref(), &config, &options)
-                            .map(|(report, history)| {
-                                exported = Some(history);
-                                report
-                            })
-                    } else {
-                        run_scenario_audited_with(scenario.as_ref(), &config, &options)
-                    };
-                    let report = match result {
-                        Ok(report) => report,
-                        Err(msg) => {
-                            eprintln!("error: {msg}");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    violated |= report.run.check.invariant == Some(false)
-                        || tm_audit::Level::ALL.iter().any(|&l| report.audit.fails(l));
-                    print_run_line(&report.run);
-                    println!("  checked in {:.3?}", report.audit_elapsed);
-                    for level in &report.audit.levels {
-                        println!("  {level}");
-                    }
-                    println!("  verdict: {}\n", report.audit.summary());
-                    json_entries.push(format!(
-                        "{{{},\"mode\":\"batch\",\"audit_ms\":{:.3},\"report\":{}}}",
-                        json_run_fields(&report.run),
-                        report.audit_elapsed.as_secs_f64() * 1e3,
-                        report.audit.to_json()
-                    ));
-                }
-                AuditMode::Sharded { window, shards } => {
-                    let shard = ShardConfig {
-                        adaptive: args.adaptive,
-                        ..ShardConfig::new(shards, window_config(window, &args))
-                    };
-                    let result = if args.export.is_some() {
-                        run_scenario_audited_sharded_captured(
-                            scenario.as_ref(),
-                            &config,
-                            shard,
-                            None,
-                        )
-                        .map(|(report, history)| {
-                            exported = Some(history);
-                            report
-                        })
-                    } else {
-                        run_scenario_audited_sharded(scenario.as_ref(), &config, shard, None)
-                    };
-                    let report = match result {
-                        Ok(report) => report,
-                        Err(msg) => {
-                            eprintln!("error: {msg}");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    violated |= report.run.check.invariant == Some(false)
-                        || tm_audit::Level::ALL.iter().any(|&l| report.sharded.fails(l));
-                    print_run_line(&report.run);
-                    println!(
-                        "  merged verdict {:.3?} after run end ({} txns through {} partitions \
-                         + escalation lane{})",
-                        report.drain_elapsed,
-                        report.sharded.total_txns,
-                        report.shard.shards,
-                        if args.adaptive {
-                            format!(", {} adaptive band moves", report.band_moves)
-                        } else {
-                            String::new()
-                        }
-                    );
-                    print!("  {}", report.sharded);
-                    println!("  verdict: {}\n", report.sharded.summary());
-                    json_entries.push(format!(
-                        "{{{},\"mode\":\"window-sharded\",\"drain_ms\":{:.3},\"band_moves\":{},\
-                         \"report\":{}}}",
-                        json_run_fields(&report.run),
-                        report.drain_elapsed.as_secs_f64() * 1e3,
-                        report.band_moves,
-                        report.sharded.to_json()
-                    ));
-                }
-                AuditMode::Streaming { window } => {
-                    let wc = window_config(window, &args);
-                    let result = if args.export.is_some() {
-                        run_scenario_audited_streaming_captured(scenario.as_ref(), &config, wc).map(
-                            |(report, history)| {
-                                exported = Some(history);
-                                report
-                            },
-                        )
-                    } else {
-                        run_scenario_audited_streaming(scenario.as_ref(), &config, wc)
-                    };
-                    let report = match result {
-                        Ok(report) => report,
-                        Err(msg) => {
-                            eprintln!("error: {msg}");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    violated |= report.run.check.invariant == Some(false)
-                        || tm_audit::Level::ALL.iter().any(|&l| report.stream.fails(l));
-                    print_run_line(&report.run);
-                    println!(
-                        "  merged verdict {:.3?} after run end ({} windowed txns)",
-                        report.drain_elapsed, report.stream.total_txns
-                    );
-                    print!("  {}", report.stream);
-                    println!("  verdict: {}\n", report.stream.summary());
-                    json_entries.push(format!(
-                        "{{{},\"mode\":\"streaming\",\"drain_ms\":{:.3},\"report\":{}}}",
-                        json_run_fields(&report.run),
-                        report.drain_elapsed.as_secs_f64() * 1e3,
-                        report.stream.to_json()
-                    ));
-                }
-            }
-        }
-    }
-
-    if let Some(path) = &args.export {
-        // parse_args pinned us to one scenario × backend, and non-recordable
-        // single scenarios errored above, so the capture must be present.
-        let history = exported.expect("--export run captured a history");
-        let doc = encode(&history);
-        if let Err(err) = std::fs::write(path, &doc) {
-            eprintln!("error: writing {path}: {err}");
-            return ExitCode::from(3);
-        }
-        println!(
-            "history exported to {path} ({} txns, {} bytes, tm-history wire v{})",
-            history.txn_count(),
-            doc.len(),
-            tm_history::WIRE_VERSION
-        );
-    }
-    if args.metrics {
-        println!("telemetry snapshot:");
-        print!("{}", tm_telemetry::global().snapshot().to_text());
-        println!();
-    }
-    if let Some(path) = &args.json {
-        let doc = if args.metrics {
-            format!(
-                "{{\"runs\":[{}],\"telemetry\":{}}}",
-                json_entries.join(","),
-                tm_telemetry::global().snapshot().to_json()
-            )
+            serve_ingest(&args)
+        } else if args.wal.is_some() {
+            serve_wal(&args)
         } else {
-            format!("{{\"runs\":[{}]}}", json_entries.join(","))
-        };
-        if let Err(err) = std::fs::write(path, doc) {
-            eprintln!("error: writing {path}: {err}");
-            return ExitCode::from(3);
+            serve(&args)
         }
-        println!("machine-readable report written to {path}");
-    }
-    if args.fail_on_violation && violated {
-        eprintln!("audit found definite violations (--fail-on-violation)");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    } else if args.ingest.is_some() {
+        ingest(&args)
+    } else {
+        live(&args)
+    };
+    outcome.unwrap_or_else(|failure| {
+        eprintln!("error: {}", failure.message);
+        ExitCode::from(failure.code)
+    })
 }

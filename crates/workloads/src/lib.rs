@@ -18,17 +18,19 @@
 //!   backend registry is open.  [`register_workload_backends`] makes its name
 //!   resolvable; CLI/bench/example entry points call it at startup;
 //! * [`bank`] / [`zipf`] — the transfer workload and a Zipfian sampler;
-//! * [`runner`] — thread-pool runners for every mode: raw throughput
-//!   ([`runner::run_threads`]), scenario runs ([`runner::run_scenario`]), and the
-//!   audit modes that record every commit through `tm-audit` and prove which
-//!   consistency levels the run satisfied — whole-run batch
-//!   ([`runner::run_scenario_audited`]), bounded-memory streaming windows
-//!   concurrent with the workload ([`runner::run_scenario_audited_streaming`]),
-//!   or the multi-core sharded partition pipeline with live window/lag events
-//!   ([`runner::run_scenario_audited_sharded`], the engine behind the audit
-//!   CLI's `--audit=window:shards=K` and `--serve` modes).
-//!   Reports carry the attempt histogram percentiles (p50/p99) so retry
-//!   policies are measurable.
+//! * [`runner`] — the thread-pool runners: raw bank throughput
+//!   ([`run_threads`]), unaudited scenario runs ([`run_scenario`]), and
+//!   [`run_live`], which executes one description of a run — a [`LivePlan`]:
+//!   an [`AuditPlan`] (`Off`, whole-history `Batch`, bounded-memory rolling
+//!   windows concurrent with the workload, or the multi-core `Sharded`
+//!   partition pipeline) × capture × WAL round × live window/lag events —
+//!   through one `recorder → merger → sink` pipeline and returns one
+//!   [`LiveReport`] with one [`Verdict`].  [`Verdict::audit`] audits a
+//!   finished history under the same plans, so an exported run replays to
+//!   the verdict it got live.  Reports carry the attempt histogram
+//!   percentiles (p50/p99) so retry policies are measurable;
+//! * [`recovery`] — the WAL tee a logged round runs through and the recovery
+//!   of a round a killed process left behind.
 //!
 //! The `audit` binary (`cargo run -p workloads --bin audit`) wraps the whole
 //! `scenario × backend × retry-policy × audit-mode` product behind a CLI so
@@ -51,14 +53,8 @@ pub use recovery::{
     round_dir_name, round_dirs, RecoveredRoundReport, WalMeta, WalRecovery, WalTee, WalTeeStats,
 };
 pub use runner::{
-    run_audited, run_audited_streaming, run_audited_with, run_scenario, run_scenario_audited,
-    run_scenario_audited_captured, run_scenario_audited_sharded,
-    run_scenario_audited_sharded_captured, run_scenario_audited_streaming,
-    run_scenario_audited_streaming_captured, run_scenario_audited_walled,
-    run_scenario_audited_with, run_scenario_audited_with_captured, run_scenario_captured,
-    run_threads, stalled_writer_experiment, AuditedRunReport, AuditedScenarioReport, RunConfig,
-    RunReport, ScenarioRunReport, ShardedScenarioReport, StreamingAuditedReport,
-    StreamingScenarioReport, WalScenarioReport,
+    run_live, run_scenario, run_threads, stalled_writer_experiment, AuditPlan, LivePlan,
+    LiveReport, RunConfig, RunReport, ScenarioRunReport, Verdict, WalRound,
 };
 pub use scenario::{
     all_scenarios, scenario_by_name, Scenario, ScenarioCheck, ScenarioConfig, ScenarioState,

@@ -1,22 +1,30 @@
-//! The multi-threaded workload runner, the stalled-writer liveness experiment,
-//! and the audited run modes: **batch** (record every commit, then prove which
-//! consistency levels the run satisfied) and **streaming** (audit rolling
-//! windows concurrently with the workload, with bounded memory and mid-run
-//! convictions).
+//! The multi-threaded workload runner: raw bank throughput ([`run_threads`]),
+//! unaudited scenario runs ([`run_scenario`]), the stalled-writer liveness
+//! experiment, and **the** live audited run ([`run_live`]).
+//!
+//! A live run is described once — a [`LivePlan`]: an [`AuditPlan`] (off,
+//! whole-history batch, rolling windows, sharded windows) plus what rides
+//! along (capture, a WAL round, a live event feed) — and executed by one
+//! function.  Every streamed plan goes through one pipeline, `recorder →
+//! merger → sink`; the plans differ only in the sink.  Whatever the
+//! topology, the result is one [`LiveReport`] carrying one [`Verdict`].
 
 use crate::bank::{Bank, BankConfig};
+use crate::recovery::{WalTee, WalTeeStats};
 use crate::scenario::{Scenario, ScenarioCheck, ScenarioConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use stm_runtime::{recorder, BackendId, Stm, StreamingRecorder};
-use tm_audit::HistoryRecorder;
+use stm_runtime::{recorder, BackendId, Stm, StreamConsumer, StreamingRecorder};
 use tm_audit::{
-    audit_with_options, AuditHistory, AuditOptions, AuditReport, AuditRunConfig, HistoryCollector,
-    ShardConfig, ShardEvent, ShardedAuditor, ShardedStreamReport, StreamMerger, StreamReport,
-    TeeSink, WindowConfig, WindowedAuditor,
+    audit_sharded, audit_streamed, audit_with_options, AuditHistory, AuditOptions, AuditReport,
+    BandRouter, HistoryCollector, HistoryRecorder, ShardConfig, ShardEvent, ShardLagProbe,
+    ShardedAuditor, ShardedStreamReport, StreamMerger, StreamReport, TeeSink, TxnSink,
+    WindowConfig, WindowedAuditor,
 };
 
 /// Configuration of one runner invocation.
@@ -92,104 +100,6 @@ pub fn run_threads(config: RunConfig) -> RunReport {
     RunReport { config, elapsed, throughput, aborts, attempts_p50, attempts_p99, balance_preserved }
 }
 
-/// What an audited run measured and proved.
-#[derive(Debug, Clone)]
-pub struct AuditedRunReport {
-    /// The recording configuration that produced the report.
-    pub config: AuditRunConfig,
-    /// Wall-clock duration of the recorded run (excluding checking).
-    pub run_elapsed: Duration,
-    /// Committed (= recorded) transactions per second during the run.
-    pub throughput: f64,
-    /// Wall-clock duration of the consistency checks.
-    pub audit_elapsed: Duration,
-    /// The per-level verdicts.
-    pub audit: AuditReport,
-}
-
-/// The runner's audit mode: run `tm-audit`'s recordable register workload on
-/// the chosen backend (the bank workload keeps its role as the throughput
-/// benchmark — write-read inference needs the register workload's unique
-/// write values), record every commit, then check the recorded history
-/// against the full RC / RA / Causal / SI / SER hierarchy.
-pub fn run_audited(config: AuditRunConfig, budget: u64) -> AuditedRunReport {
-    run_audited_with(config, &AuditOptions { budget, ..AuditOptions::default() })
-}
-
-/// [`run_audited`] with full [`AuditOptions`] — the entry point for the CLI's
-/// `--sat` escalation flag.
-pub fn run_audited_with(config: AuditRunConfig, options: &AuditOptions) -> AuditedRunReport {
-    let start = Instant::now();
-    let history = tm_audit::record_run(config);
-    let run_elapsed = start.elapsed();
-    let throughput = history.txn_count() as f64 / run_elapsed.as_secs_f64().max(1e-9);
-    let start = Instant::now();
-    let audit = audit_with_options(&history, options);
-    AuditedRunReport { config, run_elapsed, throughput, audit_elapsed: start.elapsed(), audit }
-}
-
-/// What a streaming audited run measured and proved.
-#[derive(Debug, Clone)]
-pub struct StreamingAuditedReport {
-    /// The recording configuration that produced the report.
-    pub config: AuditRunConfig,
-    /// The window shape the auditor used.
-    pub window: WindowConfig,
-    /// Wall-clock duration of the workload (recording included).
-    pub run_elapsed: Duration,
-    /// Committed (= recorded) transactions per second during the run.
-    pub throughput: f64,
-    /// Time from workload end to the final merged verdict — the audit tail
-    /// the streaming pipeline leaves behind.  The batch mode pays its
-    /// *entire* checking time here; streaming amortizes it into the run.
-    pub drain_elapsed: Duration,
-    /// The merged verdicts, per-window detail and pipeline statistics.
-    pub stream: StreamReport,
-}
-
-/// The runner's streaming audit mode: the same recordable register workload
-/// as [`run_audited`], but commits drain through a
-/// [`stm_runtime::StreamingRecorder`] to a [`WindowedAuditor`] on a consumer
-/// thread *while the workload runs*.  Verdict latency per window is in
-/// [`StreamReport::verdict_latency_mean`]; a backend that trades consistency
-/// away is convicted mid-run (see [`StreamReport::first_conviction`]).
-pub fn run_audited_streaming(
-    config: AuditRunConfig,
-    window: WindowConfig,
-) -> StreamingAuditedReport {
-    let recorder = Arc::new(StreamingRecorder::new(config.sessions, 256));
-    let consumer = recorder.consumer();
-    let vars = config.vars;
-    let start = Instant::now();
-    let (commits, run_elapsed, stream) = std::thread::scope(|scope| {
-        let sessions = config.sessions;
-        let auditor = scope.spawn(move || {
-            let mut auditor = WindowedAuditor::new(vars, 0, window);
-            // Shard batches arrive per-session-bursty; the merger restores
-            // global recording order so windows cut across sessions.
-            let mut merger = StreamMerger::new(sessions);
-            while let Some(batch) = consumer.recv() {
-                merger.push_batch(&batch, &mut auditor);
-            }
-            merger.finish(&mut auditor);
-            auditor.finish()
-        });
-        let commits = tm_audit::run_with_recorder(config, Arc::clone(&recorder) as _);
-        let run_elapsed = start.elapsed();
-        recorder.finish();
-        (commits, run_elapsed, auditor.join().expect("auditor thread panicked"))
-    });
-    let total = start.elapsed();
-    StreamingAuditedReport {
-        config,
-        window,
-        run_elapsed,
-        throughput: commits as f64 / run_elapsed.as_secs_f64().max(1e-9),
-        drain_elapsed: total.saturating_sub(run_elapsed),
-        stream,
-    }
-}
-
 /// What one scenario run measured, plus the scenario's own self-check.
 #[derive(Debug, Clone)]
 pub struct ScenarioRunReport {
@@ -225,30 +135,6 @@ pub struct ScenarioRunReport {
     pub abort_reasons: [(stm_runtime::AbortReason, u64); stm_runtime::AbortReason::ALL.len()],
     /// The scenario's post-run self-check.
     pub check: ScenarioCheck,
-}
-
-/// A scenario run with a whole-history batch audit attached.
-#[derive(Debug, Clone)]
-pub struct AuditedScenarioReport {
-    /// The workload-side measurements.
-    pub run: ScenarioRunReport,
-    /// Wall-clock duration of the consistency checks.
-    pub audit_elapsed: Duration,
-    /// The per-level verdicts.
-    pub audit: AuditReport,
-}
-
-/// A scenario run audited concurrently in rolling windows.
-#[derive(Debug, Clone)]
-pub struct StreamingScenarioReport {
-    /// The workload-side measurements.
-    pub run: ScenarioRunReport,
-    /// The window shape the auditor used.
-    pub window: WindowConfig,
-    /// Time from workload end to the final merged verdict.
-    pub drain_elapsed: Duration,
-    /// The merged verdicts, per-window detail and pipeline statistics.
-    pub stream: StreamReport,
 }
 
 /// Spawn the worker threads and drive `state` through the configured
@@ -330,11 +216,249 @@ fn require_recordable(scenario: &dyn Scenario) -> Result<(), String> {
     }
 }
 
-/// Run a recordable scenario with every commit recorded and hand back the
-/// captured [`AuditHistory`] *without* auditing it — the capture path behind
-/// the audit CLI's `--export` in `--audit off` mode, and the base of the
-/// batch-audited runs.
-pub fn run_scenario_captured(
+/// How a run — or a finished history — is audited: the topology and its
+/// knobs.  The audit CLI parses `--audit[=SPEC]`, `--budget`, `--sat`,
+/// `--overlap` and `--adaptive` into one of these.
+#[derive(Debug, Clone, Copy)]
+pub enum AuditPlan {
+    /// No audit: throughput, attempt percentiles and the scenario's own
+    /// invariant only.
+    Off,
+    /// Record every commit, then check the whole history at once.
+    Batch(AuditOptions),
+    /// Audit rolling windows concurrently with the workload (bounded
+    /// memory, mid-run convictions).
+    Windowed(WindowConfig),
+    /// Fan the stream out to `K` per-variable-partition windowed auditors
+    /// plus the escalation lane.  When [`ShardConfig::adaptive`] is set the
+    /// ~200 ms lag sampler also feeds each snapshot to the auditor's
+    /// [`tm_audit::BandRouter`], which may move the most-backlogged
+    /// partition's hottest band to the idlest partition — the control plane
+    /// that keeps one zipfian hot band from throttling the whole pipeline
+    /// through backpressure.
+    Sharded(ShardConfig),
+}
+
+/// What an audit concluded, whichever topology produced it.
+#[derive(Debug, Clone)]
+pub enum Verdict {
+    /// The whole-history report of [`AuditPlan::Batch`].
+    Batch(AuditReport),
+    /// Merged verdicts, per-window detail and pipeline statistics of
+    /// [`AuditPlan::Windowed`].
+    Windowed(StreamReport),
+    /// The stitched per-partition verdicts of [`AuditPlan::Sharded`].
+    Sharded(ShardedStreamReport),
+}
+
+impl Verdict {
+    /// Audit a finished history under `plan` (`None` under
+    /// [`AuditPlan::Off`]) — the replay side of every topology: windowed and
+    /// sharded plans stream the history in recording order, so a history
+    /// captured by [`run_live`] reproduces the live merged verdict.
+    pub fn audit(history: &AuditHistory, plan: &AuditPlan) -> Option<Verdict> {
+        match *plan {
+            AuditPlan::Off => None,
+            AuditPlan::Batch(options) => {
+                Some(Verdict::Batch(audit_with_options(history, &options)))
+            }
+            AuditPlan::Windowed(window) => Some(Verdict::Windowed(audit_streamed(history, window))),
+            AuditPlan::Sharded(shard) => Some(Verdict::Sharded(audit_sharded(history, shard))),
+        }
+    }
+
+    /// The whole-run per-level verdicts (timing-free, so replays of one
+    /// history render byte-identical JSON).
+    pub fn merged(&self) -> &AuditReport {
+        match self {
+            Verdict::Batch(report) => report,
+            Verdict::Windowed(stream) => &stream.merged,
+            Verdict::Sharded(sharded) => &sharded.merged,
+        }
+    }
+
+    /// `true` if any level was definitely violated.
+    pub fn violated(&self) -> bool {
+        tm_audit::Level::ALL.iter().any(|&level| self.merged().fails(level))
+    }
+
+    /// The topology's full machine-readable report (per-window and
+    /// per-partition detail included).
+    pub fn to_json(&self) -> String {
+        match self {
+            Verdict::Batch(report) => report.to_json(),
+            Verdict::Windowed(stream) => stream.to_json(),
+            Verdict::Sharded(sharded) => sharded.to_json(),
+        }
+    }
+}
+
+/// A crash-consistent WAL round attached to a windowed run: the merged
+/// commit stream is appended to a [`stm_runtime::wal::WalSink`] round at
+/// `dir` *before* each record reaches the auditor, segments seal (and the
+/// auditor's frontier is snapshotted) at every window boundary, and the
+/// round ends with a `complete.json` marker.  A process killed mid-round
+/// leaves a directory [`crate::recovery::recover_round_report`] can finish
+/// auditing.
+pub struct WalRound<'a> {
+    /// The round directory to log into.
+    pub dir: &'a Path,
+    /// Runs right before every segment seal — the hook the serve loop uses
+    /// to flush its own buffered output first, so the seal never claims
+    /// durability the host's records don't have.
+    pub pre_seal: Box<dyn FnMut() + Send + 'a>,
+}
+
+/// One live run, described once: how it is audited plus what rides along.
+pub struct LivePlan<'a> {
+    /// The audit topology.
+    pub audit: AuditPlan,
+    /// Hand back the history exactly as the auditor saw it
+    /// ([`LiveReport::history`]), so serializing it (`tm-history`) and
+    /// re-auditing reproduces the verdicts.
+    pub capture: bool,
+    /// Log the round to a WAL.  [`AuditPlan::Windowed`] only: the WAL
+    /// orders the *merged* stream, and the sharded pipeline consumes
+    /// per-partition projections that have no single total order to log.
+    pub wal: Option<WalRound<'a>>,
+    /// Stream live [`ShardEvent`]s while the run is going: every closed
+    /// window's verdict, first convictions, and a per-partition lag sample
+    /// every ~200 ms — the feed the audit CLI's `--serve` endpoint tails as
+    /// JSON lines.  [`AuditPlan::Sharded`] only.
+    pub events: Option<Sender<ShardEvent>>,
+}
+
+impl LivePlan<'_> {
+    /// `audit` with no capture, WAL or event feed.
+    pub fn new(audit: AuditPlan) -> Self {
+        LivePlan { audit, capture: false, wal: None, events: None }
+    }
+}
+
+/// What a live run measured and proved.
+#[derive(Debug, Clone)]
+pub struct LiveReport {
+    /// The workload-side measurements.
+    pub run: ScenarioRunReport,
+    /// Time from workload end to the merged verdict.  A batch audit pays its
+    /// *entire* checking time here; the streamed plans amortize it into the
+    /// run and leave only the drain.  Zero when nothing was audited.
+    pub tail: Duration,
+    /// The audit's verdict (`None` under [`AuditPlan::Off`]).
+    pub verdict: Option<Verdict>,
+    /// The captured history, when [`LivePlan::capture`] asked for it.
+    pub history: Option<AuditHistory>,
+    /// What the WAL round logged, when [`LivePlan::wal`] attached one.
+    pub wal: Option<WalTeeStats>,
+    /// Band moves the adaptive router applied during the run (always 0
+    /// unless [`ShardConfig::adaptive`] is on).
+    pub band_moves: u64,
+}
+
+impl LiveReport {
+    fn unaudited(run: ScenarioRunReport) -> Self {
+        LiveReport {
+            run,
+            tail: Duration::ZERO,
+            verdict: None,
+            history: None,
+            wal: None,
+            band_moves: 0,
+        }
+    }
+
+    /// `true` if the scenario's self-check failed or the audit found a
+    /// definite violation.
+    pub fn violated(&self) -> bool {
+        self.run.check.invariant == Some(false)
+            || self.verdict.as_ref().is_some_and(Verdict::violated)
+    }
+}
+
+/// Run `scenario` as `plan` describes.
+///
+/// Every audited plan needs a recordable scenario — the auditor assumes the
+/// recording contract [`Scenario::recordable`] declares: unique write values
+/// and all-zero initial state.
+pub fn run_live(
+    scenario: &dyn Scenario,
+    config: &ScenarioConfig,
+    plan: LivePlan<'_>,
+) -> Result<LiveReport, String> {
+    let LivePlan { audit, capture, wal, events } = plan;
+    if wal.is_some() && !matches!(audit, AuditPlan::Windowed(_)) {
+        return Err("a WAL round logs the single merged commit stream; it needs the windowed \
+                    audit plan"
+            .into());
+    }
+    if events.is_some() && !matches!(audit, AuditPlan::Sharded(_)) {
+        return Err("live shard events come from the sharded audit plan".into());
+    }
+    match audit {
+        AuditPlan::Off if !capture => Ok(LiveReport::unaudited(run_scenario(scenario, config))),
+        // Batch keeps the `HistoryRecorder`: its one global hint counter is
+        // a different stamping from the streaming recorder's.
+        AuditPlan::Off | AuditPlan::Batch(_) => {
+            let (run, history) = record_scenario(scenario, config)?;
+            let start = Instant::now();
+            let verdict = Verdict::audit(&history, &audit);
+            let history = capture.then_some(history);
+            Ok(LiveReport { tail: start.elapsed(), verdict, history, ..LiveReport::unaudited(run) })
+        }
+        AuditPlan::Windowed(window) => match wal {
+            None => stream_into(
+                scenario,
+                config,
+                capture,
+                |vars| Ok((WindowedAuditor::new(vars, 0, window), None)),
+                |auditor| Ok((Verdict::Windowed(auditor.finish()), None)),
+            ),
+            Some(WalRound { dir, pre_seal }) => {
+                let wal_error = |e: std::io::Error| format!("wal {}: {e}", dir.display());
+                stream_into(
+                    scenario,
+                    config,
+                    capture,
+                    |vars| {
+                        let auditor = WindowedAuditor::new(vars, 0, window);
+                        WalTee::create(dir, config.threads, vars, auditor, pre_seal)
+                            .map(|tee| (tee, None))
+                            .map_err(wal_error)
+                    },
+                    |tee| {
+                        let (auditor, stats) = tee.finish().map_err(wal_error)?;
+                        Ok((Verdict::Windowed(auditor.finish()), Some(stats)))
+                    },
+                )
+            }
+        },
+        AuditPlan::Sharded(shard) => stream_into(
+            scenario,
+            config,
+            capture,
+            |vars| {
+                let auditor = match &events {
+                    Some(tx) => ShardedAuditor::with_events(vars, 0, shard, tx.clone()),
+                    None => ShardedAuditor::new(vars, 0, shard),
+                };
+                // One sampler serves both consumers of the ~200 ms lag
+                // snapshot: the live event feed and the adaptive band router.
+                let band_router = auditor.config().adaptive.then(|| auditor.router());
+                let sampler = (events.is_some() || band_router.is_some()).then(|| LagSampler {
+                    probe: auditor.lag_probe(),
+                    band_router,
+                    events: events.clone(),
+                });
+                Ok((auditor, sampler))
+            },
+            |auditor| Ok((Verdict::Sharded(auditor.finish()), None)),
+        ),
+    }
+}
+
+/// Run a recordable scenario with every commit recorded by a
+/// [`HistoryRecorder`] and hand back the captured [`AuditHistory`].
+fn record_scenario(
     scenario: &dyn Scenario,
     config: &ScenarioConfig,
 ) -> Result<(ScenarioRunReport, AuditHistory), String> {
@@ -354,357 +478,113 @@ pub fn run_scenario_captured(
     Ok((run, history))
 }
 
-/// Run a recordable scenario with every commit recorded, then audit the
-/// whole history against the RC / RA / Causal / SI / SER hierarchy.
-///
-/// The auditor assumes the recording contract [`Scenario::recordable`]
-/// declares: unique write values and all-zero initial state.
-pub fn run_scenario_audited(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    budget: u64,
-) -> Result<AuditedScenarioReport, String> {
-    run_scenario_audited_captured(scenario, config, budget).map(|(report, _)| report)
+/// Commits a session buffers before its batch enters the streaming
+/// recorder's queue.
+const RECORDER_BATCH: usize = 256;
+
+/// The sharded pipeline's lag sampler: every ~200 ms, rebalance the adaptive
+/// router (if any) on a fresh snapshot and send it to the event feed (if any).
+struct LagSampler {
+    probe: ShardLagProbe,
+    band_router: Option<Arc<BandRouter>>,
+    events: Option<Sender<ShardEvent>>,
 }
 
-/// [`run_scenario_audited`] with full [`AuditOptions`], so callers can enable
-/// the SAT escalation stage.
-pub fn run_scenario_audited_with(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    options: &AuditOptions,
-) -> Result<AuditedScenarioReport, String> {
-    run_scenario_audited_with_captured(scenario, config, options).map(|(report, _)| report)
+impl LagSampler {
+    fn run(&self, done: &AtomicBool) {
+        while !done.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(200));
+            let lag = self.probe.sample();
+            if let Some(router) = &self.band_router {
+                router.rebalance(&lag);
+            }
+            if let Some(tx) = &self.events {
+                if tx.send(ShardEvent::Lag { partitions: lag }).is_err() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Always close with one drained lag sample, so short runs still get a
+    /// lag record even when the periodic sampler never fired.
+    fn close(&self) {
+        if let Some(tx) = &self.events {
+            let _ = tx.send(ShardEvent::Lag { partitions: self.probe.sample() });
+        }
+    }
 }
 
-/// [`run_scenario_audited`], also returning the audited history — exactly
-/// what the auditor saw, so serializing it (`tm-history`) and re-auditing
-/// reproduces the verdicts.
-pub fn run_scenario_audited_captured(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    budget: u64,
-) -> Result<(AuditedScenarioReport, AuditHistory), String> {
-    run_scenario_audited_with_captured(
-        scenario,
-        config,
-        &AuditOptions { budget, ..AuditOptions::default() },
-    )
+/// Drain the recorder's batches into `sink` until the recorder finishes.
+fn drain(consumer: &StreamConsumer, sessions: usize, sink: &mut impl TxnSink) {
+    // Shard batches arrive per-session-bursty; the merger restores global
+    // recording order so windows cut across sessions.
+    let mut merger = StreamMerger::new(sessions);
+    while let Some(batch) = consumer.recv() {
+        merger.push_batch(&batch, sink);
+    }
+    merger.finish(sink);
 }
 
-/// [`run_scenario_audited_captured`] with full [`AuditOptions`].
-pub fn run_scenario_audited_with_captured(
+/// The one streamed pipeline: commits drain through a [`StreamingRecorder`]
+/// and a [`StreamMerger`] into the sink `build_sink` makes, on a consumer
+/// thread, *while the workload runs*.  `build_sink` gets the scenario's word
+/// count (known only once the scenario is built) and may hand back a
+/// [`LagSampler`] to run beside the workload; `finish_sink` runs on the
+/// consumer thread, so [`LiveReport::tail`] is run end → merged verdict.
+fn stream_into<S: TxnSink + Send>(
     scenario: &dyn Scenario,
     config: &ScenarioConfig,
-    options: &AuditOptions,
-) -> Result<(AuditedScenarioReport, AuditHistory), String> {
-    let (run, history) = run_scenario_captured(scenario, config)?;
-    let start = Instant::now();
-    let audit = audit_with_options(&history, options);
-    Ok((AuditedScenarioReport { run, audit_elapsed: start.elapsed(), audit }, history))
-}
-
-/// Run a recordable scenario while a windowed auditor checks rolling
-/// windows concurrently with the workload (bounded memory, mid-run
-/// convictions).
-pub fn run_scenario_audited_streaming(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    window: WindowConfig,
-) -> Result<StreamingScenarioReport, String> {
-    run_scenario_streaming_inner(scenario, config, window, false).map(|(report, _)| report)
-}
-
-/// [`run_scenario_audited_streaming`], also returning the merged stream the
-/// auditor saw as an [`AuditHistory`].  The capture tees off *after* the
-/// [`StreamMerger`] (a [`TeeSink`] wrapping the auditor), so hints, order
-/// and attribution are exactly the auditor's view — recorder-level taps
-/// cannot give that, because parallel recorders number hints independently.
-pub fn run_scenario_audited_streaming_captured(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    window: WindowConfig,
-) -> Result<(StreamingScenarioReport, AuditHistory), String> {
-    run_scenario_streaming_inner(scenario, config, window, true)
-        .map(|(report, history)| (report, history.expect("capture was requested")))
-}
-
-fn run_scenario_streaming_inner(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    window: WindowConfig,
     capture: bool,
-) -> Result<(StreamingScenarioReport, Option<AuditHistory>), String> {
+    build_sink: impl FnOnce(usize) -> Result<(S, Option<LagSampler>), String>,
+    finish_sink: impl FnOnce(S) -> Result<(Verdict, Option<WalTeeStats>), String> + Send,
+) -> Result<LiveReport, String> {
     require_recordable(scenario)?;
-    let recorder_arc = Arc::new(StreamingRecorder::new(config.threads, 256));
+    let recorder_arc = Arc::new(StreamingRecorder::new(config.threads, RECORDER_BATCH));
     let consumer = recorder_arc.consumer();
     let mut stm = Stm::with_recorder(config.backend, Arc::clone(&recorder_arc) as _)
         .with_policy(Arc::clone(&config.policy));
     let state = scenario.build(&stm, config);
     let vars = state.words();
+    let sessions = config.threads;
+    let (mut sink, sampler) = build_sink(vars)?;
+    let done = AtomicBool::new(false);
     let start = Instant::now();
-    let (elapsed, (stream, history)) = std::thread::scope(|scope| {
-        let sessions = config.threads;
+    let (elapsed, tail, drained) = std::thread::scope(|scope| {
         let auditor = scope.spawn(move || {
-            let mut auditor = WindowedAuditor::new(vars, 0, window);
-            let mut merger = StreamMerger::new(sessions);
+            // The capture tees off *after* the merger, so hints, order and
+            // attribution are exactly the auditor's view — recorder-level
+            // taps cannot give that, because parallel recorders number
+            // hints independently.
             let mut collector = capture.then(|| HistoryCollector::new(vars, 0, sessions));
             match collector.as_mut() {
                 Some(collector) => {
-                    let mut tee = TeeSink::new(&mut auditor, collector);
-                    while let Some(batch) = consumer.recv() {
-                        merger.push_batch(&batch, &mut tee);
-                    }
-                    merger.finish(&mut tee);
+                    drain(&consumer, sessions, &mut TeeSink::new(&mut sink, collector))
                 }
-                None => {
-                    while let Some(batch) = consumer.recv() {
-                        merger.push_batch(&batch, &mut auditor);
-                    }
-                    merger.finish(&mut auditor);
-                }
+                None => drain(&consumer, sessions, &mut sink),
             }
-            (auditor.finish(), collector.map(HistoryCollector::into_history))
+            finish_sink(sink).map(|out| (out, collector.map(HistoryCollector::into_history)))
         });
+        let sampling = sampler.as_ref().map(|sampler| scope.spawn(|| sampler.run(&done)));
         let elapsed = execute_scenario(&stm, state.as_ref(), config, true);
         recorder_arc.finish();
-        (elapsed, auditor.join().expect("auditor thread panicked"))
-    });
-    let total = start.elapsed();
-    stm.take_recorder();
-    let run = finish_scenario_report(scenario, config, &stm, state.as_ref(), elapsed);
-    Ok((
-        StreamingScenarioReport {
-            run,
-            window,
-            drain_elapsed: total.saturating_sub(elapsed),
-            stream,
-        },
-        history,
-    ))
-}
-
-/// A scenario run audited in streaming windows while every commit is logged
-/// to a crash-consistent WAL round directory.
-#[derive(Debug, Clone)]
-pub struct WalScenarioReport {
-    /// The workload-side measurements.
-    pub run: ScenarioRunReport,
-    /// The window shape the auditor used.
-    pub window: WindowConfig,
-    /// Time from workload end to the final merged verdict.
-    pub drain_elapsed: Duration,
-    /// The merged verdicts, per-window detail and pipeline statistics.
-    pub stream: StreamReport,
-    /// What the WAL round logged (txns appended, segments sealed).
-    pub wal: crate::recovery::WalTeeStats,
-}
-
-/// [`run_scenario_audited_streaming`] with a write-ahead log attached: the
-/// merged commit stream is appended to a [`stm_runtime::wal::WalSink`]
-/// round at `round_dir` *before* each record reaches the auditor, segments
-/// seal (and the auditor's frontier is snapshotted) at every window
-/// boundary, and the round ends with a `complete.json` marker.  A process
-/// killed mid-round leaves a directory
-/// [`crate::recovery::recover_round_report`] can finish auditing.
-///
-/// `pre_seal` runs right before every segment seal — the hook the serve
-/// loop uses to flush its own buffered output first, so the seal never
-/// claims durability the host's records don't have.
-///
-/// The WAL orders the *merged* stream, so this runner is the streaming
-/// (single-auditor) topology; the sharded pipeline consumes per-partition
-/// projections that have no single total order to log.
-pub fn run_scenario_audited_walled(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    window: WindowConfig,
-    round_dir: &std::path::Path,
-    pre_seal: impl FnMut() + Send,
-) -> Result<WalScenarioReport, String> {
-    require_recordable(scenario)?;
-    let recorder_arc = Arc::new(StreamingRecorder::new(config.threads, 256));
-    let consumer = recorder_arc.consumer();
-    let mut stm = Stm::with_recorder(config.backend, Arc::clone(&recorder_arc) as _)
-        .with_policy(Arc::clone(&config.policy));
-    let state = scenario.build(&stm, config);
-    let vars = state.words();
-    let start = Instant::now();
-    let (elapsed, tail) = std::thread::scope(|scope| {
-        let sessions = config.threads;
-        let auditor = scope.spawn(move || {
-            let auditor = WindowedAuditor::new(vars, 0, window);
-            let mut tee =
-                crate::recovery::WalTee::create(round_dir, sessions, vars, auditor, pre_seal)
-                    .map_err(|e| format!("wal {}: {e}", round_dir.display()))?;
-            let mut merger = StreamMerger::new(sessions);
-            while let Some(batch) = consumer.recv() {
-                merger.push_batch(&batch, &mut tee);
-            }
-            merger.finish(&mut tee);
-            let (auditor, wal) =
-                tee.finish().map_err(|e| format!("wal {}: {e}", round_dir.display()))?;
-            Ok::<_, String>((auditor.finish(), wal))
-        });
-        let elapsed = execute_scenario(&stm, state.as_ref(), config, true);
-        recorder_arc.finish();
-        (elapsed, auditor.join().expect("auditor thread panicked"))
-    });
-    let (stream, wal) = tail?;
-    let total = start.elapsed();
-    stm.take_recorder();
-    let run = finish_scenario_report(scenario, config, &stm, state.as_ref(), elapsed);
-    Ok(WalScenarioReport { run, window, drain_elapsed: total.saturating_sub(elapsed), stream, wal })
-}
-
-/// A scenario run audited concurrently by the sharded partition pipeline
-/// (`K` per-variable-partition windowed auditors + the escalation lane).
-#[derive(Debug, Clone)]
-pub struct ShardedScenarioReport {
-    /// The workload-side measurements.
-    pub run: ScenarioRunReport,
-    /// The pipeline shape the sharded auditor used.
-    pub shard: ShardConfig,
-    /// Time from workload end to the final merged verdict.
-    pub drain_elapsed: Duration,
-    /// The stitched per-partition verdicts and pipeline statistics.
-    pub sharded: ShardedStreamReport,
-    /// Band moves the adaptive router applied during the run (always 0 when
-    /// [`ShardConfig::adaptive`] is off).
-    pub band_moves: u64,
-}
-
-/// Run a recordable scenario while a [`ShardedAuditor`] checks it on `K`
-/// partition threads concurrently with the workload.
-///
-/// When `events` is given, live [`ShardEvent`]s stream into it while the run
-/// is going: every closed window's verdict, first convictions, and a
-/// periodic per-partition lag sample (every ~200 ms) — the feed the audit
-/// CLI's `--serve` endpoint tails as JSON lines.
-///
-/// When [`ShardConfig::adaptive`] is set, the same ~200 ms sampler feeds
-/// each lag snapshot to the auditor's [`tm_audit::BandRouter`], which may
-/// move the most-backlogged partition's hottest band to the idlest
-/// partition — the control plane that keeps one zipfian hot band from
-/// throttling the whole pipeline through backpressure.
-pub fn run_scenario_audited_sharded(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    shard: ShardConfig,
-    events: Option<std::sync::mpsc::Sender<ShardEvent>>,
-) -> Result<ShardedScenarioReport, String> {
-    run_scenario_sharded_inner(scenario, config, shard, events, false).map(|(report, _)| report)
-}
-
-/// [`run_scenario_audited_sharded`], also returning the merged stream the
-/// router saw as an [`AuditHistory`] (teed off after the [`StreamMerger`],
-/// before band routing — the exact global order the pipeline audited).
-pub fn run_scenario_audited_sharded_captured(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    shard: ShardConfig,
-    events: Option<std::sync::mpsc::Sender<ShardEvent>>,
-) -> Result<(ShardedScenarioReport, AuditHistory), String> {
-    run_scenario_sharded_inner(scenario, config, shard, events, true)
-        .map(|(report, history)| (report, history.expect("capture was requested")))
-}
-
-fn run_scenario_sharded_inner(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-    shard: ShardConfig,
-    events: Option<std::sync::mpsc::Sender<ShardEvent>>,
-    capture: bool,
-) -> Result<(ShardedScenarioReport, Option<AuditHistory>), String> {
-    require_recordable(scenario)?;
-    let recorder_arc = Arc::new(StreamingRecorder::new(config.threads, 256));
-    let consumer = recorder_arc.consumer();
-    let mut stm = Stm::with_recorder(config.backend, Arc::clone(&recorder_arc) as _)
-        .with_policy(Arc::clone(&config.policy));
-    let state = scenario.build(&stm, config);
-    let vars = state.words();
-    let auditor = match &events {
-        Some(tx) => ShardedAuditor::with_events(vars, 0, shard, tx.clone()),
-        None => ShardedAuditor::new(vars, 0, shard),
-    };
-    let shard = auditor.config();
-    let probe = auditor.lag_probe();
-    let band_router = shard.adaptive.then(|| auditor.router());
-    let done = Arc::new(AtomicBool::new(false));
-    let start = Instant::now();
-    let (elapsed, (sharded, history)) = std::thread::scope(|scope| {
-        let sessions = config.threads;
-        let router = scope.spawn(move || {
-            let mut auditor = auditor;
-            let mut merger = StreamMerger::new(sessions);
-            let mut collector = capture.then(|| HistoryCollector::new(vars, 0, sessions));
-            match collector.as_mut() {
-                Some(collector) => {
-                    let mut tee = TeeSink::new(&mut auditor, collector);
-                    while let Some(batch) = consumer.recv() {
-                        merger.push_batch(&batch, &mut tee);
-                    }
-                    merger.finish(&mut tee);
-                }
-                None => {
-                    while let Some(batch) = consumer.recv() {
-                        merger.push_batch(&batch, &mut auditor);
-                    }
-                    merger.finish(&mut auditor);
-                }
-            }
-            (auditor.finish(), collector.map(HistoryCollector::into_history))
-        });
-        // One sampler serves both consumers of the ~200 ms lag snapshot:
-        // the live event feed (when `events` is on) and the adaptive band
-        // router (when `shard.adaptive` is on).
-        let sampler = (events.is_some() || band_router.is_some()).then(|| {
-            let tx = events.clone();
-            let probe = probe.clone();
-            let done = Arc::clone(&done);
-            let band_router = band_router.clone();
-            scope.spawn(move || {
-                while !done.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(200));
-                    let lag = probe.sample();
-                    if let Some(router) = &band_router {
-                        router.rebalance(&lag);
-                    }
-                    if let Some(tx) = &tx {
-                        if tx.send(ShardEvent::Lag { partitions: lag }).is_err() {
-                            break;
-                        }
-                    }
-                }
-            })
-        });
-        let elapsed = execute_scenario(&stm, state.as_ref(), config, true);
-        recorder_arc.finish();
-        let routed = router.join().expect("sharded auditor router panicked");
+        let drained = auditor.join().expect("auditor thread panicked");
+        let tail = start.elapsed().saturating_sub(elapsed);
         done.store(true, Ordering::SeqCst);
-        if let Some(sampler) = sampler {
-            sampler.join().expect("lag sampler panicked");
+        if let Some(sampling) = sampling {
+            sampling.join().expect("lag sampler panicked");
         }
-        // Always close with one drained lag sample, so short runs still get
-        // a lag record even when the periodic sampler never fired.
-        if let Some(tx) = &events {
-            let _ = tx.send(ShardEvent::Lag { partitions: probe.sample() });
+        if let Some(sampler) = &sampler {
+            sampler.close();
         }
-        (elapsed, routed)
+        (elapsed, tail, drained)
     });
-    let total = start.elapsed();
+    let ((verdict, wal), history) = drained?;
+    // Detach the recorder before the self-check, as `record_scenario` does.
     stm.take_recorder();
     let run = finish_scenario_report(scenario, config, &stm, state.as_ref(), elapsed);
-    Ok((
-        ShardedScenarioReport {
-            run,
-            shard,
-            drain_elapsed: total.saturating_sub(elapsed),
-            sharded,
-            band_moves: band_router.map_or(0, |r| r.moves()),
-        },
-        history,
-    ))
+    let band_moves = sampler.and_then(|s| s.band_router).map_or(0, |router| router.moves());
+    Ok(LiveReport { run, tail, verdict: Some(verdict), history, wal, band_moves })
 }
 
 /// The stalled-writer liveness experiment: one thread opens a transaction, writes the
@@ -767,6 +647,7 @@ pub fn stalled_writer_experiment(
 mod tests {
     use super::*;
     use stm_runtime::BackendKind;
+    use tm_audit::Level;
 
     #[test]
     fn disjoint_partitions_preserve_balance_on_consistent_backends() {
@@ -808,62 +689,177 @@ mod tests {
         assert_eq!(report.aborts, 0);
     }
 
-    #[test]
-    fn audited_runs_report_throughput_and_verdicts() {
-        use tm_audit::Level;
-        let report = run_audited(
-            AuditRunConfig {
-                backend: BackendKind::ObstructionFree.id(),
-                sessions: 2,
-                txns_per_session: 100,
-                vars: 16,
-                seed: 11,
-            },
-            tm_audit::linearization::DEFAULT_STATE_BUDGET,
-        );
-        assert!(report.throughput > 0.0);
-        assert!(report.audit.passes(Level::Serializable), "{}", report.audit);
+    /// 2 threads × 200 `registers` transactions on the consistent blocking
+    /// backend: 400 commits, every level passes.
+    fn registers_on_tl2() -> (crate::scenarios::RegistersScenario, ScenarioConfig) {
+        let config = ScenarioConfig {
+            threads: 2,
+            txns_per_thread: 200,
+            vars: 16,
+            ..ScenarioConfig::new(BackendKind::Tl2Blocking)
+        };
+        (crate::scenarios::RegistersScenario, config)
+    }
+
+    /// One plan per audited topology, at test-sized windows.
+    fn audited_plans() -> [AuditPlan; 3] {
+        let window = WindowConfig::sized(64);
+        [
+            AuditPlan::Batch(AuditOptions::default()),
+            AuditPlan::Windowed(window),
+            AuditPlan::Sharded(ShardConfig::new(4, window)),
+        ]
     }
 
     #[test]
-    fn streaming_audited_runs_agree_with_batch_on_a_consistent_backend() {
-        use tm_audit::Level;
-        let config = AuditRunConfig {
-            backend: BackendKind::ObstructionFree.id(),
-            sessions: 2,
-            txns_per_session: 300,
-            vars: 16,
-            seed: 11,
-        };
-        let report = run_audited_streaming(config, WindowConfig::sized(100));
-        assert!(report.throughput > 0.0);
-        assert_eq!(report.stream.total_txns, 600);
-        assert!(report.stream.windows.len() >= 5, "windows: {}", report.stream.windows.len());
-        for level in Level::ALL {
-            assert!(report.stream.passes(level), "{level}: {}", report.stream.merged);
+    fn every_plan_attests_a_consistent_backend_and_captures_what_it_audited() {
+        let (scenario, config) = registers_on_tl2();
+        for audit in audited_plans() {
+            for capture in [false, true] {
+                let report =
+                    run_live(&scenario, &config, LivePlan { capture, ..LivePlan::new(audit) })
+                        .unwrap();
+                assert_eq!(report.run.commits, 400, "{audit:?}");
+                assert!(report.run.throughput > 0.0);
+                assert_eq!(report.run.check.invariant, Some(true), "{}", report.run.check.detail);
+                assert!(!report.violated(), "{audit:?}");
+                let verdict = report.verdict.as_ref().expect("audited plan");
+                match (&audit, verdict) {
+                    (AuditPlan::Batch(_), Verdict::Batch(_)) => {}
+                    (AuditPlan::Windowed(_), Verdict::Windowed(stream)) => {
+                        assert_eq!(stream.total_txns, 400);
+                        assert!(stream.windows.len() >= 5, "windows: {}", stream.windows.len());
+                        assert!(stream.first_conviction.is_none());
+                    }
+                    (AuditPlan::Sharded(_), Verdict::Sharded(sharded)) => {
+                        assert_eq!(sharded.total_txns, 400);
+                    }
+                    _ => panic!("{audit:?} produced the wrong verdict kind: {verdict:?}"),
+                }
+                for level in Level::ALL {
+                    assert!(verdict.merged().passes(level), "{level}: {}", verdict.merged());
+                }
+                assert_eq!(report.history.is_some(), capture, "{audit:?}");
+                assert!(report.wal.is_none());
+                if let Some(history) = &report.history {
+                    assert_eq!(history.txn_count(), 400);
+                    let replay = Verdict::audit(history, &audit).expect("audited plan");
+                    assert_eq!(
+                        replay.merged().to_json(),
+                        verdict.merged().to_json(),
+                        "{audit:?}: replaying the capture diverged"
+                    );
+                }
+            }
         }
-        assert!(report.stream.first_conviction.is_none());
+        // Unaudited capture: a history, no verdict.
+        let off = LivePlan { capture: true, ..LivePlan::new(AuditPlan::Off) };
+        let report = run_live(&scenario, &config, off).unwrap();
+        assert!(report.verdict.is_none());
+        assert_eq!(report.history.expect("capture was requested").txn_count(), 400);
     }
 
     #[test]
-    fn streaming_audits_convict_pram_mid_run() {
-        let config = AuditRunConfig {
-            backend: BackendKind::PramLocal.id(),
-            sessions: 4,
-            txns_per_session: 500,
-            vars: 16,
-            seed: 5,
+    fn every_plan_convicts_pram_local_and_the_windowed_one_mid_stream() {
+        let scenario = crate::scenarios::RegistersScenario;
+        let config = ScenarioConfig {
+            threads: 4,
+            txns_per_thread: 500,
+            vars: 8,
+            ..ScenarioConfig::new(BackendKind::PramLocal)
         };
-        let report = run_audited_streaming(config, WindowConfig::sized(250));
-        let conviction = report.stream.first_conviction.as_ref().expect("pram must be convicted");
-        assert!(
-            conviction.txns_seen < report.stream.total_txns,
-            "conviction after {} of {} txns must land mid-stream",
-            conviction.txns_seen,
-            report.stream.total_txns
+        for audit in audited_plans() {
+            let report = run_live(&scenario, &config, LivePlan::new(audit)).unwrap();
+            assert!(report.violated(), "{audit:?}");
+            let verdict = report.verdict.expect("audited plan");
+            assert!(verdict.merged().fails(Level::Serializable), "{}", verdict.merged());
+            match verdict {
+                // Never synchronizing is still (vacuously) causal.
+                Verdict::Batch(report) => assert!(report.passes(Level::Causal), "{report}"),
+                Verdict::Windowed(stream) => {
+                    assert!(stream.passes(Level::Causal), "{}", stream.merged);
+                    let conviction = stream.first_conviction.expect("pram must be convicted");
+                    assert!(
+                        conviction.txns_seen < stream.total_txns,
+                        "conviction after {} of {} txns must land mid-stream",
+                        conviction.txns_seen,
+                        stream.total_txns
+                    );
+                }
+                Verdict::Sharded(sharded) => assert!(sharded.first_conviction.is_some()),
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_runs_stream_one_event_per_lane_window_and_a_closing_lag_sample() {
+        let (scenario, config) = registers_on_tl2();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let plan = LivePlan {
+            events: Some(tx),
+            ..LivePlan::new(AuditPlan::Sharded(ShardConfig::new(4, WindowConfig::sized(64))))
+        };
+        let report = run_live(&scenario, &config, plan).unwrap();
+        let Some(Verdict::Sharded(sharded)) = report.verdict else {
+            panic!("sharded plan, sharded verdict");
+        };
+        let events: Vec<ShardEvent> = rx.try_iter().collect();
+        let windows = events.iter().filter(|e| matches!(e, ShardEvent::Window { .. })).count();
+        assert_eq!(
+            windows,
+            sharded.partitions.iter().map(|p| p.stream.windows.len()).sum::<usize>()
         );
-        assert!(report.stream.fails(tm_audit::Level::Serializable), "{}", report.stream.merged);
-        assert!(report.stream.passes(tm_audit::Level::Causal), "{}", report.stream.merged);
+        assert!(events.iter().any(|e| matches!(e, ShardEvent::Lag { .. })), "no lag sample");
+        assert_eq!(report.band_moves, 0, "static banding never moves a band");
+    }
+
+    #[test]
+    fn wal_rounds_log_every_commit_and_call_pre_seal_before_each_seal() {
+        use std::sync::atomic::AtomicU64;
+        let (scenario, config) = registers_on_tl2();
+        let dir = std::env::temp_dir().join(format!("runner-wal-round-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pre_seals = AtomicU64::new(0);
+        let wal = WalRound {
+            dir: &dir,
+            pre_seal: Box::new(|| {
+                pre_seals.fetch_add(1, Ordering::SeqCst);
+            }),
+        };
+        let window = AuditPlan::Windowed(WindowConfig::sized(64));
+        let report =
+            run_live(&scenario, &config, LivePlan { wal: Some(wal), ..LivePlan::new(window) })
+                .unwrap();
+        let stats = report.wal.expect("a WAL round was attached");
+        assert_eq!(stats.logged_txns, report.run.commits);
+        // Every window-boundary seal ran the hook first; the tail seal at
+        // `finish` (if the last segment was non-empty) does not.
+        let hooked = pre_seals.load(Ordering::SeqCst);
+        assert!(hooked >= 5, "{hooked} pre-seal calls for 400 txns in 64-txn windows");
+        assert!(stats.sealed_segments >= hooked && stats.sealed_segments <= hooked + 1);
+        assert!(dir.join("complete.json").exists(), "a finished round is marked complete");
+        assert!(!report.violated());
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // The log is the merged stream: only the windowed plan has one.
+        let wal = WalRound { dir: &dir, pre_seal: Box::new(|| {}) };
+        let sharded = AuditPlan::Sharded(ShardConfig::new(2, WindowConfig::sized(64)));
+        let err =
+            run_live(&scenario, &config, LivePlan { wal: Some(wal), ..LivePlan::new(sharded) })
+                .unwrap_err();
+        assert!(err.contains("windowed"), "{err}");
+        assert!(!dir.exists(), "a rejected plan must not touch the disk");
+    }
+
+    #[test]
+    fn unrecordable_scenarios_are_rejected_by_every_audited_plan() {
+        let scenario = crate::scenarios::BankScenario::default();
+        let config = ScenarioConfig::new(BackendKind::ObstructionFree);
+        let capture_only = LivePlan { capture: true, ..LivePlan::new(AuditPlan::Off) };
+        for plan in audited_plans().map(LivePlan::new).into_iter().chain([capture_only]) {
+            let err = run_live(&scenario, &config, plan).unwrap_err();
+            assert!(err.contains("unique-write contract"), "{err}");
+        }
     }
 
     #[test]
@@ -884,89 +880,6 @@ mod tests {
         assert!(report.commits > 0 && report.commits <= 600, "{}", report.commits);
         assert_eq!(report.check.invariant, Some(true), "{}", report.check.detail);
         assert!(report.attempts_p99 >= report.attempts_p50);
-    }
-
-    #[test]
-    fn audited_scenarios_produce_verdicts_batch_and_streaming() {
-        use tm_audit::Level;
-        let scenario = crate::scenarios::KvZipfScenario::default();
-        let config = ScenarioConfig {
-            threads: 2,
-            txns_per_thread: 150,
-            vars: 16,
-            ..ScenarioConfig::new(BackendKind::ObstructionFree)
-        };
-        let report = run_scenario_audited(&scenario, &config, 2_000_000).unwrap();
-        assert_eq!(report.run.commits, 300);
-        assert!(report.audit.passes(Level::Serializable), "{}", report.audit);
-        assert_eq!(report.run.check.invariant, Some(true), "{}", report.run.check.detail);
-
-        let streaming =
-            run_scenario_audited_streaming(&scenario, &config, WindowConfig::sized(100)).unwrap();
-        assert_eq!(streaming.stream.total_txns, 300);
-        assert!(streaming.stream.passes(Level::Serializable), "{}", streaming.stream.merged);
-    }
-
-    #[test]
-    fn sharded_audited_scenarios_agree_and_stream_events() {
-        use tm_audit::Level;
-        let scenario = crate::scenarios::RegistersScenario;
-        let config = ScenarioConfig {
-            threads: 2,
-            txns_per_thread: 200,
-            vars: 16,
-            ..ScenarioConfig::new(BackendKind::Tl2Blocking)
-        };
-        let shard = ShardConfig::new(4, tm_audit::WindowConfig::sized(64));
-        let (tx, rx) = std::sync::mpsc::channel();
-        let report = run_scenario_audited_sharded(&scenario, &config, shard, Some(tx)).unwrap();
-        assert_eq!(report.sharded.total_txns, 400);
-        for level in Level::ALL {
-            assert!(report.sharded.passes(level), "{level}: {}", report.sharded.merged);
-        }
-        let events: Vec<ShardEvent> = rx.try_iter().collect();
-        let windows = events.iter().filter(|e| matches!(e, ShardEvent::Window { .. })).count();
-        assert_eq!(
-            windows,
-            report.sharded.partitions.iter().map(|p| p.stream.windows.len()).sum::<usize>()
-        );
-
-        // The sharded pipeline convicts an inconsistent backend, mid-stream.
-        let pram = ScenarioConfig {
-            threads: 4,
-            txns_per_thread: 300,
-            vars: 8,
-            ..ScenarioConfig::new(BackendKind::PramLocal)
-        };
-        let report = run_scenario_audited_sharded(&scenario, &pram, shard, None).unwrap();
-        assert!(report.sharded.fails(Level::Serializable), "{}", report.sharded.merged);
-        assert!(report.sharded.first_conviction.is_some());
-    }
-
-    #[test]
-    fn audited_scenarios_convict_the_pram_backend() {
-        use tm_audit::Level;
-        let scenario = crate::scenarios::RegistersScenario;
-        let config = ScenarioConfig {
-            threads: 4,
-            txns_per_thread: 300,
-            vars: 8,
-            ..ScenarioConfig::new(BackendKind::PramLocal)
-        };
-        let report = run_scenario_audited(&scenario, &config, 2_000_000).unwrap();
-        assert!(report.audit.passes(Level::Causal), "{}", report.audit);
-        assert!(report.audit.fails(Level::Serializable), "{}", report.audit);
-    }
-
-    #[test]
-    fn unrecordable_scenarios_are_rejected_by_audited_runs() {
-        let scenario = crate::scenarios::BankScenario::default();
-        let config = ScenarioConfig::new(BackendKind::ObstructionFree);
-        let err = run_scenario_audited(&scenario, &config, 1_000).unwrap_err();
-        assert!(err.contains("unique-write contract"), "{err}");
-        let err = run_scenario_audited_streaming(&scenario, &config, WindowConfig::sized(64))
-            .unwrap_err();
-        assert!(err.contains("unique-write contract"), "{err}");
     }
 
     #[test]

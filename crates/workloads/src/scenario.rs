@@ -4,8 +4,8 @@
 //! A [`Scenario`] describes one workload shape — what state it allocates in
 //! the STM and what one transaction does — independently of which backend
 //! runs it, how retries are paced, or whether the run is audited.  The
-//! runner ([`crate::runner::run_scenario`] and the audited variants) supplies
-//! those axes, so every `scenario × backend × retry-policy × audit-mode`
+//! runner ([`crate::runner::run_scenario`], [`crate::runner::run_live`]) supplies
+//! those axes, so every `scenario × backend × retry-policy × audit-plan`
 //! combination comes for free; the `audit` CLI exposes the whole product.
 //!
 //! Scenarios declare whether they keep the **recording contract**

@@ -184,3 +184,64 @@ fn serve_ingest_fail_on_violation_exits_nonzero() {
     let out = child.wait_with_output().expect("waiting for the audit binary");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
 }
+
+/// An overlap that does not fit inside the window used to be clamped to
+/// `size − 1` — a stride of one transaction — without a word; both spellings
+/// are refused at parse time, naming the two numbers.
+#[test]
+fn overlap_not_smaller_than_the_window_is_a_usage_error() {
+    for args in [&["--audit=window:size=512:overlap=512"][..], &["--audit=64", "--overlap", "999"]]
+    {
+        let out = Command::new(env!("CARGO_BIN_EXE_audit"))
+            .args(args)
+            .output()
+            .expect("running the audit binary");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let (overlap, window) = if args.len() == 1 { ("512", "512") } else { ("999", "64") };
+        assert!(
+            stderr.contains(&format!("--overlap {overlap}"))
+                && stderr.contains(&format!("window of {window}")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+/// `--metrics` reaches `--ingest` replays: the snapshot prints and lands
+/// under `"telemetry"` in the `--json` document, and without the flag the
+/// document carries no such key.
+#[test]
+fn ingest_with_metrics_prints_and_embeds_the_telemetry_snapshot() {
+    let wire = temp_path("metrics.tmh");
+    let report = temp_path("metrics.json");
+    std::fs::write(&wire, LOST_UPDATE_DOC).expect("writing the corpus doc");
+    let run = |metrics: bool| {
+        let out = Command::new(env!("CARGO_BIN_EXE_audit"))
+            .args(["--ingest", wire.to_str().unwrap(), "--audit=window:size=64", "--json"])
+            .arg(&report)
+            .args(metrics.then_some("--metrics"))
+            .output()
+            .expect("running the audit binary");
+        assert!(out.status.success(), "{out:?}");
+        let doc = std::fs::read_to_string(&report).expect("json report");
+        (String::from_utf8_lossy(&out.stdout).into_owned(), doc)
+    };
+    let (stdout, doc) = run(true);
+    assert!(stdout.contains("telemetry snapshot:"), "{stdout}");
+    let telemetry = &doc[doc.find("\"telemetry\":{").expect("telemetry object in the report")..];
+    let windows = telemetry
+        .split("\"name\":\"audit_windows_total\"")
+        .nth(1)
+        .and_then(|rest| rest.split("\"value\":").nth(1))
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|digits| digits.parse::<u64>().ok())
+        .expect("audit_windows_total counter in the snapshot");
+    assert!(windows > 0, "{telemetry}");
+
+    let (stdout, plain) = run(false);
+    assert!(!stdout.contains("telemetry snapshot:"), "{stdout}");
+    assert_eq!(plain, doc[..doc.find(",\"telemetry\":").unwrap()].to_string() + "}");
+    for path in [&wire, &report] {
+        let _ = std::fs::remove_file(path);
+    }
+}

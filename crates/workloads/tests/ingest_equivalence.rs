@@ -4,17 +4,14 @@
 //!
 //! The capture tees off *after* the stream merger, so the exported document
 //! records exactly the transaction stream the live auditor consumed (same
-//! order, same hints); replaying it through the pure audit functions must
-//! therefore reproduce the live verdicts, not merely agree on pass/fail.
+//! order, same hints); replaying it under the same plan must therefore
+//! reproduce the live verdicts, not merely agree on pass/fail.
 
 use std::sync::Arc;
 use stm_runtime::{policy, BackendId};
-use tm_audit::{audit_sharded, audit_streamed, audit_with_budget, ShardConfig, WindowConfig};
+use tm_audit::{AuditHistory, AuditOptions, ShardConfig, WindowConfig};
 use tm_history::{decode, encode};
-use workloads::{
-    run_scenario_audited_captured, run_scenario_audited_sharded_captured,
-    run_scenario_audited_streaming_captured, scenario_by_name, ScenarioConfig,
-};
+use workloads::{run_live, scenario_by_name, AuditPlan, LivePlan, ScenarioConfig, Verdict};
 
 const BUDGET: u64 = 2_000_000;
 const BACKENDS: [BackendId; 4] = [
@@ -35,57 +32,50 @@ fn run_config(backend: BackendId, seed: u64) -> ScenarioConfig {
     }
 }
 
-fn window() -> WindowConfig {
-    let mut wc = WindowConfig::sized(64);
-    wc.budget = BUDGET;
-    wc
+/// Batch, rolling windows, 2-way sharded.
+fn plans() -> [AuditPlan; 3] {
+    let mut window = WindowConfig::sized(64);
+    window.budget = BUDGET;
+    [
+        AuditPlan::Batch(AuditOptions { budget: BUDGET, sat: None }),
+        AuditPlan::Windowed(window),
+        AuditPlan::Sharded(ShardConfig::new(2, window)),
+    ]
+}
+
+/// Run `scenario` live under `plan` with capture on; returns the live
+/// verdict and the captured history after a wire round trip.
+fn live_and_decoded(
+    scenario: &str,
+    config: &ScenarioConfig,
+    plan: AuditPlan,
+) -> (Verdict, AuditHistory) {
+    let scenario = scenario_by_name(scenario).expect("built-in scenario");
+    let report =
+        run_live(scenario.as_ref(), config, LivePlan { capture: true, ..LivePlan::new(plan) })
+            .expect("audited run");
+    let history = report.history.expect("capture was requested");
+    let decoded = decode(&encode(&history)).expect("export decodes");
+    assert_eq!(decoded, history, "{plan:?} on {}: wire round trip", config.backend);
+    (report.verdict.expect("audited plan"), decoded)
 }
 
 /// 50 seeds, backends rotated so every backend sees many seeds, and all
 /// three topologies checked per seed.
 #[test]
 fn exported_histories_replay_to_identical_verdicts() {
-    let scenario = scenario_by_name("registers").expect("built-in scenario");
     for seed in 0..50u64 {
         let backend = BACKENDS[(seed % BACKENDS.len() as u64) as usize];
         let config = run_config(backend, 0x5EED ^ seed);
-
-        // Batch topology.
-        let (live, history) =
-            run_scenario_audited_captured(scenario.as_ref(), &config, BUDGET).expect("audited run");
-        let decoded = decode(&encode(&history)).expect("export decodes");
-        assert_eq!(decoded, history, "seed {seed} on {backend}: wire round trip");
-        let replay = audit_with_budget(&decoded, BUDGET);
-        assert_eq!(
-            replay.to_json(),
-            live.audit.to_json(),
-            "seed {seed} on {backend}: batch replay verdict diverged"
-        );
-
-        // Rolling-window topology.
-        let (live, history) =
-            run_scenario_audited_streaming_captured(scenario.as_ref(), &config, window())
-                .expect("streamed run");
-        let decoded = decode(&encode(&history)).expect("export decodes");
-        let replay = audit_streamed(&decoded, window());
-        assert_eq!(
-            replay.merged.to_json(),
-            live.stream.merged.to_json(),
-            "seed {seed} on {backend}: streaming replay verdict diverged"
-        );
-
-        // Sharded topology.
-        let shard = ShardConfig::new(2, window());
-        let (live, history) =
-            run_scenario_audited_sharded_captured(scenario.as_ref(), &config, shard, None)
-                .expect("sharded run");
-        let decoded = decode(&encode(&history)).expect("export decodes");
-        let replay = audit_sharded(&decoded, shard);
-        assert_eq!(
-            replay.merged.to_json(),
-            live.sharded.merged.to_json(),
-            "seed {seed} on {backend}: sharded replay verdict diverged"
-        );
+        for plan in plans() {
+            let (live, decoded) = live_and_decoded("registers", &config, plan);
+            let replay = Verdict::audit(&decoded, &plan).expect("audited plan");
+            assert_eq!(
+                replay.merged().to_json(),
+                live.merged().to_json(),
+                "seed {seed} on {backend}: {plan:?} replay verdict diverged"
+            );
+        }
     }
 }
 
@@ -94,11 +84,9 @@ fn exported_histories_replay_to_identical_verdicts() {
 /// scenario on mvcc replays to the same violation witness text.
 #[test]
 fn convicting_runs_replay_their_violations_verbatim() {
-    let scenario = scenario_by_name("write-skew").expect("built-in scenario");
     let config = run_config(stm_runtime::registry::MVCC, 2024);
-    let (live, history) =
-        run_scenario_audited_captured(scenario.as_ref(), &config, BUDGET).expect("audited run");
-    let decoded = decode(&encode(&history)).expect("export decodes");
-    let replay = audit_with_budget(&decoded, BUDGET);
-    assert_eq!(replay.to_json(), live.audit.to_json(), "conviction replay diverged");
+    let [batch, ..] = plans();
+    let (live, decoded) = live_and_decoded("write-skew", &config, batch);
+    let replay = Verdict::audit(&decoded, &batch).expect("audited plan");
+    assert_eq!(replay.merged().to_json(), live.merged().to_json(), "conviction replay diverged");
 }

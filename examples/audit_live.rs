@@ -2,7 +2,7 @@
 //! prove which consistency levels the run satisfied.
 //!
 //! Run with `cargo run --release --example audit_live`.  Each backend executes
-//! the recordable register workload (4 worker threads × 2,500 transactions =
+//! the recordable `registers` scenario (4 worker threads × 2,500 transactions =
 //! 10,000 committed transactions per backend), then the dbcop-style auditor
 //! decides Read Committed / Read Atomic / Causal / Snapshot Isolation /
 //! Serializability, printing a commit-order witness or a concrete violation
@@ -18,36 +18,44 @@
 //!   the paper predicts.
 
 use stm_runtime::registry::{OBSTRUCTION_FREE, PRAM_LOCAL, TL2_BLOCKING};
-use tm_audit::{AuditRunConfig, Level};
-use workloads::run_audited;
+use tm_audit::{AuditOptions, Level};
+use workloads::{run_live, scenario_by_name, AuditPlan, LivePlan, ScenarioConfig};
 
 fn main() {
     let backends = [TL2_BLOCKING, OBSTRUCTION_FREE, PRAM_LOCAL];
+    let scenario = scenario_by_name("registers").expect("built-in scenario");
     println!("=== live history audit: 4 threads × 2500 txns per backend ===\n");
     for backend in backends {
         // A generous budget: recording-order races can (rarely) defeat the
         // hint fast path, and the DFS then needs headroom on 10k txns.
         let budget = 10 * tm_audit::linearization::DEFAULT_STATE_BUDGET;
-        let report = run_audited(
-            AuditRunConfig { backend, sessions: 4, txns_per_session: 2_500, vars: 64, seed: 2024 },
-            budget,
-        );
+        let config = ScenarioConfig {
+            threads: 4,
+            txns_per_thread: 2_500,
+            vars: 64,
+            seed: 2024,
+            ..ScenarioConfig::new(backend)
+        };
+        let plan = AuditPlan::Batch(AuditOptions { budget, sat: None });
+        let report = run_live(scenario.as_ref(), &config, LivePlan::new(plan))
+            .expect("registers is recordable");
+        let audit = report.verdict.as_ref().expect("a batch plan yields a verdict").merged();
         println!("backend: {backend}");
         println!(
             "  recorded {} in {:.3?} ({:.0} commits/s), checked in {:.3?}",
-            report.audit.shape, report.run_elapsed, report.throughput, report.audit_elapsed,
+            audit.shape, report.run.elapsed, report.run.throughput, report.tail,
         );
-        for level in &report.audit.levels {
+        for level in &audit.levels {
             println!("  {level}");
         }
-        println!("  verdict: {}\n", report.audit.summary());
+        println!("  verdict: {}\n", audit.summary());
 
         // Keep the example honest: assert the P/C/L shape it demonstrates.
         match backend {
             id if id == PRAM_LOCAL => {
-                assert!(report.audit.passes(Level::Causal));
-                assert!(report.audit.fails(Level::SnapshotIsolation));
-                assert!(report.audit.fails(Level::Serializable));
+                assert!(audit.passes(Level::Causal));
+                assert!(audit.fails(Level::SnapshotIsolation));
+                assert!(audit.fails(Level::Serializable));
             }
             _ => {
                 for level in Level::ALL {
@@ -55,7 +63,7 @@ fn main() {
                     // failure; an exhausted search budget is only inconclusive
                     // (never observed at this size, but scheduling-dependent),
                     // so it must not turn the demo red.
-                    assert!(!report.audit.fails(level), "{backend}: {level} must not fail");
+                    assert!(!audit.fails(level), "{backend}: {level} must not fail");
                 }
             }
         }

@@ -64,17 +64,19 @@ fn pram_local_histories_are_flagged_non_serializable() {
 /// mode of the workload runner).
 #[test]
 fn audited_runner_combines_throughput_and_verdicts() {
-    let report = workloads::run_audited(
-        AuditRunConfig {
-            backend: BackendKind::Tl2Blocking.id(),
-            sessions: 2,
-            txns_per_session: 250,
-            vars: 16,
-            seed: 99,
-        },
-        pcl_tm::audit::linearization::DEFAULT_STATE_BUDGET,
-    );
-    assert!(report.throughput > 0.0);
-    assert!(report.audit.passes(Level::Serializable), "{}", report.audit);
-    assert_eq!(report.audit.summary(), "RC ✓ | RA ✓ | Causal ✓ | Prefix ✓ | SI ✓ | SER ✓");
+    use workloads::{run_live, scenario_by_name, AuditPlan, LivePlan, ScenarioConfig};
+    let scenario = scenario_by_name("registers").unwrap();
+    let config = ScenarioConfig {
+        threads: 2,
+        txns_per_thread: 250,
+        vars: 16,
+        seed: 99,
+        ..ScenarioConfig::new(BackendKind::Tl2Blocking)
+    };
+    let plan = LivePlan::new(AuditPlan::Batch(Default::default()));
+    let report = run_live(scenario.as_ref(), &config, plan).unwrap();
+    assert!(report.run.throughput > 0.0);
+    let audit = report.verdict.as_ref().expect("batch plan").merged();
+    assert!(audit.passes(Level::Serializable), "{audit}");
+    assert_eq!(audit.summary(), "RC ✓ | RA ✓ | Causal ✓ | Prefix ✓ | SI ✓ | SER ✓");
 }

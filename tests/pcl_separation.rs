@@ -88,7 +88,9 @@ fn serializable_backends_defuse_the_same_choreography() {
 /// CI gate runs the statistical one at full size.)
 #[test]
 fn write_skew_scenario_is_si_clean_on_mvcc_and_fully_clean_on_tl2() {
-    use workloads::{run_scenario_audited, scenario_by_name, ScenarioConfig};
+    use pcl_tm::audit::AuditOptions;
+    use workloads::{run_live, scenario_by_name, AuditPlan, LivePlan, ScenarioConfig};
+    let batch = |budget| LivePlan::new(AuditPlan::Batch(AuditOptions { budget, sat: None }));
     let scenario = scenario_by_name("write-skew").unwrap();
     let config = ScenarioConfig {
         threads: 4,
@@ -96,16 +98,18 @@ fn write_skew_scenario_is_si_clean_on_mvcc_and_fully_clean_on_tl2() {
         vars: 8,
         ..ScenarioConfig::new(registry::MVCC)
     };
-    let report = run_scenario_audited(scenario.as_ref(), &config, 2_000_000).unwrap();
+    let report = run_live(scenario.as_ref(), &config, batch(2_000_000)).unwrap();
     assert_eq!(report.run.check.invariant, Some(true), "{}", report.run.check.detail);
+    let audit = report.verdict.as_ref().expect("batch plan").merged();
     for level in [Level::ReadCommitted, Level::ReadAtomic, Level::Causal, Level::SnapshotIsolation]
     {
-        assert!(!report.audit.fails(level), "mvcc convicted of {level}:\n{}", report.audit);
+        assert!(!audit.fails(level), "mvcc convicted of {level}:\n{audit}");
     }
 
     let config = ScenarioConfig { backend: registry::TL2_BLOCKING, ..config };
-    let report = run_scenario_audited(scenario.as_ref(), &config, 20_000_000).unwrap();
+    let report = run_live(scenario.as_ref(), &config, batch(20_000_000)).unwrap();
+    let audit = report.verdict.as_ref().expect("batch plan").merged();
     for level in Level::ALL {
-        assert!(report.audit.passes(level), "tl2: {level}:\n{}", report.audit);
+        assert!(audit.passes(level), "tl2: {level}:\n{audit}");
     }
 }

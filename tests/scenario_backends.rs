@@ -1,14 +1,13 @@
 //! End-to-end acceptance for the open-API redesign: a backend registered
 //! *outside* `stm-runtime` and scenarios other than `bank` run through the
-//! scenario runner's audit modes and produce verdicts; names parse through
+//! scenario runner's audit plans and produce verdicts; names parse through
 //! the registries (with helpful unknown-name errors); retry policies and the
 //! attempt histogram flow into the reports.
 
 use pcl_tm::audit::{Level, WindowConfig};
 use pcl_tm::stm::{registry, BackendId};
 use workloads::{
-    run_scenario, run_scenario_audited, run_scenario_audited_streaming, scenario_by_name,
-    ScenarioConfig,
+    run_live, run_scenario, scenario_by_name, AuditPlan, LivePlan, ScenarioConfig, Verdict,
 };
 
 fn config(backend: impl Into<BackendId>, threads: usize, txns: usize) -> ScenarioConfig {
@@ -22,11 +21,12 @@ fn externally_registered_backend_is_audited_end_to_end() {
     let glock: BackendId = "global-lock".parse().expect("workloads registered it");
     // … and a non-bank scenario runs and is proven serializable on it.
     let scenario = scenario_by_name("kv-zipf").unwrap();
-    let report =
-        run_scenario_audited(scenario.as_ref(), &config(glock, 4, 200), 2_000_000).unwrap();
+    let plan = LivePlan::new(AuditPlan::Batch(Default::default()));
+    let report = run_live(scenario.as_ref(), &config(glock, 4, 200), plan).unwrap();
     assert_eq!(report.run.scenario, "kv-zipf");
+    let audit = report.verdict.as_ref().expect("batch plan").merged();
     for level in Level::ALL {
-        assert!(report.audit.passes(level), "{level}: {}", report.audit);
+        assert!(audit.passes(level), "{level}: {audit}");
     }
     assert_eq!(report.run.check.invariant, Some(true), "{}", report.run.check.detail);
 }
@@ -34,26 +34,23 @@ fn externally_registered_backend_is_audited_end_to_end() {
 #[test]
 fn scan_writers_scenario_streams_to_a_verdict_on_every_builtin() {
     let scenario = scenario_by_name("scan-writers").unwrap();
+    let streamed = |config: ScenarioConfig, window: usize| {
+        let plan = LivePlan::new(AuditPlan::Windowed(WindowConfig::sized(window)));
+        match run_live(scenario.as_ref(), &config, plan).unwrap().verdict {
+            Some(Verdict::Windowed(stream)) => stream,
+            other => panic!("a windowed plan yields a windowed verdict, got {other:?}"),
+        }
+    };
     for backend in [registry::TL2_BLOCKING, registry::OBSTRUCTION_FREE] {
-        let report = run_scenario_audited_streaming(
-            scenario.as_ref(),
-            &config(backend, 3, 200),
-            WindowConfig::sized(100),
-        )
-        .unwrap();
-        assert_eq!(report.stream.total_txns, 600, "{backend}");
+        let stream = streamed(config(backend, 3, 200), 100);
+        assert_eq!(stream.total_txns, 600, "{backend}");
         for level in Level::ALL {
-            assert!(!report.stream.fails(level), "{backend}: {level}: {}", report.stream.merged);
+            assert!(!stream.fails(level), "{backend}: {level}: {}", stream.merged);
         }
     }
     // The consistency-sacrificing backend is convicted on the same scenario.
-    let report = run_scenario_audited_streaming(
-        scenario.as_ref(),
-        &config(registry::PRAM_LOCAL, 4, 400),
-        WindowConfig::sized(150),
-    )
-    .unwrap();
-    assert!(report.stream.fails(Level::Serializable), "{}", report.stream.merged);
+    let stream = streamed(config(registry::PRAM_LOCAL, 4, 400), 150);
+    assert!(stream.fails(Level::Serializable), "{}", stream.merged);
 }
 
 #[test]
