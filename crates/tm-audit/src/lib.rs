@@ -26,10 +26,13 @@
 //!    verify enters the engine proper: Read Committed / Read Atomic / Causal
 //!    by polynomial saturation on a transaction digraph; Prefix / Snapshot
 //!    Isolation / Serializability by polynomial lost-update and write-skew
-//!    refutations, then constrained-linearization DFS, then (when asked) the
-//!    CDCL commit-order solver.  Every verdict carries a witness (a commit
+//!    refutations, then the constrained-linearization DFS — and, when a
+//!    solver is configured ([`SatConfig`]), in three stages ordered by cost:
+//!    the DFS as a probe linear in the window, the `tm-sat` commit-order
+//!    solver for what the probe left open, the DFS at its full budget for
+//!    what the solver gave up on.  Every verdict carries a witness (a commit
 //!    order) or a concrete violation (a cycle or a transaction pair), and
-//!    says which of the three decided it.
+//!    says which engine decided it ([`DecidedBy`]).
 //! 3. **Stream** ([`window`]) — a [`WindowedAuditor`] audits rolling history
 //!    segments with bounded memory: the partial order grows incrementally
 //!    ([`po::TxnPartialOrder::extend`]) and is probed every few hundred
@@ -133,13 +136,11 @@ fn order_witness(po: &TxnPartialOrder, order: &[u32]) -> String {
 /// Effort limits for the per-window SAT/CDCL escalation stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SatConfig {
-    /// CDCL conflict budget per solver call; exhaustion keeps the verdict
-    /// [`Outcome::Unknown`] (with the retry hint recomputed as a conflict
-    /// budget).
+    /// Solver budget per call (CDCL conflicts plus cycle refinements).  When
+    /// it runs out the full-budget DFS gets the level; if that exhausts too
+    /// the verdict stays [`Outcome::Unknown`], with the retry hint recomputed
+    /// as a conflict budget.
     pub conflicts: u64,
-    /// Largest window (transactions) the cubic commit-order encoding is
-    /// materialized for; bigger windows keep their DFS verdict.
-    pub max_txns: usize,
     /// Decide every NP-hard level by SAT alone, ignoring the DFS verdicts —
     /// the differential cross-check lane's mode, never the default.
     pub force: bool,
@@ -147,8 +148,7 @@ pub struct SatConfig {
 
 impl Default for SatConfig {
     fn default() -> Self {
-        let defaults = tm_sat::SolveConfig::default();
-        SatConfig { conflicts: defaults.conflicts, max_txns: defaults.max_txns, force: false }
+        SatConfig { conflicts: tm_sat::SolveConfig::default().conflicts, force: false }
     }
 }
 
@@ -158,7 +158,8 @@ impl Default for SatConfig {
 pub struct AuditOptions {
     /// DFS state budget for the NP-hard searches.
     pub budget: u64,
-    /// Escalate budget-exhausted levels to the CDCL solver when set.
+    /// Put the commit-order solver behind the NP-hard levels when set: DFS
+    /// probe, then solver, then the DFS at `budget` (see `searched_report`).
     pub sat: Option<SatConfig>,
 }
 
@@ -168,13 +169,30 @@ impl Default for AuditOptions {
     }
 }
 
+/// DFS states per transaction the probe in front of the solver may visit.
+/// Measured over `scripts/fuzz_gate.sh 100`: every search that ended in a
+/// witness needed under 10 (217 searches: 121 ≤ 1, 68 ≤ 2, 23 ≤ 4, 4 ≤ 8,
+/// 1 ≤ 16), while exhaustive refutations have a long tail (353 searches,
+/// 39 over 64, up to 434) — the part that is cheaper to hand to the solver
+/// than to finish.  Windows of `ingest-skew`'s shape never reach the DFS.
+/// Not a setting.
+const PROBE_STATES_PER_TXN: u64 = 16;
+
 /// What the SAT escalation stage spent while assembling one report.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SatSpend {
     /// The solver ran at least once.
     pub ran: bool,
+    /// DFS states the probe visited in searches it did not finish.
+    pub probe_states: u64,
+    /// Point pairs that needed a solver variable, over the solver calls.
+    pub pairs: u64,
+    /// Clauses the known order left open, over the solver calls.
+    pub clauses: u64,
     /// Total CDCL conflicts across the report's solver calls.
     pub conflicts: u64,
+    /// Model cycles the solver calls had to forbid and re-solve.
+    pub refinements: u64,
 }
 
 /// Audit a history against the whole hierarchy with the default search
@@ -269,10 +287,14 @@ pub fn audit_with_budget(history: &AuditHistory, budget: u64) -> AuditReport {
 /// ([`audit_with_options`]) and the windowed engine ([`window`]): the
 /// recording order did not verify, the partial order is built and the causal
 /// saturation run (incrementally, in the windowed case), and the hierarchy is
-/// climbed bottom-up.  When `sat_cfg` is set and the DFS leaves a level
-/// [`Outcome::Unknown`], the level escalates to the CDCL commit-order solver;
-/// the second return value reports what the solver spent (for the window
-/// telemetry meters).
+/// climbed bottom-up.  Without `sat_cfg` the three NP-hard levels get the
+/// DFS at `budget` and that is all.  With it they go through three stages
+/// ordered by cost — the DFS as a **probe** (`PROBE_STATES_PER_TXN` states
+/// per transaction), the commit-order **solver** for what the probe left
+/// [`Outcome::Unknown`], and the **full-budget DFS** for what the solver
+/// gave up on — and each cell's [`DecidedBy`] names the stage that answered.
+/// The second return value reports what the probe and the solver spent (for
+/// the window telemetry meters).
 pub(crate) fn searched_report(
     po: &TxnPartialOrder,
     shape: String,
@@ -312,37 +334,63 @@ pub(crate) fn searched_report(
         },
     ));
 
-    let (prefix, si, ser) = decide_np_levels(po, budget, &causal);
-    let mut prefix = LevelReport::new(Level::Prefix, prefix);
-    let mut si = LevelReport::new(Level::SnapshotIsolation, si);
-    let mut ser = LevelReport::new(Level::Serializable, ser);
+    // With a solver behind it the DFS is first a probe, linear in the window:
+    // a witness that needs no deep backtracking costs about one state per
+    // point, and what the probe leaves open the solver usually settles
+    // from its known edges alone.
+    let solver = sat_cfg.zip(causal.as_ref().ok());
+    let probe = match solver {
+        Some(_) => budget.min(PROBE_STATES_PER_TXN * po.len() as u64),
+        None => budget,
+    };
+    let [prefix, si, ser] = decide_np_levels(po, probe, &causal);
+    let mut cells = [
+        LevelReport::new(Level::Prefix, prefix),
+        LevelReport::new(Level::SnapshotIsolation, si),
+        LevelReport::new(Level::Serializable, ser),
+    ];
 
     let mut spend = SatSpend::default();
-    if let (Some(cfg), Ok(sat)) = (sat_cfg, &causal) {
-        escalate_to_sat(po, sat, cfg, &mut prefix, &mut si, &mut ser, &mut spend);
+    if let Some((cfg, sat)) = solver {
+        let open_states = |cell: &LevelReport| match cell.outcome {
+            Outcome::Unknown { states, .. } => Some(states),
+            _ => None,
+        };
+        spend.probe_states = cells.iter().filter_map(open_states).sum();
+        escalate_to_sat(po, sat, cfg, &mut cells, &mut spend);
+        // The solver gave up as well: the search gets its whole budget after
+        // all, so nothing the DFS alone would have decided stays open.
+        if !cfg.force && probe < budget && cells.iter().any(|c| open_states(c).is_some()) {
+            let full = decide_np_levels(po, budget, &causal);
+            for (cell, outcome) in cells.iter_mut().zip(full) {
+                match (&mut cell.outcome, outcome) {
+                    (Outcome::Unknown { states, .. }, Outcome::Unknown { states: all, .. }) => {
+                        *states = all;
+                    }
+                    (Outcome::Unknown { .. }, decided) => {
+                        *cell = LevelReport::new(cell.level, decided);
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 
-    levels.push(prefix);
-    levels.push(si);
-    levels.push(ser);
+    levels.extend(cells);
     (AuditReport { shape, levels }, spend)
 }
 
-/// The DFS verdicts for the three NP-hard levels: Prefix, SI, SER — with the
-/// hierarchy (SER ⊆ SI ⊆ Prefix) exploited in both directions.
+/// The DFS verdicts for the three NP-hard levels, `[Prefix, SI, SER]` — with
+/// the hierarchy (SER ⊆ SI ⊆ Prefix) exploited in both directions.
 fn decide_np_levels(
     po: &TxnPartialOrder,
     budget: u64,
     causal: &Result<Saturated, CycleViolation>,
-) -> (Outcome, Outcome, Outcome) {
+) -> [Outcome; 3] {
     let sat = match causal {
         Err(cycle) => {
             let implied = format!("implied by the causal violation: {}", cycle.render(po));
-            return (
-                Outcome::Fail { violation: implied.clone() },
-                Outcome::Fail { violation: implied.clone() },
-                Outcome::Fail { violation: implied },
-            );
+            return [(); 3].map(|()| Outcome::Fail { violation: implied.clone() });
         }
         Ok(sat) => sat,
     };
@@ -453,67 +501,65 @@ fn decide_np_levels(
         },
         _ => ser,
     };
-    (prefix, si, ser)
+    [prefix, si, ser]
 }
 
-/// The escalation stage: hand every still-undecided NP-hard level (or, under
-/// [`SatConfig::force`], all of them) to the CDCL commit-order solver.
-#[allow(clippy::too_many_arguments)]
+/// The escalation stage: hand the still-undecided NP-hard levels (or, under
+/// [`SatConfig::force`], all of them) to the commit-order solver — Prefix
+/// first, because its refutation settles SI and SER, then SER, because its
+/// witness settles SI; SI itself only when neither did.
 fn escalate_to_sat(
     po: &TxnPartialOrder,
     sat: &Saturated,
     cfg: SatConfig,
-    prefix: &mut LevelReport,
-    si: &mut LevelReport,
-    ser: &mut LevelReport,
+    cells: &mut [LevelReport; 3],
     spend: &mut SatSpend,
 ) {
     let needs = |r: &LevelReport| cfg.force || matches!(r.outcome, Outcome::Unknown { .. });
-    if !needs(prefix) && !needs(si) && !needs(ser) {
+    if !cells.iter().any(needs) {
         return;
     }
-    let inst = sat_bridge::build_instance(po, sat);
-    let solve = tm_sat::SolveConfig { conflicts: cfg.conflicts, max_txns: cfg.max_txns };
+    let (inst, dense_of) = sat_bridge::build_instance(po, sat);
+    let solve = tm_sat::SolveConfig { conflicts: cfg.conflicts };
     let mut decide = |report: &mut LevelReport, spec: tm_sat::LevelSpec| {
         if !needs(report) {
             return;
         }
+        use tm_sat::OrderVerdict::{NoOrder, Order, Unknown};
+        let verdict = tm_sat::decide(&inst, spec, &solve);
+        let (Order { effort, .. } | NoOrder { effort, .. } | Unknown { effort }) = &verdict;
         spend.ran = true;
-        match tm_sat::decide(&inst, spec, &solve) {
-            tm_sat::OrderVerdict::Order { order, conflicts } => {
-                spend.conflicts += conflicts;
-                let dense: Vec<u32> = order.iter().map(|&t| sat_bridge::to_dense(t)).collect();
-                report.outcome = Outcome::Pass {
-                    witness: format!("solver-decoded {}", order_witness(po, &dense)),
-                };
-                report.decided_by = DecidedBy::Sat;
-            }
-            tm_sat::OrderVerdict::NoOrder { cycle, conflicts } => {
-                spend.conflicts += conflicts;
-                let violation = if cycle.is_empty() {
-                    format!(
-                        "commit-order axioms unsatisfiable \
-                         (CDCL refutation, {conflicts} conflict(s))"
-                    )
-                } else {
-                    let dense: Vec<u32> = cycle.iter().map(|&t| sat_bridge::to_dense(t)).collect();
-                    format!(
-                        "commit-order axioms unsatisfiable: forced cycle {}",
-                        po.render_path(&dense)
-                    )
-                };
-                report.outcome = Outcome::Fail { violation };
-                report.decided_by = DecidedBy::Sat;
-            }
-            tm_sat::OrderVerdict::Unknown { conflicts } => {
-                spend.conflicts += conflicts;
+        spend.pairs += effort.pairs as u64;
+        spend.clauses += effort.clauses as u64;
+        spend.conflicts += effort.conflicts;
+        spend.refinements += effort.refinements;
+        // Solver effort as the texts below quote it.
+        let conflicts = effort.conflicts + effort.refinements;
+        let dense = |txns: &[u32]| txns.iter().map(|&t| dense_of[t as usize]).collect::<Vec<_>>();
+        report.outcome = match &verdict {
+            Order { order, .. } => Outcome::Pass {
+                witness: format!("solver-decoded {}", order_witness(po, &dense(order))),
+            },
+            NoOrder { cycle, .. } if cycle.is_empty() => Outcome::Fail {
+                violation: format!(
+                    "commit-order axioms unsatisfiable \
+                     (CDCL refutation, {conflicts} conflict(s))"
+                ),
+            },
+            NoOrder { cycle, .. } => Outcome::Fail {
+                violation: format!(
+                    "commit-order axioms unsatisfiable: forced cycle {}",
+                    po.render_path(&dense(cycle))
+                ),
+            },
+            Unknown { .. } => {
                 // The DFS hint is meaningless at a size both engines gave up
                 // on — recompute the retry hint as a *conflict* budget.
                 let (states, refuted) = match &report.outcome {
                     Outcome::Unknown { states, refuted, .. } => (*states, *refuted),
                     _ => (0, None),
                 };
-                report.outcome = Outcome::Unknown {
+                Outcome::Unknown {
                     reason: format!(
                         "{} undecided: DFS and SAT both exhausted \
                          (solver spent {conflicts} conflict(s) of {})",
@@ -523,19 +569,24 @@ fn escalate_to_sat(
                     states,
                     refuted,
                     next_budget: cfg.conflicts.saturating_mul(4).max(1),
-                };
-                report.decided_by = DecidedBy::Sat;
+                }
             }
-            // Too large to encode: the DFS verdict stands untouched.
-            tm_sat::OrderVerdict::TooLarge { .. } => {}
-        }
+        };
+        report.decided_by = DecidedBy::Sat;
     };
+    let [prefix, si, ser] = cells;
     decide(prefix, tm_sat::LevelSpec::Prefix);
-    decide(si, tm_sat::LevelSpec::SnapshotIsolation);
+    apply_hierarchy(prefix, si, ser);
     decide(ser, tm_sat::LevelSpec::Serializable);
-    // Re-apply the hierarchy over the solver verdicts: a Prefix refutation
-    // refutes SI, an SI refutation refutes SER, and an SER witness certifies
-    // both stronger-level passes.
+    apply_hierarchy(prefix, si, ser);
+    decide(si, tm_sat::LevelSpec::SnapshotIsolation);
+    apply_hierarchy(prefix, si, ser);
+}
+
+/// Fill still-undecided cells from decided neighbours: a Prefix refutation
+/// refutes SI, an SI refutation refutes SER, and an SER witness certifies
+/// both weaker levels.  The filled cell inherits its neighbour's provenance.
+fn apply_hierarchy(prefix: &mut LevelReport, si: &mut LevelReport, ser: &mut LevelReport) {
     let implied_fail = |from: &LevelReport, to: &mut LevelReport, containment: &str| {
         if let (Outcome::Fail { violation }, Outcome::Unknown { .. }) = (&from.outcome, &to.outcome)
         {
@@ -830,24 +881,20 @@ mod tests {
     /// land on a decided verdict.
     #[test]
     fn sat_conflict_exhaustion_recomputes_next_budget_and_retrying_decides() {
-        // Four sessions racing RMWs over two variables make the SI encoding
-        // need a real (level > 0) conflict, so a 1-conflict budget exhausts;
-        // a write skew on two side variables keeps SER failing, so the SI
-        // `Unknown` is not filled in by an implied pass.
-        let mut h = AuditHistory::new(4, 0, 6);
+        // Two unordered writers of y (sessions 1 and 2) under a cross-session
+        // reader of each variable: no SI clause is settled by the known order,
+        // and the order the solver tries first closes a cycle it has to be
+        // told about, so a budget of 1 exhausts.  SER fails (s0:0 and s2:0
+        // are a write skew), so the SI `Unknown` is not filled in by an
+        // implied pass.
+        let mut h = AuditHistory::new(2, 0, 3);
         h.push_txn(0, [(1, 0)], [(0, 1)]);
-        h.push_txn(1, [(1, 0)], [(0, 2)]);
-        h.push_txn(2, [(0, 2), (1, 0)], [(1, 3)]);
-        h.push_txn(3, [], [(1, 4)]);
-        h.push_txn(0, [(0, 1)], [(1, 5)]);
-        h.push_txn(1, [(0, 1)], [(1, 6)]);
-        h.push_txn(2, [(1, 3)], [(0, 7)]);
-        h.push_txn(3, [(1, 4)], [(0, 8)]);
-        h.push_txn(4, [(2, 0)], [(3, 1000)]);
-        h.push_txn(5, [(3, 0)], [(2, 1001)]);
+        h.push_txn(1, [(0, 0)], [(1, 2)]);
+        h.push_txn(2, [(0, 0)], [(1, 3)]);
+        h.push_txn(1, [(1, 2)], [(0, 4)]);
         let options = |conflicts| AuditOptions {
             budget: DEFAULT_STATE_BUDGET,
-            sat: Some(SatConfig { conflicts, force: true, ..SatConfig::default() }),
+            sat: Some(SatConfig { conflicts, force: true }),
         };
 
         let mut conflicts = 1u64;
@@ -875,5 +922,51 @@ mod tests {
         assert!(report.fails(Level::Serializable), "{report}");
         assert_eq!(decided_by(&report, Level::SnapshotIsolation), DecidedBy::Sat);
         assert_eq!(decided_by(&report, Level::Serializable), DecidedBy::Sat);
+    }
+
+    /// The stage after the solver: when the probe starves and the solver
+    /// gives up, the DFS gets the caller's full budget, so a cell the DFS
+    /// alone decides is never left `Unknown` for having a solver configured.
+    #[test]
+    fn a_solver_unknown_falls_back_to_the_full_budget_dfs() {
+        // A core whose SI witness needs backtracking and a refinement, padded
+        // with two independent RMW chains that multiply the backtracking past
+        // the probe.
+        let mut h = AuditHistory::new(4, 0, 6);
+        h.push_txn(0, [], [(0, 1)]);
+        h.push_txn(2, [(1, 0)], [(0, 2)]);
+        h.push_txn(3, [(0, 0)], [(1, 3)]);
+        h.push_txn(1, [(1, 0)], [(0, 4)]);
+        h.push_txn(0, [(0, 1)], [(1, 5)]);
+        for step in 0..3i64 {
+            for chain in 0..2usize {
+                let last = if step == 0 { 0 } else { 100 * step + chain as i64 };
+                h.push_txn(
+                    4 + chain,
+                    [(2 + chain, last)],
+                    [(2 + chain, 100 * (step + 1) + chain as i64)],
+                );
+            }
+        }
+        let probe = PROBE_STATES_PER_TXN * (h.txn_count() as u64 + 1);
+        let starved = audit_with_budget(&h, probe);
+        assert!(
+            matches!(starved.outcome(Level::SnapshotIsolation), Some(Outcome::Unknown { .. })),
+            "the probe must starve for the test to mean anything: {starved}"
+        );
+        let full = audit(&h);
+        assert!(full.passes(Level::SnapshotIsolation), "{full}");
+
+        let sat = |conflicts| AuditOptions {
+            budget: DEFAULT_STATE_BUDGET,
+            sat: Some(SatConfig { conflicts, force: false }),
+        };
+        let report = audit_with_options(&h, &sat(1));
+        assert_eq!(report.summary(), full.summary(), "{report}");
+        assert_eq!(decided_by(&report, Level::SnapshotIsolation), DecidedBy::Dfs, "{report}");
+        // Given a budget, the solver is the stage that answers.
+        let report = audit_with_options(&h, &sat(SatConfig::default().conflicts));
+        assert_eq!(report.summary(), full.summary(), "{report}");
+        assert_eq!(decided_by(&report, Level::SnapshotIsolation), DecidedBy::Sat, "{report}");
     }
 }

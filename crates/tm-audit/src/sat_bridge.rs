@@ -1,10 +1,14 @@
 //! The bridge from the auditor's saturated partial order to `tm-sat`'s
 //! neutral [`OrderInstance`] — the escalation path's translation layer.
 //!
-//! Dense auditor indices include the initial transaction at [`ROOT`]; the
-//! solver instance excludes it (instance transaction `t` is auditor
-//! transaction `t + 1`), with reads of the initial value carrying `None` as
-//! their writer.  Two edge families seed the solver as unit clauses:
+//! Dense auditor indices include the initial transaction at [`ROOT`] and
+//! follow the order transactions were *added* (session by session for a batch
+//! audit); the solver instance excludes the initial transaction and numbers
+//! the rest in **recording order** (by hint), because the order the solver
+//! tries first is the lowest-index-first extension of what is known — on a
+//! near-serial history that is already a witness.  Reads of the initial
+//! value carry `None` as their writer.  Two edge families seed the solver's
+//! known order:
 //!
 //! * **visibility edges** — the base `so ∪ wr` order: `a`'s effects are
 //!   visible to `b` (`W(a) < R(b)` in the split encodings), sound because a
@@ -14,8 +18,9 @@
 //!   `W(a) < W(b)` at every level the solver decides, because saturation
 //!   only derives orderings every prefix-consistent commit order must obey.
 //!
-//! This is what makes the CDCL stage "start where polynomial reasoning
-//! stopped": the solver never re-discovers an edge saturation already proved.
+//! This is what makes the solver stage "start where polynomial reasoning
+//! stopped": it never re-discovers an edge saturation already proved, and
+//! every clause those edges settle never reaches the CDCL core.
 
 use crate::po::{TxnPartialOrder, ROOT};
 use crate::saturation::Saturated;
@@ -23,22 +28,24 @@ use std::collections::HashSet;
 use tm_sat::OrderInstance;
 
 /// Build the per-window solver instance for `po` under the saturated causal
-/// order `sat`.
-pub(crate) fn build_instance(po: &TxnPartialOrder, sat: &Saturated) -> OrderInstance {
+/// order `sat`, and the dense auditor index of each instance transaction.
+pub(crate) fn build_instance(po: &TxnPartialOrder, sat: &Saturated) -> (OrderInstance, Vec<u32>) {
     let n = po.len();
-    let m = n.saturating_sub(1);
-    let map = |t: u32| t - 1;
-    let mut reads: Vec<Vec<(u32, Option<u32>)>> = Vec::with_capacity(m);
-    let mut writes: Vec<Vec<u32>> = Vec::with_capacity(m);
-    for t in 1..n as u32 {
-        reads.push(
-            po.reads[t as usize]
-                .iter()
-                .map(|&(var, src)| (var, (src != ROOT).then(|| map(src))))
-                .collect(),
-        );
-        writes.push(po.writes[t as usize].clone());
+    let mut dense: Vec<u32> = (0..n as u32).filter(|&t| t != ROOT).collect();
+    dense.sort_by_key(|&t| po.hints[t as usize]);
+    let mut map = vec![u32::MAX; n];
+    for (i, &t) in dense.iter().enumerate() {
+        map[t as usize] = i as u32;
     }
+    let map = |t: u32| map[t as usize];
+    let reads = dense
+        .iter()
+        .map(|&t| {
+            let read = |&(var, src): &(u32, u32)| (var, (src != ROOT).then(|| map(src)));
+            po.reads[t as usize].iter().map(read).collect()
+        })
+        .collect();
+    let writes = dense.iter().map(|&t| po.writes[t as usize].clone()).collect();
     let mut visibility_edges = Vec::new();
     let mut commit_edges = Vec::new();
     let mut base_set: HashSet<(u32, u32)> = HashSet::new();
@@ -57,12 +64,15 @@ pub(crate) fn build_instance(po: &TxnPartialOrder, sat: &Saturated) -> OrderInst
             }
         }
     }
-    OrderInstance { n: m, reads, writes, visibility_edges, commit_edges, n_vars: po.n_vars() }
-}
-
-/// Translate an instance transaction id back to a dense auditor index.
-pub(crate) fn to_dense(t: u32) -> u32 {
-    t + 1
+    let inst = OrderInstance {
+        n: dense.len(),
+        reads,
+        writes,
+        visibility_edges,
+        commit_edges,
+        n_vars: po.n_vars(),
+    };
+    (inst, dense)
 }
 
 #[cfg(test)]
@@ -74,14 +84,15 @@ mod tests {
     #[test]
     fn instance_excludes_root_and_maps_reads() {
         let mut h = AuditHistory::new(1, 0, 2);
-        h.push_txn(0, [(0, 0)], [(0, 1)]); // reads initial, writes
-        h.push_txn(1, [(0, 1)], [(0, 2)]); // reads the first txn's write
+        h.push_txn(1, [(0, 0)], [(0, 1)]); // reads initial, writes
+        h.push_txn(0, [(0, 1)], [(0, 2)]); // reads the first txn's write
         let po = TxnPartialOrder::build(&h).unwrap();
         let sat = check_causal(&po).unwrap();
-        let inst = build_instance(&po, &sat);
+        let (inst, dense) = build_instance(&po, &sat);
+        assert_eq!(dense, vec![2, 1], "recording order, not the session-major dense order");
         assert_eq!(inst.n, 2);
         assert_eq!(inst.reads[0], vec![(0, None)], "initial-value read maps to None");
-        assert_eq!(inst.reads[1], vec![(0, Some(0))], "wr read maps to the dense writer - 1");
+        assert_eq!(inst.reads[1], vec![(0, Some(0))], "wr read maps to the writer's instance id");
         assert!(
             inst.visibility_edges.contains(&(0, 1)),
             "the wr edge is a visibility edge: {:?}",

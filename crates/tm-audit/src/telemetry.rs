@@ -2,7 +2,8 @@
 //! histograms, the push-time probe latency, how many windows the recording
 //! order certified against how many had to search (and, for those, the chain
 //! count and saturation rounds their cost depends on), conviction and
-//! budget-consumption counters.
+//! budget-consumption counters, and for the NP-hard levels which stage
+//! decided each cell and what the solver stage built and spent.
 //!
 //! [`crate::window::WindowedAuditor::new`] attaches an [`AuditTelemetry`]
 //! only when [`tm_telemetry::enabled`] is set, mirroring the runtime's
@@ -12,6 +13,7 @@
 //! Tests bind handles to a private [`tm_telemetry::Registry`] via
 //! [`crate::window::WindowedAuditor::with_telemetry`].
 
+use crate::report::DecidedBy;
 use tm_telemetry::{Counter, Histogram, Registry};
 
 /// Everything one windowed auditor records when metrics are on.  Several
@@ -54,9 +56,24 @@ pub struct AuditTelemetry {
     pub evicted: Counter,
     /// Windows escalated to the SAT commit-order solver.
     pub sat_windows: Counter,
+    /// DFS states the probe in front of the solver spent on searches it
+    /// left open.
+    pub sat_probe_states: Counter,
+    /// Point pairs escalated windows needed a solver variable for.
+    pub sat_pairs: Counter,
+    /// Clauses the known order left open in escalated windows.
+    pub sat_clauses: Counter,
     /// CDCL conflicts spent by escalated windows.
     pub sat_conflicts: Counter,
+    /// Model cycles escalated windows had to forbid and re-solve.
+    pub sat_refinements: Counter,
+    /// Decided Prefix/SI/SER cells by the stage that decided them, indexed
+    /// as [`NP_CELL_STAGES`].
+    pub np_cells: [Counter; 3],
 }
+
+/// The `decided_by` label values of [`AuditTelemetry::np_cells`], in order.
+pub const NP_CELL_STAGES: [DecidedBy; 3] = [DecidedBy::Hint, DecidedBy::Dfs, DecidedBy::Sat];
 
 impl AuditTelemetry {
     /// Build the auditor's instrument set inside `registry`.
@@ -75,7 +92,14 @@ impl AuditTelemetry {
             budget_slashed: registry.counter("audit_budget_slashed_windows_total", &[], "windows"),
             evicted: registry.counter("audit_evicted_attributions_total", &[], "reads"),
             sat_windows: registry.counter("audit_sat_windows_total", &[], "windows"),
+            sat_probe_states: registry.counter("audit_sat_probe_states_total", &[], "states"),
+            sat_pairs: registry.counter("audit_sat_pairs_total", &[], "pairs"),
+            sat_clauses: registry.counter("audit_sat_clauses_total", &[], "clauses"),
             sat_conflicts: registry.counter("audit_sat_conflicts_total", &[], "conflicts"),
+            sat_refinements: registry.counter("audit_sat_refinements_total", &[], "refinements"),
+            np_cells: NP_CELL_STAGES.map(|by| {
+                registry.counter("audit_np_cells_total", &[("decided_by", by.as_str())], "cells")
+            }),
         }
     }
 

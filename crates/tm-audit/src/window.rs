@@ -84,7 +84,7 @@ use crate::po::{TxnPartialOrder, EVICTED_SESSION};
 use crate::recovery::{FrontierSnapshot, RecoveryError};
 use crate::report::{json_escape, AuditReport, DecidedBy, Level, LevelReport, Outcome};
 use crate::saturation::{resaturate, CycleViolation, Saturated};
-use crate::telemetry::AuditTelemetry;
+use crate::telemetry::{AuditTelemetry, NP_CELL_STAGES};
 use crate::{
     certified_report, defect_report, forces_search, searched_report, AuditHistory, SatConfig,
 };
@@ -111,7 +111,8 @@ pub struct WindowConfig {
     /// re-verifies its recording order — or, once that has failed, refreshes
     /// its causal verdict and lost-update probe.
     pub batch: usize,
-    /// Escalate budget-exhausted windows to the CDCL commit-order solver.
+    /// Put the commit-order solver behind each window's NP-hard levels (DFS
+    /// probe, solver, full-budget DFS); it is sized for windows this large.
     pub sat: Option<SatConfig>,
 }
 
@@ -1146,7 +1147,11 @@ impl WindowedAuditor {
                     searched_report(&aw.po, shape, budget, causal, self.config.sat);
                 if let (Some(tele), true) = (&self.tele, spent.ran) {
                     tele.sat_windows.inc();
+                    tele.sat_probe_states.add(spent.probe_states);
+                    tele.sat_pairs.add(spent.pairs);
+                    tele.sat_clauses.add(spent.clauses);
                     tele.sat_conflicts.add(spent.conflicts);
+                    tele.sat_refinements.add(spent.refinements);
                 }
                 report
             }
@@ -1178,6 +1183,9 @@ impl WindowedAuditor {
             for l in &report.levels {
                 if let Outcome::Unknown { states, .. } = &l.outcome {
                     tele.search_states.add(*states);
+                } else if l.level >= Level::Prefix {
+                    let stage = NP_CELL_STAGES.iter().position(|&by| by == l.decided_by);
+                    tele.np_cells[stage.expect("every stage is listed")].inc();
                 }
             }
         }
@@ -1691,6 +1699,37 @@ mod tests {
         // stand-in) and session 1.
         assert_eq!((tele.chains.count(), tele.chains.sum()), (1, 2));
         assert_eq!(tele.saturation_rounds.get(), 1, "nothing to derive: one pass over v1");
+        // Three NP-hard cells per window, by the stage that decided them.
+        assert_eq!(tele.np_cells.each_ref().map(|c| c.get()), [9, 3, 0]);
+    }
+
+    /// With a solver configured the meters say which stage decided each
+    /// NP-hard cell and what the solver stage built and spent.
+    #[test]
+    fn telemetry_meters_the_solver_stage() {
+        // Two unordered writers of v1 under cross-session readers (the
+        // conflict-exhaustion history of `crate::tests`): SI needs the solver
+        // to open pairs and forbid a cycle; a 1-state budget starves the DFS.
+        let mut h = AuditHistory::new(2, 0, 3);
+        h.push_txn(0, [(1, 0)], [(0, 1)]);
+        h.push_txn(1, [(0, 0)], [(1, 2)]);
+        h.push_txn(2, [(0, 0)], [(1, 3)]);
+        h.push_txn(1, [(1, 2)], [(0, 4)]);
+        let registry = tm_telemetry::Registry::new();
+        let config = WindowConfig { budget: 1, sat: Some(SatConfig::default()), ..cfg(8, 0) };
+        let auditor = WindowedAuditor::new(2, 0, config)
+            .with_telemetry(AuditTelemetry::from_registry(&registry));
+        let report = replay(auditor, &h);
+        assert_eq!(report.summary(), "RC ✓ | RA ✓ | Causal ✓ | Prefix ✓ | SI ✓ | SER ✗");
+
+        let tele = AuditTelemetry::from_registry(&registry);
+        assert_eq!(tele.sat_windows.get(), 1);
+        assert!(tele.sat_probe_states.get() > 0);
+        assert!(tele.sat_pairs.get() > 0 && tele.sat_clauses.get() > 0);
+        assert!(tele.sat_conflicts.get() + tele.sat_refinements.get() > 0);
+        let [hint, dfs, sat] = tele.np_cells.each_ref().map(|c| c.get());
+        assert_eq!((hint, dfs + sat), (0, 3), "one searched window, three decided cells");
+        assert!(sat > 0);
     }
 
     /// The bucketed frontier against the definition it replaces: keep a

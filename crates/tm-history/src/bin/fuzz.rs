@@ -12,7 +12,11 @@
 //! * **sat-forced** (`--sat-cross`) — the whole history re-decided with the
 //!   CDCL commit-order solver forced on every NP-hard level
 //!   (`SatConfig::force`), generated at DFS-decidable sizes so the two
-//!   engines' definite verdicts must agree level-for-level.
+//!   engines' definite verdicts must agree level-for-level;
+//! * **sat-planted** (`--sat-cross`, first ten seeds) — `generate_hard`
+//!   documents up to a full default window (8 chains of 255), where no DFS
+//!   reference exists: the plant is the oracle, and the solver must convict
+//!   Prefix/SI/SER itself, in batch and through a default [`WindowConfig`].
 //!
 //! Disagreement rules mirror the engines' soundness contracts (`Unknown`
 //! outcomes are never definite and never gate):
@@ -46,9 +50,10 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use tm_audit::{
-    audit_sharded, audit_streamed, audit_with_budget, audit_with_options, AuditOptions, Level,
-    Outcome, SatConfig, ShardConfig, WindowConfig,
+    audit_sharded, audit_streamed, audit_with_budget, audit_with_options, AuditOptions, DecidedBy,
+    Level, Outcome, SatConfig, ShardConfig, WindowConfig,
 };
+use tm_history::generate::generate_hard;
 use tm_history::{generate, minimize, wire, GenConfig};
 
 use rand::rngs::StdRng;
@@ -136,15 +141,13 @@ fn parse_args() -> Args {
 /// The per-seed generator shape: small enough that the DFS reference stays
 /// decisive, varied enough to exercise session counts, pool sizes and every
 /// anomaly mix (including plant-free runs as pass-oracles).
-fn config_for_seed(seed: u64, sat_cross: bool) -> GenConfig {
+fn config_for_seed(seed: u64) -> GenConfig {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xF0BB_1A4E);
     let sessions = rng.gen_range(3..=5);
     GenConfig {
         sessions,
         vars: rng.gen_range(2..=10),
-        // The solver materializes a cubic encoding, so the cross-check lane
-        // keeps totals well inside SatConfig::max_txns (and DFS-decisive).
-        txns_per_session: if sat_cross { rng.gen_range(4..=12) } else { rng.gen_range(8..=30) },
+        txns_per_session: rng.gen_range(8..=30),
         events_per_txn: rng.gen_range(1..=4),
         seed,
         lost_update_per_mille: if rng.gen_bool(0.7) { rng.gen_range(0..120) } else { 0 },
@@ -259,6 +262,40 @@ fn check_seed(
     (disagreements, advisories)
 }
 
+/// Seeds of the sat-planted leg.
+const HARD_SEEDS: u64 = 10;
+
+/// The sat-planted leg for one seed: every `generate_hard` shape, decided in
+/// batch and through one default-sized window, must pass the polynomial
+/// levels and fail the NP-hard ones on the solver's own authority.
+fn check_hard_seed(seed: u64) -> Vec<String> {
+    let mut wrong = Vec::new();
+    let sat = Some(SatConfig::default());
+    for chains in [4, 8] {
+        for chain_len in [12, 64, 255] {
+            let history = generate_hard(seed, chains, chain_len).history;
+            let batch = audit_with_options(&history, &AuditOptions { sat, ..Default::default() });
+            let windowed = audit_streamed(&history, WindowConfig { sat, ..Default::default() });
+            for (lane, report) in [("batch", &batch), ("windowed", &windowed.merged)] {
+                for cell in &report.levels {
+                    let ok = if cell.level >= Level::Prefix {
+                        cell.outcome.failed() && cell.decided_by == DecidedBy::Sat
+                    } else {
+                        matches!(cell.outcome, Outcome::Pass { .. })
+                    };
+                    if !ok {
+                        wrong.push(format!(
+                            "sat-planted:{chains}x{chain_len}:{lane}:{}",
+                            cell.level.tag()
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    wrong
+}
+
 fn main() -> ExitCode {
     let args = parse_args();
     let mut failed_seeds: Vec<u64> = Vec::new();
@@ -267,7 +304,7 @@ fn main() -> ExitCode {
     let mut total_advisories = 0u64;
 
     for seed in args.seed_start..args.seed_start + args.seeds {
-        let config = config_for_seed(seed, args.sat_cross);
+        let config = config_for_seed(seed);
         let generated = generate(&config);
         total_plants += generated.planted.total();
 
@@ -290,8 +327,11 @@ fn main() -> ExitCode {
 
         let expected = generated.planted.expected_failures();
         let plant_free = generated.planted.total() == 0;
-        let (disagreements, advisories) =
+        let (mut disagreements, advisories) =
             check_seed(&generated.history, &expected, plant_free, args.budget, args.sat_cross);
+        if args.sat_cross && seed - args.seed_start < HARD_SEEDS {
+            disagreements.extend(check_hard_seed(seed));
+        }
         total_advisories += advisories.len() as u64;
 
         if args.json {

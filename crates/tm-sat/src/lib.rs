@@ -3,22 +3,26 @@
 //! The auditor's SI/SER/Prefix searches are NP-complete (Biswas & Enea, *"On
 //! the Complexity of Checking Transactional Consistency"*), and the DFS in
 //! `tm-audit::linearization` honestly reports `Unknown` when its state budget
-//! runs out.  This crate is the escalation path: a per-window SAT encoding of
-//! the commit-order axioms, decided by a small conflict-driven clause-learning
-//! solver, so budget-exhausted windows become decidable instead of staying
-//! `Unknown` forever.
+//! runs out.  This crate is the escalation path: the window's commit-order
+//! axioms, settled from what is already known wherever that suffices and
+//! handed to a small conflict-driven clause-learning solver where it does
+//! not, so budget-exhausted windows become decidable instead of staying
+//! `Unknown` forever — at the size of a live window, not of a toy.
 //!
 //! * [`Solver`] — CDCL with two watched literals, VSIDS-style activity on a
 //!   lazy heap, first-UIP conflict analysis with backjumping, phase saving,
-//!   Luby restarts, and a **configurable conflict budget**: an exhausted
-//!   budget returns [`SolveOutcome::Unknown`], never a verdict, mirroring the
-//!   DFS's honesty contract.
-//! * [`order`] — the per-window CNF encoder: one boolean per unordered point
-//!   pair (totality and antisymmetry come free), transitivity as the two
-//!   directed-triangle-exclusion clauses per triple, write-read implications,
-//!   and the per-level anti-dependency axioms for **Prefix**, **SI** and
-//!   **SER**.  Saturation-derived edges arrive as unit clauses, so the solver
-//!   starts exactly where polynomial reasoning stopped.
+//!   Luby restarts, clauses accepted between solves, and a **configurable
+//!   conflict budget**: an exhausted budget returns
+//!   [`SolveOutcome::Unknown`], never a verdict, mirroring the DFS's honesty
+//!   contract.
+//! * [`order`] — the per-window encoder for **Prefix**, **SI** and **SER**.
+//!   Forced precedences (saturation's derived edges among them, so the
+//!   solver starts exactly where polynomial reasoning stopped) form a
+//!   digraph; the read and first-committer-wins axioms are binary clauses
+//!   over ordered point pairs, evaluated against the digraph's reachability
+//!   to fixpoint; only pairs still open afterwards become solver variables,
+//!   and acyclicity of the solver's model is enforced lazily, one forbidden
+//!   cycle at a time.  No transitivity clause is ever materialized.
 //!
 //! The crate deliberately depends on nothing — not even other workspace
 //! crates — so the solver can be reused and fuzzed in isolation; `tm-audit`
@@ -29,7 +33,7 @@
 
 pub mod order;
 
-pub use order::{decide, LevelSpec, OrderInstance, OrderVerdict, SolveConfig};
+pub use order::{decide, Effort, LevelSpec, OrderInstance, OrderVerdict, SolveConfig};
 
 /// A literal: variable index shifted left once, low bit = negated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -225,10 +229,10 @@ impl Solver {
     }
 
     /// Add a clause.  Literals over `n_vars` panic; duplicates are removed;
-    /// tautologies are dropped.  Must be called before [`Solver::solve`]
-    /// (clauses arriving between solves at decision level 0 are fine).
+    /// tautologies are dropped.  Clauses may arrive between solves: adding
+    /// one returns the solver to the root level, discarding the last model.
     pub fn add_clause(&mut self, lits: &[Lit]) {
-        assert!(self.decision_level() == 0, "clauses are added at the root level");
+        self.cancel_until(0);
         let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
         for &l in lits {
             assert!(l.var() < self.n_vars, "literal out of range");
@@ -652,6 +656,20 @@ mod tests {
                 "model violates clause {c:?}"
             );
         }
+    }
+
+    #[test]
+    fn clauses_added_after_a_model_constrain_the_next_solve() {
+        // x ∨ y has three models; forbid each one found until none is left.
+        let mut s = solver_with(2, &[&[1, 2]]);
+        let mut models = 0;
+        while s.solve(u64::MAX) == SolveOutcome::Sat {
+            models += 1;
+            let forbid: Vec<Lit> =
+                (0..2).map(|v| if s.value(v) { Lit::neg(v) } else { Lit::pos(v) }).collect();
+            s.add_clause(&forbid);
+        }
+        assert_eq!(models, 3);
     }
 
     #[test]

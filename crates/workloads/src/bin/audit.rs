@@ -56,20 +56,23 @@
 //!   transaction, and is refused rather than clamped;
 //! * `--budget N` — SI/SER search state budget of the plan (default
 //!   2,000,000);
-//! * `--sat[=conflicts=N[:max-txns=N][:force]]` — escalate any NP-hard level
-//!   the DFS left `Unknown` to the `tm-sat` CDCL commit-order solver: UNSAT
-//!   convicts (with the forced cycle as witness), a model passes (with the
-//!   decoded commit order), and verdicts carry `decided_by:
+//! * `--sat[=conflicts=N[:force]]` — put the `tm-sat` commit-order solver
+//!   behind the NP-hard levels: the DFS runs as a probe linear in the
+//!   window, what it leaves `Unknown` goes to the solver, and only what the
+//!   solver gives up on gets the DFS at the full `--budget`.  The encoding
+//!   grows with the unordered writer pairs, not the window, so this reaches
+//!   the default live window (2 048).  UNSAT convicts (with the forced cycle
+//!   as witness), a model passes (with the decoded commit order), and
+//!   verdicts carry `decided_by:
 //!   "hint"|"dfs"|"sat"` provenance everywhere a report lands (stdout,
 //!   `--json`, serve records) — `"hint"` for a history or window whose
 //!   recording order verified as a serial order, which certifies all six
 //!   levels in one pass and runs neither the DFS nor the solver.
-//!   `conflicts=N` bounds solver effort per window (exhaustion keeps
-//!   `Unknown`, with the retry hint recomputed as a conflict budget);
-//!   `max-txns=N` caps the window size the cubic encoding is materialized
-//!   for; `force` decides every NP-hard level by SAT alone (the differential
-//!   cross-check lane).  Part of every plan: batch, windows, sharded lanes,
-//!   live or replayed;
+//!   `conflicts=N` bounds solver effort per window and level (when both
+//!   engines exhaust the verdict stays `Unknown`, with the retry hint
+//!   recomputed as a conflict budget); `force` decides every NP-hard level
+//!   by SAT alone (the differential cross-check lane).  Part of every plan:
+//!   batch, windows, sharded lanes, live or replayed;
 //! * `--export PATH` — capture the run's commit history exactly as the
 //!   auditor saw it (post-merge order, auditor-assigned hints) and write it
 //!   to PATH in the `tm-history` wire format (see `docs/history-format.md`).
@@ -274,8 +277,8 @@ fn parse_scenarios(name: &str) -> Result<(Vec<Arc<dyn Scenario>>, bool), String>
     scenario_by_name(name).map(|s| (vec![s], false)).map_err(|e| e.to_string())
 }
 
-/// Parse the value of `--sat=SPEC`: `conflicts=N` / `max-txns=N` / `force`
-/// elements separated by `:` (a bare number is shorthand for `conflicts=N`).
+/// Parse the value of `--sat=SPEC`: `conflicts=N` / `force` elements
+/// separated by `:` (a bare number is shorthand for `conflicts=N`).
 fn parse_sat_spec(spec: &str) -> Result<SatConfig, String> {
     let mut cfg = SatConfig::default();
     for part in spec.split(':').filter(|p| !p.is_empty()) {
@@ -283,8 +286,6 @@ fn parse_sat_spec(spec: &str) -> Result<SatConfig, String> {
             cfg.conflicts = n;
         } else if let Some(n) = part.strip_prefix("conflicts=") {
             cfg.conflicts = n.parse().map_err(|e| format!("--sat conflicts: {e}"))?;
-        } else if let Some(n) = part.strip_prefix("max-txns=") {
-            cfg.max_txns = n.parse().map_err(|e| format!("--sat max-txns: {e}"))?;
         } else if part == "force" {
             cfg.force = true;
         } else {
@@ -463,7 +464,7 @@ fn usage() {
         "usage: audit [--backend NAME|all] [--scenario NAME|all] [--retry POLICY]\n\
          \x20            [--threads N] [--txns N] [--vars N] [--seed N]\n\
          \x20            [--audit[=WINDOW | window[:size=N][:shards=K][:overlap=M]]]\n\
-         \x20            [--overlap N] [--budget N] [--sat[=conflicts=N[:max-txns=N][:force]]]\n\
+         \x20            [--overlap N] [--budget N] [--sat[=conflicts=N[:force]]]\n\
          \x20            [--json PATH] [--fail-on-violation]\n\
          \x20            [--export PATH] [--ingest FILE|-]\n\
          \x20            [--serve] [--serve-rounds N] [--sink PATH] [--metrics] [--adaptive]\n\
