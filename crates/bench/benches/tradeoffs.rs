@@ -37,10 +37,6 @@
 //! * **SEP — consistency-axis ablation**: the `write-skew` scenario across the
 //!   consistency spectrum (`mvcc` admits the skew and never blocks its readers;
 //!   the serializable designs pay validation aborts to refuse it).
-//! * **AUDIT4 — sharded audit throughput vs K**: a recorded register history
-//!   replayed through the sharded partition auditor at `K ∈ {1, 2, 4, 8}`
-//!   (the acceptance axis: audit throughput must scale with partitions —
-//!   K=4 strictly faster than K=1 at 10⁵ transactions in the full run).
 //!
 //! Environment knobs (both used by CI's bench-smoke job):
 //!
@@ -54,13 +50,13 @@
 //!   the substring (e.g. `trade1-disjoint-scaling`).
 //!
 //! Experiment ids (see DESIGN.md / EXPERIMENTS.md): TRADE1, TRADE2, TRADE3,
-//! DAPCOST, POLICY, SEP, AUDIT4.
+//! DAPCOST, POLICY, SEP.  Audit throughput (batch, windowed, sharded) is
+//! `benchmark/`'s job, not a family here.
 
 use bench::harness::{bench, bench_interleaved, black_box, samples_to_json_annotated, Samples};
 use std::sync::Arc;
 use std::time::Duration;
 use stm_runtime::{policy, registry, BackendId, Stm};
-use tm_audit::{audit_sharded, record_run, AuditRunConfig, Level, ShardConfig, WindowConfig};
 use workloads::{
     run_scenario, run_threads, stalled_writer_experiment, BankConfig, KvZipfScenario, RunConfig,
     ScenarioConfig, WriteSkewScenario,
@@ -71,7 +67,6 @@ struct Sizes {
     samples: usize,
     tx_per_thread: usize,
     scenario_txns: usize,
-    audit_txns: usize,
     stall: Duration,
 }
 
@@ -82,7 +77,6 @@ impl Sizes {
                 samples: 2,
                 tx_per_thread: 60,
                 scenario_txns: 50,
-                audit_txns: 5_000,
                 stall: Duration::from_millis(10),
             }
         } else {
@@ -90,7 +84,6 @@ impl Sizes {
                 samples: 10,
                 tx_per_thread: 300,
                 scenario_txns: 250,
-                audit_txns: 100_000,
                 stall: Duration::from_millis(40),
             }
         };
@@ -400,34 +393,6 @@ fn bench_consistency_separation(sizes: &Sizes, sink: &mut Vec<Samples>) {
     }
 }
 
-/// AUDIT4: the sharded audit pipeline's throughput scaling axis — one
-/// recorded history, replayed deterministically through `K` partition
-/// auditors.  The sample clock measures the audit alone (recording happens
-/// once, outside the samples), so `min_ns` across K values is the scaling
-/// curve the acceptance criterion reads off `BENCH_tradeoffs.json`.
-fn bench_sharded_audit_scaling(sizes: &Sizes, sink: &mut Vec<Samples>) {
-    let txns = sizes.audit_txns;
-    let config = AuditRunConfig {
-        backend: registry::TL2_BLOCKING,
-        sessions: 4,
-        txns_per_session: txns / 4,
-        vars: 64,
-        seed: 7,
-    };
-    let history = record_run(config);
-    let window = WindowConfig::sized(2_048);
-    // Auditing 10⁵ txns per sample is the expensive family of this bench:
-    // cap the samples, the curve needs mins, not percentiles.
-    let samples = sizes.samples.min(3);
-    for k in [1usize, 2, 4, 8] {
-        sink.push(bench(&format!("audit4-sharded-audit/{txns}-txns/K={k}"), samples, || {
-            let report = audit_sharded(&history, ShardConfig::new(k, window));
-            assert!(report.passes(Level::Serializable), "{}", report.merged);
-            black_box(report.total_txns)
-        }));
-    }
-}
-
 fn main() {
     // Pull in the backends other crates contribute (global-lock) before
     // snapshotting the registry.
@@ -460,9 +425,6 @@ fn main() {
     }
     if want("sep-write-skew") {
         bench_consistency_separation(&sizes, &mut sink);
-    }
-    if want("audit4-sharded-audit") {
-        bench_sharded_audit_scaling(&sizes, &mut sink);
     }
     if let Ok(path) = std::env::var("PCL_BENCH_JSON") {
         std::fs::write(&path, samples_to_json_annotated(&sink, &annotations))

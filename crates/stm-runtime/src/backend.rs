@@ -20,37 +20,6 @@ impl fmt::Display for VarId {
     }
 }
 
-/// The three built-in backends, as a convenience enum.
-///
-/// Historically this closed enum *was* the backend space; the runtime now
-/// resolves backends through the open [`crate::registry`], and `BackendKind`
-/// survives as ergonomic sugar for the built-ins: anything accepting
-/// `impl Into<crate::BackendId>` takes a `BackendKind` directly.  Backends
-/// added through [`crate::registry::register`] have no `BackendKind` — use
-/// their [`crate::BackendId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// TL2-style commit-time locking with a global version clock; commits **spin** on
-    /// busy locks (blocking liveness, serializable, per-var metadata only).
-    Tl2Blocking,
-    /// Obstruction-free variant: same versioned-lock layout, but instead of spinning
-    /// it aborts on any lock it cannot take immediately (never blocks).
-    ObstructionFree,
-    /// Thread-local replicas, no shared memory at all: wait-free, strict DAP
-    /// (vacuously) and only PRAM-consistent.
-    PramLocal,
-}
-
-impl fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackendKind::Tl2Blocking => f.write_str("tl2-blocking"),
-            BackendKind::ObstructionFree => f.write_str("obstruction-free"),
-            BackendKind::PramLocal => f.write_str("pram-local"),
-        }
-    }
-}
-
 /// The operations a backend must provide.  `TxnData` carries the per-transaction
 /// bookkeeping (read set, write set, snapshot timestamp) that all backends share.
 pub trait Backend: Send + Sync {
@@ -84,18 +53,5 @@ mod tests {
         assert!(VarId(0) < VarId(1));
         assert_eq!(VarId(3).index(), 3);
         assert_eq!(VarId(3).to_string(), "v3");
-    }
-
-    #[test]
-    fn backend_kinds_have_distinct_names() {
-        let names: Vec<String> =
-            [BackendKind::Tl2Blocking, BackendKind::ObstructionFree, BackendKind::PramLocal]
-                .iter()
-                .map(|k| k.to_string())
-                .collect();
-        assert_eq!(names.len(), 3);
-        assert!(names.contains(&"tl2-blocking".to_string()));
-        assert_ne!(names[0], names[1]);
-        assert_ne!(names[1], names[2]);
     }
 }

@@ -31,9 +31,9 @@
 //!    (p50/p99) so policies are measurable, not just selectable.
 //!
 //! ```
-//! use stm_runtime::{BackendKind, Stm, StmError, TVar};
+//! use stm_runtime::{registry, Stm, StmError, TVar};
 //!
-//! let stm = Stm::new(BackendKind::Tl2Blocking);
+//! let stm = Stm::new(registry::TL2_BLOCKING);
 //! let account_a: TVar<i64> = stm.alloc(100);
 //! let account_b: TVar<i64> = stm.alloc(0);
 //! let moved = stm.run(|tx| {
@@ -76,11 +76,11 @@ pub mod value;
 pub mod vartable;
 pub mod wal;
 
-pub use backend::{Backend, BackendKind, VarId};
+pub use backend::{Backend, VarId};
 pub use policy::{RetryDecision, RetryPolicy};
 pub use recorder::{
     footprint_of, route_band, CommitBatch, CommitRecord, OwnedCommitRecord, Recorder,
-    StreamConsumer, StreamingRecorder, TeeRecorder, ROUTE_BANDS,
+    StreamConsumer, StreamingRecorder, ROUTE_BANDS,
 };
 pub use registry::{BackendId, BackendSpec};
 pub use stats::StmStats;
@@ -108,8 +108,8 @@ pub struct Stm {
 }
 
 impl Stm {
-    /// Create an STM instance with the given backend (a [`BackendKind`], a
-    /// [`BackendId`] parsed from a name, or the id returned by
+    /// Create an STM instance with the given backend (a [`registry`]
+    /// constant, a [`BackendId`] parsed from a name, or the id returned by
     /// [`registry::register`]).
     pub fn new(backend: impl Into<BackendId>) -> Self {
         let id = backend.into();
@@ -168,14 +168,6 @@ impl Stm {
     /// Which backend this instance uses.
     pub fn backend_id(&self) -> BackendId {
         self.id
-    }
-
-    /// The built-in [`BackendKind`] of this instance, if it uses one of the
-    /// three built-in backends.
-    pub fn kind(&self) -> Option<BackendKind> {
-        [BackendKind::Tl2Blocking, BackendKind::ObstructionFree, BackendKind::PramLocal]
-            .into_iter()
-            .find(|k| k.id() == self.id)
     }
 
     /// Allocate a typed transactional variable: `T::WORDS` consecutive words
@@ -387,8 +379,8 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn all_kinds() -> [BackendKind; 3] {
-        [BackendKind::Tl2Blocking, BackendKind::ObstructionFree, BackendKind::PramLocal]
+    fn all_kinds() -> [BackendId; 3] {
+        [registry::TL2_BLOCKING, registry::OBSTRUCTION_FREE, registry::PRAM_LOCAL]
     }
 
     #[test]
@@ -400,8 +392,7 @@ mod tests {
             stm.write_now(x, 42);
             assert_eq!(stm.read_now(x), 42, "{kind:?}");
             assert!(stm.stats().commits() >= 3);
-            assert_eq!(stm.kind(), Some(kind));
-            assert_eq!(stm.backend_id(), kind.id());
+            assert_eq!(stm.backend_id(), kind);
         }
     }
 
@@ -454,7 +445,7 @@ mod tests {
     fn multi_word_variables_are_read_atomically_under_contention() {
         // Writers keep the two words of a pair equal inside one transaction;
         // readers must never observe them differ on a consistent backend.
-        for kind in [BackendKind::Tl2Blocking, BackendKind::ObstructionFree] {
+        for kind in [registry::TL2_BLOCKING, registry::OBSTRUCTION_FREE] {
             let stm = Arc::new(Stm::new(kind));
             let pair: TVar<(i64, i64)> = stm.alloc((0, 0));
             std::thread::scope(|s| {
@@ -492,7 +483,7 @@ mod tests {
 
     #[test]
     fn concurrent_counter_increments_are_not_lost_on_consistent_backends() {
-        for kind in [BackendKind::Tl2Blocking, BackendKind::ObstructionFree] {
+        for kind in [registry::TL2_BLOCKING, registry::OBSTRUCTION_FREE] {
             let stm = Arc::new(Stm::new(kind));
             let counter = stm.alloc(0i64);
             let threads = 4;
@@ -520,7 +511,7 @@ mod tests {
     #[test]
     fn bounded_policies_give_up_through_run_policy() {
         use crate::policy::BoundedRetry;
-        let stm = Stm::new(BackendKind::ObstructionFree)
+        let stm = Stm::new(registry::OBSTRUCTION_FREE)
             .with_policy(Arc::new(BoundedRetry { max_attempts: 3 }));
         assert_eq!(stm.policy().name(), "bounded");
         let x = stm.alloc(0i64);
@@ -546,7 +537,7 @@ mod tests {
     #[test]
     fn backoff_policies_still_commit_under_contention() {
         use crate::policy::ExponentialBackoff;
-        let stm = Arc::new(Stm::new(BackendKind::ObstructionFree).with_policy(Arc::new(
+        let stm = Arc::new(Stm::new(registry::OBSTRUCTION_FREE).with_policy(Arc::new(
             ExponentialBackoff { base_spins: 4, max_spins: 64, ..Default::default() },
         )));
         let counter = stm.alloc(0i64);
@@ -622,7 +613,6 @@ mod tests {
         // write skew).
         for id in [registry::MVCC, registry::SHARD_LOCK] {
             let stm = Arc::new(Stm::new(id));
-            assert_eq!(stm.kind(), None, "interior designs have no legacy BackendKind");
             let pair: TVar<(i64, i64)> = stm.alloc((0, 0));
             let counter = stm.alloc(0i64);
             std::thread::scope(|s| {
@@ -646,7 +636,7 @@ mod tests {
     fn abort_reason_taxonomy_sums_to_total_aborts_under_contention() {
         // Metric invariant: every abort carries exactly one classified
         // reason, and conflict aborts never fall through to `Explicit`.
-        for kind in [BackendKind::Tl2Blocking, BackendKind::ObstructionFree] {
+        for kind in [registry::TL2_BLOCKING, registry::OBSTRUCTION_FREE] {
             let stm = Arc::new(Stm::new(kind));
             let counter = stm.alloc(0i64);
             std::thread::scope(|s| {
@@ -698,8 +688,7 @@ mod tests {
         let registry = tm_telemetry::Registry::new();
         for kind in all_kinds() {
             let stm = Arc::new(
-                Stm::new(kind)
-                    .with_telemetry(StmTelemetry::from_registry(&registry, kind.id().name())),
+                Stm::new(kind).with_telemetry(StmTelemetry::from_registry(&registry, kind.name())),
             );
             let counter = stm.alloc(0i64);
             std::thread::scope(|s| {
@@ -732,7 +721,7 @@ mod tests {
 
     #[test]
     fn pram_backend_loses_cross_thread_updates_by_design() {
-        let stm = Arc::new(Stm::new(BackendKind::PramLocal));
+        let stm = Arc::new(Stm::new(registry::PRAM_LOCAL));
         let x = stm.alloc(0i64);
         std::thread::scope(|s| {
             let stm2 = Arc::clone(&stm);
@@ -748,7 +737,7 @@ mod tests {
 
     #[test]
     fn disjoint_threads_scale_without_aborts_on_dap_backends() {
-        for kind in [BackendKind::Tl2Blocking, BackendKind::ObstructionFree] {
+        for kind in [registry::TL2_BLOCKING, registry::OBSTRUCTION_FREE] {
             let stm = Arc::new(Stm::new(kind));
             let vars: Vec<TVar<i64>> = (0..4).map(|_| stm.alloc(0i64)).collect();
             std::thread::scope(|s| {

@@ -12,7 +12,8 @@
 //!   and deliberately excluded);
 //! * the transaction's **write set** — the values installed at commit;
 //! * the calling thread's **session id**, if the thread registered one with
-//!   [`set_session`] (the auditor falls back to per-thread identity otherwise).
+//!   [`set_session`] ([`StreamingRecorder`] requires it: sessions cannot be
+//!   assigned safely after the fact).
 //!
 //! Session order then falls out of per-thread sequence numbers (each thread's
 //! records arrive in its program order), and write-read edges are recovered
@@ -27,8 +28,9 @@
 //!
 //! # Streaming
 //!
-//! For runs too large to buffer whole, [`StreamingRecorder`] is a sharded,
-//! per-session buffered channel: each commit lands in its session's private
+//! [`StreamingRecorder`] — the one recorder behind every recorded run, whole-
+//! history batch audits included — is a sharded, per-session buffered
+//! channel: each commit lands in its session's private
 //! shard (one uncontended mutex push plus one relaxed fetch-add for the
 //! global recording index), and a full shard flushes one [`CommitBatch`] to
 //! a bounded queue that a consumer thread — the streaming auditor — drains
@@ -56,7 +58,8 @@ pub struct CommitRecord<'a> {
     pub writes: &'a VarMap<i64>,
 }
 
-/// A sink for commit records (implemented by `tm-audit`'s history recorder).
+/// A sink for commit records.  [`StreamingRecorder`] is the implementation
+/// every recorded run in the workspace uses.
 pub trait Recorder: Send + Sync {
     /// Called once per successful commit, on the committing thread, after the
     /// backend's commit completed.
@@ -290,38 +293,6 @@ impl Recorder for StreamingRecorder {
     }
 }
 
-/// Fans every commit record out to two recorders — the export hook that
-/// lets a secondary observer (a metrics counter, an on-disk spill, a second
-/// auditor) ride along with the primary recorder without touching the
-/// runtime's single `Option<Arc<dyn Recorder>>` slot.
-///
-/// Both recorders see the same [`CommitRecord`], on the committing thread,
-/// in the same per-thread order.  **Caveat**: recorders that assign global
-/// recording indices (hints) each count independently, so under concurrency
-/// the two sides may number the same commit differently.  Hint-exact history
-/// capture therefore tees *after* the merge stage instead — see
-/// `tm_audit::TeeSink` — and this recorder-level hook is for observers that
-/// only need the per-commit payload.
-pub struct TeeRecorder {
-    first: Arc<dyn Recorder>,
-    second: Arc<dyn Recorder>,
-}
-
-impl TeeRecorder {
-    /// Fan commits out to `first` then `second` (synchronously, in that
-    /// order, on the committing thread).
-    pub fn new(first: Arc<dyn Recorder>, second: Arc<dyn Recorder>) -> Self {
-        TeeRecorder { first, second }
-    }
-}
-
-impl Recorder for TeeRecorder {
-    fn on_commit(&self, record: CommitRecord<'_>) {
-        self.first.on_commit(record);
-        self.second.on_commit(record);
-    }
-}
-
 /// The consuming end of a [`StreamingRecorder`].
 pub struct StreamConsumer {
     queue: Arc<BatchQueue>,
@@ -377,7 +348,7 @@ mod tests {
     fn streaming_recorder_batches_per_session_in_order() {
         let rec = Arc::new(StreamingRecorder::new(2, 3));
         let consumer = rec.consumer();
-        let stm = crate::Stm::with_recorder(crate::BackendKind::Tl2Blocking, Arc::clone(&rec) as _);
+        let stm = crate::Stm::with_recorder(crate::registry::TL2_BLOCKING, Arc::clone(&rec) as _);
         let x = stm.alloc(0);
         std::thread::scope(|scope| {
             let stm = &stm;
@@ -413,6 +384,11 @@ mod tests {
             // Session order is preserved end to end.
             assert!(records.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
             assert!(records.windows(2).all(|w| w[0].hint < w[1].hint));
+            // …and it is the session's program order: its seven writes, as
+            // issued.
+            let written: Vec<i64> = records.iter().map(|r| r.writes[0].1).collect();
+            let issued: Vec<i64> = (0..7).map(|i| ((s as i64 + 1) << 32) + i).collect();
+            assert_eq!(written, issued, "session {s}");
             assert!(records.iter().all(|r| r.writes.len() == 1));
         }
         // Hints are globally unique.
@@ -429,7 +405,7 @@ mod tests {
         let rec = Arc::new(StreamingRecorder::with_capacity(1, 2, 4));
         let consumer = rec.consumer();
         let stm =
-            crate::Stm::with_recorder(crate::BackendKind::ObstructionFree, Arc::clone(&rec) as _);
+            crate::Stm::with_recorder(crate::registry::OBSTRUCTION_FREE, Arc::clone(&rec) as _);
         let x = stm.alloc(0);
         let drained = std::thread::scope(|scope| {
             let handle = scope.spawn(move || {
@@ -460,7 +436,7 @@ mod tests {
     #[should_panic(expected = "requires every worker to call recorder::set_session")]
     fn streaming_recorder_rejects_unregistered_threads() {
         let rec = Arc::new(StreamingRecorder::new(1, 8));
-        let stm = crate::Stm::with_recorder(crate::BackendKind::Tl2Blocking, rec as _);
+        let stm = crate::Stm::with_recorder(crate::registry::TL2_BLOCKING, rec as _);
         let x = stm.alloc(0);
         clear_session();
         stm.run(|tx| tx.write(x, 1));
@@ -496,7 +472,7 @@ mod tests {
     fn streamed_records_carry_their_footprint() {
         let rec = Arc::new(StreamingRecorder::new(1, 64));
         let consumer = rec.consumer();
-        let stm = crate::Stm::with_recorder(crate::BackendKind::Tl2Blocking, Arc::clone(&rec) as _);
+        let stm = crate::Stm::with_recorder(crate::registry::TL2_BLOCKING, Arc::clone(&rec) as _);
         let x = stm.alloc(0);
         let y = stm.alloc(0);
         set_session(0);
@@ -512,36 +488,6 @@ mod tests {
             footprint_of(record.reads.iter().chain(&record.writes).map(|&(v, _)| v.index()));
         assert_eq!(record.footprint, expected);
         assert_ne!(record.footprint, 0);
-    }
-
-    #[test]
-    fn tee_recorder_delivers_every_commit_to_both_sides() {
-        struct Counting {
-            commits: AtomicU64,
-            writes: AtomicU64,
-        }
-        impl Recorder for Counting {
-            fn on_commit(&self, record: CommitRecord<'_>) {
-                self.commits.fetch_add(1, Ordering::Relaxed);
-                self.writes.fetch_add(record.writes.len() as u64, Ordering::Relaxed);
-            }
-        }
-        let a = Arc::new(Counting { commits: AtomicU64::new(0), writes: AtomicU64::new(0) });
-        let b = Arc::new(Counting { commits: AtomicU64::new(0), writes: AtomicU64::new(0) });
-        let tee = Arc::new(TeeRecorder::new(Arc::clone(&a) as _, Arc::clone(&b) as _));
-        let stm = crate::Stm::with_recorder(crate::BackendKind::Tl2Blocking, tee as _);
-        let x = stm.alloc(0);
-        let y = stm.alloc(0);
-        for i in 1..=9i64 {
-            stm.run(|tx| {
-                tx.write(x, i)?;
-                tx.write(y, -i)
-            });
-        }
-        for side in [&a, &b] {
-            assert_eq!(side.commits.load(Ordering::Relaxed), 9);
-            assert_eq!(side.writes.load(Ordering::Relaxed), 18);
-        }
     }
 
     #[test]

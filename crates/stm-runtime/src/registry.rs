@@ -15,7 +15,7 @@
 //! [`std::fmt::Display`], so no caller ever stringly-matches backend names
 //! again.
 
-use crate::backend::{Backend, BackendKind};
+use crate::backend::Backend;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -81,10 +81,9 @@ impl fmt::Debug for BackendSpec {
 
 /// A cheap, copyable handle to a registered backend (its canonical name).
 ///
-/// Obtained from [`register`], [`str::parse`], the built-in
-/// constants ([`TL2_BLOCKING`], [`OBSTRUCTION_FREE`], [`PRAM_LOCAL`]) or a
-/// [`BackendKind`] conversion — every route guarantees the registry can
-/// resolve it.
+/// Obtained from [`register`], [`str::parse`] or the built-in constants
+/// ([`TL2_BLOCKING`], [`OBSTRUCTION_FREE`], [`PRAM_LOCAL`], [`MVCC`],
+/// [`SHARD_LOCK`]) — every route guarantees the registry can resolve it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BackendId(&'static str);
 
@@ -122,23 +121,6 @@ pub const MVCC: BackendId = BackendId("mvcc");
 /// disjoint-access-parallelism: per-band metadata between `global-lock` and
 /// TL2).
 pub const SHARD_LOCK: BackendId = BackendId("shard-lock");
-
-impl From<BackendKind> for BackendId {
-    fn from(kind: BackendKind) -> BackendId {
-        kind.id()
-    }
-}
-
-impl BackendKind {
-    /// The registry id of this built-in backend.
-    pub fn id(self) -> BackendId {
-        match self {
-            BackendKind::Tl2Blocking => TL2_BLOCKING,
-            BackendKind::ObstructionFree => OBSTRUCTION_FREE,
-            BackendKind::PramLocal => PRAM_LOCAL,
-        }
-    }
-}
 
 /// Parsing failed: the name matches no registered backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -375,13 +357,6 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("unknown backend"), "{msg}");
         assert!(msg.contains("tl2-blocking"), "{msg}");
-    }
-
-    #[test]
-    fn backend_kind_converts_to_ids() {
-        assert_eq!(BackendId::from(BackendKind::Tl2Blocking), TL2_BLOCKING);
-        assert_eq!(BackendKind::ObstructionFree.id(), OBSTRUCTION_FREE);
-        assert_eq!(BackendKind::PramLocal.id(), PRAM_LOCAL);
     }
 
     #[test]

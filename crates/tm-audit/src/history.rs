@@ -11,7 +11,10 @@
 //! read names its source write unambiguously.
 //!
 //! Sources:
-//! * live multi-threaded STM runs, via [`crate::recorder::HistoryRecorder`];
+//! * live multi-threaded STM runs: [`stm_runtime::StreamingRecorder`] →
+//!   [`crate::StreamMerger`] → [`crate::HistoryCollector`] (what
+//!   `workloads::run_live` does when asked to capture);
+//! * serialized histories, via `tm-history`'s decoder;
 //! * deterministic simulator runs, via [`crate::adapter`];
 //! * hand-written scenarios in tests, via [`AuditHistory::push_txn`].
 

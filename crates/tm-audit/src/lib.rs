@@ -7,13 +7,17 @@
 //! following the dbcop framework of Biswas & Enea, *"On the Complexity of
 //! Checking Transactional Consistency"* (OOPSLA 2019):
 //!
-//! 1. **Record** ([`recorder`], [`workload`]) — a [`HistoryRecorder`] plugs
-//!    into [`stm_runtime::Stm::with_recorder`] and captures the `(T, so, wr)`
-//!    structure of a live run: session order from per-thread sequence numbers,
-//!    write-read edges from unique write values.  The uninstrumented hot path
-//!    stays a single never-taken branch.  For runs too big to hold whole,
-//!    [`stm_runtime::StreamingRecorder`] batches commits per session and
-//!    drains them to the auditor *while the run is still going*.
+//! 1. **Record** — upstream of this crate: `stm-runtime` records
+//!    ([`stm_runtime::StreamingRecorder`] plugs into
+//!    [`stm_runtime::Stm::with_recorder`] and batches commits per session
+//!    into a bounded queue; the uninstrumented hot path stays a single
+//!    never-taken branch) and `workloads` runs (`run_live` owns the worker
+//!    threads and the scenarios).  What arrives here is the `(T, so, wr)`
+//!    structure of the run: a [`StreamMerger`] restores global recording
+//!    order ([`StreamMerger::drain`] is the whole consumer side), session
+//!    order is per-session arrival order, write-read edges come from unique
+//!    write values, and the sink is an auditor or — for a whole-history
+//!    audit or an export — a [`HistoryCollector`].
 //! 2. **Check** ([`saturation`], [`linearization`]) — **verify first, search
 //!    on failure**.  Finding a commit order is NP-complete from Prefix
 //!    upwards, but *verifying* one is linear, the recorder supplies a
@@ -59,30 +63,44 @@
 //! ## Quick example
 //!
 //! ```
-//! use tm_audit::{audit, record_run, AuditRunConfig, Level};
-//! use stm_runtime::BackendKind;
+//! use std::sync::Arc;
+//! use stm_runtime::{recorder, registry, BackendId, Stm, StreamingRecorder};
+//! use tm_audit::{audit, AuditHistory, HistoryCollector, Level, StreamMerger};
 //!
-//! // Record 2 threads × 200 transactions on the blocking backend…
-//! let history = record_run(AuditRunConfig {
-//!     backend: BackendKind::Tl2Blocking.id(),
-//!     sessions: 2,
-//!     txns_per_session: 200,
-//!     vars: 16,
-//!     seed: 1,
-//! });
-//! // …and prove which consistency levels the run satisfied.
-//! let report = audit(&history);
+//! // Two sessions race 200 read-modify-writes each on one variable, every
+//! // write value unique; the recorder's queue holds the whole run, so it is
+//! // drained afterwards (`workloads::run_live` drains beside the workload).
+//! fn contended_rmws(backend: BackendId) -> AuditHistory {
+//!     let rec = Arc::new(StreamingRecorder::new(2, 256));
+//!     let consumer = rec.consumer();
+//!     let stm = Stm::with_recorder(backend, Arc::clone(&rec) as _);
+//!     let x = stm.alloc(0i64);
+//!     std::thread::scope(|scope| {
+//!         for session in 0..2usize {
+//!             let stm = &stm;
+//!             scope.spawn(move || {
+//!                 recorder::set_session(session);
+//!                 for i in 1..=200i64 {
+//!                     stm.run(|tx| {
+//!                         let _ = tx.read(x)?;
+//!                         tx.write(x, ((session as i64 + 1) << 40) + i)
+//!                     });
+//!                 }
+//!             });
+//!         }
+//!     });
+//!     rec.finish();
+//!     let mut collector = HistoryCollector::new(1, 0, 2);
+//!     StreamMerger::drain(&consumer, 2, &mut collector);
+//!     collector.into_history()
+//! }
+//!
+//! // The blocking backend's run is serializable — proved, with a witness.
+//! let report = audit(&contended_rmws(registry::TL2_BLOCKING));
 //! assert!(report.passes(Level::Serializable));
 //!
 //! // The PRAM backend trades consistency away — the auditor catches it.
-//! let pram = record_run(AuditRunConfig {
-//!     backend: BackendKind::PramLocal.id(),
-//!     sessions: 2,
-//!     txns_per_session: 200,
-//!     vars: 16,
-//!     seed: 1,
-//! });
-//! let report = audit(&pram);
+//! let report = audit(&contended_rmws(registry::PRAM_LOCAL));
 //! assert!(report.passes(Level::Causal));
 //! assert!(report.fails(Level::Serializable));
 //! ```
@@ -96,30 +114,29 @@ pub mod history;
 pub mod linearization;
 pub mod partition;
 pub mod po;
-pub mod recorder;
 pub mod recovery;
 pub mod report;
 pub(crate) mod sat_bridge;
 pub mod saturation;
 pub mod telemetry;
 pub mod window;
-pub mod workload;
 
 pub use adapter::from_execution;
 pub use history::{AuditHistory, AuditTxn, HistoryError, TxnId};
 pub use partition::{
-    audit_sharded, audit_sharded_adaptive, partition_of, BandMove, BandRouter, PartitionLag,
-    PartitionVerdict, ShardConfig, ShardConviction, ShardEvent, ShardLagProbe, ShardedAuditor,
-    ShardedStreamReport,
+    audit_sharded, partition_of, BandMove, BandRouter, PartitionLag, PartitionVerdict, ShardConfig,
+    ShardConviction, ShardEvent, ShardLagProbe, ShardedAuditor, ShardedStreamReport,
 };
-pub use recorder::HistoryRecorder;
-pub use recovery::{parse_json, FrontierSnapshot, JsonValue, RecoveryError};
+pub use recovery::{FrontierSnapshot, RecoveryError};
 pub use report::{AuditReport, DecidedBy, Level, LevelReport, Outcome};
+/// The workspace's JSON writer/reader, re-exported for the one crate that
+/// links `tm-audit` but not `tm-telemetry`: `tm-history`, whose manifest is
+/// frozen together with `benchmark/Cargo.lock`.
+pub use tm_telemetry::json;
 pub use window::{
     audit_streamed, Conviction, HistoryCollector, StreamMerger, StreamReport, TeeSink, TxnSink,
     WindowConfig, WindowVerdict, WindowedAuditor,
 };
-pub use workload::{record_run, AuditRunConfig};
 
 use linearization::{
     certify_hint_order, find_lost_update, find_same_source_skew, search_prefix,

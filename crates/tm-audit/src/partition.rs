@@ -35,8 +35,8 @@
 //!   refutation-only recheck**: its polynomial refutations (cross-window
 //!   lost update, same-source write skew, causal-cycle saturation) run at
 //!   full strength and its convictions win the merge, but its SI/SER
-//!   *witness* searches run on a slashed budget
-//!   ([`ShardConfig::escalation_budget`]) and a lane `Unknown` is advisory —
+//!   *witness* searches run on a slashed budget (1 024 DFS states, over
+//!   windows capped at 256 transactions) and a lane `Unknown` is advisory —
 //!   the lane's sub-history omits every non-straddling transaction by
 //!   construction, so a witness search there cannot decide anything the
 //!   per-partition verdicts do not already attest;
@@ -76,7 +76,7 @@
 //! replay ([`audit_sharded`]).
 
 use crate::history::AuditTxn;
-use crate::report::{json_escape, AuditReport, DecidedBy, Level, LevelReport, Outcome};
+use crate::report::{fold_outcomes, AuditReport, DecidedBy, Level, LevelReport, Outcome};
 use crate::telemetry::AuditTelemetry;
 use crate::window::{
     recording_order, Conviction, StreamReport, TxnSink, WindowConfig, WindowVerdict,
@@ -89,6 +89,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use stm_runtime::{route_band, ROUTE_BANDS};
+use tm_telemetry::json;
 
 /// Shape of a sharded audit pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -105,35 +106,37 @@ pub struct ShardConfig {
     /// grows superlinearly with window size).  This is where the sharded
     /// pipeline's throughput comes from even before parallelism.
     pub window: WindowConfig,
-    /// Routed batches each partition queue may hold before the router blocks
-    /// (backpressure keeps memory bounded when a partition falls behind).
-    pub queue_capacity: usize,
     /// Transactions the router buffers per partition before sending one
     /// batch (amortizes channel traffic; flushed on finish regardless).
     pub route_batch: usize,
-    /// DFS state budget for the escalation lane's SI/SER witness searches (default 1 024).
-    ///
-    /// The lane's sub-history is attribution-incomplete *by construction*
-    /// (straddlers read values whose writers stayed in-band), so witness
-    /// searches there face unordered stand-in writers and explode without
-    /// deciding anything.  The lane's real job — the cross-band
-    /// **refutations** (lost update, same-source write skew, causal cycle) —
-    /// is polynomial and unaffected by this budget; the slashed budget is
-    /// what makes the cross-partition recheck *bounded*.
-    pub escalation_budget: u64,
-    /// Window shape override for the escalation lane (`None` = the scaled
-    /// partition window with its size capped at 256).  Lane windows pay for
-    /// every unresolvable read with a stand-in, so a small lane window is
-    /// what keeps the cross-partition recheck cheap; a straddler stream is
-    /// thin relative to the partitions', so even a small lane window spans
-    /// a long stretch of global history.
-    pub escalation_window: Option<WindowConfig>,
     /// Enable live re-banding: the runner's lag sampler periodically calls
     /// [`BandRouter::rebalance`] so a partition drowning in routed-but-not-
     /// audited transactions sheds its hottest band to the idlest partition.
     /// Off by default — static banding keeps routing reproducible.
     pub adaptive: bool,
 }
+
+/// Routed batches each partition queue may hold before the router blocks
+/// (backpressure keeps memory bounded when a partition falls behind).
+const QUEUE_CAPACITY: usize = 256;
+
+/// DFS state budget for the escalation lane's SI/SER witness searches.
+///
+/// The lane's sub-history is attribution-incomplete *by construction*
+/// (straddlers read values whose writers stayed in-band), so witness
+/// searches there face unordered stand-in writers and explode without
+/// deciding anything.  The lane's real job — the cross-band **refutations**
+/// (lost update, same-source write skew, causal cycle) — is polynomial and
+/// unaffected by this budget; the slashed budget is what makes the
+/// cross-partition recheck *bounded*.
+const ESCALATION_BUDGET: u64 = 1_024;
+
+/// Size cap of the escalation lane's windows (the scaled partition window,
+/// capped).  Lane windows pay for every unresolvable read with a stand-in,
+/// so a small lane window is what keeps the cross-partition recheck cheap;
+/// a straddler stream is thin relative to the partitions', so even a small
+/// lane window spans a long stretch of global history.
+const ESCALATION_WINDOW_CAP: usize = 256;
 
 /// The per-partition window for a K-way split: `1/K` of the configured
 /// global-horizon window (floored so degenerate test windows stay usable),
@@ -158,22 +161,12 @@ fn scaled_window(base: WindowConfig, k: usize) -> WindowConfig {
 impl ShardConfig {
     /// A config with `shards` partitions and the given window shape.
     pub fn new(shards: usize, window: WindowConfig) -> Self {
-        ShardConfig {
-            shards,
-            window,
-            queue_capacity: 256,
-            route_batch: 128,
-            escalation_budget: 1_024,
-            escalation_window: None,
-            adaptive: false,
-        }
+        ShardConfig { shards, window, route_batch: 128, adaptive: false }
     }
 
     fn normalized(mut self) -> Self {
         self.shards = self.shards.clamp(1, ROUTE_BANDS);
-        self.queue_capacity = self.queue_capacity.max(1);
         self.route_batch = self.route_batch.max(1);
-        self.escalation_budget = self.escalation_budget.max(1);
         self
     }
 }
@@ -551,7 +544,7 @@ impl ShardedStreamReport {
                 sc.conviction.level.name(),
                 sc.conviction.window,
                 sc.conviction.txns_seen,
-                json_escape(&sc.conviction.violation)
+                json::escape(&sc.conviction.violation)
             )),
             None => out.push_str("\"first_conviction\":null,"),
         }
@@ -571,7 +564,7 @@ impl ShardedStreamReport {
                 p.stream.windows.len(),
                 p.stream.evicted_attributions,
                 p.stream.peak_closure_bytes,
-                json_escape(&p.stream.summary()),
+                json::escape(&p.stream.summary()),
                 p.stream.merged.to_json()
             ));
         }
@@ -799,20 +792,19 @@ impl ShardedAuditor {
         let mut counters = Vec::with_capacity(lanes);
         let mut workers = Vec::with_capacity(lanes);
         for lane in 0..lanes {
-            let (tx, rx) = sync_channel::<Vec<(usize, AuditTxn)>>(config.queue_capacity);
+            let (tx, rx) = sync_channel::<Vec<(usize, AuditTxn)>>(QUEUE_CAPACITY);
             let lane_counters = Arc::new(PartitionCounters::default());
             let scaled = scaled_window(config.window, config.shards);
             let window = if lane == config.shards {
                 // The escalation lane is a bounded recheck: polynomial
                 // refutations at full strength, witness searches capped,
                 // small windows so stand-in machinery stays cheap.
-                let mut lane_window = config.escalation_window.unwrap_or(WindowConfig {
-                    size: scaled.size.min(256),
-                    overlap: scaled.overlap.min(256 / 8),
+                WindowConfig {
+                    size: scaled.size.min(ESCALATION_WINDOW_CAP),
+                    overlap: scaled.overlap.min(ESCALATION_WINDOW_CAP / 8),
+                    budget: scaled.budget.min(ESCALATION_BUDGET),
                     ..scaled
-                });
-                lane_window.budget = lane_window.budget.min(config.escalation_budget);
-                lane_window
+                }
             } else {
                 scaled
             };
@@ -1075,66 +1067,35 @@ fn merged_outcome(
     shards: usize,
     escalated_txns: u64,
 ) -> Outcome {
-    // A conviction anywhere is a real violation of the whole run — and it
-    // must never be downgraded by another partition's Unknown.
-    if let Some((label, violation)) =
-        partitions.iter().find_map(|p| match p.stream.merged.outcome(level) {
-            Some(Outcome::Fail { violation }) => Some((lane_label(p), violation.clone())),
-            _ => None,
-        })
-    {
-        return Outcome::Fail { violation: format!("{label}: {violation}") };
-    }
+    // A conviction anywhere is a real violation of the whole run — the fold
+    // never lets another partition's Unknown downgrade it.
+    //
     // The escalation lane is refutation-only: its sub-history drops every
     // non-straddling transaction, so its witness searches routinely exhaust
     // their (deliberately slashed) budget against unordered stand-in writers.
     // A lane Unknown therefore says nothing the per-partition verdicts do
-    // not already attest — it is excluded from the aggregation, while a lane
-    // *conviction* (handled above) always wins.  The lane's own outcome
-    // stays visible verbatim in [`ShardedStreamReport::partitions`].
-    let unknowns: Vec<(&PartitionVerdict, &Outcome)> = partitions
-        .iter()
-        .filter(|p| !p.escalation)
-        .filter_map(|p| match p.stream.merged.outcome(level) {
-            Some(o @ Outcome::Unknown { .. }) => Some((p, o)),
-            _ => None,
-        })
-        .collect();
-    if let Some(&(first, _)) = unknowns.first() {
-        let (mut states_total, mut budget_max, mut refuted_any) = (0u64, 0u64, None);
-        let mut first_reason = String::new();
-        for (_, o) in &unknowns {
-            if let Outcome::Unknown { reason, states, refuted, next_budget } = o {
-                states_total = states_total.saturating_add(*states);
-                budget_max = budget_max.max(*next_budget);
-                refuted_any = refuted_any.or(*refuted);
-                if first_reason.is_empty() {
-                    first_reason = reason.clone();
-                }
-            }
-        }
-        return Outcome::Unknown {
-            reason: format!(
-                "{} of {shards} partition(s) inconclusive (first: {}: {first_reason})",
-                unknowns.len(),
-                lane_label(first)
-            ),
-            states: states_total,
-            refuted: refuted_any,
-            next_budget: budget_max,
-        };
-    }
-    Outcome::Pass {
-        witness: format!(
-            "attested per partition: {} passed in all {shards} variable-band projections, and \
-             the escalation lane's bounded recheck of {escalated_txns} straddling \
-             transaction(s) raised no cross-band refutation; sharded auditing is \
-             violation-sound (any partition's conviction is real), and a pass certifies each \
-             band's projected sub-history plus the refutation-checked straddlers, not the \
-             uncut cross-band order",
-            level.tag()
-        ),
-    }
+    // not already attest — it is kept out of the fold, while a lane
+    // *conviction* always wins.  The lane's own outcome stays visible
+    // verbatim in [`ShardedStreamReport::partitions`].
+    fold_outcomes(
+        partitions.iter().filter_map(|p| {
+            let outcome = p.stream.merged.outcome(level)?;
+            let advisory = p.escalation && matches!(outcome, Outcome::Unknown { .. });
+            (!advisory).then(|| (lane_label(p), outcome))
+        }),
+        |count, first| format!("{count} of {shards} partition(s) inconclusive (first: {first})"),
+        || {
+            format!(
+                "attested per partition: {} passed in all {shards} variable-band projections, \
+                 and the escalation lane's bounded recheck of {escalated_txns} straddling \
+                 transaction(s) raised no cross-band refutation; sharded auditing is \
+                 violation-sound (any partition's conviction is real), and a pass certifies \
+                 each band's projected sub-history plus the refutation-checked straddlers, not \
+                 the uncut cross-band order",
+                level.tag()
+            )
+        },
+    )
 }
 
 /// Stream a complete [`AuditHistory`] through a [`ShardedAuditor`] in
@@ -1146,36 +1107,6 @@ pub fn audit_sharded(history: &AuditHistory, config: ShardConfig) -> ShardedStre
     let mut auditor = ShardedAuditor::new(history.n_vars, history.initial, config);
     for (session, txn) in recording_order(history) {
         auditor.push(session, txn.clone());
-    }
-    auditor.finish()
-}
-
-/// [`audit_sharded`] with live re-banding: every `rebalance_every` pushes
-/// the router consults the lag probe and may move the hottest band off the
-/// most-backlogged partition ([`BandRouter::rebalance`]).  The *push order*
-/// is the same deterministic replay as [`audit_sharded`]; whether a given
-/// sample triggers a move depends on how far the partition threads have
-/// drained, so routing may differ between runs — the soundness statement
-/// (convictions real, passes attested per projected sub-history) holds for
-/// every routing, which is exactly what the differential tests pin.
-pub fn audit_sharded_adaptive(
-    history: &AuditHistory,
-    config: ShardConfig,
-    rebalance_every: usize,
-) -> ShardedStreamReport {
-    let mut auditor = ShardedAuditor::new(
-        history.n_vars,
-        history.initial,
-        ShardConfig { adaptive: true, ..config },
-    );
-    let probe = auditor.lag_probe();
-    let router = auditor.router();
-    let every = rebalance_every.max(1);
-    for (i, (session, txn)) in recording_order(history).into_iter().enumerate() {
-        auditor.push(session, txn.clone());
-        if (i + 1) % every == 0 {
-            router.rebalance(&probe.sample());
-        }
     }
     auditor.finish()
 }

@@ -34,6 +34,7 @@ use crate::window::{Conviction, WindowVerdict};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
+use tm_telemetry::json::{self, Value};
 
 /// Version tag of the snapshot JSON this module reads and writes.
 pub const SNAPSHOT_VERSION: u64 = 1;
@@ -59,6 +60,12 @@ impl fmt::Display for RecoveryError {
 }
 
 impl std::error::Error for RecoveryError {}
+
+impl From<json::ParseError> for RecoveryError {
+    fn from(e: json::ParseError) -> Self {
+        RecoveryError::new(e.message)
+    }
+}
 
 /// The committed state of a [`crate::WindowedAuditor`] at a window boundary
 /// — everything a fresh process needs to continue the audit as if the crash
@@ -190,7 +197,7 @@ impl FrontierSnapshot {
                     c.level.tag(),
                     c.window,
                     c.txns_seen,
-                    crate::report::json_escape(&c.violation)
+                    json::escape(&c.violation)
                 );
             }
         }
@@ -226,7 +233,7 @@ impl FrontierSnapshot {
                 w.index,
                 w.txns,
                 w.audit_elapsed.as_micros(),
-                crate::report::json_escape(&w.report.shape)
+                json::escape(&w.report.shape)
             );
             for (j, l) in w.report.levels.iter().enumerate() {
                 if j > 0 {
@@ -242,7 +249,7 @@ impl FrontierSnapshot {
 
     /// Parse a snapshot serialized by [`FrontierSnapshot::to_json`].
     pub fn parse(text: &str) -> Result<FrontierSnapshot, RecoveryError> {
-        let value = parse_json(text)?;
+        let value = json::parse(text)?;
         let version = field_u64(&value, "frontier-snapshot")?;
         if version != SNAPSHOT_VERSION {
             return Err(RecoveryError::new(format!(
@@ -253,7 +260,7 @@ impl FrontierSnapshot {
             .get("config")
             .ok_or_else(|| RecoveryError::new("snapshot is missing \"config\""))?;
         let first_conviction = match value.get("first_conviction") {
-            None | Some(JsonValue::Null) => None,
+            None | Some(Value::Null) => None,
             Some(c) => Some(Conviction {
                 level: level_from_tag(field_str(c, "level")?)?,
                 window: field_u64(c, "window")? as usize,
@@ -337,7 +344,7 @@ fn level_report_json(l: &LevelReport) -> String {
         "{{\"level\":\"{}\",\"outcome\":\"{outcome}\",\"decided_by\":\"{}\",\"detail\":\"{}\"",
         l.level.tag(),
         l.decided_by.as_str(),
-        crate::report::json_escape(detail)
+        json::escape(detail)
     );
     if let Outcome::Unknown { states, refuted, next_budget, .. } = &l.outcome {
         out.push_str(&format!(",\"states\":{states},\"next_budget\":{next_budget}"));
@@ -350,7 +357,7 @@ fn level_report_json(l: &LevelReport) -> String {
     out
 }
 
-fn parse_verdict(value: &JsonValue) -> Result<WindowVerdict, RecoveryError> {
+fn parse_verdict(value: &Value) -> Result<WindowVerdict, RecoveryError> {
     let levels = field_arr(value, "levels")?
         .iter()
         .map(|l| {
@@ -363,7 +370,7 @@ fn parse_verdict(value: &JsonValue) -> Result<WindowVerdict, RecoveryError> {
                     reason: detail,
                     states: field_u64(l, "states")?,
                     refuted: match l.get("refuted") {
-                        None | Some(JsonValue::Null) => None,
+                        None | Some(Value::Null) => None,
                         Some(r) => Some(level_from_tag(str_of(r)?)?),
                     },
                     next_budget: field_u64(l, "next_budget")?,
@@ -393,103 +400,42 @@ fn level_from_tag(tag: &str) -> Result<Level, RecoveryError> {
 }
 
 // ---------------------------------------------------------------------------
-// A dependency-free JSON value parser, sized for the snapshot and WAL
-// metadata documents this module and the CLI read back.  Precedent: the
-// tm-history wire decoder hand-parses its line grammar the same way.
+// Typed field access over `tm_telemetry::json::Value`, with this module's
+// error type.
 
-/// A parsed JSON value (numbers keep their source text so integer widths
-/// survive exactly).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// A number, kept as its source text.
-    Num(String),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, fields in source order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Field lookup on an object (`None` on missing field or non-object).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a `u64`, if it is an unsigned number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(text) => text.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as an `i64`, if it is an integral number.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonValue::Num(text) => text.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn field_u64(value: &JsonValue, key: &str) -> Result<u64, RecoveryError> {
+fn field_u64(value: &Value, key: &str) -> Result<u64, RecoveryError> {
     value
         .get(key)
-        .and_then(JsonValue::as_u64)
+        .and_then(Value::as_u64)
         .ok_or_else(|| RecoveryError::new(format!("missing or non-numeric field {key:?}")))
 }
 
-fn field_i64(value: &JsonValue, key: &str) -> Result<i64, RecoveryError> {
+fn field_i64(value: &Value, key: &str) -> Result<i64, RecoveryError> {
     value
         .get(key)
-        .and_then(JsonValue::as_i64)
+        .and_then(Value::as_i64)
         .ok_or_else(|| RecoveryError::new(format!("missing or non-numeric field {key:?}")))
 }
 
-fn field_str<'a>(value: &'a JsonValue, key: &str) -> Result<&'a str, RecoveryError> {
+fn field_str<'a>(value: &'a Value, key: &str) -> Result<&'a str, RecoveryError> {
     value
         .get(key)
-        .and_then(JsonValue::as_str)
+        .and_then(Value::as_str)
         .ok_or_else(|| RecoveryError::new(format!("missing or non-string field {key:?}")))
 }
 
-fn field_arr<'a>(value: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], RecoveryError> {
+fn field_arr<'a>(value: &'a Value, key: &str) -> Result<&'a [Value], RecoveryError> {
     value
         .get(key)
-        .and_then(JsonValue::as_arr)
+        .and_then(Value::as_arr)
         .ok_or_else(|| RecoveryError::new(format!("missing or non-array field {key:?}")))
 }
 
-fn str_of(value: &JsonValue) -> Result<&str, RecoveryError> {
+fn str_of(value: &Value) -> Result<&str, RecoveryError> {
     value.as_str().ok_or_else(|| RecoveryError::new("expected a string"))
 }
 
-fn tuple(value: &JsonValue, len: usize) -> Result<&[JsonValue], RecoveryError> {
+fn tuple(value: &Value, len: usize) -> Result<&[Value], RecoveryError> {
     let arr = value.as_arr().ok_or_else(|| RecoveryError::new("expected an array row"))?;
     if arr.len() != len {
         return Err(RecoveryError::new(format!(
@@ -500,193 +446,15 @@ fn tuple(value: &JsonValue, len: usize) -> Result<&[JsonValue], RecoveryError> {
     Ok(arr)
 }
 
-fn num_usize(value: &JsonValue) -> Result<usize, RecoveryError> {
+fn num_usize(value: &Value) -> Result<usize, RecoveryError> {
     value
         .as_u64()
         .map(|v| v as usize)
         .ok_or_else(|| RecoveryError::new("expected an unsigned number"))
 }
 
-fn num_i64(value: &JsonValue) -> Result<i64, RecoveryError> {
+fn num_i64(value: &Value) -> Result<i64, RecoveryError> {
     value.as_i64().ok_or_else(|| RecoveryError::new("expected an integer"))
-}
-
-/// Parse one JSON document (object, array or scalar); trailing whitespace
-/// allowed, anything else after the value is an error.
-pub fn parse_json(text: &str) -> Result<JsonValue, RecoveryError> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(RecoveryError::new(format!(
-            "trailing characters after the JSON document at byte {pos}"
-        )));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while matches!(bytes.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, RecoveryError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(RecoveryError::new("unexpected end of JSON input")),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect_byte(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Obj(fields));
-                    }
-                    _ => {
-                        return Err(RecoveryError::new(format!(
-                            "expected ',' or '}}' in object at byte {pos}"
-                        )))
-                    }
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Arr(items));
-                    }
-                    _ => {
-                        return Err(RecoveryError::new(format!(
-                            "expected ',' or ']' in array at byte {pos}"
-                        )))
-                    }
-                }
-            }
-        }
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
-        Some(b't') => {
-            expect_lit(bytes, pos, "true")?;
-            Ok(JsonValue::Bool(true))
-        }
-        Some(b'f') => {
-            expect_lit(bytes, pos, "false")?;
-            Ok(JsonValue::Bool(false))
-        }
-        Some(b'n') => {
-            expect_lit(bytes, pos, "null")?;
-            Ok(JsonValue::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            if bytes.get(*pos) == Some(&b'-') {
-                *pos += 1;
-            }
-            while matches!(bytes.get(*pos), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-                *pos += 1;
-            }
-            if *pos == start {
-                return Err(RecoveryError::new(format!("unexpected character at byte {start}")));
-            }
-            let text = std::str::from_utf8(&bytes[start..*pos])
-                .expect("numeric bytes are ASCII")
-                .to_string();
-            Ok(JsonValue::Num(text))
-        }
-    }
-}
-
-fn expect_byte(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), RecoveryError> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(RecoveryError::new(format!("expected {:?} at byte {pos}", byte as char)))
-    }
-}
-
-fn expect_lit(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), RecoveryError> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(RecoveryError::new(format!("expected {lit:?} at byte {pos}")))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, RecoveryError> {
-    expect_byte(bytes, pos, b'"')?;
-    let mut out = Vec::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(RecoveryError::new("unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return String::from_utf8(out)
-                    .map_err(|_| RecoveryError::new("string is not valid UTF-8"));
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'b') => out.push(0x08),
-                    Some(b'f') => out.push(0x0C),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| RecoveryError::new("malformed \\u escape"))?;
-                        *pos += 4;
-                        // The workspace escaper only emits \u for control
-                        // characters, all in the BMP; map anything else
-                        // defensively through char::from_u32.
-                        let c = char::from_u32(hex).unwrap_or('\u{FFFD}');
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                    }
-                    _ => return Err(RecoveryError::new("unknown string escape")),
-                }
-                *pos += 1;
-            }
-            Some(&b) => {
-                out.push(b);
-                *pos += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -797,19 +565,5 @@ mod tests {
         snap2.seqs = vec![];
         let err = snap2.check_continuation(&[id(3, 0)]).unwrap_err();
         assert!(err.message.contains("unknown to the snapshot"), "{err}");
-    }
-
-    #[test]
-    fn parser_handles_the_escape_vocabulary() {
-        let value = parse_json(r#"{"a":"x\"y\\z\n\t","b":[1,-2,null,true,false]}"#).expect("parse");
-        assert_eq!(value.get("a").unwrap().as_str().unwrap(), "x\"y\\z\n\t");
-        let bell = parse_json("{\"c\":\"bell\\u0007\"}").expect("parse u-escape");
-        assert_eq!(bell.get("c").unwrap().as_str().unwrap(), "bell\u{7}");
-        let arr = value.get("b").unwrap().as_arr().unwrap();
-        assert_eq!(arr[0].as_u64(), Some(1));
-        assert_eq!(arr[1].as_i64(), Some(-2));
-        assert_eq!(arr[2], JsonValue::Null);
-        assert!(parse_json("{\"a\":1} trailing").is_err());
-        assert!(parse_json("").is_err());
     }
 }

@@ -11,6 +11,7 @@
 pub use tm_consistency::report::{CheckResult, CommitOrderWitness, ConditionMatrix};
 
 use std::fmt;
+use tm_telemetry::json;
 
 /// The consistency hierarchy the auditor decides, weakest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -317,8 +318,8 @@ impl AuditReport {
     /// Machine-readable form, for CI artifacts and the audit CLI's `--json`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        out.push_str(&format!("\"shape\":\"{}\",", json_escape(&self.shape)));
-        out.push_str(&format!("\"summary\":\"{}\",", json_escape(&self.summary())));
+        out.push_str(&format!("\"shape\":\"{}\",", json::escape(&self.shape)));
+        out.push_str(&format!("\"summary\":\"{}\",", json::escape(&self.summary())));
         out.push_str("\"levels\":[");
         for (i, l) in self.levels.iter().enumerate() {
             if i > 0 {
@@ -334,7 +335,7 @@ impl AuditReport {
                 l.level.name(),
                 l.level.tag(),
                 l.decided_by.as_str(),
-                json_escape(&detail)
+                json::escape(&detail)
             ));
             if let Outcome::Unknown { states, refuted, next_budget, .. } = &l.outcome {
                 out.push_str(&format!(",\"states\":{states},\"next_budget\":{next_budget}"));
@@ -349,11 +350,52 @@ impl AuditReport {
     }
 }
 
-/// Escape a string for embedding in a JSON document — a re-export of the
-/// workspace's one shared escaper ([`tm_telemetry::json::escape`]), kept
-/// under its historical name for the crate's existing call sites.
-pub fn json_escape(s: &str) -> String {
-    tm_telemetry::json::escape(s)
+/// Fold the outcomes of a run's parts — the windows of a stream, the lanes
+/// of a sharded run — into the whole run's outcome for one level.
+///
+/// The first `Fail` wins, prefixed with its part's label, and no `Unknown`
+/// before or after it can downgrade it (every topology's convictions are
+/// sound).  Otherwise the `Unknown`s aggregate into one — states summed,
+/// the largest `next_budget`, any `refuted`, worded by
+/// `inconclusive(count, "first label: first reason")`.  Otherwise the pass
+/// is `attested()` per part, never certified end to end.
+pub(crate) fn fold_outcomes<'a>(
+    parts: impl IntoIterator<Item = (String, &'a Outcome)>,
+    inconclusive: impl FnOnce(usize, &str) -> String,
+    attested: impl FnOnce() -> String,
+) -> Outcome {
+    let mut unknowns = 0usize;
+    let (mut first_label, mut first_reason) = (String::new(), String::new());
+    let (mut states_total, mut budget_max, mut refuted_any) = (0u64, 0u64, None);
+    for (label, outcome) in parts {
+        match outcome {
+            Outcome::Fail { violation } => {
+                return Outcome::Fail { violation: format!("{label}: {violation}") }
+            }
+            Outcome::Unknown { reason, states, refuted, next_budget } => {
+                if unknowns == 0 {
+                    first_label = label;
+                }
+                unknowns += 1;
+                states_total = states_total.saturating_add(*states);
+                budget_max = budget_max.max(*next_budget);
+                refuted_any = refuted_any.or(*refuted);
+                if first_reason.is_empty() {
+                    first_reason.clone_from(reason);
+                }
+            }
+            Outcome::Pass { .. } => {}
+        }
+    }
+    if unknowns == 0 {
+        return Outcome::Pass { witness: attested() };
+    }
+    Outcome::Unknown {
+        reason: inconclusive(unknowns, &format!("{first_label}: {first_reason}")),
+        states: states_total,
+        refuted: refuted_any,
+        next_budget: budget_max,
+    }
 }
 
 impl fmt::Display for AuditReport {
@@ -445,7 +487,42 @@ mod tests {
         assert!(json.contains("\"states\":1000"), "{json}");
         assert!(json.contains("\"next_budget\":4000"), "{json}");
         assert!(json.contains("\"refuted\":\"serializability\""), "{json}");
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    }
+
+    #[test]
+    fn the_fold_never_downgrades_a_fail_and_aggregates_unknowns() {
+        let pass = Outcome::Pass { witness: "w".into() };
+        let fail = Outcome::Fail { violation: "lost update on v0".into() };
+        let small = Outcome::unknown("budget exhausted", 10, None);
+        let large = Outcome::unknown("still exhausted", 1_000, Some(Level::Serializable));
+        let fold = |parts: &[&Outcome]| {
+            fold_outcomes(
+                parts.iter().enumerate().map(|(i, &o)| (format!("part {i}"), o)),
+                |count, first| format!("{count} of {} inconclusive (first: {first})", parts.len()),
+                || "attested".to_string(),
+            )
+        };
+        // A conviction survives Unknowns on either side of it.
+        for parts in [[&small, &fail, &large], [&fail, &small, &large], [&small, &large, &fail]] {
+            let at = parts.iter().position(|o| o.failed()).unwrap();
+            assert_eq!(
+                fold(&parts),
+                Outcome::Fail { violation: format!("part {at}: lost update on v0") }
+            );
+        }
+        // Unknowns: states summed, the larger retry budget, any refutation,
+        // the first part's label and reason.
+        let Outcome::Unknown { reason, states, refuted, next_budget } =
+            fold(&[&pass, &small, &large])
+        else {
+            panic!("two unknowns and no fail must stay unknown");
+        };
+        assert_eq!(reason, "2 of 3 inconclusive (first: part 1: budget exhausted)");
+        assert_eq!(states, 1_010);
+        assert_eq!(refuted, Some(Level::Serializable));
+        let Outcome::Unknown { next_budget: large_budget, .. } = &large else { unreachable!() };
+        assert_eq!(next_budget, *large_budget);
+        assert_eq!(fold(&[&pass, &pass]), Outcome::Pass { witness: "attested".into() });
     }
 
     #[test]

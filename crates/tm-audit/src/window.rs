@@ -82,7 +82,7 @@ use crate::history::{AuditTxn, HistoryError, TxnId};
 use crate::linearization::{certify_hint_order, find_lost_update, DEFAULT_STATE_BUDGET};
 use crate::po::{TxnPartialOrder, EVICTED_SESSION};
 use crate::recovery::{FrontierSnapshot, RecoveryError};
-use crate::report::{json_escape, AuditReport, DecidedBy, Level, LevelReport, Outcome};
+use crate::report::{fold_outcomes, AuditReport, DecidedBy, Level, LevelReport, Outcome};
 use crate::saturation::{resaturate, CycleViolation, Saturated};
 use crate::telemetry::{AuditTelemetry, NP_CELL_STAGES};
 use crate::{
@@ -91,7 +91,8 @@ use crate::{
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
-use stm_runtime::CommitBatch;
+use stm_runtime::{CommitBatch, StreamConsumer};
+use tm_telemetry::json;
 
 /// Shape of the rolling windows a [`WindowedAuditor`] audits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,7 +253,7 @@ impl StreamReport {
                 c.level.name(),
                 c.window,
                 c.txns_seen,
-                json_escape(&c.violation)
+                json::escape(&c.violation)
             )),
             None => out.push_str("\"first_conviction\":null,"),
         }
@@ -267,7 +268,7 @@ impl StreamReport {
                  \"elapsed_ms\":{:.3}}}",
                 w.index,
                 w.txns,
-                json_escape(&w.report.summary()),
+                json::escape(&w.report.summary()),
                 w.report.decided_by().as_str(),
                 w.audit_elapsed.as_secs_f64() * 1e3
             ));
@@ -858,16 +859,6 @@ impl WindowedAuditor {
         }
     }
 
-    /// Ingest one batch from a [`stm_runtime::StreamingRecorder`] drain,
-    /// **in arrival order**.  Raw shard arrival is per-session bursty; route
-    /// batches through a [`StreamMerger`] instead (as `workloads::run_live`
-    /// does) so windows cut across sessions in true recording order.
-    pub fn ingest(&mut self, batch: &CommitBatch) {
-        for record in &batch.records {
-            self.push(batch.session, audit_txn_of(record));
-        }
-    }
-
     /// Audit whatever remains and merge every window's verdict into the
     /// whole-run report.
     pub fn finish(mut self) -> StreamReport {
@@ -1248,55 +1239,22 @@ impl WindowedAuditor {
     }
 
     fn merged_outcome(&self, level: Level) -> Outcome {
-        if let Some((w, violation)) =
-            self.verdicts.iter().find_map(|w| match w.report.outcome(level) {
-                Some(Outcome::Fail { violation }) => Some((w.index, violation.clone())),
-                _ => None,
-            })
-        {
-            return Outcome::Fail { violation: format!("window {w}: {violation}") };
-        }
-        let unknowns: Vec<(usize, &Outcome)> = self
-            .verdicts
-            .iter()
-            .filter_map(|w| match w.report.outcome(level) {
-                Some(o @ Outcome::Unknown { .. }) => Some((w.index, o)),
-                _ => None,
-            })
-            .collect();
-        if let Some(&(first_idx, _)) = unknowns.first() {
-            let (mut states_total, mut budget_max, mut refuted_any) = (0u64, 0u64, None);
-            let mut first_reason = String::new();
-            for (_, o) in &unknowns {
-                if let Outcome::Unknown { reason, states, refuted, next_budget } = o {
-                    states_total = states_total.saturating_add(*states);
-                    budget_max = budget_max.max(*next_budget);
-                    refuted_any = refuted_any.or(*refuted);
-                    if first_reason.is_empty() {
-                        first_reason = reason.clone();
-                    }
-                }
-            }
-            return Outcome::Unknown {
-                reason: format!(
-                    "{} of {} window(s) inconclusive (first: window {first_idx}: {first_reason})",
-                    unknowns.len(),
-                    self.verdicts.len()
-                ),
-                states: states_total,
-                refuted: refuted_any,
-                next_budget: budget_max,
-            };
-        }
-        Outcome::Pass {
-            witness: format!(
-                "attested per-window: {} passed in all {} window(s); windowed auditing is \
-                 violation-sound (reported violations are real), and a pass certifies each \
-                 window against its carried frontier, not the uncut whole-run order",
-                level.tag(),
-                self.verdicts.len()
-            ),
-        }
+        let windows = self.verdicts.len();
+        fold_outcomes(
+            self.verdicts.iter().filter_map(|w| {
+                w.report.outcome(level).map(|outcome| (format!("window {}", w.index), outcome))
+            }),
+            |count, first| format!("{count} of {windows} window(s) inconclusive (first: {first})"),
+            || {
+                format!(
+                    "attested per-window: {} passed in all {windows} window(s); windowed \
+                     auditing is violation-sound (reported violations are real), and a pass \
+                     certifies each window against its carried frontier, not the uncut \
+                     whole-run order",
+                    level.tag()
+                )
+            },
+        )
     }
 }
 
@@ -1367,11 +1325,6 @@ impl HistoryCollector {
         HistoryCollector { history: AuditHistory::new(n_vars, initial, n_sessions) }
     }
 
-    /// Transactions collected so far.
-    pub fn collected(&self) -> usize {
-        self.history.txn_count()
-    }
-
     /// The collected history.
     pub fn into_history(self) -> AuditHistory {
         self.history
@@ -1429,6 +1382,19 @@ impl StreamMerger {
             depth: tm_telemetry::enabled()
                 .then(|| tm_telemetry::global().gauge("audit_merger_buffered", &[], "records")),
         }
+    }
+
+    /// Drain `consumer` through a fresh merger into `sink` until the recorder
+    /// finishes — the consumer side of `recorder → merger → sink`, whole.
+    /// `workloads::run_live` runs it on a thread beside the workload; a test
+    /// that choreographs its own threads calls it after
+    /// [`stm_runtime::StreamingRecorder::finish`].
+    pub fn drain(consumer: &StreamConsumer, n_sessions: usize, sink: &mut impl TxnSink) {
+        let mut merger = StreamMerger::new(n_sessions);
+        while let Some(batch) = consumer.recv() {
+            merger.push_batch(&batch, sink);
+        }
+        merger.finish(sink);
     }
 
     /// Buffer one batch and release everything below the new watermark into

@@ -338,7 +338,7 @@ fn main() -> ExitCode {
             let quoted = |items: &[String]| {
                 items
                     .iter()
-                    .map(|d| format!("\"{}\"", tm_audit::report::json_escape(d)))
+                    .map(|d| format!("\"{}\"", tm_audit::json::escape(d)))
                     .collect::<Vec<_>>()
                     .join(",")
             };

@@ -3,15 +3,16 @@
 //! Two claims the wire format must hold for the export → ingest story to be
 //! trustworthy:
 //!
-//! 1. **Lossless round trip** — encoding a live-captured history and decoding
-//!    it back yields the *same* history (and re-encoding yields the same
-//!    bytes), across many seeds and every built-in backend;
+//! 1. **Lossless round trip** — encoding a history and decoding it back
+//!    yields the *same* history (and re-encoding yields the same bytes); the
+//!    live-captured half of this claim — many seeds, every built-in backend,
+//!    multi-document exports — lives beside the recorder's runner, in
+//!    `crates/workloads/tests/ingest_equivalence.rs`;
 //! 2. **Hardened decoding** — malformed input is rejected with a positioned
 //!    [`WireError`], never a panic, and the position points at the offending
 //!    line.
 
-use tm_audit::{record_run, AuditRunConfig};
-use tm_history::{decode, decode_all, encode, Decoder};
+use tm_history::{decode, encode, Decoder};
 
 /// A tiny well-formed document the malformed corpus mutates from.  Line
 /// numbers in the corpus cases refer to this layout (header = line 1).
@@ -25,32 +26,6 @@ fn valid_doc_is_actually_valid() {
     let history = decode(VALID_DOC).expect("the corpus baseline must decode");
     assert_eq!(history.txn_count(), 2);
     assert_eq!(encode(&history), VALID_DOC);
-}
-
-#[test]
-fn fifty_live_histories_round_trip_identically() {
-    let backends = [
-        stm_runtime::registry::TL2_BLOCKING,
-        stm_runtime::registry::OBSTRUCTION_FREE,
-        stm_runtime::registry::PRAM_LOCAL,
-        stm_runtime::registry::MVCC,
-    ];
-    for seed in 0..50u64 {
-        let history = record_run(AuditRunConfig {
-            backend: backends[(seed % backends.len() as u64) as usize],
-            sessions: 3,
-            txns_per_session: 40,
-            vars: 12,
-            seed: 0xC0FFEE ^ seed,
-        });
-        let doc = encode(&history);
-        let decoded = match decode(&doc) {
-            Ok(decoded) => decoded,
-            Err(e) => panic!("seed {seed}: captured history failed to decode: {e}"),
-        };
-        assert_eq!(decoded, history, "seed {seed}: decode(encode(h)) != h");
-        assert_eq!(encode(&decoded), doc, "seed {seed}: re-encode is not byte-identical");
-    }
 }
 
 /// Each case: a mutated document, the 1-based line the decoder must blame,
@@ -186,22 +161,4 @@ fn streaming_decoder_resyncs_after_a_bad_document() {
     let second = decoder.next_history().expect("third document decodes").expect("present");
     assert_eq!(second, first);
     assert!(decoder.next_history().expect("clean EOF").is_none());
-}
-
-/// `decode_all` on a multi-document export returns every history in order.
-#[test]
-fn decode_all_handles_multi_document_exports() {
-    let histories = [
-        record_run(AuditRunConfig { seed: 7, txns_per_session: 25, ..Default::default() }),
-        record_run(AuditRunConfig { seed: 8, txns_per_session: 25, ..Default::default() }),
-    ];
-    let mut doc = String::new();
-    for history in &histories {
-        doc.push_str(&encode(history));
-        doc.push('\n');
-    }
-    let decoded = decode_all(&doc).expect("multi-document export decodes");
-    assert_eq!(decoded.len(), 2);
-    assert_eq!(decoded[0], histories[0]);
-    assert_eq!(decoded[1], histories[1]);
 }

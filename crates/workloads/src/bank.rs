@@ -150,11 +150,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use stm_runtime::BackendKind;
+    use stm_runtime::registry::{OBSTRUCTION_FREE, TL2_BLOCKING};
 
     #[test]
     fn transfers_preserve_the_total_on_consistent_backends() {
-        for kind in [BackendKind::Tl2Blocking, BackendKind::ObstructionFree] {
+        for kind in [TL2_BLOCKING, OBSTRUCTION_FREE] {
             let stm = Stm::new(kind);
             let bank = Bank::new(&stm, BankConfig { accounts: 8, ..Default::default() });
             assert_eq!(bank.len(), 8);
@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn transfers_never_overdraw() {
-        let stm = Stm::new(BackendKind::ObstructionFree);
+        let stm = Stm::new(OBSTRUCTION_FREE);
         let bank =
             Bank::new(&stm, BankConfig { accounts: 4, initial_balance: 10, ..Default::default() });
         let mut rng = StdRng::seed_from_u64(3);
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn zipf_config_prefers_hot_destinations() {
-        let stm = Stm::new(BackendKind::ObstructionFree);
+        let stm = Stm::new(OBSTRUCTION_FREE);
         let bank = Bank::new(
             &stm,
             BankConfig { accounts: 32, zipf_theta: Some(0.99), ..Default::default() },
@@ -207,7 +207,7 @@ mod tests {
 
     #[test]
     fn self_transfers_move_nothing() {
-        let stm = Stm::new(BackendKind::Tl2Blocking);
+        let stm = Stm::new(TL2_BLOCKING);
         let bank = Bank::new(&stm, BankConfig { accounts: 2, ..Default::default() });
         assert_eq!(bank.transfer(&stm, bank.accounts[0], bank.accounts[0], 5), 0);
     }

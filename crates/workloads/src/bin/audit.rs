@@ -47,7 +47,9 @@
 //!   statement).  `--adaptive` adds
 //!   the live band router on top: the lag sampler re-bands hot variable
 //!   partitions onto cooler auditor lanes mid-stream (verdicts stay sound;
-//!   routing is no longer reproducible across runs).  Only *recordable*
+//!   routing is no longer reproducible across runs; live runs only — a
+//!   replay has no lag to sample, so `--ingest … --adaptive` is a usage
+//!   error).  Only *recordable*
 //!   scenarios (unique write values) can be audited: asking for an audited
 //!   `bank` run is an error, and `--scenario all` skips it with a note;
 //! * `--overlap N` — transactions re-audited at the head of the next window
@@ -141,11 +143,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use stm_runtime::{policy, BackendId, RetryPolicy};
 use tm_audit::linearization::DEFAULT_STATE_BUDGET;
-use tm_audit::report::json_escape;
 use tm_audit::{
     AuditHistory, AuditOptions, PartitionLag, SatConfig, ShardConfig, ShardEvent, WindowConfig,
 };
 use tm_history::{decode_all, encode, Decoder};
+use tm_telemetry::json;
 use workloads::{
     all_scenarios, run_live, scenario_by_name, AuditPlan, LivePlan, LiveReport, Scenario,
     ScenarioConfig, Verdict, WalRound,
@@ -440,6 +442,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     --audit=window[:size=N]:shards=K (or --serve)"
             .into());
     }
+    if adaptive && args.ingest.is_some() {
+        return Err("--adaptive re-bands a live run from its lag samples; an --ingest replay \
+                    has no lag to sample, so drop the flag"
+            .into());
+    }
     args.plan = match mode {
         AuditMode::Off => AuditPlan::Off,
         AuditMode::Batch => AuditPlan::Batch(AuditOptions { budget: args.budget, sat: args.sat }),
@@ -704,7 +711,7 @@ fn emit_event(emitter: &ServeEmitter, round: u64, event: &ShardEvent) {
                 "{{\"type\":\"window\",\"round\":{round},\"partition\":{partition},\
                  \"escalation\":{escalation},\"window\":{index},\"txns\":{txns},\
                  \"verdict\":\"{}\",\"decided_by\":\"{}\",\"elapsed_ms\":{:.3}}}",
-                json_escape(summary),
+                json::escape(summary),
                 decided_by.as_str(),
                 elapsed.as_secs_f64() * 1e3
             ));
@@ -717,7 +724,7 @@ fn emit_event(emitter: &ServeEmitter, round: u64, event: &ShardEvent) {
                 conviction.level.name(),
                 conviction.window,
                 conviction.txns_seen,
-                json_escape(&conviction.violation)
+                json::escape(&conviction.violation)
             ));
         }
         ShardEvent::Lag { partitions } => {
@@ -817,7 +824,7 @@ fn metrics_record(round: u64) -> String {
 fn emit_serve_start(emitter: &ServeEmitter, args: &Args, wal_dir: Option<&Path>) {
     let (window, shards) = stream_shape(&args.plan);
     let wal = wal_dir.map_or(String::new(), |dir| {
-        format!("\"wal\":\"{}\",", json_escape(&dir.display().to_string()))
+        format!("\"wal\":\"{}\",", json::escape(&dir.display().to_string()))
     });
     emitter.emit(&format!(
         "{{\"type\":\"serve-start\",\"scenario\":\"{}\",\"backend\":\"{}\",\
@@ -854,7 +861,7 @@ fn serve_rounds(
         emitter.emit(&format!(
             "{{\"type\":\"verdict\",\"round\":{round},\"summary\":\"{}\",\"commits\":{},\
              \"throughput\":{:.0},\"drain_ms\":{:.3},{extra}\"report\":{}}}",
-            json_escape(&verdict.merged().summary()),
+            json::escape(&verdict.merged().summary()),
             report.run.commits,
             report.run.throughput,
             report.tail.as_secs_f64() * 1e3,
@@ -1044,7 +1051,7 @@ fn serve_wal(args: &Args) -> Result<ExitCode, Failure> {
         let stats = report.wal.expect("the round ran with a WAL attached");
         let logged = format!(
             "\"wal\":{{\"dir\":\"{}\",\"logged_txns\":{},\"sealed_segments\":{}}},",
-            json_escape(&round_dir.display().to_string()),
+            json::escape(&round_dir.display().to_string()),
             stats.logged_txns,
             stats.sealed_segments
         );
@@ -1115,7 +1122,7 @@ fn ingest(args: &Args) -> Result<ExitCode, Failure> {
         json_entries.push(format!(
             "{{\"source\":\"ingest\",\"doc\":{doc},\"mode\":\"{mode_label}\",\"shape\":\"{}\",\
              \"report\":{}}}",
-            json_escape(&history.shape()),
+            json::escape(&history.shape()),
             verdict.merged().to_json()
         ));
     }
@@ -1142,7 +1149,7 @@ fn serve_ingest(args: &Args) -> Result<ExitCode, Failure> {
     emitter.emit(&format!(
         "{{\"type\":\"serve-start\",\"mode\":\"ingest\",\"source\":\"{}\",\"shards\":{shards},\
          \"window\":{window},\"pid\":{}}}",
-        json_escape(source),
+        json::escape(source),
         std::process::id()
     ));
     let mut docs = 0u64;
@@ -1161,8 +1168,8 @@ fn serve_ingest(args: &Args) -> Result<ExitCode, Failure> {
                 emitter.emit(&format!(
                     "{{\"type\":\"ingest-verdict\",\"doc\":{docs},\"shape\":\"{}\",\
                      \"summary\":\"{}\",\"report\":{}}}",
-                    json_escape(&history.shape()),
-                    json_escape(&verdict.merged().summary()),
+                    json::escape(&history.shape()),
+                    json::escape(&verdict.merged().summary()),
                     verdict.to_json()
                 ));
                 docs += 1;
@@ -1177,7 +1184,7 @@ fn serve_ingest(args: &Args) -> Result<ExitCode, Failure> {
                     "{{\"type\":\"ingest-error\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
                     e.line,
                     e.col,
-                    json_escape(&e.message)
+                    json::escape(&e.message)
                 ));
                 if decoder.skip_document().is_err() {
                     eof = true;

@@ -28,12 +28,11 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use stm_runtime::wal::{recover_round, write_atomic, WalSink};
-use tm_audit::report::json_escape;
 use tm_audit::{
-    parse_json, AuditTxn, FrontierSnapshot, SatConfig, StreamReport, TxnSink, WindowConfig,
-    WindowedAuditor,
+    AuditTxn, FrontierSnapshot, SatConfig, StreamReport, TxnSink, WindowConfig, WindowedAuditor,
 };
 use tm_history::Decoder;
+use tm_telemetry::json;
 
 /// File-name of the per-WAL-directory metadata blob (round shape, window
 /// config) written once at serve start.
@@ -298,7 +297,7 @@ impl RecoveredRoundReport {
              \"replayed_txns\":{},\"total_txns\":{},\"torn_bytes\":{},\"segments\":{},\
              \"resumed_from_segment\":{},\"report\":{}}}",
             self.round.map_or("null".to_string(), |r| r.to_string()),
-            json_escape(&self.dir.display().to_string()),
+            json::escape(&self.dir.display().to_string()),
             self.snapshot_txns,
             self.replayed_txns,
             self.stream.total_txns,
@@ -415,8 +414,8 @@ impl WalMeta {
             "{{\"wal-meta\":1,\"scenario\":\"{}\",\"backend\":\"{}\",\"threads\":{},\
              \"txns_per_thread\":{},\"vars\":{},\"seed\":{},\"window\":{{\"size\":{},\
              \"overlap\":{},\"budget\":{},\"retain_windows\":{},\"batch\":{}}}}}",
-            json_escape(&self.scenario),
-            json_escape(&self.backend),
+            json::escape(&self.scenario),
+            json::escape(&self.backend),
             self.threads,
             self.txns_per_thread,
             self.vars,
@@ -431,7 +430,7 @@ impl WalMeta {
 
     /// Parse what [`WalMeta::to_json`] wrote.
     pub fn parse(text: &str) -> Result<WalMeta, String> {
-        let doc = parse_json(text).map_err(|e| e.to_string())?;
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
         let field = |key: &str| {
             doc.get(key).and_then(|v| v.as_u64()).ok_or_else(|| format!("wal-meta: bad {key:?}"))
         };

@@ -5,8 +5,9 @@
 //! A live run is described once — a [`LivePlan`]: an [`AuditPlan`] (off,
 //! whole-history batch, rolling windows, sharded windows) plus what rides
 //! along (capture, a WAL round, a live event feed) — and executed by one
-//! function.  Every streamed plan goes through one pipeline, `recorder →
-//! merger → sink`; the plans differ only in the sink.  Whatever the
+//! function.  Every recorded plan goes through one pipeline, `recorder →
+//! merger → sink`; the plans differ only in the sink (a whole-history batch
+//! audit is the pipeline with a collector at the end).  Whatever the
 //! topology, the result is one [`LiveReport`] carrying one [`Verdict`].
 
 use crate::bank::{Bank, BankConfig};
@@ -19,12 +20,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use stm_runtime::{recorder, BackendId, Stm, StreamConsumer, StreamingRecorder};
+use stm_runtime::{recorder, BackendId, Stm, StreamingRecorder};
 use tm_audit::{
     audit_sharded, audit_streamed, audit_with_options, AuditHistory, AuditOptions, AuditReport,
-    BandRouter, HistoryCollector, HistoryRecorder, ShardConfig, ShardEvent, ShardLagProbe,
-    ShardedAuditor, ShardedStreamReport, StreamMerger, StreamReport, TeeSink, TxnSink,
-    WindowConfig, WindowedAuditor,
+    BandRouter, HistoryCollector, ShardConfig, ShardEvent, ShardLagProbe, ShardedAuditor,
+    ShardedStreamReport, StreamMerger, StreamReport, TeeSink, TxnSink, WindowConfig,
+    WindowedAuditor,
 };
 
 /// Configuration of one runner invocation.
@@ -138,26 +139,22 @@ pub struct ScenarioRunReport {
 }
 
 /// Spawn the worker threads and drive `state` through the configured
-/// transaction count; returns the workload's wall-clock duration.
+/// transaction count; returns the workload's wall-clock duration.  Each
+/// worker registers its index as its session — what an attached recorder
+/// files its commits under, and one thread-local store otherwise.
 fn execute_scenario(
     stm: &Stm,
     state: &dyn crate::scenario::ScenarioState,
     config: &ScenarioConfig,
-    register_sessions: bool,
 ) -> Duration {
     let start = Instant::now();
     std::thread::scope(|scope| {
         for thread in 0..config.threads {
             scope.spawn(move || {
-                if register_sessions {
-                    recorder::set_session(thread);
-                }
+                recorder::set_session(thread);
                 let mut rng = StdRng::seed_from_u64(config.seed ^ ((thread as u64) << 32));
                 for seq in 0..config.txns_per_thread as u64 {
                     state.run_txn(stm, thread, seq, &mut rng);
-                }
-                if register_sessions {
-                    recorder::clear_session();
                 }
             });
         }
@@ -200,7 +197,7 @@ fn finish_scenario_report(
 pub fn run_scenario(scenario: &dyn Scenario, config: &ScenarioConfig) -> ScenarioRunReport {
     let stm = Stm::new(config.backend).with_policy(Arc::clone(&config.policy));
     let state = scenario.build(&stm, config);
-    let elapsed = execute_scenario(&stm, state.as_ref(), config, false);
+    let elapsed = execute_scenario(&stm, state.as_ref(), config);
     finish_scenario_report(scenario, config, &stm, state.as_ref(), elapsed)
 }
 
@@ -224,7 +221,7 @@ pub enum AuditPlan {
     /// No audit: throughput, attempt percentiles and the scenario's own
     /// invariant only.
     Off,
-    /// Record every commit, then check the whole history at once.
+    /// Collect the streamed commits, then check the whole history at once.
     Batch(AuditOptions),
     /// Audit rolling windows concurrently with the workload (bounded
     /// memory, mid-run convictions).
@@ -340,9 +337,10 @@ impl LivePlan<'_> {
 pub struct LiveReport {
     /// The workload-side measurements.
     pub run: ScenarioRunReport,
-    /// Time from workload end to the merged verdict.  A batch audit pays its
-    /// *entire* checking time here; the streamed plans amortize it into the
-    /// run and leave only the drain.  Zero when nothing was audited.
+    /// Time from workload end to the merged verdict (to the drained history
+    /// for a capture-only run).  A batch audit pays its *entire* checking
+    /// time here; the windowed plans amortize it into the run and leave only
+    /// the drain.  Zero when nothing was recorded.
     pub tail: Duration,
     /// The audit's verdict (`None` under [`AuditPlan::Off`]).
     pub verdict: Option<Verdict>,
@@ -396,22 +394,27 @@ pub fn run_live(
     }
     match audit {
         AuditPlan::Off if !capture => Ok(LiveReport::unaudited(run_scenario(scenario, config))),
-        // Batch keeps the `HistoryRecorder`: its one global hint counter is
-        // a different stamping from the streaming recorder's.
-        AuditPlan::Off | AuditPlan::Batch(_) => {
-            let (run, history) = record_scenario(scenario, config)?;
-            let start = Instant::now();
-            let verdict = Verdict::audit(&history, &audit);
-            let history = capture.then_some(history);
-            Ok(LiveReport { tail: start.elapsed(), verdict, history, ..LiveReport::unaudited(run) })
-        }
+        // Whole-history plans: the sink is the collector itself, and the
+        // audit (if any) runs where every sink finishes, on the consumer
+        // thread.
+        AuditPlan::Off | AuditPlan::Batch(_) => stream_into(
+            scenario,
+            config,
+            false,
+            |vars| Ok((HistoryCollector::new(vars, 0, config.threads), None)),
+            |collector| {
+                let history = collector.into_history();
+                let verdict = Verdict::audit(&history, &audit);
+                Ok(Finished { verdict, history: capture.then_some(history), wal: None })
+            },
+        ),
         AuditPlan::Windowed(window) => match wal {
             None => stream_into(
                 scenario,
                 config,
                 capture,
                 |vars| Ok((WindowedAuditor::new(vars, 0, window), None)),
-                |auditor| Ok((Verdict::Windowed(auditor.finish()), None)),
+                |auditor| Ok(Finished::verdict(Verdict::Windowed(auditor.finish()))),
             ),
             Some(WalRound { dir, pre_seal }) => {
                 let wal_error = |e: std::io::Error| format!("wal {}: {e}", dir.display());
@@ -427,7 +430,8 @@ pub fn run_live(
                     },
                     |tee| {
                         let (auditor, stats) = tee.finish().map_err(wal_error)?;
-                        Ok((Verdict::Windowed(auditor.finish()), Some(stats)))
+                        let verdict = Verdict::Windowed(auditor.finish());
+                        Ok(Finished { wal: Some(stats), ..Finished::verdict(verdict) })
                     },
                 )
             }
@@ -451,31 +455,9 @@ pub fn run_live(
                 });
                 Ok((auditor, sampler))
             },
-            |auditor| Ok((Verdict::Sharded(auditor.finish()), None)),
+            |auditor| Ok(Finished::verdict(Verdict::Sharded(auditor.finish()))),
         ),
     }
-}
-
-/// Run a recordable scenario with every commit recorded by a
-/// [`HistoryRecorder`] and hand back the captured [`AuditHistory`].
-fn record_scenario(
-    scenario: &dyn Scenario,
-    config: &ScenarioConfig,
-) -> Result<(ScenarioRunReport, AuditHistory), String> {
-    require_recordable(scenario)?;
-    let recorder_arc = Arc::new(HistoryRecorder::new(config.threads, 0));
-    let mut stm = Stm::with_recorder(config.backend, Arc::clone(&recorder_arc) as _)
-        .with_policy(Arc::clone(&config.policy));
-    let state = scenario.build(&stm, config);
-    let elapsed = execute_scenario(&stm, state.as_ref(), config, true);
-    // Detach the recorder before the self-check: verification transactions
-    // must not pollute the captured history.
-    stm.take_recorder();
-    let history = Arc::try_unwrap(recorder_arc)
-        .unwrap_or_else(|_| panic!("recorder still shared after the run"))
-        .into_history(state.words());
-    let run = finish_scenario_report(scenario, config, &stm, state.as_ref(), elapsed);
-    Ok((run, history))
 }
 
 /// Commits a session buffers before its batch enters the streaming
@@ -515,29 +497,33 @@ impl LagSampler {
     }
 }
 
-/// Drain the recorder's batches into `sink` until the recorder finishes.
-fn drain(consumer: &StreamConsumer, sessions: usize, sink: &mut impl TxnSink) {
-    // Shard batches arrive per-session-bursty; the merger restores global
-    // recording order so windows cut across sessions.
-    let mut merger = StreamMerger::new(sessions);
-    while let Some(batch) = consumer.recv() {
-        merger.push_batch(&batch, sink);
-    }
-    merger.finish(sink);
+/// What a finished sink hands back to [`stream_into`].
+struct Finished {
+    verdict: Option<Verdict>,
+    wal: Option<WalTeeStats>,
+    /// The history, when the sink itself collected it (whole-history plans).
+    history: Option<AuditHistory>,
 }
 
-/// The one streamed pipeline: commits drain through a [`StreamingRecorder`]
+impl Finished {
+    fn verdict(verdict: Verdict) -> Self {
+        Finished { verdict: Some(verdict), wal: None, history: None }
+    }
+}
+
+/// The one recorded pipeline: commits drain through a [`StreamingRecorder`]
 /// and a [`StreamMerger`] into the sink `build_sink` makes, on a consumer
 /// thread, *while the workload runs*.  `build_sink` gets the scenario's word
 /// count (known only once the scenario is built) and may hand back a
 /// [`LagSampler`] to run beside the workload; `finish_sink` runs on the
 /// consumer thread, so [`LiveReport::tail`] is run end → merged verdict.
+/// `tee_capture` puts a [`HistoryCollector`] beside a sink that is not one.
 fn stream_into<S: TxnSink + Send>(
     scenario: &dyn Scenario,
     config: &ScenarioConfig,
-    capture: bool,
+    tee_capture: bool,
     build_sink: impl FnOnce(usize) -> Result<(S, Option<LagSampler>), String>,
-    finish_sink: impl FnOnce(S) -> Result<(Verdict, Option<WalTeeStats>), String> + Send,
+    finish_sink: impl FnOnce(S) -> Result<Finished, String> + Send,
 ) -> Result<LiveReport, String> {
     require_recordable(scenario)?;
     let recorder_arc = Arc::new(StreamingRecorder::new(config.threads, RECORDER_BATCH));
@@ -550,25 +536,29 @@ fn stream_into<S: TxnSink + Send>(
     let (mut sink, sampler) = build_sink(vars)?;
     let done = AtomicBool::new(false);
     let start = Instant::now();
-    let (elapsed, tail, drained) = std::thread::scope(|scope| {
+    let (elapsed, tail, finished) = std::thread::scope(|scope| {
         let auditor = scope.spawn(move || {
             // The capture tees off *after* the merger, so hints, order and
-            // attribution are exactly the auditor's view — recorder-level
-            // taps cannot give that, because parallel recorders number
-            // hints independently.
-            let mut collector = capture.then(|| HistoryCollector::new(vars, 0, sessions));
+            // attribution are exactly the auditor's view.
+            let mut collector = tee_capture.then(|| HistoryCollector::new(vars, 0, sessions));
             match collector.as_mut() {
-                Some(collector) => {
-                    drain(&consumer, sessions, &mut TeeSink::new(&mut sink, collector))
-                }
-                None => drain(&consumer, sessions, &mut sink),
+                Some(collector) => StreamMerger::drain(
+                    &consumer,
+                    sessions,
+                    &mut TeeSink::new(&mut sink, collector),
+                ),
+                None => StreamMerger::drain(&consumer, sessions, &mut sink),
             }
-            finish_sink(sink).map(|out| (out, collector.map(HistoryCollector::into_history)))
+            let mut finished = finish_sink(sink)?;
+            if let Some(collector) = collector {
+                finished.history = Some(collector.into_history());
+            }
+            Ok::<_, String>(finished)
         });
         let sampling = sampler.as_ref().map(|sampler| scope.spawn(|| sampler.run(&done)));
-        let elapsed = execute_scenario(&stm, state.as_ref(), config, true);
+        let elapsed = execute_scenario(&stm, state.as_ref(), config);
         recorder_arc.finish();
-        let drained = auditor.join().expect("auditor thread panicked");
+        let finished = auditor.join().expect("auditor thread panicked");
         let tail = start.elapsed().saturating_sub(elapsed);
         done.store(true, Ordering::SeqCst);
         if let Some(sampling) = sampling {
@@ -577,14 +567,15 @@ fn stream_into<S: TxnSink + Send>(
         if let Some(sampler) = &sampler {
             sampler.close();
         }
-        (elapsed, tail, drained)
+        (elapsed, tail, finished)
     });
-    let ((verdict, wal), history) = drained?;
-    // Detach the recorder before the self-check, as `record_scenario` does.
+    let Finished { verdict, wal, history } = finished?;
+    // Detach the recorder before the self-check: verification transactions
+    // must not reach a (closed) recorder.
     stm.take_recorder();
     let run = finish_scenario_report(scenario, config, &stm, state.as_ref(), elapsed);
     let band_moves = sampler.and_then(|s| s.band_router).map_or(0, |router| router.moves());
-    Ok(LiveReport { run, tail, verdict: Some(verdict), history, wal, band_moves })
+    Ok(LiveReport { run, tail, verdict, history, wal, band_moves })
 }
 
 /// The stalled-writer liveness experiment: one thread opens a transaction, writes the
@@ -646,14 +637,15 @@ pub fn stalled_writer_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stm_runtime::BackendKind;
+    use crate::scenarios::RegistersScenario;
+    use stm_runtime::registry::{OBSTRUCTION_FREE, PRAM_LOCAL, TL2_BLOCKING};
     use tm_audit::Level;
 
     #[test]
     fn disjoint_partitions_preserve_balance_on_consistent_backends() {
-        for backend in [BackendKind::Tl2Blocking, BackendKind::ObstructionFree] {
+        for backend in [TL2_BLOCKING, OBSTRUCTION_FREE] {
             let report = run_threads(RunConfig {
-                backend: backend.id(),
+                backend,
                 threads: 4,
                 tx_per_thread: 200,
                 bank: BankConfig { accounts: 32, cross_fraction: 0.0, ..Default::default() },
@@ -666,7 +658,7 @@ mod tests {
     #[test]
     fn contended_transfers_still_preserve_balance_but_cause_aborts_or_waits() {
         let report = run_threads(RunConfig {
-            backend: BackendKind::ObstructionFree.id(),
+            backend: OBSTRUCTION_FREE,
             threads: 4,
             tx_per_thread: 300,
             bank: BankConfig { accounts: 4, cross_fraction: 1.0, ..Default::default() },
@@ -677,7 +669,7 @@ mod tests {
     #[test]
     fn pram_backend_visibly_breaks_the_global_invariant() {
         let report = run_threads(RunConfig {
-            backend: BackendKind::PramLocal.id(),
+            backend: PRAM_LOCAL,
             threads: 4,
             tx_per_thread: 100,
             bank: BankConfig { accounts: 8, cross_fraction: 1.0, ..Default::default() },
@@ -691,14 +683,14 @@ mod tests {
 
     /// 2 threads × 200 `registers` transactions on the consistent blocking
     /// backend: 400 commits, every level passes.
-    fn registers_on_tl2() -> (crate::scenarios::RegistersScenario, ScenarioConfig) {
+    fn registers_on_tl2() -> (RegistersScenario, ScenarioConfig) {
         let config = ScenarioConfig {
             threads: 2,
             txns_per_thread: 200,
             vars: 16,
-            ..ScenarioConfig::new(BackendKind::Tl2Blocking)
+            ..ScenarioConfig::new(TL2_BLOCKING)
         };
-        (crate::scenarios::RegistersScenario, config)
+        (RegistersScenario, config)
     }
 
     /// One plan per audited topology, at test-sized windows.
@@ -712,61 +704,78 @@ mod tests {
     }
 
     #[test]
-    fn every_plan_attests_a_consistent_backend_and_captures_what_it_audited() {
+    fn every_plan_attests_a_consistent_backend() {
         let (scenario, config) = registers_on_tl2();
         for audit in audited_plans() {
-            for capture in [false, true] {
-                let report =
-                    run_live(&scenario, &config, LivePlan { capture, ..LivePlan::new(audit) })
-                        .unwrap();
-                assert_eq!(report.run.commits, 400, "{audit:?}");
-                assert!(report.run.throughput > 0.0);
-                assert_eq!(report.run.check.invariant, Some(true), "{}", report.run.check.detail);
-                assert!(!report.violated(), "{audit:?}");
-                let verdict = report.verdict.as_ref().expect("audited plan");
-                match (&audit, verdict) {
-                    (AuditPlan::Batch(_), Verdict::Batch(_)) => {}
-                    (AuditPlan::Windowed(_), Verdict::Windowed(stream)) => {
-                        assert_eq!(stream.total_txns, 400);
-                        assert!(stream.windows.len() >= 5, "windows: {}", stream.windows.len());
-                        assert!(stream.first_conviction.is_none());
-                    }
-                    (AuditPlan::Sharded(_), Verdict::Sharded(sharded)) => {
-                        assert_eq!(sharded.total_txns, 400);
-                    }
-                    _ => panic!("{audit:?} produced the wrong verdict kind: {verdict:?}"),
+            let report = run_live(&scenario, &config, LivePlan::new(audit)).unwrap();
+            assert_eq!(report.run.commits, 400, "{audit:?}");
+            assert!(report.run.throughput > 0.0);
+            assert_eq!(report.run.check.invariant, Some(true), "{}", report.run.check.detail);
+            assert!(!report.violated(), "{audit:?}");
+            let verdict = report.verdict.as_ref().expect("audited plan");
+            match (&audit, verdict) {
+                (AuditPlan::Batch(_), Verdict::Batch(_)) => {}
+                (AuditPlan::Windowed(_), Verdict::Windowed(stream)) => {
+                    assert_eq!(stream.total_txns, 400);
+                    assert!(stream.windows.len() >= 5, "windows: {}", stream.windows.len());
+                    assert!(stream.first_conviction.is_none());
                 }
-                for level in Level::ALL {
-                    assert!(verdict.merged().passes(level), "{level}: {}", verdict.merged());
+                (AuditPlan::Sharded(_), Verdict::Sharded(sharded)) => {
+                    assert_eq!(sharded.total_txns, 400);
                 }
-                assert_eq!(report.history.is_some(), capture, "{audit:?}");
-                assert!(report.wal.is_none());
-                if let Some(history) = &report.history {
-                    assert_eq!(history.txn_count(), 400);
-                    let replay = Verdict::audit(history, &audit).expect("audited plan");
-                    assert_eq!(
-                        replay.merged().to_json(),
-                        verdict.merged().to_json(),
-                        "{audit:?}: replaying the capture diverged"
-                    );
+                _ => panic!("{audit:?} produced the wrong verdict kind: {verdict:?}"),
+            }
+            for level in Level::ALL {
+                assert!(verdict.merged().passes(level), "{level}: {}", verdict.merged());
+            }
+            assert!(report.history.is_none(), "{audit:?}: no capture was requested");
+            assert!(report.wal.is_none());
+        }
+    }
+
+    /// What every captured history promises, whichever sink collected it
+    /// (the collector itself for `Off` and `Batch`, the tee beside the
+    /// auditor for the windowed plans): every recording index exactly once,
+    /// rising along each session; lossless on the wire; and the input that
+    /// reproduces the live verdict — none at all for a capture-only run.
+    #[test]
+    fn captured_histories_keep_the_recording_contract_under_every_sink() {
+        for backend in [TL2_BLOCKING, PRAM_LOCAL] {
+            let config = ScenarioConfig { backend, ..registers_on_tl2().1 };
+            for audit in [AuditPlan::Off].into_iter().chain(audited_plans()) {
+                let plan = LivePlan { capture: true, ..LivePlan::new(audit) };
+                let report = run_live(&RegistersScenario, &config, plan).unwrap();
+                let history = report.history.as_ref().expect("capture was requested");
+                let ctx = format!("{backend}, {audit:?}");
+                assert_eq!(history.sessions.len(), 2, "{ctx}");
+                for session in &history.sessions {
+                    assert!(session.windows(2).all(|w| w[0].hint < w[1].hint), "{ctx}");
                 }
+                let mut hints: Vec<u64> =
+                    history.sessions.iter().flatten().map(|t| t.hint).collect();
+                hints.sort_unstable();
+                assert_eq!(hints, (0..400).collect::<Vec<u64>>(), "{ctx}");
+                let wire = tm_history::encode(history);
+                assert_eq!(tm_history::decode(&wire).as_ref(), Ok(history), "{ctx}");
+                let replay = Verdict::audit(history, &audit);
+                assert_eq!(
+                    replay.as_ref().map(Verdict::merged),
+                    report.verdict.as_ref().map(Verdict::merged),
+                    "{ctx}: replaying the capture diverged"
+                );
+                assert_eq!(report.verdict.is_none(), matches!(audit, AuditPlan::Off), "{ctx}");
             }
         }
-        // Unaudited capture: a history, no verdict.
-        let off = LivePlan { capture: true, ..LivePlan::new(AuditPlan::Off) };
-        let report = run_live(&scenario, &config, off).unwrap();
-        assert!(report.verdict.is_none());
-        assert_eq!(report.history.expect("capture was requested").txn_count(), 400);
     }
 
     #[test]
     fn every_plan_convicts_pram_local_and_the_windowed_one_mid_stream() {
-        let scenario = crate::scenarios::RegistersScenario;
+        let scenario = RegistersScenario;
         let config = ScenarioConfig {
             threads: 4,
             txns_per_thread: 500,
             vars: 8,
-            ..ScenarioConfig::new(BackendKind::PramLocal)
+            ..ScenarioConfig::new(PRAM_LOCAL)
         };
         for audit in audited_plans() {
             let report = run_live(&scenario, &config, LivePlan::new(audit)).unwrap();
@@ -854,7 +863,7 @@ mod tests {
     #[test]
     fn unrecordable_scenarios_are_rejected_by_every_audited_plan() {
         let scenario = crate::scenarios::BankScenario::default();
-        let config = ScenarioConfig::new(BackendKind::ObstructionFree);
+        let config = ScenarioConfig::new(OBSTRUCTION_FREE);
         let capture_only = LivePlan { capture: true, ..LivePlan::new(AuditPlan::Off) };
         for plan in audited_plans().map(LivePlan::new).into_iter().chain([capture_only]) {
             let err = run_live(&scenario, &config, plan).unwrap_err();
@@ -890,7 +899,7 @@ mod tests {
             threads: 4,
             txns_per_thread: 250,
             vars: 4,
-            ..ScenarioConfig::new(BackendKind::ObstructionFree)
+            ..ScenarioConfig::new(OBSTRUCTION_FREE)
         };
         config.policy = Arc::new(ExponentialBackoff::default());
         let report = run_scenario(&scenario, &config);
@@ -953,7 +962,7 @@ mod tests {
             threads: 2,
             txns_per_thread: 50,
             vars: 1,
-            ..ScenarioConfig::new(BackendKind::ObstructionFree)
+            ..ScenarioConfig::new(OBSTRUCTION_FREE)
         };
         config.policy = Arc::new(BoundedRetry { max_attempts: 3 });
         let report = run_scenario(&AlwaysAbort, &config);
@@ -967,8 +976,8 @@ mod tests {
     #[test]
     fn stalled_writer_starves_victims_only_on_the_blocking_backend() {
         let stall = Duration::from_millis(120);
-        let blocking = stalled_writer_experiment(BackendKind::Tl2Blocking, 2, stall);
-        let ofree = stalled_writer_experiment(BackendKind::ObstructionFree, 2, stall);
+        let blocking = stalled_writer_experiment(TL2_BLOCKING, 2, stall);
+        let ofree = stalled_writer_experiment(OBSTRUCTION_FREE, 2, stall);
         // The obstruction-free backend keeps committing while the writer sleeps; the
         // blocking backend's victims spend the stall spinning on the hot lock.
         assert!(

@@ -423,7 +423,7 @@ mod tests {
     use super::*;
     use crate::scenario::all_scenarios;
     use rand::SeedableRng;
-    use stm_runtime::BackendKind;
+    use stm_runtime::registry::{OBSTRUCTION_FREE, PRAM_LOCAL, TL2_BLOCKING};
 
     fn tiny_config(backend: impl Into<stm_runtime::BackendId>) -> ScenarioConfig {
         ScenarioConfig { threads: 2, txns_per_thread: 40, vars: 8, ..ScenarioConfig::new(backend) }
@@ -431,8 +431,7 @@ mod tests {
 
     #[test]
     fn every_scenario_runs_single_threaded_on_every_builtin_backend() {
-        for kind in [BackendKind::Tl2Blocking, BackendKind::ObstructionFree, BackendKind::PramLocal]
-        {
+        for kind in [TL2_BLOCKING, OBSTRUCTION_FREE, PRAM_LOCAL] {
             for scenario in all_scenarios() {
                 let config = tiny_config(kind);
                 let stm = Stm::new(config.backend);
@@ -467,7 +466,7 @@ mod tests {
 
     #[test]
     fn bank_scenario_detects_its_own_invariant() {
-        let config = tiny_config(BackendKind::ObstructionFree);
+        let config = tiny_config(OBSTRUCTION_FREE);
         let stm = Stm::new(config.backend);
         let scenario = BankScenario::default();
         assert!(!scenario.recordable());

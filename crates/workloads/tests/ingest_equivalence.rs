@@ -1,4 +1,5 @@
-//! Satellite: ingestion equivalence.  A live audited run and a replay of its
+//! Satellite: ingestion equivalence.  Live-captured histories survive the
+//! wire format losslessly, and a live audited run and a replay of its
 //! exported-then-decoded history must agree **byte for byte** — same merged
 //! verdict JSON — across seeds, backends and all three audit topologies.
 //!
@@ -10,7 +11,7 @@
 use std::sync::Arc;
 use stm_runtime::{policy, BackendId};
 use tm_audit::{AuditHistory, AuditOptions, ShardConfig, WindowConfig};
-use tm_history::{decode, encode};
+use tm_history::{decode, decode_all, encode};
 use workloads::{run_live, scenario_by_name, AuditPlan, LivePlan, ScenarioConfig, Verdict};
 
 const BUDGET: u64 = 2_000_000;
@@ -41,6 +42,57 @@ fn plans() -> [AuditPlan; 3] {
         AuditPlan::Windowed(window),
         AuditPlan::Sharded(ShardConfig::new(2, window)),
     ]
+}
+
+/// A live-captured `registers` history (capture on, no audit).
+fn captured(config: &ScenarioConfig) -> AuditHistory {
+    let plan = LivePlan { capture: true, ..LivePlan::new(AuditPlan::Off) };
+    let scenario = scenario_by_name("registers").expect("built-in scenario");
+    run_live(scenario.as_ref(), config, plan).expect("recorded run").history.expect("captured")
+}
+
+/// Lossless round trip: encoding a live-captured history and decoding it
+/// back yields the *same* history, and re-encoding yields the same bytes.
+#[test]
+fn fifty_live_histories_round_trip_identically() {
+    for seed in 0..50u64 {
+        let backend = BACKENDS[(seed % BACKENDS.len() as u64) as usize];
+        let config = ScenarioConfig {
+            threads: 3,
+            txns_per_thread: 40,
+            ..run_config(backend, 0xC0FFEE ^ seed)
+        };
+        let history = captured(&config);
+        let doc = encode(&history);
+        let decoded = match decode(&doc) {
+            Ok(decoded) => decoded,
+            Err(e) => panic!("seed {seed}: captured history failed to decode: {e}"),
+        };
+        assert_eq!(decoded, history, "seed {seed}: decode(encode(h)) != h");
+        assert_eq!(encode(&decoded), doc, "seed {seed}: re-encode is not byte-identical");
+    }
+}
+
+/// `decode_all` on a multi-document export returns every history in order.
+#[test]
+fn decode_all_handles_multi_document_exports() {
+    let histories = [7, 8].map(|seed| {
+        captured(&ScenarioConfig {
+            threads: 4,
+            txns_per_thread: 25,
+            vars: 32,
+            ..run_config(stm_runtime::registry::TL2_BLOCKING, seed)
+        })
+    });
+    let mut doc = String::new();
+    for history in &histories {
+        doc.push_str(&encode(history));
+        doc.push('\n');
+    }
+    let decoded = decode_all(&doc).expect("multi-document export decodes");
+    assert_eq!(decoded.len(), 2);
+    assert_eq!(decoded[0], histories[0]);
+    assert_eq!(decoded[1], histories[1]);
 }
 
 /// Run `scenario` live under `plan` with capture on; returns the live

@@ -3,29 +3,26 @@
 //!
 //! The paper's placement of each backend, as measurable history properties:
 //!
-//! * the consistent backends (`Tl2Blocking`, `ObstructionFree`) must produce
+//! * the consistent backends (`tl2-blocking`, `obstruction-free`) must produce
 //!   serializable histories under arbitrary contention;
-//! * the no-synchronization `PramLocal` backend must be *convicted*: its
+//! * the no-synchronization `pram-local` backend must be *convicted*: its
 //!   histories stay (vacuously) causal but lose updates, so snapshot
 //!   isolation and serializability must fail with a concrete witness.
 
-use pcl_tm::audit::{audit, record_run, AuditRunConfig, Level, Outcome};
-use pcl_tm::stm::{BackendId, BackendKind};
+mod common;
+
+use pcl_tm::audit::{audit, Level, Outcome};
+use pcl_tm::stm::registry::{OBSTRUCTION_FREE, PRAM_LOCAL, TL2_BLOCKING};
+use pcl_tm::stm::BackendId;
 
 fn run(backend: BackendId, seed: u64) -> pcl_tm::audit::AuditReport {
-    audit(&record_run(AuditRunConfig {
-        backend,
-        sessions: 4,
-        txns_per_session: 500,
-        vars: 24,
-        seed,
-    }))
+    audit(&common::live_history(backend, 4, 500, 24, seed))
 }
 
 #[test]
 fn tl2_blocking_histories_are_serializable_under_contention() {
     for seed in [1, 2, 3] {
-        let report = run(BackendKind::Tl2Blocking.id(), seed);
+        let report = run(TL2_BLOCKING, seed);
         for level in Level::ALL {
             assert!(report.passes(level), "seed {seed}, {level}:\n{report}");
         }
@@ -35,7 +32,7 @@ fn tl2_blocking_histories_are_serializable_under_contention() {
 #[test]
 fn obstruction_free_histories_are_serializable_under_contention() {
     for seed in [1, 2, 3] {
-        let report = run(BackendKind::ObstructionFree.id(), seed);
+        let report = run(OBSTRUCTION_FREE, seed);
         for level in Level::ALL {
             assert!(report.passes(level), "seed {seed}, {level}:\n{report}");
         }
@@ -45,7 +42,7 @@ fn obstruction_free_histories_are_serializable_under_contention() {
 #[test]
 fn pram_local_histories_are_flagged_non_serializable() {
     for seed in [1, 2, 3] {
-        let report = run(BackendKind::PramLocal.id(), seed);
+        let report = run(PRAM_LOCAL, seed);
         // Never synchronizing is still (vacuously) causal…
         assert!(report.passes(Level::ReadCommitted), "seed {seed}:\n{report}");
         assert!(report.passes(Level::ReadAtomic), "seed {seed}:\n{report}");
@@ -71,7 +68,7 @@ fn audited_runner_combines_throughput_and_verdicts() {
         txns_per_thread: 250,
         vars: 16,
         seed: 99,
-        ..ScenarioConfig::new(BackendKind::Tl2Blocking)
+        ..ScenarioConfig::new(TL2_BLOCKING)
     };
     let plan = LivePlan::new(AuditPlan::Batch(Default::default()));
     let report = run_live(scenario.as_ref(), &config, plan).unwrap();

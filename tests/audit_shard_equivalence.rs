@@ -25,9 +25,11 @@
 //! it to decided on retry, and another partition's conviction is never
 //! downgraded to Unknown by the merge.
 
+mod common;
+
 use pcl_tm::audit::{
-    audit, audit_sharded, audit_streamed, partition_of, record_run, AuditHistory, AuditRunConfig,
-    Level, Outcome, ShardConfig, ShardedStreamReport, StreamReport, WindowConfig,
+    audit, audit_sharded, audit_streamed, partition_of, AuditHistory, Level, Outcome, ShardConfig,
+    ShardedStreamReport, StreamReport, WindowConfig,
 };
 use pcl_tm::stm::{registry, BackendId};
 
@@ -86,8 +88,7 @@ fn assert_three_way_agreement(
 
 fn differential_on_backend(backend: BackendId) {
     for seed in 0..50u64 {
-        let config = AuditRunConfig { backend, sessions: 3, txns_per_session: 40, vars: 8, seed };
-        let history = record_run(config);
+        let history = common::live_history(backend, 3, 40, 8, seed);
         let batch = audit(&history);
         let stream = audit_streamed(&history, suite_window());
         for shards in SHARD_COUNTS {

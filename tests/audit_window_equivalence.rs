@@ -11,11 +11,11 @@
 //! more than a window — pram-local's long-fork-shaped Prefix violations
 //! are the live case).
 
-use pcl_tm::audit::{
-    audit, audit_streamed, record_run, AuditHistory, AuditRunConfig, Level, StreamReport,
-    WindowConfig,
-};
-use pcl_tm::stm::{BackendId, BackendKind};
+mod common;
+
+use pcl_tm::audit::{audit, audit_streamed, AuditHistory, Level, StreamReport, WindowConfig};
+use pcl_tm::stm::registry::{OBSTRUCTION_FREE, PRAM_LOCAL, TL2_BLOCKING};
+use pcl_tm::stm::BackendId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,8 +49,7 @@ fn assert_verdicts_agree(batch: &pcl_tm::audit::AuditReport, stream: &StreamRepo
 
 fn equivalence_on_backend(backend: BackendId) {
     for seed in 0..50u64 {
-        let config = AuditRunConfig { backend, sessions: 3, txns_per_session: 40, vars: 8, seed };
-        let history = record_run(config);
+        let history = common::live_history(backend, 3, 40, 8, seed);
         let batch = audit(&history);
         let stream = audit_streamed(&history, suite_window());
         assert_verdicts_agree(&batch, &stream, &format!("{backend}, seed {seed}"));
@@ -59,17 +58,17 @@ fn equivalence_on_backend(backend: BackendId) {
 
 #[test]
 fn windowed_agrees_with_batch_on_tl2_blocking() {
-    equivalence_on_backend(BackendKind::Tl2Blocking.id());
+    equivalence_on_backend(TL2_BLOCKING);
 }
 
 #[test]
 fn windowed_agrees_with_batch_on_obstruction_free() {
-    equivalence_on_backend(BackendKind::ObstructionFree.id());
+    equivalence_on_backend(OBSTRUCTION_FREE);
 }
 
 #[test]
 fn windowed_agrees_with_batch_on_pram_local() {
-    equivalence_on_backend(BackendKind::PramLocal.id());
+    equivalence_on_backend(PRAM_LOCAL);
 }
 
 /// A serializable handoff chain whose every write-read edge crosses one step

@@ -151,8 +151,9 @@ fn every_algorithm_commits_the_paper_scenario_when_run_sequentially() {
 
 #[test]
 fn real_stm_backends_agree_with_their_simulated_counterparts_on_the_bank_invariant() {
-    use pcl_tm::stm::{BackendKind, Stm};
-    for kind in [BackendKind::Tl2Blocking, BackendKind::ObstructionFree] {
+    use pcl_tm::stm::registry::{OBSTRUCTION_FREE, TL2_BLOCKING};
+    use pcl_tm::stm::Stm;
+    for kind in [TL2_BLOCKING, OBSTRUCTION_FREE] {
         let stm = Stm::new(kind);
         let a = stm.alloc(50);
         let b = stm.alloc(50);

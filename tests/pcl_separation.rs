@@ -12,16 +12,17 @@
 //! repo.  On the serializable backends the same choreography serializes
 //! (one side revalidates and retries), and every level passes.
 
-use pcl_tm::audit::{audit, HistoryRecorder, Level, Outcome};
-use pcl_tm::stm::{recorder, registry, BackendId, Stm, TVar, VarId};
+use pcl_tm::audit::{audit, HistoryCollector, Level, Outcome, StreamMerger};
+use pcl_tm::stm::{recorder, registry, BackendId, Stm, StreamingRecorder, TVar, VarId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 /// Run the two-transaction write-skew choreography on `backend` and audit
 /// the recorded two-word history.
 fn choreographed_skew(backend: BackendId) -> pcl_tm::audit::AuditReport {
-    let rec = Arc::new(HistoryRecorder::new(2, 0));
-    let mut stm = Stm::with_recorder(backend, Arc::clone(&rec) as _);
+    let rec = Arc::new(StreamingRecorder::new(2, 256));
+    let consumer = rec.consumer();
+    let stm = Stm::with_recorder(backend, Arc::clone(&rec) as _);
     let pair: TVar<(i64, i64)> = stm.alloc((0, 0));
     let halves = [
         TVar::<i64>::from_base(pair.base()),
@@ -49,10 +50,11 @@ fn choreographed_skew(backend: BackendId) -> pcl_tm::audit::AuditReport {
             });
         }
     });
-    stm.take_recorder();
-    let history =
-        Arc::try_unwrap(rec).unwrap_or_else(|_| panic!("recorder still shared")).into_history(2);
-    audit(&history)
+    // Two commits: nothing to backpressure, so drain after the threads join.
+    rec.finish();
+    let mut collector = HistoryCollector::new(2, 0, 2);
+    StreamMerger::drain(&consumer, 2, &mut collector);
+    audit(&collector.into_history())
 }
 
 #[test]
