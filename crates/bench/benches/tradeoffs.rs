@@ -58,8 +58,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use stm_runtime::{policy, registry, BackendId, Stm};
 use workloads::{
-    run_scenario, run_threads, stalled_writer_experiment, BankConfig, KvZipfScenario, RunConfig,
-    ScenarioConfig, WriteSkewScenario,
+    run_scenario, stalled_writer_experiment, BankConfig, BankScenario, KvZipfScenario,
+    ScenarioConfig, ScenarioRunReport, WriteSkewScenario,
 };
 
 /// Sizing of one bench run (full by default, shrunk by `PCL_BENCH_TINY`).
@@ -98,6 +98,20 @@ fn all_backends() -> Vec<BackendId> {
     registry::all_ids()
 }
 
+/// One unaudited bank run: `threads × txns_per_thread` transfers over
+/// `accounts` accounts shaped by `template`.
+fn run_bank(
+    backend: BackendId,
+    threads: usize,
+    txns_per_thread: usize,
+    accounts: usize,
+    template: BankConfig,
+) -> ScenarioRunReport {
+    let config =
+        ScenarioConfig { threads, txns_per_thread, vars: accounts, ..ScenarioConfig::new(backend) };
+    run_scenario(&BankScenario { template }, &config)
+}
+
 /// TRADE1: fully disjoint transfers, 1–4 threads, **strong scaling** — a
 /// fixed *total* transaction count split evenly across the thread count.
 ///
@@ -127,12 +141,8 @@ fn bench_disjoint_scaling(
         for threads in [1usize, 2, 4] {
             let name = format!("trade1-disjoint-scaling/{backend}/{threads}");
             let samples = bench(&name, sizes.samples, || {
-                let report = run_threads(RunConfig {
-                    backend,
-                    threads,
-                    tx_per_thread: total_txns / threads,
-                    bank: BankConfig { accounts: 64, cross_fraction: 0.0, ..Default::default() },
-                });
+                let disjoint = BankConfig { cross_fraction: 0.0, ..Default::default() };
+                let report = run_bank(backend, threads, total_txns / threads, 64, disjoint);
                 black_box(report.throughput)
             });
             let min_ns = samples.min().as_nanos() as f64;
@@ -163,12 +173,8 @@ fn bench_metrics_overhead(sizes: &Sizes, sink: &mut Vec<Samples>) {
     let samples = sizes.samples * 4;
     for backend in all_backends() {
         let run = || {
-            let report = run_threads(RunConfig {
-                backend,
-                threads: 4,
-                tx_per_thread: sizes.tx_per_thread,
-                bank: BankConfig { accounts: 64, cross_fraction: 0.0, ..Default::default() },
-            });
+            let disjoint = BankConfig { cross_fraction: 0.0, ..Default::default() };
+            let report = run_bank(backend, 4, sizes.tx_per_thread, 64, disjoint);
             black_box(report.throughput)
         };
         let (off, on) = bench_interleaved(
@@ -198,17 +204,12 @@ fn bench_contention(sizes: &Sizes, sink: &mut Vec<Samples>) {
                 &format!("trade2-zipf-contention/{backend}/theta={theta}"),
                 sizes.samples,
                 || {
-                    let report = run_threads(RunConfig {
-                        backend,
-                        threads: 4,
-                        tx_per_thread: sizes.tx_per_thread.min(200),
-                        bank: BankConfig {
-                            accounts: 32,
-                            cross_fraction: 1.0,
-                            zipf_theta: Some(theta),
-                            ..Default::default()
-                        },
-                    });
+                    let zipf = BankConfig {
+                        cross_fraction: 1.0,
+                        zipf_theta: Some(theta),
+                        ..Default::default()
+                    };
+                    let report = run_bank(backend, 4, sizes.tx_per_thread.min(200), 32, zipf);
                     black_box((report.throughput, report.aborts))
                 },
             ));

@@ -1,15 +1,22 @@
-//! Crash recovery for the windowed auditor: frontier snapshots, their JSON
-//! wire form, and the continuation check that makes a resumed audit sound.
+//! Crash recovery for the windowed auditor: the boundary record a seal
+//! persists, its JSON wire form, and the continuation check that makes a
+//! resumed audit sound.
 //!
-//! A [`FrontierSnapshot`] captures a [`crate::WindowedAuditor`]'s committed
-//! state at a **window boundary**: the carried frontier (write attribution,
-//! latest-per-var, rmw facts), the per-session sequence counters *rewound to
-//! the boundary*, every closed window's verdict, and `replay_from` — the
-//! count of log records the snapshot has fully absorbed or audited.  The
-//! snapshot is persisted next to each sealed WAL segment
-//! ([`stm_runtime::wal::WalSink`]), so after `kill -9` the auditor resumes
-//! from the latest snapshot ([`crate::WindowedAuditor::resume_from_frontier`])
-//! and re-ingests only the records from `replay_from` on.
+//! **The sealed log is the durable form of the frontier.**  Everything a
+//! [`crate::WindowedAuditor`] carries between windows — write attribution,
+//! latest value per variable, rmw facts — is a pure function of the records
+//! it has absorbed, and the WAL ([`stm_runtime::wal::WalSink`]) already
+//! stores those durably.  So a [`FrontierSnapshot`], persisted next to each
+//! sealed segment, holds only what the log cannot give back without
+//! re-auditing: the window shape, the boundary scalars (per-session sequence
+//! counters *rewound to the boundary*, `replay_from` — the count of log
+//! records absorbed so far — peaks, the first conviction) and **the verdict
+//! of the one window that just closed**.  After `kill -9`,
+//! [`crate::WindowedAuditor::resume_from_frontier`] takes the chain of
+//! snapshots `0..=K` (scalars from the newest, one verdict from each),
+//! re-absorbs the log prefix `[..replay_from]` window by window through the
+//! very function a live window close runs, and the caller re-ingests the
+//! records from `replay_from` on.
 //!
 //! # Soundness of the resumed verdict
 //!
@@ -17,7 +24,10 @@
 //! world between windows: the frontier holds exactly the absorbed prefix,
 //! and the records **not** yet absorbed (the overlap carried into the next
 //! window, plus anything after the boundary) are re-pushed from the durable
-//! log with their original session order.  Because window contents are a
+//! log with their original session order.  Window `j` absorbed records
+//! `[j·stride, (j+1)·stride)` of the log (`stride = size − overlap`), so the
+//! re-absorbed frontier *is* the frontier the crashed process held — same
+//! writers, same hints, same eviction order.  Because window contents are a
 //! pure function of (frontier, push order) and the rewound sequence counters
 //! re-assign the records their original identities, the resumed auditor
 //! builds byte-identical windows to the uninterrupted run — the equivalence
@@ -30,14 +40,14 @@
 
 use crate::history::TxnId;
 use crate::report::{AuditReport, DecidedBy, Level, LevelReport, Outcome};
-use crate::window::{Conviction, WindowVerdict};
+use crate::window::{Conviction, WindowConfig, WindowVerdict};
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
 use tm_telemetry::json::{self, Value};
 
 /// Version tag of the snapshot JSON this module reads and writes.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// A recovery-path failure: a snapshot that does not parse, or a log that is
 /// not a legal extension of the snapshot.
@@ -67,26 +77,21 @@ impl From<json::ParseError> for RecoveryError {
     }
 }
 
-/// The committed state of a [`crate::WindowedAuditor`] at a window boundary
-/// — everything a fresh process needs to continue the audit as if the crash
-/// never happened.  Produced by [`crate::WindowedAuditor::boundary_snapshot`],
-/// consumed by [`crate::WindowedAuditor::resume_from_frontier`].
+/// What a [`crate::WindowedAuditor`] knows at a window boundary that the log
+/// cannot give back — with the sealed log, everything a fresh process needs
+/// to continue the audit as if the crash never happened.  Produced by
+/// [`crate::WindowedAuditor::boundary_snapshot`]; a chain of them, one per
+/// closed window, is consumed by
+/// [`crate::WindowedAuditor::resume_from_frontier`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierSnapshot {
-    /// Variables in the audited run.
+    /// Variables in the audited run (a cross-check: the log header decides).
     pub n_vars: usize,
-    /// Shared initial value.
+    /// Shared initial value (likewise).
     pub initial: i64,
-    /// Window size the verdicts were produced under (must match on resume).
-    pub size: usize,
-    /// Window overlap.
-    pub overlap: usize,
-    /// DFS state budget.
-    pub budget: u64,
-    /// Frontier retention horizon, in windows.
-    pub retain_windows: usize,
-    /// Re-saturation probe batch.
-    pub batch: usize,
+    /// The window shape the verdicts were produced under, which a resume
+    /// keeps (`sat` is not persisted: always `None` here).
+    pub config: WindowConfig,
     /// Index the next window will carry.
     pub window_index: usize,
     /// Stream records fully absorbed or audited by this snapshot: recovery
@@ -105,17 +110,10 @@ pub struct FrontierSnapshot {
     pub peak_closure_bytes: usize,
     /// The earliest definite violation, if one landed before the boundary.
     pub first_conviction: Option<Conviction>,
-    /// Frontier: each variable's latest absorbed value (sorted by variable).
-    pub latest: Vec<(usize, i64)>,
-    /// Frontier: `(var, value, writer, absorbed-in-window)` attribution
-    /// entries (sorted).
-    pub source_of: Vec<(usize, i64, TxnId, usize)>,
-    /// Frontier: `(var, source value, first rmw writer, value written)`
-    /// lost-update facts (sorted).
-    pub rmw_of: Vec<(usize, i64, TxnId, i64)>,
-    /// Every closed window's verdict, in stream order — carrying these makes
-    /// the recovered merged report identical to the uninterrupted run's.
-    pub verdicts: Vec<WindowVerdict>,
+    /// The verdict of the window that just closed (`window_index - 1`).  The
+    /// chain of snapshots carries every closed window's, which makes the
+    /// recovered merged report identical to the uninterrupted run's.
+    pub verdict: WindowVerdict,
 }
 
 impl FrontierSnapshot {
@@ -169,7 +167,11 @@ impl FrontierSnapshot {
         let _ = write!(
             out,
             "\"config\":{{\"size\":{},\"overlap\":{},\"budget\":{},\"retain_windows\":{},\"batch\":{}}},",
-            self.size, self.overlap, self.budget, self.retain_windows, self.batch
+            self.config.size,
+            self.config.overlap,
+            self.config.budget,
+            self.config.retain_windows,
+            self.config.batch
         );
         let _ = write!(
             out,
@@ -201,49 +203,22 @@ impl FrontierSnapshot {
                 );
             }
         }
-        out.push_str("\"latest\":[");
-        for (i, &(var, value)) in self.latest.iter().enumerate() {
-            if i > 0 {
+        let w = &self.verdict;
+        let _ = write!(
+            out,
+            "\"verdict\":{{\"index\":{},\"txns\":{},\"elapsed_us\":{},\"shape\":\"{}\",\"levels\":[",
+            w.index,
+            w.txns,
+            w.audit_elapsed.as_micros(),
+            json::escape(&w.report.shape)
+        );
+        for (j, l) in w.report.levels.iter().enumerate() {
+            if j > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "[{var},{value}]");
+            out.push_str(&level_report_json(l));
         }
-        out.push_str("],\"source_of\":[");
-        for (i, &(var, value, id, window)) in self.source_of.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{var},{value},{},{},{window}]", id.session, id.seq);
-        }
-        out.push_str("],\"rmw_of\":[");
-        for (i, &(var, source, id, wrote)) in self.rmw_of.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{var},{source},{},{},{wrote}]", id.session, id.seq);
-        }
-        out.push_str("],\"verdicts\":[");
-        for (i, w) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"index\":{},\"txns\":{},\"elapsed_us\":{},\"shape\":\"{}\",\"levels\":[",
-                w.index,
-                w.txns,
-                w.audit_elapsed.as_micros(),
-                json::escape(&w.report.shape)
-            );
-            for (j, l) in w.report.levels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&level_report_json(l));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
+        out.push_str("]}}");
         out
     }
 
@@ -270,54 +245,25 @@ impl FrontierSnapshot {
         };
         let seqs = field_arr(&value, "seqs")?
             .iter()
-            .map(|row| {
-                let row = tuple(row, 2)?;
-                Ok((num_usize(&row[0])?, num_usize(&row[1])?))
+            .map(|row| match row.as_arr() {
+                Some([session, seq]) => Ok((num_usize(session)?, num_usize(seq)?)),
+                _ => Err(RecoveryError::new("expected a [session, seq] row")),
             })
             .collect::<Result<Vec<_>, RecoveryError>>()?;
-        let latest = field_arr(&value, "latest")?
-            .iter()
-            .map(|row| {
-                let row = tuple(row, 2)?;
-                Ok((num_usize(&row[0])?, num_i64(&row[1])?))
-            })
-            .collect::<Result<Vec<_>, RecoveryError>>()?;
-        let source_of = field_arr(&value, "source_of")?
-            .iter()
-            .map(|row| {
-                let row = tuple(row, 5)?;
-                Ok((
-                    num_usize(&row[0])?,
-                    num_i64(&row[1])?,
-                    TxnId { session: num_usize(&row[2])?, seq: num_usize(&row[3])? },
-                    num_usize(&row[4])?,
-                ))
-            })
-            .collect::<Result<Vec<_>, RecoveryError>>()?;
-        let rmw_of = field_arr(&value, "rmw_of")?
-            .iter()
-            .map(|row| {
-                let row = tuple(row, 5)?;
-                Ok((
-                    num_usize(&row[0])?,
-                    num_i64(&row[1])?,
-                    TxnId { session: num_usize(&row[2])?, seq: num_usize(&row[3])? },
-                    num_i64(&row[4])?,
-                ))
-            })
-            .collect::<Result<Vec<_>, RecoveryError>>()?;
-        let verdicts = field_arr(&value, "verdicts")?
-            .iter()
-            .map(parse_verdict)
-            .collect::<Result<Vec<_>, RecoveryError>>()?;
+        let verdict = value
+            .get("verdict")
+            .ok_or_else(|| RecoveryError::new("snapshot is missing \"verdict\""))?;
         Ok(FrontierSnapshot {
             n_vars: field_u64(&value, "n_vars")? as usize,
             initial: field_i64(&value, "initial")?,
-            size: field_u64(config, "size")? as usize,
-            overlap: field_u64(config, "overlap")? as usize,
-            budget: field_u64(config, "budget")?,
-            retain_windows: field_u64(config, "retain_windows")? as usize,
-            batch: field_u64(config, "batch")? as usize,
+            config: WindowConfig {
+                size: field_u64(config, "size")? as usize,
+                overlap: field_u64(config, "overlap")? as usize,
+                budget: field_u64(config, "budget")?,
+                retain_windows: field_u64(config, "retain_windows")? as usize,
+                batch: field_u64(config, "batch")? as usize,
+                sat: None,
+            },
             window_index: field_u64(&value, "window_index")? as usize,
             replay_from: field_u64(&value, "replay_from")?,
             seqs,
@@ -326,10 +272,7 @@ impl FrontierSnapshot {
             peak_window_txns: field_u64(&value, "peak_window_txns")? as usize,
             peak_closure_bytes: field_u64(&value, "peak_closure_bytes")? as usize,
             first_conviction,
-            latest,
-            source_of,
-            rmw_of,
-            verdicts,
+            verdict: parse_verdict(verdict)?,
         })
     }
 }
@@ -435,26 +378,11 @@ fn str_of(value: &Value) -> Result<&str, RecoveryError> {
     value.as_str().ok_or_else(|| RecoveryError::new("expected a string"))
 }
 
-fn tuple(value: &Value, len: usize) -> Result<&[Value], RecoveryError> {
-    let arr = value.as_arr().ok_or_else(|| RecoveryError::new("expected an array row"))?;
-    if arr.len() != len {
-        return Err(RecoveryError::new(format!(
-            "expected a {len}-element row, found {}",
-            arr.len()
-        )));
-    }
-    Ok(arr)
-}
-
 fn num_usize(value: &Value) -> Result<usize, RecoveryError> {
     value
         .as_u64()
         .map(|v| v as usize)
         .ok_or_else(|| RecoveryError::new("expected an unsigned number"))
-}
-
-fn num_i64(value: &Value) -> Result<i64, RecoveryError> {
-    value.as_i64().ok_or_else(|| RecoveryError::new("expected an integer"))
 }
 
 #[cfg(test)]
@@ -465,11 +393,7 @@ mod tests {
         FrontierSnapshot {
             n_vars: 4,
             initial: 0,
-            size: 8,
-            overlap: 2,
-            budget: 100_000,
-            retain_windows: 8,
-            batch: 1,
+            config: WindowConfig { overlap: 2, budget: 100_000, ..WindowConfig::sized(8) },
             window_index: 2,
             replay_from: 12,
             seqs: vec![(0, 7), (1, 5)],
@@ -483,17 +407,11 @@ mod tests {
                 txns_seen: 9,
                 violation: "lost update on v0: \"quoted\"\nnewline".into(),
             }),
-            latest: vec![(0, 7), (2, -3)],
-            source_of: vec![
-                (0, 7, TxnId { session: 0, seq: 3 }, 1),
-                (2, -3, TxnId { session: 1, seq: 4 }, 2),
-            ],
-            rmw_of: vec![(0, 0, TxnId { session: 0, seq: 3 }, 7)],
-            verdicts: vec![WindowVerdict {
-                index: 0,
+            verdict: WindowVerdict {
+                index: 1,
                 txns: 8,
                 report: AuditReport {
-                    shape: "window 0: 8 transactions".into(),
+                    shape: "window 1: 8 transactions".into(),
                     levels: vec![
                         LevelReport::new(
                             Level::ReadCommitted,
@@ -517,7 +435,7 @@ mod tests {
                     ],
                 },
                 audit_elapsed: Duration::from_micros(1234),
-            }],
+            },
         }
     }
 
@@ -530,10 +448,10 @@ mod tests {
         // Spot-check the verdict internals survived with full fidelity —
         // provenance included, so a resumed stream never re-attributes.
         let by: Vec<DecidedBy> =
-            parsed.verdicts[0].report.levels.iter().map(|l| l.decided_by).collect();
+            parsed.verdict.report.levels.iter().map(|l| l.decided_by).collect();
         assert_eq!(by, [DecidedBy::Hint, DecidedBy::Sat, DecidedBy::Dfs]);
         assert!(FrontierSnapshot::parse(&json.replace("\"hint\"", "\"oracle\"")).is_err());
-        let level = &parsed.verdicts[0].report.levels[1];
+        let level = &parsed.verdict.report.levels[1];
         assert_eq!(level.decided_by, DecidedBy::Sat);
         let Outcome::Unknown { states, refuted, next_budget, .. } = &level.outcome else {
             panic!("expected unknown");

@@ -314,14 +314,13 @@ impl std::fmt::Display for StreamReport {
 
 /// One absorbed writer the frontier can still materialize as a stand-in.
 #[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 struct RetainedWriter {
     id: TxnId,
     /// The writer's recording-order hint, so its stand-in sorts where the
     /// real transaction did: with every stand-in at hint 0 the latest writer
     /// of `x` that also holds a stale write of `y` could sort after the
     /// latest writer of `y`, and no window past the first would verify.
-    /// Kept in memory only — a resumed auditor reads it back from the log
-    /// ([`WindowedAuditor::restore_frontier_hints`]).
     hint: u64,
     /// Its writes still resolvable: exactly the `source_of` keys that point
     /// at this writer.
@@ -337,6 +336,7 @@ struct WriterRef {
 
 /// Attribution of one retained `(var, value)`.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Source {
     /// Slot of the writer in [`Frontier::writers`].
     writer: u32,
@@ -355,7 +355,13 @@ struct Source {
 /// the horizon (sparing each variable's latest value) instead of scanning
 /// everything retained, and absorbing a transaction moves its write set in
 /// whole.
+///
+/// A frontier is a pure function of the records absorbed so far, and comes
+/// into being one way only: [`Frontier::absorb_window`], once per closed
+/// window — live at the close, and again from the durable log when a killed
+/// auditor resumes ([`WindowedAuditor::resume_from_frontier`]).
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Frontier {
     /// The initial value of every variable (rmw facts key on it).
     initial: i64,
@@ -393,6 +399,21 @@ impl Frontier {
         Frontier { initial, latest: vec![None; n_vars], ..Frontier::default() }
     }
 
+    /// Close out `window`: take in the records it absorbed (its non-overlap
+    /// prefix, in arrival order), then drop what fell off the `retain`
+    /// horizon.
+    fn absorb_window(
+        &mut self,
+        window: usize,
+        records: impl IntoIterator<Item = (TxnId, AuditTxn)>,
+        retain: usize,
+    ) {
+        for (id, txn) in records {
+            self.absorb(id, txn, window);
+        }
+        self.evict(window + 1, retain);
+    }
+
     fn absorb(&mut self, id: TxnId, txn: AuditTxn, window: usize) {
         for &(var, value) in &txn.writes {
             if let Some(old) = self.latest[var].replace(value) {
@@ -413,7 +434,7 @@ impl Frontier {
     }
 
     /// Take in a writer absorbed in `window`.  Windows must arrive in
-    /// ascending order (absorption and snapshot restore both do).
+    /// ascending order.
     fn retain_writer(&mut self, writer: RetainedWriter, window: usize) {
         let slot = self.free_slots.pop().unwrap_or(self.writers.len() as u32);
         for &key in &writer.writes {
@@ -679,8 +700,9 @@ impl WindowedAuditor {
         self.config
     }
 
-    /// Snapshot the committed state **at the last window boundary** — the
-    /// durable half of crash recovery (see [`crate::recovery`]).
+    /// What the log cannot give back about the **last window boundary** — the
+    /// durable half of crash recovery next to the sealed log (see
+    /// [`crate::recovery`]); `None` before the first window has closed.
     ///
     /// The snapshot rewinds to the boundary: per-session sequence counters
     /// are decremented by the records still in the current (unclosed)
@@ -690,7 +712,8 @@ impl WindowedAuditor {
     /// they re-assume their original identities and rebuild the in-flight
     /// window exactly, so the resumed stream's verdicts match an
     /// uninterrupted run's.
-    pub fn boundary_snapshot(&self) -> FrontierSnapshot {
+    pub fn boundary_snapshot(&self) -> Option<FrontierSnapshot> {
+        let verdict = self.verdicts.last()?.clone();
         let mut seqs = self.seqs.clone();
         for (id, _) in &self.cur {
             if let Some(seq) = seqs.get_mut(&id.session) {
@@ -699,37 +722,10 @@ impl WindowedAuditor {
         }
         let mut seqs: Vec<(usize, usize)> = seqs.into_iter().collect();
         seqs.sort_unstable();
-        let latest: Vec<(usize, i64)> = self
-            .frontier
-            .latest
-            .iter()
-            .enumerate()
-            .filter_map(|(var, v)| v.map(|value| (var, value)))
-            .collect();
-        let mut source_of: Vec<(usize, i64, TxnId, usize)> = self
-            .frontier
-            .source_of
-            .iter()
-            .map(|(&(var, value), source)| {
-                (var, value, self.frontier.writers[source.writer as usize].id, source.window)
-            })
-            .collect();
-        source_of.sort_unstable();
-        let mut rmw_of: Vec<(usize, i64, TxnId, i64)> = self
-            .frontier
-            .rmw_of
-            .iter()
-            .map(|(&(var, source), &(id, wrote))| (var, source, id, wrote))
-            .collect();
-        rmw_of.sort_unstable();
-        FrontierSnapshot {
+        Some(FrontierSnapshot {
             n_vars: self.n_vars,
             initial: self.initial,
-            size: self.config.size,
-            overlap: self.config.overlap,
-            budget: self.config.budget,
-            retain_windows: self.config.retain_windows,
-            batch: self.config.batch,
+            config: WindowConfig { sat: None, ..self.config },
             window_index: self.window_index,
             replay_from: self.total_txns - self.cur.len() as u64,
             seqs,
@@ -738,111 +734,91 @@ impl WindowedAuditor {
             peak_window_txns: self.peak_window_txns,
             peak_closure_bytes: self.peak_closure_bytes,
             first_conviction: self.first_conviction.clone(),
-            latest,
-            source_of,
-            rmw_of,
-            verdicts: self.verdicts.clone(),
-        }
-    }
-
-    /// Rebuild an auditor from a boundary snapshot: the carried frontier,
-    /// the rewound sequence counters and every closed window's verdict are
-    /// restored; the caller then re-pushes the log records from
-    /// `snapshot.replay_from` on (after [`FrontierSnapshot::check_continuation`])
-    /// and the stream continues as if never interrupted.  `sat` supplies the
-    /// solver escalation config, which is not persisted in the snapshot.
-    pub fn resume_from_frontier(
-        snapshot: &FrontierSnapshot,
-        sat: Option<SatConfig>,
-    ) -> Result<WindowedAuditor, RecoveryError> {
-        let config = WindowConfig {
-            size: snapshot.size,
-            overlap: snapshot.overlap,
-            budget: snapshot.budget,
-            retain_windows: snapshot.retain_windows,
-            batch: snapshot.batch,
-            sat,
-        }
-        .normalized();
-        if (config.size, config.overlap, config.batch)
-            != (snapshot.size, snapshot.overlap, snapshot.batch)
-        {
-            return Err(RecoveryError::new(format!(
-                "snapshot window shape (size {}, overlap {}, batch {}) is not a \
-                 normalized configuration — refusing to resume with a different shape",
-                snapshot.size, snapshot.overlap, snapshot.batch
-            )));
-        }
-        for &(var, _) in &snapshot.latest {
-            if var >= snapshot.n_vars {
-                return Err(RecoveryError::new(format!(
-                    "snapshot names variable v{var} but declares only {} variables",
-                    snapshot.n_vars
-                )));
-            }
-        }
-        let mut frontier = Frontier::new(snapshot.n_vars, snapshot.initial);
-        if let Some(&(var, ..)) = snapshot.source_of.iter().find(|s| s.0 >= snapshot.n_vars) {
-            return Err(RecoveryError::new(format!(
-                "snapshot names variable v{var} but declares only {} variables",
-                snapshot.n_vars
-            )));
-        }
-        // A transaction's writes were absorbed together: regroup them per
-        // (window, writer), oldest window first.
-        let mut retained: Vec<&(usize, i64, TxnId, usize)> = snapshot.source_of.iter().collect();
-        retained.sort_by_key(|&&(_, _, id, window)| (window, id));
-        for group in retained.chunk_by(|a, b| (a.3, a.2) == (b.3, b.2)) {
-            let &(_, _, id, window) = group[0];
-            let writes = group.iter().map(|&&(var, value, ..)| (var, value)).collect();
-            // Hints are not persisted; see `restore_frontier_hints`.
-            frontier.retain_writer(RetainedWriter { id, hint: 0, writes }, window);
-        }
-        for &(var, value) in &snapshot.latest {
-            frontier.latest[var] = Some(value);
-        }
-        for &(var, source, id, wrote) in &snapshot.rmw_of {
-            frontier.rmw_of.insert((var, source), (id, wrote));
-            if let Some(entry) = frontier.source_of.get_mut(&(var, source)) {
-                entry.has_rmw = true;
-            }
-        }
-        Ok(WindowedAuditor {
-            n_vars: snapshot.n_vars,
-            initial: snapshot.initial,
-            config,
-            frontier,
-            seqs: snapshot.seqs.iter().copied().collect(),
-            cur: Vec::new(),
-            active: None,
-            window_index: snapshot.window_index,
-            total_txns: snapshot.replay_from,
-            audited_through: snapshot.replay_from,
-            evicted_seq: snapshot.evicted_seq,
-            evicted_attributions: snapshot.evicted_attributions,
-            verdicts: snapshot.verdicts.clone(),
-            first_conviction: snapshot.first_conviction.clone(),
-            peak_window_txns: snapshot.peak_window_txns,
-            peak_closure_bytes: snapshot.peak_closure_bytes,
-            search_only: false,
-            tele: AuditTelemetry::attach(),
+            verdict,
         })
     }
 
-    /// Give the retained frontier writers their recording-order hints back
-    /// after [`WindowedAuditor::resume_from_frontier`].  The snapshot does
-    /// not persist them (they would grow it by two fifths), but whoever
-    /// resumes holds the log the snapshot was cut from, and `hint_of` reads
-    /// them off it.  Without this the resumed verdicts are still sound —
-    /// stand-ins sort at hint 0, as unknown as an evicted writer's — but
-    /// windows an uninterrupted run certifies from its recording order fall
-    /// back to the search.
-    pub fn restore_frontier_hints(&mut self, hint_of: impl Fn(TxnId) -> Option<u64>) {
-        for writer in &mut self.frontier.writers {
-            if let Some(hint) = hint_of(writer.id) {
-                writer.hint = hint;
-            }
+    /// Rebuild an auditor at its last durable window boundary from the
+    /// decoded log (`log`, in `arrival` order) and the snapshot chain written
+    /// beside it — `chain[i]` is what [`WindowedAuditor::boundary_snapshot`]
+    /// returned after window `i` closed.  The newest snapshot supplies the
+    /// boundary scalars, each one its window's verdict, and the frontier is
+    /// re-absorbed from `arrival[..replay_from]` exactly as the closes
+    /// absorbed it.  The caller then re-pushes the records from
+    /// `replay_from` on and the stream continues as if never interrupted.
+    /// `sat` supplies the solver escalation config, which is not persisted.
+    ///
+    /// Everything the snapshots claim about the log is checked against it
+    /// first ([`FrontierSnapshot::check_continuation`] included); a chain
+    /// that does not describe this log is a [`RecoveryError`].
+    pub fn resume_from_frontier(
+        chain: &[FrontierSnapshot],
+        log: &AuditHistory,
+        arrival: &[TxnId],
+        sat: Option<SatConfig>,
+    ) -> Result<WindowedAuditor, RecoveryError> {
+        let Some(snapshot) = chain.last() else {
+            return Err(RecoveryError::new("no frontier snapshot to resume from"));
+        };
+        if let Some((i, link)) = chain
+            .iter()
+            .enumerate()
+            .find(|(i, link)| (link.window_index, link.verdict.index) != (i + 1, *i))
+        {
+            return Err(RecoveryError::new(format!(
+                "frontier snapshot {i} of the chain records window_index {} and the verdict of \
+                 window {} (expected {} and {i})",
+                link.window_index,
+                link.verdict.index,
+                i + 1
+            )));
         }
+        if (snapshot.n_vars, snapshot.initial) != (log.n_vars, log.initial) {
+            return Err(RecoveryError::new(format!(
+                "snapshot declares {} variable(s) starting at {} but the log header declares {} \
+                 starting at {}",
+                snapshot.n_vars, snapshot.initial, log.n_vars, log.initial
+            )));
+        }
+        let config = WindowConfig { sat, ..snapshot.config };
+        if config.normalized() != config {
+            return Err(RecoveryError::new(format!(
+                "snapshot window shape (size {}, overlap {}, batch {}) is not a \
+                 normalized configuration — refusing to resume with a different shape",
+                config.size, config.overlap, config.batch
+            )));
+        }
+        snapshot.check_continuation(arrival)?;
+        // Window `j` absorbed records `[j·stride, (j+1)·stride)` of the log.
+        let stride = config.size - config.overlap;
+        if snapshot.window_index.checked_mul(stride).map(|n| n as u64) != Some(snapshot.replay_from)
+        {
+            return Err(RecoveryError::new(format!(
+                "snapshot covers {} record(s), but {} closed window(s) of stride {stride} absorb \
+                 exactly window_index × stride",
+                snapshot.replay_from, snapshot.window_index
+            )));
+        }
+        let mut auditor = Self::build(log.n_vars, log.initial, config, false);
+        for (window, ids) in arrival[..snapshot.replay_from as usize].chunks(stride).enumerate() {
+            let records = ids.iter().map(|&id| match log.txn(id) {
+                Some(txn) => Ok((id, txn.clone())),
+                None => Err(RecoveryError::new(format!("arrival id {id} is not in the log"))),
+            });
+            let records = records.collect::<Result<Vec<_>, _>>()?;
+            auditor.frontier.absorb_window(window, records, config.retain_windows);
+        }
+        auditor.seqs = snapshot.seqs.iter().copied().collect();
+        auditor.window_index = snapshot.window_index;
+        auditor.total_txns = snapshot.replay_from;
+        auditor.audited_through = snapshot.replay_from;
+        auditor.evicted_seq = snapshot.evicted_seq;
+        auditor.evicted_attributions = snapshot.evicted_attributions;
+        auditor.verdicts = chain.iter().map(|link| link.verdict.clone()).collect();
+        auditor.first_conviction = snapshot.first_conviction.clone();
+        auditor.peak_window_txns = snapshot.peak_window_txns;
+        auditor.peak_closure_bytes = snapshot.peak_closure_bytes;
+        Ok(auditor)
     }
 
     /// Ingest one committed transaction.  Transactions of the same session
@@ -1207,11 +1183,12 @@ impl WindowedAuditor {
         self.audited_through = self.total_txns;
 
         let absorb = if fin { self.cur.len() } else { self.cur.len() - self.config.overlap };
-        for (id, txn) in self.cur.drain(..absorb) {
-            self.frontier.absorb(id, txn, self.window_index);
-        }
+        self.frontier.absorb_window(
+            self.window_index,
+            self.cur.drain(..absorb),
+            self.config.retain_windows,
+        );
         self.window_index += 1;
-        self.frontier.evict(self.window_index, self.config.retain_windows);
     }
 
     /// Merge the per-window verdicts into the whole-run report.
@@ -1505,6 +1482,51 @@ mod tests {
         AuditTxn { reads: reads.to_vec(), writes: writes.to_vec(), hint, footprint: 0 }
     }
 
+    /// What a round killed after `order[..cut]` leaves behind: the log's
+    /// arrival ids, the snapshot chain (one per closed window, through its
+    /// persisted form) — and the live auditor itself, to compare against.
+    fn crash_after(
+        order: &[(usize, &AuditTxn)],
+        cut: usize,
+        n_vars: usize,
+        config: WindowConfig,
+    ) -> (WindowedAuditor, Vec<FrontierSnapshot>, Vec<TxnId>) {
+        let mut live = WindowedAuditor::new(n_vars, 0, config);
+        let (mut chain, mut arrival) = (Vec::new(), Vec::new());
+        for &(session, txn) in &order[..cut] {
+            arrival.push(TxnId { session, seq: live.seqs.get(&session).copied().unwrap_or(0) });
+            live.push(session, txn.clone());
+            if live.windows_closed() > chain.len() {
+                let json = live.boundary_snapshot().expect("a window closed").to_json();
+                chain.push(FrontierSnapshot::parse(&json).expect("parse snapshot"));
+            }
+        }
+        (live, chain, arrival)
+    }
+
+    /// Recovery of that round: resume from the chain and the log (cold, when
+    /// nothing sealed), replay the unabsorbed suffix, then deliver the rest
+    /// of the stream and finish.
+    fn recover_and_finish(
+        h: &AuditHistory,
+        order: &[(usize, &AuditTxn)],
+        config: WindowConfig,
+        chain: &[FrontierSnapshot],
+        arrival: &[TxnId],
+    ) -> StreamReport {
+        let (mut resumed, replay_from) = match chain.last() {
+            None => (WindowedAuditor::new(h.n_vars, h.initial, config), 0),
+            Some(newest) => (
+                WindowedAuditor::resume_from_frontier(chain, h, arrival, None).expect("resume"),
+                newest.replay_from as usize,
+            ),
+        };
+        for &(session, txn) in &order[replay_from..] {
+            resumed.push(session, txn.clone());
+        }
+        resumed.finish()
+    }
+
     /// The frontier where stand-in order decides: session 1's first
     /// transaction holds the latest `x` and a stale `y`, session 0's the
     /// latest `y` — and sorts *first* by identity.  The second window reads
@@ -1520,9 +1542,10 @@ mod tests {
     }
 
     /// Stand-ins keep their recorded hint, so the window after the frontier
-    /// above is certified by its recording order; at hint 0 (a resumed
-    /// auditor nobody gave the hints back to) the stale `y` would sort after
-    /// the latest one and the same window has to search — and still passes.
+    /// above is certified by its recording order (at hint 0 the stale `y`
+    /// would sort after the latest one and the window would have to search)
+    /// — live, and after a resume, whose re-absorbed records bring their
+    /// hints with them.
     #[test]
     fn stand_ins_sort_by_their_recorded_hint() {
         let h = stale_sibling_history();
@@ -1535,33 +1558,11 @@ mod tests {
         assert_eq!(stream.summary(), "RC ✓ | RA ✓ | Causal ✓ | Prefix ✓ | SI ✓ | SER ✓");
 
         let order = recording_order(&h);
-        let resume_after_window_0 = || {
-            let mut live = WindowedAuditor::new(2, 0, cfg(2, 0));
-            for &(s, t) in &order[..2] {
-                live.push(s, t.clone());
-            }
-            let snap = FrontierSnapshot::parse(&live.boundary_snapshot().to_json()).unwrap();
-            assert_eq!(snap.replay_from, 2);
-            WindowedAuditor::resume_from_frontier(&snap, None).unwrap()
-        };
-        let finish = |mut auditor: WindowedAuditor| {
-            for &(s, t) in &order[2..] {
-                auditor.push(s, t.clone());
-            }
-            auditor.finish()
-        };
-
-        let unhinted = finish(resume_after_window_0());
-        assert_eq!(provenance(&unhinted.windows[1].report), [DecidedBy::Dfs; 6]);
-        assert_eq!(unhinted.summary(), stream.summary());
-
-        // With the hints read back off the log, the resumed stream certifies
-        // the same windows with the same witness.
-        let mut hinted = resume_after_window_0();
-        hinted.restore_frontier_hints(|id| h.txn(id).map(|t| t.hint));
-        let hinted = finish(hinted);
-        assert_eq!(hinted.merged, stream.merged);
-        for (resumed, live) in hinted.windows.iter().zip(&stream.windows) {
+        let (_, chain, arrival) = crash_after(&order, 2, 2, cfg(2, 0));
+        assert_eq!(chain.last().expect("window 0 sealed").replay_from, 2);
+        let resumed = recover_and_finish(&h, &order, cfg(2, 0), &chain, &arrival);
+        assert_eq!(resumed.merged, stream.merged);
+        for (resumed, live) in resumed.windows.iter().zip(&stream.windows) {
             assert_eq!(resumed.report, live.report, "window {}", live.index);
         }
     }
@@ -1925,8 +1926,9 @@ mod tests {
         );
     }
 
-    /// Crash/resume at arbitrary cut points: a boundary snapshot plus a
-    /// replay of everything from `replay_from` reproduces the uninterrupted
+    /// Crash/resume at every cut point: the snapshot chain plus the log
+    /// prefix rebuild the very frontier the killed auditor held, and
+    /// replaying everything from `replay_from` reproduces the uninterrupted
     /// run's verdicts exactly — merged report, conviction, totals.
     #[test]
     fn boundary_snapshot_resume_reproduces_the_uninterrupted_verdict() {
@@ -1946,35 +1948,53 @@ mod tests {
         let baseline = audit_streamed(&h, config);
         assert!(baseline.fails(Level::SnapshotIsolation), "{}", baseline.merged);
 
-        let mut order: Vec<(u64, usize, &AuditTxn)> = h
-            .sessions
-            .iter()
-            .enumerate()
-            .flat_map(|(s, session)| session.iter().map(move |t| (t.hint, s, t)))
-            .collect();
-        order.sort_by_key(|&(hint, s, _)| (hint, s));
-
-        for cut in [1, 7, 8, 19, 31, 41] {
-            let mut live = WindowedAuditor::new(3, 0, config);
-            for &(_, s, t) in &order[..cut] {
-                live.push(s, t.clone());
+        let order = recording_order(&h);
+        for cut in 1..=order.len() {
+            let (live, chain, arrival) = crash_after(&order, cut, 3, config);
+            if !chain.is_empty() {
+                let resumed = WindowedAuditor::resume_from_frontier(&chain, &h, &arrival, None)
+                    .expect("resume");
+                assert_eq!(resumed.frontier, live.frontier, "cut {cut}");
             }
-            let snap = live.boundary_snapshot();
-            // The persisted form round-trips...
-            let snap = FrontierSnapshot::parse(&snap.to_json()).expect("parse snapshot");
-            let mut resumed = WindowedAuditor::resume_from_frontier(&snap, None).expect("resume");
-            // ...and replaying from replay_from (the WAL redelivery) plus the
-            // rest of the stream converges on the baseline.
-            for &(_, s, t) in &order[snap.replay_from as usize..] {
-                resumed.push(s, t.clone());
-            }
-            let report = resumed.finish();
+            let report = recover_and_finish(&h, &order, config, &chain, &arrival);
             assert_eq!(report.merged, baseline.merged, "cut {cut}");
             assert_eq!(report.total_txns, baseline.total_txns, "cut {cut}");
             assert_eq!(report.windows.len(), baseline.windows.len(), "cut {cut}");
             assert_eq!(report.evicted_attributions, baseline.evicted_attributions, "cut {cut}");
             assert_eq!(report.first_conviction, baseline.first_conviction, "cut {cut}");
         }
+    }
+
+    /// What outlives the retention horizon is rebuilt too: a variable last
+    /// written, and an initial-value rmw fact recorded, many more than
+    /// `retain_windows` windows before the crash.  The lost-update partner
+    /// of that fact and a read of that latest value arrive after recovery;
+    /// the recovered stream convicts exactly as the uninterrupted one does.
+    #[test]
+    fn resume_rebuilds_what_outlived_the_retention_horizon() {
+        let (u, v, filler) = (0, 1, 2);
+        let mut h = AuditHistory::new(3, 0, 2);
+        h.push_txn(0, [], [(u, 10)]); // u's latest value, forever
+        h.push_txn(0, [(v, 0)], [(v, 100)]); // the rmw fact over v's initial value
+        for i in 0..60i64 {
+            h.push_txn(0, [], [(filler, 300 + i)]);
+        }
+        h.push_txn(1, [(u, 10)], []); // resolves against the kept latest writer
+        h.push_txn(1, [(v, 0)], [(v, 200)]); // the far half of the lost update
+        let config = WindowConfig { retain_windows: 2, ..cfg(8, 2) };
+        let baseline = audit_streamed(&h, config);
+        let conviction = baseline.first_conviction.as_ref().expect("convicted");
+        assert_eq!(conviction.level, Level::SnapshotIsolation);
+        assert!(conviction.violation.contains("cross-window lost update on v1"), "{conviction:?}");
+        assert_eq!(baseline.evicted_attributions, 0, "the latest write of u stays resolvable");
+
+        let order = recording_order(&h);
+        let (_, chain, arrival) = crash_after(&order, 60, 3, config);
+        assert!(chain.len() > 2 + config.retain_windows, "both facts are past the horizon");
+        let report = recover_and_finish(&h, &order, config, &chain, &arrival);
+        assert_eq!(report.first_conviction, baseline.first_conviction);
+        assert_eq!(report.merged, baseline.merged);
+        assert_eq!(report.evicted_attributions, 0);
     }
 
     /// The empty stream is vacuously consistent.

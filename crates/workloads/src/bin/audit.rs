@@ -106,14 +106,14 @@
 //!   `tm-history` wire format, so the concatenated segments of a round are
 //!   ingestible as-is) *before* it reaches the auditor; segments seal with
 //!   length+CRC framing at window boundaries and each seal persists the
-//!   auditor's committed frontier.  Forces the streaming (single-auditor)
+//!   closed window's verdict (the frontier itself lives in the log).  Forces the streaming (single-auditor)
 //!   topology — the log is the merged stream, which the sharded pipeline
 //!   does not have.  See `docs/recovery.md`;
 //! * `--recover DIR` — finish auditing the rounds a killed process left
 //!   behind: torn tails are truncated to the last sealed-or-complete line,
 //!   the newest frontier snapshot is verified as a legal prefix of the
-//!   surviving log (the continuation check), the auditor resumes from it
-//!   and replays the suffix.  Standalone it prints one `recovered-verdict`
+//!   surviving log (the continuation check), the auditor's frontier is
+//!   re-absorbed from that prefix and the suffix replayed.  Standalone it prints one `recovered-verdict`
 //!   record per round (and a `--json` report with `"recovered":true`);
 //!   combined with `--serve --wal` the endpoint recovers first, then keeps
 //!   serving at the next free round index;

@@ -18,10 +18,9 @@
 //!   backend registry is open.  [`register_workload_backends`] makes its name
 //!   resolvable; CLI/bench/example entry points call it at startup;
 //! * [`bank`] / [`zipf`] — the transfer workload and a Zipfian sampler;
-//! * [`runner`] — the thread-pool runners: raw bank throughput
-//!   ([`run_threads`]), unaudited scenario runs ([`run_scenario`]), and
-//!   [`run_live`], which executes one description of a run — a [`LivePlan`]:
-//!   an [`AuditPlan`] (`Off`, whole-history `Batch`, bounded-memory rolling
+//! * [`runner`] — the thread-pool runners: unaudited scenario runs
+//!   ([`run_scenario`]) and [`run_live`], which executes one description of
+//!   a run — a [`LivePlan`]: an [`AuditPlan`] (`Off`, whole-history `Batch`, bounded-memory rolling
 //!   windows concurrent with the workload, or the multi-core `Sharded`
 //!   partition pipeline) × capture × WAL round × live window/lag events —
 //!   through one `recorder → merger → sink` pipeline and returns one
@@ -53,8 +52,8 @@ pub use recovery::{
     round_dir_name, round_dirs, RecoveredRoundReport, WalMeta, WalRecovery, WalTee, WalTeeStats,
 };
 pub use runner::{
-    run_live, run_scenario, run_threads, stalled_writer_experiment, AuditPlan, LivePlan,
-    LiveReport, RunConfig, RunReport, ScenarioRunReport, Verdict, WalRound,
+    run_live, run_scenario, stalled_writer_experiment, AuditPlan, LivePlan, LiveReport,
+    ScenarioRunReport, Verdict, WalRound,
 };
 pub use scenario::{
     all_scenarios, scenario_by_name, Scenario, ScenarioCheck, ScenarioConfig, ScenarioState,

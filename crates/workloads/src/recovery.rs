@@ -11,23 +11,25 @@
 //!   (`Decoder::next_history_arrival`) replays the log in the exact order
 //!   the auditor originally ingested it;
 //! * [`tm_audit::recovery`] — the [`FrontierSnapshot`] persisted alongside
-//!   each sealed segment, from which
-//!   [`WindowedAuditor::resume_from_frontier`] rebuilds the auditor at the
-//!   last durable window boundary.
+//!   each sealed segment: the closed window's verdict and the boundary
+//!   scalars.  The frontier itself is not written twice — the sealed log is
+//!   its durable form, and [`WindowedAuditor::resume_from_frontier`]
+//!   re-absorbs it from there.
 //!
 //! [`WalTee`] is the [`TxnSink`] that runs during a round: every record is
 //! appended to the log *before* it reaches the auditor (write-ahead), and
-//! every closed window seals the current segment and snapshots the frontier.
+//! every closed window seals the current segment and writes its snapshot.
 //! [`recover_round_auditor`] / [`recover_round_report`] are the other half:
 //! given a round directory left behind by a killed process, they truncate
-//! the torn tail, verify the surviving log legally extends the last
-//! snapshot (the continuation check), resume the auditor, and replay the
-//! suffix — producing the verdict the uninterrupted round would have
-//! reached over the same records.
+//! the torn tail, read the snapshot chain, verify the surviving log legally
+//! extends it (the continuation check), rebuild the auditor at the last
+//! sealed boundary from the log prefix, and replay the suffix — producing
+//! the verdict the uninterrupted round would have reached over the same
+//! records.
 
 use std::io;
 use std::path::{Path, PathBuf};
-use stm_runtime::wal::{recover_round, write_atomic, WalSink};
+use stm_runtime::wal::{recover_round, write_atomic, RecoveredRound, WalSink};
 use tm_audit::{
     AuditTxn, FrontierSnapshot, SatConfig, StreamReport, TxnSink, WindowConfig, WindowedAuditor,
 };
@@ -44,7 +46,7 @@ pub const WAL_META_FILE: &str = "wal-meta.json";
 /// seen.  Each time the auditor closes a window, the tee invokes
 /// `pre_seal` (the hook the serve loop uses to flush its buffered emitter
 /// records first), seals the current segment, and persists the auditor's
-/// boundary frontier next to the seal.
+/// boundary snapshot next to the seal.
 ///
 /// Log I/O errors do not panic the audit thread: the first error is
 /// stored, further WAL writes stop, the auditor keeps running, and
@@ -127,7 +129,7 @@ impl<F: FnMut()> WalTee<F> {
     }
 
     fn seal_if_window_closed(&mut self) {
-        let closed = auditor_windows(&self.auditor);
+        let closed = self.auditor.windows_closed();
         if closed == self.sealed_windows || self.io_error.is_some() {
             self.sealed_windows = closed;
             return;
@@ -136,7 +138,7 @@ impl<F: FnMut()> WalTee<F> {
         // Anything the host buffered (serve records, sink mirrors) must be
         // durable before the seal claims this prefix of the round is.
         (self.pre_seal)();
-        let snapshot = self.auditor.boundary_snapshot();
+        let snapshot = self.auditor.boundary_snapshot().expect("a window just closed");
         let result = self.wal.seal_segment().and_then(|sealed| {
             self.sealed_segments += 1;
             self.wal.write_blob(&frontier_file(sealed), snapshot.to_json().as_bytes())
@@ -155,11 +157,7 @@ impl<F: FnMut()> TxnSink for WalTee<F> {
     }
 }
 
-fn auditor_windows(auditor: &WindowedAuditor) -> usize {
-    auditor.windows_closed()
-}
-
-/// Name of the frontier snapshot persisted next to seal `segment`.
+/// Name of the boundary snapshot persisted next to seal `segment`.
 pub fn frontier_file(segment: u64) -> String {
     format!("frontier-{segment:06}.json")
 }
@@ -171,7 +169,7 @@ pub struct WalRecovery {
     /// already replayed; call [`WindowedAuditor::finish`] — or keep pushing
     /// live traffic — to complete the round.
     pub auditor: WindowedAuditor,
-    /// Transactions restored from the frontier snapshot without re-auditing
+    /// Transactions covered by the stored verdicts and not re-audited
     /// (0 on a cold replay).
     pub snapshot_txns: u64,
     /// Transactions replayed from the log into the resumed auditor.
@@ -182,26 +180,34 @@ pub struct WalRecovery {
     pub segments: usize,
     /// Whether the round had already finished cleanly (`complete.json`).
     pub complete: bool,
-    /// The sealed segment whose frontier snapshot the auditor resumed from,
-    /// if any.
+    /// The sealed segment whose snapshot the auditor resumed from, if any.
     pub resumed_from_segment: Option<u64>,
 }
 
 /// Recover one round directory: truncate the torn tail, decode the
-/// surviving log, load the newest frontier snapshot, verify the log is a
-/// legal continuation of it, resume the auditor and replay the suffix.
+/// surviving log, read the snapshot chain, verify the log is a legal
+/// continuation of it, rebuild the auditor at the newest snapshot's boundary
+/// from the log prefix and replay the suffix.
 ///
-/// `fallback` is the window shape used when no frontier snapshot survived
-/// (a crash before the first seal); when a snapshot exists its persisted
-/// config wins, so recovery always audits with the original round's
-/// windows.  `sat` re-arms the CDCL escalation stage (solver handles are
-/// not persisted).
+/// `fallback` is the window shape used when no snapshot survived (a crash
+/// before the first seal); when one exists its persisted config wins, so
+/// recovery always audits with the original round's windows.  `sat` re-arms
+/// the CDCL escalation stage (solver handles are not persisted).
 pub fn recover_round_auditor(
     dir: &Path,
     fallback: WindowConfig,
     sat: Option<SatConfig>,
 ) -> Result<WalRecovery, String> {
     let round = recover_round(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    resume_round(dir, round, fallback, sat)
+}
+
+fn resume_round(
+    dir: &Path,
+    round: RecoveredRound,
+    fallback: WindowConfig,
+    sat: Option<SatConfig>,
+) -> Result<WalRecovery, String> {
     if round.text.is_empty() {
         return Err(format!("{}: nothing recoverable (empty or fully torn log)", dir.display()));
     }
@@ -211,22 +217,16 @@ pub fn recover_round_auditor(
         .map_err(|e| format!("{}: recovered log does not decode: {e}", dir.display()))?
         .ok_or_else(|| format!("{}: recovered log holds no history document", dir.display()))?;
 
-    let snapshot = latest_frontier(dir, round.segments.iter().filter(|s| s.sealed).count())?;
-    let (mut auditor, replay_from, resumed_from_segment) = match snapshot {
-        Some((segment, snap)) => {
-            snap.check_continuation(&arrival).map_err(|e| format!("{}: {e}", dir.display()))?;
-            let mut auditor = WindowedAuditor::resume_from_frontier(&snap, sat)
-                .map_err(|e| format!("{}: {e}", dir.display()))?;
-            // The snapshot does not persist the retained writers' hints; the
-            // log it was cut from holds them, and with them the resumed
-            // stream certifies exactly the windows an uninterrupted one does.
-            auditor.restore_frontier_hints(|id| history.txn(id).map(|txn| txn.hint));
-            (auditor, snap.replay_from as usize, Some(segment))
-        }
+    let chain = frontier_chain(dir, round.segments.iter().filter(|s| s.sealed).count())?;
+    let (mut auditor, replay_from) = match chain.last() {
+        Some(newest) => (
+            WindowedAuditor::resume_from_frontier(&chain, &history, &arrival, sat)
+                .map_err(|e| format!("{}: {e}", dir.display()))?,
+            newest.replay_from as usize,
+        ),
         None => {
-            let mut config = fallback;
-            config.sat = sat;
-            (WindowedAuditor::new(history.n_vars, history.initial, config), 0, None)
+            let config = WindowConfig { sat, ..fallback };
+            (WindowedAuditor::new(history.n_vars, history.initial, config), 0)
         }
     };
     for id in &arrival[replay_from..] {
@@ -242,28 +242,31 @@ pub fn recover_round_auditor(
         torn_bytes: round.torn_bytes(),
         segments: round.segments.len(),
         complete: round.complete,
-        resumed_from_segment,
+        resumed_from_segment: chain.len().checked_sub(1).map(|newest| newest as u64),
     })
 }
 
-/// Find the newest parseable `frontier-NNNNNN.json` in `dir` whose segment
-/// is among the `sealed` verified segments.  Snapshots are written with
-/// tmp+rename, so a surviving file is complete — but a crash can land
-/// between sealing a segment and writing its snapshot, which is why the
-/// newest *present* snapshot is used rather than `sealed - 1` blindly.
-fn latest_frontier(dir: &Path, sealed: usize) -> Result<Option<(u64, FrontierSnapshot)>, String> {
-    for segment in (0..sealed as u64).rev() {
-        let path = dir.join(frontier_file(segment));
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(format!("{}: {e}", path.display())),
-        };
-        let snap =
-            FrontierSnapshot::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        return Ok(Some((segment, snap)));
-    }
-    Ok(None)
+/// The snapshot chain `frontier-000000.json ..= frontier-K.json` of `dir`,
+/// `K` being the newest one present among the `sealed` verified segments.
+/// Snapshots are written with tmp+rename, so a surviving file is complete —
+/// but a crash can land between sealing a segment and writing its snapshot,
+/// which is why the newest *present* one ends the chain rather than
+/// `sealed - 1` blindly.  Below it every link must be there and parse: each
+/// holds one closed window's verdict.
+fn frontier_chain(dir: &Path, sealed: usize) -> Result<Vec<FrontierSnapshot>, String> {
+    let newest = (0..sealed as u64).rev().find(|&s| dir.join(frontier_file(s)).exists());
+    (0..newest.map_or(0, |newest| newest + 1))
+        .map(|segment| {
+            let path = dir.join(frontier_file(segment));
+            let text = std::fs::read_to_string(&path).map_err(|e| match e.kind() {
+                io::ErrorKind::NotFound => {
+                    format!("{}: missing — a gap in the snapshot chain", path.display())
+                }
+                _ => format!("{}: {e}", path.display()),
+            })?;
+            FrontierSnapshot::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+        })
+        .collect()
 }
 
 /// One recovered round's verdict, with the bookkeeping that distinguishes
@@ -276,7 +279,7 @@ pub struct RecoveredRoundReport {
     pub round: Option<u64>,
     /// The finished verdict over every surviving logged transaction.
     pub stream: StreamReport,
-    /// Transactions restored from the frontier snapshot.
+    /// Transactions covered by stored verdicts, not re-audited.
     pub snapshot_txns: u64,
     /// Transactions replayed from the log.
     pub replayed_txns: u64,
@@ -319,10 +322,11 @@ pub fn recover_round_report(
     fallback: WindowConfig,
     sat: Option<SatConfig>,
 ) -> Result<RecoveredRoundReport, String> {
-    let recovery = recover_round_auditor(dir, fallback, sat)?;
-    if recovery.complete {
+    let round = recover_round(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    if round.complete {
         return Err(format!("{}: round already complete; nothing to recover", dir.display()));
     }
+    let recovery = resume_round(dir, round, fallback, sat)?;
     let stream = recovery.auditor.finish();
     let report = RecoveredRoundReport {
         dir: dir.to_path_buf(),
@@ -488,7 +492,7 @@ impl WalMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_audit::audit_streamed;
+    use tm_audit::{audit_streamed, AuditHistory};
     use tm_history::{generate, GenConfig};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -497,6 +501,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// The global arrival order the streaming pipeline would deliver.
+    fn arrival_order(history: &AuditHistory) -> Vec<(usize, &AuditTxn)> {
+        let mut order: Vec<(usize, &AuditTxn)> = history
+            .sessions
+            .iter()
+            .enumerate()
+            .flat_map(|(s, session)| session.iter().map(move |t| (s, t)))
+            .collect();
+        order.sort_by_key(|&(s, t)| (t.hint, s));
+        order
     }
 
     #[test]
@@ -558,14 +574,7 @@ mod tests {
         let mut tee =
             WalTee::create(&round_dir, history.sessions.len(), history.n_vars, auditor, || {})
                 .unwrap();
-        let mut order: Vec<(u64, usize, &AuditTxn)> = history
-            .sessions
-            .iter()
-            .enumerate()
-            .flat_map(|(s, session)| session.iter().map(move |t| (t.hint, s, t)))
-            .collect();
-        order.sort_by_key(|&(hint, s, _)| (hint, s));
-        for &(_, s, t) in &order {
+        for (s, t) in arrival_order(&history) {
             tee.push_txn(s, t.clone());
         }
         let (auditor, stats) = tee.finish().unwrap();
@@ -574,9 +583,14 @@ mod tests {
         let live = auditor.finish();
         assert_eq!(live.merged, baseline.merged);
 
-        // The finished round refuses report-path recovery...
+        // The finished round refuses report-path recovery — before it reads
+        // a snapshot or decodes a record...
+        let sidecar = round_dir.join(frontier_file(0));
+        let intact = std::fs::read(&sidecar).unwrap();
+        std::fs::write(&sidecar, b"not json").unwrap();
         let err = recover_round_report(&round_dir, window, None).unwrap_err();
         assert!(err.contains("already complete"), "{err}");
+        std::fs::write(&sidecar, intact).unwrap();
         // ...but the auditor path replays it to the identical verdict.
         let recovery = recover_round_auditor(&round_dir, window, None).unwrap();
         assert!(recovery.complete);
@@ -585,5 +599,116 @@ mod tests {
         assert_eq!(replayed.merged, baseline.merged);
         assert_eq!(replayed.total_txns, baseline.total_txns);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A healthy 180-record round killed after 100 records: windows of 32
+    /// with stride 28 sealed three segments, so the newest snapshot is
+    /// `frontier-000002.json` and covers 84 records.  Returns the scratch
+    /// root, the round directory and the session of every logged record.
+    fn crashed_round(tag: &str) -> (PathBuf, PathBuf, Vec<usize>) {
+        let history = generate(&GenConfig {
+            sessions: 3,
+            vars: 8,
+            txns_per_session: 60,
+            seed: 11,
+            ..GenConfig::default()
+        })
+        .history;
+        let order = arrival_order(&history);
+        let root = temp_dir(tag);
+        let dir = root.join(round_dir_name(0));
+        let auditor = WindowedAuditor::new(history.n_vars, history.initial, small_window());
+        let mut tee = WalTee::create(&dir, 3, history.n_vars, auditor, || {}).unwrap();
+        for &(s, t) in &order[..100] {
+            tee.push_txn(s, t.clone());
+        }
+        drop(tee); // kill -9
+        (root, dir, order[..100].iter().map(|&(s, _)| s).collect())
+    }
+
+    fn small_window() -> WindowConfig {
+        WindowConfig { overlap: 4, ..WindowConfig::sized(32) }
+    }
+
+    /// Recover `dir` with its newest snapshot edited by `edit`; hand back the
+    /// error and put the intact snapshot back.
+    fn recover_with_newest_edited(dir: &Path, edit: impl FnOnce(&mut FrontierSnapshot)) -> String {
+        let path = dir.join(frontier_file(2));
+        let intact = std::fs::read_to_string(&path).unwrap();
+        let mut snap = FrontierSnapshot::parse(&intact).unwrap();
+        assert_eq!((snap.window_index, snap.replay_from), (3, 84));
+        edit(&mut snap);
+        std::fs::write(&path, snap.to_json()).unwrap();
+        let err = recover_round_auditor(dir, small_window(), None)
+            .err()
+            .expect("a snapshot that contradicts its log must not resume");
+        std::fs::write(&path, intact).unwrap();
+        err
+    }
+
+    /// Reproducer 1 of the trusted-`n_vars` bug: this used to reach
+    /// `Frontier::new` and die on `capacity overflow`.
+    #[test]
+    fn a_snapshot_with_an_absurd_variable_count_is_an_error_not_a_panic() {
+        let (root, dir, _) = crashed_round("absurd-vars");
+        let err = recover_with_newest_edited(&dir, |snap| snap.n_vars = 1 << 60);
+        assert!(err.contains("declares 1152921504606846976 variable(s)"), "{err}");
+        assert!(err.contains("log header declares 8"), "{err}");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Reproducer 2: a snapshot one variable (or one initial value) off the
+    /// log header used to be accepted silently and a verdict printed.
+    #[test]
+    fn a_snapshot_that_disagrees_with_the_log_header_is_rejected() {
+        let (root, dir, _) = crashed_round("header-mismatch");
+        let err = recover_with_newest_edited(&dir, |snap| snap.n_vars += 1);
+        assert!(err.contains("declares 9 variable(s) starting at 0"), "{err}");
+        assert!(err.contains("log header declares 8 starting at 0"), "{err}");
+        let err = recover_with_newest_edited(&dir, |snap| snap.initial = 7);
+        assert!(err.contains("declares 8 variable(s) starting at 7"), "{err}");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Hostile snapshots are errors — never a panic, never a verdict.
+    #[test]
+    fn hostile_snapshots_never_resume() {
+        let (root, dir, sessions) = crashed_round("hostile");
+
+        let err = recover_with_newest_edited(&dir, |snap| snap.replay_from = 101);
+        assert!(err.contains("not an extension"), "{err}");
+
+        // One record short of the boundary, with counters that *do* match
+        // that shorter prefix: only the stride rule can tell.
+        let err = recover_with_newest_edited(&dir, |snap| {
+            snap.replay_from = 83;
+            let row = snap.seqs.iter_mut().find(|row| row.0 == sessions[83]).unwrap();
+            row.1 -= 1;
+        });
+        assert!(err.contains("window_index × stride"), "{err}");
+
+        let err = recover_with_newest_edited(&dir, |snap| {
+            snap.seqs[0].1 += 1;
+            snap.seqs[1].1 -= 1;
+        });
+        assert!(err.contains("continuation mismatch for session"), "{err}");
+
+        let err = recover_with_newest_edited(&dir, |snap| snap.window_index = 2);
+        assert!(err.contains("snapshot 2 of the chain records window_index 2"), "{err}");
+
+        let recover = || recover_round_auditor(&dir, small_window(), None).err();
+        let newest = dir.join(frontier_file(2));
+        let intact = std::fs::read_to_string(&newest).unwrap();
+        let v1 = intact.replace("{\"frontier-snapshot\":2,", "{\"frontier-snapshot\":1,");
+        std::fs::write(&newest, v1).unwrap();
+        let err = recover().expect("v1 snapshot");
+        assert!(err.contains("unsupported frontier snapshot version 1"), "{err}");
+        std::fs::write(&newest, intact).unwrap();
+
+        assert!(recover().is_none(), "the intact round recovers");
+        std::fs::remove_file(dir.join(frontier_file(1))).unwrap();
+        let err = recover().expect("gap");
+        assert!(err.contains("a gap in the snapshot chain"), "{err}");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -1,6 +1,6 @@
-//! The multi-threaded workload runner: raw bank throughput ([`run_threads`]),
-//! unaudited scenario runs ([`run_scenario`]), the stalled-writer liveness
-//! experiment, and **the** live audited run ([`run_live`]).
+//! The multi-threaded workload runner: unaudited scenario runs
+//! ([`run_scenario`]), the stalled-writer liveness experiment, and **the**
+//! live audited run ([`run_live`]).
 //!
 //! A live run is described once — a [`LivePlan`]: an [`AuditPlan`] (off,
 //! whole-history batch, rolling windows, sharded windows) plus what rides
@@ -10,7 +10,6 @@
 //! audit is the pipeline with a collector at the end).  Whatever the
 //! topology, the result is one [`LiveReport`] carrying one [`Verdict`].
 
-use crate::bank::{Bank, BankConfig};
 use crate::recovery::{WalTee, WalTeeStats};
 use crate::scenario::{Scenario, ScenarioCheck, ScenarioConfig};
 use rand::rngs::StdRng;
@@ -27,79 +26,6 @@ use tm_audit::{
     ShardedStreamReport, StreamMerger, StreamReport, TeeSink, TxnSink, WindowConfig,
     WindowedAuditor,
 };
-
-/// Configuration of one runner invocation.
-#[derive(Debug, Clone, Copy)]
-pub struct RunConfig {
-    /// Which backend to benchmark.
-    pub backend: BackendId,
-    /// Number of worker threads.
-    pub threads: usize,
-    /// Transactions executed by each thread.
-    pub tx_per_thread: usize,
-    /// The bank workload parameters.
-    pub bank: BankConfig,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            backend: stm_runtime::registry::OBSTRUCTION_FREE,
-            threads: 4,
-            tx_per_thread: 1_000,
-            bank: BankConfig::default(),
-        }
-    }
-}
-
-/// What one runner invocation measured.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// The configuration that produced the report.
-    pub config: RunConfig,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
-    /// Committed transactions per second (workers only, excluding the final audit).
-    pub throughput: f64,
-    /// Total aborted attempts.
-    pub aborts: u64,
-    /// Median attempts one transaction needed to commit.
-    pub attempts_p50: u32,
-    /// 99th-percentile attempts per transaction.
-    pub attempts_p99: u32,
-    /// Whether the bank total matched the expected value at the end (consistency
-    /// smoke test: `false` is expected — and informative — on the PRAM backend).
-    pub balance_preserved: bool,
-}
-
-/// Run the bank workload with the given configuration and report throughput, aborts
-/// and the final invariant check.
-pub fn run_threads(config: RunConfig) -> RunReport {
-    let stm = Arc::new(Stm::new(config.backend));
-    let bank = Arc::new(Bank::new(&stm, config.bank));
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for thread in 0..config.threads {
-            let stm = Arc::clone(&stm);
-            let bank = Arc::clone(&bank);
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(42 + thread as u64);
-                for _ in 0..config.tx_per_thread {
-                    let (from, to) = bank.pick_accounts(thread, config.threads, &mut rng);
-                    bank.transfer(&stm, from, to, 5);
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed();
-    let committed = (config.threads * config.tx_per_thread) as f64;
-    let throughput = committed / elapsed.as_secs_f64().max(1e-9);
-    let aborts = stm.stats().aborts();
-    let attempts_p50 = stm.stats().attempts_p50();
-    let attempts_p99 = stm.stats().attempts_p99();
-    let balance_preserved = bank.total(&stm) == bank.expected_total();
-    RunReport { config, elapsed, throughput, aborts, attempts_p50, attempts_p99, balance_preserved }
-}
 
 /// What one scenario run measured, plus the scenario's own self-check.
 #[derive(Debug, Clone)]
@@ -637,43 +563,43 @@ pub fn stalled_writer_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::RegistersScenario;
+    use crate::bank::BankConfig;
+    use crate::scenarios::{BankScenario, RegistersScenario};
     use stm_runtime::registry::{OBSTRUCTION_FREE, PRAM_LOCAL, TL2_BLOCKING};
     use tm_audit::Level;
+
+    /// An unaudited bank run: `accounts` accounts, every transfer crossing
+    /// partitions with probability `cross_fraction`.
+    fn run_bank(
+        backend: BackendId,
+        txns_per_thread: usize,
+        accounts: usize,
+        cross_fraction: f64,
+    ) -> ScenarioRunReport {
+        let template = BankConfig { cross_fraction, ..Default::default() };
+        let config =
+            ScenarioConfig { txns_per_thread, vars: accounts, ..ScenarioConfig::new(backend) };
+        run_scenario(&BankScenario { template }, &config)
+    }
 
     #[test]
     fn disjoint_partitions_preserve_balance_on_consistent_backends() {
         for backend in [TL2_BLOCKING, OBSTRUCTION_FREE] {
-            let report = run_threads(RunConfig {
-                backend,
-                threads: 4,
-                tx_per_thread: 200,
-                bank: BankConfig { accounts: 32, cross_fraction: 0.0, ..Default::default() },
-            });
-            assert!(report.balance_preserved, "{backend:?}: {report:?}");
+            let report = run_bank(backend, 200, 32, 0.0);
+            assert_eq!(report.check.invariant, Some(true), "{backend:?}: {report:?}");
             assert!(report.throughput > 0.0);
         }
     }
 
     #[test]
     fn contended_transfers_still_preserve_balance_but_cause_aborts_or_waits() {
-        let report = run_threads(RunConfig {
-            backend: OBSTRUCTION_FREE,
-            threads: 4,
-            tx_per_thread: 300,
-            bank: BankConfig { accounts: 4, cross_fraction: 1.0, ..Default::default() },
-        });
-        assert!(report.balance_preserved, "{report:?}");
+        let report = run_bank(OBSTRUCTION_FREE, 300, 4, 1.0);
+        assert_eq!(report.check.invariant, Some(true), "{report:?}");
     }
 
     #[test]
     fn pram_backend_visibly_breaks_the_global_invariant() {
-        let report = run_threads(RunConfig {
-            backend: PRAM_LOCAL,
-            threads: 4,
-            tx_per_thread: 100,
-            bank: BankConfig { accounts: 8, cross_fraction: 1.0, ..Default::default() },
-        });
+        let report = run_bank(PRAM_LOCAL, 100, 8, 1.0);
         // Transfers only move money inside each thread's private replicas, so the
         // auditing thread still sees every account at its initial balance; the global
         // invariant holds *vacuously* for the auditor but cross-thread effects are

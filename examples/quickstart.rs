@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use stm_runtime::{registry, Stm, TVar};
-use workloads::{run_threads, stalled_writer_experiment, BankConfig, RunConfig};
+use workloads::{run_scenario, stalled_writer_experiment, BankScenario, ScenarioConfig};
 
 fn main() {
     // Backends are registry entries, not an enum: this also picks up the
@@ -17,12 +17,9 @@ fn main() {
     println!("== PCL quickstart: one bank, every registered backend ==\n");
     for spec in registry::all() {
         let backend: stm_runtime::BackendId = spec.name.parse().expect("registered name parses");
-        let report = run_threads(RunConfig {
-            backend,
-            threads: 4,
-            tx_per_thread: 2_000,
-            bank: BankConfig { accounts: 64, cross_fraction: 0.2, ..Default::default() },
-        });
+        // 4 threads over 64 accounts, one transfer in five crossing partitions.
+        let config = ScenarioConfig { txns_per_thread: 2_000, ..ScenarioConfig::new(backend) };
+        let report = run_scenario(&BankScenario::default(), &config);
         println!(
             "{:<18} {:>10.0} tx/s   aborts: {:<6} attempts p50/p99: {}/{}  balance preserved: {}",
             spec.name,
@@ -30,7 +27,7 @@ fn main() {
             report.aborts,
             report.attempts_p50,
             report.attempts_p99,
-            report.balance_preserved
+            report.check.invariant == Some(true)
         );
         println!("{:<18} gives up {}\n", "", spec.triangle.sacrificed);
     }
