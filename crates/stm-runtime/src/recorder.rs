@@ -172,15 +172,6 @@ impl BatchQueue {
         }
     }
 
-    fn try_recv(&self) -> Option<CommitBatch> {
-        let mut state = self.state.lock();
-        let batch = state.batches.pop_front();
-        if batch.is_some() {
-            self.space.notify_one();
-        }
-        batch
-    }
-
     fn close(&self) {
         self.state.lock().closed = true;
         self.ready.notify_all();
@@ -304,11 +295,6 @@ impl StreamConsumer {
     pub fn recv(&self) -> Option<CommitBatch> {
         self.queue.recv()
     }
-
-    /// A batch if one is immediately available.
-    pub fn try_recv(&self) -> Option<CommitBatch> {
-        self.queue.try_recv()
-    }
 }
 
 impl Drop for StreamConsumer {
@@ -396,7 +382,6 @@ mod tests {
         hints.sort_unstable();
         assert_eq!(hints, (0..14).collect::<Vec<_>>());
         // Queue is drained and closed.
-        assert!(consumer.try_recv().is_none());
         assert!(consumer.recv().is_none());
     }
 

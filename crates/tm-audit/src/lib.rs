@@ -52,10 +52,13 @@
 //! 4. **Shard** ([`partition`]) — a [`ShardedAuditor`] fans the merged stream
 //!    out to `K` per-variable-partition windowed auditors (each auditing the
 //!    projected sub-history on its own core) plus a cross-partition
-//!    escalation lane that re-checks straddling transactions whole, so audit
-//!    throughput scales with cores.  Convictions on any partition are real;
-//!    passes are attested per partition (see [`partition`] for the sharded
-//!    soundness statement).
+//!    escalation lane that re-checks straddling transactions whole.
+//!    Convictions on any partition are real; passes are attested per
+//!    partition (see [`partition`] for the sharded soundness statement).  It
+//!    is not a speed-up as measured: at commit `fe9fd64` on a 2-core host
+//!    `benchmark/`'s `replay-sharded` (K = 2) sustains 126k txn/s against
+//!    `replay-healthy`'s 713k at K = 1 and leaves 215 cells `?` that K = 1
+//!    decides — ROADMAP item 5 decides whether it is rescued or deleted.
 //! 5. **Cross-validate** ([`adapter`]) — simulator executions convert into the
 //!    same [`AuditHistory`] type, so `tm-consistency`'s checkers and these
 //!    checkers can be compared verdict-for-verdict on identical runs.
@@ -124,8 +127,8 @@ pub mod window;
 pub use adapter::from_execution;
 pub use history::{AuditHistory, AuditTxn, HistoryError, TxnId};
 pub use partition::{
-    audit_sharded, partition_of, BandMove, BandRouter, PartitionLag, PartitionVerdict, ShardConfig,
-    ShardConviction, ShardEvent, ShardLagProbe, ShardedAuditor, ShardedStreamReport,
+    audit_sharded, partition_of, PartitionVerdict, ShardConfig, ShardConviction, ShardLagProbe,
+    ShardedAuditor, ShardedStreamReport,
 };
 pub use recovery::{FrontierSnapshot, RecoveryError};
 pub use report::{AuditReport, DecidedBy, Level, LevelReport, Outcome};
@@ -134,8 +137,8 @@ pub use report::{AuditReport, DecidedBy, Level, LevelReport, Outcome};
 /// frozen together with `benchmark/Cargo.lock`.
 pub use tm_telemetry::json;
 pub use window::{
-    audit_streamed, Conviction, HistoryCollector, StreamMerger, StreamReport, TeeSink, TxnSink,
-    WindowConfig, WindowVerdict, WindowedAuditor,
+    audit_streamed, AuditEvent, Conviction, HistoryCollector, PartitionLag, StreamMerger,
+    StreamReport, TeeSink, TxnSink, WindowConfig, WindowVerdict, WindowedAuditor,
 };
 
 use linearization::{

@@ -1,13 +1,22 @@
 //! The sharded streaming audit engine: one windowed auditor per variable
-//! partition, with a cross-partition escalation lane, so audit throughput
-//! scales with cores instead of capping the workload it judges.
+//! partition, with a cross-partition escalation lane.
+//!
+//! **What was measured.**  Sharding was built when a window cost ~35 µs per
+//! transaction; at today's 0.9–3 µs routing a transaction costs about what
+//! auditing it does.  At commit `fe9fd64` on a 2-core host, `benchmark/`'s
+//! `replay-sharded` (K = 2) sustains 126k txn/s against `replay-healthy`'s
+//! 713k through one [`WindowedAuditor`] on the same kind of input, and leaves
+//! 215 lane cells `?` that K = 1 decides.  Nothing defaults to this
+//! topology; ROADMAP item 5 ("make sharding pay, or delete it") decides its
+//! future.  The live surface does not depend on it: the event feed
+//! ([`AuditEvent`]) belongs to the windowed auditor, and this module only
+//! labels its lanes.
 //!
 //! The [`crate::window::WindowedAuditor`] bounded the *memory* of a streaming
-//! audit but still consumes the merged stream on one core — at sustained
-//! traffic the auditor becomes the bottleneck of the very pipeline it
-//! monitors.  Following the per-variable / communication-graph decomposition
-//! that makes dbcop-style checking scale (Biswas & Enea, *"On the Complexity
-//! of Checking Transactional Consistency"*), a [`ShardedAuditor`] splits the
+//! audit but consumes the merged stream on one core.  Following the
+//! per-variable / communication-graph decomposition of dbcop-style checking
+//! (Biswas & Enea, *"On the Complexity of Checking Transactional
+//! Consistency"*), a [`ShardedAuditor`] splits the
 //! variable space into [`stm_runtime::ROUTE_BANDS`] hash bands
 //! ([`stm_runtime::route_band`]: pair-aligned so two-word objects at even
 //! word bases — the allocation pattern of every built-in scenario — never
@@ -23,9 +32,7 @@
 //!   windows are **horizon-preserving**: [`ShardConfig::window`] names the
 //!   *global* window shape, and each partition — seeing ~`1/K` of the
 //!   stream — audits windows of `size / K` of its own sub-stream, the same
-//!   span of global history per window as the unsharded engine.  Since
-//!   per-window cost grows superlinearly with window size, sharding cuts
-//!   total audit work even before the partitions run in parallel;
+//!   span of global history per window as the unsharded engine;
 //! * transactions whose footprint spans **two or more bands** are
 //!   additionally **escalated whole** to a dedicated cross-partition lane — a
 //!   further windowed auditor over the unprojected straddlers — so the
@@ -79,7 +86,7 @@ use crate::history::AuditTxn;
 use crate::report::{fold_outcomes, AuditReport, DecidedBy, Level, LevelReport, Outcome};
 use crate::telemetry::AuditTelemetry;
 use crate::window::{
-    recording_order, Conviction, StreamReport, TxnSink, WindowConfig, WindowVerdict,
+    recording_order, AuditEvent, Conviction, PartitionLag, StreamReport, TxnSink, WindowConfig,
     WindowedAuditor,
 };
 use crate::AuditHistory;
@@ -102,18 +109,11 @@ pub struct ShardConfig {
     /// [`WindowedAuditor`] would use.  Each partition sees roughly `1/K` of
     /// the stream, so partition auditors run windows of `size / K` of their
     /// own sub-stream — the same span of *global* history per window as the
-    /// unsharded engine, at a fraction of the per-window cost (window cost
-    /// grows superlinearly with window size).  This is where the sharded
-    /// pipeline's throughput comes from even before parallelism.
+    /// unsharded engine.
     pub window: WindowConfig,
     /// Transactions the router buffers per partition before sending one
     /// batch (amortizes channel traffic; flushed on finish regardless).
     pub route_batch: usize,
-    /// Enable live re-banding: the runner's lag sampler periodically calls
-    /// [`BandRouter::rebalance`] so a partition drowning in routed-but-not-
-    /// audited transactions sheds its hottest band to the idlest partition.
-    /// Off by default — static banding keeps routing reproducible.
-    pub adaptive: bool,
 }
 
 /// Routed batches each partition queue may hold before the router blocks
@@ -161,7 +161,7 @@ fn scaled_window(base: WindowConfig, k: usize) -> WindowConfig {
 impl ShardConfig {
     /// A config with `shards` partitions and the given window shape.
     pub fn new(shards: usize, window: WindowConfig) -> Self {
-        ShardConfig { shards, window, route_batch: 128, adaptive: false }
+        ShardConfig { shards, window, route_batch: 128 }
     }
 
     fn normalized(mut self) -> Self {
@@ -177,196 +177,16 @@ impl Default for ShardConfig {
     }
 }
 
-/// The partition owning a variable under a **static** `shards`-way split:
-/// partitions own contiguous runs of [`route_band`] bands.  This is the
-/// initial assignment every [`BandRouter`] starts from; an adaptive pipeline
-/// may have moved bands since, so live routing always consults the router.
+/// The partition owning a variable under a `shards`-way split: partitions own
+/// contiguous runs of [`route_band`] bands.  Routing is this formula and
+/// nothing else, so it is reproducible across runs.
 pub fn partition_of(var: usize, shards: usize) -> usize {
-    route_band(var) * shards / ROUTE_BANDS
+    band_owner(route_band(var), shards)
 }
 
-/// Queued high-water mark the hot lane must have reached before
-/// [`BandRouter::rebalance`] considers moving a band at all.
-const REBALANCE_MIN_DEPTH: u64 = 4;
-
-/// Additive slack in the hot-vs-cool pressure comparison, so symmetric
-/// noise near zero never triggers a move.
-const REBALANCE_MARGIN: f64 = 4.0;
-
-/// One band→partition move applied by [`BandRouter::rebalance`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BandMove {
-    /// The hash band that moved.
-    pub band: usize,
-    /// The partition that shed it.
-    pub from: usize,
-    /// The partition that absorbed it.
-    pub to: usize,
-}
-
-/// The live band→partition table a [`ShardedAuditor`] routes through.
-///
-/// Static banding (`band · K / ROUTE_BANDS`) is blind to skew: a zipfian
-/// workload concentrates traffic on a few bands, one partition's queue
-/// grows without bound while its siblings idle, and backpressure throttles
-/// the whole pipeline to the hot partition's throughput.  The router makes
-/// the assignment a table instead of a formula: [`rebalance`] compares the
-/// lag every partition reports ([`PartitionLag::queued`],
-/// [`PartitionLag::queued_max`], [`PartitionLag::queued_mean`] — the same
-/// counters the serve endpoint samples) and moves the most-backlogged
-/// partition's highest-traffic band to the idlest partition.
-///
-/// **Soundness under re-banding.**  A move only changes which partition
-/// sees a band's *future* transactions; every routed sub-stream remains a
-/// projection of real committed transactions, restricted to a subsequence
-/// of each session.  Convictions therefore stay sound verbatim (the
-/// windowed auditor is violation-sound on any sub-history — the escalation
-/// lane already relies on exactly this).  What a move can cost is
-/// *attestation* across the move boundary: the receiving partition did not
-/// see the band's earlier writes, so reads spanning the boundary resolve
-/// to stand-ins, the same machinery (and the same caveat) as the windowed
-/// engine's horizon eviction.  The differential tests pin that re-banded
-/// and static verdicts agree on seeded histories.
-///
-/// Reads ([`partition_of_band`]) are a single `Acquire` load on the push
-/// path; [`rebalance`] is expected to be called from one place at a time
-/// (the runner's sampler thread or the deterministic replay loop).
-///
-/// [`rebalance`]: BandRouter::rebalance
-/// [`partition_of_band`]: BandRouter::partition_of_band
-pub struct BandRouter {
-    shards: usize,
-    /// Current owner of each hash band.
-    assign: [AtomicUsize; ROUTE_BANDS],
-    /// Transactions routed per band since the last decay — halved after
-    /// every applied move so decisions weigh recent traffic.
-    traffic: [AtomicU64; ROUTE_BANDS],
-    moves: AtomicU64,
-}
-
-impl BandRouter {
-    /// A router for `shards` partitions, starting from the static
-    /// contiguous-run assignment ([`partition_of`]).
-    pub fn new_static(shards: usize) -> Arc<BandRouter> {
-        let shards = shards.clamp(1, ROUTE_BANDS);
-        Arc::new(BandRouter {
-            shards,
-            assign: std::array::from_fn(|b| AtomicUsize::new(b * shards / ROUTE_BANDS)),
-            traffic: std::array::from_fn(|_| AtomicU64::new(0)),
-            moves: AtomicU64::new(0),
-        })
-    }
-
-    /// The partition count the table routes into.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The current owner of a hash band.
-    pub fn partition_of_band(&self, band: usize) -> usize {
-        self.assign[band].load(Ordering::Acquire)
-    }
-
-    /// The current owner of a variable: [`route_band`] then one table load.
-    pub fn partition_of(&self, var: usize) -> usize {
-        self.partition_of_band(route_band(var))
-    }
-
-    /// The full band→partition table, one entry per [`ROUTE_BANDS`] band.
-    pub fn assignment(&self) -> Vec<usize> {
-        self.assign.iter().map(|a| a.load(Ordering::Acquire)).collect()
-    }
-
-    /// Moves applied so far.
-    pub fn moves(&self) -> u64 {
-        self.moves.load(Ordering::Relaxed)
-    }
-
-    /// Record one routed transaction touching `band` (called by the router
-    /// on every push; feeds the hottest-band choice in [`rebalance`]).
-    ///
-    /// [`rebalance`]: BandRouter::rebalance
-    fn note(&self, band: usize) {
-        self.traffic[band].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Compare per-partition lag and move at most one band: the
-    /// most-backlogged partition's highest-traffic band goes to the idlest
-    /// partition.  Pressure is `queued() + queued_mean` (current backlog
-    /// plus the flush-time mean depth), gated on the high-water mark
-    /// `queued_max` so an always-drained pipeline never re-bands.  A move
-    /// requires the hot partition to out-pressure the cool one by 2× plus
-    /// a margin and to own at least two bands (no ping-pong on a
-    /// single-band partition).  Returns the move applied, if any.
-    pub fn rebalance(&self, lag: &[PartitionLag]) -> Option<BandMove> {
-        if self.shards < 2 {
-            return None;
-        }
-        let pressure = |l: &PartitionLag| l.queued() as f64 + l.queued_mean;
-        let lanes: Vec<&PartitionLag> =
-            lag.iter().filter(|l| !l.escalation && l.partition < self.shards).collect();
-        if lanes.len() < 2 {
-            return None;
-        }
-        let hot = lanes.iter().copied().max_by(|a, b| pressure(a).total_cmp(&pressure(b)))?;
-        let cool = lanes.iter().copied().min_by(|a, b| pressure(a).total_cmp(&pressure(b)))?;
-        if hot.partition == cool.partition
-            || hot.queued_max < REBALANCE_MIN_DEPTH
-            || pressure(hot) < 2.0 * pressure(cool) + REBALANCE_MARGIN
-        {
-            return None;
-        }
-        let owned: Vec<usize> = (0..ROUTE_BANDS)
-            .filter(|&b| self.assign[b].load(Ordering::Acquire) == hot.partition)
-            .collect();
-        if owned.len() < 2 {
-            return None;
-        }
-        let band = owned.into_iter().max_by_key(|&b| self.traffic[b].load(Ordering::Relaxed))?;
-        self.assign[band].store(cool.partition, Ordering::Release);
-        self.moves.fetch_add(1, Ordering::Relaxed);
-        // Age the traffic counters so the next decision reflects routing
-        // after this move, not the whole run's history.
-        for t in &self.traffic {
-            t.store(t.load(Ordering::Relaxed) / 2, Ordering::Relaxed);
-        }
-        Some(BandMove { band, from: hot.partition, to: cool.partition })
-    }
-}
-
-impl std::fmt::Debug for BandRouter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BandRouter")
-            .field("shards", &self.shards)
-            .field("moves", &self.moves())
-            .finish()
-    }
-}
-
-/// Progress counters of one partition, sampled live via [`ShardLagProbe`].
-#[derive(Debug, Clone)]
-pub struct PartitionLag {
-    /// Partition index (`shards` = the escalation lane).
-    pub partition: usize,
-    /// `true` for the escalation lane.
-    pub escalation: bool,
-    /// Transactions routed to this partition so far.
-    pub routed: u64,
-    /// Transactions its auditor has absorbed so far.
-    pub ingested: u64,
-    /// Windows the partition has fully audited.
-    pub windows: usize,
-    /// Largest queue depth observed at any router flush so far.
-    pub queued_max: u64,
-    /// Mean queue depth over all router flushes so far.
-    pub queued_mean: f64,
-}
-
-impl PartitionLag {
-    /// Routed-but-not-yet-audited transactions — the partition's lag.
-    pub fn queued(&self) -> u64 {
-        self.routed.saturating_sub(self.ingested)
-    }
+/// The partition owning hash band `band` under a `shards`-way split.
+fn band_owner(band: usize, shards: usize) -> usize {
+    band * shards / ROUTE_BANDS
 }
 
 #[derive(Debug, Default)]
@@ -410,44 +230,6 @@ impl ShardLagProbe {
             })
             .collect()
     }
-}
-
-/// Live progress records the pipeline emits while the stream flows —
-/// the serve endpoint tails these as JSON lines.
-#[derive(Debug, Clone)]
-pub enum ShardEvent {
-    /// A partition closed and audited one window.
-    Window {
-        /// Partition index (`shards` = escalation lane).
-        partition: usize,
-        /// `true` for the escalation lane.
-        escalation: bool,
-        /// Window index within the partition's stream.
-        index: usize,
-        /// Transactions audited in the window.
-        txns: usize,
-        /// Compact five-level verdict summary.
-        summary: String,
-        /// What decided the window ([`AuditReport::decided_by`]): `Hint`
-        /// when its recording order certified every level.
-        decided_by: DecidedBy,
-        /// Window-close-to-verdict latency.
-        elapsed: Duration,
-    },
-    /// A partition produced its first definite violation.
-    Conviction {
-        /// Partition index (`shards` = escalation lane).
-        partition: usize,
-        /// `true` for the escalation lane.
-        escalation: bool,
-        /// The violation, with the partition-local stream position.
-        conviction: Conviction,
-    },
-    /// A periodic lag snapshot (emitted by the runner's sampler).
-    Lag {
-        /// Every partition's counters, escalation lane last.
-        partitions: Vec<PartitionLag>,
-    },
 }
 
 /// One partition's final verdict inside a [`ShardedStreamReport`].
@@ -616,18 +398,13 @@ fn global_registry() -> Option<&'static tm_telemetry::Registry> {
 }
 
 /// One partition worker: drains routed batches into its own windowed
-/// auditor, updating counters and emitting events as windows close.
+/// auditor and keeps the lane's counters current.
 struct PartitionWorker {
     receiver: Receiver<Vec<(usize, AuditTxn)>>,
     auditor: WindowedAuditor,
     counters: Arc<PartitionCounters>,
     /// This lane's `audit_partition_queued` gauge, when metrics are on.
     queue_gauge: Option<tm_telemetry::Gauge>,
-    events: Option<Sender<ShardEvent>>,
-    partition: usize,
-    escalation: bool,
-    emitted_windows: usize,
-    conviction_sent: bool,
 }
 
 impl PartitionWorker {
@@ -646,67 +423,10 @@ impl PartitionWorker {
                 gauge.set(routed.saturating_sub(ingested) as i64);
             }
             self.counters.windows.store(self.auditor.windows_closed(), Ordering::Relaxed);
-            // Live tail: announce windows closed (and any conviction) so far.
-            let (verdicts, conviction) = (self.auditor.verdicts(), self.auditor.convicted());
-            Self::emit(
-                &self.events,
-                self.partition,
-                self.escalation,
-                verdicts,
-                &mut self.emitted_windows,
-                conviction,
-                &mut self.conviction_sent,
-            );
         }
         let report = self.auditor.finish();
         self.counters.windows.store(report.windows.len(), Ordering::Relaxed);
-        // Drain tail: the final window closed inside finish().
-        Self::emit(
-            &self.events,
-            self.partition,
-            self.escalation,
-            &report.windows,
-            &mut self.emitted_windows,
-            report.first_conviction.as_ref(),
-            &mut self.conviction_sent,
-        );
         report
-    }
-
-    /// Announce every not-yet-emitted window verdict — and the first
-    /// conviction, once — shared by the live stream and the drain tail.
-    fn emit(
-        events: &Option<Sender<ShardEvent>>,
-        partition: usize,
-        escalation: bool,
-        verdicts: &[WindowVerdict],
-        emitted: &mut usize,
-        conviction: Option<&Conviction>,
-        conviction_sent: &mut bool,
-    ) {
-        let Some(events) = events else { return };
-        for w in &verdicts[*emitted..] {
-            let _ = events.send(ShardEvent::Window {
-                partition,
-                escalation,
-                index: w.index,
-                txns: w.txns,
-                summary: w.report.summary(),
-                decided_by: w.report.decided_by(),
-                elapsed: w.audit_elapsed,
-            });
-        }
-        *emitted = verdicts.len();
-        if !*conviction_sent {
-            if let Some(c) = conviction {
-                *conviction_sent = true;
-                let _ = events.send(ShardEvent::Conviction {
-                    partition,
-                    escalation,
-                    conviction: c.clone(),
-                });
-            }
-        }
     }
 }
 
@@ -715,9 +435,6 @@ impl PartitionWorker {
 /// soundness statement.
 pub struct ShardedAuditor {
     config: ShardConfig,
-    /// The live band→partition table every push consults (static unless
-    /// someone calls [`BandRouter::rebalance`] on it).
-    router: Arc<BandRouter>,
     /// Per-partition router buffers (escalation lane last).
     buffers: Vec<Vec<(usize, AuditTxn)>>,
     senders: Vec<SyncSender<Vec<(usize, AuditTxn)>>>,
@@ -748,14 +465,14 @@ impl ShardedAuditor {
         Self::build(n_vars, initial, config, None, global_registry(), true)
     }
 
-    /// Like [`ShardedAuditor::new`], additionally streaming
-    /// [`ShardEvent`]s (window verdicts, convictions) into `events` as they
-    /// happen.
+    /// Like [`ShardedAuditor::new`], with every lane auditor built
+    /// [`WindowedAuditor::with_events`]: each sends its window verdicts and
+    /// first conviction into `events` under its own lane label.
     pub fn with_events(
         n_vars: usize,
         initial: i64,
         config: ShardConfig,
-        events: Sender<ShardEvent>,
+        events: Sender<AuditEvent>,
     ) -> Self {
         Self::build(n_vars, initial, config, Some(events), global_registry(), false)
     }
@@ -766,7 +483,7 @@ impl ShardedAuditor {
         n_vars: usize,
         initial: i64,
         config: ShardConfig,
-        events: Option<Sender<ShardEvent>>,
+        events: Option<Sender<AuditEvent>>,
         registry: Option<&tm_telemetry::Registry>,
         search_only: bool,
     ) -> Self {
@@ -812,16 +529,14 @@ impl ShardedAuditor {
             if let Some(registry) = registry {
                 auditor = auditor.with_telemetry(AuditTelemetry::from_registry(registry));
             }
+            if let Some(events) = &events {
+                auditor = auditor.with_events(events.clone(), lane, lane == config.shards);
+            }
             let worker = PartitionWorker {
                 receiver: rx,
                 auditor,
                 counters: Arc::clone(&lane_counters),
                 queue_gauge: queue_gauges.as_ref().map(|gauges| gauges[lane].clone()),
-                events: events.clone(),
-                partition: lane,
-                escalation: lane == config.shards,
-                emitted_windows: 0,
-                conviction_sent: false,
             };
             senders.push(tx);
             counters.push(lane_counters);
@@ -836,7 +551,6 @@ impl ShardedAuditor {
             registry.map(|registry| registry.counter("audit_escalated_total", &[], "txns"));
         ShardedAuditor {
             config,
-            router: BandRouter::new_static(config.shards),
             buffers: vec![Vec::new(); lanes],
             senders,
             counters,
@@ -853,22 +567,9 @@ impl ShardedAuditor {
         self.config
     }
 
-    /// Transactions routed so far.
-    pub fn total_ingested(&self) -> u64 {
-        self.total_txns
-    }
-
     /// A live, cloneable view of per-partition lag counters.
     pub fn lag_probe(&self) -> ShardLagProbe {
         ShardLagProbe { counters: self.counters.clone() }
-    }
-
-    /// The band→partition table this auditor routes through.  Hand it —
-    /// together with [`ShardedAuditor::lag_probe`] — to a sampler thread
-    /// and call [`BandRouter::rebalance`] periodically to re-band hot
-    /// partitions while the stream flows.
-    pub fn router(&self) -> Arc<BandRouter> {
-        Arc::clone(&self.router)
     }
 
     /// Route one committed transaction.  Same contract as
@@ -886,22 +587,13 @@ impl ShardedAuditor {
         // The band mask — carried precomputed on streamed records
         // ([`AuditTxn::footprint`]), derived on demand for hand-built
         // histories — folds into the touched partitions without re-walking
-        // the read/write sets.  Each touched band's owner is read from the
-        // router exactly once, into a local snapshot: a concurrent
-        // [`BandRouter::rebalance`] (the adaptive sampler runs on its own
-        // thread) must never split one transaction's routing between two
-        // band→partition tables, so the touched mask and every projection
-        // below use this snapshot, not the live table.
-        let mut owner = [usize::MAX; ROUTE_BANDS];
+        // the read/write sets.
         let mut touched: u64 = 0;
         let mut bands = txn.band_mask();
         while bands != 0 {
             let band = bands.trailing_zeros() as usize;
             bands &= bands - 1;
-            let p = self.router.partition_of_band(band);
-            self.router.note(band);
-            owner[band] = p;
-            touched |= 1 << p;
+            touched |= 1 << band_owner(band, k);
         }
         match touched.count_ones() {
             // A transaction with no reads and no writes constrains nothing;
@@ -917,7 +609,7 @@ impl ShardedAuditor {
                 while bits != 0 {
                     let p = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    self.buffer(p, session, project(&txn, p, &owner));
+                    self.buffer(p, session, project(&txn, p, k));
                 }
                 self.escalated_txns += 1;
                 if let Some(c) = &self.escalated_counter {
@@ -997,13 +689,14 @@ impl ShardedAuditor {
     }
 }
 
-/// The projection of a transaction onto partition `p`'s variables, under
-/// the band→owner `snapshot` taken for this push.  Projections route no
-/// further, so they carry no precomputed footprint.
-fn project(txn: &AuditTxn, p: usize, snapshot: &[usize; ROUTE_BANDS]) -> AuditTxn {
+/// The projection of a transaction onto partition `p`'s variables under a
+/// `shards`-way split.  Projections route no further, so they carry no
+/// precomputed footprint.
+fn project(txn: &AuditTxn, p: usize, shards: usize) -> AuditTxn {
+    let owned = |&(v, _): &(usize, i64)| partition_of(v, shards) == p;
     AuditTxn {
-        reads: txn.reads.iter().copied().filter(|&(v, _)| snapshot[route_band(v)] == p).collect(),
-        writes: txn.writes.iter().copied().filter(|&(v, _)| snapshot[route_band(v)] == p).collect(),
+        reads: txn.reads.iter().copied().filter(owned).collect(),
+        writes: txn.writes.iter().copied().filter(owned).collect(),
         hint: txn.hint,
         footprint: 0,
     }
@@ -1133,23 +826,6 @@ mod tests {
         groups
     }
 
-    /// Synthetic lag where partition `hot` has `depth` queued transactions
-    /// (and a matching high-water mark) while every sibling is drained —
-    /// the deterministic stand-in for a probe sample in router tests.
-    fn fake_lag(shards: usize, hot: usize, depth: u64) -> Vec<PartitionLag> {
-        (0..=shards)
-            .map(|p| PartitionLag {
-                partition: p,
-                escalation: p == shards,
-                routed: if p == hot { depth * 10 } else { 0 },
-                ingested: if p == hot { depth * 9 } else { 0 },
-                windows: 0,
-                queued_max: if p == hot { depth } else { 0 },
-                queued_mean: if p == hot { depth as f64 / 2.0 } else { 0.0 },
-            })
-            .collect()
-    }
-
     /// A serializable seeded history: transactions execute sequentially
     /// against a model array (in hint order, round-robin across sessions),
     /// each reading the current values of one or two variables and writing
@@ -1244,26 +920,78 @@ mod tests {
         }
     }
 
+    /// What justifies serving an unsharded plan from the unsharded auditor:
+    /// on a seeded history with a planted lost update, `K = 1` and the plain
+    /// windowed auditor announce the same windows and the same (single)
+    /// conviction, field for field — only `elapsed` is a measurement — and
+    /// reach the same merged verdict.
     #[test]
-    fn k1_matches_the_unsharded_windowed_auditor() {
-        let mut h = AuditHistory::new(4, 0, 2);
-        h.push_txn(0, [(0, 0)], [(0, 1)]);
-        h.push_txn(1, [(0, 0)], [(0, 2)]); // lost update
+    fn k1_announces_exactly_what_the_unsharded_windowed_auditor_announces() {
+        let mut h = seeded_serializable_history(11, 8, 3, 90);
+        let latest = recording_order(&h)
+            .into_iter()
+            .rev()
+            .find_map(|(_, t)| t.writes.iter().find(|&&(v, _)| v == 0).map(|&(_, w)| w))
+            .expect("90 transactions over 8 variables write v0");
+        h.push_txn(0, [(0, latest)], [(0, 10_000)]);
+        h.push_txn(1, [(0, latest)], [(0, 10_001)]); // lost update
         for i in 0..40i64 {
-            h.push_txn(0, [], [(1 + (i % 3) as usize, 100 + i)]);
+            h.push_txn((i % 3) as usize, [], [(1 + (i % 7) as usize, 20_000 + i)]);
         }
-        let window = WindowConfig { size: 8, overlap: 2, ..WindowConfig::sized(8) };
-        let unsharded = crate::window::audit_streamed(&h, window);
-        let sharded =
-            audit_sharded(&h, ShardConfig { route_batch: 4, ..ShardConfig::new(1, window) });
+        let window = WindowConfig { size: 16, overlap: 4, ..WindowConfig::sized(16) };
+        // Every field but `elapsed`.
+        let timeless = |events: std::sync::mpsc::Receiver<AuditEvent>| -> Vec<String> {
+            events
+                .try_iter()
+                .map(|event| match event {
+                    AuditEvent::Window {
+                        partition,
+                        escalation,
+                        index,
+                        txns,
+                        summary,
+                        decided_by,
+                        elapsed: _,
+                    } => format!(
+                        "window {partition} {escalation} {index} {txns} {summary} {decided_by:?}"
+                    ),
+                    AuditEvent::Conviction { partition, escalation, conviction } => {
+                        format!("conviction {partition} {escalation} {conviction:?}")
+                    }
+                    AuditEvent::Lag { .. } => panic!("auditors never send lag"),
+                })
+                .collect()
+        };
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut plain = WindowedAuditor::new(h.n_vars, h.initial, window).with_events(tx, 0, false);
+        for (session, txn) in recording_order(&h) {
+            plain.push(session, txn.clone());
+        }
+        let unsharded = plain.finish();
+        let plain_events = timeless(rx);
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let config = ShardConfig { route_batch: 4, ..ShardConfig::new(1, window) };
+        let mut routed = ShardedAuditor::with_events(h.n_vars, h.initial, config, tx);
+        for (session, txn) in recording_order(&h) {
+            routed.push(session, txn.clone());
+        }
+        let sharded = routed.finish();
+        let sharded_events = timeless(rx);
+
+        assert_eq!(plain_events, sharded_events);
+        let windows = plain_events.iter().filter(|e| e.starts_with("window")).count();
+        assert_eq!(windows, unsharded.windows.len(), "one event per closed window");
+        let convictions = plain_events.iter().filter(|e| e.starts_with("conviction")).count();
+        assert_eq!(convictions, 1, "the conviction is announced exactly once");
         for level in Level::ALL {
             assert_eq!(unsharded.passes(level), sharded.passes(level), "{level}");
             assert_eq!(unsharded.fails(level), sharded.fails(level), "{level}");
         }
         let sc = sharded.first_conviction.as_ref().expect("convicted");
-        assert_eq!(sc.partition, 0);
-        assert!(!sc.escalation);
-        assert_eq!(sc.conviction.violation, unsharded.first_conviction.as_ref().unwrap().violation);
+        assert_eq!((sc.partition, sc.escalation), (0, false));
+        assert_eq!(Some(&sc.conviction), unsharded.first_conviction.as_ref());
     }
 
     #[test]
@@ -1289,10 +1017,10 @@ mod tests {
             auditor.push(s, t.clone());
         }
         let report = auditor.finish();
-        let events: Vec<ShardEvent> = rx.try_iter().collect();
-        let windows = events.iter().filter(|e| matches!(e, ShardEvent::Window { .. })).count();
+        let events: Vec<AuditEvent> = rx.try_iter().collect();
+        let windows = events.iter().filter(|e| matches!(e, AuditEvent::Window { .. })).count();
         let convictions =
-            events.iter().filter(|e| matches!(e, ShardEvent::Conviction { .. })).count();
+            events.iter().filter(|e| matches!(e, AuditEvent::Conviction { .. })).count();
         assert_eq!(
             windows,
             report.partitions.iter().map(|p| p.stream.windows.len()).sum::<usize>(),
@@ -1374,117 +1102,5 @@ mod tests {
         }
         // Shards + escalation lane are all present and idle.
         assert_eq!(report.partitions.len(), ShardConfig::default().shards + 1);
-    }
-
-    #[test]
-    fn router_moves_the_hottest_band_off_the_most_backlogged_partition() {
-        let router = BandRouter::new_static(4);
-        let static_assign: Vec<usize> = (0..ROUTE_BANDS).map(|b| b * 4 / ROUTE_BANDS).collect();
-        assert_eq!(router.assignment(), static_assign);
-        // A drained pipeline never re-bands, no matter the traffic skew.
-        assert_eq!(router.rebalance(&fake_lag(4, 2, 0)), None);
-        assert_eq!(router.rebalance(&fake_lag(4, 2, REBALANCE_MIN_DEPTH - 1)), None);
-        // Concentrate traffic on one band of partition 2, then report
-        // partition 2 backlogged: exactly that band moves to an idle sibling.
-        let hot_band = (0..ROUTE_BANDS).find(|&b| b * 4 / ROUTE_BANDS == 2).unwrap();
-        for _ in 0..100 {
-            router.note(hot_band);
-        }
-        let mv = router.rebalance(&fake_lag(4, 2, 16)).expect("a clear hotspot must move");
-        assert_eq!((mv.band, mv.from), (hot_band, 2));
-        assert_ne!(mv.to, 2);
-        assert_eq!(router.partition_of_band(hot_band), mv.to);
-        assert_eq!(router.moves(), 1);
-        // Keep reporting partition 2 hot: it sheds bands one per call but is
-        // never emptied — the last band stays put.
-        while router.rebalance(&fake_lag(4, 2, 16)).is_some() {}
-        let left = router.assignment().iter().filter(|&&p| p == 2).count();
-        assert_eq!(left, 1, "a partition is never re-banded down to zero bands");
-        assert_eq!(router.moves() as usize, ROUTE_BANDS / 4 - 1);
-    }
-
-    #[test]
-    fn rebanded_routing_convicts_in_the_bands_new_partition() {
-        let shards = 4;
-        let groups = vars_by_partition(64, shards);
-        let a = groups[0][0];
-        let band = route_band(a);
-        let mut auditor = ShardedAuditor::new(64, 0, cfg(shards, 8, 2));
-        let router = auditor.router();
-        assert_eq!(router.partition_of(a), 0);
-        // Make `a`'s band partition 0's hottest, then force a move before
-        // any transaction flows: the whole history lands on the new owner
-        // with full write attribution.
-        for _ in 0..10 {
-            router.note(band);
-        }
-        let mv = router.rebalance(&fake_lag(shards, 0, 16)).expect("forced move");
-        assert_eq!((mv.band, mv.from), (band, 0));
-        let to = mv.to;
-        let txn = |hint, reads: Vec<(usize, i64)>, writes: Vec<(usize, i64)>| AuditTxn {
-            reads,
-            writes,
-            hint,
-            footprint: 0,
-        };
-        auditor.push(0, txn(0, vec![(a, 0)], vec![(a, 1)]));
-        auditor.push(1, txn(1, vec![(a, 0)], vec![(a, 2)])); // lost update
-        let report = auditor.finish();
-        assert_eq!(report.partitions[to].routed_txns, 2);
-        assert_eq!(report.partitions[0].routed_txns, 0, "the old owner saw nothing");
-        assert!(report.fails(Level::SnapshotIsolation), "{}", report.merged);
-        let sc = report.first_conviction.as_ref().expect("convicted");
-        assert_eq!(sc.partition, to, "the conviction lands in the band's new partition");
-        assert!(!sc.escalation);
-    }
-
-    #[test]
-    fn rebanded_sharded_audit_matches_static_banding_on_seeded_histories() {
-        // The re-banding equivalence suite: on 50 seeded serializable
-        // histories, a run whose router is forcibly re-banded mid-stream
-        // (the hot partition sweeps every rebalance call) reaches the same
-        // five-level verdict as the static-band pipeline.  Witness budgets
-        // are raised so neither side returns budget Unknowns — verdicts,
-        // not routing or escalation counts, are what must agree.
-        let shards = 4;
-        let window =
-            WindowConfig { size: 16, overlap: 4, budget: 1 << 20, ..WindowConfig::sized(16) };
-        let config = ShardConfig { route_batch: 4, ..ShardConfig::new(shards, window) };
-        let mut total_moves = 0u64;
-        for seed in 0..50u64 {
-            let h = seeded_serializable_history(seed, 64, 3, 120);
-            let fixed = audit_sharded(&h, config);
-            let mut all: Vec<(u64, usize, &AuditTxn)> = h
-                .sessions
-                .iter()
-                .enumerate()
-                .flat_map(|(s, session)| session.iter().map(move |t| (t.hint, s, t)))
-                .collect();
-            all.sort_by_key(|&(hint, s, _)| (hint, s));
-            let mut auditor = ShardedAuditor::new(h.n_vars, h.initial, config);
-            let router = auditor.router();
-            for (i, &(_, s, t)) in all.iter().enumerate() {
-                auditor.push(s, t.clone());
-                if (i + 1) % 10 == 0 {
-                    let hot = (i / 10 + seed as usize) % shards;
-                    if router.rebalance(&fake_lag(shards, hot, 16)).is_some() {
-                        total_moves += 1;
-                    }
-                }
-            }
-            let rebanded = auditor.finish();
-            assert_eq!(rebanded.total_txns, fixed.total_txns);
-            for level in Level::ALL {
-                assert_eq!(
-                    fixed.passes(level),
-                    rebanded.passes(level),
-                    "seed {seed} {level}: static\n{}\nvs re-banded\n{}",
-                    fixed.merged,
-                    rebanded.merged
-                );
-                assert_eq!(fixed.fails(level), rebanded.fails(level), "seed {seed} {level}");
-            }
-        }
-        assert!(total_moves > 50, "the sweep must actually re-band (saw {total_moves} moves)");
     }
 }

@@ -1,14 +1,12 @@
 //! Audit verdicts: one outcome per consistency level, with a witness or a
 //! concrete violation.
 //!
-//! The report vocabulary is shared with `tm-consistency` — an [`AuditReport`]
-//! converts into that crate's [`ConditionMatrix`] (re-exported here), so the
-//! simulator-side checkers and the history-side checkers can be compared
-//! result-for-result by the cross-validation tests.  Reports also serialize
-//! to JSON ([`AuditReport::to_json`]) so CI can archive machine-readable
-//! verdicts.
+//! Witness orders render through `tm-consistency`'s [`CommitOrderWitness`]
+//! (re-exported here), so both checker families print a commit order the same
+//! way.  Reports also serialize to JSON ([`AuditReport::to_json`]) so CI can
+//! archive machine-readable verdicts.
 
-pub use tm_consistency::report::{CheckResult, CommitOrderWitness, ConditionMatrix};
+pub use tm_consistency::report::CommitOrderWitness;
 
 use std::fmt;
 use tm_telemetry::json;
@@ -46,7 +44,7 @@ impl Level {
         Level::Serializable,
     ];
 
-    /// The condition name used in reports and `ConditionMatrix` rows.
+    /// The condition name used in reports.
     pub fn name(self) -> &'static str {
         match self {
             Level::ReadCommitted => "read committed",
@@ -297,24 +295,6 @@ impl AuditReport {
             .join(" | ")
     }
 
-    /// Convert into `tm-consistency`'s matrix vocabulary so both checker
-    /// families can be diffed result-for-result.  [`Outcome::Unknown`] maps to
-    /// *not satisfied* with an `inconclusive:` note — a level the audit could
-    /// not establish must never read as a pass.
-    pub fn to_condition_matrix(&self) -> ConditionMatrix {
-        let mut matrix = ConditionMatrix::new();
-        for l in &self.levels {
-            matrix.push(match &l.outcome {
-                Outcome::Pass { witness } => CheckResult::satisfied(l.level.name(), witness),
-                Outcome::Fail { violation } => CheckResult::violated(l.level.name(), violation),
-                Outcome::Unknown { reason, .. } => {
-                    CheckResult::violated(l.level.name(), format!("inconclusive: {reason}"))
-                }
-            });
-        }
-        matrix
-    }
-
     /// Machine-readable form, for CI artifacts and the audit CLI's `--json`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
@@ -461,21 +441,6 @@ mod tests {
         assert!(line.contains("1000 states explored"), "{line}");
         assert!(line.contains("retry with budget ≥ 4000"), "{line}");
         assert!(line.contains("serializability already refuted"), "{line}");
-    }
-
-    #[test]
-    fn matrix_conversion_never_lets_unknown_pass() {
-        let m = sample().to_condition_matrix();
-        assert!(m.is_satisfied("read committed"));
-        assert!(!m.is_satisfied("serializability"));
-        assert!(!m.is_satisfied("snapshot isolation"));
-        assert!(m
-            .get("snapshot isolation")
-            .unwrap()
-            .violation
-            .as_deref()
-            .unwrap()
-            .contains("inconclusive"));
     }
 
     #[test]

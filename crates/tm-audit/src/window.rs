@@ -90,6 +90,7 @@ use crate::{
 };
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 use stm_runtime::{CommitBatch, StreamConsumer};
 use tm_telemetry::json;
@@ -146,8 +147,8 @@ impl WindowConfig {
     }
 }
 
-/// The earliest definite violation the stream produced — available mid-run
-/// via [`WindowedAuditor::convicted`], before the workload has finished.
+/// The earliest definite violation the stream produced — announced mid-run,
+/// before the workload has finished, as an [`AuditEvent::Conviction`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Conviction {
     /// The weakest level the violation refutes (everything above falls too).
@@ -171,6 +172,84 @@ pub struct WindowVerdict {
     pub report: AuditReport,
     /// Wall-clock time from window close to verdict.
     pub audit_elapsed: Duration,
+}
+
+/// Progress counters of one sharded lane, sampled live via
+/// [`crate::partition::ShardLagProbe`].
+#[derive(Debug, Clone)]
+pub struct PartitionLag {
+    /// Partition index (`shards` = the escalation lane).
+    pub partition: usize,
+    /// `true` for the escalation lane.
+    pub escalation: bool,
+    /// Transactions routed to this partition so far.
+    pub routed: u64,
+    /// Transactions its auditor has absorbed so far.
+    pub ingested: u64,
+    /// Windows the partition has fully audited.
+    pub windows: usize,
+    /// Largest queue depth observed at any router flush so far.
+    pub queued_max: u64,
+    /// Mean queue depth over all router flushes so far.
+    pub queued_mean: f64,
+}
+
+impl PartitionLag {
+    /// Routed-but-not-yet-audited transactions — the partition's lag.
+    pub fn queued(&self) -> u64 {
+        self.routed.saturating_sub(self.ingested)
+    }
+}
+
+/// Live progress records an auditor built [`WindowedAuditor::with_events`]
+/// sends while the stream flows — the serve endpoint tails these as JSON
+/// lines.  A window close is the one live event of every streaming topology:
+/// the unsharded auditor is lane `(0, false)`, a sharded pipeline's lanes
+/// carry their own labels.
+#[derive(Debug, Clone)]
+pub enum AuditEvent {
+    /// A lane closed and audited one window.
+    Window {
+        /// Partition index (`shards` = escalation lane; 0 when unsharded).
+        partition: usize,
+        /// `true` for the escalation lane.
+        escalation: bool,
+        /// Window index within the lane's stream.
+        index: usize,
+        /// Transactions audited in the window.
+        txns: usize,
+        /// Compact per-level verdict summary.
+        summary: String,
+        /// What decided the window ([`AuditReport::decided_by`]): `Hint`
+        /// when its recording order certified every level.
+        decided_by: DecidedBy,
+        /// Window-close-to-verdict latency.
+        elapsed: Duration,
+    },
+    /// A lane produced its first definite violation (sent once per lane, the
+    /// moment it lands — mid-window from a probe, or at the close).
+    Conviction {
+        /// Partition index (`shards` = escalation lane; 0 when unsharded).
+        partition: usize,
+        /// `true` for the escalation lane.
+        escalation: bool,
+        /// The violation, with the lane-local stream position.
+        conviction: Conviction,
+    },
+    /// A periodic lag snapshot of a sharded pipeline (sent by the runner's
+    /// sampler, never by an auditor).
+    Lag {
+        /// Every partition's counters, escalation lane last.
+        partitions: Vec<PartitionLag>,
+    },
+}
+
+/// Where a [`WindowedAuditor`] announces its window closes, and as which lane.
+#[derive(Debug)]
+struct EventFeed {
+    sender: Sender<AuditEvent>,
+    partition: usize,
+    escalation: bool,
 }
 
 /// What a finished stream audit measured and concluded.
@@ -619,6 +698,7 @@ pub struct WindowedAuditor {
     /// Open every window in search mode (see [`WindowedAuditor::new_searching`]).
     search_only: bool,
     tele: Option<AuditTelemetry>,
+    events: Option<EventFeed>,
 }
 
 impl WindowedAuditor {
@@ -661,6 +741,7 @@ impl WindowedAuditor {
             peak_closure_bytes: 0,
             search_only,
             tele: AuditTelemetry::attach(),
+            events: None,
         }
     }
 
@@ -671,28 +752,24 @@ impl WindowedAuditor {
         self
     }
 
-    /// Transactions ingested so far.
-    pub fn total_ingested(&self) -> u64 {
-        self.total_txns
+    /// Send an [`AuditEvent::Window`] into `events` at every window close
+    /// and an [`AuditEvent::Conviction`] the moment the first definite
+    /// violation lands, labelled as lane `partition` (`escalation` for a
+    /// sharded pipeline's cross-partition lane; `(0, false)` when this
+    /// auditor is the whole pipeline).  A hung-up receiver is ignored.
+    pub fn with_events(
+        mut self,
+        events: Sender<AuditEvent>,
+        partition: usize,
+        escalation: bool,
+    ) -> Self {
+        self.events = Some(EventFeed { sender: events, partition, escalation });
+        self
     }
 
     /// Windows fully audited so far.
     pub fn windows_closed(&self) -> usize {
         self.verdicts.len()
-    }
-
-    /// The earliest definite violation so far, available while the stream is
-    /// still flowing — this is what lets an operator watch a backend get
-    /// convicted mid-run.
-    pub fn convicted(&self) -> Option<&Conviction> {
-        self.first_conviction.as_ref()
-    }
-
-    /// The verdicts of every window closed so far, in stream order — the
-    /// live-tailing surface the sharded pipeline and the serve endpoint emit
-    /// window records from, without waiting for [`WindowedAuditor::finish`].
-    pub fn verdicts(&self) -> &[WindowVerdict] {
-        &self.verdicts
     }
 
     /// The (normalized) window shape this auditor runs.
@@ -1009,18 +1086,28 @@ impl WindowedAuditor {
                 find_lost_update(&aw.po).map(|lu| (Level::SnapshotIsolation, lu.render(&aw.po)))
             };
             if let Some((level, violation)) = conviction {
-                self.first_conviction = Some(Conviction {
-                    level,
-                    window: self.window_index,
-                    txns_seen: self.total_txns,
-                    violation,
-                });
-                if let Some(tele) = &self.tele {
-                    tele.convictions.inc();
-                }
+                self.convict(level, violation);
             }
         }
         None
+    }
+
+    /// Record the stream's first definite violation, at the current stream
+    /// position, and announce it.
+    fn convict(&mut self, level: Level, violation: String) {
+        let conviction =
+            Conviction { level, window: self.window_index, txns_seen: self.total_txns, violation };
+        if let Some(tele) = &self.tele {
+            tele.convictions.inc();
+        }
+        if let Some(feed) = &self.events {
+            let _ = feed.sender.send(AuditEvent::Conviction {
+                partition: feed.partition,
+                escalation: feed.escalation,
+                conviction: conviction.clone(),
+            });
+        }
+        self.first_conviction = Some(conviction);
     }
 
     /// Close the current window: final frontier resolution, evicted
@@ -1159,20 +1246,24 @@ impl WindowedAuditor {
         self.peak_closure_bytes = self.peak_closure_bytes.max(closure_bytes);
         self.peak_window_txns = self.peak_window_txns.max(window_txns);
         if self.first_conviction.is_none() {
-            for l in &report.levels {
-                if let Outcome::Fail { violation } = &l.outcome {
-                    self.first_conviction = Some(Conviction {
-                        level: l.level,
-                        window: self.window_index,
-                        txns_seen: self.total_txns,
-                        violation: violation.clone(),
-                    });
-                    if let Some(tele) = &self.tele {
-                        tele.convictions.inc();
-                    }
-                    break;
-                }
+            let failed = report.levels.iter().find_map(|l| match &l.outcome {
+                Outcome::Fail { violation } => Some((l.level, violation.clone())),
+                _ => None,
+            });
+            if let Some((level, violation)) = failed {
+                self.convict(level, violation);
             }
+        }
+        if let Some(feed) = &self.events {
+            let _ = feed.sender.send(AuditEvent::Window {
+                partition: feed.partition,
+                escalation: feed.escalation,
+                index: self.window_index,
+                txns: window_txns,
+                summary: report.summary(),
+                decided_by: report.decided_by(),
+                elapsed: audit_elapsed,
+            });
         }
         self.verdicts.push(WindowVerdict {
             index: self.window_index,

@@ -12,10 +12,9 @@
 //! Every invocation parses into one description — **what to audit** (a
 //! scenario × backend run, `--ingest`ed documents, or a `--recover`ed WAL
 //! directory) under **which plan** (`workloads::AuditPlan`: off, batch,
-//! windowed or sharded, with `--budget` / `--sat` / `--overlap` /
-//! `--adaptive` folded in) — and live runs, replays and every `--serve`
-//! endpoint execute that one plan through `workloads::run_live` /
-//! `workloads::Verdict::audit`.  Flags:
+//! windowed or sharded, with `--budget` / `--sat` / `--overlap` folded in) —
+//! and live runs, replays and every `--serve` endpoint execute that one plan
+//! through `workloads::run_live` / `workloads::Verdict::audit`.  Flags:
 //!
 //! * `--backend NAME|all` — any backend registered with
 //!   `stm_runtime::registry` (canonical name or alias: `tl2`, `ofree`,
@@ -44,14 +43,9 @@
 //!   spec — `shards=K` makes it `Sharded`: the stream fans out to `K`
 //!   per-variable-partition windowed auditors plus a cross-partition
 //!   escalation lane (see `tm-audit::partition` for the soundness
-//!   statement).  `--adaptive` adds
-//!   the live band router on top: the lag sampler re-bands hot variable
-//!   partitions onto cooler auditor lanes mid-stream (verdicts stay sound;
-//!   routing is no longer reproducible across runs; live runs only — a
-//!   replay has no lag to sample, so `--ingest … --adaptive` is a usage
-//!   error).  Only *recordable*
-//!   scenarios (unique write values) can be audited: asking for an audited
-//!   `bank` run is an error, and `--scenario all` skips it with a note;
+//!   statement).  Only *recordable* scenarios (unique write values) can be
+//!   audited: asking for an audited `bank` run is an error, and
+//!   `--scenario all` skips it with a note;
 //! * `--overlap N` — transactions re-audited at the head of the next window
 //!   (default WINDOW/8; wins over the spec's `overlap=`).  Must be smaller
 //!   than the window: an overlap ≥ the size would mean a stride of one
@@ -94,10 +88,11 @@
 //! * `--serve` — the long-running ops endpoint: keep the process alive
 //!   running audited rounds of the chosen scenario back to back, tailing
 //!   line-delimited JSON records (per-window verdicts, convictions,
-//!   per-partition lag, per-round merged verdicts) to stdout — and to
-//!   `--sink PATH` — until SIGTERM/ctrl-c, which finishes the current round
-//!   and shuts down cleanly.  Requires one scenario and one backend; implies
-//!   `--audit=window:shards=4` unless a streaming spec is given;
+//!   per-round merged verdicts; per-partition lag under `shards=K`) to
+//!   stdout — and to `--sink PATH` — until SIGTERM/ctrl-c, which finishes
+//!   the current round and shuts down cleanly.  Requires one scenario and
+//!   one backend; implies `--audit=window:size=2048` unless a streaming spec
+//!   is given, with or without `--wal`;
 //! * `--serve-rounds N` — stop serving after N rounds (0 = until signal).
 //!   A second SIGTERM/SIGINT while a round is still draining exits
 //!   immediately with status 130 instead of waiting for the boundary;
@@ -106,9 +101,11 @@
 //!   `tm-history` wire format, so the concatenated segments of a round are
 //!   ingestible as-is) *before* it reaches the auditor; segments seal with
 //!   length+CRC framing at window boundaries and each seal persists the
-//!   closed window's verdict (the frontier itself lives in the log).  Forces the streaming (single-auditor)
-//!   topology — the log is the merged stream, which the sharded pipeline
-//!   does not have.  See `docs/recovery.md`;
+//!   closed window's verdict (the frontier itself lives in the log).  The
+//!   round streams the same window / conviction / metrics records as one
+//!   without a log.  Needs the windowed (single-auditor) plan — the log is
+//!   the merged stream, which the sharded pipeline does not have.  See
+//!   `docs/recovery.md`;
 //! * `--recover DIR` — finish auditing the rounds a killed process left
 //!   behind: torn tails are truncated to the last sealed-or-complete line,
 //!   the newest frontier snapshot is verified as a legal prefix of the
@@ -144,7 +141,7 @@ use std::sync::{Arc, Mutex};
 use stm_runtime::{policy, BackendId, RetryPolicy};
 use tm_audit::linearization::DEFAULT_STATE_BUDGET;
 use tm_audit::{
-    AuditHistory, AuditOptions, PartitionLag, SatConfig, ShardConfig, ShardEvent, WindowConfig,
+    AuditEvent, AuditHistory, AuditOptions, PartitionLag, SatConfig, ShardConfig, WindowConfig,
 };
 use tm_history::{decode_all, encode, Decoder};
 use tm_telemetry::json;
@@ -215,9 +212,9 @@ struct Args {
     txns: usize,
     vars: usize,
     seed: u64,
-    /// `--audit[=SPEC]` with `--budget`, `--sat`, `--overlap` and
-    /// `--adaptive` folded in: the one description live runs, `--ingest`
-    /// replays and every `--serve` endpoint execute.
+    /// `--audit[=SPEC]` with `--budget`, `--sat` and `--overlap` folded in:
+    /// the one description live runs, `--ingest` replays and every `--serve`
+    /// endpoint execute.
     plan: AuditPlan,
     overlap: Option<usize>,
     budget: u64,
@@ -315,7 +312,6 @@ where
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
     let mut mode = AuditMode::Off;
-    let mut adaptive = false;
     let mut spec_overlap = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -341,7 +337,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--recover" => args.recover = Some(value_of(&mut it, arg)?),
             "--fail-on-violation" => args.fail_on_violation = true,
             "--metrics" => args.metrics = true,
-            "--adaptive" => adaptive = true,
             "--audit" => mode = AuditMode::Batch,
             "--sat" => args.sat = Some(SatConfig::default()),
             "--serve" => args.serve = true,
@@ -403,10 +398,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     }
     if args.serve {
         match mode {
-            // --wal logs the single merged commit stream, so its default (and
-            // only) topology is the unsharded streaming auditor.
-            AuditMode::Off if args.wal.is_some() => mode = AuditMode::Streaming { window: 2_048 },
-            AuditMode::Off => mode = AuditMode::Sharded { window: 2_048, shards: 4 },
+            AuditMode::Off => mode = AuditMode::Streaming { window: 2_048 },
             AuditMode::Batch => {
                 return Err("--serve streams windowed verdicts; combine it with \
                             --audit=window[:shards=K], not batch --audit"
@@ -437,31 +429,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
         }
     }
-    if adaptive && !matches!(mode, AuditMode::Sharded { .. }) {
-        return Err("--adaptive re-bands the sharded auditor; combine it with \
-                    --audit=window[:size=N]:shards=K (or --serve)"
-            .into());
-    }
-    if adaptive && args.ingest.is_some() {
-        return Err("--adaptive re-bands a live run from its lag samples; an --ingest replay \
-                    has no lag to sample, so drop the flag"
-            .into());
-    }
     args.plan = match mode {
         AuditMode::Off => AuditPlan::Off,
         AuditMode::Batch => AuditPlan::Batch(AuditOptions { budget: args.budget, sat: args.sat }),
-        // A generating --serve endpoint tails the sharded pipeline's event
-        // feed; one shard is the degenerate unprojected pipeline.
-        AuditMode::Streaming { window }
-            if args.serve && args.ingest.is_none() && args.wal.is_none() =>
-        {
-            AuditPlan::Sharded(ShardConfig::new(1, window_config(window, &args)?))
-        }
         AuditMode::Streaming { window } => AuditPlan::Windowed(window_config(window, &args)?),
-        AuditMode::Sharded { window, shards } => AuditPlan::Sharded(ShardConfig {
-            adaptive,
-            ..ShardConfig::new(shards, window_config(window, &args)?)
-        }),
+        AuditMode::Sharded { window, shards } => {
+            AuditPlan::Sharded(ShardConfig::new(shards, window_config(window, &args)?))
+        }
     };
     Ok(args)
 }
@@ -474,7 +448,7 @@ fn usage() {
          \x20            [--overlap N] [--budget N] [--sat[=conflicts=N[:force]]]\n\
          \x20            [--json PATH] [--fail-on-violation]\n\
          \x20            [--export PATH] [--ingest FILE|-]\n\
-         \x20            [--serve] [--serve-rounds N] [--sink PATH] [--metrics] [--adaptive]\n\
+         \x20            [--serve] [--serve-rounds N] [--sink PATH] [--metrics]\n\
          \x20            [--wal DIR] [--recover DIR] [--list]\n\
          \n\
          backends and scenarios resolve through their registries; run `audit --list`\n\
@@ -486,14 +460,14 @@ fn usage() {
          Prefix/SI/SER verdicts to the CDCL commit-order solver (tm-sat); verdicts\n\
          carry decided_by provenance.\n\
          --serve keeps the process alive running audited rounds back to back, streaming\n\
-         line-delimited JSON verdict/window/lag records to stdout (and --sink PATH)\n\
-         until SIGTERM/ctrl-c (a second signal exits immediately, status 130); --adaptive\n\
-         lets the lag sampler re-band hot variable partitions across the sharded\n\
-         auditor's lanes mid-stream; --serve --ingest - audits history documents from\n\
-         stdin instead of generating traffic.  --wal DIR logs every commit of a serve\n\
-         round to DIR/round-NNNN before the auditor sees it (crash-consistent, sealed\n\
-         segments + frontier snapshots); --recover DIR finishes auditing the rounds a\n\
-         killed process left behind (see docs/recovery.md)."
+         line-delimited JSON verdict/window/conviction records (lag records under\n\
+         shards=K) to stdout (and --sink PATH) until SIGTERM/ctrl-c (a second signal\n\
+         exits immediately, status 130); without --audit= it runs window:size=2048.\n\
+         --serve --ingest - audits history documents from stdin instead of generating\n\
+         traffic.  --wal DIR logs every commit of a serve round to DIR/round-NNNN before\n\
+         the auditor sees it (crash-consistent, sealed segments + frontier snapshots);\n\
+         --recover DIR finishes auditing the rounds a killed process left behind (see\n\
+         docs/recovery.md)."
     );
 }
 
@@ -671,9 +645,10 @@ impl ServeEmitter {
 
     /// [`ServeEmitter::flush`], then fsync the sink file — the pre-seal hook
     /// of WAL rounds: a sealed segment claims its prefix of the round is
-    /// durable, so the serve records describing that prefix must not be
+    /// durable, so the serve records emitted about that prefix must not be
     /// sitting in a user-space buffer (or the page cache) when the seal
-    /// lands.
+    /// lands.  (The closing window's own record may still be on its way
+    /// through the event feed; the next seal covers it.)
     fn sync(&self) {
         if let Some(file) = &self.sink {
             let mut file = file.lock().expect("sink file lock");
@@ -704,9 +679,9 @@ fn lag_json(partitions: &[PartitionLag]) -> String {
     format!("[{}]", entries.join(","))
 }
 
-fn emit_event(emitter: &ServeEmitter, round: u64, event: &ShardEvent) {
+fn emit_event(emitter: &ServeEmitter, round: u64, event: &AuditEvent) {
     match event {
-        ShardEvent::Window { partition, escalation, index, txns, summary, decided_by, elapsed } => {
+        AuditEvent::Window { partition, escalation, index, txns, summary, decided_by, elapsed } => {
             emitter.emit(&format!(
                 "{{\"type\":\"window\",\"round\":{round},\"partition\":{partition},\
                  \"escalation\":{escalation},\"window\":{index},\"txns\":{txns},\
@@ -716,7 +691,7 @@ fn emit_event(emitter: &ServeEmitter, round: u64, event: &ShardEvent) {
                 elapsed.as_secs_f64() * 1e3
             ));
         }
-        ShardEvent::Conviction { partition, escalation, conviction } => {
+        AuditEvent::Conviction { partition, escalation, conviction } => {
             emitter.emit(&format!(
                 "{{\"type\":\"conviction\",\"round\":{round},\"partition\":{partition},\
                  \"escalation\":{escalation},\"level\":\"{}\",\"window\":{},\
@@ -727,7 +702,7 @@ fn emit_event(emitter: &ServeEmitter, round: u64, event: &ShardEvent) {
                 json::escape(&conviction.violation)
             ));
         }
-        ShardEvent::Lag { partitions } => {
+        AuditEvent::Lag { partitions } => {
             emitter.emit(&format!(
                 "{{\"type\":\"lag\",\"round\":{round},\"partitions\":{}}}",
                 lag_json(partitions)
@@ -820,130 +795,6 @@ fn metrics_record(round: u64) -> String {
     )
 }
 
-/// The `serve-start` record of a workload-generating endpoint.
-fn emit_serve_start(emitter: &ServeEmitter, args: &Args, wal_dir: Option<&Path>) {
-    let (window, shards) = stream_shape(&args.plan);
-    let wal = wal_dir.map_or(String::new(), |dir| {
-        format!("\"wal\":\"{}\",", json::escape(&dir.display().to_string()))
-    });
-    emitter.emit(&format!(
-        "{{\"type\":\"serve-start\",\"scenario\":\"{}\",\"backend\":\"{}\",\
-         \"shards\":{shards},\"window\":{window},\"threads\":{},\"txns_per_round\":{},\
-         {wal}\"pid\":{}}}",
-        args.scenarios[0].name(),
-        args.backends[0],
-        args.threads,
-        args.threads * args.txns,
-        std::process::id()
-    ));
-}
-
-/// The round loop every workload-generating endpoint shares: audited rounds
-/// back to back until SIGTERM/SIGINT or `--serve-rounds`, one `verdict`
-/// record (and, under `--metrics`, one guaranteed `metrics` record) per
-/// round, the sink mirror flushed at every round boundary.  `run_round` gets
-/// the in-process round counter and returns the round's id, its report and
-/// the extra fields its verdict record carries.
-fn serve_rounds(
-    args: &Args,
-    emitter: &ServeEmitter,
-    mut violated: bool,
-    mut run_round: impl FnMut(u64) -> Result<(u64, LiveReport, String), String>,
-) -> Result<ExitCode, Failure> {
-    let mut rounds = 0u64;
-    while !STOP.load(Ordering::SeqCst) {
-        if args.serve_rounds > 0 && rounds >= args.serve_rounds {
-            break;
-        }
-        let (round, report, extra) = run_round(rounds)?;
-        violated |= report.violated();
-        let verdict = report.verdict.as_ref().expect("serve rounds run an audited plan");
-        emitter.emit(&format!(
-            "{{\"type\":\"verdict\",\"round\":{round},\"summary\":\"{}\",\"commits\":{},\
-             \"throughput\":{:.0},\"drain_ms\":{:.3},{extra}\"report\":{}}}",
-            json::escape(&verdict.merged().summary()),
-            report.run.commits,
-            report.run.throughput,
-            report.tail.as_secs_f64() * 1e3,
-            verdict.to_json()
-        ));
-        if args.metrics {
-            // Guaranteed snapshot per round, even when the round finishes
-            // inside the ticker's first 500 ms.
-            emitter.emit(&metrics_record(round));
-        }
-        // Round boundary: the sink mirror is durable up to the last full round
-        // even if the next one is cut short.
-        emitter.flush();
-        rounds += 1;
-    }
-    let reason = if STOP.load(Ordering::SeqCst) { "signal" } else { "rounds-exhausted" };
-    emitter
-        .emit(&format!("{{\"type\":\"serve-stop\",\"rounds\":{rounds},\"reason\":\"{reason}\"}}"));
-    emitter.flush();
-    Ok(violation_exit(args, violated))
-}
-
-/// The `--serve` ops endpoint: audited rounds back to back, each round's
-/// window verdicts / convictions / partition lag streamed as JSON lines
-/// while the workload runs, until SIGTERM/SIGINT or `--serve-rounds`.
-fn serve(args: &Args) -> Result<ExitCode, Failure> {
-    let emitter = ServeEmitter::open(args.sink.as_deref())?;
-    let emitter = &emitter;
-    install_stop_handlers();
-    emit_serve_start(emitter, args, None);
-    // One post-mortem per serve lifetime: the bounded event ring is dumped on
-    // the *first* conviction and never again (the flight recorder's contents
-    // after that point describe post-violation traffic).
-    let post_mortem_done = &AtomicBool::new(false);
-    serve_rounds(args, emitter, false, |round| {
-        // A fresh seed per round: sustained traffic, not one replayed run.
-        let config = scenario_config(args, args.backends[0], args.seed.wrapping_add(round));
-        let (events_tx, events_rx) = std::sync::mpsc::channel::<ShardEvent>();
-        let round_done = &AtomicBool::new(false);
-        let report = std::thread::scope(|scope| {
-            let printer = scope.spawn(move || {
-                while let Ok(event) = events_rx.recv() {
-                    emit_event(emitter, round, &event);
-                    if matches!(event, ShardEvent::Conviction { .. })
-                        && tm_telemetry::trace_enabled()
-                        && !post_mortem_done.swap(true, Ordering::SeqCst)
-                    {
-                        emitter.emit(&format!(
-                            "{{\"type\":\"post-mortem\",\"round\":{round},\"pushed\":{},\
-                             \"events\":{}}}",
-                            tm_telemetry::tracer().pushed(),
-                            tm_telemetry::tracer().to_json()
-                        ));
-                    }
-                }
-            });
-            let ticker = args.metrics.then(|| {
-                scope.spawn(move || {
-                    // Poll at 25 ms so shutdown is prompt; emit every 500 ms.
-                    let mut ticks = 0u32;
-                    while !round_done.load(Ordering::SeqCst) {
-                        std::thread::sleep(std::time::Duration::from_millis(25));
-                        ticks += 1;
-                        if ticks.is_multiple_of(20) {
-                            emitter.emit(&metrics_record(round));
-                        }
-                    }
-                })
-            });
-            let plan = LivePlan { events: Some(events_tx), ..LivePlan::new(args.plan) };
-            let report = run_live(args.scenarios[0].as_ref(), &config, plan);
-            printer.join().expect("serve printer panicked");
-            round_done.store(true, Ordering::SeqCst);
-            if let Some(ticker) = ticker {
-                ticker.join().expect("serve metrics ticker panicked");
-            }
-            report
-        })?;
-        Ok((round, report, String::new()))
-    })
-}
-
 /// Fold a [`workloads::RecoveredRoundReport`] into a serve record: the
 /// report JSON already opens with `{"recovered":true,...`, so splicing a
 /// `type` key in front keeps one canonical recovered-verdict shape between
@@ -1006,57 +857,154 @@ fn recover_cli(args: &Args) -> Result<ExitCode, Failure> {
     finish_report(args, "recovered", &json_entries, violated)
 }
 
-/// `--serve --wal DIR`: audited rounds back to back like [`serve`], but
-/// through the windowed (single-auditor) plan with every committed
-/// transaction logged to `DIR/round-NNNN/` before it reaches the auditor.
-/// Segments seal at window boundaries (flushing + fsyncing the `--sink`
-/// mirror first), each seal persists the auditor's frontier snapshot, and a
-/// finished round gets a `complete.json` marker.  With `--recover DIR` the
-/// endpoint first finishes auditing any rounds a previous process left
-/// behind, then resumes serving at the next free round index.
-fn serve_wal(args: &Args) -> Result<ExitCode, Failure> {
-    let AuditPlan::Windowed(window) = args.plan else {
-        unreachable!("parse_args forces the windowed plan under --wal")
-    };
-    let wal_dir = Path::new(args.wal.as_deref().expect("wal dispatch"));
-    let wal_error = |err: std::io::Error| format!("--wal {}: {err}", wal_dir.display());
+/// The `--serve` ops endpoint for generated traffic — plain, `--wal DIR`, or
+/// `--wal DIR --recover DIR`: audited rounds back to back until
+/// SIGTERM/SIGINT or `--serve-rounds`, each round's window verdicts,
+/// convictions (and, sharded, partition lag) streamed as JSON lines while the
+/// workload runs, then one `verdict` record (and, under `--metrics`, one
+/// guaranteed `metrics` record), the sink mirror flushed at every round
+/// boundary.
+///
+/// `--wal` adds exactly three things: the directory's `wal-meta.json`, an
+/// optional recovery pass over the rounds a previous process left behind,
+/// and rounds that log to `DIR/round-NNNN/` — numbered (and seeded) by the
+/// durable round index, so a restarted endpoint continues where the killed
+/// one stopped — sealing at window boundaries after flushing + fsyncing the
+/// `--sink` mirror.
+fn serve(args: &Args) -> Result<ExitCode, Failure> {
     let emitter = ServeEmitter::open(args.sink.as_deref())?;
     let emitter = &emitter;
     install_stop_handlers();
-    let meta = workloads::WalMeta {
-        scenario: args.scenarios[0].name().to_string(),
-        backend: args.backends[0].to_string(),
-        threads: args.threads,
-        txns_per_thread: args.txns,
-        vars: args.vars,
-        seed: args.seed,
-        window,
+    let wal_dir = args.wal.as_deref().map(Path::new);
+    let wal_error =
+        |err: std::io::Error| format!("--wal {}: {err}", args.wal.as_deref().unwrap_or_default());
+    let (window, shards) = stream_shape(&args.plan);
+    let mut wal_field = String::new();
+    if let Some(dir) = wal_dir {
+        let AuditPlan::Windowed(shape) = args.plan else {
+            unreachable!("parse_args forces the windowed plan under --wal")
+        };
+        let meta = workloads::WalMeta {
+            scenario: args.scenarios[0].name().to_string(),
+            backend: args.backends[0].to_string(),
+            threads: args.threads,
+            txns_per_thread: args.txns,
+            vars: args.vars,
+            seed: args.seed,
+            window: shape,
+        };
+        meta.store(dir).map_err(wal_error)?;
+        wal_field = format!("\"wal\":\"{}\",", json::escape(&dir.display().to_string()));
+    }
+    emitter.emit(&format!(
+        "{{\"type\":\"serve-start\",\"scenario\":\"{}\",\"backend\":\"{}\",\
+         \"shards\":{shards},\"window\":{window},\"threads\":{},\"txns_per_round\":{},\
+         {wal_field}\"pid\":{}}}",
+        args.scenarios[0].name(),
+        args.backends[0],
+        args.threads,
+        args.threads * args.txns,
+        std::process::id()
+    ));
+    let mut violated = match (wal_dir, &args.recover) {
+        (Some(dir), Some(_)) => recover_rounds(args, dir, emitter, &mut Vec::new())?,
+        _ => false,
     };
-    meta.store(wal_dir).map_err(wal_error)?;
-    emit_serve_start(emitter, args, Some(wal_dir));
-    let recovered = match args.recover {
-        Some(_) => recover_rounds(args, wal_dir, emitter, &mut Vec::new())?,
-        None => false,
-    };
-    serve_rounds(args, emitter, recovered, |_| {
-        let round_index = workloads::next_round_index(wal_dir).map_err(wal_error)?;
-        let round_dir = wal_dir.join(workloads::round_dir_name(round_index));
-        // Seeded by the durable round index, not the in-process counter,
-        // so a restarted endpoint continues the seed sequence where the
-        // killed one stopped.
-        let config = scenario_config(args, args.backends[0], args.seed.wrapping_add(round_index));
-        let wal = WalRound { dir: &round_dir, pre_seal: Box::new(|| emitter.sync()) };
-        let plan = LivePlan { wal: Some(wal), ..LivePlan::new(args.plan) };
-        let report = run_live(args.scenarios[0].as_ref(), &config, plan)?;
-        let stats = report.wal.expect("the round ran with a WAL attached");
-        let logged = format!(
-            "\"wal\":{{\"dir\":\"{}\",\"logged_txns\":{},\"sealed_segments\":{}}},",
-            json::escape(&round_dir.display().to_string()),
-            stats.logged_txns,
-            stats.sealed_segments
-        );
-        Ok((round_index, report, logged))
-    })
+    // One post-mortem per serve lifetime: the bounded event ring is dumped on
+    // the *first* conviction and never again (the flight recorder's contents
+    // after that point describe post-violation traffic).
+    let post_mortem_done = &AtomicBool::new(false);
+    let mut rounds = 0u64;
+    while !STOP.load(Ordering::SeqCst) && (args.serve_rounds == 0 || rounds < args.serve_rounds) {
+        let round = match wal_dir {
+            Some(dir) => workloads::next_round_index(dir).map_err(wal_error)?,
+            None => rounds,
+        };
+        let round_dir = wal_dir.map(|dir| dir.join(workloads::round_dir_name(round)));
+        // A fresh seed per round: sustained traffic, not one replayed run.
+        let config = scenario_config(args, args.backends[0], args.seed.wrapping_add(round));
+        let (events_tx, events_rx) = std::sync::mpsc::channel::<AuditEvent>();
+        let plan = LivePlan {
+            events: Some(events_tx),
+            wal: round_dir
+                .as_deref()
+                .map(|dir| WalRound { dir, pre_seal: Box::new(|| emitter.sync()) }),
+            ..LivePlan::new(args.plan)
+        };
+        let round_done = &AtomicBool::new(false);
+        let report = std::thread::scope(|scope| {
+            let printer = scope.spawn(move || {
+                while let Ok(event) = events_rx.recv() {
+                    emit_event(emitter, round, &event);
+                    if matches!(event, AuditEvent::Conviction { .. })
+                        && tm_telemetry::trace_enabled()
+                        && !post_mortem_done.swap(true, Ordering::SeqCst)
+                    {
+                        emitter.emit(&format!(
+                            "{{\"type\":\"post-mortem\",\"round\":{round},\"pushed\":{},\
+                             \"events\":{}}}",
+                            tm_telemetry::tracer().pushed(),
+                            tm_telemetry::tracer().to_json()
+                        ));
+                    }
+                }
+            });
+            let ticker = args.metrics.then(|| {
+                scope.spawn(move || {
+                    // Poll at 25 ms so shutdown is prompt; emit every 500 ms.
+                    let mut ticks = 0u32;
+                    while !round_done.load(Ordering::SeqCst) {
+                        std::thread::sleep(std::time::Duration::from_millis(25));
+                        ticks += 1;
+                        if ticks.is_multiple_of(20) {
+                            emitter.emit(&metrics_record(round));
+                        }
+                    }
+                })
+            });
+            let report = run_live(args.scenarios[0].as_ref(), &config, plan);
+            printer.join().expect("serve printer panicked");
+            round_done.store(true, Ordering::SeqCst);
+            if let Some(ticker) = ticker {
+                ticker.join().expect("serve metrics ticker panicked");
+            }
+            report
+        })?;
+        violated |= report.violated();
+        let logged = match (&round_dir, report.wal) {
+            (Some(dir), Some(stats)) => format!(
+                "\"wal\":{{\"dir\":\"{}\",\"logged_txns\":{},\"sealed_segments\":{}}},",
+                json::escape(&dir.display().to_string()),
+                stats.logged_txns,
+                stats.sealed_segments
+            ),
+            _ => String::new(),
+        };
+        let verdict = report.verdict.as_ref().expect("serve rounds run an audited plan");
+        emitter.emit(&format!(
+            "{{\"type\":\"verdict\",\"round\":{round},\"summary\":\"{}\",\"commits\":{},\
+             \"throughput\":{:.0},\"drain_ms\":{:.3},{logged}\"report\":{}}}",
+            json::escape(&verdict.merged().summary()),
+            report.run.commits,
+            report.run.throughput,
+            report.tail.as_secs_f64() * 1e3,
+            verdict.to_json()
+        ));
+        if args.metrics {
+            // Guaranteed snapshot per round, even when the round finishes
+            // inside the ticker's first 500 ms.
+            emitter.emit(&metrics_record(round));
+        }
+        // Round boundary: the sink mirror is durable up to the last full round
+        // even if the next one is cut short.
+        emitter.flush();
+        rounds += 1;
+    }
+    let reason = if STOP.load(Ordering::SeqCst) { "signal" } else { "rounds-exhausted" };
+    emitter
+        .emit(&format!("{{\"type\":\"serve-stop\",\"rounds\":{rounds},\"reason\":\"{reason}\"}}"));
+    emitter.flush();
+    Ok(violation_exit(args, violated))
 }
 
 /// Print one ingested document's verdict in its topology's words; returns
@@ -1248,22 +1196,13 @@ fn print_live(report: &LiveReport) -> String {
         Some(Verdict::Sharded(sharded)) => {
             println!(
                 "  merged verdict {:.3?} after run end ({} txns through {} partitions \
-                 + escalation lane{})",
-                report.tail,
-                sharded.total_txns,
-                sharded.config.shards,
-                if sharded.config.adaptive {
-                    format!(", {} adaptive band moves", report.band_moves)
-                } else {
-                    String::new()
-                }
+                 + escalation lane)",
+                report.tail, sharded.total_txns, sharded.config.shards
             );
             print!("  {sharded}");
             println!("  verdict: {}\n", sharded.summary());
             format!(
-                "{{{run},\"mode\":\"window-sharded\",\"drain_ms\":{tail_ms:.3},\
-                 \"band_moves\":{},\"report\":{}}}",
-                report.band_moves,
+                "{{{run},\"mode\":\"window-sharded\",\"drain_ms\":{tail_ms:.3},\"report\":{}}}",
                 sharded.to_json()
             )
         }
@@ -1365,8 +1304,6 @@ fn main() -> ExitCode {
     } else if args.serve {
         if args.ingest.is_some() {
             serve_ingest(&args)
-        } else if args.wal.is_some() {
-            serve_wal(&args)
         } else {
             serve(&args)
         }

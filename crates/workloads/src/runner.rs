@@ -21,10 +21,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stm_runtime::{recorder, BackendId, Stm, StreamingRecorder};
 use tm_audit::{
-    audit_sharded, audit_streamed, audit_with_options, AuditHistory, AuditOptions, AuditReport,
-    BandRouter, HistoryCollector, ShardConfig, ShardEvent, ShardLagProbe, ShardedAuditor,
-    ShardedStreamReport, StreamMerger, StreamReport, TeeSink, TxnSink, WindowConfig,
-    WindowedAuditor,
+    audit_sharded, audit_streamed, audit_with_options, AuditEvent, AuditHistory, AuditOptions,
+    AuditReport, HistoryCollector, ShardConfig, ShardLagProbe, ShardedAuditor, ShardedStreamReport,
+    StreamMerger, StreamReport, TeeSink, TxnSink, WindowConfig, WindowedAuditor,
 };
 
 /// What one scenario run measured, plus the scenario's own self-check.
@@ -140,8 +139,8 @@ fn require_recordable(scenario: &dyn Scenario) -> Result<(), String> {
 }
 
 /// How a run — or a finished history — is audited: the topology and its
-/// knobs.  The audit CLI parses `--audit[=SPEC]`, `--budget`, `--sat`,
-/// `--overlap` and `--adaptive` into one of these.
+/// knobs.  The audit CLI parses `--audit[=SPEC]`, `--budget`, `--sat` and
+/// `--overlap` into one of these.
 #[derive(Debug, Clone, Copy)]
 pub enum AuditPlan {
     /// No audit: throughput, attempt percentiles and the scenario's own
@@ -153,12 +152,7 @@ pub enum AuditPlan {
     /// memory, mid-run convictions).
     Windowed(WindowConfig),
     /// Fan the stream out to `K` per-variable-partition windowed auditors
-    /// plus the escalation lane.  When [`ShardConfig::adaptive`] is set the
-    /// ~200 ms lag sampler also feeds each snapshot to the auditor's
-    /// [`tm_audit::BandRouter`], which may move the most-backlogged
-    /// partition's hottest band to the idlest partition — the control plane
-    /// that keeps one zipfian hot band from throttling the whole pipeline
-    /// through backpressure.
+    /// plus the escalation lane.
     Sharded(ShardConfig),
 }
 
@@ -244,11 +238,13 @@ pub struct LivePlan<'a> {
     /// orders the *merged* stream, and the sharded pipeline consumes
     /// per-partition projections that have no single total order to log.
     pub wal: Option<WalRound<'a>>,
-    /// Stream live [`ShardEvent`]s while the run is going: every closed
-    /// window's verdict, first convictions, and a per-partition lag sample
-    /// every ~200 ms — the feed the audit CLI's `--serve` endpoint tails as
-    /// JSON lines.  [`AuditPlan::Sharded`] only.
-    pub events: Option<Sender<ShardEvent>>,
+    /// Stream live [`AuditEvent`]s while the run is going: every closed
+    /// window's verdict and first convictions — the feed the audit CLI's
+    /// `--serve` endpoint tails as JSON lines.  Either streaming plan, with
+    /// or without a WAL; [`AuditPlan::Sharded`] adds a per-partition lag
+    /// sample every ~200 ms.  [`AuditPlan::Off`] and [`AuditPlan::Batch`]
+    /// never close a window, so they refuse a feed.
+    pub events: Option<Sender<AuditEvent>>,
 }
 
 impl LivePlan<'_> {
@@ -274,21 +270,11 @@ pub struct LiveReport {
     pub history: Option<AuditHistory>,
     /// What the WAL round logged, when [`LivePlan::wal`] attached one.
     pub wal: Option<WalTeeStats>,
-    /// Band moves the adaptive router applied during the run (always 0
-    /// unless [`ShardConfig::adaptive`] is on).
-    pub band_moves: u64,
 }
 
 impl LiveReport {
     fn unaudited(run: ScenarioRunReport) -> Self {
-        LiveReport {
-            run,
-            tail: Duration::ZERO,
-            verdict: None,
-            history: None,
-            wal: None,
-            band_moves: 0,
-        }
+        LiveReport { run, tail: Duration::ZERO, verdict: None, history: None, wal: None }
     }
 
     /// `true` if the scenario's self-check failed or the audit found a
@@ -315,9 +301,18 @@ pub fn run_live(
                     audit plan"
             .into());
     }
-    if events.is_some() && !matches!(audit, AuditPlan::Sharded(_)) {
-        return Err("live shard events come from the sharded audit plan".into());
+    if events.is_some() && matches!(audit, AuditPlan::Off | AuditPlan::Batch(_)) {
+        return Err("live events are window closes; only the windowed and sharded audit plans \
+                    close windows"
+            .into());
     }
+    let windowed = |vars: usize, window: WindowConfig| {
+        let auditor = WindowedAuditor::new(vars, 0, window);
+        match &events {
+            Some(tx) => auditor.with_events(tx.clone(), 0, false),
+            None => auditor,
+        }
+    };
     match audit {
         AuditPlan::Off if !capture => Ok(LiveReport::unaudited(run_scenario(scenario, config))),
         // Whole-history plans: the sink is the collector itself, and the
@@ -339,7 +334,7 @@ pub fn run_live(
                 scenario,
                 config,
                 capture,
-                |vars| Ok((WindowedAuditor::new(vars, 0, window), None)),
+                |vars| Ok((windowed(vars, window), None)),
                 |auditor| Ok(Finished::verdict(Verdict::Windowed(auditor.finish()))),
             ),
             Some(WalRound { dir, pre_seal }) => {
@@ -349,8 +344,7 @@ pub fn run_live(
                     config,
                     capture,
                     |vars| {
-                        let auditor = WindowedAuditor::new(vars, 0, window);
-                        WalTee::create(dir, config.threads, vars, auditor, pre_seal)
+                        WalTee::create(dir, config.threads, vars, windowed(vars, window), pre_seal)
                             .map(|tee| (tee, None))
                             .map_err(wal_error)
                     },
@@ -371,14 +365,9 @@ pub fn run_live(
                     Some(tx) => ShardedAuditor::with_events(vars, 0, shard, tx.clone()),
                     None => ShardedAuditor::new(vars, 0, shard),
                 };
-                // One sampler serves both consumers of the ~200 ms lag
-                // snapshot: the live event feed and the adaptive band router.
-                let band_router = auditor.config().adaptive.then(|| auditor.router());
-                let sampler = (events.is_some() || band_router.is_some()).then(|| LagSampler {
-                    probe: auditor.lag_probe(),
-                    band_router,
-                    events: events.clone(),
-                });
+                let sampler = events
+                    .as_ref()
+                    .map(|tx| LagSampler { probe: auditor.lag_probe(), events: tx.clone() });
                 Ok((auditor, sampler))
             },
             |auditor| Ok(Finished::verdict(Verdict::Sharded(auditor.finish()))),
@@ -390,26 +379,26 @@ pub fn run_live(
 /// recorder's queue.
 const RECORDER_BATCH: usize = 256;
 
-/// The sharded pipeline's lag sampler: every ~200 ms, rebalance the adaptive
-/// router (if any) on a fresh snapshot and send it to the event feed (if any).
+/// How often a sharded run with an event feed samples its lanes' lag.
+const LAG_CADENCE: Duration = Duration::from_millis(200);
+
+/// The sharded pipeline's lag sampler: one snapshot into the event feed
+/// every [`LAG_CADENCE`] while the run is going.
 struct LagSampler {
     probe: ShardLagProbe,
-    band_router: Option<Arc<BandRouter>>,
-    events: Option<Sender<ShardEvent>>,
+    events: Sender<AuditEvent>,
 }
 
 impl LagSampler {
+    /// Sample until `done`.  Sleeps by parking, so the run's end (`done`
+    /// set, then this thread unparked) is seen at once, not a cadence later.
     fn run(&self, done: &AtomicBool) {
-        while !done.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(200));
-            let lag = self.probe.sample();
-            if let Some(router) = &self.band_router {
-                router.rebalance(&lag);
-            }
-            if let Some(tx) = &self.events {
-                if tx.send(ShardEvent::Lag { partitions: lag }).is_err() {
-                    break;
-                }
+        loop {
+            std::thread::park_timeout(LAG_CADENCE);
+            if done.load(Ordering::SeqCst)
+                || self.events.send(AuditEvent::Lag { partitions: self.probe.sample() }).is_err()
+            {
+                break;
             }
         }
     }
@@ -417,9 +406,7 @@ impl LagSampler {
     /// Always close with one drained lag sample, so short runs still get a
     /// lag record even when the periodic sampler never fired.
     fn close(&self) {
-        if let Some(tx) = &self.events {
-            let _ = tx.send(ShardEvent::Lag { partitions: self.probe.sample() });
-        }
+        let _ = self.events.send(AuditEvent::Lag { partitions: self.probe.sample() });
     }
 }
 
@@ -488,6 +475,7 @@ fn stream_into<S: TxnSink + Send>(
         let tail = start.elapsed().saturating_sub(elapsed);
         done.store(true, Ordering::SeqCst);
         if let Some(sampling) = sampling {
+            sampling.thread().unpark();
             sampling.join().expect("lag sampler panicked");
         }
         if let Some(sampler) = &sampler {
@@ -500,8 +488,7 @@ fn stream_into<S: TxnSink + Send>(
     // must not reach a (closed) recorder.
     stm.take_recorder();
     let run = finish_scenario_report(scenario, config, &stm, state.as_ref(), elapsed);
-    let band_moves = sampler.and_then(|s| s.band_router).map_or(0, |router| router.moves());
-    Ok(LiveReport { run, tail, verdict, history, wal, band_moves })
+    Ok(LiveReport { run, tail, verdict, history, wal })
 }
 
 /// The stalled-writer liveness experiment: one thread opens a transaction, writes the
@@ -734,18 +721,23 @@ mod tests {
             events: Some(tx),
             ..LivePlan::new(AuditPlan::Sharded(ShardConfig::new(4, WindowConfig::sized(64))))
         };
+        let started = Instant::now();
         let report = run_live(&scenario, &config, plan).unwrap();
+        let wall = started.elapsed();
         let Some(Verdict::Sharded(sharded)) = report.verdict else {
             panic!("sharded plan, sharded verdict");
         };
-        let events: Vec<ShardEvent> = rx.try_iter().collect();
-        let windows = events.iter().filter(|e| matches!(e, ShardEvent::Window { .. })).count();
+        let events: Vec<AuditEvent> = rx.try_iter().collect();
+        let windows = events.iter().filter(|e| matches!(e, AuditEvent::Window { .. })).count();
         assert_eq!(
             windows,
             sharded.partitions.iter().map(|p| p.stream.windows.len()).sum::<usize>()
         );
-        assert!(events.iter().any(|e| matches!(e, ShardEvent::Lag { .. })), "no lag sample");
-        assert_eq!(report.band_moves, 0, "static banding never moves a band");
+        assert!(matches!(events.last(), Some(AuditEvent::Lag { .. })), "no closing lag sample");
+        // The sampler is woken when the verdict lands, not a 200 ms nap later:
+        // a 400-transaction run is over well inside one cadence of its tail.
+        let idle = wall.saturating_sub(report.run.elapsed + report.tail);
+        assert!(idle < Duration::from_millis(150), "run_live idled {idle:?} past the verdict");
     }
 
     #[test]
@@ -762,10 +754,14 @@ mod tests {
             }),
         };
         let window = AuditPlan::Windowed(WindowConfig::sized(64));
-        let report =
-            run_live(&scenario, &config, LivePlan { wal: Some(wal), ..LivePlan::new(window) })
-                .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let plan = LivePlan { wal: Some(wal), events: Some(tx), ..LivePlan::new(window) };
+        let report = run_live(&scenario, &config, plan).unwrap();
         let stats = report.wal.expect("a WAL round was attached");
+        // The feed and the log cut the round at the same places: one window
+        // event per seal (the final close pairs with the tail seal).
+        let windows = rx.try_iter().filter(|e| matches!(e, AuditEvent::Window { .. })).count();
+        assert_eq!(windows as u64, stats.sealed_segments);
         assert_eq!(stats.logged_txns, report.run.commits);
         // Every window-boundary seal ran the hook first; the tail seal at
         // `finish` (if the last segment was non-empty) does not.
@@ -783,6 +779,13 @@ mod tests {
             run_live(&scenario, &config, LivePlan { wal: Some(wal), ..LivePlan::new(sharded) })
                 .unwrap_err();
         assert!(err.contains("windowed"), "{err}");
+        // A feed of window closes needs a plan that closes windows.
+        for audit in [AuditPlan::Off, AuditPlan::Batch(AuditOptions::default())] {
+            let (tx, _rx) = std::sync::mpsc::channel();
+            let plan = LivePlan { events: Some(tx), ..LivePlan::new(audit) };
+            let err = run_live(&scenario, &config, plan).unwrap_err();
+            assert!(err.contains("close windows"), "{audit:?}: {err}");
+        }
         assert!(!dir.exists(), "a rejected plan must not touch the disk");
     }
 

@@ -207,24 +207,6 @@ fn overlap_not_smaller_than_the_window_is_a_usage_error() {
     }
 }
 
-/// `--adaptive` steers a live run's router from lag samples; a replay never
-/// samples lag, so the flag could only be ignored.  Both ingest surfaces
-/// refuse it before reading any input.
-#[test]
-fn adaptive_with_ingest_is_a_usage_error() {
-    for args in [&["--ingest", "-"][..], &["--serve", "--ingest", "-"]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_audit"))
-            .args(args)
-            .args(["--audit=window:size=64:shards=2", "--adaptive"])
-            .stdin(Stdio::null())
-            .output()
-            .expect("running the audit binary");
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("--adaptive") && stderr.contains("--ingest"), "{stderr}");
-    }
-}
-
 /// `--metrics` reaches `--ingest` replays: the snapshot prints and lands
 /// under `"telemetry"` in the `--json` document, and without the flag the
 /// document carries no such key.

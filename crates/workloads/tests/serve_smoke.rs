@@ -2,7 +2,8 @@
 //! binary under the `kv-zipf` scenario, read streamed line-delimited JSON
 //! records off its stdout, assert the record schema (window verdicts with
 //! window ids, per-partition lag), then SIGTERM it and require a clean
-//! shutdown with a `serve-stop` record.
+//! shutdown with a `serve-stop` record.  Bounded one-round runs cover the
+//! unsharded default and `--wal` rounds.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
@@ -155,6 +156,59 @@ fn serve_rounds_limit_stops_the_endpoint_cleanly() {
     // Round verdicts embed the full sharded report.
     assert!(stdout.contains("\"merged\":{"), "{stdout}");
     assert!(stdout.contains("\"escalation\":true"), "{stdout}");
+}
+
+/// Run a bounded one-round generating endpoint (`registers` on tl2, 2 × 300
+/// transactions) with `extra` flags; returns its stdout.
+fn serve_one_round(extra: &[&str]) -> String {
+    let output = Command::new(env!("CARGO_BIN_EXE_audit"))
+        .args(["--serve", "--serve-rounds", "1", "--scenario", "registers", "--backend", "tl2"])
+        .args(["--threads", "2", "--txns", "300", "--vars", "16"])
+        .args(extra)
+        .output()
+        .expect("running the audit binary");
+    assert!(output.status.success(), "{extra:?}: {output:?}");
+    String::from_utf8_lossy(&output.stdout).into_owned()
+}
+
+/// Without `--audit=` the endpoint serves from the unsharded windowed
+/// auditor: `serve-start` says one shard and the round's verdict embeds the
+/// `StreamReport` document, not a one-partition sharded one.
+#[test]
+fn bare_serve_defaults_to_the_unsharded_windowed_plan() {
+    let stdout = serve_one_round(&[]);
+    let start =
+        stdout.lines().find(|l| l.contains("\"type\":\"serve-start\"")).expect("start record");
+    assert!(start.contains("\"shards\":1") && start.contains("\"window\":2048"), "{start}");
+    let verdict = stdout.lines().find(|l| l.contains("\"type\":\"verdict\"")).expect("verdict");
+    assert!(verdict.contains("\"report\":{\"total_txns\":600,\"windows\":1,"), "{verdict}");
+    assert!(verdict.contains("\"window_verdicts\":["), "{verdict}");
+    assert!(!verdict.contains("\"partitions\""), "{verdict}");
+    // The one window closes at the end of the round and is announced as lane 0.
+    let window = stdout.lines().find(|l| l.contains("\"type\":\"window\"")).expect("window");
+    assert!(window.contains("\"partition\":0,\"escalation\":false,\"window\":0"), "{window}");
+    assert!(!stdout.contains("\"type\":\"lag\""), "lag records are sharded-only:\n{stdout}");
+}
+
+/// A logged round streams what an unlogged one does: window records while
+/// it runs and, under `--metrics`, metrics records.
+#[test]
+fn wal_rounds_stream_window_and_metrics_records() {
+    let wal = std::env::temp_dir().join(format!("serve-smoke-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal);
+    let stdout = serve_one_round(&[
+        "--wal",
+        wal.to_str().expect("utf-8 temp path"),
+        "--metrics",
+        "--audit=window:size=64",
+    ]);
+    let windows = stdout.matches("\"type\":\"window\"").count();
+    assert!(windows >= 5, "600 txns in 64-txn windows, saw {windows}:\n{stdout}");
+    assert!(stdout.contains("\"type\":\"metrics\""), "{stdout}");
+    let verdict = stdout.lines().find(|l| l.contains("\"type\":\"verdict\"")).expect("verdict");
+    assert!(verdict.contains("\"wal\":{\"dir\":"), "{verdict}");
+    assert!(wal.join("round-0000").join("complete.json").exists());
+    std::fs::remove_dir_all(&wal).expect("cleanup");
 }
 
 /// Regression: the first SIGTERM requests a graceful stop at the round
