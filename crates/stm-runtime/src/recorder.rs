@@ -15,9 +15,10 @@
 //!   [`set_session`] ([`StreamingRecorder`] requires it: sessions cannot be
 //!   assigned safely after the fact).
 //!
-//! Session order then falls out of per-thread sequence numbers (each thread's
-//! records arrive in its program order), and write-read edges are recovered
-//! from unique write values — the recorded analogue of unique write versions.
+//! Session order is the order a session's records are delivered in (each
+//! thread's commits reach its shard in program order, and shards flush whole),
+//! and write-read edges are recovered from unique write values — the recorded
+//! analogue of unique write versions.
 //!
 //! # Cost when disabled
 //!
@@ -30,15 +31,15 @@
 //!
 //! [`StreamingRecorder`] — the one recorder behind every recorded run, whole-
 //! history batch audits included — is a sharded, per-session buffered
-//! channel: each commit lands in its session's private
-//! shard (one uncontended mutex push plus one relaxed fetch-add for the
-//! global recording index), and a full shard flushes one [`CommitBatch`] to
+//! channel: each commit lands, already in its final [`CommittedTxn`] form, in
+//! its session's private shard (one uncontended mutex push plus one relaxed
+//! fetch-add for the global recording index), and a full shard flushes one
+//! [`CommitBatch`] — a hint-sorted run of one session — to
 //! a bounded queue that a consumer thread — the streaming auditor — drains
 //! *while the workload is still running*.  The queue applies backpressure
 //! (producers wait when the consumer falls `capacity` batches behind) so
 //! end-to-end memory stays bounded no matter how long the run is.
 
-use crate::backend::VarId;
 use crate::txn::VarMap;
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
@@ -70,7 +71,7 @@ pub trait Recorder: Send + Sync {
 ///
 /// A sharded audit pipeline with `K` partitions owns `ROUTE_BANDS / K`
 /// contiguous runs of bands (so any `K ≤ 64` divides the variable space
-/// without re-hashing), and the [`OwnedCommitRecord::footprint`] bitmask —
+/// without re-hashing), and the [`CommittedTxn::footprint`] bitmask —
 /// one bit per band — lets a router decide which partitions a record touches
 /// without re-walking its read/write sets.
 pub const ROUTE_BANDS: usize = 64;
@@ -100,24 +101,41 @@ pub fn footprint_of(vars: impl IntoIterator<Item = usize>) -> u64 {
     vars.into_iter().fold(0u64, |mask, v| mask | 1u64 << route_band(v))
 }
 
-/// One committed transaction, owned (detached from the committing thread's
-/// transaction data) so it can cross the channel to the auditor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OwnedCommitRecord {
-    /// The committing thread's registered session.
-    pub session: usize,
-    /// The commit's position within its session (session order).
-    pub seq: u64,
-    /// Global recording index (a cheap commit-order hint, never correctness).
+/// One committed transaction as every consumer of a recording sees it — the
+/// auditor's `AuditTxn` is this type: owned, variables as plain indices, built
+/// once on the committing thread and never converted again.  Its session and
+/// its place in it are where it sits (a [`CommitBatch`], a history's session).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CommittedTxn {
+    /// Externally-read variables with the value the first read observed
+    /// (reads satisfied by the transaction's own earlier write are internal
+    /// and excluded).
+    pub reads: Vec<(usize, i64)>,
+    /// Written variables with the value installed at commit.
+    pub writes: Vec<(usize, i64)>,
+    /// A global recording-order index: a cheap guess at the commit order used
+    /// only to seed the serializability search, never for correctness.
     pub hint: u64,
-    /// Externally-read variables and the value the first read observed.
-    pub reads: Vec<(VarId, i64)>,
-    /// Variables written and the values installed at commit.
-    pub writes: Vec<(VarId, i64)>,
-    /// Band bitmask of every variable touched (reads ∪ writes), precomputed
-    /// on the committing thread so a sharded audit router never re-walks the
-    /// sets: bit [`route_band`]`(v)` is set for each touched `v`.
+    /// Band bitmask of every variable touched (reads ∪ writes): bit
+    /// [`route_band`]`(v)` is set for each touched `v`.  [`StreamingRecorder`]
+    /// computes it on the committing thread so a sharded audit router never
+    /// re-walks the sets.  `0` means "not precomputed" (hand-built and adapted
+    /// histories) — [`CommittedTxn::band_mask`] then derives it on demand; the
+    /// two are indistinguishable because a transaction with an empty
+    /// footprint touches nothing and routes the same either way.
     pub footprint: u64,
+}
+
+impl CommittedTxn {
+    /// The band bitmask of every touched variable: the precomputed
+    /// [`CommittedTxn::footprint`] when present, derived from the read/write
+    /// sets otherwise.
+    pub fn band_mask(&self) -> u64 {
+        if self.footprint != 0 {
+            return self.footprint;
+        }
+        footprint_of(self.reads.iter().chain(&self.writes).map(|&(var, _)| var))
+    }
 }
 
 /// A flushed shard: one session's consecutive commits, in session order.
@@ -126,7 +144,7 @@ pub struct CommitBatch {
     /// The session every record in this batch belongs to.
     pub session: usize,
     /// The records, in session (commit) order.
-    pub records: Vec<OwnedCommitRecord>,
+    pub records: Vec<CommittedTxn>,
 }
 
 #[derive(Default)]
@@ -179,17 +197,13 @@ impl BatchQueue {
     }
 }
 
-struct ShardBuf {
-    records: Vec<OwnedCommitRecord>,
-    next_seq: u64,
-}
-
 /// The streaming [`Recorder`]: sharded per-session buffers feeding a bounded
 /// batch queue (see the module docs).  Committing threads **must** register
 /// their session with [`set_session`] — streamed audits have no safe way to
 /// auto-assign sessions after the fact.
 pub struct StreamingRecorder {
-    shards: Vec<Mutex<ShardBuf>>,
+    /// Per session: its commits since the last flush, in session order.
+    shards: Vec<Mutex<Vec<CommittedTxn>>>,
     queue: Arc<BatchQueue>,
     batch_size: usize,
     next_hint: AtomicU64,
@@ -208,9 +222,7 @@ impl StreamingRecorder {
     /// A recorder with an explicit queue capacity (in batches).
     pub fn with_capacity(n_sessions: usize, batch_size: usize, capacity: usize) -> Self {
         StreamingRecorder {
-            shards: (0..n_sessions)
-                .map(|_| Mutex::new(ShardBuf { records: Vec::new(), next_seq: 0 }))
-                .collect(),
+            shards: (0..n_sessions).map(|_| Mutex::new(Vec::new())).collect(),
             queue: Arc::new(BatchQueue {
                 state: Mutex::new(QueueState::default()),
                 ready: Condvar::new(),
@@ -227,17 +239,12 @@ impl StreamingRecorder {
         StreamConsumer { queue: Arc::clone(&self.queue) }
     }
 
-    /// Commits recorded so far.
-    pub fn recorded(&self) -> u64 {
-        self.next_hint.load(Ordering::Relaxed)
-    }
-
     /// Flush every shard's partial buffer and close the queue: the consumer's
     /// [`StreamConsumer::recv`] drains what remains, then returns `None`.
     /// Call after the worker threads have joined.
     pub fn finish(&self) {
         for (session, shard) in self.shards.iter().enumerate() {
-            let records = std::mem::take(&mut shard.lock().records);
+            let records = std::mem::take(&mut *shard.lock());
             if !records.is_empty() {
                 self.queue.push(CommitBatch { session, records });
             }
@@ -257,25 +264,13 @@ impl Recorder for StreamingRecorder {
             self.shards.len()
         );
         let hint = self.next_hint.fetch_add(1, Ordering::Relaxed);
-        let footprint =
-            footprint_of(record.reads.keys().chain(record.writes.keys()).map(|v| v.index()));
+        let pairs = |set: &VarMap<i64>| set.iter().map(|(v, x)| (v.index(), *x)).collect();
+        let (reads, writes): (Vec<_>, Vec<_>) = (pairs(record.reads), pairs(record.writes));
+        let footprint = footprint_of(reads.iter().chain(&writes).map(|&(var, _)| var));
         let flushed = {
             let mut shard = self.shards[session].lock();
-            let seq = shard.next_seq;
-            shard.next_seq += 1;
-            shard.records.push(OwnedCommitRecord {
-                session,
-                seq,
-                hint,
-                reads: record.reads.iter().map(|(v, x)| (*v, *x)).collect(),
-                writes: record.writes.iter().map(|(v, x)| (*v, *x)).collect(),
-                footprint,
-            });
-            if shard.records.len() >= self.batch_size {
-                Some(std::mem::take(&mut shard.records))
-            } else {
-                None
-            }
+            shard.push(CommittedTxn { reads, writes, hint, footprint });
+            (shard.len() >= self.batch_size).then(|| std::mem::take(&mut *shard))
         };
         if let Some(records) = flushed {
             // Off the shard lock: the queue may apply backpressure.
@@ -352,14 +347,12 @@ mod tests {
                 });
             }
         });
-        assert_eq!(rec.recorded(), 14);
         rec.finish();
-        let mut per_session: Vec<Vec<OwnedCommitRecord>> = vec![Vec::new(); 2];
+        let mut per_session: Vec<Vec<CommittedTxn>> = vec![Vec::new(); 2];
         let mut batches = 0;
         while let Some(batch) = consumer.recv() {
             batches += 1;
             assert!(batch.records.len() <= 3, "batch size respected");
-            assert!(batch.records.iter().all(|r| r.session == batch.session));
             per_session[batch.session].extend(batch.records);
         }
         // 7 commits per session at batch size 3: two full batches plus the
@@ -368,7 +361,6 @@ mod tests {
         for (s, records) in per_session.iter().enumerate() {
             assert_eq!(records.len(), 7, "session {s}");
             // Session order is preserved end to end.
-            assert!(records.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
             assert!(records.windows(2).all(|w| w[0].hint < w[1].hint));
             // …and it is the session's program order: its seven writes, as
             // issued.
@@ -469,10 +461,14 @@ mod tests {
         rec.finish();
         let batch = consumer.recv().expect("one batch");
         let record = &batch.records[0];
-        let expected =
-            footprint_of(record.reads.iter().chain(&record.writes).map(|&(v, _)| v.index()));
+        let (x, y) = (x.base().index(), y.base().index());
+        assert_eq!((&record.reads, &record.writes), (&vec![(x, 0)], &vec![(y, 5)]));
+        let expected = footprint_of([x, y]);
         assert_eq!(record.footprint, expected);
         assert_ne!(record.footprint, 0);
+        assert_eq!(record.band_mask(), expected);
+        let unstamped = CommittedTxn { footprint: 0, ..record.clone() };
+        assert_eq!(unstamped.band_mask(), expected, "derived on demand when not precomputed");
     }
 
     #[test]

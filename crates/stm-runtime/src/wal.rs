@@ -15,9 +15,9 @@
 //! transaction, with the document header opening segment 0 — so the
 //! concatenation of a round's segments **is** a valid wire document and the
 //! log can be re-ingested by any tool that reads histories, no conversion
-//! step.  (This crate cannot depend on `tm-history`, so the few line shapes
-//! are formatted here; a byte-compatibility test on the `tm-history` side
-//! pins them to the real encoder.)
+//! step.  This crate cannot depend on `tm-history`, so the format's two line
+//! shapes are written here ([`push_header_line`], [`push_txn_line`]) and
+//! `tm-history`'s encoder calls them: there is one writer of wire lines.
 //!
 //! # Durability and torn tails
 //!
@@ -34,9 +34,47 @@
 //! newline or it never happened), so a crash mid-append is detected and
 //! dropped rather than decoded as garbage.
 
+use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+
+/// The `tm-history` wire format version the line writers below produce.
+pub const WIRE_VERSION: u64 = 1;
+
+/// Append a wire document's header line (newline included) to `out`:
+/// `sessions` sessions over variables `0..vars`, all starting at `initial`.
+pub fn push_header_line(out: &mut String, sessions: usize, vars: usize, initial: i64) {
+    let _ = writeln!(
+        out,
+        "{{\"tm-history\":{WIRE_VERSION},\"sessions\":{sessions},\"vars\":{vars},\"initial\":{initial}}}"
+    );
+}
+
+/// Append one committed transaction's wire line (newline included) to `out`:
+/// session `s`, session sequence `q`, recording hint `h`, external reads `r`
+/// and writes `w` as `[variable,value]` pairs, in that fixed field order and
+/// without whitespace.
+pub fn push_txn_line(
+    out: &mut String,
+    session: usize,
+    seq: u64,
+    hint: u64,
+    reads: &[(usize, i64)],
+    writes: &[(usize, i64)],
+) {
+    let _ = write!(out, "{{\"s\":{session},\"q\":{seq},\"h\":{hint},\"r\":[");
+    push_pairs(out, reads);
+    out.push_str("],\"w\":[");
+    push_pairs(out, writes);
+    out.push_str("]}\n");
+}
+
+fn push_pairs(out: &mut String, pairs: &[(usize, i64)]) {
+    for (i, &(var, value)) in pairs.iter().enumerate() {
+        let _ = write!(out, "{}[{var},{value}]", if i > 0 { "," } else { "" });
+    }
+}
 
 /// Number of decimal digits in segment / snapshot file names.
 const SEG_WIDTH: usize = 6;
@@ -126,9 +164,8 @@ impl WalSink {
             segment_crc: CRC_INIT,
             total_lines: 0,
         };
-        let header = format!(
-            "{{\"tm-history\":1,\"sessions\":{sessions},\"vars\":{vars},\"initial\":{initial}}}\n"
-        );
+        let mut header = String::new();
+        push_header_line(&mut header, sessions, vars, initial);
         sink.write_line_raw(header.as_bytes())?;
         Ok(sink)
     }
@@ -156,21 +193,8 @@ impl WalSink {
         reads: &[(usize, i64)],
         writes: &[(usize, i64)],
     ) -> io::Result<()> {
-        let mut line = format!("{{\"s\":{session},\"q\":{seq},\"h\":{hint},\"r\":[");
-        for (i, &(var, value)) in reads.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&format!("[{var},{value}]"));
-        }
-        line.push_str("],\"w\":[");
-        for (i, &(var, value)) in writes.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&format!("[{var},{value}]"));
-        }
-        line.push_str("]}\n");
+        let mut line = String::new();
+        push_txn_line(&mut line, session, seq, hint, reads, writes);
         self.write_line_raw(line.as_bytes())?;
         self.total_lines += 1;
         Ok(())

@@ -2,7 +2,8 @@
 //!
 //! An [`AuditHistory`] is the dbcop-style abstraction of a run: a set of
 //! **sessions** (one per worker thread, or one per simulated process), each an
-//! ordered list of **committed transactions**, each carrying its external read
+//! ordered list of **committed transactions** ([`AuditTxn`], the recorder's
+//! [`stm_runtime::CommittedTxn`] re-exported), each carrying its external read
 //! set and its write set as `(variable, value)` pairs.  Session order `so` is
 //! implicit in the per-session ordering; the write-read relation `wr` is
 //! recovered by [`crate::po::TxnPartialOrder::build`] from **unique write
@@ -36,38 +37,9 @@ impl fmt::Display for TxnId {
     }
 }
 
-/// One committed transaction as the auditor sees it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AuditTxn {
-    /// Externally-read variables with the value the first read observed
-    /// (reads satisfied by the transaction's own earlier write are internal
-    /// and excluded).
-    pub reads: Vec<(usize, i64)>,
-    /// Written variables with the value installed at commit.
-    pub writes: Vec<(usize, i64)>,
-    /// A global recording-order index: a cheap guess at the commit order used
-    /// only to seed the serializability search, never for correctness.
-    pub hint: u64,
-    /// Precomputed [`stm_runtime::route_band`] bitmask of every touched
-    /// variable, carried from [`stm_runtime::OwnedCommitRecord::footprint`]
-    /// on streamed records.  `0` means "not precomputed" (hand-built and
-    /// adapted histories) — the sharded router then derives it on demand;
-    /// the two are indistinguishable because a transaction with an empty
-    /// footprint touches nothing and routes the same either way.
-    pub footprint: u64,
-}
-
-impl AuditTxn {
-    /// The band bitmask of every touched variable: the precomputed
-    /// [`AuditTxn::footprint`] when present, derived from the read/write
-    /// sets otherwise.
-    pub fn band_mask(&self) -> u64 {
-        if self.footprint != 0 {
-            return self.footprint;
-        }
-        stm_runtime::footprint_of(self.reads.iter().chain(self.writes.iter()).map(|&(var, _)| var))
-    }
-}
+/// One committed transaction as the auditor sees it: the recorder's own
+/// record type, consumed as delivered.
+pub use stm_runtime::CommittedTxn as AuditTxn;
 
 /// A recorded run: per-session transaction sequences over `n_vars` variables
 /// that all start at `initial`.
@@ -105,6 +77,20 @@ impl AuditHistory {
             footprint: 0,
         });
         TxnId { session, seq: txns.len() - 1 }
+    }
+
+    /// The transactions as `(session, transaction)` in recording order —
+    /// sorted by `(hint, session)`, the stream a recorder and
+    /// [`crate::StreamMerger`] would have delivered.
+    pub fn recording_order(&self) -> Vec<(usize, &AuditTxn)> {
+        let mut all: Vec<(usize, &AuditTxn)> = self
+            .sessions
+            .iter()
+            .enumerate()
+            .flat_map(|(s, session)| session.iter().map(move |txn| (s, txn)))
+            .collect();
+        all.sort_by_key(|&(s, txn)| (txn.hint, s));
+        all
     }
 
     /// Total number of recorded transactions.

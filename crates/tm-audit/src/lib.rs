@@ -13,11 +13,14 @@
 //!    into a bounded queue; the uninstrumented hot path stays a single
 //!    never-taken branch) and `workloads` runs (`run_live` owns the worker
 //!    threads and the scenarios).  What arrives here is the `(T, so, wr)`
-//!    structure of the run: a [`StreamMerger`] restores global recording
-//!    order ([`StreamMerger::drain`] is the whole consumer side), session
-//!    order is per-session arrival order, write-read edges come from unique
-//!    write values, and the sink is an auditor or — for a whole-history
-//!    audit or an export — a [`HistoryCollector`].
+//!    structure of the run, `so` given per session: every batch is one
+//!    session's consecutive commits, each already an [`AuditTxn`] (the
+//!    recorder's own record type, re-exported).  A [`StreamMerger`] merges
+//!    the session runs into global recording order ([`StreamMerger::drain`]
+//!    is the whole consumer side), session order is per-session arrival
+//!    order, write-read edges come from unique write values, and the sink is
+//!    an auditor or — for a whole-history audit or an export — a
+//!    [`HistoryCollector`].
 //! 2. **Check** ([`saturation`], [`linearization`]) — **verify first, search
 //!    on failure**.  Finding a commit order is NP-complete from Prefix
 //!    upwards, but *verifying* one is linear, the recorder supplies a

@@ -623,7 +623,9 @@ pub fn search_snapshot_isolation(
 
 /// Search for a **prefix-consistent** commit order: the snapshot-isolation
 /// split-vertex search minus first-committer-wins, so overlapping writers of
-/// the same variable are admitted (lost updates pass, long forks still fail).
+/// the same variable are admitted (lost updates pass, long forks still fail)
+/// and saturation's derived edges order commits only, as in the solver's
+/// encoding (`sat_bridge`'s commit edges; Biswas & Enea's `CommitOrder`).
 pub fn search_prefix(po: &TxnPartialOrder, sat: &Saturated, n_vars: usize, budget: u64) -> Search {
     search_split(po, sat, n_vars, budget, false)
 }
@@ -642,22 +644,36 @@ fn search_split(
         return Search::Order(sat.topo.iter().copied().filter(|&t| t != ROOT).collect());
     }
     let n = po.len();
-    // Split-vertex precedence: base edge a → b becomes W(a) → R(b); every
-    // transaction's snapshot precedes its commit.
+    // Split-vertex precedence: every transaction's snapshot precedes its
+    // commit, and a base (`so ∪ wr`) edge a → b is visibility, W(a) → R(b).
+    // An edge only saturation derived orders the two *commits*: under
+    // first-committer-wins the later writer must also see the earlier one,
+    // so it stays W(a) → R(b); under Prefix, whose witness is a plain commit
+    // order, it is W(a) → W(b) and b's snapshot may predate a's commit (a
+    // long-running b).
+    let point_after = |a: u32, b: u32| {
+        if first_committer_wins || po.base.has_edge(a, b) {
+            read_point(b)
+        } else {
+            write_point(b)
+        }
+    };
     let mut indegree = vec![0u32; 2 * n];
     for a in 0..n as u32 {
         indegree[write_point(a) as usize] += 1; // from R(a)
         for &b in sat.graph.neighbors(a) {
-            indegree[read_point(b) as usize] += 1;
+            indegree[point_after(a, b) as usize] += 1;
         }
     }
     indegree[write_point(ROOT) as usize] -= 1;
+    // Pre-place the initial transaction.  A commit point it releases still
+    // waits for its own snapshot, so only snapshots can become ready here.
     let mut initial: Vec<u32> = Vec::new();
     for &b in sat.graph.neighbors(ROOT) {
-        let r = read_point(b);
-        indegree[r as usize] -= 1;
-        if indegree[r as usize] == 0 {
-            initial.push(r);
+        let p = point_after(ROOT, b);
+        indegree[p as usize] -= 1;
+        if indegree[p as usize] == 0 {
+            initial.push(p);
         }
     }
     let mut split_hints = vec![0u64; 2 * n];
@@ -673,8 +689,9 @@ fn search_split(
     };
     let succs = |v: u32, f: &mut dyn FnMut(u32)| {
         if is_write_point(v) {
-            for &b in sat.graph.neighbors(txn_of(v)) {
-                f(read_point(b));
+            let a = txn_of(v);
+            for &b in sat.graph.neighbors(a) {
+                f(point_after(a, b));
             }
         } else {
             f(write_point(txn_of(v)));

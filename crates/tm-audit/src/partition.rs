@@ -86,8 +86,7 @@ use crate::history::AuditTxn;
 use crate::report::{fold_outcomes, AuditReport, DecidedBy, Level, LevelReport, Outcome};
 use crate::telemetry::AuditTelemetry;
 use crate::window::{
-    recording_order, AuditEvent, Conviction, PartitionLag, StreamReport, TxnSink, WindowConfig,
-    WindowedAuditor,
+    AuditEvent, Conviction, PartitionLag, StreamReport, TxnSink, WindowConfig, WindowedAuditor,
 };
 use crate::AuditHistory;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -798,7 +797,7 @@ fn merged_outcome(
 /// therefore every verdict are reproducible regardless of thread timing.
 pub fn audit_sharded(history: &AuditHistory, config: ShardConfig) -> ShardedStreamReport {
     let mut auditor = ShardedAuditor::new(history.n_vars, history.initial, config);
-    for (session, txn) in recording_order(history) {
+    for (session, txn) in history.recording_order() {
         auditor.push(session, txn.clone());
     }
     auditor.finish()
@@ -928,7 +927,8 @@ mod tests {
     #[test]
     fn k1_announces_exactly_what_the_unsharded_windowed_auditor_announces() {
         let mut h = seeded_serializable_history(11, 8, 3, 90);
-        let latest = recording_order(&h)
+        let latest = h
+            .recording_order()
             .into_iter()
             .rev()
             .find_map(|(_, t)| t.writes.iter().find(|&&(v, _)| v == 0).map(|&(_, w)| w))
@@ -965,7 +965,7 @@ mod tests {
 
         let (tx, rx) = std::sync::mpsc::channel();
         let mut plain = WindowedAuditor::new(h.n_vars, h.initial, window).with_events(tx, 0, false);
-        for (session, txn) in recording_order(&h) {
+        for (session, txn) in h.recording_order() {
             plain.push(session, txn.clone());
         }
         let unsharded = plain.finish();
@@ -974,7 +974,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let config = ShardConfig { route_batch: 4, ..ShardConfig::new(1, window) };
         let mut routed = ShardedAuditor::with_events(h.n_vars, h.initial, config, tx);
-        for (session, txn) in recording_order(&h) {
+        for (session, txn) in h.recording_order() {
             routed.push(session, txn.clone());
         }
         let sharded = routed.finish();
@@ -1006,14 +1006,7 @@ mod tests {
         let config = cfg(2, 8, 2);
         let mut auditor = ShardedAuditor::with_events(1, 0, config, tx);
         let probe = auditor.lag_probe();
-        let mut all: Vec<(u64, usize, &AuditTxn)> = h
-            .sessions
-            .iter()
-            .enumerate()
-            .flat_map(|(s, session)| session.iter().map(move |t| (t.hint, s, t)))
-            .collect();
-        all.sort_by_key(|&(hint, s, _)| (hint, s));
-        for (_, s, t) in all {
+        for (s, t) in h.recording_order() {
             auditor.push(s, t.clone());
         }
         let report = auditor.finish();
@@ -1058,7 +1051,7 @@ mod tests {
             Some(&registry),
             false,
         );
-        for (session, txn) in recording_order(&h) {
+        for (session, txn) in h.recording_order() {
             auditor.push(session, txn.clone());
         }
         let report = auditor.finish();

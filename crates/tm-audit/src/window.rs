@@ -48,6 +48,14 @@
 //!   SI/SER searches.  A window so paired is never certified, whatever its
 //!   own order says.
 //!
+//! # Input
+//!
+//! Transactions arrive through [`TxnSink::push_txn`] as [`AuditTxn`]s, the
+//! recorder's own record type.  On a live run a [`StreamMerger`] stands in
+//! front: the recorder delivers each session's commits as hint-sorted runs,
+//! and the merger merges the k runs into the arrival order windows are cut
+//! from.  The one contract is that a session's transactions arrive in order.
+//!
 //! # Soundness
 //!
 //! Windowed verdicts are **violation-sound and pass-attested**:
@@ -89,7 +97,7 @@ use crate::{
     certified_report, defect_report, forces_search, searched_report, AuditHistory, SatConfig,
 };
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 use stm_runtime::{CommitBatch, StreamConsumer};
@@ -1408,44 +1416,47 @@ impl TxnSink for HistoryCollector {
     }
 }
 
-/// Re-interleaves per-session [`CommitBatch`]es into global recording order
-/// before they reach a [`WindowedAuditor`].
+/// Merges per-session [`CommitBatch`]es into global recording order before
+/// they reach a [`WindowedAuditor`].
 ///
 /// A [`stm_runtime::StreamingRecorder`] flushes whole per-session shards, so
 /// raw arrival order is bursty: one session's 256 commits, then another's.
 /// Windowing *that* order would put each session in its own window and blind
-/// the auditor to cross-session anomalies.  The merger buffers records and
-/// releases them in global hint order up to the **watermark** — the smallest
-/// latest-hint any session has delivered; since per-session hints are
-/// monotone, everything at or below the watermark is stably ordered.
+/// the auditor to cross-session anomalies.  Every batch is one session's
+/// consecutive commits, already in hint order, so the merger keeps one
+/// **run** per session, appends each batch to its session's run, and
+/// releases the smallest `(hint, session)` head among the runs while it is
+/// at or below the **watermark** — the smallest newest-hint any session has
+/// delivered: no session can still deliver anything below it.  A k-way merge
+/// of hint-sorted runs is the `(hint, session)` sort, and per-session order —
+/// the only ordering correctness depends on — holds by construction: a
+/// record never overtakes the one before it in its run, whatever its hint.
 /// [`StreamMerger::finish`] releases the tail once the stream closes.
 ///
-/// An idle or slow session holds the watermark back, so the buffer is
-/// additionally capped at [`StreamMerger::MAX_BUFFERED`] records: past the
-/// cap, the oldest half is force-released ahead of the watermark.  That
-/// trades some cross-session window alignment (per-session order — the only
-/// ordering correctness depends on — is always preserved) for bounded
+/// An idle or slow session holds the watermark back, so the runs are
+/// additionally capped at [`StreamMerger::MAX_BUFFERED`] records in total:
+/// past the cap, the same merge runs ahead of the watermark until half the
+/// cap remains.  That trades some cross-session window alignment for bounded
 /// memory and verdict progress when one session stalls.
 #[derive(Debug)]
 pub struct StreamMerger {
-    /// Buffered records keyed by (hint, session) — BTreeMap iteration is the
-    /// release order.
-    buffered: BTreeMap<(u64, usize), AuditTxn>,
+    /// Per session: delivered, not yet released records, in session order.
+    runs: Vec<VecDeque<AuditTxn>>,
     /// Per-session latest hint delivered (None until first batch).
     highest: Vec<Option<u64>>,
-    /// Live queue-depth gauge (`audit_merger_buffered`), when metrics are on.
+    /// Live run-depth gauge (`audit_merger_buffered`), when metrics are on.
     depth: Option<tm_telemetry::Gauge>,
 }
 
 impl StreamMerger {
     /// Records held back at most while waiting for a lagging session's
-    /// watermark; beyond this the oldest half is released early.
+    /// watermark; beyond this the oldest are released early, down to half.
     pub const MAX_BUFFERED: usize = 65_536;
 
     /// A merger for `n_sessions` producing sessions.
     pub fn new(n_sessions: usize) -> Self {
         StreamMerger {
-            buffered: BTreeMap::new(),
+            runs: vec![VecDeque::new(); n_sessions],
             highest: vec![None; n_sessions],
             depth: tm_telemetry::enabled()
                 .then(|| tm_telemetry::global().gauge("audit_merger_buffered", &[], "records")),
@@ -1460,67 +1471,61 @@ impl StreamMerger {
     pub fn drain(consumer: &StreamConsumer, n_sessions: usize, sink: &mut impl TxnSink) {
         let mut merger = StreamMerger::new(n_sessions);
         while let Some(batch) = consumer.recv() {
-            merger.push_batch(&batch, sink);
+            merger.merge(batch, sink);
         }
         merger.finish(sink);
     }
 
-    /// Buffer one batch and release everything below the new watermark into
-    /// the auditor.
+    /// [`StreamMerger::drain`]'s step for a caller that keeps its batch:
+    /// append a copy to the session's run and release everything at or below
+    /// the new watermark into the auditor.
     pub fn push_batch(&mut self, batch: &CommitBatch, auditor: &mut impl TxnSink) {
-        for record in &batch.records {
-            self.buffered.insert((record.hint, batch.session), audit_txn_of(record));
-            let highest = &mut self.highest[batch.session];
-            *highest = Some(highest.map_or(record.hint, |h| h.max(record.hint)));
+        self.merge(batch.clone(), auditor);
+    }
+
+    fn merge(&mut self, batch: CommitBatch, auditor: &mut impl TxnSink) {
+        let CommitBatch { session, records } = batch;
+        if let Some(newest) = records.iter().map(|record| record.hint).max() {
+            let highest = &mut self.highest[session];
+            *highest = Some(highest.map_or(newest, |h| h.max(newest)));
         }
+        self.runs[session].extend(records);
         if let Some(watermark) = self.highest.iter().copied().min().flatten() {
-            self.release(watermark, auditor);
+            self.release(watermark, 0, auditor);
         }
-        // A lagging session must not let the buffer grow with the run:
-        // force-release the oldest half past the cap.
-        while self.buffered.len() > Self::MAX_BUFFERED {
-            let horizon = self
-                .buffered
-                .keys()
-                .nth(self.buffered.len() / 2)
-                .map(|&(hint, _)| hint)
-                .expect("buffer is non-empty");
-            self.release(horizon, auditor);
+        // A lagging session must not let the runs grow with the run.
+        if self.buffered() > Self::MAX_BUFFERED {
+            self.release(u64::MAX, Self::MAX_BUFFERED / 2, auditor);
         }
         if let Some(depth) = &self.depth {
-            depth.set(self.buffered.len() as i64);
+            depth.set(self.buffered() as i64);
         }
+    }
+
+    /// Records across all runs.
+    fn buffered(&self) -> usize {
+        self.runs.iter().map(VecDeque::len).sum()
     }
 
     /// Release every buffered record once the stream has closed.
     pub fn finish(mut self, auditor: &mut impl TxnSink) {
-        self.release(u64::MAX, auditor);
+        self.release(u64::MAX, 0, auditor);
         if let Some(depth) = &self.depth {
             depth.set(0);
         }
     }
 
-    fn release(&mut self, watermark: u64, auditor: &mut impl TxnSink) {
-        while let Some((&(hint, session), _)) = self.buffered.first_key_value() {
-            if hint > watermark {
-                break;
-            }
-            let txn = self.buffered.remove(&(hint, session)).expect("first key exists");
+    /// Merge the runs into `auditor` — smallest `(hint, session)` head first —
+    /// while that head is at or below `watermark` and more than `keep`
+    /// records are buffered.
+    fn release(&mut self, watermark: u64, keep: usize, auditor: &mut impl TxnSink) {
+        for _ in keep..self.buffered() {
+            let heads = self.runs.iter().enumerate();
+            let head = heads.filter_map(|(s, run)| Some((run.front()?.hint, s))).min();
+            let Some((_, session)) = head.filter(|&(hint, _)| hint <= watermark) else { break };
+            let txn = self.runs[session].pop_front().expect("the head was just read");
             auditor.push_txn(session, txn);
         }
-    }
-}
-
-/// The one place a streamed [`stm_runtime::OwnedCommitRecord`] becomes an
-/// [`AuditTxn`].
-fn audit_txn_of(record: &stm_runtime::OwnedCommitRecord) -> AuditTxn {
-    AuditTxn {
-        reads: record.reads.iter().map(|&(v, x)| (v.index(), x)).collect(),
-        writes: record.writes.iter().map(|&(v, x)| (v.index(), x)).collect(),
-        hint: record.hint,
-        // Carry the band mask precomputed on the committing thread, so the
-        // sharded router never re-hashes the variable sets.
-        footprint: record.footprint,
     }
 }
 
@@ -1530,23 +1535,10 @@ fn audit_txn_of(record: &stm_runtime::OwnedCommitRecord) -> AuditTxn {
 /// order, which every recorder and adapter in this crate guarantees.
 pub fn audit_streamed(history: &AuditHistory, config: WindowConfig) -> StreamReport {
     let mut auditor = WindowedAuditor::new(history.n_vars, history.initial, config);
-    for (session, txn) in recording_order(history) {
+    for (session, txn) in history.recording_order() {
         auditor.push(session, txn.clone());
     }
     auditor.finish()
-}
-
-/// A history's transactions as `(session, transaction)` in recording (hint)
-/// order — the stream a recorder would have delivered.
-pub(crate) fn recording_order(history: &AuditHistory) -> Vec<(usize, &AuditTxn)> {
-    let mut all: Vec<(usize, &AuditTxn)> = history
-        .sessions
-        .iter()
-        .enumerate()
-        .flat_map(|(s, session)| session.iter().map(move |txn| (s, txn)))
-        .collect();
-    all.sort_by_key(|&(s, txn)| (txn.hint, s));
-    all
 }
 
 #[cfg(test)]
@@ -1559,7 +1551,7 @@ mod tests {
 
     /// Replay `h` in recording order through `auditor`.
     fn replay(mut auditor: WindowedAuditor, h: &AuditHistory) -> StreamReport {
-        for (session, txn) in recording_order(h) {
+        for (session, txn) in h.recording_order() {
             auditor.push(session, txn.clone());
         }
         auditor.finish()
@@ -1648,7 +1640,7 @@ mod tests {
         assert_eq!(provenance(&stream.merged), [DecidedBy::Hint; 6]);
         assert_eq!(stream.summary(), "RC ✓ | RA ✓ | Causal ✓ | Prefix ✓ | SI ✓ | SER ✓");
 
-        let order = recording_order(&h);
+        let order = h.recording_order();
         let (_, chain, arrival) = crash_after(&order, 2, 2, cfg(2, 0));
         assert_eq!(chain.last().expect("window 0 sealed").replay_from, 2);
         let resumed = recover_and_finish(&h, &order, cfg(2, 0), &chain, &arrival);
@@ -1990,16 +1982,9 @@ mod tests {
         for i in 0..30i64 {
             h.push_txn(0, [], [(1, 100 + i)]);
         }
-        let mut all: Vec<(u64, usize, &AuditTxn)> = h
-            .sessions
-            .iter()
-            .enumerate()
-            .flat_map(|(s, session)| session.iter().map(move |t| (t.hint, s, t)))
-            .collect();
-        all.sort_by_key(|&(hint, s, _)| (hint, s));
         let mut auditor = WindowedAuditor::new(2, 0, cfg(8, 2))
             .with_telemetry(AuditTelemetry::from_registry(&registry));
-        for (_, s, t) in all {
+        for (s, t) in h.recording_order() {
             auditor.push(s, t.clone());
         }
         let report = auditor.finish();
@@ -2039,7 +2024,7 @@ mod tests {
         let baseline = audit_streamed(&h, config);
         assert!(baseline.fails(Level::SnapshotIsolation), "{}", baseline.merged);
 
-        let order = recording_order(&h);
+        let order = h.recording_order();
         for cut in 1..=order.len() {
             let (live, chain, arrival) = crash_after(&order, cut, 3, config);
             if !chain.is_empty() {
@@ -2079,7 +2064,7 @@ mod tests {
         assert!(conviction.violation.contains("cross-window lost update on v1"), "{conviction:?}");
         assert_eq!(baseline.evicted_attributions, 0, "the latest write of u stays resolvable");
 
-        let order = recording_order(&h);
+        let order = h.recording_order();
         let (_, chain, arrival) = crash_after(&order, 60, 3, config);
         assert!(chain.len() > 2 + config.retain_windows, "both facts are past the horizon");
         let report = recover_and_finish(&h, &order, config, &chain, &arrival);
@@ -2143,5 +2128,219 @@ mod tests {
         let json = stream.to_json();
         assert!(json.contains("\"total_txns\":100"), "{json}");
         assert!(json.contains("\"merged\":"), "{json}");
+    }
+
+    /// A sink that remembers what reached it, in order.
+    #[derive(Default)]
+    struct Delivered(Vec<(usize, AuditTxn)>);
+
+    impl TxnSink for Delivered {
+        fn push_txn(&mut self, session: usize, txn: AuditTxn) {
+            self.0.push((session, txn));
+        }
+    }
+
+    impl Delivered {
+        fn hints(&self) -> Vec<(u64, usize)> {
+            self.0.iter().map(|(s, txn)| (txn.hint, *s)).collect()
+        }
+
+        fn hints_of(&self, session: usize) -> Vec<u64> {
+            self.0.iter().filter(|(s, _)| *s == session).map(|(_, txn)| txn.hint).collect()
+        }
+    }
+
+    /// One session's consecutive records with the given hints (each record
+    /// distinguishable by what it writes).
+    fn batch(session: usize, hints: impl IntoIterator<Item = u64>) -> CommitBatch {
+        let records = hints.into_iter().map(|h| txn(h, &[], &[(0, h as i64 + 1)])).collect();
+        CommitBatch { session, records }
+    }
+
+    /// (a) Whatever the interleaving of per-session hint-sorted batches, what
+    /// the merger has delivered after each batch is exactly what the
+    /// definition says: everything delivered to it at or below the watermark,
+    /// sorted by `(hint, session)` — and the whole stream, once finished.
+    #[test]
+    fn merger_releases_the_hint_session_sort_on_seeded_interleavings() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let k = rng.gen_range(2..=8usize);
+            let total = rng.gen_range(200..2_000u64);
+            // One session commits nothing for a stretch of the run.
+            let idle = rng.gen_range(0..k);
+            let idle_from = rng.gen_range(0..total);
+            let idle_for = idle_from..idle_from + rng.gen_range(0..total / 2);
+            let mut runs: Vec<Vec<u64>> = vec![Vec::new(); k];
+            for hint in 0..total {
+                let mut session = rng.gen_range(0..k);
+                if session == idle && idle_for.contains(&hint) {
+                    session = (session + 1) % k;
+                }
+                runs[session].push(hint);
+            }
+            // Cut each run into uneven batches; deliver them in a random
+            // interleaving that keeps each session's batches in order.
+            let mut batches: Vec<VecDeque<CommitBatch>> = runs
+                .iter()
+                .enumerate()
+                .map(|(s, run)| {
+                    let mut rest = &run[..];
+                    let mut cut = VecDeque::new();
+                    while !rest.is_empty() {
+                        let (head, tail) =
+                            rest.split_at(rng.gen_range(1..=40usize).min(rest.len()));
+                        cut.push_back(batch(s, head.iter().copied()));
+                        rest = tail;
+                    }
+                    cut
+                })
+                .collect();
+
+            let mut merger = StreamMerger::new(k);
+            let mut sink = Delivered::default();
+            let mut pushed: Vec<(u64, usize)> = Vec::new();
+            let mut newest: Vec<Option<u64>> = vec![None; k];
+            while batches.iter().any(|b| !b.is_empty()) {
+                let s = rng.gen_range(0..k);
+                let Some(next) = batches[s].pop_front() else { continue };
+                pushed.extend(next.records.iter().map(|r| (r.hint, s)));
+                newest[s] = next.records.last().map(|r| r.hint);
+                merger.push_batch(&next, &mut sink);
+
+                let mut reference: Vec<(u64, usize)> = match newest.iter().copied().min().flatten()
+                {
+                    Some(watermark) => {
+                        pushed.iter().copied().filter(|&(h, _)| h <= watermark).collect()
+                    }
+                    None => Vec::new(),
+                };
+                reference.sort_unstable();
+                assert_eq!(sink.hints(), reference, "seed {seed}");
+            }
+            merger.finish(&mut sink);
+            pushed.sort_unstable();
+            assert_eq!(sink.hints(), pushed, "seed {seed}: the finished stream");
+            for (s, run) in runs.iter().enumerate() {
+                assert_eq!(&sink.hints_of(s), run, "seed {seed}: session {s} kept its order");
+            }
+            // Records arrive whole, not just their hints.
+            assert!(sink.0.iter().all(|(_, t)| t.writes == [(0, t.hint as i64 + 1)]));
+        }
+    }
+
+    /// (b) A session that has delivered nothing could still deliver anything:
+    /// nothing leaves before every session has spoken, and `finish` releases
+    /// the rest in order.
+    #[test]
+    fn merger_waits_for_every_session_and_finish_releases_the_rest() {
+        let mut merger = StreamMerger::new(3);
+        let mut sink = Delivered::default();
+        merger.push_batch(&batch(0, [0, 3, 4]), &mut sink);
+        merger.push_batch(&batch(1, [1, 2, 9]), &mut sink);
+        merger.push_batch(&batch(0, [10, 11]), &mut sink);
+        assert!(sink.0.is_empty(), "session 2 is silent: {:?}", sink.hints());
+        merger.push_batch(&batch(2, [5, 6]), &mut sink);
+        assert_eq!(sink.hints(), [(0, 0), (1, 1), (2, 1), (3, 0), (4, 0), (5, 2), (6, 2)]);
+        merger.finish(&mut sink);
+        assert_eq!(sink.hints()[7..], [(9, 1), (10, 0), (11, 0)]);
+    }
+
+    /// (c) With one session silent the runs stop growing at the cap: the
+    /// oldest records leave, in hint order, until half the cap remains — and
+    /// what the silent session delivers afterwards still arrives in its own
+    /// order.
+    #[test]
+    fn merger_valve_releases_the_oldest_half_in_hint_order() {
+        let cap = StreamMerger::MAX_BUFFERED as u64;
+        let mut merger = StreamMerger::new(3);
+        let mut sink = Delivered::default();
+        // Sessions 0 and 1 alternate 64-record batches of the odd hints;
+        // session 2 owns the even ones and says nothing.
+        let mut delivered = 0u64;
+        for session in [0, 1].into_iter().cycle() {
+            let odd = (delivered..delivered + 64).map(|i| 2 * i + 1);
+            merger.push_batch(&batch(session, odd), &mut sink);
+            delivered += 64;
+            if delivered > cap {
+                break;
+            }
+            assert!(sink.0.is_empty(), "nothing leaves at or below the cap ({delivered})");
+        }
+        assert_eq!(delivered, cap + 64, "the last batch crossed the cap");
+        assert_eq!(sink.0.len() as u64, delivered - cap / 2, "down to half the cap");
+        let oldest: Vec<u64> = (0..delivered - cap / 2).map(|i| 2 * i + 1).collect();
+        assert_eq!(sink.hints().iter().map(|&(h, _)| h).collect::<Vec<_>>(), oldest);
+
+        // The silent session wakes up with hints below everything released.
+        merger.push_batch(&batch(2, [0, 2, 4]), &mut sink);
+        merger.push_batch(&batch(2, [6, 4 * delivered]), &mut sink);
+        merger.finish(&mut sink);
+        assert_eq!(sink.0.len() as u64, delivered + 5);
+        assert_eq!(sink.hints_of(2), [0, 2, 4, 6, 4 * delivered]);
+        for session in [0, 1] {
+            let hints = sink.hints_of(session);
+            assert!(hints.windows(2).all(|w| w[0] < w[1]), "session {session} kept its order");
+        }
+    }
+
+    /// (d) Session order does not depend on hints being monotone: a record
+    /// never overtakes the one delivered before it in its session.
+    #[test]
+    fn merger_keeps_session_order_when_hints_are_not_monotone() {
+        let mut merger = StreamMerger::new(2);
+        let mut sink = Delivered::default();
+        merger.push_batch(&batch(0, [5, 3, 7]), &mut sink);
+        merger.push_batch(&batch(1, [4, 6]), &mut sink);
+        assert_eq!(sink.hints(), [(4, 1), (5, 0), (3, 0), (6, 1)]);
+        merger.finish(&mut sink);
+        assert_eq!(sink.hints_of(0), [5, 3, 7]);
+    }
+
+    /// (e) `drain` (which moves each batch into its run) and `push_batch`
+    /// (which copies it) deliver the same stream for the same batches.
+    #[test]
+    fn merger_drain_and_push_batch_deliver_the_same_stream() {
+        use std::sync::Arc;
+        use stm_runtime::{recorder, StreamingRecorder};
+        // One thread commits for three sessions in a fixed rotation, so two
+        // recordings of it are the same batches with the same hints.
+        let record = || {
+            let rec = Arc::new(StreamingRecorder::new(3, 4));
+            let consumer = rec.consumer();
+            let stm =
+                stm_runtime::Stm::with_recorder(stm_runtime::registry::TL2_BLOCKING, rec.clone());
+            let x = stm.alloc(0i64);
+            for i in 0..50usize {
+                recorder::set_session([0, 1, 0, 2, 0][i % 5]);
+                stm.run(|tx| {
+                    let _ = tx.read(x)?;
+                    tx.write(x, i as i64 + 1)
+                });
+            }
+            recorder::clear_session();
+            rec.finish();
+            consumer
+        };
+
+        let mut copied = Delivered::default();
+        let consumer = record();
+        let mut merger = StreamMerger::new(3);
+        while let Some(batch) = consumer.recv() {
+            merger.push_batch(&batch, &mut copied);
+        }
+        merger.finish(&mut copied);
+
+        let mut moved = Delivered::default();
+        StreamMerger::drain(&record(), 3, &mut moved);
+
+        assert_eq!(copied.0.len(), 50);
+        assert_eq!(copied.0, moved.0);
+        assert_eq!(
+            copied.hints().iter().map(|&(h, _)| h).collect::<Vec<_>>(),
+            (0..50).collect::<Vec<_>>()
+        );
     }
 }

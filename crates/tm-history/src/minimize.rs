@@ -60,16 +60,11 @@ pub fn minimize(
     mut interesting: impl FnMut(&AuditHistory) -> bool,
 ) -> AuditHistory {
     let n_sessions = history.sessions.len();
-    let mut flats: Vec<Flat> = {
-        let mut all: Vec<(u64, usize, &AuditTxn)> = history
-            .sessions
-            .iter()
-            .enumerate()
-            .flat_map(|(s, txns)| txns.iter().map(move |t| (t.hint, s, t)))
-            .collect();
-        all.sort_by_key(|&(hint, s, _)| (hint, s));
-        all.into_iter().map(|(_, session, txn)| Flat { session, txn: txn.clone() }).collect()
-    };
+    let mut flats: Vec<Flat> = history
+        .recording_order()
+        .into_iter()
+        .map(|(session, txn)| Flat { session, txn: txn.clone() })
+        .collect();
     assert!(
         interesting(&rebuild(history.n_vars, history.initial, n_sessions, &flats)),
         "minimize() requires the input history to satisfy the predicate"

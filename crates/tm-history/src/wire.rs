@@ -2,7 +2,9 @@
 //!
 //! A **document** is line-delimited JSON in a fixed, canonical field order
 //! (no whitespace), so the hand-rolled encoder and decoder agree on every
-//! byte and diffs of exported histories are stable:
+//! byte and diffs of exported histories are stable.  The two line shapes are
+//! written by [`stm_runtime::wal`]'s `push_header_line` / `push_txn_line` —
+//! the commit log appends the same lines, so a log *is* a document:
 //!
 //! ```text
 //! {"tm-history":1,"sessions":2,"vars":16,"initial":0}
@@ -36,10 +38,11 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::io::BufRead;
+use stm_runtime::wal;
 use tm_audit::{AuditHistory, AuditTxn, HistoryError, TxnId};
 
 /// The wire format version this crate reads and writes.
-pub const WIRE_VERSION: u64 = 1;
+pub const WIRE_VERSION: u64 = wal::WIRE_VERSION;
 
 /// Hard cap on the header's session count: pre-allocating sessions from a
 /// hostile header must not balloon memory.
@@ -76,37 +79,14 @@ impl std::error::Error for WireError {}
 /// recorder, the generator and [`AuditHistory::push_txn`]; a history that
 /// breaks it would re-read as out-of-order and be rejected by the decoder.
 pub fn encode(history: &AuditHistory) -> String {
-    use std::fmt::Write;
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"tm-history\":{WIRE_VERSION},\"sessions\":{},\"vars\":{},\"initial\":{}}}",
-        history.sessions.len(),
-        history.n_vars,
-        history.initial
-    );
-    let mut order: Vec<(u64, usize, usize)> = history
-        .sessions
-        .iter()
-        .enumerate()
-        .flat_map(|(s, txns)| txns.iter().enumerate().map(move |(q, txn)| (txn.hint, s, q)))
-        .collect();
-    order.sort_unstable();
-    for (hint, s, q) in order {
-        let txn = &history.sessions[s][q];
-        let _ = writeln!(
-            out,
-            "{{\"s\":{s},\"q\":{q},\"h\":{hint},\"r\":{},\"w\":{}}}",
-            pairs_json(&txn.reads),
-            pairs_json(&txn.writes)
-        );
+    wal::push_header_line(&mut out, history.sessions.len(), history.n_vars, history.initial);
+    let mut seqs = vec![0u64; history.sessions.len()];
+    for (s, txn) in history.recording_order() {
+        wal::push_txn_line(&mut out, s, seqs[s], txn.hint, &txn.reads, &txn.writes);
+        seqs[s] += 1;
     }
     out
-}
-
-fn pairs_json(pairs: &[(usize, i64)]) -> String {
-    let entries: Vec<String> = pairs.iter().map(|&(v, x)| format!("[{v},{x}]")).collect();
-    format!("[{}]", entries.join(","))
 }
 
 /// Decode exactly one document (leading/trailing blank lines allowed).

@@ -7,9 +7,8 @@
 //! must be the ones the search-only engine produces.
 
 use tm_audit::{
-    audit_by_search, audit_sharded, audit_streamed, audit_with_options, AuditHistory, AuditOptions,
-    AuditReport, DecidedBy, Outcome, ShardConfig, ShardedAuditor, StreamReport, WindowConfig,
-    WindowedAuditor,
+    audit_by_search, audit_sharded, audit_streamed, audit_with_options, AuditOptions, AuditReport,
+    DecidedBy, Outcome, ShardConfig, ShardedAuditor, StreamReport, WindowConfig, WindowedAuditor,
 };
 use tm_history::{generate, GenConfig};
 
@@ -31,17 +30,6 @@ fn cells(report: &AuditReport) -> String {
 
 fn hinted_cells(report: &AuditReport) -> usize {
     report.levels.iter().filter(|l| l.decided_by == DecidedBy::Hint).count()
-}
-
-fn recording_order(h: &AuditHistory) -> Vec<(usize, &tm_audit::AuditTxn)> {
-    let mut all: Vec<_> = h
-        .sessions
-        .iter()
-        .enumerate()
-        .flat_map(|(s, session)| session.iter().map(move |txn| (s, txn)))
-        .collect();
-    all.sort_by_key(|&(s, txn)| (txn.hint, s));
-    all
 }
 
 fn window() -> WindowConfig {
@@ -92,7 +80,7 @@ fn differential(kind: &str, plant: impl Fn(&mut GenConfig)) -> Tally {
         let streamed = audit_streamed(&history, window());
         let mut searching =
             WindowedAuditor::new_searching(history.n_vars, history.initial, window());
-        for (session, txn) in recording_order(&history) {
+        for (session, txn) in history.recording_order() {
             searching.push(session, txn.clone());
         }
         assert_streams_agree(
@@ -107,7 +95,7 @@ fn differential(kind: &str, plant: impl Fn(&mut GenConfig)) -> Tally {
         let sharded = audit_sharded(&history, shard_config);
         let mut searching =
             ShardedAuditor::new_searching(history.n_vars, history.initial, shard_config);
-        for (session, txn) in recording_order(&history) {
+        for (session, txn) in history.recording_order() {
             searching.push(session, txn.clone());
         }
         let searched = searching.finish();

@@ -492,7 +492,7 @@ impl WalMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_audit::{audit_streamed, AuditHistory};
+    use tm_audit::audit_streamed;
     use tm_history::{generate, GenConfig};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -501,18 +501,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    /// The global arrival order the streaming pipeline would deliver.
-    fn arrival_order(history: &AuditHistory) -> Vec<(usize, &AuditTxn)> {
-        let mut order: Vec<(usize, &AuditTxn)> = history
-            .sessions
-            .iter()
-            .enumerate()
-            .flat_map(|(s, session)| session.iter().map(move |t| (s, t)))
-            .collect();
-        order.sort_by_key(|&(s, t)| (t.hint, s));
-        order
     }
 
     #[test]
@@ -574,7 +562,7 @@ mod tests {
         let mut tee =
             WalTee::create(&round_dir, history.sessions.len(), history.n_vars, auditor, || {})
                 .unwrap();
-        for (s, t) in arrival_order(&history) {
+        for (s, t) in history.recording_order() {
             tee.push_txn(s, t.clone());
         }
         let (auditor, stats) = tee.finish().unwrap();
@@ -614,7 +602,7 @@ mod tests {
             ..GenConfig::default()
         })
         .history;
-        let order = arrival_order(&history);
+        let order = history.recording_order();
         let root = temp_dir(tag);
         let dir = root.join(round_dir_name(0));
         let auditor = WindowedAuditor::new(history.n_vars, history.initial, small_window());

@@ -8,7 +8,7 @@
 //! histories with planted violations.
 
 use std::path::{Path, PathBuf};
-use tm_audit::{audit_streamed, AuditTxn, DecidedBy, TxnSink, WindowConfig, WindowedAuditor};
+use tm_audit::{audit_streamed, DecidedBy, TxnSink, WindowConfig, WindowedAuditor};
 use tm_history::{generate, GenConfig};
 use workloads::{recover_round_auditor, WalTee};
 
@@ -51,13 +51,7 @@ fn fifty_seeded_histories_recover_to_the_uninterrupted_verdict() {
         convicted += u32::from(baseline.first_conviction.is_some());
 
         // The global arrival order the streaming pipeline would deliver.
-        let mut order: Vec<(u64, usize, &AuditTxn)> = history
-            .sessions
-            .iter()
-            .enumerate()
-            .flat_map(|(s, session)| session.iter().map(move |t| (t.hint, s, t)))
-            .collect();
-        order.sort_by_key(|&(hint, s, _)| (hint, s));
+        let order = history.recording_order();
         let total = order.len();
         // A deterministic pseudo-random crash point strictly inside the run.
         let cut = 1 + (seed as usize).wrapping_mul(7_919) % (total - 1);
@@ -66,7 +60,7 @@ fn fifty_seeded_histories_recover_to_the_uninterrupted_verdict() {
         let auditor = WindowedAuditor::new(history.n_vars, history.initial, window);
         let mut tee = WalTee::create(&dir, history.sessions.len(), history.n_vars, auditor, || {})
             .expect("wal tee");
-        for &(_, s, t) in &order[..cut] {
+        for &(s, t) in &order[..cut] {
             tee.push_txn(s, t.clone());
         }
         // kill -9: the tee is dropped without finish() — the tail segment
@@ -111,7 +105,7 @@ fn fifty_seeded_histories_recover_to_the_uninterrupted_verdict() {
         // Redeliver everything past the durable prefix (what the workload
         // source would replay) and finish the round.
         let mut auditor = recovery.auditor;
-        for &(_, s, t) in &order[resumed..] {
+        for &(s, t) in &order[resumed..] {
             auditor.push(s, t.clone());
         }
         let report = auditor.finish();
@@ -160,13 +154,7 @@ fn resumed_healthy_streams_certify_the_same_windows_with_the_same_witness() {
             "seed {seed}: a healthy replay certifies every window"
         );
 
-        let mut order: Vec<(usize, &AuditTxn)> = history
-            .sessions
-            .iter()
-            .enumerate()
-            .flat_map(|(s, session)| session.iter().map(move |t| (s, t)))
-            .collect();
-        order.sort_by_key(|&(s, t)| (t.hint, s));
+        let order = history.recording_order();
         let cut = 40 + (seed as usize).wrapping_mul(7_919) % (order.len() - 41);
 
         let dir = base.join(format!("seed-{seed}"));
@@ -219,13 +207,7 @@ fn snapshots_stay_a_sliver_of_the_log() {
         ..GenConfig::default()
     })
     .history;
-    let mut order: Vec<(usize, &AuditTxn)> = history
-        .sessions
-        .iter()
-        .enumerate()
-        .flat_map(|(s, session)| session.iter().map(move |t| (s, t)))
-        .collect();
-    order.sort_by_key(|&(s, t)| (t.hint, s));
+    let order = history.recording_order();
     let auditor = WindowedAuditor::new(history.n_vars, history.initial, WindowConfig::sized(2_048));
     let mut tee = WalTee::create(&dir, 4, history.n_vars, auditor, || {}).expect("wal tee");
     for &(s, t) in &order {
