@@ -79,8 +79,8 @@ pub mod wal;
 pub use backend::{Backend, VarId};
 pub use policy::{RetryDecision, RetryPolicy};
 pub use recorder::{
-    footprint_of, route_band, CommitBatch, CommitRecord, CommittedTxn, Recorder, StreamConsumer,
-    StreamingRecorder, ROUTE_BANDS,
+    footprint_of, route_band, Access, AccessSet, CommitBatch, CommitRecord, CommittedTxn, Recorder,
+    StreamConsumer, StreamingRecorder, ROUTE_BANDS,
 };
 pub use registry::{BackendId, BackendSpec};
 pub use stats::StmStats;

@@ -31,19 +31,42 @@
 //!
 //! [`StreamingRecorder`] — the one recorder behind every recorded run, whole-
 //! history batch audits included — is a sharded, per-session buffered
-//! channel: each commit lands, already in its final [`CommittedTxn`] form, in
-//! its session's private shard (one uncontended mutex push plus one relaxed
-//! fetch-add for the global recording index), and a full shard flushes one
-//! [`CommitBatch`] — a hint-sorted run of one session — to
-//! a bounded queue that a consumer thread — the streaming auditor — drains
-//! *while the workload is still running*.  The queue applies backpressure
-//! (producers wait when the consumer falls `capacity` batches behind) so
-//! end-to-end memory stays bounded no matter how long the run is.
+//! channel.  A commit costs its thread one relaxed fetch-add (the global
+//! recording index) and one uncontended mutex push into its session's
+//! private shard; a full shard flushes one [`CommitBatch`] — a hint-sorted
+//! run of one session — to a bounded queue that a consumer thread — the
+//! streaming auditor — drains *while the workload is still running*.  The
+//! queue applies backpressure (producers wait when the consumer falls
+//! `capacity` batches behind) so end-to-end memory stays bounded no matter
+//! how long the run is.
+//!
+//! **Layout.**  The recorder must not make transactions on disjoint data
+//! contend, or it would itself break the parallelism it is there to measure:
+//!
+//! * A record is written once, in its final [`CommittedTxn`] form, into the
+//!   shard's buffer, and that buffer *is* the batch the consumer receives.
+//!   Its read and write sets are [`AccessSet`]s: up to [`AccessSet::INLINE`]
+//!   pairs each sit inside the record, so recording a small transaction
+//!   allocates nothing on the committing thread and frees nothing on the
+//!   consumer's.  A set with more pairs (a transaction over several
+//!   multi-word objects, say) spills to a `Vec` of its own; nothing else
+//!   about it differs.
+//! * Each shard's mutex, and the hint counter, sit alone on a 128-byte line
+//!   (two 64-byte lines, because adjacent-line prefetch pairs them).  Side by
+//!   side, every push by one session would invalidate the line the other
+//!   sessions' mutexes and the counter live in.  The counter itself is still
+//!   shared: one fetch-add per commit is the contention that remains.
+//! * A flushed shard is replaced by a buffer of `batch_size` capacity, so a
+//!   batch is one allocation, not a regrowth from empty.
+//! * The queue's condition variables are signalled after its lock is
+//!   released, so the thread they wake does not block on the waker.
 
 use crate::txn::VarMap;
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -101,6 +124,161 @@ pub fn footprint_of(vars: impl IntoIterator<Item = usize>) -> u64 {
     vars.into_iter().fold(0u64, |mask, v| mask | 1u64 << route_band(v))
 }
 
+/// One `(variable index, value)` pair of a read or write set.
+pub type Access = (usize, i64);
+
+/// A transaction's read or write set: `(variable, value)` pairs in the order
+/// they were recorded, read as a slice.
+///
+/// Up to [`AccessSet::INLINE`] pairs live inside the set itself, so a record
+/// of a small transaction owns no heap memory: it is written once into the
+/// batch buffer it travels in and dropped with it.  A longer set spills to a
+/// `Vec`.  Which of the two holds the pairs is not observable: equality,
+/// `Debug` and iteration go by content.
+#[derive(Clone)]
+pub struct AccessSet(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The first `len` slots are the set.
+    Inline(u8, [Access; AccessSet::INLINE]),
+    Heap(Vec<Access>),
+}
+
+impl AccessSet {
+    /// Pairs a set holds without allocating.  Two covers every transaction
+    /// over one or two single-word variables (`registers` never records more);
+    /// a larger value grows every record of every history, recorded or
+    /// generated — see the size guard in this module's tests before raising it.
+    pub const INLINE: usize = 2;
+
+    /// The empty set.
+    pub const fn new() -> Self {
+        AccessSet(Repr::Inline(0, [(0, 0); Self::INLINE]))
+    }
+
+    /// Append `pair`, spilling to the heap once the inline slots are full.
+    pub fn push(&mut self, pair: Access) {
+        match &mut self.0 {
+            Repr::Inline(len, slots) => match slots.get_mut(usize::from(*len)) {
+                Some(slot) => {
+                    *slot = pair;
+                    *len += 1;
+                }
+                None => {
+                    let mut spilled = Vec::with_capacity(2 * Self::INLINE);
+                    spilled.extend_from_slice(slots);
+                    spilled.push(pair);
+                    self.0 = Repr::Heap(spilled);
+                }
+            },
+            Repr::Heap(pairs) => pairs.push(pair),
+        }
+    }
+
+    /// Keep only the pairs `keep` accepts, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&Access) -> bool) {
+        match &mut self.0 {
+            Repr::Inline(len, slots) => {
+                let mut kept = 0u8;
+                for i in 0..usize::from(*len) {
+                    if keep(&slots[i]) {
+                        slots[usize::from(kept)] = slots[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept;
+            }
+            Repr::Heap(pairs) => pairs.retain(keep),
+        }
+    }
+}
+
+impl Default for AccessSet {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Deref for AccessSet {
+    type Target = [Access];
+
+    fn deref(&self) -> &[Access] {
+        match &self.0 {
+            Repr::Inline(len, slots) => &slots[..usize::from(*len)],
+            Repr::Heap(pairs) => pairs,
+        }
+    }
+}
+
+impl DerefMut for AccessSet {
+    fn deref_mut(&mut self) -> &mut [Access] {
+        match &mut self.0 {
+            Repr::Inline(len, slots) => &mut slots[..usize::from(*len)],
+            Repr::Heap(pairs) => pairs,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a AccessSet {
+    type Item = &'a Access;
+    type IntoIter = std::slice::Iter<'a, Access>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl FromIterator<Access> for AccessSet {
+    fn from_iter<I: IntoIterator<Item = Access>>(pairs: I) -> Self {
+        let mut set = AccessSet::new();
+        pairs.into_iter().for_each(|pair| set.push(pair));
+        set
+    }
+}
+
+impl From<Vec<Access>> for AccessSet {
+    /// A set longer than [`AccessSet::INLINE`] keeps the vector's allocation.
+    fn from(pairs: Vec<Access>) -> Self {
+        if pairs.len() > Self::INLINE {
+            return AccessSet(Repr::Heap(pairs));
+        }
+        pairs.into_iter().collect()
+    }
+}
+
+impl<const N: usize> From<[Access; N]> for AccessSet {
+    fn from(pairs: [Access; N]) -> Self {
+        pairs.into_iter().collect()
+    }
+}
+
+impl fmt::Debug for AccessSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq for AccessSet {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for AccessSet {}
+
+impl<const N: usize> PartialEq<[Access; N]> for AccessSet {
+    fn eq(&self, other: &[Access; N]) -> bool {
+        **self == other[..]
+    }
+}
+
+impl PartialEq<Vec<Access>> for AccessSet {
+    fn eq(&self, other: &Vec<Access>) -> bool {
+        **self == other[..]
+    }
+}
+
 /// One committed transaction as every consumer of a recording sees it — the
 /// auditor's `AuditTxn` is this type: owned, variables as plain indices, built
 /// once on the committing thread and never converted again.  Its session and
@@ -110,9 +288,9 @@ pub struct CommittedTxn {
     /// Externally-read variables with the value the first read observed
     /// (reads satisfied by the transaction's own earlier write are internal
     /// and excluded).
-    pub reads: Vec<(usize, i64)>,
+    pub reads: AccessSet,
     /// Written variables with the value installed at commit.
-    pub writes: Vec<(usize, i64)>,
+    pub writes: AccessSet,
     /// A global recording-order index: a cheap guess at the commit order used
     /// only to seed the serializability search, never for correctness.
     pub hint: u64,
@@ -173,6 +351,8 @@ impl BatchQueue {
             return; // the run is over; late flushes are dropped
         }
         state.batches.push_back(batch);
+        // Wake the consumer off the lock: it would block on it straight away.
+        drop(state);
         self.ready.notify_one();
     }
 
@@ -180,6 +360,7 @@ impl BatchQueue {
         let mut state = self.state.lock();
         loop {
             if let Some(batch) = state.batches.pop_front() {
+                drop(state);
                 self.space.notify_one();
                 return Some(batch);
             }
@@ -203,11 +384,17 @@ impl BatchQueue {
 /// auto-assign sessions after the fact.
 pub struct StreamingRecorder {
     /// Per session: its commits since the last flush, in session order.
-    shards: Vec<Mutex<Vec<CommittedTxn>>>,
+    shards: Vec<OwnLine<Mutex<Vec<CommittedTxn>>>>,
     queue: Arc<BatchQueue>,
     batch_size: usize,
-    next_hint: AtomicU64,
+    next_hint: OwnLine<AtomicU64>,
 }
+
+/// Aligns `T` to a cache line of its own (128 bytes: adjacent-line prefetch
+/// pairs 64-byte lines), so threads working on neighbouring values do not
+/// invalidate each other's line.
+#[repr(align(128))]
+struct OwnLine<T>(T);
 
 impl StreamingRecorder {
     /// Batches a bounded queue may hold before producers wait.
@@ -222,7 +409,7 @@ impl StreamingRecorder {
     /// A recorder with an explicit queue capacity (in batches).
     pub fn with_capacity(n_sessions: usize, batch_size: usize, capacity: usize) -> Self {
         StreamingRecorder {
-            shards: (0..n_sessions).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..n_sessions).map(|_| OwnLine(Mutex::new(Vec::new()))).collect(),
             queue: Arc::new(BatchQueue {
                 state: Mutex::new(QueueState::default()),
                 ready: Condvar::new(),
@@ -230,7 +417,7 @@ impl StreamingRecorder {
                 capacity: capacity.max(1),
             }),
             batch_size: batch_size.max(1),
-            next_hint: AtomicU64::new(0),
+            next_hint: OwnLine(AtomicU64::new(0)),
         }
     }
 
@@ -244,7 +431,7 @@ impl StreamingRecorder {
     /// Call after the worker threads have joined.
     pub fn finish(&self) {
         for (session, shard) in self.shards.iter().enumerate() {
-            let records = std::mem::take(&mut *shard.lock());
+            let records = std::mem::take(&mut *shard.0.lock());
             if !records.is_empty() {
                 self.queue.push(CommitBatch { session, records });
             }
@@ -263,14 +450,17 @@ impl Recorder for StreamingRecorder {
             "session {session} out of range (streaming recorder has {})",
             self.shards.len()
         );
-        let hint = self.next_hint.fetch_add(1, Ordering::Relaxed);
-        let pairs = |set: &VarMap<i64>| set.iter().map(|(v, x)| (v.index(), *x)).collect();
-        let (reads, writes): (Vec<_>, Vec<_>) = (pairs(record.reads), pairs(record.writes));
+        let hint = self.next_hint.0.fetch_add(1, Ordering::Relaxed);
+        let pairs =
+            |set: &VarMap<i64>| -> AccessSet { set.iter().map(|(v, x)| (v.index(), *x)).collect() };
+        let (reads, writes) = (pairs(record.reads), pairs(record.writes));
         let footprint = footprint_of(reads.iter().chain(&writes).map(|&(var, _)| var));
         let flushed = {
-            let mut shard = self.shards[session].lock();
+            let mut shard = self.shards[session].0.lock();
             shard.push(CommittedTxn { reads, writes, hint, footprint });
-            (shard.len() >= self.batch_size).then(|| std::mem::take(&mut *shard))
+            // The next batch is as long as this one: size it once.
+            (shard.len() >= self.batch_size)
+                .then(|| std::mem::replace(&mut *shard, Vec::with_capacity(self.batch_size)))
         };
         if let Some(records) = flushed {
             // Off the shard lock: the queue may apply backpressure.
@@ -324,6 +514,78 @@ pub fn current_session() -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The inline capacity is a measured trade, not a free parameter.  At
+    /// capacity 2 a record is 96 bytes and every benchmark workload's
+    /// `setup_s` and `peak_rss_mb` held or improved against heap sets (PR 24's
+    /// paired runs, CHANGES.md); at capacity 4 (160 bytes) issue 24's
+    /// prototype measured the same `live-drain` rate but `setup_s` +40–60%
+    /// on `replay-healthy`, `batch-20k` and `replay-sharded` — history
+    /// generation and the hint sort move and page-fault bytes, not records.
+    /// Re-measure those before raising this.
+    #[test]
+    fn a_record_stays_within_96_bytes() {
+        assert!(std::mem::size_of::<CommittedTxn>() <= 96);
+    }
+
+    fn pairs(n: usize) -> Vec<Access> {
+        (0..n).map(|i| (i, 10 * i as i64 + 1)).collect()
+    }
+
+    #[test]
+    fn access_set_spills_past_the_inline_slots_and_reads_the_same() {
+        let mut set = AccessSet::new();
+        assert!(set.is_empty());
+        for n in 1..=6 {
+            set.push(pairs(n)[n - 1]);
+            assert_eq!(set, pairs(n), "after {n} pushes");
+            assert_eq!(matches!(set.0, Repr::Heap(_)), n > AccessSet::INLINE, "after {n} pushes");
+        }
+        assert_eq!(set.iter().map(|&(var, _)| var).collect::<Vec<_>>(), [0, 1, 2, 3, 4, 5]);
+        assert_eq!((&set).into_iter().count(), 6);
+    }
+
+    #[test]
+    fn access_set_from_vec_holds_the_vector_whatever_its_length() {
+        for n in 0..=6 {
+            let set = AccessSet::from(pairs(n));
+            assert_eq!(set, pairs(n));
+            assert_eq!(matches!(set.0, Repr::Heap(_)), n > AccessSet::INLINE, "length {n}");
+            assert_eq!(set, pairs(n).into_iter().collect::<AccessSet>());
+        }
+    }
+
+    #[test]
+    fn access_set_equality_and_debug_go_by_content() {
+        let inline = AccessSet::from([(3, 30), (5, 50)]);
+        let mut spilled = AccessSet::from(vec![(3, 30), (4, 40), (5, 50)]);
+        assert_ne!(inline, spilled);
+        spilled.retain(|&(var, _)| var != 4);
+        assert!(matches!((&inline.0, &spilled.0), (Repr::Inline(..), Repr::Heap(_))));
+        assert_eq!(inline, spilled);
+        assert_eq!(format!("{inline:?}"), format!("{spilled:?}"));
+        assert_eq!(format!("{inline:?}"), "[(3, 30), (5, 50)]");
+        // A slot left behind by `retain` is not part of the set.
+        let mut shrunk = AccessSet::from([(3, 30), (9, 90)]);
+        shrunk.retain(|&(var, _)| var == 3);
+        assert_eq!(shrunk, [(3, 30)]);
+        assert_eq!(shrunk, AccessSet::from([(3, 30)]));
+        assert_ne!(shrunk, inline);
+    }
+
+    #[test]
+    fn access_set_retain_keeps_order_in_both_forms() {
+        for n in 0..=6 {
+            let mut set = AccessSet::from(pairs(n));
+            set.retain(|&(var, _)| var % 2 == 1);
+            let odd: Vec<Access> = pairs(n).into_iter().filter(|&(var, _)| var % 2 == 1).collect();
+            assert_eq!(set, odd, "length {n}");
+            set.retain(|_| false);
+            assert!(set.is_empty());
+            set.push((7, 7));
+            assert_eq!(set, [(7, 7)], "a drained set takes pushes again");
+        }
+    }
 
     #[test]
     fn streaming_recorder_batches_per_session_in_order() {
@@ -462,7 +724,7 @@ mod tests {
         let batch = consumer.recv().expect("one batch");
         let record = &batch.records[0];
         let (x, y) = (x.base().index(), y.base().index());
-        assert_eq!((&record.reads, &record.writes), (&vec![(x, 0)], &vec![(y, 5)]));
+        assert_eq!((&record.reads[..], &record.writes[..]), (&[(x, 0)][..], &[(y, 5)][..]));
         let expected = footprint_of([x, y]);
         assert_eq!(record.footprint, expected);
         assert_ne!(record.footprint, 0);

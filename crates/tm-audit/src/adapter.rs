@@ -9,7 +9,7 @@
 //! internal (read-your-own-writes) and excluded, mirroring what the runtime
 //! recorder captures.
 
-use crate::history::{AuditHistory, AuditTxn};
+use crate::history::{AccessSet, AuditHistory, AuditTxn};
 use std::collections::{BTreeMap, BTreeSet};
 use tm_model::history::{ReadResult, TmEvent};
 use tm_model::{Execution, ProcId, TxId};
@@ -41,7 +41,7 @@ pub fn from_execution(execution: &Execution, initial: i64) -> AuditHistory {
     // Per-transaction accumulation in event order.
     struct Pending {
         proc: ProcId,
-        reads: Vec<(usize, i64)>,
+        reads: AccessSet,
         first_read: BTreeMap<usize, i64>,
         writes: BTreeMap<usize, i64>,
     }
@@ -49,7 +49,7 @@ pub fn from_execution(execution: &Execution, initial: i64) -> AuditHistory {
         fn new(proc: ProcId) -> Self {
             Pending {
                 proc,
-                reads: Vec::new(),
+                reads: AccessSet::new(),
                 first_read: BTreeMap::new(),
                 writes: BTreeMap::new(),
             }

@@ -39,7 +39,7 @@ impl fmt::Display for TxnId {
 
 /// One committed transaction as the auditor sees it: the recorder's own
 /// record type, consumed as delivered.
-pub use stm_runtime::CommittedTxn as AuditTxn;
+pub use stm_runtime::{AccessSet, CommittedTxn as AuditTxn};
 
 /// A recorded run: per-session transaction sequences over `n_vars` variables
 /// that all start at `initial`.

@@ -128,7 +128,7 @@ pub mod telemetry;
 pub mod window;
 
 pub use adapter::from_execution;
-pub use history::{AuditHistory, AuditTxn, HistoryError, TxnId};
+pub use history::{AccessSet, AuditHistory, AuditTxn, HistoryError, TxnId};
 pub use partition::{
     audit_sharded, partition_of, PartitionVerdict, ShardConfig, ShardConviction, ShardLagProbe,
     ShardedAuditor, ShardedStreamReport,
@@ -811,7 +811,7 @@ mod tests {
     fn order_witnesses_render_only_what_is_shown() {
         let mut po = TxnPartialOrder::new(1, 0);
         for seq in 0..3_000 {
-            let txn = AuditTxn { writes: vec![(0, seq as i64 + 1)], ..AuditTxn::default() };
+            let txn = AuditTxn { writes: [(0, seq as i64 + 1)].into(), ..AuditTxn::default() };
             po.extend(TxnId { session: seq % 3, seq: seq / 3 }, &txn).unwrap();
         }
         let order: Vec<u32> = (1..=3_000).collect();

@@ -630,7 +630,8 @@ impl ShardedAuditor {
         if self.buffers[lane].is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.buffers[lane]);
+        let batch =
+            std::mem::replace(&mut self.buffers[lane], Vec::with_capacity(self.config.route_batch));
         let counters = &self.counters[lane];
         let routed =
             counters.routed.fetch_add(batch.len() as u64, Ordering::Relaxed) + batch.len() as u64;

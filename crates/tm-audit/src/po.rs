@@ -446,10 +446,10 @@ mod tests {
     }
 
     fn read_txn(var: usize, value: i64, hint: u64) -> AuditTxn {
-        AuditTxn { reads: vec![(var, value)], writes: vec![], hint, ..AuditTxn::default() }
+        AuditTxn { reads: [(var, value)].into(), hint, ..AuditTxn::default() }
     }
 
     fn write_txn(var: usize, value: i64, hint: u64) -> AuditTxn {
-        AuditTxn { reads: vec![], writes: vec![(var, value)], hint, ..AuditTxn::default() }
+        AuditTxn { writes: [(var, value)].into(), hint, ..AuditTxn::default() }
     }
 }

@@ -473,13 +473,13 @@ mod tests {
                 let v = rng.gen_range(0..vars);
                 let vals = &values[v];
                 let read = vals[rng.gen_range(0..vals.len())];
-                let reads = vec![(v, read)];
+                let reads = [(v, read)].into();
                 let writes = if rng.gen_bool(0.6) {
                     values[v].push(next);
                     next += 1;
-                    vec![(v, next - 1)]
+                    [(v, next - 1)].into()
                 } else {
-                    vec![]
+                    Default::default()
                 };
                 let hint = h.txn_count() as u64;
                 h.sessions[s].push(crate::history::AuditTxn {
@@ -529,7 +529,7 @@ mod tests {
     /// verdict and closure are the reference fixpoint's.
     #[test]
     fn chain_clocks_agree_with_brute_force_reachability() {
-        use crate::history::AuditTxn;
+        use crate::history::{AccessSet, AuditTxn};
         use crate::po::EVICTED_SESSION;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -549,7 +549,7 @@ mod tests {
             let mut i = 0;
             while i < n && verdict.is_ok() {
                 for i in i..n.min(i + rng.gen_range(1..=4usize)) {
-                    let mut reads = Vec::new();
+                    let mut reads = AccessSet::new();
                     for var in 0..vars {
                         if !rng.gen_bool(0.4) {
                             continue;

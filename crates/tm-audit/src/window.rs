@@ -86,7 +86,7 @@
 //! checks that on seeded live runs from every backend the windowed verdicts
 //! agree with the whole-run batch verdicts on all six levels.
 
-use crate::history::{AuditTxn, HistoryError, TxnId};
+use crate::history::{AccessSet, AuditTxn, HistoryError, TxnId};
 use crate::linearization::{certify_hint_order, find_lost_update, DEFAULT_STATE_BUDGET};
 use crate::po::{TxnPartialOrder, EVICTED_SESSION};
 use crate::recovery::{FrontierSnapshot, RecoveryError};
@@ -411,7 +411,7 @@ struct RetainedWriter {
     hint: u64,
     /// Its writes still resolvable: exactly the `source_of` keys that point
     /// at this writer.
-    writes: Vec<(usize, i64)>,
+    writes: AccessSet,
 }
 
 /// A retained writer's identity and where the frontier keeps it.
@@ -636,7 +636,7 @@ impl Frontier {
         let mut writes = writer.writes.clone();
         // Deterministic materialization order regardless of absorb order.
         writes.sort_unstable();
-        AuditTxn { reads: Vec::new(), writes, hint: writer.hint, footprint: 0 }
+        AuditTxn { writes, hint: writer.hint, ..AuditTxn::default() }
     }
 
     /// The writers owning each variable's latest value — materialized
@@ -1158,8 +1158,7 @@ impl WindowedAuditor {
                 tele.evicted.inc();
             }
             let aw = self.active.as_mut().expect("active window");
-            let txn =
-                AuditTxn { reads: Vec::new(), writes: vec![(var, value)], hint: 0, footprint: 0 };
+            let txn = AuditTxn { writes: [(var, value)].into(), ..AuditTxn::default() };
             if let Err(err) = aw.po.extend_detached(id, &txn) {
                 aw.defect = Some(err);
             }
@@ -1433,6 +1432,11 @@ impl TxnSink for HistoryCollector {
 /// record never overtakes the one before it in its run, whatever its hint.
 /// [`StreamMerger::finish`] releases the tail once the stream closes.
 ///
+/// A run is a queue of the batches themselves, drained from the front one:
+/// no record is copied into a buffer of the merger's own, and a batch's
+/// memory goes back to the allocator the moment its last record leaves —
+/// what a run holds is what has not been released, not the most it ever held.
+///
 /// An idle or slow session holds the watermark back, so the runs are
 /// additionally capped at [`StreamMerger::MAX_BUFFERED`] records in total:
 /// past the cap, the same merge runs ahead of the watermark until half the
@@ -1440,8 +1444,11 @@ impl TxnSink for HistoryCollector {
 /// memory and verdict progress when one session stalls.
 #[derive(Debug)]
 pub struct StreamMerger {
-    /// Per session: delivered, not yet released records, in session order.
-    runs: Vec<VecDeque<AuditTxn>>,
+    /// Per session: its delivered batches with a record still to release,
+    /// oldest first (so none is empty; the front one may be part-drained).
+    runs: Vec<VecDeque<std::vec::IntoIter<AuditTxn>>>,
+    /// Records across all runs.
+    buffered: usize,
     /// Per-session latest hint delivered (None until first batch).
     highest: Vec<Option<u64>>,
     /// Live run-depth gauge (`audit_merger_buffered`), when metrics are on.
@@ -1457,6 +1464,7 @@ impl StreamMerger {
     pub fn new(n_sessions: usize) -> Self {
         StreamMerger {
             runs: vec![VecDeque::new(); n_sessions],
+            buffered: 0,
             highest: vec![None; n_sessions],
             depth: tm_telemetry::enabled()
                 .then(|| tm_telemetry::global().gauge("audit_merger_buffered", &[], "records")),
@@ -1489,22 +1497,20 @@ impl StreamMerger {
             let highest = &mut self.highest[session];
             *highest = Some(highest.map_or(newest, |h| h.max(newest)));
         }
-        self.runs[session].extend(records);
+        if !records.is_empty() {
+            self.buffered += records.len();
+            self.runs[session].push_back(records.into_iter());
+        }
         if let Some(watermark) = self.highest.iter().copied().min().flatten() {
             self.release(watermark, 0, auditor);
         }
         // A lagging session must not let the runs grow with the run.
-        if self.buffered() > Self::MAX_BUFFERED {
+        if self.buffered > Self::MAX_BUFFERED {
             self.release(u64::MAX, Self::MAX_BUFFERED / 2, auditor);
         }
         if let Some(depth) = &self.depth {
-            depth.set(self.buffered() as i64);
+            depth.set(self.buffered as i64);
         }
-    }
-
-    /// Records across all runs.
-    fn buffered(&self) -> usize {
-        self.runs.iter().map(VecDeque::len).sum()
     }
 
     /// Release every buffered record once the stream has closed.
@@ -1519,11 +1525,18 @@ impl StreamMerger {
     /// while that head is at or below `watermark` and more than `keep`
     /// records are buffered.
     fn release(&mut self, watermark: u64, keep: usize, auditor: &mut impl TxnSink) {
-        for _ in keep..self.buffered() {
+        while self.buffered > keep {
             let heads = self.runs.iter().enumerate();
-            let head = heads.filter_map(|(s, run)| Some((run.front()?.hint, s))).min();
+            let head =
+                heads.filter_map(|(s, run)| Some((run.front()?.as_slice().first()?.hint, s))).min();
             let Some((_, session)) = head.filter(|&(hint, _)| hint <= watermark) else { break };
-            let txn = self.runs[session].pop_front().expect("the head was just read");
+            let run = &mut self.runs[session];
+            let batch = run.front_mut().expect("the head was just read");
+            let txn = batch.next().expect("the head was just read");
+            if batch.as_slice().is_empty() {
+                run.pop_front();
+            }
+            self.buffered -= 1;
             auditor.push_txn(session, txn);
         }
     }
@@ -1562,7 +1575,8 @@ mod tests {
     }
 
     fn txn(hint: u64, reads: &[(usize, i64)], writes: &[(usize, i64)]) -> AuditTxn {
-        AuditTxn { reads: reads.to_vec(), writes: writes.to_vec(), hint, footprint: 0 }
+        let set = |pairs: &[(usize, i64)]| pairs.iter().copied().collect();
+        AuditTxn { reads: set(reads), writes: set(writes), hint, footprint: 0 }
     }
 
     /// What a round killed after `order[..cut]` leaves behind: the log's
@@ -1847,7 +1861,9 @@ mod tests {
                 writers.dedup_by_key(|w| w.id);
                 let mut on_writers: Vec<((usize, i64), TxnId)> = writers
                     .iter()
-                    .flat_map(|&w| frontier.stand_in(w).writes.into_iter().map(move |k| (k, w.id)))
+                    .flat_map(|&w| {
+                        frontier.stand_in(w).writes.to_vec().into_iter().map(move |k| (k, w.id))
+                    })
                     .collect();
                 on_writers.sort_unstable();
                 let mut expected: Vec<((usize, i64), TxnId)> =
@@ -2342,5 +2358,112 @@ mod tests {
             copied.hints().iter().map(|&(h, _)| h).collect::<Vec<_>>(),
             (0..50).collect::<Vec<_>>()
         );
+    }
+
+    /// What the runs actually hold, counted the slow way.
+    fn held(merger: &StreamMerger) -> usize {
+        merger.runs.iter().flatten().map(|batch| batch.as_slice().len()).sum()
+    }
+
+    /// (f) The runs are queues of whole batches: empty batches and batches of
+    /// any size go in, `buffered` is the number of records held after every
+    /// step, no drained batch lingers, and the valve still releases down to
+    /// half the cap.
+    #[test]
+    fn merger_counts_what_its_batches_hold_whatever_their_size() {
+        let mut merger = StreamMerger::new(2);
+        let mut sink = Delivered::default();
+        let mut pushed = 0usize;
+        let mut step = |merger: &mut StreamMerger, sink: &mut Delivered, next: CommitBatch| {
+            pushed += next.records.len();
+            merger.push_batch(&next, sink);
+            assert_eq!(merger.buffered, held(merger));
+            assert_eq!(merger.buffered + sink.0.len(), pushed, "nothing lost, nothing doubled");
+            assert!(merger.runs.iter().flatten().all(|batch| !batch.as_slice().is_empty()));
+        };
+        // An empty batch says nothing: not even that its session has spoken.
+        step(&mut merger, &mut sink, batch(1, []));
+        step(&mut merger, &mut sink, batch(0, [0, 1, 2]));
+        assert!(sink.0.is_empty() && merger.buffered == 3);
+        // Session 1 takes the odd hints from 3 on, in batches of 1, 0, 7, 2, …
+        let mut odd = (1u64..).map(|i| 2 * i + 1);
+        for size in [1usize, 0, 7, 2, 0, 300, 1] {
+            let hints: Vec<u64> = odd.by_ref().take(size).collect();
+            step(&mut merger, &mut sink, batch(1, hints));
+        }
+        // Session 0's three records are below the watermark and gone; its
+        // silence holds back everything session 1 delivered.
+        assert_eq!(sink.hints(), [(0, 0), (1, 0), (2, 0)]);
+        assert_eq!(merger.buffered, 311);
+        // The watermark moves into session 1's 7-record batch: the batch
+        // before it is gone, that one is drained in part.
+        step(&mut merger, &mut sink, batch(0, [4, 6, 8]));
+        assert_eq!(sink.hints()[3..], [(3, 1), (4, 0), (5, 1), (6, 0), (7, 1), (8, 0)]);
+        assert_eq!(merger.buffered, 311 - 3);
+        assert_eq!(merger.runs[1].front().map(|batch| batch.as_slice().len()), Some(5));
+
+        // Past the cap, with session 0 silent again, uneven batches leave
+        // oldest first until half the cap remains.
+        let cap = StreamMerger::MAX_BUFFERED;
+        let mut sizes = [1usize, 999, 0, 64, 4_097].into_iter().cycle();
+        loop {
+            let before = sink.0.len();
+            let hints: Vec<u64> = odd.by_ref().take(sizes.next().expect("cycles")).collect();
+            step(&mut merger, &mut sink, batch(1, hints));
+            if sink.0.len() > before {
+                break;
+            }
+        }
+        assert_eq!(merger.buffered, cap / 2, "the valve released down to half the cap");
+        let released = sink.hints_of(1);
+        assert!(released.windows(2).all(|w| w[0] + 2 == w[1]), "oldest first, none skipped");
+        merger.finish(&mut sink);
+        assert_eq!(sink.0.len(), pushed);
+        assert_eq!(sink.hints_of(1).len(), pushed - 6);
+    }
+
+    /// A transaction too large for a record's inline slots — it writes two
+    /// two-word objects, four write pairs — arrives whole through
+    /// `StreamingRecorder` → `StreamMerger`, beside ones that fit.
+    #[test]
+    fn a_spilled_record_arrives_intact_through_recorder_and_merger() {
+        use std::sync::Arc;
+        use stm_runtime::{recorder, StreamingRecorder, TVar};
+        let rec = Arc::new(StreamingRecorder::new(2, 4));
+        let consumer = rec.consumer();
+        let stm = stm_runtime::Stm::with_recorder(stm_runtime::registry::TL2_BLOCKING, rec.clone());
+        let a: TVar<(i64, i64)> = stm.alloc((0, 0));
+        let b: TVar<(i64, i64)> = stm.alloc((0, 0));
+        let x = stm.alloc(0i64);
+        for i in 1..=9i64 {
+            recorder::set_session((i % 2) as usize);
+            stm.run(|tx| tx.write(x, i));
+            stm.run(|tx| {
+                let seen = tx.read(x)?;
+                tx.write(a, (10 * seen + 1, 10 * seen + 2))?;
+                tx.write(b, (10 * seen + 3, 10 * seen + 4))
+            });
+        }
+        recorder::clear_session();
+        rec.finish();
+        let mut sink = Delivered::default();
+        StreamMerger::drain(&consumer, 2, &mut sink);
+
+        let (a, b, x) = (a.base().index(), b.base().index(), x.base().index());
+        assert_eq!(sink.0.len(), 18);
+        for (i, pair) in (1..=9i64).zip(sink.0.chunks(2)) {
+            let [(s0, small), (s1, big)] = pair else { panic!("18 is even") };
+            assert_eq!((*s0, *s1), ((i % 2) as usize, (i % 2) as usize));
+            assert_eq!((&small.reads[..], &small.writes[..]), (&[][..], &[(x, i)][..]));
+            assert_eq!(big.reads, [(x, i)]);
+            let mut writes = big.writes.to_vec();
+            writes.sort_unstable();
+            let mut expected =
+                vec![(a, 10 * i + 1), (a + 1, 10 * i + 2), (b, 10 * i + 3), (b + 1, 10 * i + 4)];
+            expected.sort_unstable();
+            assert_eq!(writes, expected, "transaction {i}");
+            assert!(big.writes.len() > AccessSet::INLINE);
+            assert_eq!(big.footprint, stm_runtime::footprint_of([x, a, a + 1, b, b + 1]));
+        }
     }
 }

@@ -35,7 +35,7 @@
 use crate::wire;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tm_audit::{AuditHistory, AuditTxn, Level};
+use tm_audit::{AccessSet, AuditHistory, AuditTxn, Level};
 
 /// Shape and adversity of one generated history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,7 +162,8 @@ impl Gen {
     }
 
     /// Emit one transaction into `session`, consuming one slot.
-    fn emit(&mut self, session: usize, reads: Vec<(usize, i64)>, writes: Vec<(usize, i64)>) {
+    fn emit(&mut self, session: usize, reads: impl Into<AccessSet>, writes: impl Into<AccessSet>) {
+        let (reads, writes) = (reads.into(), writes.into());
         let footprint =
             stm_runtime::footprint_of(reads.iter().chain(writes.iter()).map(|&(v, _)| v));
         let hint = self.next_hint;
@@ -269,8 +270,8 @@ pub fn generate(config: &GenConfig) -> Generated {
 fn base_txn(gen: &mut Gen, rng: &mut StdRng, events: usize) {
     let sessions = gen.pick_sessions(rng, 1);
     let session = sessions[0];
-    let mut reads: Vec<(usize, i64)> = Vec::new();
-    let mut writes: Vec<(usize, i64)> = Vec::new();
+    let mut reads = AccessSet::new();
+    let mut writes = AccessSet::new();
     for _ in 0..events {
         let var = rng.gen_range(0..gen.current.len());
         if rng.gen_bool(0.5) {
@@ -300,8 +301,8 @@ fn plant_lost_update(gen: &mut Gen, rng: &mut StdRng) -> bool {
     let var = rng.gen_range(0..gen.current.len());
     let source = gen.current[var];
     let (f1, f2) = (gen.fresh(), gen.fresh());
-    gen.emit(a, vec![(var, source)], vec![(var, f1)]);
-    gen.emit(b, vec![(var, source)], vec![(var, f2)]);
+    gen.emit(a, [(var, source)], [(var, f1)]);
+    gen.emit(b, [(var, source)], [(var, f2)]);
     gen.current[var] = f2;
     true
 }
@@ -321,8 +322,8 @@ fn plant_write_skew(gen: &mut Gen, rng: &mut StdRng, align: Option<usize>) -> bo
     let Some((x, y)) = plant_pair(rng, gen.current.len(), align) else { return false };
     let (cx, cy) = (gen.current[x], gen.current[y]);
     let (f1, f2) = (gen.fresh(), gen.fresh());
-    gen.emit(a, vec![(x, cx), (y, cy)], vec![(x, f1)]);
-    gen.emit(b, vec![(x, cx), (y, cy)], vec![(y, f2)]);
+    gen.emit(a, [(x, cx), (y, cy)], [(x, f1)]);
+    gen.emit(b, [(x, cx), (y, cy)], [(y, f2)]);
     gen.current[x] = f1;
     gen.current[y] = f2;
     true
@@ -341,10 +342,10 @@ fn plant_causal_cycle(gen: &mut Gen, rng: &mut StdRng, align: Option<usize>) -> 
     }
     let Some((x, y)) = plant_pair(rng, gen.current.len(), align) else { return false };
     let (p, f1, f2) = (gen.fresh(), gen.fresh(), gen.fresh());
-    gen.emit(a, vec![], vec![(x, p)]);
-    gen.emit(a, vec![(x, p)], vec![(x, f1)]);
-    gen.emit(b, vec![(x, f1)], vec![(y, f2)]);
-    gen.emit(c, vec![(y, f2), (x, p)], vec![]);
+    gen.emit(a, AccessSet::new(), [(x, p)]);
+    gen.emit(a, [(x, p)], [(x, f1)]);
+    gen.emit(b, [(x, f1)], [(y, f2)]);
+    gen.emit(c, [(y, f2), (x, p)], AccessSet::new());
     gen.current[x] = f1;
     gen.current[y] = f2;
     true
@@ -369,12 +370,12 @@ fn plant_long_fork(gen: &mut Gen, rng: &mut StdRng, align: Option<usize>) -> boo
     // writes and dissolve the anomaly).
     let (ax, ay) = (gen.fresh(), gen.fresh());
     let (f1, f2) = (gen.fresh(), gen.fresh());
-    gen.emit(a, vec![], vec![(x, ax)]);
-    gen.emit(b, vec![], vec![(y, ay)]);
-    gen.emit(a, vec![(x, ax)], vec![(x, f1)]);
-    gen.emit(b, vec![(y, ay)], vec![(y, f2)]);
-    gen.emit(a, vec![(x, f1), (y, ay)], vec![]);
-    gen.emit(b, vec![(y, f2), (x, ax)], vec![]);
+    gen.emit(a, AccessSet::new(), [(x, ax)]);
+    gen.emit(b, AccessSet::new(), [(y, ay)]);
+    gen.emit(a, [(x, ax)], [(x, f1)]);
+    gen.emit(b, [(y, ay)], [(y, f2)]);
+    gen.emit(a, [(x, f1), (y, ay)], AccessSet::new());
+    gen.emit(b, [(y, f2), (x, ax)], AccessSet::new());
     gen.current[x] = f1;
     gen.current[y] = f2;
     true
@@ -403,10 +404,10 @@ pub fn generate_hard(seed: u64, chains: usize, chain_len: usize) -> Generated {
     };
     // The fork core on vars 0 and 1, sessions 0 and 1.
     let (f1, f2) = (gen.fresh(), gen.fresh());
-    gen.emit(0, vec![], vec![(0, f1)]);
-    gen.emit(1, vec![], vec![(1, f2)]);
-    gen.emit(0, vec![(0, f1), (1, 0)], vec![]);
-    gen.emit(1, vec![(1, f2), (0, 0)], vec![]);
+    gen.emit(0, AccessSet::new(), [(0, f1)]);
+    gen.emit(1, AccessSet::new(), [(1, f2)]);
+    gen.emit(0, [(0, f1), (1, 0)], AccessSet::new());
+    gen.emit(1, [(1, f2), (0, 0)], AccessSet::new());
     // Independent RMW chains, one per extra session, each on its own var —
     // emitted in seed-shuffled round-robin order so the recording order (and
     // with it the DFS's traversal) varies across seeds while the verdict
@@ -420,7 +421,7 @@ pub fn generate_hard(seed: u64, chains: usize, chain_len: usize) -> Generated {
         let (session, var) = (2 + c, 2 + c);
         let last = gen.current[var];
         let next = gen.fresh();
-        gen.emit(session, vec![(var, last)], vec![(var, next)]);
+        gen.emit(session, [(var, last)], [(var, next)]);
         gen.current[var] = next;
     }
     Generated { history: gen.history, planted: Planted { long_forks: 1, ..Planted::default() } }

@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::BufRead;
 use stm_runtime::wal;
-use tm_audit::{AuditHistory, AuditTxn, HistoryError, TxnId};
+use tm_audit::{AccessSet, AuditHistory, AuditTxn, HistoryError, TxnId};
 
 /// The wire format version this crate reads and writes.
 pub const WIRE_VERSION: u64 = wal::WIRE_VERSION;
@@ -385,7 +385,7 @@ fn parse_header(line: &str, line_no: u64) -> Result<(usize, usize, i64), WireErr
     Ok((sessions, vars, initial))
 }
 
-type ParsedTxn = (usize, usize, u64, Vec<(usize, i64)>, Vec<(usize, i64)>);
+type ParsedTxn = (usize, usize, u64, AccessSet, AccessSet);
 
 fn parse_txn(
     line: &str,
@@ -442,13 +442,9 @@ fn parse_txn(
     Ok((s, q as usize, h, reads, writes))
 }
 
-fn parse_pairs(
-    c: &mut Cursor<'_>,
-    vars: usize,
-    kind: &str,
-) -> Result<Vec<(usize, i64)>, WireError> {
+fn parse_pairs(c: &mut Cursor<'_>, vars: usize, kind: &str) -> Result<AccessSet, WireError> {
     c.expect("[")?;
-    let mut pairs: Vec<(usize, i64)> = Vec::new();
+    let mut pairs = AccessSet::new();
     if c.peek() == Some(b']') {
         c.pos += 1;
         return Ok(pairs);
@@ -516,6 +512,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A set comes back the same whether it fits a record's inline slots or
+    /// spilled: reads and writes of every size 0..=6, in one document.
+    #[test]
+    fn sets_of_every_size_round_trip() {
+        let mut h = AuditHistory::new(6, 0, 2);
+        for n in 0..=6usize {
+            let hint = 100 * n as i64;
+            h.push_txn(n % 2, (0..n).map(|v| (v, 0)), (0..6 - n).map(|v| (v, hint + v as i64 + 1)));
+        }
+        let decoded = decode(&encode(&h)).expect("round trip");
+        let sizes: Vec<(usize, usize)> = decoded
+            .recording_order()
+            .iter()
+            .map(|(_, t)| (t.reads.len(), t.writes.len()))
+            .collect();
+        assert_eq!(sizes, (0..=6).map(|n| (n, 6 - n)).collect::<Vec<_>>());
+        assert_eq!(encode(&decoded), encode(&h));
     }
 
     #[test]

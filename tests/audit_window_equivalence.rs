@@ -143,8 +143,8 @@ fn windowed_violations_are_always_real_on_adversarial_histories() {
             };
             let hint = h.txn_count() as u64;
             h.sessions[s].push(pcl_tm::audit::AuditTxn {
-                reads,
-                writes,
+                reads: reads.into(),
+                writes: writes.into(),
                 hint,
                 ..Default::default()
             });
