@@ -10,10 +10,13 @@
 //! moves a verdict cell, a `decided_by`, a cycle, a "saturated in N round(s)"
 //! or a witness order fails here with the first differing line — and is
 //! either a bug or a deliberate change that re-captures the fixture and says
-//! why.
+//! why.  `benchmark_shape.txt` pins two larger documents at the shape of the
+//! benchmark's search workload, where a probe re-saturates hundreds of new
+//! transactions against a 2 048-transaction window.
 
 use tm_audit::{
-    audit, audit_sharded, audit_streamed, Conviction, ShardConfig, StreamReport, WindowConfig,
+    audit, audit_sharded, audit_streamed, AuditHistory, Conviction, ShardConfig, StreamReport,
+    WindowConfig, WindowedAuditor,
 };
 use tm_history::{generate, GenConfig};
 
@@ -102,4 +105,67 @@ fn causal_cycle_reports_are_pinned() {
 #[test]
 fn long_fork_reports_are_pinned() {
     assert_pinned("long_fork", |c| c.long_fork_per_mille = 15);
+}
+
+/// Replay `history` in recording order through `auditor`.
+fn replay(mut auditor: WindowedAuditor, history: &AuditHistory) -> StreamReport {
+    for (session, txn) in history.recording_order() {
+        auditor.push(session, txn.clone());
+    }
+    auditor.finish()
+}
+
+/// The windowed transcripts of two documents at the benchmark's shape (4
+/// sessions, 64 variables, 6 000 transactions, 2 048-transaction windows):
+/// sparse write skew, where every window searches and a probe re-saturates
+/// a few hundred transactions at a time, and sparse causal cycles, where
+/// the saturation itself convicts.  Each goes through the verify-first
+/// auditor and the search-only one, and each stream's chain-clock
+/// high-water mark is pinned beside its reports.
+fn benchmark_shape_transcript() -> Vec<String> {
+    let mut out = Vec::new();
+    for (kind, plant) in [
+        ("write_skew", (|c: &mut GenConfig| c.write_skew_per_mille = 2) as fn(&mut GenConfig)),
+        ("causal_cycle", |c: &mut GenConfig| c.causal_cycle_per_mille = 2),
+    ] {
+        let mut config = GenConfig {
+            sessions: 4,
+            vars: 64,
+            txns_per_session: 1_500,
+            events_per_txn: 3,
+            seed: 7,
+            ..GenConfig::default()
+        };
+        plant(&mut config);
+        let history = generate(&config).history;
+        let window = WindowConfig::sized(2_048);
+        let (n_vars, initial) = (history.n_vars, history.initial);
+        let verify_first = replay(WindowedAuditor::new(n_vars, initial, window), &history);
+        let search_only = replay(WindowedAuditor::new_searching(n_vars, initial, window), &history);
+        for (lane, stream) in [("windowed", verify_first), ("searching", search_only)] {
+            let lane = format!("{kind} {lane}");
+            stream_lines(&mut out, &lane, &stream);
+            out.push(format!("{lane} peak_closure_bytes {}", stream.peak_closure_bytes));
+        }
+    }
+    out
+}
+
+#[test]
+fn benchmark_shape_reports_are_pinned() {
+    let path = format!(
+        "{}/tests/fixtures/report_stability/benchmark_shape.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let pinned = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let pinned: Vec<&str> = pinned.lines().collect();
+    let actual = benchmark_shape_transcript();
+    for (i, (want, got)) in pinned.iter().zip(&actual).enumerate() {
+        assert_eq!(got, want, "line {} differs from {path}", i + 1);
+    }
+    assert_eq!(actual.len(), pinned.len(), "report count differs from {path}");
+    for kind in ["write_skew", "causal_cycle"] {
+        let convicted = |l: &&String| l.starts_with(kind) && l.contains("\"outcome\":\"fail\"");
+        assert!(actual.iter().any(|l| convicted(&l)), "{kind}: no conviction");
+    }
 }
