@@ -13,7 +13,7 @@
 //!
 //! There is no reachability oracle here: the one consumer that needs
 //! "`a` reaches `b`" — causal saturation — answers it from per-chain clocks
-//! it fills along the topological order ([`crate::saturation`]), `V · k`
+//! it pushes forward from every new edge ([`crate::saturation`]), `V · k`
 //! words for `k` session chains instead of a `V²`-bit closure.
 
 use std::collections::{BinaryHeap, HashSet};

@@ -350,7 +350,7 @@ pub(crate) fn searched_report(
                 witness: format!(
                     "saturated in {} round(s); {}",
                     sat.rounds,
-                    order_witness(po, &sat.topo)
+                    order_witness(po, sat.topo(po))
                 ),
             },
             Err(cycle) => Outcome::Fail { violation: cycle.render(po) },

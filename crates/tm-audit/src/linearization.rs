@@ -506,8 +506,9 @@ pub fn search_serializable(
     n_vars: usize,
     budget: u64,
 ) -> Search {
-    if verify_serial_order(po, n_vars, &sat.topo) {
-        return Search::Order(sat.topo.iter().copied().filter(|&t| t != ROOT).collect());
+    let topo = sat.topo(po);
+    if verify_serial_order(po, n_vars, topo) {
+        return Search::Order(topo.iter().copied().filter(|&t| t != ROOT).collect());
     }
 
     let n = po.len();
@@ -640,8 +641,9 @@ fn search_split(
     // Fast path: if the hint-ordered topological order admits per-transaction
     // snapshot points, it *is* an SI witness and no search runs (the MVCC
     // backend's recording order verifies by construction).
-    if verify_split_order(po, sat, &sat.topo, first_committer_wins) {
-        return Search::Order(sat.topo.iter().copied().filter(|&t| t != ROOT).collect());
+    let topo = sat.topo(po);
+    if verify_split_order(po, sat, topo, first_committer_wins) {
+        return Search::Order(topo.iter().copied().filter(|&t| t != ROOT).collect());
     }
     let n = po.len();
     // Split-vertex precedence: every transaction's snapshot precedes its
@@ -826,7 +828,7 @@ mod tests {
         h.push_txn(1, [(0, 0), (1, 0)], [(1, 20)]);
         let po = TxnPartialOrder::build(&h).unwrap();
         let sat = check_causal(&po).unwrap();
-        assert!(verify_si_order(&po, &sat, &sat.topo), "write skew verifies in hint order");
+        assert!(verify_si_order(&po, &sat, sat.topo(&po)), "write skew verifies in hint order");
 
         let mut h = AuditHistory::new(2, 0, 4);
         h.push_txn(0, [], [(0, 1)]);
@@ -835,7 +837,7 @@ mod tests {
         h.push_txn(3, [(0, 0), (1, 1)], []);
         let po = TxnPartialOrder::build(&h).unwrap();
         let sat = check_causal(&po).unwrap();
-        assert!(!verify_si_order(&po, &sat, &sat.topo), "long fork must never verify");
+        assert!(!verify_si_order(&po, &sat, sat.topo(&po)), "long fork must never verify");
         // And the full search agrees (fast path bypassed, DFS refutes).
         assert_eq!(search_snapshot_isolation(&po, &sat, 2, DEFAULT_STATE_BUDGET), Search::NoOrder);
     }
@@ -897,7 +899,7 @@ mod tests {
         h.push_txn(3, [(0, 0), (1, 1)], []);
         let po = TxnPartialOrder::build(&h).unwrap();
         let sat = check_causal(&po).unwrap();
-        assert!(!verify_prefix_order(&po, &sat, &sat.topo), "fast path must not verify");
+        assert!(!verify_prefix_order(&po, &sat, sat.topo(&po)), "fast path must not verify");
         assert_eq!(search_prefix(&po, &sat, 2, DEFAULT_STATE_BUDGET), Search::NoOrder);
     }
 
@@ -910,7 +912,10 @@ mod tests {
         h.push_txn(1, [(0, 0), (1, 0)], [(1, 20)]);
         let po = TxnPartialOrder::build(&h).unwrap();
         let sat = check_causal(&po).unwrap();
-        assert!(verify_prefix_order(&po, &sat, &sat.topo), "write skew verifies for prefix too");
+        assert!(
+            verify_prefix_order(&po, &sat, sat.topo(&po)),
+            "write skew verifies for prefix too"
+        );
         assert!(matches!(search_prefix(&po, &sat, 2, DEFAULT_STATE_BUDGET), Search::Order(_)));
     }
 

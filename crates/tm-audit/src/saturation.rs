@@ -1,7 +1,7 @@
 //! Polynomial-time checkers for the lower half of the hierarchy, by
 //! saturation on the transaction partial order (after Biswas & Enea,
 //! "On the Complexity of Checking Transactional Consistency", OOPSLA 2019) —
-//! run whole or **incrementally**, absorbing only the base edges that are new.
+//! run whole or **incrementally**, paying only for what arrived.
 //!
 //! All three levels are phrased the same way: *some total commit order `co`
 //! containing `so ∪ wr` must exist* such that a level-specific axiom holds.
@@ -33,6 +33,7 @@
 //! [`resaturate`] for the first time then, and the edge-log cursor
 //! ([`TxnPartialOrder::edge_log`]) catches it up on everything extended so
 //! far; later calls absorb only the base edges that appeared since.
+//! [`check_causal`] is the same path, called once on a whole history.
 //!
 //! Visibility is answered from **chain clocks**, not a closure.  Every
 //! transaction sits at a position of a chain (its session, or a chain of one
@@ -41,9 +42,8 @@
 //! that reach a vertex `v` are a prefix of `c` and one number describes them:
 //! `clocks[v][c]`, the last position of `c` that reaches `v`.  The table is
 //! `V · k` words for `k` chains (a handful of sessions plus the window's
-//! detached stand-ins) and is refilled by one sweep over the topological
-//! order that each round's cycle check computes anyway; "`a` reaches `b`" is
-//! then `clocks[b][chain(a)] ≥ pos(a)`.
+//! detached stand-ins), and "`a` reaches `b`" is `clocks[b][chain(a)] ≥
+//! pos(a)`.
 //!
 //! The rule is applied per (read source, chain) instead of per writer pair:
 //! for the readers of `t1`'s write of `x`, only the *last* writer of `x` in
@@ -52,13 +52,47 @@
 //! than the textbook one but has the same transitive closure after every
 //! round, so the rounds, the cycle check and every consumer of the
 //! [`Saturated`] order (all of which only ask for linear extensions) see the
-//! same constraints.  A round costs `O((V + E + reads + W log W) · k)`.
+//! same constraints.
+//!
+//! Nothing is swept per call; three things are kept exact instead:
+//!
+//! * **Clocks.**  A row only grows as edges are added, so a new edge `a → b`
+//!   — base or derived — is absorbed by pushing `a`'s row (with `a` itself)
+//!   along `a`'s out-edges, and on from every row that grew, in recording
+//!   order, stopping wherever a row stops growing.  That reaches the
+//!   fixpoint a sweep along a topological order would.  A chain that
+//!   appears mid-window (a detached stand-in) widens every row.  The graph
+//!   was acyclic before, so the new edges close a cycle iff one of them
+//!   enters [`ROOT`] or its head's row reaches the head itself afterwards.
+//! * **The rule** revisits only the `(variable, source)` read groups that
+//!   hold a new reader or a reader whose row grew, in the order a full scan
+//!   visits them.  A group whose readers' rows are unchanged derives nothing
+//!   new: every writer it sees already reached its source when the group
+//!   was last visited (a writer that arrived since is seen only through a
+//!   grown row).  So every round derives the edges a full scan would, in the
+//!   same order — the same graph, rounds, cycles and witnesses.  Each
+//!   variable keeps its writers sorted by chain position and its write-read
+//!   edges sorted by source as they arrive; a grown reader's groups are
+//!   found by binary search, and once most rows have grown every group is
+//!   rescanned instead.
+//! * **The topological order** is not needed to saturate; the hint-keyed
+//!   Kahn order runs once, on the final graph, when a consumer asks for it
+//!   ([`Saturated::topo`]).
+//!
+//! A round costs `O(k · (E↑ · log V + R↑ · log W))`: `E↑` the edges leaving
+//! vertices whose rows grew (a heap step and a `k`-word max each), `R↑` the
+//! reads of the groups it revisits (a `k`-word max each, and per group one
+//! binary search per chain in a writer list of length `W`).  A search-mode
+//! probe therefore costs what its batch changed, not the window.
 //!
 //! A successful causal check returns the [`Saturated`] order — the input the
 //! NP-hard SI/SER searches in [`crate::linearization`] start from.
 
 use crate::digraph::DiGraph;
 use crate::po::{TxnPartialOrder, ROOT};
+use std::cell::OnceCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A violation found by a saturation checker: a cycle the commit order would
 /// have to contain.
@@ -79,28 +113,113 @@ impl CycleViolation {
     }
 }
 
+/// A non-initial writer of some variable as `((chain, position), vertex)`.
+type ChainWriter = ((u32, u32), u32);
+
+/// A write-read edge of one variable as the rule scans it: `reader` read the
+/// variable from `source`.  `pending` while the edge's `(variable, source)`
+/// group awaits the rule — the edge is new, or its reader's row grew.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ReadEdge {
+    source: u32,
+    reader: u32,
+    pending: bool,
+}
+
+/// One variable as the rule sees it, kept in step with the partial order.
+#[derive(Debug, Default)]
+struct VarState {
+    /// Non-initial writers sorted by chain position: the first `len` of
+    /// `po.writers_by_var[var][1..]`.
+    writers: Vec<ChainWriter>,
+    /// The write-read edges of `po.wr_by_var[var]`, sorted.
+    reads: Vec<ReadEdge>,
+    /// Some edge in `reads` is pending.
+    pending: bool,
+}
+
+impl VarState {
+    fn pend_all(&mut self) {
+        self.reads.iter_mut().for_each(|e| e.pending = true);
+        self.pending = true;
+    }
+}
+
+/// The chain-clock table: `words[v * k + c]` is the last position of chain
+/// `c` that strictly reaches `v`, 0 for none.
+#[derive(Debug, Default)]
+struct Clocks {
+    words: Vec<u32>,
+    /// Chains per row.
+    k: usize,
+}
+
+impl Clocks {
+    fn row(&self, v: u32) -> &[u32] {
+        &self.words[v as usize * self.k..][..self.k]
+    }
+
+    fn reaches(&self, po: &TxnPartialOrder, a: u32, b: u32) -> bool {
+        if a == ROOT {
+            return b != ROOT; // the initial transaction precedes every chain
+        }
+        let (chain, pos) = po.chain_pos(a);
+        self.row(b)[chain as usize] >= pos
+    }
+
+    /// Give every vertex of `po` a row as wide as its chain count, keeping
+    /// what the rows already hold.
+    fn lay_out(&mut self, po: &TxnPartialOrder) {
+        let (n, k) = (po.len(), po.chains());
+        if k != self.k && self.k > 0 {
+            let mut wide = vec![0u32; n * k];
+            for (row, old) in wide.chunks_exact_mut(k).zip(self.words.chunks_exact(self.k)) {
+                row[..old.len()].copy_from_slice(old);
+            }
+            self.words = wide;
+        } else {
+            self.words.resize(n * k, 0);
+        }
+        self.k = k;
+    }
+
+    /// Raise `w`'s row to at least `row`; returns whether it grew.  [`ROOT`]
+    /// never grows: an edge into it heads a cycle.
+    fn raise(&mut self, row: &[u32], w: u32) -> bool {
+        if w == ROOT {
+            return false;
+        }
+        let mut grew = false;
+        for (seen, &from) in self.words[w as usize * self.k..][..self.k].iter_mut().zip(row) {
+            if from > *seen {
+                *seen = from;
+                grew = true;
+            }
+        }
+        grew
+    }
+}
+
 /// The saturated constraint system a causally-consistent history induces.
 ///
-/// Holds the private bookkeeping (edge-log cursor, chain clocks) that lets
-/// [`resaturate`] continue where the previous call stopped.
+/// Holds the private bookkeeping (edge-log cursor, chain clocks, per-variable
+/// writer and read lists) that lets [`resaturate`] continue where the
+/// previous call stopped.
 #[derive(Debug)]
 pub struct Saturated {
     /// `so ∪ wr` plus the derived write-write edges (not transitively
     /// closed — linear extensions are unchanged by closure).
     pub graph: DiGraph,
-    /// A topological order of [`Self::graph`], hint-ordered.
-    pub topo: Vec<u32>,
     /// Derivation rounds run so far across all [`resaturate`] calls.
     pub rounds: usize,
+    /// [`Self::topo`] of the current graph, once asked for.
+    topo: OnceCell<Vec<u32>>,
     /// Cursor into the partial order's base-edge log.
     synced_base_edges: usize,
     /// A cycle was found; every later call reports it again.
     poisoned: bool,
-    /// `clocks[v * chains + c]`: the last position of chain `c` that strictly
-    /// reaches `v` in [`Self::graph`], 0 for none.
-    clocks: Vec<u32>,
-    /// Chains per row of [`Self::clocks`].
-    chains: usize,
+    clocks: Clocks,
+    vars: Vec<VarState>,
 }
 
 impl Saturated {
@@ -109,34 +228,145 @@ impl Saturated {
     pub fn empty() -> Self {
         Saturated {
             graph: DiGraph::new(0),
-            topo: Vec::new(),
             rounds: 0,
+            topo: OnceCell::new(),
             synced_base_edges: 0,
             poisoned: false,
-            clocks: Vec::new(),
-            chains: 0,
+            clocks: Clocks::default(),
+            vars: Vec::new(),
         }
+    }
+
+    /// A topological order of [`Self::graph`] whose ties go to the lowest
+    /// recording-order hint of `po` — the order the graph was saturated
+    /// against.  Computed on the first call after the graph last changed.
+    ///
+    /// # Panics
+    ///
+    /// If the last [`resaturate`] found a cycle (there is no order).
+    pub fn topo(&self, po: &TxnPartialOrder) -> &[u32] {
+        self.topo.get_or_init(|| {
+            self.graph.topo_order_by(&po.hints).expect("a saturated graph is acyclic")
+        })
     }
 
     /// Bytes of the chain-clock table — what stands in for a reachability
     /// closure.  Vertices and chains only ever grow, so the current size is
     /// also the high-water mark; 0 until the first [`resaturate`].
     pub fn peak_closure_bytes(&self) -> usize {
-        std::mem::size_of_val(self.clocks.as_slice())
+        std::mem::size_of_val(self.clocks.words.as_slice())
     }
 
     /// Whether `a →⁺ b` in [`Self::graph`], as of the last successful
     /// [`resaturate`] against `po`.
     pub fn reaches(&self, po: &TxnPartialOrder, a: u32, b: u32) -> bool {
-        if a == ROOT {
-            return b != ROOT; // the initial transaction precedes every chain
-        }
-        let (chain, pos) = po.chain_pos(a);
-        self.clock(b)[chain as usize] >= pos
+        self.clocks.reaches(po, a, b)
     }
 
-    fn clock(&self, v: u32) -> &[u32] {
-        &self.clocks[v as usize * self.chains..][..self.chains]
+    /// Absorb `edges`, already in [`Self::graph`], into the clocks: push the
+    /// row of each edge's tail (with the tail itself) along its out-edges,
+    /// then that of every vertex whose row grew, lowest hint first, until
+    /// rows stop growing.  Each vertex whose row grew is appended to `grown`
+    /// once.  Returns whether the edges closed a cycle.
+    fn propagate(
+        &mut self,
+        po: &TxnPartialOrder,
+        edges: &[(u32, u32)],
+        grown: &mut Vec<u32>,
+    ) -> bool {
+        const QUEUED: u8 = 1;
+        const GREW: u8 = 2;
+        let mut marks = vec![0u8; self.graph.len()];
+        // The tails, sorted, and a heap of what grew: on a whole-history
+        // call every vertex is a tail, and the heap stays small.
+        let mut tails = Vec::new();
+        for &(a, _) in edges {
+            // ROOT is in no chain: its row passes nothing along.
+            if a != ROOT && marks[a as usize] & QUEUED == 0 {
+                marks[a as usize] |= QUEUED;
+                tails.push((po.hints[a as usize], a));
+            }
+        }
+        tails.sort_unstable();
+        let mut tails = tails.into_iter().peekable();
+        let mut ready = BinaryHeap::new();
+        let mut row = vec![0u32; self.clocks.k];
+        loop {
+            let next = match (tails.peek(), ready.peek()) {
+                (Some(tail), Some(Reverse(grew))) if grew < tail => ready.pop().map(|Reverse(v)| v),
+                (Some(_), _) => tails.next(),
+                (None, _) => ready.pop().map(|Reverse(v)| v),
+            };
+            let Some((_, v)) = next else { break };
+            marks[v as usize] &= !QUEUED;
+            row.copy_from_slice(self.clocks.row(v));
+            let (chain, pos) = po.chain_pos(v);
+            row[chain as usize] = pos;
+            for &w in self.graph.neighbors(v) {
+                if !self.clocks.raise(&row, w) {
+                    continue;
+                }
+                let mark = &mut marks[w as usize];
+                if *mark & GREW == 0 {
+                    grown.push(w);
+                }
+                if *mark & QUEUED == 0 {
+                    ready.push(Reverse((po.hints[w as usize], w)));
+                }
+                *mark |= GREW | QUEUED;
+            }
+        }
+        edges.iter().any(|&(_, b)| {
+            b == ROOT || {
+                let (chain, pos) = po.chain_pos(b);
+                self.clocks.row(b)[chain as usize] >= pos
+            }
+        })
+    }
+
+    /// Catch every variable up with `po`: new writers go into the sorted
+    /// writer list, new write-read edges into the sorted read list, pending.
+    /// Returns whether the rule can fire at all: some variable has another
+    /// writer than the initial transaction, and a read.
+    fn sync_vars(&mut self, po: &TxnPartialOrder) -> bool {
+        self.vars.resize_with(po.n_vars(), VarState::default);
+        let mut fires = false;
+        for (var, state) in self.vars.iter_mut().enumerate() {
+            for &w in &po.writers_by_var[var][1 + state.writers.len()..] {
+                let at = (po.chain_pos(w), w);
+                state.writers.insert(state.writers.partition_point(|&x| x < at), at);
+            }
+            let synced = state.reads.len();
+            let new = po.wr_by_var[var][synced..].iter();
+            state.reads.extend(new.map(|&(source, reader)| ReadEdge {
+                source,
+                reader,
+                pending: true,
+            }));
+            // Readers mostly read recent writers, so new edges mostly sort
+            // last already.
+            if !state.reads[synced.saturating_sub(1)..].is_sorted() {
+                state.reads.sort();
+            }
+            state.pending |= state.reads.len() > synced;
+            fires |= !state.writers.is_empty() && !state.reads.is_empty();
+        }
+        fires
+    }
+
+    /// Flag every read group `v` is a reader in as pending.
+    fn mark_reader(&mut self, po: &TxnPartialOrder, v: u32) {
+        for &(var, source) in &po.reads[v as usize] {
+            let state = &mut self.vars[var as usize];
+            let at = state.reads.partition_point(|e| (e.source, e.reader) < (source, v));
+            state.reads[at].pending = true;
+            state.pending = true;
+        }
+    }
+
+    fn poison(&mut self) -> CycleViolation {
+        self.poisoned = true;
+        CycleViolation::from_graph(&self.graph)
     }
 }
 
@@ -187,6 +417,7 @@ pub fn check_read_atomic(po: &TxnPartialOrder) -> Result<Vec<u32>, CycleViolatio
 pub fn check_causal(po: &TxnPartialOrder) -> Result<Saturated, CycleViolation> {
     let mut sat = Saturated::empty();
     resaturate(&mut sat, po)?;
+    sat.topo(po); // every consumer of a whole-history check reads the order
     Ok(sat)
 }
 
@@ -199,106 +430,83 @@ pub fn resaturate(sat: &mut Saturated, po: &TxnPartialOrder) -> Result<(), Cycle
     if sat.poisoned {
         return Err(CycleViolation::from_graph(&sat.graph));
     }
+    let known = sat.graph.len() as u32;
     while sat.graph.len() < po.len() {
         sat.graph.add_vertex();
     }
-    let synced_from = sat.synced_base_edges;
-    sat.synced_base_edges = po.edge_log().len();
-    let mut added = false;
-    for &(a, b) in &po.edge_log()[synced_from..] {
-        added |= sat.graph.add_edge(a, b);
-    }
-    if !added && sat.topo.len() == sat.graph.len() {
+    let synced_from = std::mem::replace(&mut sat.synced_base_edges, po.edge_log().len());
+    let mut added: Vec<(u32, u32)> = po.edge_log()[synced_from..]
+        .iter()
+        .copied()
+        .filter(|&(a, b)| sat.graph.add_edge(a, b))
+        .collect();
+    if added.is_empty() {
         return Ok(()); // nothing new since the previous fixpoint
     }
-    refresh(sat, po)?;
-
-    // The variables the rule can fire on — another writer than the initial
-    // transaction, and a read — each as its write-read edges grouped by
-    // source and its writers keyed by chain position.
-    let scanned: Vec<ScannedVar> = (0..po.n_vars())
-        .filter(|&var| po.writers_by_var[var].len() > 1 && !po.wr_by_var[var].is_empty())
-        .map(|var| {
-            let mut reads = po.wr_by_var[var].clone();
-            reads.sort_unstable();
-            let mut writers: Vec<ChainWriter> =
-                po.writers_by_var[var][1..].iter().map(|&w| (po.chain_pos(w), w)).collect();
-            writers.sort_unstable();
-            (reads, writers)
-        })
-        .collect();
-    let mut derived: Vec<(u32, u32)> = Vec::new();
-    while !scanned.is_empty() {
-        sat.rounds += 1;
-        apply_rule(po, sat, &scanned, &mut derived);
-        if derived.is_empty() {
-            break;
-        }
-        for (a, b) in derived.drain(..) {
-            sat.graph.add_edge(a, b);
-        }
-        refresh(sat, po)?;
+    sat.topo.take();
+    // A cycle among the base edges leaves the table at its size before this
+    // call, as a sweep that gave up before re-laying it out would.
+    let laid_out = sat.clocks.words.len();
+    sat.clocks.lay_out(po);
+    let mut grown = Vec::new();
+    if sat.propagate(po, &added, &mut grown) {
+        sat.clocks.words.truncate(laid_out);
+        return Err(sat.poison());
     }
-    Ok(())
-}
-
-/// A non-initial writer of some variable as `((chain, position), vertex)`.
-type ChainWriter = ((u32, u32), u32);
-
-/// One variable as the rule scans it: its write-read edges sorted by source,
-/// and its non-initial writers sorted by chain position.
-type ScannedVar = (Vec<(u32, u32)>, Vec<ChainWriter>);
-
-/// Recompute the topological order (detecting cycles) and, along it, the
-/// chain clocks after the edge set changed.
-fn refresh(sat: &mut Saturated, po: &TxnPartialOrder) -> Result<(), CycleViolation> {
-    let Some(topo) = sat.graph.topo_order_by(&po.hints) else {
-        sat.poisoned = true;
-        return Err(CycleViolation::from_graph(&sat.graph));
-    };
-    let k = po.chains();
-    sat.chains = k;
-    sat.clocks.clear();
-    sat.clocks.resize(sat.graph.len() * k, 0);
-    // Every predecessor of `v` comes before it in `topo`, so `v`'s row is
-    // final when it is pushed on to `v`'s successors — with `v` itself added.
-    let mut row = vec![0u32; k];
-    for &v in &topo {
-        if v == ROOT {
-            continue; // in no chain, reached by nothing
-        }
-        row.copy_from_slice(sat.clock(v));
-        let (chain, pos) = po.chain_pos(v);
-        row[chain as usize] = pos;
-        for &w in sat.graph.neighbors(v) {
-            let successor = &mut sat.clocks[w as usize * k..][..k];
-            for (seen, &from_v) in successor.iter_mut().zip(&row) {
-                *seen = (*seen).max(from_v);
+    if !sat.sync_vars(po) {
+        return Ok(()); // no variable the rule can fire on: no round
+    }
+    // A vertex new to this call has only new reads, pending already.
+    grown.retain(|&v| v < known);
+    let mut derived = Vec::new();
+    loop {
+        sat.rounds += 1;
+        // Once most rows grew, rescanning every group is cheaper than
+        // finding the grown readers' groups one by one.
+        if grown.len() > sat.graph.len() / 4 {
+            sat.vars.iter_mut().for_each(VarState::pend_all);
+        } else {
+            for &v in &grown {
+                sat.mark_reader(po, v);
             }
         }
+        apply_rule(po, &sat.clocks, &mut sat.vars, &mut derived);
+        if derived.is_empty() {
+            return Ok(());
+        }
+        added.clear();
+        added.extend(derived.drain(..).filter(|&(a, b)| sat.graph.add_edge(a, b)));
+        grown.clear();
+        if sat.propagate(po, &added, &mut grown) {
+            return Err(sat.poison());
+        }
     }
-    sat.topo = topo;
-    Ok(())
 }
 
-/// One application of the causal visibility rule to every scanned variable,
-/// collecting the write-write edges it forces: per read source `t1` and
-/// chain, the last writer of the variable in the chain that some reader of
-/// `t1` sees must commit before `t1`.  Earlier writers of the chain follow
-/// through the chain's own edges.
+/// One application of the causal visibility rule to every pending
+/// `(var, t1)` read group, in variable then source order, collecting the
+/// write-write edges it forces: per chain, the last writer of `var` in the
+/// chain that some reader of `t1`'s write sees must commit before `t1`.
+/// Earlier writers of the chain follow through the chain's own edges.
 fn apply_rule(
     po: &TxnPartialOrder,
-    sat: &Saturated,
-    scanned: &[ScannedVar],
+    clocks: &Clocks,
+    vars: &mut [VarState],
     out: &mut Vec<(u32, u32)>,
 ) {
-    let mut seen = vec![0u32; sat.chains];
-    for (reads, writers) in scanned {
-        for readers in reads.chunk_by(|a, b| a.0 == b.0) {
-            let t1 = readers[0].0;
+    let mut seen = vec![0u32; clocks.k];
+    for state in vars.iter_mut().filter(|state| state.pending) {
+        state.pending = false;
+        let writers = &state.writers;
+        for group in state.reads.chunk_by_mut(|a, b| a.source == b.source) {
+            if !group.iter().any(|e| e.pending) {
+                continue;
+            }
+            group.iter_mut().for_each(|e| e.pending = false);
+            let t1 = group[0].source;
             seen.fill(0);
-            for &(_, t3) in readers {
-                for (upto, &c) in seen.iter_mut().zip(sat.clock(t3)) {
+            for e in &*group {
+                for (upto, &c) in seen.iter_mut().zip(clocks.row(e.reader)) {
                     *upto = (*upto).max(c);
                 }
             }
@@ -308,7 +516,7 @@ fn apply_rule(
                     continue;
                 };
                 // `t2 == t1`, or `t2` already before `t1`: nothing to add.
-                if c as usize == chain && t2 != t1 && !sat.reaches(po, t2, t1) {
+                if c as usize == chain && t2 != t1 && !clocks.reaches(po, t2, t1) {
                     out.push((t2, t1));
                 }
             }
@@ -392,8 +600,8 @@ mod tests {
         assert!(check_read_atomic(&po).is_ok());
         let sat = check_causal(&po).unwrap();
         assert!(sat.rounds <= 2, "rounds: {}", sat.rounds);
-        assert_eq!(sat.topo.len(), 3);
-        assert_eq!(sat.topo[0], 0, "the initial transaction comes first");
+        assert_eq!(sat.topo(&po).len(), 3);
+        assert_eq!(sat.topo(&po)[0], 0, "the initial transaction comes first");
     }
 
     /// A session-order-respecting chain of reads is causal, and saturation
@@ -407,7 +615,7 @@ mod tests {
         let po = build(&h);
         let sat = check_causal(&po).unwrap();
         // init < s0:0 < s1:0 < s0:1 is forced.
-        let pos = |v: u32| sat.topo.iter().position(|&u| u == v).unwrap();
+        let pos = |v: u32| sat.topo(&po).iter().position(|&u| u == v).unwrap();
         assert!(pos(0) < pos(1) && pos(1) < pos(3) && pos(3) < pos(2));
     }
 
@@ -521,12 +729,152 @@ mod tests {
         }
     }
 
-    /// Chain clocks against brute force.  Random partial orders — 3–6
-    /// sessions, detached stand-ins under real and `past?n` identities,
-    /// reads parked on a writer that arrives later — grown a few
-    /// transactions at a time: after every [`resaturate`] the clocks answer
-    /// every pair as a DFS over the saturated graph does, and the final
-    /// verdict and closure are the reference fixpoint's.
+    /// One variable as [`FullSweep`] scans it: its write-read edges sorted by
+    /// source, and its non-initial writers sorted by chain position.
+    type ScannedVar = (Vec<(u32, u32)>, Vec<ChainWriter>);
+
+    /// The engine before saturation became incremental in its derivation,
+    /// kept as the oracle for [`resaturate`]: every call that absorbed
+    /// something re-sorts the whole graph, refills every clock row along that
+    /// order, and applies the rule to every read group of every variable.
+    #[derive(Default)]
+    struct FullSweep {
+        graph: DiGraph,
+        topo: Vec<u32>,
+        rounds: usize,
+        synced_base_edges: usize,
+        poisoned: bool,
+        clocks: Vec<u32>,
+        chains: usize,
+    }
+
+    impl FullSweep {
+        fn clock(&self, v: u32) -> &[u32] {
+            &self.clocks[v as usize * self.chains..][..self.chains]
+        }
+
+        fn reaches(&self, po: &TxnPartialOrder, a: u32, b: u32) -> bool {
+            if a == ROOT {
+                return b != ROOT;
+            }
+            let (chain, pos) = po.chain_pos(a);
+            self.clock(b)[chain as usize] >= pos
+        }
+
+        fn resaturate(&mut self, po: &TxnPartialOrder) -> Result<(), CycleViolation> {
+            if self.poisoned {
+                return Err(CycleViolation::from_graph(&self.graph));
+            }
+            while self.graph.len() < po.len() {
+                self.graph.add_vertex();
+            }
+            let synced_from = std::mem::replace(&mut self.synced_base_edges, po.edge_log().len());
+            let mut added = false;
+            for &(a, b) in &po.edge_log()[synced_from..] {
+                added |= self.graph.add_edge(a, b);
+            }
+            if !added && self.topo.len() == self.graph.len() {
+                return Ok(());
+            }
+            self.refresh(po)?;
+            let scanned: Vec<ScannedVar> = (0..po.n_vars())
+                .filter(|&var| po.writers_by_var[var].len() > 1 && !po.wr_by_var[var].is_empty())
+                .map(|var| {
+                    let mut reads = po.wr_by_var[var].clone();
+                    reads.sort_unstable();
+                    let mut writers: Vec<ChainWriter> =
+                        po.writers_by_var[var][1..].iter().map(|&w| (po.chain_pos(w), w)).collect();
+                    writers.sort_unstable();
+                    (reads, writers)
+                })
+                .collect();
+            let mut derived = Vec::new();
+            while !scanned.is_empty() {
+                self.rounds += 1;
+                self.apply_rule(po, &scanned, &mut derived);
+                if derived.is_empty() {
+                    break;
+                }
+                for (a, b) in derived.drain(..) {
+                    self.graph.add_edge(a, b);
+                }
+                self.refresh(po)?;
+            }
+            Ok(())
+        }
+
+        fn refresh(&mut self, po: &TxnPartialOrder) -> Result<(), CycleViolation> {
+            let Some(topo) = self.graph.topo_order_by(&po.hints) else {
+                self.poisoned = true;
+                return Err(CycleViolation::from_graph(&self.graph));
+            };
+            let k = po.chains();
+            self.chains = k;
+            self.clocks.clear();
+            self.clocks.resize(self.graph.len() * k, 0);
+            let mut row = vec![0u32; k];
+            for &v in &topo {
+                if v == ROOT {
+                    continue;
+                }
+                row.copy_from_slice(self.clock(v));
+                let (chain, pos) = po.chain_pos(v);
+                row[chain as usize] = pos;
+                for &w in self.graph.neighbors(v) {
+                    let successor = &mut self.clocks[w as usize * k..][..k];
+                    for (seen, &from_v) in successor.iter_mut().zip(&row) {
+                        *seen = (*seen).max(from_v);
+                    }
+                }
+            }
+            self.topo = topo;
+            Ok(())
+        }
+
+        fn apply_rule(
+            &self,
+            po: &TxnPartialOrder,
+            scanned: &[ScannedVar],
+            out: &mut Vec<(u32, u32)>,
+        ) {
+            let mut seen = vec![0u32; self.chains];
+            for (reads, writers) in scanned {
+                for readers in reads.chunk_by(|a, b| a.0 == b.0) {
+                    let t1 = readers[0].0;
+                    seen.fill(0);
+                    for &(_, t3) in readers {
+                        for (upto, &c) in seen.iter_mut().zip(self.clock(t3)) {
+                            *upto = (*upto).max(c);
+                        }
+                    }
+                    for (chain, &upto) in seen.iter().enumerate() {
+                        let visible =
+                            writers.partition_point(|&(at, _)| at <= (chain as u32, upto));
+                        let Some(&((c, _), t2)) = visible.checked_sub(1).map(|last| &writers[last])
+                        else {
+                            continue;
+                        };
+                        if c as usize == chain && t2 != t1 && !self.reaches(po, t2, t1) {
+                            out.push((t2, t1));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Chain clocks against brute force, and the incremental engine against
+    /// [`FullSweep`].  Random partial orders — 3–6 sessions; detached
+    /// stand-ins under real and `past?n` identities, which add chains after
+    /// the clock table exists; reads parked on a writer that arrives later;
+    /// stale and initial-value reads that plant cycles, some through a
+    /// derived edge into [`ROOT`] — grown a few transactions at a time.
+    /// After every [`resaturate`] both engines hold the same edges in the
+    /// same adjacency order, the same rounds, the same table size and the
+    /// same verdict, cycle path included; on success they hold the same
+    /// clocks and topological order, the clocks answer every pair as a DFS
+    /// over the saturated graph does, and the final verdict and closure are
+    /// the reference fixpoint's.
     #[test]
     fn chain_clocks_agree_with_brute_force_reachability() {
         use crate::history::{AccessSet, AuditTxn};
@@ -534,6 +882,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let (mut acyclic, mut derived, mut parked) = (0, 0, 0);
+        let (mut widened, mut base_cycles, mut into_root) = (0, 0, 0);
         for seed in 0..100u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let sessions = rng.gen_range(3..=6usize);
@@ -544,10 +893,12 @@ mod tests {
                 (0..n).map(|_| rng.gen_bool(0.6).then(|| rng.gen_range(0..vars))).collect();
             let mut po = TxnPartialOrder::new(vars, 0);
             let mut sat = Saturated::empty();
+            let mut reference = FullSweep::default();
             let mut seqs = vec![0usize; sessions];
             let mut verdict = Ok(());
             let mut i = 0;
             while i < n && verdict.is_ok() {
+                let chains = po.chains();
                 for i in i..n.min(i + rng.gen_range(1..=4usize)) {
                     let mut reads = AccessSet::new();
                     for var in 0..vars {
@@ -555,14 +906,15 @@ mod tests {
                             continue;
                         }
                         // Mostly the latest writer of `var` (the initial
-                        // value before any), rarely the one before it,
-                        // rarely one still to come.
+                        // value before any), rarely the one before it or the
+                        // initial value regardless, rarely one still to come.
                         let writes_var = |w: &usize| writes[*w] == Some(var);
                         let writer = (i + 1..n.min(i + 4))
                             .find(|w| rng.gen_bool(0.03) && writes_var(w))
                             .or_else(|| {
                                 (0..i).rev().filter(writes_var).nth(usize::from(rng.gen_bool(0.02)))
-                            });
+                            })
+                            .filter(|_| !rng.gen_bool(0.01));
                         parked += usize::from(writer.is_some_and(|w| w > i));
                         reads.push((var, writer.map_or(0, |w| w as i64 + 1)));
                     }
@@ -583,18 +935,27 @@ mod tests {
                     }
                     .unwrap();
                 }
+                widened += usize::from(sat.peak_closure_bytes() > 0 && po.chains() > chains);
                 i = po.len() - 1;
+                let rounds = sat.rounds;
                 verdict = resaturate(&mut sat, &po);
+                // A cycle among the new base edges fails before any round.
+                base_cycles += usize::from(verdict.is_err() && sat.rounds == rounds);
+                let at = format!("seed {seed}, {i} txns");
+                assert_eq!(reference.resaturate(&po), verdict, "{at}");
+                assert_eq!(sat.rounds, reference.rounds, "{at}");
+                assert_eq!(sat.peak_closure_bytes(), 4 * reference.clocks.len(), "{at}");
+                for v in 0..po.len() as u32 {
+                    assert_eq!(sat.graph.neighbors(v), reference.graph.neighbors(v), "{at}: {v}");
+                }
                 if verdict.is_ok() {
+                    assert_eq!(sat.clocks.words, reference.clocks, "{at}");
+                    assert_eq!(sat.topo(&po), reference.topo, "{at}");
                     let reach = closure(&sat.graph);
                     for a in 0..po.len() as u32 {
                         for b in 0..po.len() as u32 {
-                            assert_eq!(
-                                sat.reaches(&po, a, b),
-                                reach[a as usize][b as usize],
-                                "seed {seed}, {} txns: {a} → {b}",
-                                po.len() - 1
-                            );
+                            let reached = reach[a as usize][b as usize];
+                            assert_eq!(sat.reaches(&po, a, b), reached, "{at}: {a} → {b}");
                         }
                     }
                     assert_eq!(sat.peak_closure_bytes(), po.len() * po.chains() * 4);
@@ -607,11 +968,20 @@ mod tests {
                     derived += sat.graph.edge_count() - po.base.edge_count();
                 }
                 // A cycle stops the incremental run early; the reference
-                // sees the same prefix, so it must find one too.
-                (Err(_), Err(())) => {}
+                // sees the same prefix, so it must find one too.  No base
+                // edge enters the initial transaction, so a cycle through it
+                // closed on a derived edge.
+                (Err(cycle), Err(())) => into_root += usize::from(cycle.path.contains(&ROOT)),
                 other => panic!("seed {seed}: verdicts differ: {other:?}"),
             }
         }
-        assert!(acyclic >= 30 && derived >= 100 && parked >= 20, "{acyclic} {derived} {parked}");
+        assert!(
+            acyclic >= 30 && derived >= 100 && parked >= 20,
+            "{acyclic} acyclic, {derived} derived edges, {parked} parked reads"
+        );
+        assert!(
+            widened >= 100 && base_cycles >= 10 && into_root >= 10,
+            "{widened} widened tables, {base_cycles} base cycles, {into_root} cycles into ROOT"
+        );
     }
 }

@@ -19,10 +19,13 @@
 //!   ([`DecidedBy::Hint`]) and never builds a saturation graph or a closure.
 //!   From the first probe that does *not* verify, the window is in search
 //!   mode for good: causal saturation catches up from the edge log and then
-//!   absorbs each batch of new edges ([`resaturate`]), answering visibility
-//!   from one clock word per (transaction, session chain) instead of a
-//!   closure — [`StreamReport::peak_closure_bytes`] is that table — the
-//!   lost-update rule runs at every probe (so convictions land mid-window),
+//!   absorbs each batch of new edges ([`resaturate`]) at the cost of what
+//!   the batch changed — clocks grow forward from the new edges, and the
+//!   rule re-fires only on read groups whose readers' clocks grew —
+//!   answering visibility from one clock word per (transaction, session
+//!   chain) instead of a closure ([`StreamReport::peak_closure_bytes`] is
+//!   that table); the lost-update rule runs at every probe (so convictions
+//!   land mid-window),
 //!   and the close climbs the hierarchy through the DFS and, when asked, the
 //!   solver.  What selects the path is a property of the input — nothing is
 //!   configured;
@@ -119,7 +122,10 @@ pub struct WindowConfig {
     pub retain_windows: usize,
     /// Probe granularity, in transactions: how often the in-flight window
     /// re-verifies its recording order — or, once that has failed, refreshes
-    /// its causal verdict and lost-update probe.
+    /// its causal verdict and lost-update probe.  A search-mode probe's
+    /// saturation costs what the batch changed (its new edges and the clock
+    /// rows they raise), not the window; its lost-update probe still scans
+    /// the window.
     pub batch: usize,
     /// Put the commit-order solver behind each window's NP-hard levels (DFS
     /// probe, solver, full-budget DFS); it is sized for windows this large.
