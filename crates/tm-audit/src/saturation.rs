@@ -70,20 +70,28 @@
 //!   new: every writer it sees already reached its source when the group
 //!   was last visited (a writer that arrived since is seen only through a
 //!   grown row).  So every round derives the edges a full scan would, in the
-//!   same order — the same graph, rounds, cycles and witnesses.  Each
-//!   variable keeps its writers sorted by chain position and its write-read
-//!   edges sorted by source as they arrive; a grown reader's groups are
-//!   found by binary search, and once most rows have grown every group is
-//!   rescanned instead.
+//!   same order — the same graph, rounds, cycles and witnesses.  The groups
+//!   to visit are listed as the edges and grown rows come in (the reads of a
+//!   grown reader name its groups), then sorted; each variable keeps its
+//!   writers sorted by chain position and its write-read edges sorted by
+//!   source as they arrive, so a group is found by binary search.
 //! * **The topological order** is not needed to saturate; the hint-keyed
 //!   Kahn order runs once, on the final graph, when a consumer asks for it
 //!   ([`Saturated::topo`]).
 //!
-//! A round costs `O(k · (E↑ · log V + R↑ · log W))`: `E↑` the edges leaving
-//! vertices whose rows grew (a heap step and a `k`-word max each), `R↑` the
-//! reads of the groups it revisits (a `k`-word max each, and per group one
-//! binary search per chain in a writer list of length `W`).  A search-mode
-//! probe therefore costs what its batch changed, not the window.
+//! A round touches only what grew.  For `E↑` the edges leaving vertices
+//! whose rows grew and `R↑` the reads of the `G↑` groups it revisits, it pays
+//! a heap step and a `k`-word max per edge, a `k`-word max per read, and per
+//! group a sort step, a binary search in the variable's read list and one per
+//! chain in its writer list (length `W`): `O(k · (E↑ + R↑) + E↑ · log V +
+//! G↑ · (log G↑ + log R + k · log W))`.  Absorbing a call's batch costs its
+//! own size — its edges, and its writers and write-read edges appended to
+//! their variables' lists — plus a length check per variable.  Two steps
+//! still cost the window, each only on an occasion the batch brings: a new
+//! chain (a detached stand-in) re-lays out the table (`V · k` words), and a
+//! writer or write-read edge that sorts before its list's last re-sorts
+//! that list.  Otherwise a search-mode probe costs what its batch changed,
+//! not the window.
 //!
 //! A successful causal check returns the [`Saturated`] order — the input the
 //! NP-hard SI/SER searches in [`crate::linearization`] start from.
@@ -116,33 +124,15 @@ impl CycleViolation {
 /// A non-initial writer of some variable as `((chain, position), vertex)`.
 type ChainWriter = ((u32, u32), u32);
 
-/// A write-read edge of one variable as the rule scans it: `reader` read the
-/// variable from `source`.  `pending` while the edge's `(variable, source)`
-/// group awaits the rule — the edge is new, or its reader's row grew.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct ReadEdge {
-    source: u32,
-    reader: u32,
-    pending: bool,
-}
-
 /// One variable as the rule sees it, kept in step with the partial order.
 #[derive(Debug, Default)]
 struct VarState {
     /// Non-initial writers sorted by chain position: the first `len` of
     /// `po.writers_by_var[var][1..]`.
     writers: Vec<ChainWriter>,
-    /// The write-read edges of `po.wr_by_var[var]`, sorted.
-    reads: Vec<ReadEdge>,
-    /// Some edge in `reads` is pending.
-    pending: bool,
-}
-
-impl VarState {
-    fn pend_all(&mut self) {
-        self.reads.iter_mut().for_each(|e| e.pending = true);
-        self.pending = true;
-    }
+    /// The write-read edges of `po.wr_by_var[var]` as `(source, reader)`,
+    /// sorted.
+    reads: Vec<(u32, u32)>,
 }
 
 /// The chain-clock table: `words[v * k + c]` is the last position of chain
@@ -220,6 +210,9 @@ pub struct Saturated {
     poisoned: bool,
     clocks: Clocks,
     vars: Vec<VarState>,
+    /// Per-vertex scratch flags of [`Self::propagate`], all clear between
+    /// calls.
+    marks: Vec<u8>,
 }
 
 impl Saturated {
@@ -234,6 +227,7 @@ impl Saturated {
             poisoned: false,
             clocks: Clocks::default(),
             vars: Vec::new(),
+            marks: Vec::new(),
         }
     }
 
@@ -276,7 +270,9 @@ impl Saturated {
     ) -> bool {
         const QUEUED: u8 = 1;
         const GREW: u8 = 2;
-        let mut marks = vec![0u8; self.graph.len()];
+        let marks = &mut self.marks;
+        marks.resize(self.graph.len(), 0);
+        let first_grown = grown.len();
         // The tails, sorted, and a heap of what grew: on a whole-history
         // call every vertex is a tail, and the heap stays small.
         let mut tails = Vec::new();
@@ -316,6 +312,10 @@ impl Saturated {
                 *mark |= GREW | QUEUED;
             }
         }
+        // Every queued vertex was taken: only the grown ones hold a mark.
+        for &w in &grown[first_grown..] {
+            marks[w as usize] = 0;
+        }
         edges.iter().any(|&(_, b)| {
             b == ROOT || {
                 let (chain, pos) = po.chain_pos(b);
@@ -325,43 +325,22 @@ impl Saturated {
     }
 
     /// Catch every variable up with `po`: new writers go into the sorted
-    /// writer list, new write-read edges into the sorted read list, pending.
-    /// Returns whether the rule can fire at all: some variable has another
-    /// writer than the initial transaction, and a read.
-    fn sync_vars(&mut self, po: &TxnPartialOrder) -> bool {
+    /// writer list, new write-read edges into the sorted read list and their
+    /// `(var, source)` groups into `pending`.  Returns whether the rule can
+    /// fire at all: some variable has another writer than the initial
+    /// transaction, and a read.
+    fn sync_vars(&mut self, po: &TxnPartialOrder, pending: &mut Vec<(u32, u32)>) -> bool {
         self.vars.resize_with(po.n_vars(), VarState::default);
         let mut fires = false;
         for (var, state) in self.vars.iter_mut().enumerate() {
-            for &w in &po.writers_by_var[var][1 + state.writers.len()..] {
-                let at = (po.chain_pos(w), w);
-                state.writers.insert(state.writers.partition_point(|&x| x < at), at);
-            }
-            let synced = state.reads.len();
-            let new = po.wr_by_var[var][synced..].iter();
-            state.reads.extend(new.map(|&(source, reader)| ReadEdge {
-                source,
-                reader,
-                pending: true,
-            }));
-            // Readers mostly read recent writers, so new edges mostly sort
-            // last already.
-            if !state.reads[synced.saturating_sub(1)..].is_sorted() {
-                state.reads.sort();
-            }
-            state.pending |= state.reads.len() > synced;
+            let new = &po.writers_by_var[var][1 + state.writers.len()..];
+            append_sorted(&mut state.writers, new.iter().map(|&w| (po.chain_pos(w), w)));
+            let new = &po.wr_by_var[var][state.reads.len()..];
+            pending.extend(new.iter().map(|&(source, _)| (var as u32, source)));
+            append_sorted(&mut state.reads, new.iter().copied());
             fires |= !state.writers.is_empty() && !state.reads.is_empty();
         }
         fires
-    }
-
-    /// Flag every read group `v` is a reader in as pending.
-    fn mark_reader(&mut self, po: &TxnPartialOrder, v: u32) {
-        for &(var, source) in &po.reads[v as usize] {
-            let state = &mut self.vars[var as usize];
-            let at = state.reads.partition_point(|e| (e.source, e.reader) < (source, v));
-            state.reads[at].pending = true;
-            state.pending = true;
-        }
     }
 
     fn poison(&mut self) -> CycleViolation {
@@ -453,7 +432,9 @@ pub fn resaturate(sat: &mut Saturated, po: &TxnPartialOrder) -> Result<(), Cycle
         sat.clocks.words.truncate(laid_out);
         return Err(sat.poison());
     }
-    if !sat.sync_vars(po) {
+    // The `(var, source)` read groups the next round visits.
+    let mut pending = Vec::new();
+    if !sat.sync_vars(po, &mut pending) {
         return Ok(()); // no variable the rule can fire on: no round
     }
     // A vertex new to this call has only new reads, pending already.
@@ -461,16 +442,8 @@ pub fn resaturate(sat: &mut Saturated, po: &TxnPartialOrder) -> Result<(), Cycle
     let mut derived = Vec::new();
     loop {
         sat.rounds += 1;
-        // Once most rows grew, rescanning every group is cheaper than
-        // finding the grown readers' groups one by one.
-        if grown.len() > sat.graph.len() / 4 {
-            sat.vars.iter_mut().for_each(VarState::pend_all);
-        } else {
-            for &v in &grown {
-                sat.mark_reader(po, v);
-            }
-        }
-        apply_rule(po, &sat.clocks, &mut sat.vars, &mut derived);
+        pending.extend(grown.iter().flat_map(|&v| po.reads[v as usize].iter().copied()));
+        apply_rule(po, &sat.clocks, &sat.vars, &mut pending, &mut derived);
         if derived.is_empty() {
             return Ok(());
         }
@@ -483,42 +456,50 @@ pub fn resaturate(sat: &mut Saturated, po: &TxnPartialOrder) -> Result<(), Cycle
     }
 }
 
-/// One application of the causal visibility rule to every pending
-/// `(var, t1)` read group, in variable then source order, collecting the
-/// write-write edges it forces: per chain, the last writer of `var` in the
-/// chain that some reader of `t1`'s write sees must commit before `t1`.
-/// Earlier writers of the chain follow through the chain's own edges.
+/// Append `new` to the sorted `list`, re-sorting it only when something new
+/// sorts before what was last.
+fn append_sorted<T: Ord>(list: &mut Vec<T>, new: impl Iterator<Item = T>) {
+    let from = list.len().saturating_sub(1);
+    list.extend(new);
+    if !list[from..].is_sorted() {
+        list.sort_unstable();
+    }
+}
+
+/// One application of the causal visibility rule to the `(var, t1)` read
+/// groups in `pending`, in variable then source order, draining it and
+/// collecting the write-write edges it forces: per chain, the last writer of
+/// `var` in the chain that some reader of `t1`'s write sees must commit
+/// before `t1`.  Earlier writers of the chain follow through the chain's own
+/// edges.
 fn apply_rule(
     po: &TxnPartialOrder,
     clocks: &Clocks,
-    vars: &mut [VarState],
+    vars: &[VarState],
+    pending: &mut Vec<(u32, u32)>,
     out: &mut Vec<(u32, u32)>,
 ) {
+    pending.sort_unstable();
+    pending.dedup();
     let mut seen = vec![0u32; clocks.k];
-    for state in vars.iter_mut().filter(|state| state.pending) {
-        state.pending = false;
-        let writers = &state.writers;
-        for group in state.reads.chunk_by_mut(|a, b| a.source == b.source) {
-            if !group.iter().any(|e| e.pending) {
+    for (var, t1) in pending.drain(..) {
+        let VarState { writers, reads } = &vars[var as usize];
+        let group = &reads[reads.partition_point(|&(source, _)| source < t1)..];
+        let group = &group[..group.partition_point(|&(source, _)| source == t1)];
+        seen.fill(0);
+        for &(_, t3) in group {
+            for (upto, &c) in seen.iter_mut().zip(clocks.row(t3)) {
+                *upto = (*upto).max(c);
+            }
+        }
+        for (chain, &upto) in seen.iter().enumerate() {
+            let visible = writers.partition_point(|&(at, _)| at <= (chain as u32, upto));
+            let Some(&((c, _), t2)) = visible.checked_sub(1).map(|last| &writers[last]) else {
                 continue;
-            }
-            group.iter_mut().for_each(|e| e.pending = false);
-            let t1 = group[0].source;
-            seen.fill(0);
-            for e in &*group {
-                for (upto, &c) in seen.iter_mut().zip(clocks.row(e.reader)) {
-                    *upto = (*upto).max(c);
-                }
-            }
-            for (chain, &upto) in seen.iter().enumerate() {
-                let visible = writers.partition_point(|&(at, _)| at <= (chain as u32, upto));
-                let Some(&((c, _), t2)) = visible.checked_sub(1).map(|last| &writers[last]) else {
-                    continue;
-                };
-                // `t2 == t1`, or `t2` already before `t1`: nothing to add.
-                if c as usize == chain && t2 != t1 && !clocks.reaches(po, t2, t1) {
-                    out.push((t2, t1));
-                }
+            };
+            // `t2 == t1`, or `t2` already before `t1`: nothing to add.
+            if c as usize == chain && t2 != t1 && !clocks.reaches(po, t2, t1) {
+                out.push((t2, t1));
             }
         }
     }

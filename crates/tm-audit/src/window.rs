@@ -123,9 +123,12 @@ pub struct WindowConfig {
     /// Probe granularity, in transactions: how often the in-flight window
     /// re-verifies its recording order — or, once that has failed, refreshes
     /// its causal verdict and lost-update probe.  A search-mode probe's
-    /// saturation costs what the batch changed (its new edges and the clock
-    /// rows they raise), not the window; its lost-update probe still scans
-    /// the window.
+    /// saturation costs what the batch changed (its new edges, the clock
+    /// rows they raise and the read groups of those rows), not the window —
+    /// except that a new chain (a detached stand-in) re-lays out the clock
+    /// table, and a writer or read that sorts before its variable's last
+    /// re-sorts that variable's list; its lost-update probe still scans the
+    /// window.
     pub batch: usize,
     /// Put the commit-order solver behind each window's NP-hard levels (DFS
     /// probe, solver, full-budget DFS); it is sized for windows this large.
