@@ -52,16 +52,13 @@
 //!    Per-window verdicts merge into a whole-run report: **violations found
 //!    are real; cross-window SI/SER holds per window, attested, not certified
 //!    end-to-end** (see [`window`] for the full soundness statement).
-//! 4. **Shard** ([`partition`]) — a [`ShardedAuditor`] fans the merged stream
-//!    out to `K` per-variable-partition windowed auditors (each auditing the
-//!    projected sub-history on its own core) plus a cross-partition
-//!    escalation lane that re-checks straddling transactions whole.
-//!    Convictions on any partition are real; passes are attested per
-//!    partition (see [`partition`] for the sharded soundness statement).  It
-//!    is not a speed-up as measured: at commit `fe9fd64` on a 2-core host
-//!    `benchmark/`'s `replay-sharded` (K = 2) sustains 126k txn/s against
-//!    `replay-healthy`'s 713k at K = 1 and leaves 215 cells `?` that K = 1
-//!    decides — ROADMAP item 5 decides whether it is rescued or deleted.
+//! 4. **Shard** ([`partition`]) — a library leaf, not a product topology: a
+//!    [`ShardedAuditor`] fans the merged stream out to `K`
+//!    per-variable-partition windowed auditors plus a cross-partition
+//!    escalation lane.  No CLI, runner or serve path reaches it; it stays
+//!    because `benchmark/`'s `replay-sharded` measures it, where on a 2-core
+//!    host it runs about 120k txn/s against ~700k through one
+//!    [`WindowedAuditor`] and leaves over 200 cells `?` that K = 1 decides.
 //! 5. **Cross-validate** ([`adapter`]) — simulator executions convert into the
 //!    same [`AuditHistory`] type, so `tm-consistency`'s checkers and these
 //!    checkers can be compared verdict-for-verdict on identical runs.
@@ -130,8 +127,8 @@ pub mod window;
 pub use adapter::from_execution;
 pub use history::{AccessSet, AuditHistory, AuditTxn, HistoryError, TxnId};
 pub use partition::{
-    audit_sharded, partition_of, PartitionVerdict, ShardConfig, ShardConviction, ShardLagProbe,
-    ShardedAuditor, ShardedStreamReport,
+    audit_sharded, partition_of, PartitionVerdict, ShardConfig, ShardConviction, ShardedAuditor,
+    ShardedStreamReport,
 };
 pub use recovery::{FrontierSnapshot, RecoveryError};
 pub use report::{AuditReport, DecidedBy, Level, LevelReport, Outcome};
@@ -140,8 +137,8 @@ pub use report::{AuditReport, DecidedBy, Level, LevelReport, Outcome};
 /// frozen together with `benchmark/Cargo.lock`.
 pub use tm_telemetry::json;
 pub use window::{
-    audit_streamed, AuditEvent, Conviction, HistoryCollector, PartitionLag, StreamMerger,
-    StreamReport, TeeSink, TxnSink, WindowConfig, WindowVerdict, WindowedAuditor,
+    audit_streamed, AuditEvent, Conviction, HistoryCollector, StreamMerger, StreamReport, TeeSink,
+    TxnSink, WindowConfig, WindowVerdict, WindowedAuditor,
 };
 
 use linearization::{
@@ -366,12 +363,7 @@ pub(crate) fn searched_report(
         Some(_) => budget.min(PROBE_STATES_PER_TXN * po.len() as u64),
         None => budget,
     };
-    let [prefix, si, ser] = decide_np_levels(po, probe, &causal);
-    let mut cells = [
-        LevelReport::new(Level::Prefix, prefix),
-        LevelReport::new(Level::SnapshotIsolation, si),
-        LevelReport::new(Level::Serializable, ser),
-    ];
+    let mut cells = decide_np_levels(po, probe, &causal);
 
     let mut spend = SatSpend::default();
     if let Some((cfg, sat)) = solver {
@@ -385,8 +377,8 @@ pub(crate) fn searched_report(
         // all, so nothing the DFS alone would have decided stays open.
         if !cfg.force && probe < budget && cells.iter().any(|c| open_states(c).is_some()) {
             let full = decide_np_levels(po, budget, &causal);
-            for (cell, outcome) in cells.iter_mut().zip(full) {
-                match (&mut cell.outcome, outcome) {
+            for (cell, report) in cells.iter_mut().zip(full) {
+                match (&mut cell.outcome, report.outcome) {
                     (Outcome::Unknown { states, .. }, Outcome::Unknown { states: all, .. }) => {
                         *states = all;
                     }
@@ -409,11 +401,13 @@ fn decide_np_levels(
     po: &TxnPartialOrder,
     budget: u64,
     causal: &Result<Saturated, CycleViolation>,
-) -> [Outcome; 3] {
+) -> [LevelReport; 3] {
     let sat = match causal {
         Err(cycle) => {
             let implied = format!("implied by the causal violation: {}", cycle.render(po));
-            return [(); 3].map(|()| Outcome::Fail { violation: implied.clone() });
+            return [Level::Prefix, Level::SnapshotIsolation, Level::Serializable].map(|level| {
+                LevelReport::new(level, Outcome::Fail { violation: implied.clone() })
+            });
         }
         Ok(sat) => sat,
     };
@@ -504,27 +498,17 @@ fn decide_np_levels(
             ),
         },
     };
+    let mut cells = [
+        LevelReport::new(Level::Prefix, prefix),
+        LevelReport::new(Level::SnapshotIsolation, si),
+        LevelReport::new(Level::Serializable, ser),
+    ];
     // Downward implications settle exhausted searches: a Prefix refutation
-    // refutes SI, an SI refutation refutes SER.
-    let si = match (&si, &prefix) {
-        (Outcome::Unknown { .. }, Outcome::Fail { violation }) => Outcome::Fail {
-            violation: format!(
-                "implied by the prefix-consistency refutation \
-                 (snapshot-isolated ⊆ prefix-consistent): {violation}"
-            ),
-        },
-        _ => si,
-    };
-    let ser = match (&ser, &si) {
-        (Outcome::Unknown { .. }, Outcome::Fail { violation }) => Outcome::Fail {
-            violation: format!(
-                "implied by the snapshot-isolation refutation \
-                 (serializable ⊆ snapshot-isolated): {violation}"
-            ),
-        },
-        _ => ser,
-    };
-    [prefix, si, ser]
+    // refutes SI, an SI refutation refutes SER.  (The upward ones are
+    // already in: the SER witness is reused for SI, the SI one for Prefix.)
+    let [prefix, si, ser] = &mut cells;
+    apply_hierarchy(prefix, si, ser);
+    cells
 }
 
 /// The escalation stage: hand the still-undecided NP-hard levels (or, under

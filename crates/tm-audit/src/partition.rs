@@ -1,16 +1,13 @@
 //! The sharded streaming audit engine: one windowed auditor per variable
 //! partition, with a cross-partition escalation lane.
 //!
-//! **What was measured.**  Sharding was built when a window cost ~35 µs per
-//! transaction; at today's 0.9–3 µs routing a transaction costs about what
-//! auditing it does.  At commit `fe9fd64` on a 2-core host, `benchmark/`'s
-//! `replay-sharded` (K = 2) sustains 126k txn/s against `replay-healthy`'s
-//! 713k through one [`WindowedAuditor`] on the same kind of input, and leaves
-//! 215 lane cells `?` that K = 1 decides.  Nothing defaults to this
-//! topology; ROADMAP item 5 ("make sharding pay, or delete it") decides its
-//! future.  The live surface does not depend on it: the event feed
-//! ([`AuditEvent`]) belongs to the windowed auditor, and this module only
-//! labels its lanes.
+//! **What was measured.**  The `audit` CLI, the runner and the serve
+//! endpoint never reach this module: they run one [`WindowedAuditor`].  It is
+//! a library leaf, kept because `benchmark/`'s `replay-sharded` workload
+//! measures it (its reference tests and the `fuzz` lane still run it too).
+//! On a 2-core host that workload (K = 2) runs about 120k txn/s against
+//! `replay-healthy`'s ~700k through one [`WindowedAuditor`], and its lanes
+//! leave 200–231 cells `?` per run that K = 1 decides.
 //!
 //! The [`crate::window::WindowedAuditor`] bounded the *memory* of a streaming
 //! audit but consumes the merged stream on one core.  Following the
@@ -84,18 +81,11 @@
 
 use crate::history::AuditTxn;
 use crate::report::{fold_outcomes, AuditReport, DecidedBy, Level, LevelReport, Outcome};
-use crate::telemetry::AuditTelemetry;
-use crate::window::{
-    AuditEvent, Conviction, PartitionLag, StreamReport, TxnSink, WindowConfig, WindowedAuditor,
-};
+use crate::window::{Conviction, StreamReport, WindowConfig, WindowedAuditor};
 use crate::AuditHistory;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
-use std::time::Duration;
 use stm_runtime::{route_band, ROUTE_BANDS};
-use tm_telemetry::json;
 
 /// Shape of a sharded audit pipeline.
 #[derive(Debug, Clone, Copy)]
@@ -188,49 +178,6 @@ fn band_owner(band: usize, shards: usize) -> usize {
     band * shards / ROUTE_BANDS
 }
 
-#[derive(Debug, Default)]
-struct PartitionCounters {
-    routed: AtomicU64,
-    ingested: AtomicU64,
-    windows: AtomicUsize,
-    /// Queue-depth distribution, observed at every router flush: the depth
-    /// high-water mark plus sum/sample-count for the mean.
-    depth_max: AtomicU64,
-    depth_sum: AtomicU64,
-    depth_samples: AtomicU64,
-}
-
-/// A cloneable live view of every partition's lag, usable from any thread
-/// while the pipeline runs — this is what the serve endpoint samples.
-#[derive(Clone)]
-pub struct ShardLagProbe {
-    counters: Vec<Arc<PartitionCounters>>,
-}
-
-impl ShardLagProbe {
-    /// Snapshot every partition's counters (escalation lane last).
-    pub fn sample(&self) -> Vec<PartitionLag> {
-        let last = self.counters.len() - 1;
-        self.counters
-            .iter()
-            .enumerate()
-            .map(|(p, c)| {
-                let samples = c.depth_samples.load(Ordering::Relaxed);
-                let sum = c.depth_sum.load(Ordering::Relaxed);
-                PartitionLag {
-                    partition: p,
-                    escalation: p == last,
-                    routed: c.routed.load(Ordering::Relaxed),
-                    ingested: c.ingested.load(Ordering::Relaxed),
-                    windows: c.windows.load(Ordering::Relaxed),
-                    queued_max: c.depth_max.load(Ordering::Relaxed),
-                    queued_mean: if samples == 0 { 0.0 } else { sum as f64 / samples as f64 },
-                }
-            })
-            .collect()
-    }
-}
-
 /// One partition's final verdict inside a [`ShardedStreamReport`].
 #[derive(Debug, Clone)]
 pub struct PartitionVerdict {
@@ -263,8 +210,6 @@ pub struct ShardedStreamReport {
     pub merged: AuditReport,
     /// Every partition's verdict, partitions first, escalation lane last.
     pub partitions: Vec<PartitionVerdict>,
-    /// The pipeline shape that produced the report.
-    pub config: ShardConfig,
     /// Total transactions pushed into the router.
     pub total_txns: u64,
     /// Transactions whose footprint straddled bands (escalated whole).
@@ -285,148 +230,25 @@ impl ShardedStreamReport {
         self.merged.fails(level)
     }
 
-    /// Compact one-line summary of the merged verdict.
-    pub fn summary(&self) -> String {
-        self.merged.summary()
-    }
-
-    /// Longest window-close-to-verdict latency over all partitions.
-    pub fn verdict_latency_max(&self) -> Duration {
-        self.partitions.iter().map(|p| p.stream.verdict_latency_max()).max().unwrap_or_default()
-    }
-
     /// Sum of per-partition peak closure memory — an upper bound on the
     /// pipeline's simultaneous resident closure state.
     pub fn peak_closure_bytes(&self) -> usize {
         self.partitions.iter().map(|p| p.stream.peak_closure_bytes).sum()
     }
+}
 
-    /// Machine-readable form, for CI artifacts, the audit CLI's `--json` and
-    /// the serve endpoint's verdict records.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"shards\":{},\"window_size\":{},\"overlap\":{},\"total_txns\":{},\
-             \"escalated_txns\":{},\"peak_closure_bytes\":{},\"verdict_latency_max_ms\":{:.3},",
-            self.config.shards,
-            self.config.window.size,
-            self.config.window.overlap,
-            self.total_txns,
-            self.escalated_txns,
-            self.peak_closure_bytes(),
-            self.verdict_latency_max().as_secs_f64() * 1e3
-        ));
-        match &self.first_conviction {
-            Some(sc) => out.push_str(&format!(
-                "\"first_conviction\":{{\"partition\":{},\"escalation\":{},\"level\":\"{}\",\
-                 \"window\":{},\"txns_seen\":{},\"violation\":\"{}\"}},",
-                sc.partition,
-                sc.escalation,
-                sc.conviction.level.name(),
-                sc.conviction.window,
-                sc.conviction.txns_seen,
-                json::escape(&sc.conviction.violation)
-            )),
-            None => out.push_str("\"first_conviction\":null,"),
+/// One lane's thread: drain routed batches into its windowed auditor until
+/// the router hangs up, then close the lane's stream.
+fn run_lane(
+    batches: Receiver<Vec<(usize, AuditTxn)>>,
+    mut auditor: WindowedAuditor,
+) -> StreamReport {
+    for batch in batches {
+        for (session, txn) in batch {
+            auditor.push(session, txn);
         }
-        out.push_str(&format!("\"merged\":{},", self.merged.to_json()));
-        out.push_str("\"partitions\":[");
-        for (i, p) in self.partitions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"partition\":{},\"escalation\":{},\"txns\":{},\"windows\":{},\
-                 \"evicted_attributions\":{},\"peak_closure_bytes\":{},\"summary\":\"{}\",\
-                 \"merged\":{}}}",
-                p.partition,
-                p.escalation,
-                p.routed_txns,
-                p.stream.windows.len(),
-                p.stream.evicted_attributions,
-                p.stream.peak_closure_bytes,
-                json::escape(&p.stream.summary()),
-                p.stream.merged.to_json()
-            ));
-        }
-        out.push_str("]}");
-        out
     }
-}
-
-impl std::fmt::Display for ShardedStreamReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "sharded audit: {} txns over {} variable partitions (+{} straddlers escalated), \
-             windows of ≤{}",
-            self.total_txns, self.config.shards, self.escalated_txns, self.config.window.size
-        )?;
-        for p in &self.partitions {
-            let kind = if p.escalation { "escalation" } else { "partition " };
-            writeln!(
-                f,
-                "  {kind} {:>2}: {:>8} txns in {:>4} window(s)  {}",
-                p.partition,
-                p.routed_txns,
-                p.stream.windows.len(),
-                p.stream.summary()
-            )?;
-        }
-        if let Some(sc) = &self.first_conviction {
-            writeln!(
-                f,
-                "  first conviction: {} on partition {}{}: {}",
-                sc.conviction.level.name(),
-                sc.partition,
-                if sc.escalation { " (escalation lane)" } else { "" },
-                sc.conviction.violation
-            )?;
-        }
-        for level in &self.merged.levels {
-            writeln!(f, "  {level}")?;
-        }
-        Ok(())
-    }
-}
-
-/// The registry a pipeline built without an explicit one reports into: the
-/// global one when metrics are on.
-fn global_registry() -> Option<&'static tm_telemetry::Registry> {
-    tm_telemetry::enabled().then(tm_telemetry::global)
-}
-
-/// One partition worker: drains routed batches into its own windowed
-/// auditor and keeps the lane's counters current.
-struct PartitionWorker {
-    receiver: Receiver<Vec<(usize, AuditTxn)>>,
-    auditor: WindowedAuditor,
-    counters: Arc<PartitionCounters>,
-    /// This lane's `audit_partition_queued` gauge, when metrics are on.
-    queue_gauge: Option<tm_telemetry::Gauge>,
-}
-
-impl PartitionWorker {
-    fn run(mut self) -> StreamReport {
-        while let Ok(batch) = self.receiver.recv() {
-            let n = batch.len() as u64;
-            for (session, txn) in batch {
-                self.auditor.push(session, txn);
-            }
-            let ingested = self.counters.ingested.fetch_add(n, Ordering::Relaxed) + n;
-            // The consuming side keeps the depth gauge true: the router only
-            // writes it when it flushes, so without this it would still read
-            // the last flush-time depth after the queue has drained.
-            if let Some(gauge) = &self.queue_gauge {
-                let routed = self.counters.routed.load(Ordering::Relaxed);
-                gauge.set(routed.saturating_sub(ingested) as i64);
-            }
-            self.counters.windows.store(self.auditor.windows_closed(), Ordering::Relaxed);
-        }
-        let report = self.auditor.finish();
-        self.counters.windows.store(report.windows.len(), Ordering::Relaxed);
-        report
-    }
+    auditor.finish()
 }
 
 /// Routes a committed-transaction stream across `K` partition auditors plus
@@ -437,15 +259,11 @@ pub struct ShardedAuditor {
     /// Per-partition router buffers (escalation lane last).
     buffers: Vec<Vec<(usize, AuditTxn)>>,
     senders: Vec<SyncSender<Vec<(usize, AuditTxn)>>>,
-    counters: Vec<Arc<PartitionCounters>>,
+    /// Transactions routed to each lane so far (escalation lane last).
+    routed: Vec<u64>,
     workers: Vec<JoinHandle<StreamReport>>,
     total_txns: u64,
     escalated_txns: u64,
-    /// Per-lane live queue-depth gauges (escalation lane last), when
-    /// metrics are on.
-    queue_gauges: Option<Vec<tm_telemetry::Gauge>>,
-    /// Straddler counter (`audit_escalated_total`), when metrics are on.
-    escalated_counter: Option<tm_telemetry::Counter>,
 }
 
 impl ShardedAuditor {
@@ -453,7 +271,7 @@ impl ShardedAuditor {
     /// `initial`.  Spawns one auditor thread per partition plus one for the
     /// escalation lane.
     pub fn new(n_vars: usize, initial: i64, config: ShardConfig) -> Self {
-        Self::build(n_vars, initial, config, None, global_registry(), false)
+        Self::build(n_vars, initial, config, false)
     }
 
     /// [`ShardedAuditor::new`] with every lane built by
@@ -461,56 +279,18 @@ impl ShardedAuditor {
     /// certified-vs-searched differential tests, not an operating mode.
     #[doc(hidden)]
     pub fn new_searching(n_vars: usize, initial: i64, config: ShardConfig) -> Self {
-        Self::build(n_vars, initial, config, None, global_registry(), true)
+        Self::build(n_vars, initial, config, true)
     }
 
-    /// Like [`ShardedAuditor::new`], with every lane auditor built
-    /// [`WindowedAuditor::with_events`]: each sends its window verdicts and
-    /// first conviction into `events` under its own lane label.
-    pub fn with_events(
-        n_vars: usize,
-        initial: i64,
-        config: ShardConfig,
-        events: Sender<AuditEvent>,
-    ) -> Self {
-        Self::build(n_vars, initial, config, Some(events), global_registry(), false)
-    }
-
-    /// `registry` is where the pipeline's instruments live (`None`: metrics
-    /// off); `search_only` opens every lane window in search mode.
-    fn build(
-        n_vars: usize,
-        initial: i64,
-        config: ShardConfig,
-        events: Option<Sender<AuditEvent>>,
-        registry: Option<&tm_telemetry::Registry>,
-        search_only: bool,
-    ) -> Self {
+    /// `search_only` opens every lane window in search mode.
+    fn build(n_vars: usize, initial: i64, config: ShardConfig, search_only: bool) -> Self {
         let config = config.normalized();
         let lanes = config.shards + 1; // partitions + escalation lane
-        let queue_gauges: Option<Vec<tm_telemetry::Gauge>> = registry.map(|registry| {
-            (0..lanes)
-                .map(|lane| {
-                    let label = if lane == config.shards {
-                        "escalation".to_string()
-                    } else {
-                        lane.to_string()
-                    };
-                    registry.gauge(
-                        "audit_partition_queued",
-                        &[("partition", label.as_str())],
-                        "txns",
-                    )
-                })
-                .collect()
-        });
+        let scaled = scaled_window(config.window, config.shards);
         let mut senders = Vec::with_capacity(lanes);
-        let mut counters = Vec::with_capacity(lanes);
         let mut workers = Vec::with_capacity(lanes);
         for lane in 0..lanes {
             let (tx, rx) = sync_channel::<Vec<(usize, AuditTxn)>>(QUEUE_CAPACITY);
-            let lane_counters = Arc::new(PartitionCounters::default());
-            let scaled = scaled_window(config.window, config.shards);
             let window = if lane == config.shards {
                 // The escalation lane is a bounded recheck: polynomial
                 // refutations at full strength, witness searches capped,
@@ -524,51 +304,24 @@ impl ShardedAuditor {
             } else {
                 scaled
             };
-            let mut auditor = WindowedAuditor::build(n_vars, initial, window, search_only);
-            if let Some(registry) = registry {
-                auditor = auditor.with_telemetry(AuditTelemetry::from_registry(registry));
-            }
-            if let Some(events) = &events {
-                auditor = auditor.with_events(events.clone(), lane, lane == config.shards);
-            }
-            let worker = PartitionWorker {
-                receiver: rx,
-                auditor,
-                counters: Arc::clone(&lane_counters),
-                queue_gauge: queue_gauges.as_ref().map(|gauges| gauges[lane].clone()),
-            };
+            let auditor = WindowedAuditor::build(n_vars, initial, window, search_only);
             senders.push(tx);
-            counters.push(lane_counters);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("audit-part-{lane}"))
-                    .spawn(move || worker.run())
+                    .spawn(move || run_lane(rx, auditor))
                     .expect("spawning a partition auditor thread"),
             );
         }
-        let escalated_counter =
-            registry.map(|registry| registry.counter("audit_escalated_total", &[], "txns"));
         ShardedAuditor {
             config,
             buffers: vec![Vec::new(); lanes],
             senders,
-            counters,
+            routed: vec![0; lanes],
             workers,
             total_txns: 0,
             escalated_txns: 0,
-            queue_gauges,
-            escalated_counter,
         }
-    }
-
-    /// The pipeline shape in effect (after normalization).
-    pub fn config(&self) -> ShardConfig {
-        self.config
-    }
-
-    /// A live, cloneable view of per-partition lag counters.
-    pub fn lag_probe(&self) -> ShardLagProbe {
-        ShardLagProbe { counters: self.counters.clone() }
     }
 
     /// Route one committed transaction.  Same contract as
@@ -611,9 +364,6 @@ impl ShardedAuditor {
                     self.buffer(p, session, project(&txn, p, k));
                 }
                 self.escalated_txns += 1;
-                if let Some(c) = &self.escalated_counter {
-                    c.inc();
-                }
                 self.buffer(k, session, txn);
             }
         }
@@ -632,19 +382,7 @@ impl ShardedAuditor {
         }
         let batch =
             std::mem::replace(&mut self.buffers[lane], Vec::with_capacity(self.config.route_batch));
-        let counters = &self.counters[lane];
-        let routed =
-            counters.routed.fetch_add(batch.len() as u64, Ordering::Relaxed) + batch.len() as u64;
-        // Observe the queue depth (routed-but-not-ingested) at every flush:
-        // the high-water mark and mean feed the lag probe's `queued_max` /
-        // `queued_mean`, the gauge feeds the live metrics snapshot.
-        let queued = routed.saturating_sub(counters.ingested.load(Ordering::Relaxed));
-        counters.depth_max.fetch_max(queued, Ordering::Relaxed);
-        counters.depth_sum.fetch_add(queued, Ordering::Relaxed);
-        counters.depth_samples.fetch_add(1, Ordering::Relaxed);
-        if let Some(gauges) = &self.queue_gauges {
-            gauges[lane].set(queued as i64);
-        }
+        self.routed[lane] += batch.len() as u64;
         self.senders[lane].send(batch).expect("partition auditor thread died");
     }
 
@@ -655,17 +393,18 @@ impl ShardedAuditor {
             self.flush(lane);
         }
         drop(std::mem::take(&mut self.senders)); // closes every queue
-        let mut partitions = Vec::with_capacity(self.workers.len());
         let last = self.workers.len() - 1;
-        for (lane, worker) in self.workers.drain(..).enumerate() {
-            let stream = worker.join().expect("partition auditor thread panicked");
-            partitions.push(PartitionVerdict {
+        let partitions: Vec<PartitionVerdict> = self
+            .workers
+            .drain(..)
+            .enumerate()
+            .map(|(lane, worker)| PartitionVerdict {
                 partition: lane,
                 escalation: lane == last,
-                routed_txns: self.counters[lane].routed.load(Ordering::Relaxed),
-                stream,
-            });
-        }
+                routed_txns: self.routed[lane],
+                stream: worker.join().expect("partition auditor thread panicked"),
+            })
+            .collect();
         let first_conviction = partitions
             .iter()
             .filter_map(|p| {
@@ -681,7 +420,6 @@ impl ShardedAuditor {
         ShardedStreamReport {
             merged,
             partitions,
-            config: self.config,
             total_txns: self.total_txns,
             escalated_txns: self.escalated_txns,
             first_conviction,
@@ -699,12 +437,6 @@ fn project(txn: &AuditTxn, p: usize, shards: usize) -> AuditTxn {
         writes: txn.writes.iter().copied().filter(owned).collect(),
         hint: txn.hint,
         footprint: 0,
-    }
-}
-
-impl TxnSink for ShardedAuditor {
-    fn push_txn(&mut self, session: usize, txn: AuditTxn) {
-        self.push(session, txn);
     }
 }
 
@@ -826,43 +558,6 @@ mod tests {
         groups
     }
 
-    /// A serializable seeded history: transactions execute sequentially
-    /// against a model array (in hint order, round-robin across sessions),
-    /// each reading the current values of one or two variables and writing
-    /// their increments — so every interleaving the auditor considers has
-    /// the recording order as a witness.
-    fn seeded_serializable_history(
-        seed: u64,
-        n_vars: usize,
-        sessions: usize,
-        txns: usize,
-    ) -> AuditHistory {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut vals = vec![0i64; n_vars];
-        let mut h = AuditHistory::new(n_vars, 0, sessions);
-        for i in 0..txns {
-            let a = rng() as usize % n_vars;
-            let b = rng() as usize % n_vars;
-            let mut reads = vec![(a, vals[a])];
-            let mut writes = vec![(a, vals[a] + 1)];
-            if rng() % 3 == 0 && b != a {
-                reads.push((b, vals[b]));
-                writes.push((b, vals[b] + 1));
-            }
-            for &(v, w) in &writes {
-                vals[v] = w;
-            }
-            h.push_txn(i % sessions, reads, writes);
-        }
-        h
-    }
-
     #[test]
     fn partition_of_covers_and_bounds() {
         for shards in [1usize, 2, 3, 4, 8, 64] {
@@ -918,171 +613,6 @@ mod tests {
         for level in Level::ALL {
             assert!(report.passes(level), "{level}: {}", report.merged);
         }
-    }
-
-    /// What justifies serving an unsharded plan from the unsharded auditor:
-    /// on a seeded history with a planted lost update, `K = 1` and the plain
-    /// windowed auditor announce the same windows and the same (single)
-    /// conviction, field for field — only `elapsed` is a measurement — and
-    /// reach the same merged verdict.
-    #[test]
-    fn k1_announces_exactly_what_the_unsharded_windowed_auditor_announces() {
-        let mut h = seeded_serializable_history(11, 8, 3, 90);
-        let latest = h
-            .recording_order()
-            .into_iter()
-            .rev()
-            .find_map(|(_, t)| t.writes.iter().find(|&&(v, _)| v == 0).map(|&(_, w)| w))
-            .expect("90 transactions over 8 variables write v0");
-        h.push_txn(0, [(0, latest)], [(0, 10_000)]);
-        h.push_txn(1, [(0, latest)], [(0, 10_001)]); // lost update
-        for i in 0..40i64 {
-            h.push_txn((i % 3) as usize, [], [(1 + (i % 7) as usize, 20_000 + i)]);
-        }
-        let window = WindowConfig { size: 16, overlap: 4, ..WindowConfig::sized(16) };
-        // Every field but `elapsed`.
-        let timeless = |events: std::sync::mpsc::Receiver<AuditEvent>| -> Vec<String> {
-            events
-                .try_iter()
-                .map(|event| match event {
-                    AuditEvent::Window {
-                        partition,
-                        escalation,
-                        index,
-                        txns,
-                        summary,
-                        decided_by,
-                        elapsed: _,
-                    } => format!(
-                        "window {partition} {escalation} {index} {txns} {summary} {decided_by:?}"
-                    ),
-                    AuditEvent::Conviction { partition, escalation, conviction } => {
-                        format!("conviction {partition} {escalation} {conviction:?}")
-                    }
-                    AuditEvent::Lag { .. } => panic!("auditors never send lag"),
-                })
-                .collect()
-        };
-
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut plain = WindowedAuditor::new(h.n_vars, h.initial, window).with_events(tx, 0, false);
-        for (session, txn) in h.recording_order() {
-            plain.push(session, txn.clone());
-        }
-        let unsharded = plain.finish();
-        let plain_events = timeless(rx);
-
-        let (tx, rx) = std::sync::mpsc::channel();
-        let config = ShardConfig { route_batch: 4, ..ShardConfig::new(1, window) };
-        let mut routed = ShardedAuditor::with_events(h.n_vars, h.initial, config, tx);
-        for (session, txn) in h.recording_order() {
-            routed.push(session, txn.clone());
-        }
-        let sharded = routed.finish();
-        let sharded_events = timeless(rx);
-
-        assert_eq!(plain_events, sharded_events);
-        let windows = plain_events.iter().filter(|e| e.starts_with("window")).count();
-        assert_eq!(windows, unsharded.windows.len(), "one event per closed window");
-        let convictions = plain_events.iter().filter(|e| e.starts_with("conviction")).count();
-        assert_eq!(convictions, 1, "the conviction is announced exactly once");
-        for level in Level::ALL {
-            assert_eq!(unsharded.passes(level), sharded.passes(level), "{level}");
-            assert_eq!(unsharded.fails(level), sharded.fails(level), "{level}");
-        }
-        let sc = sharded.first_conviction.as_ref().expect("convicted");
-        assert_eq!((sc.partition, sc.escalation), (0, false));
-        assert_eq!(Some(&sc.conviction), unsharded.first_conviction.as_ref());
-    }
-
-    #[test]
-    fn events_stream_windows_and_convictions_live() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let mut h = AuditHistory::new(1, 0, 2);
-        h.push_txn(0, [(0, 0)], [(0, 1)]);
-        h.push_txn(1, [(0, 0)], [(0, 2)]); // lost update, window 0
-        for i in 0..30i64 {
-            h.push_txn(0, [(0, 2 + i)], [(0, 3 + i)]);
-        }
-        let config = cfg(2, 8, 2);
-        let mut auditor = ShardedAuditor::with_events(1, 0, config, tx);
-        let probe = auditor.lag_probe();
-        for (s, t) in h.recording_order() {
-            auditor.push(s, t.clone());
-        }
-        let report = auditor.finish();
-        let events: Vec<AuditEvent> = rx.try_iter().collect();
-        let windows = events.iter().filter(|e| matches!(e, AuditEvent::Window { .. })).count();
-        let convictions =
-            events.iter().filter(|e| matches!(e, AuditEvent::Conviction { .. })).count();
-        assert_eq!(
-            windows,
-            report.partitions.iter().map(|p| p.stream.windows.len()).sum::<usize>(),
-            "every closed window must be announced exactly once"
-        );
-        assert_eq!(convictions, 1, "one partition convicted once");
-        assert!(report.fails(Level::SnapshotIsolation));
-        // The probe agrees with the final report after the join.
-        let lag = probe.sample();
-        assert_eq!(lag.len(), 3); // 2 partitions + escalation lane
-        assert_eq!(lag.iter().map(|l| l.routed).sum::<u64>(), 32);
-        assert!(lag.iter().all(|l| l.queued() == 0), "drained after finish: {lag:?}");
-        // Depth is observed at flush time, before the worker can have
-        // ingested the batch, so every lane that saw traffic has a non-zero
-        // high-water mark and mean.
-        for l in lag.iter().filter(|l| l.routed > 0) {
-            assert!(l.queued_max >= 1, "{lag:?}");
-            assert!(l.queued_mean > 0.0, "{lag:?}");
-        }
-    }
-
-    /// `audit_partition_queued` is true when read at rest: the router only
-    /// writes it at flush time (when the batch being flushed is still
-    /// queued), so the consuming side has to bring it back down.
-    #[test]
-    fn queue_gauges_read_zero_once_the_queues_have_drained() {
-        let registry = tm_telemetry::Registry::new();
-        let shards = 4;
-        let h = seeded_serializable_history(7, 64, 3, 400);
-        let mut auditor = ShardedAuditor::build(
-            h.n_vars,
-            h.initial,
-            cfg(shards, 16, 4),
-            None,
-            Some(&registry),
-            false,
-        );
-        for (session, txn) in h.recording_order() {
-            auditor.push(session, txn.clone());
-        }
-        let report = auditor.finish();
-        let busy = report.partitions.iter().filter(|p| p.routed_txns > 0).count();
-        assert!(busy >= 3, "the stream must actually cross several lanes' queues");
-        for p in &report.partitions {
-            let label =
-                if p.escalation { "escalation".to_string() } else { p.partition.to_string() };
-            let gauge =
-                registry.gauge("audit_partition_queued", &[("partition", label.as_str())], "txns");
-            assert_eq!(gauge.get(), 0, "lane {label} still reads queued after finish()");
-        }
-        // The lanes report into the same registry.
-        let windows: usize = report.partitions.iter().map(|p| p.stream.windows.len()).sum();
-        assert_eq!(AuditTelemetry::from_registry(&registry).windows.get(), windows as u64);
-    }
-
-    #[test]
-    fn merged_json_carries_partitions_and_conviction() {
-        let mut h = AuditHistory::new(1, 0, 2);
-        h.push_txn(0, [(0, 0)], [(0, 1)]);
-        h.push_txn(1, [(0, 0)], [(0, 2)]);
-        let report = audit_sharded(&h, cfg(2, 8, 2));
-        let json = report.to_json();
-        assert!(json.contains("\"shards\":2"), "{json}");
-        assert!(json.contains("\"partitions\":["), "{json}");
-        assert!(json.contains("\"escalation\":true"), "{json}");
-        assert!(json.contains("\"first_conviction\":{"), "{json}");
-        assert!(json.contains("\"merged\":{"), "{json}");
-        assert!(report.to_string().contains("first conviction"));
     }
 
     #[test]

@@ -191,47 +191,15 @@ pub struct WindowVerdict {
     pub audit_elapsed: Duration,
 }
 
-/// Progress counters of one sharded lane, sampled live via
-/// [`crate::partition::ShardLagProbe`].
-#[derive(Debug, Clone)]
-pub struct PartitionLag {
-    /// Partition index (`shards` = the escalation lane).
-    pub partition: usize,
-    /// `true` for the escalation lane.
-    pub escalation: bool,
-    /// Transactions routed to this partition so far.
-    pub routed: u64,
-    /// Transactions its auditor has absorbed so far.
-    pub ingested: u64,
-    /// Windows the partition has fully audited.
-    pub windows: usize,
-    /// Largest queue depth observed at any router flush so far.
-    pub queued_max: u64,
-    /// Mean queue depth over all router flushes so far.
-    pub queued_mean: f64,
-}
-
-impl PartitionLag {
-    /// Routed-but-not-yet-audited transactions — the partition's lag.
-    pub fn queued(&self) -> u64 {
-        self.routed.saturating_sub(self.ingested)
-    }
-}
-
 /// Live progress records an auditor built [`WindowedAuditor::with_events`]
 /// sends while the stream flows — the serve endpoint tails these as JSON
-/// lines.  A window close is the one live event of every streaming topology:
-/// the unsharded auditor is lane `(0, false)`, a sharded pipeline's lanes
-/// carry their own labels.
+/// lines.  One `Window` per closed window, in stream order, and at most one
+/// `Conviction` per stream.
 #[derive(Debug, Clone)]
 pub enum AuditEvent {
-    /// A lane closed and audited one window.
+    /// The auditor closed and audited one window.
     Window {
-        /// Partition index (`shards` = escalation lane; 0 when unsharded).
-        partition: usize,
-        /// `true` for the escalation lane.
-        escalation: bool,
-        /// Window index within the lane's stream.
+        /// Window index within the stream.
         index: usize,
         /// Transactions audited in the window.
         txns: usize,
@@ -243,30 +211,13 @@ pub enum AuditEvent {
         /// Window-close-to-verdict latency.
         elapsed: Duration,
     },
-    /// A lane produced its first definite violation (sent once per lane, the
-    /// moment it lands — mid-window from a probe, or at the close).
+    /// The stream's first definite violation, sent the moment it lands:
+    /// mid-window from a probe, or at a close — then just before that
+    /// window's `Window`.
     Conviction {
-        /// Partition index (`shards` = escalation lane; 0 when unsharded).
-        partition: usize,
-        /// `true` for the escalation lane.
-        escalation: bool,
-        /// The violation, with the lane-local stream position.
+        /// The violation, with its stream position.
         conviction: Conviction,
     },
-    /// A periodic lag snapshot of a sharded pipeline (sent by the runner's
-    /// sampler, never by an auditor).
-    Lag {
-        /// Every partition's counters, escalation lane last.
-        partitions: Vec<PartitionLag>,
-    },
-}
-
-/// Where a [`WindowedAuditor`] announces its window closes, and as which lane.
-#[derive(Debug)]
-struct EventFeed {
-    sender: Sender<AuditEvent>,
-    partition: usize,
-    escalation: bool,
 }
 
 /// What a finished stream audit measured and concluded.
@@ -715,7 +666,7 @@ pub struct WindowedAuditor {
     /// Open every window in search mode (see [`WindowedAuditor::new_searching`]).
     search_only: bool,
     tele: Option<AuditTelemetry>,
-    events: Option<EventFeed>,
+    events: Option<Sender<AuditEvent>>,
 }
 
 impl WindowedAuditor {
@@ -771,16 +722,9 @@ impl WindowedAuditor {
 
     /// Send an [`AuditEvent::Window`] into `events` at every window close
     /// and an [`AuditEvent::Conviction`] the moment the first definite
-    /// violation lands, labelled as lane `partition` (`escalation` for a
-    /// sharded pipeline's cross-partition lane; `(0, false)` when this
-    /// auditor is the whole pipeline).  A hung-up receiver is ignored.
-    pub fn with_events(
-        mut self,
-        events: Sender<AuditEvent>,
-        partition: usize,
-        escalation: bool,
-    ) -> Self {
-        self.events = Some(EventFeed { sender: events, partition, escalation });
+    /// violation lands.  A hung-up receiver is ignored.
+    pub fn with_events(mut self, events: Sender<AuditEvent>) -> Self {
+        self.events = Some(events);
         self
     }
 
@@ -1117,12 +1061,8 @@ impl WindowedAuditor {
         if let Some(tele) = &self.tele {
             tele.convictions.inc();
         }
-        if let Some(feed) = &self.events {
-            let _ = feed.sender.send(AuditEvent::Conviction {
-                partition: feed.partition,
-                escalation: feed.escalation,
-                conviction: conviction.clone(),
-            });
+        if let Some(events) = &self.events {
+            let _ = events.send(AuditEvent::Conviction { conviction: conviction.clone() });
         }
         self.first_conviction = Some(conviction);
     }
@@ -1270,10 +1210,8 @@ impl WindowedAuditor {
                 self.convict(level, violation);
             }
         }
-        if let Some(feed) = &self.events {
-            let _ = feed.sender.send(AuditEvent::Window {
-                partition: feed.partition,
-                escalation: feed.escalation,
+        if let Some(events) = &self.events {
+            let _ = events.send(AuditEvent::Window {
                 index: self.window_index,
                 txns: window_txns,
                 summary: report.summary(),
@@ -1342,13 +1280,13 @@ impl WindowedAuditor {
     }
 }
 
-/// Anything an ordered transaction stream can be fed into: the unsharded
-/// [`WindowedAuditor`], or the sharded router in [`crate::partition`].
+/// Anything an ordered transaction stream can be fed into: the
+/// [`WindowedAuditor`], a [`HistoryCollector`], a [`TeeSink`] of two sinks.
 ///
 /// A [`StreamMerger`] releases records through this trait, so the merge stage
-/// is shared by every streaming topology.  Implementations require the same
-/// contract as [`WindowedAuditor::push`]: transactions of one session arrive
-/// in session order.
+/// is shared by every sink.  Implementations require the same contract as
+/// [`WindowedAuditor::push`]: transactions of one session arrive in session
+/// order.
 pub trait TxnSink {
     /// Deliver one committed transaction of `session`.
     fn push_txn(&mut self, session: usize, txn: AuditTxn);
@@ -2025,6 +1963,42 @@ mod tests {
             tele.budget_slashed.get() > 0,
             "post-conviction windows must run on a slashed budget"
         );
+    }
+
+    /// The live feed's order: one `Window` per closed window, in stream
+    /// order, and one `Conviction` per stream — for a violation found at a
+    /// close, sent just before that window's `Window`.  A write skew is such
+    /// a violation: no probe refutes SER, only the close does.
+    #[test]
+    fn events_announce_every_window_and_a_close_time_conviction_before_its_window() {
+        let mut h = AuditHistory::new(3, 0, 2);
+        for i in 0..10i64 {
+            h.push_txn(0, [], [(2, 100 + i)]);
+        }
+        h.push_txn(0, [(0, 0)], [(1, 10)]);
+        h.push_txn(1, [(1, 0)], [(0, 20)]); // write skew, window 1
+        for i in 0..20i64 {
+            h.push_txn(1, [], [(2, 200 + i)]);
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let report = replay(WindowedAuditor::new(3, 0, cfg(8, 2)).with_events(tx), &h);
+        let (mut windows, mut convictions) = (Vec::new(), Vec::new());
+        for event in rx.try_iter() {
+            match event {
+                AuditEvent::Window { index, .. } => windows.push(index),
+                AuditEvent::Conviction { conviction } => {
+                    convictions.push((windows.len(), conviction))
+                }
+            }
+        }
+        assert_eq!(windows, (0..report.windows.len()).collect::<Vec<_>>());
+        assert!(windows.len() > 2, "the stream must span several windows");
+        let [(windows_before, conviction)] = &convictions[..] else {
+            panic!("one conviction per stream: {convictions:?}");
+        };
+        assert_eq!(Some(conviction), report.first_conviction.as_ref());
+        assert_eq!((conviction.level, conviction.window), (Level::Serializable, 1));
+        assert_eq!(*windows_before, conviction.window, "announced just before its window");
     }
 
     /// Crash/resume at every cut point: the snapshot chain plus the log

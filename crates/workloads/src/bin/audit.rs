@@ -11,8 +11,8 @@
 //!
 //! Every invocation parses into one description — **what to audit** (a
 //! scenario × backend run, `--ingest`ed documents, or a `--recover`ed WAL
-//! directory) under **which plan** (`workloads::AuditPlan`: off, batch,
-//! windowed or sharded, with `--budget` / `--sat` / `--overlap` folded in) —
+//! directory) under **which plan** (`workloads::AuditPlan`: off, batch or
+//! windowed, with `--budget` / `--sat` / `--overlap` folded in) —
 //! and live runs, replays and every `--serve` endpoint execute that one plan
 //! through `workloads::run_live` / `workloads::Verdict::audit`.  Flags:
 //!
@@ -39,13 +39,10 @@
 //!   number): `Windowed`, rolling windows of `WINDOW` transactions audited
 //!   concurrently with the workload, with bounded memory (the plan that
 //!   scales past ~10⁵ transactions).
-//!   `--audit=window[:size=N][:shards=K][:overlap=M]` is the full streaming
-//!   spec — `shards=K` makes it `Sharded`: the stream fans out to `K`
-//!   per-variable-partition windowed auditors plus a cross-partition
-//!   escalation lane (see `tm-audit::partition` for the soundness
-//!   statement).  Only *recordable* scenarios (unique write values) can be
-//!   audited: asking for an audited `bank` run is an error, and
-//!   `--scenario all` skips it with a note;
+//!   `--audit=window[:size=N][:overlap=M]` is the full streaming spec; any
+//!   other key is a usage error.  Only *recordable* scenarios (unique write
+//!   values) can be audited: asking for an audited `bank` run is an error,
+//!   and `--scenario all` skips it with a note;
 //! * `--overlap N` — transactions re-audited at the head of the next window
 //!   (default WINDOW/8; wins over the spec's `overlap=`).  Must be smaller
 //!   than the window: an overlap ≥ the size would mean a stride of one
@@ -68,7 +65,7 @@
 //!   engines exhaust the verdict stays `Unknown`, with the retry hint
 //!   recomputed as a conflict budget); `force` decides every NP-hard level
 //!   by SAT alone (the differential cross-check lane).  Part of every plan:
-//!   batch, windows, sharded lanes, live or replayed;
+//!   batch or windowed, live or replayed;
 //! * `--export PATH` — capture the run's commit history exactly as the
 //!   auditor saw it (post-merge order, auditor-assigned hints) and write it
 //!   to PATH in the `tm-history` wire format (see `docs/history-format.md`).
@@ -77,9 +74,9 @@
 //!   checked;
 //! * `--ingest FILE|-` — skip the workload entirely: decode wire-format
 //!   history documents from FILE (or stdin when the argument is `-`) and
-//!   audit each one under the plan (batch unless a windowed or sharded
-//!   `--audit=` spec is given).  Verdicts print per document and
-//!   land under `"ingest"` in the `--json` report; `--fail-on-violation`
+//!   audit each one under the plan (batch unless a windowed `--audit=` spec
+//!   is given).  Verdicts print per document and land under `"ingest"` in
+//!   the `--json` report; `--fail-on-violation`
 //!   covers ingested documents exactly like live runs.  Combined with
 //!   `--serve`, the endpoint audits newline-delimited history documents
 //!   from stdin instead of generating traffic: one `ingest-verdict` record
@@ -88,11 +85,11 @@
 //! * `--serve` — the long-running ops endpoint: keep the process alive
 //!   running audited rounds of the chosen scenario back to back, tailing
 //!   line-delimited JSON records (per-window verdicts, convictions,
-//!   per-round merged verdicts; per-partition lag under `shards=K`) to
-//!   stdout — and to `--sink PATH` — until SIGTERM/ctrl-c, which finishes
-//!   the current round and shuts down cleanly.  Requires one scenario and
-//!   one backend; implies `--audit=window:size=2048` unless a streaming spec
-//!   is given, with or without `--wal`;
+//!   per-round merged verdicts) to stdout — and to `--sink PATH` — until
+//!   SIGTERM/ctrl-c, which finishes the current round and shuts down
+//!   cleanly.  Requires one scenario and one backend; implies
+//!   `--audit=window:size=2048` unless a streaming spec is given, with or
+//!   without `--wal`;
 //! * `--serve-rounds N` — stop serving after N rounds (0 = until signal).
 //!   A second SIGTERM/SIGINT while a round is still draining exits
 //!   immediately with status 130 instead of waiting for the boundary;
@@ -103,9 +100,7 @@
 //!   length+CRC framing at window boundaries and each seal persists the
 //!   closed window's verdict (the frontier itself lives in the log).  The
 //!   round streams the same window / conviction / metrics records as one
-//!   without a log.  Needs the windowed (single-auditor) plan — the log is
-//!   the merged stream, which the sharded pipeline does not have.  See
-//!   `docs/recovery.md`;
+//!   without a log.  See `docs/recovery.md`;
 //! * `--recover DIR` — finish auditing the rounds a killed process left
 //!   behind: torn tails are truncated to the last sealed-or-complete line,
 //!   the newest frontier snapshot is verified as a legal prefix of the
@@ -140,9 +135,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use stm_runtime::{policy, BackendId, RetryPolicy};
 use tm_audit::linearization::DEFAULT_STATE_BUDGET;
-use tm_audit::{
-    AuditEvent, AuditHistory, AuditOptions, PartitionLag, SatConfig, ShardConfig, WindowConfig,
-};
+use tm_audit::{AuditEvent, AuditHistory, AuditOptions, SatConfig, WindowConfig};
 use tm_history::{decode_all, encode, Decoder};
 use tm_telemetry::json;
 use workloads::{
@@ -157,12 +150,11 @@ enum AuditMode {
     Off,
     Batch,
     Streaming { window: usize },
-    Sharded { window: usize, shards: usize },
 }
 
 /// Parse the value of `--audit=SPEC`: a bare number (legacy window size) or
-/// `window[:size=N][:shards=K][:overlap=M]`.  Returns the mode plus the
-/// spec's overlap override, if any.
+/// `window[:size=N][:overlap=M]`.  Returns the mode plus the spec's overlap
+/// override, if any.
 fn parse_audit_spec(spec: &str) -> Result<(AuditMode, Option<usize>), String> {
     if let Ok(window) = spec.parse::<usize>() {
         if window < 2 {
@@ -173,10 +165,10 @@ fn parse_audit_spec(spec: &str) -> Result<(AuditMode, Option<usize>), String> {
     let mut parts = spec.split(':');
     if parts.next() != Some("window") {
         return Err(format!(
-            "--audit={spec:?}: expected a window size or window[:size=N][:shards=K][:overlap=M]"
+            "--audit={spec:?}: expected a window size or window[:size=N][:overlap=M]"
         ));
     }
-    let (mut size, mut shards, mut overlap) = (2_048usize, None::<usize>, None::<usize>);
+    let (mut size, mut overlap) = (2_048usize, None::<usize>);
     for part in parts {
         let (key, value) = part
             .split_once('=')
@@ -185,7 +177,6 @@ fn parse_audit_spec(spec: &str) -> Result<(AuditMode, Option<usize>), String> {
             value.parse().map_err(|e| format!("--audit spec {key}={value:?}: {e}"))?;
         match key {
             "size" => size = parsed,
-            "shards" => shards = Some(parsed),
             "overlap" => overlap = Some(parsed),
             other => return Err(format!("--audit spec has no key {other:?}")),
         }
@@ -193,12 +184,7 @@ fn parse_audit_spec(spec: &str) -> Result<(AuditMode, Option<usize>), String> {
     if size < 2 {
         return Err("--audit=window:size=N needs N ≥ 2".into());
     }
-    let mode = match shards {
-        Some(0) => return Err("--audit=window:shards=K needs K ≥ 1".into()),
-        Some(k) => AuditMode::Sharded { window: size, shards: k },
-        None => AuditMode::Streaming { window: size },
-    };
-    Ok((mode, overlap))
+    Ok((AuditMode::Streaming { window: size }, overlap))
 }
 
 struct Args {
@@ -401,21 +387,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             AuditMode::Off => mode = AuditMode::Streaming { window: 2_048 },
             AuditMode::Batch => {
                 return Err("--serve streams windowed verdicts; combine it with \
-                            --audit=window[:shards=K], not batch --audit"
+                            --audit=window[:size=N], not batch --audit"
                     .into())
             }
-            AuditMode::Streaming { .. } | AuditMode::Sharded { .. } => {}
-        }
-        if args.wal.is_some() {
-            match mode {
-                AuditMode::Sharded { window, shards: 1 } => mode = AuditMode::Streaming { window },
-                AuditMode::Sharded { .. } => {
-                    return Err("--wal logs the single merged commit stream; use \
-                                --audit=window[:size=N] (the streaming topology), not shards=K"
-                        .into())
-                }
-                _ => {}
-            }
+            AuditMode::Streaming { .. } => {}
         }
         if args.ingest.is_none() {
             if args.scenarios.len() != 1 || args.backends.len() != 1 {
@@ -433,9 +408,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         AuditMode::Off => AuditPlan::Off,
         AuditMode::Batch => AuditPlan::Batch(AuditOptions { budget: args.budget, sat: args.sat }),
         AuditMode::Streaming { window } => AuditPlan::Windowed(window_config(window, &args)?),
-        AuditMode::Sharded { window, shards } => {
-            AuditPlan::Sharded(ShardConfig::new(shards, window_config(window, &args)?))
-        }
     };
     Ok(args)
 }
@@ -444,7 +416,7 @@ fn usage() {
     eprintln!(
         "usage: audit [--backend NAME|all] [--scenario NAME|all] [--retry POLICY]\n\
          \x20            [--threads N] [--txns N] [--vars N] [--seed N]\n\
-         \x20            [--audit[=WINDOW | window[:size=N][:shards=K][:overlap=M]]]\n\
+         \x20            [--audit[=WINDOW | window[:size=N][:overlap=M]]]\n\
          \x20            [--overlap N] [--budget N] [--sat[=conflicts=N[:force]]]\n\
          \x20            [--json PATH] [--fail-on-violation]\n\
          \x20            [--export PATH] [--ingest FILE|-]\n\
@@ -460,9 +432,9 @@ fn usage() {
          Prefix/SI/SER verdicts to the CDCL commit-order solver (tm-sat); verdicts\n\
          carry decided_by provenance.\n\
          --serve keeps the process alive running audited rounds back to back, streaming\n\
-         line-delimited JSON verdict/window/conviction records (lag records under\n\
-         shards=K) to stdout (and --sink PATH) until SIGTERM/ctrl-c (a second signal\n\
-         exits immediately, status 130); without --audit= it runs window:size=2048.\n\
+         line-delimited JSON verdict/window/conviction records to stdout (and --sink\n\
+         PATH) until SIGTERM/ctrl-c (a second signal exits immediately, status 130);\n\
+         without --audit= it runs window:size=2048.\n\
          --serve --ingest - audits history documents from stdin instead of generating\n\
          traffic.  --wal DIR logs every commit of a serve round to DIR/round-NNNN before\n\
          the auditor sees it (crash-consistent, sealed segments + frontier snapshots);\n\
@@ -658,54 +630,25 @@ impl ServeEmitter {
     }
 }
 
-fn lag_json(partitions: &[PartitionLag]) -> String {
-    let entries: Vec<String> = partitions
-        .iter()
-        .map(|l| {
-            format!(
-                "{{\"partition\":{},\"escalation\":{},\"routed\":{},\"ingested\":{},\
-                 \"queued\":{},\"queued_max\":{},\"queued_mean\":{:.3},\"windows\":{}}}",
-                l.partition,
-                l.escalation,
-                l.routed,
-                l.ingested,
-                l.queued(),
-                l.queued_max,
-                l.queued_mean,
-                l.windows
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(","))
-}
-
 fn emit_event(emitter: &ServeEmitter, round: u64, event: &AuditEvent) {
     match event {
-        AuditEvent::Window { partition, escalation, index, txns, summary, decided_by, elapsed } => {
+        AuditEvent::Window { index, txns, summary, decided_by, elapsed } => {
             emitter.emit(&format!(
-                "{{\"type\":\"window\",\"round\":{round},\"partition\":{partition},\
-                 \"escalation\":{escalation},\"window\":{index},\"txns\":{txns},\
+                "{{\"type\":\"window\",\"round\":{round},\"window\":{index},\"txns\":{txns},\
                  \"verdict\":\"{}\",\"decided_by\":\"{}\",\"elapsed_ms\":{:.3}}}",
                 json::escape(summary),
                 decided_by.as_str(),
                 elapsed.as_secs_f64() * 1e3
             ));
         }
-        AuditEvent::Conviction { partition, escalation, conviction } => {
+        AuditEvent::Conviction { conviction } => {
             emitter.emit(&format!(
-                "{{\"type\":\"conviction\",\"round\":{round},\"partition\":{partition},\
-                 \"escalation\":{escalation},\"level\":\"{}\",\"window\":{},\
+                "{{\"type\":\"conviction\",\"round\":{round},\"level\":\"{}\",\"window\":{},\
                  \"txns_seen\":{},\"violation\":\"{}\"}}",
                 conviction.level.name(),
                 conviction.window,
                 conviction.txns_seen,
                 json::escape(&conviction.violation)
-            ));
-        }
-        AuditEvent::Lag { partitions } => {
-            emitter.emit(&format!(
-                "{{\"type\":\"lag\",\"round\":{round},\"partitions\":{}}}",
-                lag_json(partitions)
             ));
         }
     }
@@ -773,18 +716,6 @@ fn scenario_config(args: &Args, backend: BackendId, seed: u64) -> ScenarioConfig
         vars: args.vars,
         seed,
         policy: Arc::clone(&args.policy),
-    }
-}
-
-/// The window size and the *requested* shard count of a streaming plan (the
-/// pipeline clamps the count it actually runs with).
-fn stream_shape(plan: &AuditPlan) -> (usize, usize) {
-    match plan {
-        AuditPlan::Windowed(window) => (window.size, 1),
-        AuditPlan::Sharded(shard) => (shard.window.size, shard.shards),
-        AuditPlan::Off | AuditPlan::Batch(_) => {
-            unreachable!("parse_args forces a streaming plan under --serve")
-        }
     }
 }
 
@@ -859,11 +790,10 @@ fn recover_cli(args: &Args) -> Result<ExitCode, Failure> {
 
 /// The `--serve` ops endpoint for generated traffic — plain, `--wal DIR`, or
 /// `--wal DIR --recover DIR`: audited rounds back to back until
-/// SIGTERM/SIGINT or `--serve-rounds`, each round's window verdicts,
-/// convictions (and, sharded, partition lag) streamed as JSON lines while the
-/// workload runs, then one `verdict` record (and, under `--metrics`, one
-/// guaranteed `metrics` record), the sink mirror flushed at every round
-/// boundary.
+/// SIGTERM/SIGINT or `--serve-rounds`, each round's window verdicts and
+/// convictions streamed as JSON lines while the workload runs, then one
+/// `verdict` record (and, under `--metrics`, one guaranteed `metrics`
+/// record), the sink mirror flushed at every round boundary.
 ///
 /// `--wal` adds exactly three things: the directory's `wal-meta.json`, an
 /// optional recovery pass over the rounds a previous process left behind,
@@ -878,12 +808,11 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
     let wal_dir = args.wal.as_deref().map(Path::new);
     let wal_error =
         |err: std::io::Error| format!("--wal {}: {err}", args.wal.as_deref().unwrap_or_default());
-    let (window, shards) = stream_shape(&args.plan);
+    let AuditPlan::Windowed(shape) = args.plan else {
+        unreachable!("parse_args forces the windowed plan under --serve")
+    };
     let mut wal_field = String::new();
     if let Some(dir) = wal_dir {
-        let AuditPlan::Windowed(shape) = args.plan else {
-            unreachable!("parse_args forces the windowed plan under --wal")
-        };
         let meta = workloads::WalMeta {
             scenario: args.scenarios[0].name().to_string(),
             backend: args.backends[0].to_string(),
@@ -898,10 +827,11 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
     }
     emitter.emit(&format!(
         "{{\"type\":\"serve-start\",\"scenario\":\"{}\",\"backend\":\"{}\",\
-         \"shards\":{shards},\"window\":{window},\"threads\":{},\"txns_per_round\":{},\
+         \"window\":{},\"threads\":{},\"txns_per_round\":{},\
          {wal_field}\"pid\":{}}}",
         args.scenarios[0].name(),
         args.backends[0],
+        shape.size,
         args.threads,
         args.threads * args.txns,
         std::process::id()
@@ -1007,9 +937,9 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
     Ok(violation_exit(args, violated))
 }
 
-/// Print one ingested document's verdict in its topology's words; returns
-/// the `"mode"` label of its `--json` entry.
-fn print_ingested(verdict: &Verdict, plan: &AuditPlan) -> &'static str {
+/// Print one ingested document's verdict in its plan's words; returns the
+/// `"mode"` label of its `--json` entry.
+fn print_ingested(verdict: &Verdict) -> &'static str {
     match verdict {
         Verdict::Batch(report) => {
             for level in &report.levels {
@@ -1026,15 +956,6 @@ fn print_ingested(verdict: &Verdict, plan: &AuditPlan) -> &'static str {
                 stream.windows.len()
             );
             "streaming"
-        }
-        Verdict::Sharded(sharded) => {
-            println!(
-                "  verdict: {} ({} txns through {} partitions + escalation lane)\n",
-                sharded.merged.summary(),
-                sharded.total_txns,
-                stream_shape(plan).1
-            );
-            "window-sharded"
         }
     }
 }
@@ -1064,7 +985,7 @@ fn ingest(args: &Args) -> Result<ExitCode, Failure> {
         let verdict = Verdict::audit(history, &args.plan)
             .expect("parse_args defaults --ingest to the batch plan");
         violated |= verdict.violated();
-        let mode_label = print_ingested(&verdict, &args.plan);
+        let mode_label = print_ingested(&verdict);
         // The merged report is timing-free, so ingest replays of the same
         // document produce byte-identical JSON.
         json_entries.push(format!(
@@ -1093,11 +1014,14 @@ fn serve_ingest(args: &Args) -> Result<ExitCode, Failure> {
         Box::new(std::io::BufReader::new(file))
     };
     let mut decoder = Decoder::new(reader);
-    let (window, shards) = stream_shape(&args.plan);
+    let AuditPlan::Windowed(shape) = args.plan else {
+        unreachable!("parse_args forces the windowed plan under --serve")
+    };
     emitter.emit(&format!(
-        "{{\"type\":\"serve-start\",\"mode\":\"ingest\",\"source\":\"{}\",\"shards\":{shards},\
-         \"window\":{window},\"pid\":{}}}",
+        "{{\"type\":\"serve-start\",\"mode\":\"ingest\",\"source\":\"{}\",\"window\":{},\
+         \"pid\":{}}}",
         json::escape(source),
+        shape.size,
         std::process::id()
     ));
     let mut docs = 0u64;
@@ -1159,7 +1083,7 @@ fn serve_ingest(args: &Args) -> Result<ExitCode, Failure> {
     Ok(violation_exit(args, violated || errors > 0))
 }
 
-/// Print a live run's audit lines in its topology's words and render its
+/// Print a live run's audit lines in its plan's words and render its
 /// `--json` entry.
 fn print_live(report: &LiveReport) -> String {
     print_run_line(&report.run);
@@ -1191,19 +1115,6 @@ fn print_live(report: &LiveReport) -> String {
             format!(
                 "{{{run},\"mode\":\"streaming\",\"drain_ms\":{tail_ms:.3},\"report\":{}}}",
                 stream.to_json()
-            )
-        }
-        Some(Verdict::Sharded(sharded)) => {
-            println!(
-                "  merged verdict {:.3?} after run end ({} txns through {} partitions \
-                 + escalation lane)",
-                report.tail, sharded.total_txns, sharded.config.shards
-            );
-            print!("  {sharded}");
-            println!("  verdict: {}\n", sharded.summary());
-            format!(
-                "{{{run},\"mode\":\"window-sharded\",\"drain_ms\":{tail_ms:.3},\"report\":{}}}",
-                sharded.to_json()
             )
         }
     }

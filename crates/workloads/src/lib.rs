@@ -20,9 +20,9 @@
 //! * [`bank`] / [`zipf`] — the transfer workload and a Zipfian sampler;
 //! * [`runner`] — the thread-pool runners: unaudited scenario runs
 //!   ([`run_scenario`]) and [`run_live`], which executes one description of
-//!   a run — a [`LivePlan`]: an [`AuditPlan`] (`Off`, whole-history `Batch`, bounded-memory rolling
-//!   windows concurrent with the workload, or the multi-core `Sharded`
-//!   partition pipeline) × capture × WAL round × live window/lag events —
+//!   a run — a [`LivePlan`]: an [`AuditPlan`] (`Off`, whole-history `Batch`,
+//!   or bounded-memory rolling `Windowed` audits concurrent with the
+//!   workload) × capture × WAL round × live window/conviction events —
 //!   through one `recorder → merger → sink` pipeline and returns one
 //!   [`LiveReport`] with one [`Verdict`].  [`Verdict::audit`] audits a
 //!   finished history under the same plans, so an exported run replays to

@@ -3,12 +3,12 @@
 //! live audited run ([`run_live`]).
 //!
 //! A live run is described once — a [`LivePlan`]: an [`AuditPlan`] (off,
-//! whole-history batch, rolling windows, sharded windows) plus what rides
-//! along (capture, a WAL round, a live event feed) — and executed by one
-//! function.  Every recorded plan goes through one pipeline, `recorder →
-//! merger → sink`; the plans differ only in the sink (a whole-history batch
-//! audit is the pipeline with a collector at the end).  Whatever the
-//! topology, the result is one [`LiveReport`] carrying one [`Verdict`].
+//! whole-history batch, rolling windows) plus what rides along (capture, a
+//! WAL round, a live event feed) — and executed by one function.  Every
+//! recorded plan goes through one pipeline, `recorder → merger → sink`; the
+//! plans differ only in the sink (a whole-history batch audit is the
+//! pipeline with a collector at the end).  Whatever the plan, the result is
+//! one [`LiveReport`] carrying one [`Verdict`].
 
 use crate::recovery::{WalTee, WalTeeStats};
 use crate::scenario::{Scenario, ScenarioCheck, ScenarioConfig};
@@ -21,9 +21,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stm_runtime::{recorder, BackendId, Stm, StreamingRecorder};
 use tm_audit::{
-    audit_sharded, audit_streamed, audit_with_options, AuditEvent, AuditHistory, AuditOptions,
-    AuditReport, HistoryCollector, ShardConfig, ShardLagProbe, ShardedAuditor, ShardedStreamReport,
-    StreamMerger, StreamReport, TeeSink, TxnSink, WindowConfig, WindowedAuditor,
+    audit_streamed, audit_with_options, AuditEvent, AuditHistory, AuditOptions, AuditReport,
+    HistoryCollector, StreamMerger, StreamReport, TeeSink, TxnSink, WindowConfig, WindowedAuditor,
 };
 
 /// What one scenario run measured, plus the scenario's own self-check.
@@ -138,7 +137,7 @@ fn require_recordable(scenario: &dyn Scenario) -> Result<(), String> {
     }
 }
 
-/// How a run — or a finished history — is audited: the topology and its
+/// How a run — or a finished history — is audited: the plan and its
 /// knobs.  The audit CLI parses `--audit[=SPEC]`, `--budget`, `--sat` and
 /// `--overlap` into one of these.
 #[derive(Debug, Clone, Copy)]
@@ -151,12 +150,9 @@ pub enum AuditPlan {
     /// Audit rolling windows concurrently with the workload (bounded
     /// memory, mid-run convictions).
     Windowed(WindowConfig),
-    /// Fan the stream out to `K` per-variable-partition windowed auditors
-    /// plus the escalation lane.
-    Sharded(ShardConfig),
 }
 
-/// What an audit concluded, whichever topology produced it.
+/// What an audit concluded, whichever plan produced it.
 #[derive(Debug, Clone)]
 pub enum Verdict {
     /// The whole-history report of [`AuditPlan::Batch`].
@@ -164,15 +160,13 @@ pub enum Verdict {
     /// Merged verdicts, per-window detail and pipeline statistics of
     /// [`AuditPlan::Windowed`].
     Windowed(StreamReport),
-    /// The stitched per-partition verdicts of [`AuditPlan::Sharded`].
-    Sharded(ShardedStreamReport),
 }
 
 impl Verdict {
     /// Audit a finished history under `plan` (`None` under
-    /// [`AuditPlan::Off`]) — the replay side of every topology: windowed and
-    /// sharded plans stream the history in recording order, so a history
-    /// captured by [`run_live`] reproduces the live merged verdict.
+    /// [`AuditPlan::Off`]) — the replay side of every plan: the windowed plan
+    /// streams the history in recording order, so a history captured by
+    /// [`run_live`] reproduces the live merged verdict.
     pub fn audit(history: &AuditHistory, plan: &AuditPlan) -> Option<Verdict> {
         match *plan {
             AuditPlan::Off => None,
@@ -180,7 +174,6 @@ impl Verdict {
                 Some(Verdict::Batch(audit_with_options(history, &options)))
             }
             AuditPlan::Windowed(window) => Some(Verdict::Windowed(audit_streamed(history, window))),
-            AuditPlan::Sharded(shard) => Some(Verdict::Sharded(audit_sharded(history, shard))),
         }
     }
 
@@ -190,7 +183,6 @@ impl Verdict {
         match self {
             Verdict::Batch(report) => report,
             Verdict::Windowed(stream) => &stream.merged,
-            Verdict::Sharded(sharded) => &sharded.merged,
         }
     }
 
@@ -199,13 +191,12 @@ impl Verdict {
         tm_audit::Level::ALL.iter().any(|&level| self.merged().fails(level))
     }
 
-    /// The topology's full machine-readable report (per-window and
-    /// per-partition detail included).
+    /// The plan's full machine-readable report (per-window detail
+    /// included).
     pub fn to_json(&self) -> String {
         match self {
             Verdict::Batch(report) => report.to_json(),
             Verdict::Windowed(stream) => stream.to_json(),
-            Verdict::Sharded(sharded) => sharded.to_json(),
         }
     }
 }
@@ -228,22 +219,20 @@ pub struct WalRound<'a> {
 
 /// One live run, described once: how it is audited plus what rides along.
 pub struct LivePlan<'a> {
-    /// The audit topology.
+    /// The audit plan.
     pub audit: AuditPlan,
     /// Hand back the history exactly as the auditor saw it
     /// ([`LiveReport::history`]), so serializing it (`tm-history`) and
     /// re-auditing reproduces the verdicts.
     pub capture: bool,
-    /// Log the round to a WAL.  [`AuditPlan::Windowed`] only: the WAL
-    /// orders the *merged* stream, and the sharded pipeline consumes
-    /// per-partition projections that have no single total order to log.
+    /// Log the round to a WAL.  [`AuditPlan::Windowed`] only: the log is
+    /// cut at window boundaries.
     pub wal: Option<WalRound<'a>>,
     /// Stream live [`AuditEvent`]s while the run is going: every closed
-    /// window's verdict and first convictions — the feed the audit CLI's
-    /// `--serve` endpoint tails as JSON lines.  Either streaming plan, with
-    /// or without a WAL; [`AuditPlan::Sharded`] adds a per-partition lag
-    /// sample every ~200 ms.  [`AuditPlan::Off`] and [`AuditPlan::Batch`]
-    /// never close a window, so they refuse a feed.
+    /// window's verdict and the first conviction — the feed the audit CLI's
+    /// `--serve` endpoint tails as JSON lines.  [`AuditPlan::Windowed`], with
+    /// or without a WAL; [`AuditPlan::Off`] and [`AuditPlan::Batch`] never
+    /// close a window, so they refuse a feed.
     pub events: Option<Sender<AuditEvent>>,
 }
 
@@ -302,14 +291,14 @@ pub fn run_live(
             .into());
     }
     if events.is_some() && matches!(audit, AuditPlan::Off | AuditPlan::Batch(_)) {
-        return Err("live events are window closes; only the windowed and sharded audit plans \
-                    close windows"
-            .into());
+        return Err(
+            "live events are window closes; the off and batch plans never close windows".into()
+        );
     }
     let windowed = |vars: usize, window: WindowConfig| {
         let auditor = WindowedAuditor::new(vars, 0, window);
         match &events {
-            Some(tx) => auditor.with_events(tx.clone(), 0, false),
+            Some(tx) => auditor.with_events(tx.clone()),
             None => auditor,
         }
     };
@@ -322,7 +311,7 @@ pub fn run_live(
             scenario,
             config,
             false,
-            |vars| Ok((HistoryCollector::new(vars, 0, config.threads), None)),
+            |vars| Ok(HistoryCollector::new(vars, 0, config.threads)),
             |collector| {
                 let history = collector.into_history();
                 let verdict = Verdict::audit(&history, &audit);
@@ -334,7 +323,7 @@ pub fn run_live(
                 scenario,
                 config,
                 capture,
-                |vars| Ok((windowed(vars, window), None)),
+                |vars| Ok(windowed(vars, window)),
                 |auditor| Ok(Finished::verdict(Verdict::Windowed(auditor.finish()))),
             ),
             Some(WalRound { dir, pre_seal }) => {
@@ -345,7 +334,6 @@ pub fn run_live(
                     capture,
                     |vars| {
                         WalTee::create(dir, config.threads, vars, windowed(vars, window), pre_seal)
-                            .map(|tee| (tee, None))
                             .map_err(wal_error)
                     },
                     |tee| {
@@ -356,59 +344,12 @@ pub fn run_live(
                 )
             }
         },
-        AuditPlan::Sharded(shard) => stream_into(
-            scenario,
-            config,
-            capture,
-            |vars| {
-                let auditor = match &events {
-                    Some(tx) => ShardedAuditor::with_events(vars, 0, shard, tx.clone()),
-                    None => ShardedAuditor::new(vars, 0, shard),
-                };
-                let sampler = events
-                    .as_ref()
-                    .map(|tx| LagSampler { probe: auditor.lag_probe(), events: tx.clone() });
-                Ok((auditor, sampler))
-            },
-            |auditor| Ok(Finished::verdict(Verdict::Sharded(auditor.finish()))),
-        ),
     }
 }
 
 /// Commits a session buffers before its batch enters the streaming
 /// recorder's queue.
 const RECORDER_BATCH: usize = 256;
-
-/// How often a sharded run with an event feed samples its lanes' lag.
-const LAG_CADENCE: Duration = Duration::from_millis(200);
-
-/// The sharded pipeline's lag sampler: one snapshot into the event feed
-/// every [`LAG_CADENCE`] while the run is going.
-struct LagSampler {
-    probe: ShardLagProbe,
-    events: Sender<AuditEvent>,
-}
-
-impl LagSampler {
-    /// Sample until `done`.  Sleeps by parking, so the run's end (`done`
-    /// set, then this thread unparked) is seen at once, not a cadence later.
-    fn run(&self, done: &AtomicBool) {
-        loop {
-            std::thread::park_timeout(LAG_CADENCE);
-            if done.load(Ordering::SeqCst)
-                || self.events.send(AuditEvent::Lag { partitions: self.probe.sample() }).is_err()
-            {
-                break;
-            }
-        }
-    }
-
-    /// Always close with one drained lag sample, so short runs still get a
-    /// lag record even when the periodic sampler never fired.
-    fn close(&self) {
-        let _ = self.events.send(AuditEvent::Lag { partitions: self.probe.sample() });
-    }
-}
 
 /// What a finished sink hands back to [`stream_into`].
 struct Finished {
@@ -427,15 +368,14 @@ impl Finished {
 /// The one recorded pipeline: commits drain through a [`StreamingRecorder`]
 /// and a [`StreamMerger`] into the sink `build_sink` makes, on a consumer
 /// thread, *while the workload runs*.  `build_sink` gets the scenario's word
-/// count (known only once the scenario is built) and may hand back a
-/// [`LagSampler`] to run beside the workload; `finish_sink` runs on the
+/// count (known only once the scenario is built); `finish_sink` runs on the
 /// consumer thread, so [`LiveReport::tail`] is run end → merged verdict.
 /// `tee_capture` puts a [`HistoryCollector`] beside a sink that is not one.
 fn stream_into<S: TxnSink + Send>(
     scenario: &dyn Scenario,
     config: &ScenarioConfig,
     tee_capture: bool,
-    build_sink: impl FnOnce(usize) -> Result<(S, Option<LagSampler>), String>,
+    build_sink: impl FnOnce(usize) -> Result<S, String>,
     finish_sink: impl FnOnce(S) -> Result<Finished, String> + Send,
 ) -> Result<LiveReport, String> {
     require_recordable(scenario)?;
@@ -446,8 +386,7 @@ fn stream_into<S: TxnSink + Send>(
     let state = scenario.build(&stm, config);
     let vars = state.words();
     let sessions = config.threads;
-    let (mut sink, sampler) = build_sink(vars)?;
-    let done = AtomicBool::new(false);
+    let mut sink = build_sink(vars)?;
     let start = Instant::now();
     let (elapsed, tail, finished) = std::thread::scope(|scope| {
         let auditor = scope.spawn(move || {
@@ -468,19 +407,10 @@ fn stream_into<S: TxnSink + Send>(
             }
             Ok::<_, String>(finished)
         });
-        let sampling = sampler.as_ref().map(|sampler| scope.spawn(|| sampler.run(&done)));
         let elapsed = execute_scenario(&stm, state.as_ref(), config);
         recorder_arc.finish();
         let finished = auditor.join().expect("auditor thread panicked");
         let tail = start.elapsed().saturating_sub(elapsed);
-        done.store(true, Ordering::SeqCst);
-        if let Some(sampling) = sampling {
-            sampling.thread().unpark();
-            sampling.join().expect("lag sampler panicked");
-        }
-        if let Some(sampler) = &sampler {
-            sampler.close();
-        }
         (elapsed, tail, finished)
     });
     let Finished { verdict, wal, history } = finished?;
@@ -606,14 +536,9 @@ mod tests {
         (RegistersScenario, config)
     }
 
-    /// One plan per audited topology, at test-sized windows.
-    fn audited_plans() -> [AuditPlan; 3] {
-        let window = WindowConfig::sized(64);
-        [
-            AuditPlan::Batch(AuditOptions::default()),
-            AuditPlan::Windowed(window),
-            AuditPlan::Sharded(ShardConfig::new(4, window)),
-        ]
+    /// Every audited plan, at a test-sized window.
+    fn audited_plans() -> [AuditPlan; 2] {
+        [AuditPlan::Batch(AuditOptions::default()), AuditPlan::Windowed(WindowConfig::sized(64))]
     }
 
     #[test]
@@ -632,9 +557,6 @@ mod tests {
                     assert_eq!(stream.total_txns, 400);
                     assert!(stream.windows.len() >= 5, "windows: {}", stream.windows.len());
                     assert!(stream.first_conviction.is_none());
-                }
-                (AuditPlan::Sharded(_), Verdict::Sharded(sharded)) => {
-                    assert_eq!(sharded.total_txns, 400);
                 }
                 _ => panic!("{audit:?} produced the wrong verdict kind: {verdict:?}"),
             }
@@ -708,36 +630,8 @@ mod tests {
                         stream.total_txns
                     );
                 }
-                Verdict::Sharded(sharded) => assert!(sharded.first_conviction.is_some()),
             }
         }
-    }
-
-    #[test]
-    fn sharded_runs_stream_one_event_per_lane_window_and_a_closing_lag_sample() {
-        let (scenario, config) = registers_on_tl2();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let plan = LivePlan {
-            events: Some(tx),
-            ..LivePlan::new(AuditPlan::Sharded(ShardConfig::new(4, WindowConfig::sized(64))))
-        };
-        let started = Instant::now();
-        let report = run_live(&scenario, &config, plan).unwrap();
-        let wall = started.elapsed();
-        let Some(Verdict::Sharded(sharded)) = report.verdict else {
-            panic!("sharded plan, sharded verdict");
-        };
-        let events: Vec<AuditEvent> = rx.try_iter().collect();
-        let windows = events.iter().filter(|e| matches!(e, AuditEvent::Window { .. })).count();
-        assert_eq!(
-            windows,
-            sharded.partitions.iter().map(|p| p.stream.windows.len()).sum::<usize>()
-        );
-        assert!(matches!(events.last(), Some(AuditEvent::Lag { .. })), "no closing lag sample");
-        // The sampler is woken when the verdict lands, not a 200 ms nap later:
-        // a 400-transaction run is over well inside one cadence of its tail.
-        let idle = wall.saturating_sub(report.run.elapsed + report.tail);
-        assert!(idle < Duration::from_millis(150), "run_live idled {idle:?} past the verdict");
     }
 
     #[test]
@@ -772,12 +666,11 @@ mod tests {
         assert!(!report.violated());
         let _ = std::fs::remove_dir_all(&dir);
 
-        // The log is the merged stream: only the windowed plan has one.
+        // The log is cut at window boundaries: only the windowed plan has them.
         let wal = WalRound { dir: &dir, pre_seal: Box::new(|| {}) };
-        let sharded = AuditPlan::Sharded(ShardConfig::new(2, WindowConfig::sized(64)));
-        let err =
-            run_live(&scenario, &config, LivePlan { wal: Some(wal), ..LivePlan::new(sharded) })
-                .unwrap_err();
+        let batch = AuditPlan::Batch(AuditOptions::default());
+        let err = run_live(&scenario, &config, LivePlan { wal: Some(wal), ..LivePlan::new(batch) })
+            .unwrap_err();
         assert!(err.contains("windowed"), "{err}");
         // A feed of window closes needs a plan that closes windows.
         for audit in [AuditPlan::Off, AuditPlan::Batch(AuditOptions::default())] {

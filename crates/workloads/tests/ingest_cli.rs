@@ -207,6 +207,19 @@ fn overlap_not_smaller_than_the_window_is_a_usage_error() {
     }
 }
 
+/// `shards=` is not a key of the streaming spec: like any unknown key it is
+/// a usage error that names the key.
+#[test]
+fn a_shards_key_in_the_audit_spec_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_audit"))
+        .arg("--audit=window:size=64:shards=2")
+        .output()
+        .expect("running the audit binary");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no key \"shards\""), "{stderr}");
+}
+
 /// `--metrics` reaches `--ingest` replays: the snapshot prints and lands
 /// under `"telemetry"` in the `--json` document, and without the flag the
 /// document carries no such key.

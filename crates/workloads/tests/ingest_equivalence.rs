@@ -1,7 +1,7 @@
 //! Satellite: ingestion equivalence.  Live-captured histories survive the
 //! wire format losslessly, and a live audited run and a replay of its
 //! exported-then-decoded history must agree **byte for byte** — same merged
-//! verdict JSON — across seeds, backends and all three audit topologies.
+//! verdict JSON — across seeds, backends and both audited plans.
 //!
 //! The capture tees off *after* the stream merger, so the exported document
 //! records exactly the transaction stream the live auditor consumed (same
@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use stm_runtime::{policy, BackendId};
-use tm_audit::{AuditHistory, AuditOptions, ShardConfig, WindowConfig};
+use tm_audit::{AuditHistory, AuditOptions, WindowConfig};
 use tm_history::{decode, decode_all, encode};
 use workloads::{run_live, scenario_by_name, AuditPlan, LivePlan, ScenarioConfig, Verdict};
 
@@ -33,15 +33,11 @@ fn run_config(backend: BackendId, seed: u64) -> ScenarioConfig {
     }
 }
 
-/// Batch, rolling windows, 2-way sharded.
-fn plans() -> [AuditPlan; 3] {
+/// Batch and rolling windows.
+fn plans() -> [AuditPlan; 2] {
     let mut window = WindowConfig::sized(64);
     window.budget = BUDGET;
-    [
-        AuditPlan::Batch(AuditOptions { budget: BUDGET, sat: None }),
-        AuditPlan::Windowed(window),
-        AuditPlan::Sharded(ShardConfig::new(2, window)),
-    ]
+    [AuditPlan::Batch(AuditOptions { budget: BUDGET, sat: None }), AuditPlan::Windowed(window)]
 }
 
 /// A live-captured `registers` history (capture on, no audit).
@@ -112,8 +108,8 @@ fn live_and_decoded(
     (report.verdict.expect("audited plan"), decoded)
 }
 
-/// 50 seeds, backends rotated so every backend sees many seeds, and all
-/// three topologies checked per seed.
+/// 50 seeds, backends rotated so every backend sees many seeds, and both
+/// plans checked per seed.
 #[test]
 fn exported_histories_replay_to_identical_verdicts() {
     for seed in 0..50u64 {

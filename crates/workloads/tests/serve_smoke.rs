@@ -1,9 +1,9 @@
 //! Smoke test for the audit CLI's `--serve` ops endpoint: spawn the real
 //! binary under the `kv-zipf` scenario, read streamed line-delimited JSON
 //! records off its stdout, assert the record schema (window verdicts with
-//! window ids, per-partition lag), then SIGTERM it and require a clean
-//! shutdown with a `serve-stop` record.  Bounded one-round runs cover the
-//! unsharded default and `--wal` rounds.
+//! window ids), then SIGTERM it and require a clean shutdown with a
+//! `serve-stop` record.  Bounded one-round runs cover the default plan and
+//! `--wal` rounds.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
@@ -25,7 +25,7 @@ fn serve_endpoint_streams_records_and_shuts_down_cleanly_on_sigterm() {
             "400",
             "--vars",
             "32",
-            "--audit=window:size=64:shards=2",
+            "--audit=window:size=64",
             "--metrics",
         ])
         .stdout(Stdio::piped())
@@ -43,18 +43,17 @@ fn serve_endpoint_streams_records_and_shuts_down_cleanly_on_sigterm() {
     });
 
     // Collect records until the endpoint has proven it streams: at least
-    // three window verdicts and one lag snapshot.
+    // three window verdicts.
     let deadline = Instant::now() + Duration::from_secs(120);
     let mut lines: Vec<String> = Vec::new();
     loop {
         let windows = lines.iter().filter(|l| l.contains("\"type\":\"window\"")).count();
-        let lags = lines.iter().filter(|l| l.contains("\"type\":\"lag\"")).count();
-        if windows >= 3 && lags >= 1 {
+        if windows >= 3 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "timed out with {windows} window and {lags} lag records:\n{}",
+            "timed out with {windows} window records:\n{}",
             lines.join("\n")
         );
         match lines_rx.recv_timeout(Duration::from_millis(500)) {
@@ -69,27 +68,13 @@ fn serve_endpoint_streams_records_and_shuts_down_cleanly_on_sigterm() {
     // Schema: the start record announces the pipeline shape…
     let start =
         lines.iter().find(|l| l.contains("\"type\":\"serve-start\"")).expect("start record");
-    for field in ["\"scenario\":\"kv-zipf\"", "\"shards\":2", "\"window\":64", "\"pid\":"] {
+    for field in ["\"scenario\":\"kv-zipf\"", "\"window\":64", "\"pid\":"] {
         assert!(start.contains(field), "{field} missing from {start}");
     }
-    // …window records carry the window id, owning partition and verdict…
+    // …and window records carry the window id and verdict.
     let window = lines.iter().find(|l| l.contains("\"type\":\"window\"")).expect("window record");
-    for field in ["\"round\":", "\"partition\":", "\"window\":", "\"txns\":", "\"verdict\":\"RC "] {
+    for field in ["\"round\":", "\"window\":", "\"txns\":", "\"verdict\":\"RC "] {
         assert!(window.contains(field), "{field} missing from {window}");
-    }
-    // …and lag records carry per-partition lag counters, including the
-    // router's queue-depth probe readings.
-    let lag = lines.iter().find(|l| l.contains("\"type\":\"lag\"")).expect("lag record");
-    for field in [
-        "\"partitions\":[",
-        "\"routed\":",
-        "\"ingested\":",
-        "\"queued\":",
-        "\"queued_max\":",
-        "\"queued_mean\":",
-        "\"windows\":",
-    ] {
-        assert!(lag.contains(field), "{field} missing from {lag}");
     }
 
     // SIGTERM → the endpoint finishes its round, emits serve-stop, exits 0.
@@ -144,7 +129,7 @@ fn serve_rounds_limit_stops_the_endpoint_cleanly() {
             "150",
             "--vars",
             "16",
-            "--audit=window:size=32:shards=4",
+            "--audit=window:size=32",
         ])
         .output()
         .expect("running the audit binary");
@@ -153,9 +138,9 @@ fn serve_rounds_limit_stops_the_endpoint_cleanly() {
     let verdicts = stdout.matches("\"type\":\"verdict\"").count();
     assert_eq!(verdicts, 2, "one verdict record per round:\n{stdout}");
     assert!(stdout.contains("\"reason\":\"rounds-exhausted\""), "{stdout}");
-    // Round verdicts embed the full sharded report.
+    // Round verdicts embed the full windowed report.
     assert!(stdout.contains("\"merged\":{"), "{stdout}");
-    assert!(stdout.contains("\"escalation\":true"), "{stdout}");
+    assert!(stdout.contains("\"window_verdicts\":["), "{stdout}");
 }
 
 /// Run a bounded one-round generating endpoint (`registers` on tl2, 2 × 300
@@ -171,23 +156,26 @@ fn serve_one_round(extra: &[&str]) -> String {
     String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
-/// Without `--audit=` the endpoint serves from the unsharded windowed
-/// auditor: `serve-start` says one shard and the round's verdict embeds the
-/// `StreamReport` document, not a one-partition sharded one.
+/// Without `--audit=` the endpoint serves from the windowed auditor at its
+/// default size: the round's verdict embeds the `StreamReport` document, and
+/// no record carries a sharding key.
 #[test]
 fn bare_serve_defaults_to_the_unsharded_windowed_plan() {
     let stdout = serve_one_round(&[]);
     let start =
         stdout.lines().find(|l| l.contains("\"type\":\"serve-start\"")).expect("start record");
-    assert!(start.contains("\"shards\":1") && start.contains("\"window\":2048"), "{start}");
+    assert!(start.contains("\"window\":2048"), "{start}");
+    assert!(!start.contains("\"shards\""), "{start}");
     let verdict = stdout.lines().find(|l| l.contains("\"type\":\"verdict\"")).expect("verdict");
     assert!(verdict.contains("\"report\":{\"total_txns\":600,\"windows\":1,"), "{verdict}");
     assert!(verdict.contains("\"window_verdicts\":["), "{verdict}");
     assert!(!verdict.contains("\"partitions\""), "{verdict}");
-    // The one window closes at the end of the round and is announced as lane 0.
+    // The one window closes at the end of the round.
     let window = stdout.lines().find(|l| l.contains("\"type\":\"window\"")).expect("window");
-    assert!(window.contains("\"partition\":0,\"escalation\":false,\"window\":0"), "{window}");
-    assert!(!stdout.contains("\"type\":\"lag\""), "lag records are sharded-only:\n{stdout}");
+    assert!(window.contains("\"round\":0,\"window\":0,"), "{window}");
+    for window in stdout.lines().filter(|l| l.contains("\"type\":\"window\"")) {
+        assert!(!window.contains("\"partition\""), "{window}");
+    }
 }
 
 /// A logged round streams what an unlogged one does: window records while
