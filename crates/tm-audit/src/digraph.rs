@@ -9,20 +9,53 @@
 //! * cycle detection with a short witness path ([`DiGraph::find_cycle`]),
 //! * topological orders with a caller-chosen tie-break key
 //!   ([`DiGraph::topo_order_by`]) — the serializability fast path feeds the
-//!   recording-order hints in here.
+//!   recording-order hints in here, and resumes from the vertex its last
+//!   pass ended at.
 //!
 //! There is no reachability oracle here: the one consumer that needs
 //! "`a` reaches `b`" — causal saturation — answers it from per-chain clocks
 //! it pushes forward from every new edge ([`crate::saturation`]), `V · k`
 //! words for `k` session chains instead of a `V²`-bit closure.
 
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The SplitMix64 output function: a fixed, well-mixed 64-bit hash.  It keys
+/// the DFS's Zobrist table and hashes the edge set's dense index pairs —
+/// never a key read from input, which a fixed hash would let input flood.
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// [`splitmix64`] as a [`Hasher`] for the edge set's `u64` keys.
+#[derive(Debug, Clone, Copy, Default)]
+struct SplitMix(u64);
+
+impl Hasher for SplitMix {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 ^= word;
+    }
+
+    fn finish(&self) -> u64 {
+        splitmix64(self.0)
+    }
+}
 
 /// A directed graph over vertices `0..n` with deduplicated edges.
 #[derive(Debug, Clone, Default)]
 pub struct DiGraph {
     adj: Vec<Vec<u32>>,
-    edges: HashSet<u64>,
+    edges: HashSet<u64, BuildHasherDefault<SplitMix>>,
 }
 
 fn key(a: u32, b: u32) -> u64 {
@@ -32,7 +65,16 @@ fn key(a: u32, b: u32) -> u64 {
 impl DiGraph {
     /// An edgeless graph with `n` vertices.
     pub fn new(n: usize) -> Self {
-        DiGraph { adj: vec![Vec::new(); n], edges: HashSet::new() }
+        DiGraph { adj: vec![Vec::new(); n], edges: HashSet::default() }
+    }
+
+    /// A graph with no vertices yet, and room for `vertices` vertices and
+    /// `edges` edges before it reallocates.
+    pub(crate) fn with_capacity(vertices: usize, edges: usize) -> Self {
+        DiGraph {
+            adj: Vec::with_capacity(vertices),
+            edges: HashSet::with_capacity_and_hasher(edges, Default::default()),
+        }
     }
 
     /// Number of vertices.
@@ -78,39 +120,40 @@ impl DiGraph {
         &self.adj[v as usize]
     }
 
-    /// A topological order minimising the given per-vertex key among the ready
-    /// vertices (deterministic Kahn), or `None` if the graph is cyclic.
+    /// A topological order of the vertices `from..` minimising the given
+    /// per-vertex key, then the index, among the ready vertices
+    /// (deterministic Kahn), or `None` if they hold a cycle.  `from = 0`
+    /// orders the whole graph.
     ///
     /// The key steers *which* valid order is produced — the serializability
     /// fast path passes recording-order hints so the result is the closest
-    /// topological order to the observed commit order.
-    pub fn topo_order_by(&self, tie_break: &[u64]) -> Option<Vec<u32>> {
-        let n = self.adj.len();
-        let mut indegree = vec![0u32; n];
-        for nbrs in &self.adj {
+    /// topological order to the observed commit order.  A `from` above 0
+    /// continues an order that already placed `0..from`: no edge may enter
+    /// that prefix from `from..` (it panics if one does).
+    pub fn topo_order_by(&self, tie_break: &[u64], from: u32) -> Option<Vec<u32>> {
+        let (from, n) = (from as usize, self.adj.len());
+        let key = |v: u32| Reverse((tie_break.get(v as usize).copied().unwrap_or(0), v));
+        let mut indegree = vec![0u32; n - from];
+        for nbrs in &self.adj[from..] {
             for &b in nbrs {
-                indegree[b as usize] += 1;
+                indegree[b as usize - from] += 1;
             }
         }
         // Min-heap over (key, vertex) via Reverse ordering.
-        let mut ready: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = (0..n as u32)
-            .filter(|&v| indegree[v as usize] == 0)
-            .map(|v| std::cmp::Reverse((tie_break.get(v as usize).copied().unwrap_or(0), v)))
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(std::cmp::Reverse((_, v))) = ready.pop() {
+        let mut ready: BinaryHeap<Reverse<(u64, u32)>> =
+            (from..n).filter(|&v| indegree[v - from] == 0).map(|v| key(v as u32)).collect();
+        let mut order = Vec::with_capacity(n - from);
+        while let Some(Reverse((_, v))) = ready.pop() {
             order.push(v);
             for &b in &self.adj[v as usize] {
-                indegree[b as usize] -= 1;
-                if indegree[b as usize] == 0 {
-                    ready.push(std::cmp::Reverse((
-                        tie_break.get(b as usize).copied().unwrap_or(0),
-                        b,
-                    )));
+                let d = &mut indegree[b as usize - from];
+                *d -= 1;
+                if *d == 0 {
+                    ready.push(key(b));
                 }
             }
         }
-        (order.len() == n).then_some(order)
+        (order.len() == n - from).then_some(order)
     }
 
     /// A cycle as a vertex path `v0 → v1 → … → v0` starting at its smallest
@@ -205,18 +248,38 @@ mod tests {
         assert_eq!(v, 4);
         assert_eq!(g.len(), 5);
         assert!(g.add_edge(3, v));
-        let topo = g.topo_order_by(&[0; 5]).unwrap();
+        let topo = g.topo_order_by(&[0; 5], 0).unwrap();
         assert_eq!(*topo.last().unwrap(), v);
     }
 
     #[test]
     fn topo_respects_edges_and_tie_break() {
         let g = diamond();
-        let order = g.topo_order_by(&[0, 9, 1, 0]).unwrap();
+        let order = g.topo_order_by(&[0, 9, 1, 0], 0).unwrap();
         // 0 first, 3 last; hint prefers 2 over 1.
         assert_eq!(order, vec![0, 2, 1, 3]);
         let pos = |v: u32| order.iter().position(|&x| x == v).unwrap();
         assert!(pos(0) < pos(1) && pos(1) < pos(3));
+    }
+
+    /// Grown only by vertices whose edges point forward, an ordered prefix
+    /// continues: the order from its end is the tail of the whole order.
+    #[test]
+    fn topo_resumes_at_a_vertex() {
+        let mut g = diamond();
+        let hints = [0, 9, 1, 0, 4, 2];
+        let head = g.topo_order_by(&hints, 0).unwrap();
+        for _ in 0..2 {
+            g.add_vertex();
+        }
+        for (a, b) in [(3, 5), (1, 4), (5, 4)] {
+            g.add_edge(a, b);
+        }
+        let tail = g.topo_order_by(&hints, 4).unwrap();
+        assert_eq!(tail, vec![5, 4]);
+        assert_eq!([head, tail].concat(), g.topo_order_by(&hints, 0).unwrap());
+        g.add_edge(4, 5);
+        assert!(g.topo_order_by(&hints, 4).is_none(), "a cycle in the tail");
     }
 
     #[test]
@@ -224,7 +287,7 @@ mod tests {
         let mut g = diamond();
         assert!(g.find_cycle().is_none());
         g.add_edge(3, 0);
-        assert!(g.topo_order_by(&[0; 4]).is_none());
+        assert!(g.topo_order_by(&[0; 4], 0).is_none());
         let cycle = g.find_cycle().unwrap();
         assert!(cycle.len() >= 3);
         assert_eq!(cycle.first(), cycle.last());
@@ -238,7 +301,7 @@ mod tests {
     fn self_loops_count_as_cycles() {
         let mut g = DiGraph::new(2);
         g.add_edge(1, 1);
-        assert!(g.topo_order_by(&[0, 0]).is_none());
+        assert!(g.topo_order_by(&[0, 0], 0).is_none());
         let cycle = g.find_cycle().unwrap();
         assert_eq!(cycle, vec![1, 1]);
     }

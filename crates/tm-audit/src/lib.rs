@@ -223,14 +223,17 @@ pub fn audit(history: &AuditHistory) -> AuditReport {
 
 /// Audit a history with explicit [`AuditOptions`] — the entry point the CLI's
 /// `--sat` flag reaches.  **Verify first, search on failure**: the recording
-/// order is tried as a serial witness in one linear pass
+/// order is tried as a serial witness in one O(history · log) pass
 /// ([`linearization`]'s `certify_hint_order`); when it verifies, all six
 /// levels pass with that one order as their shared witness
 /// ([`DecidedBy::Hint`]) and nothing else runs.  Only when it does not — or
 /// when [`SatConfig::force`] asks for the solver's own verdict — does the
 /// history enter the saturation / DFS / CDCL engine.  Batch is the windowed
 /// engine's one unbounded window: [`WindowedAuditor`] takes the same two
-/// steps per window.
+/// steps per window, running the same pass at every probe but resuming it
+/// from the last probe's verified prefix, so a probe costs what arrived
+/// since; it restarts from the window's first transaction only when a parked
+/// read resolved into that prefix or a stand-in sorts before its end.
 pub fn audit_with_options(history: &AuditHistory, options: &AuditOptions) -> AuditReport {
     audit_history(history, options, false)
 }
@@ -250,8 +253,8 @@ fn audit_history(history: &AuditHistory, options: &AuditOptions, search_only: bo
         Err(err) => return defect_report(shape, &err),
     };
     if !search_only && !forces_search(options.sat) {
-        if let Some(order) = certify_hint_order(&po) {
-            return certified_report(&po, shape, &order);
+        if let Some(hint) = certify_hint_order(&po) {
+            return certified_report(&po, shape, hint.order());
         }
     }
     searched_report(&po, shape, options.budget, check_causal(&po), options.sat).0

@@ -3,15 +3,19 @@
 //! unnecessary.
 //!
 //! 1. **Verify the recording order, for all six levels at once**
-//!    (`certify_hint_order`).  The recording order is almost the commit order
-//!    on the consistent backends, so the hint-ordered topological order of
-//!    `so ∪ wr` is checked against reads-last-write in O(history) before
-//!    anything else runs — before saturation, not after it.  If it explains
-//!    every read it *is* a serialization, hence (the hierarchy being strict)
-//!    a witness for every level below, and no search runs.  This is the first
-//!    step of [`crate::audit_with_options`] and of every probe and close of
-//!    the windowed engine; the rest of this module is what runs when it
-//!    fails.
+//!    (`certify_hint_order`, `HintOrder`).  The recording order is almost the
+//!    commit order on the consistent backends, so the hint-ordered
+//!    topological order of `so ∪ wr` is checked against reads-last-write
+//!    before anything else runs — before saturation, not after it.  If it
+//!    explains every read it *is* a serialization, hence (the hierarchy
+//!    being strict) a witness for every level below, and no search runs.
+//!    This is the first step of [`crate::audit_with_options`] — one
+//!    O(history · log) pass — and of every probe and close of the windowed
+//!    engine, where the verified prefix is carried from pass to pass: a pass
+//!    costs O(new · log) in what arrived since the last, and restarts from
+//!    the window's first transaction only when a parked read resolved into
+//!    the prefix or a new vertex's hint sorts before its end.  The rest of
+//!    this module is what runs when it fails.
 //! 2. **Polynomial refutation** — the lost-update rule: two distinct
 //!    transactions that read variable `x` from the *same* source and both
 //!    write `x` cannot be serialized (whichever is ordered second must have
@@ -32,7 +36,7 @@
 //!    placed set is sound), and bounded by an explicit state budget: an
 //!    exhausted budget reports *unknown*, never a verdict.
 
-use crate::digraph::DiGraph;
+use crate::digraph::{splitmix64, DiGraph};
 use crate::po::{TxnPartialOrder, ROOT};
 use crate::saturation::Saturated;
 use std::collections::{HashMap, HashSet};
@@ -269,18 +273,16 @@ fn verify_split_order(
 // Deterministic per-vertex Zobrist keys (SplitMix64, two streams xor-combined
 // into a u128 so accidental collisions need 128 matching bits).
 fn zobrist(v: u64) -> u128 {
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    (u128::from(mix(v.wrapping_mul(2).wrapping_add(1))) << 64) | u128::from(mix(v << 7))
+    let high = splitmix64(v.wrapping_mul(2).wrapping_add(1));
+    (u128::from(high) << 64) | u128::from(splitmix64(v << 7))
 }
 
 /// Per-variable version bookkeeping shared by the SER and SI searches.
 struct VersionState<'a> {
     po: &'a TxnPartialOrder,
+    /// `(writer, var)` → transactions that read `var` from `writer`; only
+    /// the searches ask, so they build it, not ingest.
+    readers: HashMap<(u32, u32), Vec<u32>>,
     /// var → writer whose value is current in the placed prefix.
     last_writer: Vec<u32>,
     /// var → readers of the current version not yet placed.
@@ -291,13 +293,17 @@ type WriteUndo = Vec<(u32, u32, Vec<u32>)>;
 
 impl<'a> VersionState<'a> {
     fn new(po: &'a TxnPartialOrder, n_vars: usize) -> Self {
-        let mut pending = vec![Vec::new(); n_vars];
-        for (var, p) in pending.iter_mut().enumerate() {
-            if let Some(readers) = po.readers.get(&(ROOT, var as u32)) {
-                *p = readers.clone();
+        let wired = po.wr_by_var.iter().map(Vec::len).sum();
+        let mut readers: HashMap<(u32, u32), Vec<u32>> = HashMap::with_capacity(wired);
+        for (var, wr_edges) in po.wr_by_var.iter().enumerate() {
+            for &(src, reader) in wr_edges {
+                readers.entry((src, var as u32)).or_default().push(reader);
             }
         }
-        VersionState { po, last_writer: vec![ROOT; n_vars], pending }
+        let pending = (0..n_vars as u32)
+            .map(|var| readers.get(&(ROOT, var)).cloned().unwrap_or_default())
+            .collect();
+        VersionState { po, readers, last_writer: vec![ROOT; n_vars], pending }
     }
 
     /// All reads of `t` observe the currently-installed versions.
@@ -330,7 +336,7 @@ impl<'a> VersionState<'a> {
     fn apply_writes(&mut self, t: u32) -> WriteUndo {
         let mut undo = Vec::with_capacity(self.po.writes[t as usize].len());
         for &var in &self.po.writes[t as usize] {
-            let fresh = self.po.readers.get(&(t, var)).cloned().unwrap_or_default();
+            let fresh = self.readers.get(&(t, var)).cloned().unwrap_or_default();
             let old_writer = std::mem::replace(&mut self.last_writer[var as usize], t);
             let old_pending = std::mem::replace(&mut self.pending[var as usize], fresh);
             undo.push((var, old_writer, old_pending));
@@ -346,32 +352,126 @@ impl<'a> VersionState<'a> {
     }
 }
 
-/// The verify-first step every audit entry point starts with: take the
-/// hint-ordered topological order of `so ∪ wr` and check it against
-/// reads-last-write semantics.  A total order that extends `so ∪ wr` and in
-/// which every read observes the latest preceding write **is** a
-/// serialization, and the hierarchy is strict (SER ⊆ SI ⊆ Prefix ⊆ Causal ⊆
-/// RA ⊆ RC), so `Some(order)` witnesses all six levels at once — in
-/// O(history · log), with no saturation, closure or search.  `None` (a cyclic
-/// base relation, or an order some read contradicts) says nothing: the caller
-/// falls back to the saturation and search engines.
-///
-/// Reads still parked on a writer that has not arrived are not part of `po`
-/// yet, so mid-stream this certifies the wired prefix only; the order
-/// returned excludes the initial transaction.
-pub(crate) fn certify_hint_order(po: &TxnPartialOrder) -> Option<Vec<u32>> {
-    let mut order = po.base.topo_order_by(&po.hints)?;
-    if !verify_serial_order(po, po.n_vars(), &order) {
-        return None;
-    }
-    order.retain(|&t| t != ROOT);
-    Some(order)
+/// The verify-first step every audit entry point starts with, run from a
+/// fresh [`HintOrder`] over the whole of `po`: `Some` with the verified order
+/// if the recording order is a serialization, `None` (which says nothing)
+/// otherwise.  The batch audit calls this once; a window carries its
+/// [`HintOrder`] from probe to probe instead.
+pub(crate) fn certify_hint_order(po: &TxnPartialOrder) -> Option<HintOrder> {
+    let mut fresh = HintOrder::new(po.n_vars());
+    fresh.certify(po).then_some(fresh)
 }
 
-/// Verify a full candidate order (dense indices, `ROOT` anywhere-first)
-/// against reads-last-write semantics — one O(history) pass.
-fn verify_serial_order(po: &TxnPartialOrder, n_vars: usize, order: &[u32]) -> bool {
-    let mut last_writer = vec![ROOT; n_vars];
+/// The verify-first step's state, carried across the passes over a growing
+/// partial order: the hint-ordered topological order of `so ∪ wr` the last
+/// pass verified against reads-last-write semantics, the version each
+/// variable holds after it, the `edge_log` cursor at that pass and the
+/// largest hint it placed.  The order covers every vertex the last pass saw,
+/// so its length is that pass's vertex count.
+///
+/// A total order that extends `so ∪ wr` and in which every read observes the
+/// latest preceding write **is** a serialization, and the hierarchy is
+/// strict (SER ⊆ SI ⊆ Prefix ⊆ Causal ⊆ RA ⊆ RC), so a verified order
+/// witnesses all six levels at once — with no saturation, closure or search.
+/// A failed pass (a cyclic base relation, or an order some read contradicts)
+/// says nothing: the caller falls back to the saturation and search engines.
+///
+/// [`HintOrder::certify`] **resumes**: it sorts and verifies only the
+/// vertices extended since the last pass, O(new · log), when
+///
+/// 1. every base edge logged since the cursor enters one of those new
+///    vertices, and
+/// 2. every new vertex's hint is at least the largest hint placed.
+///
+/// Then a full pass over the grown order would place the old vertices first
+/// and in the same order: no new edge enters them, so the placed set stays
+/// closed under predecessors and, while an old vertex is unplaced, some old
+/// vertex is ready — and it outranks every new vertex in the `(hint, index)`
+/// heap.  Nor can an old vertex's reads have changed behind the cursor: the
+/// only way ingest wires a read into an extended transaction is a parked
+/// read resolving to a writer extended later, and that logs a new edge into
+/// the reader ([`TxnPartialOrder::extend`]).  Otherwise — a parked read
+/// resolved, or a stand-in arrived with an older hint (a detached frontier
+/// writer, an evicted `past?n` at hint 0) — the pass **restarts** from
+/// vertex 0.  Either way the verdict and order are exactly a fresh pass's.
+///
+/// Reads still parked on a writer that has not arrived are not part of `po`
+/// yet, so mid-stream this certifies the wired prefix only.
+#[derive(Debug, Clone)]
+pub(crate) struct HintOrder {
+    /// The verified order, the initial transaction first.
+    order: Vec<u32>,
+    /// var → writer whose value is current after `order`.
+    last_writer: Vec<u32>,
+    /// `edge_log` entries the last pass covered.
+    edges: usize,
+    /// The largest hint in `order`.
+    max_hint: u64,
+    /// Vertices (the initial transaction excluded) the passes topo-sorted.
+    pub(crate) placed: u64,
+    /// Passes that had to discard a verified prefix and start over.
+    pub(crate) restarts: u64,
+}
+
+impl HintOrder {
+    /// Nothing verified yet, over `n_vars` variables.
+    pub(crate) fn new(n_vars: usize) -> Self {
+        HintOrder {
+            order: Vec::new(),
+            last_writer: vec![ROOT; n_vars],
+            edges: 0,
+            max_hint: 0,
+            placed: 0,
+            restarts: 0,
+        }
+    }
+
+    /// The verified order, initial transaction excluded (empty until a pass
+    /// verified).
+    pub(crate) fn order(&self) -> &[u32] {
+        self.order.get(1..).unwrap_or_default()
+    }
+
+    /// Bring the verified order up to everything in `po` — resuming where
+    /// the last pass ended when that yields the same order — and report
+    /// whether it still verifies.  A failed pass clears the state, so the
+    /// next one starts from vertex 0.
+    pub(crate) fn certify(&mut self, po: &TxnPartialOrder) -> bool {
+        let from = self.order.len();
+        let resumes = po.edge_log()[self.edges..].iter().all(|&(_, b)| b as usize >= from)
+            && po.hints[from..].iter().all(|&h| h >= self.max_hint);
+        if !resumes {
+            self.restarts += 1;
+            self.clear();
+        }
+        let from = self.order.len();
+        let Some(tail) = po.base.topo_order_by(&po.hints, from as u32) else {
+            self.clear();
+            return false;
+        };
+        self.placed += (po.len() - from.max(1)) as u64;
+        if !verify_serial_order(po, &mut self.last_writer, &tail) {
+            self.clear();
+            return false;
+        }
+        self.max_hint = po.hints[from..].iter().fold(self.max_hint, |m, &h| m.max(h));
+        self.order.extend_from_slice(&tail);
+        self.edges = po.edge_log().len();
+        true
+    }
+
+    fn clear(&mut self) {
+        self.order.clear();
+        self.last_writer.fill(ROOT);
+        self.edges = 0;
+        self.max_hint = 0;
+    }
+}
+
+/// Verify a candidate order (dense indices, `ROOT` anywhere-first) against
+/// reads-last-write semantics, continuing from the versions in `last_writer`
+/// and leaving them as `order` does — one O(order) pass.
+fn verify_serial_order(po: &TxnPartialOrder, last_writer: &mut [u32], order: &[u32]) -> bool {
     for &t in order {
         if t == ROOT {
             continue;
@@ -507,7 +607,7 @@ pub fn search_serializable(
     budget: u64,
 ) -> Search {
     let topo = sat.topo(po);
-    if verify_serial_order(po, n_vars, topo) {
+    if verify_serial_order(po, &mut vec![ROOT; n_vars], topo) {
         return Search::Order(topo.iter().copied().filter(|&t| t != ROOT).collect());
     }
 
@@ -935,5 +1035,174 @@ mod tests {
             Search::Exhausted { states } => assert!(states >= 1),
             other => panic!("expected exhaustion, got {other:?}"),
         }
+    }
+
+    /// What one step of the random growth below appended.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Step {
+        Txn,
+        Detached,
+        Evicted,
+        Defect,
+    }
+
+    /// What the random growth exercised, for its coverage floors.
+    #[derive(Debug, Default)]
+    struct Seen {
+        resumed: u32,
+        resumed_at_equal_hint: u32,
+        parked_restarts: u32,
+        detached_restarts: u32,
+        evicted_restarts: u32,
+        cyclic: u32,
+        contradicted: u32,
+        defects: u32,
+    }
+
+    /// The resumable verify-first pass against the definition it shortcuts:
+    /// after every extend of a seeded random growth, the carried
+    /// [`HintOrder`] gives exactly the verdict and order of a fresh
+    /// [`certify_hint_order`] over the same partial order.  The growth parks
+    /// reads on writers that arrive later, detaches stand-ins with older
+    /// hints, adds evicted stand-ins at hint 0, repeats hints, closes base
+    /// cycles and breaks the recording contract; the floors keep every
+    /// restart cause exercised.
+    #[test]
+    fn resumed_certification_matches_a_fresh_pass() {
+        use crate::history::{AuditTxn, TxnId};
+        use crate::po::EVICTED_SESSION;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut seen = Seen::default();
+        for seed in 0..1_000u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n_vars, sessions) = (rng.gen_range(1..=4usize), rng.gen_range(1..=3usize));
+            let mut po = TxnPartialOrder::new(n_vars, 0);
+            let mut carried = HintOrder::new(n_vars);
+            // Per variable: the values written so far (the latest last), and
+            // the values read before anyone wrote them.
+            let mut written: Vec<Vec<i64>> = vec![Vec::new(); n_vars];
+            let mut promised: Vec<Vec<i64>> = vec![Vec::new(); n_vars];
+            let (mut next, mut hint, mut seq) = (1i64, 0u64, 0usize);
+            for _ in 0..rng.gen_range(4..40) {
+                let step = match rng.gen_range(0..100u32) {
+                    0..=7 => Step::Detached,
+                    8..=12 => Step::Evicted,
+                    13..=15 => Step::Defect,
+                    _ => Step::Txn,
+                };
+                let mut txn = AuditTxn::default();
+                if step == Step::Txn {
+                    for var in 0..n_vars {
+                        if !rng.gen_bool(0.4) {
+                            continue;
+                        }
+                        let value = match rng.gen_range(0..10u32) {
+                            0 | 1 => {
+                                promised[var].push(next);
+                                next += 1;
+                                next - 1
+                            }
+                            2 if !written[var].is_empty() => {
+                                written[var][rng.gen_range(0..written[var].len())]
+                            }
+                            _ => written[var].last().copied().unwrap_or(0),
+                        };
+                        txn.reads.push((var, value));
+                    }
+                }
+                if step != Step::Defect {
+                    let only = rng.gen_range(0..n_vars);
+                    for var in 0..n_vars {
+                        let writes = match step {
+                            Step::Evicted => var == only,
+                            _ => rng.gen_bool(0.4),
+                        };
+                        if !writes {
+                            continue;
+                        }
+                        // A promised value resolves the reads parked on it.
+                        let value = match promised[var].len() {
+                            0 => None,
+                            n if rng.gen_bool(0.6) => Some(promised[var].swap_remove(n - 1)),
+                            _ => None,
+                        };
+                        let value = value.unwrap_or_else(|| {
+                            next += 1;
+                            next - 1
+                        });
+                        written[var].push(value);
+                        txn.writes.push((var, value));
+                    }
+                }
+                let extended = match step {
+                    Step::Txn | Step::Defect => {
+                        if step == Step::Defect {
+                            let var = rng.gen_range(0..n_vars);
+                            match (rng.gen_range(0..3u32), written[var].first()) {
+                                (0, Some(&dup)) => txn.writes.push((var, dup)),
+                                (1, _) => txn.writes.push((var, 0)),
+                                _ => txn.reads = [(var, 0), (var, next)].into(),
+                            }
+                        }
+                        hint += rng.gen_range(0..=1u64);
+                        txn.hint = hint;
+                        let session = rng.gen_range(0..sessions);
+                        po.extend(TxnId { session, seq }, &txn)
+                    }
+                    Step::Detached => {
+                        txn.hint = rng.gen_range(0..=hint);
+                        po.extend_detached(TxnId { session: sessions, seq }, &txn)
+                    }
+                    Step::Evicted => {
+                        po.extend_detached(TxnId { session: EVICTED_SESSION, seq }, &txn)
+                    }
+                };
+                seq += 1;
+                if extended.is_err() {
+                    seen.defects += 1;
+                }
+
+                let from = carried.order.len();
+                let into_prefix =
+                    po.edge_log()[carried.edges..].iter().any(|&(_, b)| (b as usize) < from);
+                let at_max = po.hints[from..].contains(&carried.max_hint);
+                let restarts = carried.restarts;
+                let verdict = carried.certify(&po);
+                let fresh = certify_hint_order(&po);
+                assert_eq!(verdict, fresh.is_some(), "seed {seed}");
+                if let Some(fresh) = &fresh {
+                    assert_eq!(carried.order(), fresh.order(), "seed {seed}");
+                }
+                if carried.restarts > restarts {
+                    match step {
+                        _ if into_prefix => seen.parked_restarts += 1,
+                        Step::Evicted => seen.evicted_restarts += 1,
+                        _ => seen.detached_restarts += 1,
+                    }
+                } else if from > 0 && verdict {
+                    seen.resumed += 1;
+                    seen.resumed_at_equal_hint += u32::from(at_max);
+                }
+                if !verdict {
+                    match po.base.topo_order_by(&po.hints, 0) {
+                        None => seen.cyclic += 1,
+                        Some(_) => seen.contradicted += 1,
+                    }
+                }
+            }
+        }
+        // About half of what these seeds reach.
+        let floors = [
+            (seen.resumed, 3_000),
+            (seen.resumed_at_equal_hint, 1_500),
+            (seen.parked_restarts, 250),
+            (seen.detached_restarts, 150),
+            (seen.evicted_restarts, 150),
+            (seen.cyclic, 1_000),
+            (seen.contradicted, 1_000),
+            (seen.defects, 300),
+        ];
+        assert!(floors.iter().all(|&(count, floor)| count >= floor), "{seen:?}");
     }
 }

@@ -29,6 +29,7 @@
 
 use crate::digraph::DiGraph;
 use crate::history::{AuditHistory, AuditTxn, HistoryError, TxnId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Dense index of the synthetic initial transaction.
@@ -51,10 +52,9 @@ pub struct TxnPartialOrder {
     pub writes: Vec<Vec<u32>>,
     /// Per-variable writers, the initial transaction first.
     pub writers_by_var: Vec<Vec<u32>>,
-    /// Per-variable write-read edges as `(source, reader)` pairs.
+    /// Per-variable write-read edges as `(source, reader)` pairs, in the
+    /// order they were wired.
     pub wr_by_var: Vec<Vec<(u32, u32)>>,
-    /// `(writer, var)` → transactions that read `var` from `writer`.
-    pub readers: HashMap<(u32, u32), Vec<u32>>,
     /// Commit-order hints (recording order); the initial transaction is 0.
     pub hints: Vec<u64>,
     /// `so ∪ wr` plus the initial transaction's edges — the base relation any
@@ -77,24 +77,40 @@ pub struct TxnPartialOrder {
 impl TxnPartialOrder {
     /// An order holding only the initial transaction, ready to be extended.
     pub fn new(n_vars: usize, initial: i64) -> Self {
-        TxnPartialOrder {
+        Self::with_capacity(n_vars, initial, 0)
+    }
+
+    /// [`TxnPartialOrder::new`] with room for `txns` transactions before the
+    /// per-transaction tables reallocate — a window knows its size up front.
+    pub(crate) fn with_capacity(n_vars: usize, initial: i64, txns: usize) -> Self {
+        let vertices = txns + 1;
+        // A session edge per transaction plus one write-read edge per source
+        // it reads: room for 2.5 edges and 1.5 writes per transaction.
+        let edges = 5 * txns / 2;
+        let mut po = TxnPartialOrder {
             n_vars,
             initial,
-            names: vec![None],
-            reads: vec![Vec::new()],
-            writes: vec![Vec::new()],
+            names: Vec::with_capacity(vertices),
+            reads: Vec::with_capacity(vertices),
+            writes: Vec::with_capacity(vertices),
             writers_by_var: vec![vec![ROOT]; n_vars],
             wr_by_var: vec![Vec::new(); n_vars],
-            readers: HashMap::new(),
-            hints: vec![0],
-            base: DiGraph::new(1),
-            writer_of: HashMap::new(),
+            hints: Vec::with_capacity(vertices),
+            base: DiGraph::with_capacity(vertices, edges),
+            writer_of: HashMap::with_capacity(3 * txns / 2),
             session_tail: HashMap::new(),
-            chain_pos: vec![(0, 0)],
+            chain_pos: Vec::with_capacity(vertices),
             n_chains: 0,
             pending_reads: HashMap::new(),
-            edge_log: Vec::new(),
-        }
+            edge_log: Vec::with_capacity(edges),
+        };
+        po.base.add_vertex();
+        po.names.push(None);
+        po.reads.push(Vec::new());
+        po.writes.push(Vec::new());
+        po.hints.push(0);
+        po.chain_pos.push((0, 0));
+        po
     }
 
     /// Number of vertices, including the initial transaction.
@@ -139,8 +155,9 @@ impl TxnPartialOrder {
         self.chain_pos[dense as usize]
     }
 
-    /// Base edges in insertion order; [`crate::saturation::resaturate`] keeps
-    /// a cursor into this log to absorb only what is new.
+    /// Base edges in insertion order; [`crate::saturation::resaturate`] and
+    /// the windowed verify-first pass each keep a cursor into this log to
+    /// absorb only what is new.
     pub fn edge_log(&self) -> &[(u32, u32)] {
         &self.edge_log
     }
@@ -163,7 +180,6 @@ impl TxnPartialOrder {
     fn wire_read(&mut self, reader: u32, var: usize, src: u32) {
         self.reads[reader as usize].push((var as u32, src));
         self.wr_by_var[var].push((src, reader));
-        self.readers.entry((src, var as u32)).or_default().push(reader);
         self.add_base_edge(src, reader);
     }
 
@@ -216,18 +232,28 @@ impl TxnPartialOrder {
             if value == self.initial {
                 return Err(HistoryError::InitialValueWritten { writer: id, var, value });
             }
-            if let Some(&other) = self.writer_of.get(&(var, value)) {
-                return Err(HistoryError::AmbiguousWrite {
-                    var,
-                    value,
-                    first: self.names[other as usize].expect("initial txn never writes"),
-                    second: id,
-                });
+            match self.writer_of.entry((var, value)) {
+                Entry::Occupied(other) => {
+                    return Err(HistoryError::AmbiguousWrite {
+                        var,
+                        value,
+                        first: self.names[*other.get() as usize].expect("initial txn never writes"),
+                        second: id,
+                    });
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(dense);
+                }
             }
-            self.writer_of.insert((var, value), dense);
             self.writes[dense as usize].push(var as u32);
             self.writers_by_var[var].push(dense);
-            // The writer some earlier reader was parked on has arrived.
+            // The writer some earlier reader was parked on has arrived: the
+            // only way a read is wired into an already extended reader, and
+            // it always logs a new edge into that reader (the writer is
+            // newer, so no edge from it can exist yet).
+            if self.pending_reads.is_empty() {
+                continue;
+            }
             if let Some(parked) = self.pending_reads.remove(&(var, value)) {
                 for reader in parked {
                     self.wire_read(reader, var, dense);
@@ -288,7 +314,8 @@ impl TxnPartialOrder {
     /// Build the partial order of a complete history, resolving write-read
     /// edges via unique write values.
     pub fn build(history: &AuditHistory) -> Result<Self, HistoryError> {
-        let mut po = TxnPartialOrder::new(history.n_vars, history.initial);
+        let mut po =
+            TxnPartialOrder::with_capacity(history.n_vars, history.initial, history.txn_count());
         for (s, session) in history.sessions.iter().enumerate() {
             for (seq, txn) in session.iter().enumerate() {
                 po.extend(TxnId { session: s, seq }, txn)?;
@@ -329,8 +356,8 @@ mod tests {
         assert!(po.base.has_edge(1, 3));
         assert_eq!(po.reads[3], vec![(0, 1)]);
         assert_eq!(po.writers_by_var[0], vec![0, 1, 3]);
-        assert_eq!(po.readers[&(1, 0)], vec![3]);
         assert_eq!(po.wr_by_var[0], vec![(0, 1), (1, 3)]);
+        assert_eq!(po.wr_by_var[1], vec![(0, 2)]);
         // Hints shift past the initial transaction.
         assert_eq!(po.hints, vec![0, 1, 2, 3]);
         assert!(po.render_path(&[0, 1, 3]).contains("init → s0:0 → s1:0"));
@@ -416,7 +443,7 @@ mod tests {
         po.seal().unwrap();
         assert_eq!(po.reads[reader as usize], vec![(0, writer)]);
         assert!(po.base.has_edge(writer, reader));
-        assert_eq!(po.readers[&(writer, 0)], vec![reader]);
+        assert_eq!(po.wr_by_var[0], vec![(writer, reader)]);
     }
 
     #[test]

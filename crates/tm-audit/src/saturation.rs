@@ -240,7 +240,7 @@ impl Saturated {
     /// If the last [`resaturate`] found a cycle (there is no order).
     pub fn topo(&self, po: &TxnPartialOrder) -> &[u32] {
         self.topo.get_or_init(|| {
-            self.graph.topo_order_by(&po.hints).expect("a saturated graph is acyclic")
+            self.graph.topo_order_by(&po.hints, 0).expect("a saturated graph is acyclic")
         })
     }
 
@@ -351,7 +351,7 @@ impl Saturated {
 
 /// Read Committed: the base relation `so ∪ wr` admits a total commit order.
 pub fn check_read_committed(po: &TxnPartialOrder) -> Result<Vec<u32>, CycleViolation> {
-    po.base.topo_order_by(&po.hints).ok_or_else(|| CycleViolation::from_graph(&po.base))
+    po.base.topo_order_by(&po.hints, 0).ok_or_else(|| CycleViolation::from_graph(&po.base))
 }
 
 /// Read Atomic: one derivation pass with direct-edge visibility.
@@ -389,7 +389,7 @@ pub fn check_read_atomic(po: &TxnPartialOrder) -> Result<Vec<u32>, CycleViolatio
             }
         }
     }
-    graph.topo_order_by(&po.hints).ok_or_else(|| CycleViolation::from_graph(&graph))
+    graph.topo_order_by(&po.hints, 0).ok_or_else(|| CycleViolation::from_graph(&graph))
 }
 
 /// Causal: saturate write-write edges against reachability to a fixpoint.
@@ -785,7 +785,7 @@ mod tests {
         }
 
         fn refresh(&mut self, po: &TxnPartialOrder) -> Result<(), CycleViolation> {
-            let Some(topo) = self.graph.topo_order_by(&po.hints) else {
+            let Some(topo) = self.graph.topo_order_by(&po.hints, 0) else {
                 self.poisoned = true;
                 return Err(CycleViolation::from_graph(&self.graph));
             };

@@ -1,7 +1,8 @@
 //! The auditor's telemetry handles: per-window audit- and verdict-latency
 //! histograms, the push-time probe latency, how many windows the recording
 //! order certified against how many had to search (and, for those, the chain
-//! count and saturation rounds their cost depends on), conviction and
+//! count and saturation rounds their cost depends on), what the verify-first
+//! passes placed and how often they restarted, conviction and
 //! budget-consumption counters, and for the NP-hard levels which stage
 //! decided each cell and what the solver stage built and spent.
 //!
@@ -24,8 +25,20 @@ pub struct AuditTelemetry {
     /// Windows fully audited.
     pub windows: Counter,
     /// Windows whose recording order verified as a serial order: all six
-    /// levels certified in one linear pass, no search.
+    /// levels certified, no search.  The verify-first passes behind that
+    /// resume from the last verified prefix, so a window's passes together
+    /// sort and check each transaction about once; a pass starts over from
+    /// the window's first transaction only when a parked read resolved into
+    /// the verified prefix or a stand-in sorts before its end
+    /// ([`Self::certify_restarts`]).
     pub certified: Counter,
+    /// Transactions (stand-ins included) the verify-first passes placed:
+    /// each window's transactions and stand-ins once, plus what restarts
+    /// placed again.
+    pub certify_placed: Counter,
+    /// Verify-first passes that discarded a verified prefix and started
+    /// over.
+    pub certify_restarts: Counter,
     /// Windows that fell back to saturation and search (including windows
     /// with a recording-contract defect); `certified + searched = windows`.
     pub searched: Counter,
@@ -81,6 +94,8 @@ impl AuditTelemetry {
         AuditTelemetry {
             windows: registry.counter("audit_windows_total", &[], "windows"),
             certified: registry.counter("audit_windows_certified_total", &[], "windows"),
+            certify_placed: registry.counter("audit_certify_placed_total", &[], "txns"),
+            certify_restarts: registry.counter("audit_certify_restarts_total", &[], "passes"),
             searched: registry.counter("audit_windows_searched_total", &[], "windows"),
             chains: registry.histogram("audit_window_chains", &[], "chains"),
             saturation_rounds: registry.counter("audit_saturation_rounds_total", &[], "rounds"),

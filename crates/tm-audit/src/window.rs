@@ -12,11 +12,18 @@
 //!   parking reads whose writer has not arrived yet;
 //! * every `batch` transactions, and at close, the window is **probed —
 //!   verify first, search on failure**.  While the recording order of what
-//!   is wired so far verifies as a serial order (one linear pass,
-//!   `certify_hint_order`), a probe has nothing else to do: a serial prefix
-//!   holds no causal cycle and no lost update.  A window that closes that
-//!   way passes all six levels with that order as its witness
-//!   ([`DecidedBy::Hint`]) and never builds a saturation graph or a closure.
+//!   is wired so far verifies as a serial order, a probe has nothing else to
+//!   do: a serial prefix holds no causal cycle and no lost update.  The
+//!   window carries the order its last pass verified (with the version each
+//!   variable holds after it), so a pass sorts and checks only what arrived
+//!   since — the window's passes together place each transaction about
+//!   once.  A pass starts over from the window's first transaction only when
+//!   the new arrivals could reorder the verified prefix: a parked read
+//!   resolved into it (its writer arrived late), or a stand-in sorts before
+//!   its end (a detached frontier writer's older hint, an evicted `past?n`
+//!   at hint 0).  A window that closes that way passes all six levels with
+//!   that order as its witness ([`DecidedBy::Hint`]) and never builds a
+//!   saturation graph or a closure.
 //!   From the first probe that does *not* verify, the window is in search
 //!   mode for good: causal saturation catches up from the edge log and then
 //!   absorbs each batch of new edges ([`resaturate`]) at the cost of what
@@ -90,7 +97,7 @@
 //! agree with the whole-run batch verdicts on all six levels.
 
 use crate::history::{AccessSet, AuditTxn, HistoryError, TxnId};
-use crate::linearization::{certify_hint_order, find_lost_update, DEFAULT_STATE_BUDGET};
+use crate::linearization::{find_lost_update, HintOrder, DEFAULT_STATE_BUDGET};
 use crate::po::{TxnPartialOrder, EVICTED_SESSION};
 use crate::recovery::{FrontierSnapshot, RecoveryError};
 use crate::report::{fold_outcomes, AuditReport, DecidedBy, Level, LevelReport, Outcome};
@@ -122,13 +129,16 @@ pub struct WindowConfig {
     pub retain_windows: usize,
     /// Probe granularity, in transactions: how often the in-flight window
     /// re-verifies its recording order — or, once that has failed, refreshes
-    /// its causal verdict and lost-update probe.  A search-mode probe's
-    /// saturation costs what the batch changed (its new edges, the clock
-    /// rows they raise and the read groups of those rows), not the window —
-    /// except that a new chain (a detached stand-in) re-lays out the clock
-    /// table, and a writer or read that sorts before its variable's last
-    /// re-sorts that variable's list; its lost-update probe still scans the
-    /// window.
+    /// its causal verdict and lost-update probe.  A verify-first probe sorts
+    /// and checks only the transactions that arrived since the last one,
+    /// unless a parked read resolved into the verified prefix or a stand-in
+    /// sorts before its end — then it re-verifies the window from its first
+    /// transaction.  A search-mode probe's saturation costs what the batch
+    /// changed (its new edges, the clock rows they raise and the read groups
+    /// of those rows), not the window — except that a new chain (a detached
+    /// stand-in) re-lays out the clock table, and a writer or read that
+    /// sorts before its variable's last re-sorts that variable's list; its
+    /// lost-update probe still scans the window.
     pub batch: usize,
     /// Put the commit-order solver behind each window's NP-hard levels (DFS
     /// probe, solver, full-budget DFS); it is sized for windows this large.
@@ -638,6 +648,10 @@ struct ActiveWindow {
     /// recording order (or was not allowed to try), so every later probe and
     /// the close re-saturate and search.  Until then `sat` stays empty.
     searching: bool,
+    /// The verify-first state carried from probe to probe: each pass sorts
+    /// and verifies only what arrived since the last, unless that could
+    /// change the order (see [`HintOrder`]).
+    hint_order: HintOrder,
 }
 
 /// Audits a stream of committed transactions in rolling windows; see the
@@ -898,10 +912,12 @@ impl WindowedAuditor {
     /// materialized with their reads (so the lost-update rule can pair them
     /// with in-window rmws).
     fn open_window(&mut self) {
-        let mut po = TxnPartialOrder::new(self.n_vars, self.initial);
+        let latest = self.frontier.latest_writers();
+        let txns = self.config.size + latest.len();
+        let mut po = TxnPartialOrder::with_capacity(self.n_vars, self.initial, txns);
         let mut materialized = HashSet::new();
         let mut defect = None;
-        for writer in self.frontier.latest_writers() {
+        for writer in latest {
             let txn = self.frontier.stand_in(writer);
             match po.extend(writer.id, &txn) {
                 Ok(_) => {
@@ -924,6 +940,7 @@ impl WindowedAuditor {
             materialized,
             cross_violations: Vec::new(),
             searching: self.search_only || forces_search(self.config.sat),
+            hint_order: HintOrder::new(self.n_vars),
         });
     }
 
@@ -991,15 +1008,19 @@ impl WindowedAuditor {
     /// One probe of the in-flight window, timed: resolve cross-window reads
     /// against the frontier, then **verify first** — if the recording order
     /// of everything wired so far is a serial order, the probe is done and
-    /// the order is returned (a serial prefix holds no causal cycle and no
-    /// lost update, so there is nothing to convict).  Reads still parked on
-    /// a writer in flight are not wired yet and do not block a probe.  Only
-    /// when the order does not verify — or a carried rmw fact already paired
-    /// with this window, which convicts SI/SER whatever the window's own
-    /// order says — does the window enter search mode: re-saturate the
-    /// causal constraints (caught up lazily from the edge log) and probe for
-    /// convictions, at this and every later probe of the window.
-    fn sync_active(&mut self) -> Option<Vec<u32>> {
+    /// returns `true`; the order stays in the window's [`HintOrder`] (a
+    /// serial prefix holds no causal cycle and no lost update, so there is
+    /// nothing to convict).  The pass resumes from the last one's verified
+    /// prefix, so it costs what arrived since, unless a parked read resolved
+    /// into that prefix or a stand-in sorts before its end — then it starts
+    /// over.  Reads still parked on a writer in flight are not wired yet and
+    /// do not block a probe.  Only when the order does not verify — or a
+    /// carried rmw fact already paired with this window, which convicts
+    /// SI/SER whatever the window's own order says — does the window enter
+    /// search mode: re-saturate the causal constraints (caught up lazily
+    /// from the edge log) and probe for convictions, at this and every later
+    /// probe of the window.
+    fn sync_active(&mut self) -> bool {
         let started = self.tele.as_ref().map(|_| Instant::now());
         let certified = self.probe();
         if let (Some(tele), Some(started)) = (&self.tele, started) {
@@ -1008,7 +1029,7 @@ impl WindowedAuditor {
         certified
     }
 
-    fn probe(&mut self) -> Option<Vec<u32>> {
+    fn probe(&mut self) -> bool {
         let pending = self.active.as_ref().expect("active window").po.pending_values();
         for (var, value) in pending {
             if let Some(writer) = self.frontier.source(var, value) {
@@ -1021,12 +1042,10 @@ impl WindowedAuditor {
         let aw = self.active.as_mut().expect("active window");
         aw.unsynced = 0;
         if aw.defect.is_some() {
-            return None;
+            return false;
         }
-        if !aw.searching && aw.cross_violations.is_empty() {
-            if let Some(order) = certify_hint_order(&aw.po) {
-                return Some(order);
-            }
+        if !aw.searching && aw.cross_violations.is_empty() && aw.hint_order.certify(&aw.po) {
+            return true;
         }
         aw.searching = true;
         if aw.causal_failure.is_none() {
@@ -1050,7 +1069,7 @@ impl WindowedAuditor {
                 self.convict(level, violation);
             }
         }
-        None
+        false
     }
 
     /// Record the stream's first definite violation, at the current stream
@@ -1145,10 +1164,10 @@ impl WindowedAuditor {
         }
         let defect = aw.defect.or_else(|| aw.po.seal().err());
         let cross_violations = aw.cross_violations.clone();
-        let mut report = match (defect, &certified) {
-            (Some(err), _) => defect_report(shape, &err),
-            (None, Some(order)) => certified_report(&aw.po, shape, order),
-            (None, None) => {
+        let mut report = match defect {
+            Some(err) => defect_report(shape, &err),
+            None if certified => certified_report(&aw.po, shape, aw.hint_order.order()),
+            None => {
                 let causal = match aw.causal_failure {
                     Some(cycle) => Err(cycle),
                     None => Ok(aw.sat),
@@ -1181,6 +1200,8 @@ impl WindowedAuditor {
         let audit_elapsed = started.elapsed();
         if let Some(tele) = &self.tele {
             tele.windows.inc();
+            tele.certify_placed.add(aw.hint_order.placed);
+            tele.certify_restarts.add(aw.hint_order.restarts);
             if report.decided_by() == DecidedBy::Hint {
                 tele.certified.inc();
             } else {
@@ -1712,6 +1733,49 @@ mod tests {
         assert_eq!(tele.saturation_rounds.get(), 1, "nothing to derive: one pass over v1");
         // Three NP-hard cells per window, by the stage that decided them.
         assert_eq!(tele.np_cells.each_ref().map(|c| c.get()), [9, 3, 0]);
+    }
+
+    /// The verify-first passes resume: on a healthy stream probed at every
+    /// push (batch 1), each window's passes together place its transactions
+    /// and stand-ins exactly once.  A read parked on a writer that arrives
+    /// later costs one restart, which places the verified prefix again.
+    #[test]
+    fn certify_passes_place_each_transaction_once_and_count_restarts() {
+        let registry = tm_telemetry::Registry::new();
+        let mut h = AuditHistory::new(4, 0, 2);
+        for i in 1..=60i64 {
+            let var = (i % 4) as usize;
+            let seen = if i > 4 { i - 4 } else { 0 };
+            h.push_txn(
+                (i % 3 % 2) as usize,
+                [(var, seen), ((var + 1) % 4, 0.max(i - 3))],
+                [(var, i)],
+            );
+        }
+        let auditor = WindowedAuditor::new(4, 0, cfg(8, 2))
+            .with_telemetry(AuditTelemetry::from_registry(&registry));
+        let report = replay(auditor, &h);
+        assert_eq!(report.summary(), "RC ✓ | RA ✓ | Causal ✓ | Prefix ✓ | SI ✓ | SER ✓");
+        assert!(report.windows.len() > 5, "the stream must span many windows");
+        let stand_ins = |w: &WindowVerdict| -> u64 {
+            let shape = &w.report.shape;
+            let from = shape.find("(+").expect("shape names the stand-ins") + 2;
+            shape[from..].split(' ').next().and_then(|n| n.parse().ok()).expect("a count")
+        };
+        let placed: u64 = report.windows.iter().map(|w| w.txns as u64 + stand_ins(w)).sum();
+        let tele = AuditTelemetry::from_registry(&registry);
+        assert_eq!(tele.certified.get(), report.windows.len() as u64);
+        assert_eq!((tele.certify_placed.get(), tele.certify_restarts.get()), (placed, 0));
+
+        let registry = tm_telemetry::Registry::new();
+        let mut auditor = WindowedAuditor::new(1, 0, cfg(8, 0))
+            .with_telemetry(AuditTelemetry::from_registry(&registry));
+        auditor.push(0, txn(1, &[(0, 5)], &[])); // parked, then placed by its probe
+        auditor.push(1, txn(2, &[], &[(0, 5)])); // its writer: an edge into the prefix
+        let report = auditor.finish();
+        assert_eq!(provenance(&report.windows[0].report), [DecidedBy::Hint; 6]);
+        let tele = AuditTelemetry::from_registry(&registry);
+        assert_eq!((tele.certify_placed.get(), tele.certify_restarts.get()), (1 + 2, 1));
     }
 
     /// With a solver configured the meters say which stage decided each
