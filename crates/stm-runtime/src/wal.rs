@@ -25,14 +25,18 @@
 //! [`WalSink::append_txn`] returns the bytes are in the page cache and
 //! survive the *process* dying (`kill -9`).  Surviving the *machine* dying
 //! is segment-granular: [`WalSink::seal_segment`] fsyncs the segment, then
-//! publishes a **seal** — a sidecar `segment-NNNNNN.seal` JSON carrying the
-//! segment's byte length, line count and CRC32 — via write-to-temp + rename.
+//! publishes a **seal** — a sidecar `segment-NNNNNN.seal` whose first line
+//! is a JSON object with the segment's byte length, line count and CRC32,
+//! and whose optional second line is the caller's record of the boundary
+//! (the windowed auditor's verdict of the window that closed there) — in
+//! one write-to-temp + rename.  A boundary is therefore one durable file:
+//! there is no moment at which the seal exists without its record.
 //!
 //! Recovery ([`recover_round`]) trusts sealed bytes only after re-verifying
-//! length and checksum; the one unsealed tail segment is truncated to its
-//! last complete line (**the torn-tail rule**: a record either ends in a
-//! newline or it never happened), so a crash mid-append is detected and
-//! dropped rather than decoded as garbage.
+//! length and checksum, and hands each seal's record back; the one unsealed
+//! tail segment is truncated to its last complete line (**the torn-tail
+//! rule**: a record either ends in a newline or it never happened), so a
+//! crash mid-append is detected and dropped rather than decoded as garbage.
 
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
@@ -76,7 +80,11 @@ fn push_pairs(out: &mut String, pairs: &[(usize, i64)]) {
     }
 }
 
-/// Number of decimal digits in segment / snapshot file names.
+/// Version of the seal line [`WalSink::seal_segment`] writes; version 1
+/// seals carried no record (their rounds kept it in separate files).
+const SEAL_VERSION: u64 = 2;
+
+/// Number of decimal digits in segment and seal file names.
 const SEG_WIDTH: usize = 6;
 
 fn segment_name(index: u64) -> String {
@@ -221,18 +229,24 @@ impl WalSink {
     }
 
     /// Make everything appended so far durable: fsync the segment, publish
-    /// its seal (length + line count + CRC32) atomically, and open the next
-    /// segment.  Returns the index of the segment just sealed.
-    pub fn seal_segment(&mut self) -> io::Result<u64> {
+    /// its seal (length + line count + CRC32, then `record` — one line, no
+    /// newline inside — when given) atomically, and open the next segment.
+    /// Returns the index of the segment just sealed.
+    pub fn seal_segment(&mut self, record: Option<&str>) -> io::Result<u64> {
+        debug_assert!(record.is_none_or(|r| !r.is_empty() && !r.contains('\n')));
         self.file.sync_all()?;
         let sealed = self.segment_index;
-        let seal = format!(
-            "{{\"wal-seal\":1,\"segment\":{sealed},\"len\":{},\"lines\":{},\"crc\":{}}}\n",
+        let mut seal = format!(
+            "{{\"wal-seal\":{SEAL_VERSION},\"segment\":{sealed},\"len\":{},\"lines\":{},\"crc\":{}}}\n",
             self.segment_len,
             self.segment_lines,
             crc_done(self.segment_crc)
         );
-        self.write_blob(&seal_name(sealed), seal.as_bytes())?;
+        if let Some(record) = record {
+            seal.push_str(record);
+            seal.push('\n');
+        }
+        write_atomic(&self.dir, &seal_name(sealed), seal.as_bytes())?;
         self.segment_index += 1;
         let path = self.dir.join(segment_name(self.segment_index));
         self.file = OpenOptions::new().write(true).create_new(true).open(&path)?;
@@ -242,18 +256,11 @@ impl WalSink {
         Ok(sealed)
     }
 
-    /// Atomically publish a sidecar blob (e.g. a frontier snapshot) in the
-    /// round directory: write to a temp file, fsync, rename into place, and
-    /// fsync the directory so the name survives a crash too.
-    pub fn write_blob(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
-        write_atomic(&self.dir, name, bytes)
-    }
-
     /// Seal the tail segment (or remove it when empty) and drop the
     /// `complete` marker that tells recovery this round ended cleanly.
     pub fn finish(mut self) -> io::Result<()> {
         if self.segment_lines > 0 {
-            self.seal_segment()?;
+            self.seal_segment(None)?;
         }
         // The freshly opened (or never-written) tail segment is empty:
         // remove it so the directory holds exactly the sealed set.
@@ -263,18 +270,13 @@ impl WalSink {
             "{{\"wal-complete\":1,\"segments\":{},\"txns\":{}}}\n",
             self.segment_index, self.total_lines
         );
-        self.write_blob("complete.json", bytes_of(&marker))?;
-        Ok(())
+        write_atomic(&self.dir, "complete.json", marker.as_bytes())
     }
 }
 
-fn bytes_of(s: &str) -> &[u8] {
-    s.as_bytes()
-}
-
 /// Write `name` in `dir` atomically: temp file, fsync, rename, directory
-/// fsync.  Used for seals, snapshots and markers — anything whose partial
-/// presence would be worse than absence.
+/// fsync.  Used for seals and markers — anything whose partial presence
+/// would be worse than absence.
 pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
     let tmp = dir.join(format!(".{name}.tmp"));
     let mut file = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
@@ -301,6 +303,8 @@ pub struct RecoveredSegment {
     pub kept_bytes: u64,
     /// Bytes dropped from a torn tail (unsealed segment only).
     pub torn_bytes: u64,
+    /// The record its seal carried ([`WalSink::seal_segment`]), if any.
+    pub record: Option<String>,
 }
 
 /// What [`recover_round`] reassembled from a round directory.
@@ -327,9 +331,10 @@ fn corrupt(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
 
-/// Extract `"key":<unsigned>` from a one-object JSON line (the seal and
-/// marker files are written by this module, so a positional scan suffices —
-/// a missing or malformed field is corruption, not a parse dialect).
+/// Extract `"key":<unsigned>` from a seal's first line (written by this
+/// module, so a positional scan suffices — a missing or malformed field is
+/// corruption, not a parse dialect).  The caller passes the first line
+/// only, so nothing in the record after it can pass for a seal field.
 fn seal_field(text: &str, key: &str, path: &Path) -> io::Result<u64> {
     let needle = format!("\"{key}\":");
     let at = text
@@ -345,12 +350,14 @@ fn seal_field(text: &str, key: &str, path: &Path) -> io::Result<u64> {
 /// Reassemble a round directory after a crash: verify every sealed segment
 /// against its seal (length + CRC32), truncate the one unsealed tail
 /// segment to its last complete line (physically, so the directory is clean
-/// afterwards), and return the surviving bytes as one wire document.
+/// afterwards), and return the surviving bytes as one wire document, with
+/// each seal's record.
 ///
 /// Corruption that a seal *promised* against — a sealed segment shorter
 /// than its seal says, or failing its checksum — is an error: silence there
-/// would decode garbage as history.  A torn tail on the unsealed segment is
-/// expected (`kill -9` mid-append) and truncated instead.
+/// would decode garbage as history.  So is a seal of another version than
+/// this module writes.  A torn tail on the unsealed segment is expected
+/// (`kill -9` mid-append) and truncated instead.
 pub fn recover_round(dir: &Path) -> io::Result<RecoveredRound> {
     let mut indices: Vec<u64> = Vec::new();
     for entry in fs::read_dir(dir)? {
@@ -388,8 +395,20 @@ pub fn recover_round(dir: &Path) -> io::Result<RecoveredRound> {
         let seal_path = dir.join(seal_name(index));
         if seal_path.exists() {
             let seal = fs::read_to_string(&seal_path)?;
-            let len = seal_field(&seal, "len", &seal_path)?;
-            let crc = seal_field(&seal, "crc", &seal_path)? as u32;
+            let (line, record) = seal.split_once('\n').unwrap_or((&seal, ""));
+            let version = seal_field(line, "wal-seal", &seal_path)?;
+            if version != SEAL_VERSION {
+                return Err(corrupt(format!(
+                    "{}: unsupported WAL seal version {version} (this reader expects \
+                     {SEAL_VERSION}; the round was written by an older build)",
+                    seal_path.display()
+                )));
+            }
+            let len = seal_field(line, "len", &seal_path)?;
+            let crc = u32::try_from(seal_field(line, "crc", &seal_path)?).map_err(|_| {
+                corrupt(format!("{}: seal field \"crc\" exceeds 32 bits", seal_path.display()))
+            })?;
+            let record = record.strip_suffix('\n').unwrap_or(record);
             if (bytes.len() as u64) < len {
                 return Err(corrupt(format!(
                     "{}: sealed as {len} bytes but only {} on disk",
@@ -412,6 +431,7 @@ pub fn recover_round(dir: &Path) -> io::Result<RecoveredRound> {
                 sealed: true,
                 kept_bytes: bytes.len() as u64,
                 torn_bytes: 0,
+                record: (!record.is_empty()).then(|| record.to_string()),
             });
         } else {
             if index != last {
@@ -439,6 +459,7 @@ pub fn recover_round(dir: &Path) -> io::Result<RecoveredRound> {
                 sealed: false,
                 kept_bytes: keep as u64,
                 torn_bytes: torn,
+                record: None,
             });
         }
         text.push_str(
@@ -473,15 +494,36 @@ mod tests {
         let mut sink = WalSink::create(&dir, 2, 4, 0).expect("create");
         sink.append_txn(0, 0, 0, &[(0, 0)], &[(0, 7)]).unwrap();
         sink.append_txn(1, 0, 1, &[(0, 7)], &[(1, 9), (2, -3)]).unwrap();
-        assert_eq!(sink.seal_segment().unwrap(), 0);
+        // A record that spells seal fields: only the seal's first line is
+        // read for them.
+        let record = "{\"len\":0,\"crc\":1,\"wal-seal\":9}";
+        assert_eq!(sink.seal_segment(Some(record)).unwrap(), 0);
         sink.append_txn(0, 1, 2, &[(1, 9)], &[]).unwrap();
         sink.finish().unwrap();
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                "complete.json",
+                "segment-000000.seal",
+                "segment-000000.tmh",
+                "segment-000001.seal",
+                "segment-000001.tmh"
+            ]
+        );
 
         let round = recover_round(&dir).expect("recover");
         assert!(round.complete);
         assert_eq!(round.torn_bytes(), 0);
         assert_eq!(round.segments.len(), 2);
         assert!(round.segments.iter().all(|s| s.sealed));
+        let records: Vec<Option<&str>> =
+            round.segments.iter().map(|s| s.record.as_deref()).collect();
+        assert_eq!(records, [Some(record), None], "the tail seal carries no record");
         assert_eq!(
             round.text,
             "{\"tm-history\":1,\"sessions\":2,\"vars\":4,\"initial\":0}\n\
@@ -497,7 +539,7 @@ mod tests {
         let dir = tempdir("torn");
         let mut sink = WalSink::create(&dir, 1, 2, 0).expect("create");
         sink.append_txn(0, 0, 0, &[], &[(0, 5)]).unwrap();
-        sink.seal_segment().unwrap();
+        sink.seal_segment(None).unwrap();
         sink.append_txn(0, 1, 1, &[], &[(1, 6)]).unwrap();
         drop(sink); // crash: no seal, no finish
 
@@ -523,7 +565,7 @@ mod tests {
         let dir = tempdir("corrupt");
         let mut sink = WalSink::create(&dir, 1, 1, 0).expect("create");
         sink.append_txn(0, 0, 0, &[], &[(0, 3)]).unwrap();
-        sink.seal_segment().unwrap();
+        sink.seal_segment(None).unwrap();
         drop(sink);
 
         // Flip a byte inside the sealed segment.
@@ -539,6 +581,45 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Rewrite seal 0's first line with `edit` and recover: the error.
+    fn recover_with_seal_edited(dir: &Path, edit: impl FnOnce(&str) -> String) -> io::Error {
+        let path = dir.join(seal_name(0));
+        let intact = fs::read_to_string(&path).unwrap();
+        let (line, rest) = intact.split_once('\n').unwrap();
+        fs::write(&path, format!("{}\n{rest}", edit(line))).unwrap();
+        let err = recover_round(dir).expect_err("an edited seal must not verify");
+        fs::write(&path, intact).unwrap();
+        err
+    }
+
+    #[test]
+    fn foreign_seals_are_rejected_by_version_and_crc_width() {
+        let dir = tempdir("foreign");
+        let mut sink = WalSink::create(&dir, 1, 1, 0).expect("create");
+        sink.append_txn(0, 0, 0, &[], &[(0, 3)]).unwrap();
+        sink.seal_segment(Some("{}")).unwrap();
+        drop(sink);
+
+        let err = recover_with_seal_edited(&dir, |line| {
+            line.replace("{\"wal-seal\":2,", "{\"wal-seal\":1,")
+        });
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported WAL seal version 1"), "{err}");
+
+        // A CRC one wrap past u32::MAX used to be truncated onto the right
+        // checksum and accepted.
+        let err = recover_with_seal_edited(&dir, |line| {
+            let at = line.find("\"crc\":").unwrap() + "\"crc\":".len();
+            let crc: u64 = line[at..].trim_end_matches('}').parse().unwrap();
+            format!("{}{}}}", &line[..at], crc + (1u64 << 32))
+        });
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("\"crc\" exceeds 32 bits"), "{err}");
+
+        assert!(recover_round(&dir).is_ok(), "the intact seal verifies");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn gapped_or_missing_segments_are_rejected() {
         let dir = tempdir("gap");
@@ -547,7 +628,7 @@ mod tests {
 
         let mut sink = WalSink::create(&dir, 1, 1, 0).expect("create");
         sink.append_txn(0, 0, 0, &[], &[(0, 3)]).unwrap();
-        sink.seal_segment().unwrap();
+        sink.seal_segment(None).unwrap();
         sink.append_txn(0, 1, 1, &[], &[(0, 4)]).unwrap();
         sink.finish().unwrap();
         fs::remove_file(dir.join(segment_name(0))).unwrap();

@@ -130,7 +130,7 @@ pub use partition::{
     audit_sharded, partition_of, PartitionVerdict, ShardConfig, ShardConviction, ShardedAuditor,
     ShardedStreamReport,
 };
-pub use recovery::{FrontierSnapshot, RecoveryError};
+pub use recovery::{BoundaryRecord, RecoveryError};
 pub use report::{AuditReport, DecidedBy, Level, LevelReport, Outcome};
 /// The workspace's JSON writer/reader, re-exported for the one crate that
 /// links `tm-audit` but not `tm-telemetry`: `tm-history`, whose manifest is

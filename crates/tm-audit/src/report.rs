@@ -9,7 +9,7 @@
 pub use tm_consistency::report::CommitOrderWitness;
 
 use std::fmt;
-use tm_telemetry::json;
+use tm_telemetry::json::{self, ParseError, Value};
 
 /// The consistency hierarchy the auditor decides, weakest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -54,6 +54,11 @@ impl Level {
             Level::SnapshotIsolation => "snapshot isolation",
             Level::Serializable => "serializability",
         }
+    }
+
+    /// Inverse of [`Level::name`].
+    pub fn from_name(name: &str) -> Option<Level> {
+        Level::ALL.into_iter().find(|l| l.name() == name)
     }
 
     /// Short tag used in compact per-backend summaries.
@@ -328,6 +333,42 @@ impl AuditReport {
         out.push_str("]}");
         out
     }
+
+    /// Read back what [`AuditReport::to_json`] wrote; `summary` and each
+    /// level's `tag` are derived, so they are not read.
+    pub fn from_json(value: &Value) -> Result<AuditReport, ParseError> {
+        fn level_named(value: &Value) -> Option<Level> {
+            value.as_str().and_then(Level::from_name)
+        }
+        let levels = value.field("levels", Value::as_arr)?.iter().map(|l| {
+            let detail = l.field("detail", Value::as_str)?.to_string();
+            let outcome = match l.field("outcome", Value::as_str)? {
+                "pass" => Outcome::Pass { witness: detail },
+                "fail" => Outcome::Fail { violation: detail },
+                "unknown" => Outcome::Unknown {
+                    reason: detail,
+                    states: l.field("states", Value::as_u64)?,
+                    refuted: l
+                        .get("refuted")
+                        .map(|_| l.field("refuted", level_named))
+                        .transpose()?,
+                    next_budget: l.field("next_budget", Value::as_u64)?,
+                },
+                other => {
+                    return Err(ParseError { message: format!("unknown outcome kind {other:?}") })
+                }
+            };
+            Ok(LevelReport {
+                level: l.field("level", level_named)?,
+                outcome,
+                decided_by: l.field("decided_by", |by| by.as_str().and_then(DecidedBy::parse))?,
+            })
+        });
+        Ok(AuditReport {
+            shape: value.field("shape", Value::as_str)?.to_string(),
+            levels: levels.collect::<Result<_, _>>()?,
+        })
+    }
 }
 
 /// Fold the outcomes of a run's parts — the windows of a stream, the lanes
@@ -445,13 +486,21 @@ mod tests {
 
     #[test]
     fn json_round_trips_the_verdict_vocabulary() {
-        let json = sample().to_json();
-        assert!(json.contains("\"outcome\":\"pass\""), "{json}");
-        assert!(json.contains("\"outcome\":\"fail\""), "{json}");
-        assert!(json.contains("\"outcome\":\"unknown\""), "{json}");
-        assert!(json.contains("\"states\":1000"), "{json}");
-        assert!(json.contains("\"next_budget\":4000"), "{json}");
-        assert!(json.contains("\"refuted\":\"serializability\""), "{json}");
+        let read = |r: &AuditReport| AuditReport::from_json(&json::parse(&r.to_json()).unwrap());
+        let mut r = sample();
+        assert_eq!(read(&r), Ok(r.clone()));
+        // Every level, every provenance, an unknown with nothing refuted.
+        r.levels.push(
+            LevelReport::new(Level::Prefix, Outcome::unknown("\"quoted\"\nreason", 7, None))
+                .via(DecidedBy::Hint),
+        );
+        r.levels.extend(
+            [Level::ReadAtomic, Level::Causal]
+                .map(|level| LevelReport::new(level, Outcome::Pass { witness: "w".into() })),
+        );
+        assert_eq!(read(&r), Ok(r.clone()));
+        let json = r.to_json().replace("\"hint\"", "\"oracle\"");
+        assert!(AuditReport::from_json(&json::parse(&json).unwrap()).is_err());
     }
 
     #[test]

@@ -99,7 +99,7 @@
 use crate::history::{AccessSet, AuditTxn, HistoryError, TxnId};
 use crate::linearization::{find_lost_update, HintOrder, DEFAULT_STATE_BUDGET};
 use crate::po::{TxnPartialOrder, EVICTED_SESSION};
-use crate::recovery::{FrontierSnapshot, RecoveryError};
+use crate::recovery::{BoundaryRecord, RecoveryError};
 use crate::report::{fold_outcomes, AuditReport, DecidedBy, Level, LevelReport, Outcome};
 use crate::saturation::{resaturate, CycleViolation, Saturated};
 use crate::telemetry::{AuditTelemetry, NP_CELL_STAGES};
@@ -111,7 +111,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 use stm_runtime::{CommitBatch, StreamConsumer};
-use tm_telemetry::json;
+use tm_telemetry::json::{self, ParseError, Value};
 
 /// Shape of the rolling windows a [`WindowedAuditor`] audits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,6 +172,29 @@ impl WindowConfig {
         self.batch = self.batch.clamp(1, self.size);
         self
     }
+
+    /// The persisted form — the shape a WAL round's metadata and its boundary
+    /// records carry.  `sat` is a run-time concern and is not written.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"size\":{},\"overlap\":{},\"budget\":{},\"retain_windows\":{},\"batch\":{}}}",
+            self.size, self.overlap, self.budget, self.retain_windows, self.batch
+        )
+    }
+
+    /// Read back what [`WindowConfig::to_json`] wrote (`sat` comes back
+    /// `None`).
+    pub fn from_json(value: &Value) -> Result<WindowConfig, ParseError> {
+        let field = |key| value.field(key, Value::as_u64);
+        Ok(WindowConfig {
+            size: field("size")? as usize,
+            overlap: field("overlap")? as usize,
+            budget: field("budget")?,
+            retain_windows: field("retain_windows")? as usize,
+            batch: field("batch")? as usize,
+            sat: None,
+        })
+    }
 }
 
 /// The earliest definite violation the stream produced — announced mid-run,
@@ -186,6 +209,29 @@ pub struct Conviction {
     pub txns_seen: u64,
     /// Human-readable violation.
     pub violation: String,
+}
+
+impl Conviction {
+    /// The JSON form every report embeds.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"level\":\"{}\",\"window\":{},\"txns_seen\":{},\"violation\":\"{}\"}}",
+            self.level.name(),
+            self.window,
+            self.txns_seen,
+            json::escape(&self.violation)
+        )
+    }
+
+    /// Read back what [`Conviction::to_json`] wrote.
+    pub fn from_json(value: &Value) -> Result<Conviction, ParseError> {
+        Ok(Conviction {
+            level: value.field("level", |l| l.as_str().and_then(Level::from_name))?,
+            window: value.field("window", Value::as_u64)? as usize,
+            txns_seen: value.field("txns_seen", Value::as_u64)?,
+            violation: value.field("violation", Value::as_str)?.to_string(),
+        })
+    }
 }
 
 /// One audited window's verdict.
@@ -305,13 +351,7 @@ impl StreamReport {
             self.verdict_latency_mean().as_secs_f64() * 1e3
         ));
         match &self.first_conviction {
-            Some(c) => out.push_str(&format!(
-                "\"first_conviction\":{{\"level\":\"{}\",\"window\":{},\"txns_seen\":{},\"violation\":\"{}\"}},",
-                c.level.name(),
-                c.window,
-                c.txns_seen,
-                json::escape(&c.violation)
-            )),
+            Some(c) => out.push_str(&format!("\"first_conviction\":{},", c.to_json())),
             None => out.push_str("\"first_conviction\":null,"),
         }
         out.push_str(&format!("\"merged\":{},", self.merged.to_json()));
@@ -671,7 +711,8 @@ pub struct WindowedAuditor {
     window_index: usize,
     total_txns: u64,
     audited_through: u64,
-    evicted_seq: usize,
+    /// Reads attributed to evicted-origin stand-ins so far — also the next
+    /// stand-in's `past?n` sequence number.
     evicted_attributions: u64,
     verdicts: Vec<WindowVerdict>,
     first_conviction: Option<Conviction>,
@@ -715,7 +756,6 @@ impl WindowedAuditor {
             window_index: 0,
             total_txns: 0,
             audited_through: 0,
-            evicted_seq: 0,
             evicted_attributions: 0,
             verdicts: Vec::new(),
             first_conviction: None,
@@ -752,107 +792,102 @@ impl WindowedAuditor {
         self.config
     }
 
+    /// Transactions pushed so far — after
+    /// [`WindowedAuditor::resume_from_frontier`], the log records its chain
+    /// covers, where the caller's replay starts.
+    pub fn txns_seen(&self) -> u64 {
+        self.total_txns
+    }
+
     /// What the log cannot give back about the **last window boundary** — the
-    /// durable half of crash recovery next to the sealed log (see
-    /// [`crate::recovery`]); `None` before the first window has closed.
+    /// record the WAL seals beside the log (see [`crate::recovery`]); `None`
+    /// before the first window has closed.
     ///
-    /// The snapshot rewinds to the boundary: per-session sequence counters
-    /// are decremented by the records still in the current (unclosed)
-    /// window, and `replay_from` counts only the absorbed prefix.  Records
-    /// at or past `replay_from` — the carried overlap included — must be
-    /// re-pushed from the log after [`WindowedAuditor::resume_from_frontier`];
-    /// they re-assume their original identities and rebuild the in-flight
+    /// Records still in the current (unclosed) window — the carried overlap
+    /// and anything after the boundary — are not covered: after
+    /// [`WindowedAuditor::resume_from_frontier`] they are re-pushed from the
+    /// log, re-assume their original identities and rebuild the in-flight
     /// window exactly, so the resumed stream's verdicts match an
     /// uninterrupted run's.
-    pub fn boundary_snapshot(&self) -> Option<FrontierSnapshot> {
-        let verdict = self.verdicts.last()?.clone();
-        let mut seqs = self.seqs.clone();
-        for (id, _) in &self.cur {
-            if let Some(seq) = seqs.get_mut(&id.session) {
-                *seq -= 1;
-            }
-        }
-        let mut seqs: Vec<(usize, usize)> = seqs.into_iter().collect();
-        seqs.sort_unstable();
-        Some(FrontierSnapshot {
-            n_vars: self.n_vars,
-            initial: self.initial,
+    pub fn boundary_record(&self) -> Option<BoundaryRecord> {
+        Some(BoundaryRecord {
             config: WindowConfig { sat: None, ..self.config },
-            window_index: self.window_index,
-            replay_from: self.total_txns - self.cur.len() as u64,
-            seqs,
-            evicted_seq: self.evicted_seq,
             evicted_attributions: self.evicted_attributions,
-            peak_window_txns: self.peak_window_txns,
             peak_closure_bytes: self.peak_closure_bytes,
             first_conviction: self.first_conviction.clone(),
-            verdict,
+            verdict: self.verdicts.last()?.clone(),
         })
     }
 
     /// Rebuild an auditor at its last durable window boundary from the
-    /// decoded log (`log`, in `arrival` order) and the snapshot chain written
-    /// beside it — `chain[i]` is what [`WindowedAuditor::boundary_snapshot`]
-    /// returned after window `i` closed.  The newest snapshot supplies the
-    /// boundary scalars, each one its window's verdict, and the frontier is
-    /// re-absorbed from `arrival[..replay_from]` exactly as the closes
-    /// absorbed it.  The caller then re-pushes the records from
-    /// `replay_from` on and the stream continues as if never interrupted.
-    /// `sat` supplies the solver escalation config, which is not persisted.
+    /// decoded log (`log`, in `arrival` order) and the chain of records
+    /// sealed beside it — `chain[i]` is what
+    /// [`WindowedAuditor::boundary_record`] returned after window `i`
+    /// closed.  The newest record supplies the window shape and the
+    /// counters, each one its window's verdict; the rest is derived from the
+    /// log: `n_vars` and `initial` from its header, and — window `j` having
+    /// absorbed records `[j·stride, (j+1)·stride)`, `stride = size −
+    /// overlap` — the boundary `replay_from = chain.len() × stride`, the
+    /// per-session counters as the counts of `arrival[..replay_from]`, and
+    /// the frontier by re-absorbing that prefix window by window exactly as
+    /// the closes absorbed it.  The caller then re-pushes the records from
+    /// [`WindowedAuditor::txns_seen`] on and the stream continues as if never
+    /// interrupted.  `sat` supplies the solver escalation config, which is
+    /// not persisted.
     ///
-    /// Everything the snapshots claim about the log is checked against it
-    /// first ([`FrontierSnapshot::check_continuation`] included); a chain
-    /// that does not describe this log is a [`RecoveryError`].
+    /// A chain whose verdicts are not windows `0, 1, …` in order, a window
+    /// shape that is not normalized, or a log shorter than the chain covers
+    /// is a [`RecoveryError`].
     pub fn resume_from_frontier(
-        chain: &[FrontierSnapshot],
+        chain: &[BoundaryRecord],
         log: &AuditHistory,
         arrival: &[TxnId],
         sat: Option<SatConfig>,
     ) -> Result<WindowedAuditor, RecoveryError> {
-        let Some(snapshot) = chain.last() else {
-            return Err(RecoveryError::new("no frontier snapshot to resume from"));
+        let Some(newest) = chain.last() else {
+            return Err(RecoveryError::new("no boundary record to resume from"));
         };
-        if let Some((i, link)) = chain
-            .iter()
-            .enumerate()
-            .find(|(i, link)| (link.window_index, link.verdict.index) != (i + 1, *i))
-        {
-            return Err(RecoveryError::new(format!(
-                "frontier snapshot {i} of the chain records window_index {} and the verdict of \
-                 window {} (expected {} and {i})",
-                link.window_index,
-                link.verdict.index,
-                i + 1
-            )));
+        for (i, link) in chain.iter().enumerate() {
+            if link.verdict.index != i {
+                return Err(RecoveryError::new(format!(
+                    "boundary record {i} of the chain holds the verdict of window {} \
+                     (expected {i})",
+                    link.verdict.index
+                )));
+            }
+            // A window's count sizes the next window's tables: it must be
+            // one the log could have produced.
+            if link.verdict.txns > arrival.len() {
+                return Err(RecoveryError::new(format!(
+                    "boundary record {i} says window {i} audited {} transactions, but the log \
+                     holds only {}",
+                    link.verdict.txns,
+                    arrival.len()
+                )));
+            }
         }
-        if (snapshot.n_vars, snapshot.initial) != (log.n_vars, log.initial) {
-            return Err(RecoveryError::new(format!(
-                "snapshot declares {} variable(s) starting at {} but the log header declares {} \
-                 starting at {}",
-                snapshot.n_vars, snapshot.initial, log.n_vars, log.initial
-            )));
-        }
-        let config = WindowConfig { sat, ..snapshot.config };
+        let config = WindowConfig { sat, ..newest.config };
         if config.normalized() != config {
             return Err(RecoveryError::new(format!(
-                "snapshot window shape (size {}, overlap {}, batch {}) is not a \
+                "recorded window shape (size {}, overlap {}, batch {}) is not a \
                  normalized configuration — refusing to resume with a different shape",
                 config.size, config.overlap, config.batch
             )));
         }
-        snapshot.check_continuation(arrival)?;
-        // Window `j` absorbed records `[j·stride, (j+1)·stride)` of the log.
         let stride = config.size - config.overlap;
-        if snapshot.window_index.checked_mul(stride).map(|n| n as u64) != Some(snapshot.replay_from)
-        {
-            return Err(RecoveryError::new(format!(
-                "snapshot covers {} record(s), but {} closed window(s) of stride {stride} absorb \
-                 exactly window_index × stride",
-                snapshot.replay_from, snapshot.window_index
-            )));
-        }
+        let replay_from = match chain.len().checked_mul(stride) {
+            Some(n) if n <= arrival.len() => n,
+            _ => {
+                return Err(RecoveryError::new(format!(
+                    "log has {} records but {} closed window(s) of stride {stride} absorbed more \
+                     — the log is not the one the records were sealed beside",
+                    arrival.len(),
+                    chain.len()
+                )))
+            }
+        };
         let mut auditor = Self::build(log.n_vars, log.initial, config, false);
-        for (window, ids) in arrival[..snapshot.replay_from as usize].chunks(stride).enumerate() {
+        for (window, ids) in arrival[..replay_from].chunks(stride).enumerate() {
             let records = ids.iter().map(|&id| match log.txn(id) {
                 Some(txn) => Ok((id, txn.clone())),
                 None => Err(RecoveryError::new(format!("arrival id {id} is not in the log"))),
@@ -860,16 +895,17 @@ impl WindowedAuditor {
             let records = records.collect::<Result<Vec<_>, _>>()?;
             auditor.frontier.absorb_window(window, records, config.retain_windows);
         }
-        auditor.seqs = snapshot.seqs.iter().copied().collect();
-        auditor.window_index = snapshot.window_index;
-        auditor.total_txns = snapshot.replay_from;
-        auditor.audited_through = snapshot.replay_from;
-        auditor.evicted_seq = snapshot.evicted_seq;
-        auditor.evicted_attributions = snapshot.evicted_attributions;
+        for id in &arrival[..replay_from] {
+            *auditor.seqs.entry(id.session).or_insert(0) += 1;
+        }
+        auditor.window_index = chain.len();
+        auditor.total_txns = replay_from as u64;
+        auditor.audited_through = replay_from as u64;
+        auditor.evicted_attributions = newest.evicted_attributions;
         auditor.verdicts = chain.iter().map(|link| link.verdict.clone()).collect();
-        auditor.first_conviction = snapshot.first_conviction.clone();
-        auditor.peak_window_txns = snapshot.peak_window_txns;
-        auditor.peak_closure_bytes = snapshot.peak_closure_bytes;
+        auditor.first_conviction = newest.first_conviction.clone();
+        auditor.peak_window_txns = auditor.verdicts.iter().map(|w| w.txns).max().unwrap_or(0);
+        auditor.peak_closure_bytes = newest.peak_closure_bytes;
         Ok(auditor)
     }
 
@@ -913,7 +949,10 @@ impl WindowedAuditor {
     /// with in-window rmws).
     fn open_window(&mut self) {
         let latest = self.frontier.latest_writers();
-        let txns = self.config.size + latest.len();
+        // Presize for the largest window seen so far, never for the
+        // configured size: a window holds what arrives, which may be far
+        // fewer transactions than `size` allows.
+        let txns = self.peak_window_txns + latest.len();
         let mut po = TxnPartialOrder::with_capacity(self.n_vars, self.initial, txns);
         let mut materialized = HashSet::new();
         let mut defect = None;
@@ -1119,8 +1158,7 @@ impl WindowedAuditor {
         // attribute it to synthetic past writers (attested, not verified).
         let pending = self.active.as_ref().expect("active window").po.pending_values();
         for (var, value) in pending {
-            let id = TxnId { session: EVICTED_SESSION, seq: self.evicted_seq };
-            self.evicted_seq += 1;
+            let id = TxnId { session: EVICTED_SESSION, seq: self.evicted_attributions as usize };
             self.evicted_attributions += 1;
             if let Some(tele) = &self.tele {
                 tele.evicted.inc();
@@ -1548,22 +1586,22 @@ mod tests {
     }
 
     /// What a round killed after `order[..cut]` leaves behind: the log's
-    /// arrival ids, the snapshot chain (one per closed window, through its
+    /// arrival ids, the record chain (one per closed window, through its
     /// persisted form) — and the live auditor itself, to compare against.
     fn crash_after(
         order: &[(usize, &AuditTxn)],
         cut: usize,
         n_vars: usize,
         config: WindowConfig,
-    ) -> (WindowedAuditor, Vec<FrontierSnapshot>, Vec<TxnId>) {
+    ) -> (WindowedAuditor, Vec<BoundaryRecord>, Vec<TxnId>) {
         let mut live = WindowedAuditor::new(n_vars, 0, config);
         let (mut chain, mut arrival) = (Vec::new(), Vec::new());
         for &(session, txn) in &order[..cut] {
             arrival.push(TxnId { session, seq: live.seqs.get(&session).copied().unwrap_or(0) });
             live.push(session, txn.clone());
             if live.windows_closed() > chain.len() {
-                let json = live.boundary_snapshot().expect("a window closed").to_json();
-                chain.push(FrontierSnapshot::parse(&json).expect("parse snapshot"));
+                let json = live.boundary_record().expect("a window closed").to_json();
+                chain.push(BoundaryRecord::parse(&json).expect("parse record"));
             }
         }
         (live, chain, arrival)
@@ -1576,17 +1614,14 @@ mod tests {
         h: &AuditHistory,
         order: &[(usize, &AuditTxn)],
         config: WindowConfig,
-        chain: &[FrontierSnapshot],
+        chain: &[BoundaryRecord],
         arrival: &[TxnId],
     ) -> StreamReport {
-        let (mut resumed, replay_from) = match chain.last() {
-            None => (WindowedAuditor::new(h.n_vars, h.initial, config), 0),
-            Some(newest) => (
-                WindowedAuditor::resume_from_frontier(chain, h, arrival, None).expect("resume"),
-                newest.replay_from as usize,
-            ),
+        let mut resumed = match chain {
+            [] => WindowedAuditor::new(h.n_vars, h.initial, config),
+            _ => WindowedAuditor::resume_from_frontier(chain, h, arrival, None).expect("resume"),
         };
-        for &(session, txn) in &order[replay_from..] {
+        for &(session, txn) in &order[resumed.txns_seen() as usize..] {
             resumed.push(session, txn.clone());
         }
         resumed.finish()
@@ -1624,7 +1659,7 @@ mod tests {
 
         let order = h.recording_order();
         let (_, chain, arrival) = crash_after(&order, 2, 2, cfg(2, 0));
-        assert_eq!(chain.last().expect("window 0 sealed").replay_from, 2);
+        assert_eq!(chain.len(), 1, "window 0 sealed, covering 2 records at stride 2");
         let resumed = recover_and_finish(&h, &order, cfg(2, 0), &chain, &arrival);
         assert_eq!(resumed.merged, stream.merged);
         for (resumed, live) in resumed.windows.iter().zip(&stream.windows) {
@@ -2065,7 +2100,7 @@ mod tests {
         assert_eq!(*windows_before, conviction.window, "announced just before its window");
     }
 
-    /// Crash/resume at every cut point: the snapshot chain plus the log
+    /// Crash/resume at every cut point: the record chain plus the log
     /// prefix rebuild the very frontier the killed auditor held, and
     /// replaying everything from `replay_from` reproduces the uninterrupted
     /// run's verdicts exactly — merged report, conviction, totals.
@@ -2134,6 +2169,25 @@ mod tests {
         assert_eq!(report.first_conviction, baseline.first_conviction);
         assert_eq!(report.merged, baseline.merged);
         assert_eq!(report.evicted_attributions, 0);
+    }
+
+    /// A window reserves for what arrives, not for what its size allows:
+    /// 40 transactions under a 2^40-transaction window (a size the CLI and a
+    /// config read from disk both accept) finish with the verdict a small
+    /// window reaches, instead of aborting on a terabyte-scale reservation.
+    #[test]
+    fn huge_window_sizes_reserve_only_what_arrives() {
+        let mut h = AuditHistory::new(2, 0, 2);
+        for i in 0..38i64 {
+            h.push_txn((i % 2) as usize, [(0, i)], [(0, i + 1)]);
+        }
+        h.push_txn(0, [(1, 0)], [(1, 100)]);
+        h.push_txn(1, [(1, 0)], [(1, 200)]); // a lost update
+        let small = audit_streamed(&h, WindowConfig::sized(64));
+        assert!(small.fails(Level::SnapshotIsolation), "{}", small.merged);
+        let huge = audit_streamed(&h, WindowConfig::sized(1 << 40));
+        assert_eq!(huge.merged.levels, small.merged.levels);
+        assert_eq!(huge.total_txns, 40);
     }
 
     /// The empty stream is vacuously consistent.

@@ -8,8 +8,8 @@
 //! and new emitters can use [`JsonBuf`] instead of raw `format!` plumbing.
 //!
 //! The reader ([`parse`] → [`Value`]) is a plain RFC 8259 value parser for
-//! the documents the workspace reads back whole (frontier snapshots, WAL
-//! metadata).  `tm-history`'s wire decoder is not a second one: it scans a
+//! the documents the workspace reads back whole (the boundary records in WAL
+//! seals, WAL metadata).  `tm-history`'s wire decoder is not a second one: it scans a
 //! canonical line form in place, with `(line, col)` errors, on a timed path.
 
 use std::fmt;
@@ -263,6 +263,19 @@ impl Value {
             Value::Arr(items) => Some(items),
             _ => None,
         }
+    }
+
+    /// Field `key` of an object through one of the `as_*` accessors (or
+    /// `Some` for the raw value): a missing or mistyped field is an error
+    /// naming the key.
+    pub fn field<'a, T>(
+        &'a self,
+        key: &str,
+        as_kind: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, ParseError> {
+        self.get(key)
+            .and_then(as_kind)
+            .ok_or_else(|| ParseError::new(format!("missing or mistyped field {key:?}")))
     }
 }
 

@@ -103,12 +103,12 @@
 //!   without a log.  See `docs/recovery.md`;
 //! * `--recover DIR` — finish auditing the rounds a killed process left
 //!   behind: torn tails are truncated to the last sealed-or-complete line,
-//!   the newest frontier snapshot is verified as a legal prefix of the
-//!   surviving log (the continuation check), the auditor's frontier is
-//!   re-absorbed from that prefix and the suffix replayed.  Standalone it prints one `recovered-verdict`
-//!   record per round (and a `--json` report with `"recovered":true`);
-//!   combined with `--serve --wal` the endpoint recovers first, then keeps
-//!   serving at the next free round index;
+//!   the seals' verdict records are read back, the auditor's frontier is
+//!   re-absorbed from the log prefix they cover and the suffix replayed.
+//!   Standalone it prints one `recovered-verdict` record per round (and a
+//!   `--json` report with `"recovered":true`); combined with `--serve
+//!   --wal` the endpoint recovers first, then keeps serving at the next free
+//!   round index;
 //! * `--sink PATH` — also append every serve record to PATH (a file another
 //!   process can tail);
 //! * `--metrics` — turn the telemetry spine on (`tm-telemetry`): runs report
@@ -437,7 +437,7 @@ fn usage() {
          without --audit= it runs window:size=2048.\n\
          --serve --ingest - audits history documents from stdin instead of generating\n\
          traffic.  --wal DIR logs every commit of a serve round to DIR/round-NNNN before\n\
-         the auditor sees it (crash-consistent, sealed segments + frontier snapshots);\n\
+         the auditor sees it (crash-consistent: each seal carries its window's verdict);\n\
          --recover DIR finishes auditing the rounds a killed process left behind (see\n\
          docs/recovery.md)."
     );
@@ -735,10 +735,10 @@ fn recovered_record(report: &workloads::RecoveredRoundReport) -> String {
 }
 
 /// The fallback window shape for recovering rounds whose crash landed
-/// before the first frontier snapshot: an explicit `--audit=window...` spec
-/// wins, then the WAL directory's own `wal-meta.json` (the shape the round
-/// was actually produced with), then the serve default.  Rounds with a
-/// surviving snapshot ignore this — the snapshot's persisted config wins.
+/// before the first window-closing seal: an explicit `--audit=window...`
+/// spec wins, then the WAL directory's own `wal-meta.json` (the shape the
+/// round was actually produced with), then the serve default.  Rounds with a
+/// window-closing seal ignore this — its recorded config wins.
 fn recover_fallback_window(args: &Args, wal_dir: &Path) -> Result<WindowConfig, String> {
     if let AuditPlan::Windowed(window) = args.plan {
         return Ok(window);

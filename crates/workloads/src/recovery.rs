@@ -5,24 +5,25 @@
 //!
 //! * [`stm_runtime::wal`] — the write-ahead sink ([`WalSink`]) that appends
 //!   committed transactions to per-round segment files in the `tm-history`
-//!   wire format, seals segments with length+CRC framing, and truncates torn
-//!   tails on recovery ([`stm_runtime::wal::recover_round`]);
+//!   wire format, seals segments with length+CRC framing plus the caller's
+//!   record, and truncates torn tails on recovery
+//!   ([`stm_runtime::wal::recover_round`]);
 //! * [`tm_history::wire`] — the decoder, whose arrival-order API
 //!   (`Decoder::next_history_arrival`) replays the log in the exact order
 //!   the auditor originally ingested it;
-//! * [`tm_audit::recovery`] — the [`FrontierSnapshot`] persisted alongside
-//!   each sealed segment: the closed window's verdict and the boundary
-//!   scalars.  The frontier itself is not written twice — the sealed log is
-//!   its durable form, and [`WindowedAuditor::resume_from_frontier`]
-//!   re-absorbs it from there.
+//! * [`tm_audit::recovery`] — the [`BoundaryRecord`] each window-closing
+//!   seal carries: the closed window's verdict, the window shape and three
+//!   counters.  Nothing the log already says is written again — the sealed
+//!   log is the frontier's durable form, and
+//!   [`WindowedAuditor::resume_from_frontier`] re-absorbs it from there.
 //!
 //! [`WalTee`] is the [`TxnSink`] that runs during a round: every record is
 //! appended to the log *before* it reaches the auditor (write-ahead), and
-//! every closed window seals the current segment and writes its snapshot.
-//! [`recover_round_auditor`] / [`recover_round_report`] are the other half:
-//! given a round directory left behind by a killed process, they truncate
-//! the torn tail, read the snapshot chain, verify the surviving log legally
-//! extends it (the continuation check), rebuild the auditor at the last
+//! every closed window seals the current segment with its boundary record —
+//! one atomic publish per boundary.  [`recover_round_auditor`] /
+//! [`recover_round_report`] are the other half: given a round directory
+//! left behind by a killed process, they truncate the torn tail, read the
+//! record chain off the verified seals, rebuild the auditor at the last
 //! sealed boundary from the log prefix, and replay the suffix — producing
 //! the verdict the uninterrupted round would have reached over the same
 //! records.
@@ -31,10 +32,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 use stm_runtime::wal::{recover_round, write_atomic, RecoveredRound, WalSink};
 use tm_audit::{
-    AuditTxn, FrontierSnapshot, SatConfig, StreamReport, TxnSink, WindowConfig, WindowedAuditor,
+    AuditTxn, BoundaryRecord, SatConfig, StreamReport, TxnSink, WindowConfig, WindowedAuditor,
 };
 use tm_history::Decoder;
-use tm_telemetry::json;
+use tm_telemetry::json::{self, Value};
 
 /// File-name of the per-WAL-directory metadata blob (round shape, window
 /// config) written once at serve start.
@@ -45,8 +46,8 @@ pub const WAL_META_FILE: &str = "wal-meta.json";
 /// ordering that makes the log an upper bound on what the auditor has
 /// seen.  Each time the auditor closes a window, the tee invokes
 /// `pre_seal` (the hook the serve loop uses to flush its buffered emitter
-/// records first), seals the current segment, and persists the auditor's
-/// boundary snapshot next to the seal.
+/// records first) and seals the current segment with the auditor's
+/// boundary record.
 ///
 /// Log I/O errors do not panic the audit thread: the first error is
 /// stored, further WAL writes stop, the auditor keeps running, and
@@ -138,13 +139,10 @@ impl<F: FnMut()> WalTee<F> {
         // Anything the host buffered (serve records, sink mirrors) must be
         // durable before the seal claims this prefix of the round is.
         (self.pre_seal)();
-        let snapshot = self.auditor.boundary_snapshot().expect("a window just closed");
-        let result = self.wal.seal_segment().and_then(|sealed| {
-            self.sealed_segments += 1;
-            self.wal.write_blob(&frontier_file(sealed), snapshot.to_json().as_bytes())
-        });
-        if let Err(err) = result {
-            self.io_error = Some(err);
+        let record = self.auditor.boundary_record().expect("a window just closed").to_json();
+        match self.wal.seal_segment(Some(&record)) {
+            Ok(_) => self.sealed_segments += 1,
+            Err(err) => self.io_error = Some(err),
         }
     }
 }
@@ -155,11 +153,6 @@ impl<F: FnMut()> TxnSink for WalTee<F> {
         self.auditor.push(session, txn);
         self.seal_if_window_closed();
     }
-}
-
-/// Name of the boundary snapshot persisted next to seal `segment`.
-pub fn frontier_file(segment: u64) -> String {
-    format!("frontier-{segment:06}.json")
 }
 
 /// The auditor and replay bookkeeping [`recover_round_auditor`] hands back,
@@ -180,19 +173,20 @@ pub struct WalRecovery {
     pub segments: usize,
     /// Whether the round had already finished cleanly (`complete.json`).
     pub complete: bool,
-    /// The sealed segment whose snapshot the auditor resumed from, if any.
+    /// The sealed segment whose record the auditor resumed from, if any.
     pub resumed_from_segment: Option<u64>,
 }
 
 /// Recover one round directory: truncate the torn tail, decode the
-/// surviving log, read the snapshot chain, verify the log is a legal
-/// continuation of it, rebuild the auditor at the newest snapshot's boundary
-/// from the log prefix and replay the suffix.
+/// surviving log, read the record chain off the seals, rebuild the auditor
+/// at the newest record's boundary from the log prefix and replay the
+/// suffix.
 ///
-/// `fallback` is the window shape used when no snapshot survived (a crash
-/// before the first seal); when one exists its persisted config wins, so
-/// recovery always audits with the original round's windows.  `sat` re-arms
-/// the CDCL escalation stage (solver handles are not persisted).
+/// `fallback` is the window shape used when no window-closing seal survived
+/// (a crash before the first one); when one exists its recorded config
+/// wins, so recovery always audits with the original round's windows.
+/// `sat` re-arms the CDCL escalation stage (solver handles are not
+/// persisted).
 pub fn recover_round_auditor(
     dir: &Path,
     fallback: WindowConfig,
@@ -217,18 +211,22 @@ fn resume_round(
         .map_err(|e| format!("{}: recovered log does not decode: {e}", dir.display()))?
         .ok_or_else(|| format!("{}: recovered log holds no history document", dir.display()))?;
 
-    let chain = frontier_chain(dir, round.segments.iter().filter(|s| s.sealed).count())?;
-    let (mut auditor, replay_from) = match chain.last() {
-        Some(newest) => (
-            WindowedAuditor::resume_from_frontier(&chain, &history, &arrival, sat)
-                .map_err(|e| format!("{}: {e}", dir.display()))?,
-            newest.replay_from as usize,
-        ),
-        None => {
-            let config = WindowConfig { sat, ..fallback };
-            (WindowedAuditor::new(history.n_vars, history.initial, config), 0)
-        }
+    let records: Vec<(u64, &str)> =
+        round.segments.iter().filter_map(|s| Some((s.index, s.record.as_deref()?))).collect();
+    let chain = records
+        .iter()
+        .map(|&(segment, text)| {
+            BoundaryRecord::parse(text)
+                .map_err(|e| format!("{}: the record in seal {segment}: {e}", dir.display()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut auditor = if chain.is_empty() {
+        WindowedAuditor::new(history.n_vars, history.initial, WindowConfig { sat, ..fallback })
+    } else {
+        WindowedAuditor::resume_from_frontier(&chain, &history, &arrival, sat)
+            .map_err(|e| format!("{}: {e}", dir.display()))?
     };
+    let replay_from = auditor.txns_seen() as usize;
     for id in &arrival[replay_from..] {
         let txn = history.txn(*id).ok_or_else(|| {
             format!("{}: arrival id {id} missing from decoded log", dir.display())
@@ -242,31 +240,8 @@ fn resume_round(
         torn_bytes: round.torn_bytes(),
         segments: round.segments.len(),
         complete: round.complete,
-        resumed_from_segment: chain.len().checked_sub(1).map(|newest| newest as u64),
+        resumed_from_segment: records.last().map(|&(segment, _)| segment),
     })
-}
-
-/// The snapshot chain `frontier-000000.json ..= frontier-K.json` of `dir`,
-/// `K` being the newest one present among the `sealed` verified segments.
-/// Snapshots are written with tmp+rename, so a surviving file is complete —
-/// but a crash can land between sealing a segment and writing its snapshot,
-/// which is why the newest *present* one ends the chain rather than
-/// `sealed - 1` blindly.  Below it every link must be there and parse: each
-/// holds one closed window's verdict.
-fn frontier_chain(dir: &Path, sealed: usize) -> Result<Vec<FrontierSnapshot>, String> {
-    let newest = (0..sealed as u64).rev().find(|&s| dir.join(frontier_file(s)).exists());
-    (0..newest.map_or(0, |newest| newest + 1))
-        .map(|segment| {
-            let path = dir.join(frontier_file(segment));
-            let text = std::fs::read_to_string(&path).map_err(|e| match e.kind() {
-                io::ErrorKind::NotFound => {
-                    format!("{}: missing — a gap in the snapshot chain", path.display())
-                }
-                _ => format!("{}: {e}", path.display()),
-            })?;
-            FrontierSnapshot::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-        })
-        .collect()
 }
 
 /// One recovered round's verdict, with the bookkeeping that distinguishes
@@ -287,7 +262,7 @@ pub struct RecoveredRoundReport {
     pub torn_bytes: u64,
     /// Log segments found.
     pub segments: usize,
-    /// The sealed segment whose snapshot seeded the resume, if any.
+    /// The sealed segment whose record seeded the resume, if any.
     pub resumed_from_segment: Option<u64>,
 }
 
@@ -391,7 +366,7 @@ pub fn next_round_index(wal_dir: &Path) -> io::Result<u64> {
 
 /// The WAL directory's metadata: the round shape and window config every
 /// round under it was produced with — what recovery falls back to when a
-/// crash landed before the first frontier snapshot.
+/// crash landed before the first window-closing seal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalMeta {
     /// Scenario name the serve loop runs.
@@ -416,58 +391,39 @@ impl WalMeta {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"wal-meta\":1,\"scenario\":\"{}\",\"backend\":\"{}\",\"threads\":{},\
-             \"txns_per_thread\":{},\"vars\":{},\"seed\":{},\"window\":{{\"size\":{},\
-             \"overlap\":{},\"budget\":{},\"retain_windows\":{},\"batch\":{}}}}}",
+             \"txns_per_thread\":{},\"vars\":{},\"seed\":{},\"window\":{}}}",
             json::escape(&self.scenario),
             json::escape(&self.backend),
             self.threads,
             self.txns_per_thread,
             self.vars,
             self.seed,
-            self.window.size,
-            self.window.overlap,
-            self.window.budget,
-            self.window.retain_windows,
-            self.window.batch,
+            self.window.to_json(),
         )
     }
 
     /// Parse what [`WalMeta::to_json`] wrote.
     pub fn parse(text: &str) -> Result<WalMeta, String> {
-        let doc = json::parse(text).map_err(|e| e.to_string())?;
-        let field = |key: &str| {
-            doc.get(key).and_then(|v| v.as_u64()).ok_or_else(|| format!("wal-meta: bad {key:?}"))
+        let read = || -> Result<WalMeta, json::ParseError> {
+            let doc = json::parse(text)?;
+            let version = doc.field("wal-meta", Value::as_u64)?;
+            if version != 1 {
+                let message = format!("unsupported version {version}");
+                return Err(json::ParseError { message });
+            }
+            let text_field = |key| doc.field(key, Value::as_str).map(str::to_string);
+            let number = |key| doc.field(key, Value::as_u64);
+            Ok(WalMeta {
+                scenario: text_field("scenario")?,
+                backend: text_field("backend")?,
+                threads: number("threads")? as usize,
+                txns_per_thread: number("txns_per_thread")? as usize,
+                vars: number("vars")? as usize,
+                seed: number("seed")?,
+                window: WindowConfig::from_json(doc.field("window", Some)?)?,
+            })
         };
-        if field("wal-meta")? != 1 {
-            return Err("wal-meta: unsupported version".into());
-        }
-        let text_field = |key: &str| {
-            doc.get(key)
-                .and_then(|v| v.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("wal-meta: bad {key:?}"))
-        };
-        let window = doc.get("window").ok_or("wal-meta: missing window")?;
-        let wfield = |key: &str| {
-            window
-                .get(key)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("wal-meta: bad window {key:?}"))
-        };
-        let mut config = WindowConfig::sized(wfield("size")? as usize);
-        config.overlap = wfield("overlap")? as usize;
-        config.budget = wfield("budget")?;
-        config.retain_windows = wfield("retain_windows")? as usize;
-        config.batch = wfield("batch")? as usize;
-        Ok(WalMeta {
-            scenario: text_field("scenario")?,
-            backend: text_field("backend")?,
-            threads: field("threads")? as usize,
-            txns_per_thread: field("txns_per_thread")? as usize,
-            vars: field("vars")? as usize,
-            seed: field("seed")?,
-            window: config,
-        })
+        read().map_err(|e| format!("wal-meta: {e}"))
     }
 
     /// Write the metadata blob at the WAL root (tmp+rename, idempotent).
@@ -517,6 +473,16 @@ mod tests {
             window,
         };
         assert_eq!(WalMeta::parse(&meta.to_json()).unwrap(), meta);
+        // Byte for byte the form earlier builds wrote, so their files parse.
+        assert_eq!(
+            meta.to_json(),
+            format!(
+                "{{\"wal-meta\":1,\"scenario\":\"registers\",\"backend\":\"ofree\",\"threads\":4,\
+                 \"txns_per_thread\":1000,\"vars\":64,\"seed\":2024,\"window\":{{\"size\":512,\
+                 \"overlap\":64,\"budget\":{},\"retain_windows\":8,\"batch\":64}}}}",
+                meta.window.budget
+            )
+        );
         let dir = temp_dir("meta");
         meta.store(&dir).unwrap();
         assert_eq!(WalMeta::load(&dir).unwrap(), Some(meta));
@@ -571,14 +537,33 @@ mod tests {
         let live = auditor.finish();
         assert_eq!(live.merged, baseline.merged);
 
+        // A finished round is its segments, their seals and the marker —
+        // the boundary records ride in the seals.
+        let mut kinds: Vec<&str> = std::fs::read_dir(&round_dir)
+            .unwrap()
+            .map(|e| {
+                let name = e.unwrap().file_name().into_string().unwrap();
+                match name.rsplit_once('.') {
+                    Some(("complete", "json")) => "complete.json",
+                    Some((stem, "tmh")) if stem.starts_with("segment-") => "segment-*.tmh",
+                    Some((stem, "seal")) if stem.starts_with("segment-") => "segment-*.seal",
+                    _ => panic!("unexpected file {name} in a finished round"),
+                }
+            })
+            .collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds, ["complete.json", "segment-*.seal", "segment-*.tmh"]);
+
         // The finished round refuses report-path recovery — before it reads
-        // a snapshot or decodes a record...
-        let sidecar = round_dir.join(frontier_file(0));
-        let intact = std::fs::read(&sidecar).unwrap();
-        std::fs::write(&sidecar, b"not json").unwrap();
+        // a record or decodes a log line...
+        let seal = round_dir.join("segment-000000.seal");
+        let intact = std::fs::read_to_string(&seal).unwrap();
+        let (line, _) = intact.split_once('\n').unwrap();
+        std::fs::write(&seal, format!("{line}\nnot json\n")).unwrap();
         let err = recover_round_report(&round_dir, window, None).unwrap_err();
         assert!(err.contains("already complete"), "{err}");
-        std::fs::write(&sidecar, intact).unwrap();
+        std::fs::write(&seal, intact).unwrap();
         // ...but the auditor path replays it to the identical verdict.
         let recovery = recover_round_auditor(&round_dir, window, None).unwrap();
         assert!(recovery.complete);
@@ -590,10 +575,10 @@ mod tests {
     }
 
     /// A healthy 180-record round killed after 100 records: windows of 32
-    /// with stride 28 sealed three segments, so the newest snapshot is
-    /// `frontier-000002.json` and covers 84 records.  Returns the scratch
-    /// root, the round directory and the session of every logged record.
-    fn crashed_round(tag: &str) -> (PathBuf, PathBuf, Vec<usize>) {
+    /// with stride 28 sealed three segments, so the newest record sits in
+    /// `segment-000002.seal` and covers 84 records.  Returns the scratch
+    /// root and the round directory.
+    fn crashed_round(tag: &str) -> (PathBuf, PathBuf) {
         let history = generate(&GenConfig {
             sessions: 3,
             vars: 8,
@@ -611,92 +596,76 @@ mod tests {
             tee.push_txn(s, t.clone());
         }
         drop(tee); // kill -9
-        (root, dir, order[..100].iter().map(|&(s, _)| s).collect())
+        (root, dir)
     }
 
     fn small_window() -> WindowConfig {
         WindowConfig { overlap: 4, ..WindowConfig::sized(32) }
     }
 
-    /// Recover `dir` with its newest snapshot edited by `edit`; hand back the
-    /// error and put the intact snapshot back.
-    fn recover_with_newest_edited(dir: &Path, edit: impl FnOnce(&mut FrontierSnapshot)) -> String {
-        let path = dir.join(frontier_file(2));
+    /// Recover `dir` with seal `segment` rewritten by `edit` (seal line,
+    /// record line); hand back the error and put the intact seal back.
+    fn recover_with_seal_edited(
+        dir: &Path,
+        segment: u64,
+        edit: impl FnOnce(&str, &str) -> String,
+    ) -> String {
+        let path = dir.join(format!("segment-{segment:06}.seal"));
         let intact = std::fs::read_to_string(&path).unwrap();
-        let mut snap = FrontierSnapshot::parse(&intact).unwrap();
-        assert_eq!((snap.window_index, snap.replay_from), (3, 84));
-        edit(&mut snap);
-        std::fs::write(&path, snap.to_json()).unwrap();
+        let (line, record) = intact.trim_end().split_once('\n').unwrap();
+        std::fs::write(&path, edit(line, record)).unwrap();
         let err = recover_round_auditor(dir, small_window(), None)
             .err()
-            .expect("a snapshot that contradicts its log must not resume");
+            .expect("a seal that contradicts its log must not resume");
         std::fs::write(&path, intact).unwrap();
         err
     }
 
-    /// Reproducer 1 of the trusted-`n_vars` bug: this used to reach
-    /// `Frontier::new` and die on `capacity overflow`.
-    #[test]
-    fn a_snapshot_with_an_absurd_variable_count_is_an_error_not_a_panic() {
-        let (root, dir, _) = crashed_round("absurd-vars");
-        let err = recover_with_newest_edited(&dir, |snap| snap.n_vars = 1 << 60);
-        assert!(err.contains("declares 1152921504606846976 variable(s)"), "{err}");
-        assert!(err.contains("log header declares 8"), "{err}");
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    /// Reproducer 2: a snapshot one variable (or one initial value) off the
-    /// log header used to be accepted silently and a verdict printed.
-    #[test]
-    fn a_snapshot_that_disagrees_with_the_log_header_is_rejected() {
-        let (root, dir, _) = crashed_round("header-mismatch");
-        let err = recover_with_newest_edited(&dir, |snap| snap.n_vars += 1);
-        assert!(err.contains("declares 9 variable(s) starting at 0"), "{err}");
-        assert!(err.contains("log header declares 8 starting at 0"), "{err}");
-        let err = recover_with_newest_edited(&dir, |snap| snap.initial = 7);
-        assert!(err.contains("declares 8 variable(s) starting at 7"), "{err}");
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    /// Hostile snapshots are errors — never a panic, never a verdict.
+    /// Hostile seals are errors — never a panic, never a verdict.
     #[test]
     fn hostile_snapshots_never_resume() {
-        let (root, dir, sessions) = crashed_round("hostile");
+        let (root, dir) = crashed_round("hostile");
+        let recovery = recover_round_auditor(&dir, small_window(), None).unwrap();
+        assert_eq!((recovery.snapshot_txns, recovery.resumed_from_segment), (84, Some(2)));
 
-        let err = recover_with_newest_edited(&dir, |snap| snap.replay_from = 101);
-        assert!(err.contains("not an extension"), "{err}");
+        let err = recover_with_seal_edited(&dir, 2, |line, _| format!("{line}\n{{\"config\":\n"));
+        assert!(err.contains("the record in seal 2"), "{err}");
 
-        // One record short of the boundary, with counters that *do* match
-        // that shorter prefix: only the stride rule can tell.
-        let err = recover_with_newest_edited(&dir, |snap| {
-            snap.replay_from = 83;
-            let row = snap.seqs.iter_mut().find(|row| row.0 == sessions[83]).unwrap();
-            row.1 -= 1;
+        let err = recover_with_seal_edited(&dir, 2, |line, record| {
+            format!(
+                "{line}\n{}\n",
+                record.replace("\"verdict\":{\"index\":2,", "\"verdict\":{\"index\":3,")
+            )
         });
-        assert!(err.contains("window_index × stride"), "{err}");
+        assert!(
+            err.contains("boundary record 2 of the chain holds the verdict of window 3"),
+            "{err}"
+        );
 
-        let err = recover_with_newest_edited(&dir, |snap| {
-            snap.seqs[0].1 += 1;
-            snap.seqs[1].1 -= 1;
+        // A record dropped from a middle seal leaves a gap in the chain.
+        let err = recover_with_seal_edited(&dir, 1, |line, _| format!("{line}\n"));
+        assert!(
+            err.contains("boundary record 1 of the chain holds the verdict of window 2"),
+            "{err}"
+        );
+
+        // A round an older build wrote: its seals are version 1.
+        let err = recover_with_seal_edited(&dir, 0, |line, record| {
+            format!("{}\n{record}\n", line.replace("{\"wal-seal\":2,", "{\"wal-seal\":1,"))
         });
-        assert!(err.contains("continuation mismatch for session"), "{err}");
+        assert!(err.contains("unsupported WAL seal version 1"), "{err}");
 
-        let err = recover_with_newest_edited(&dir, |snap| snap.window_index = 2);
-        assert!(err.contains("snapshot 2 of the chain records window_index 2"), "{err}");
+        // A window count the log could not have produced would size the
+        // next window's tables.
+        let err = recover_with_seal_edited(&dir, 2, |line, record| {
+            format!("{line}\n{}\n", record.replace("\"txns\":32,", "\"txns\":1152921504606846976,"))
+        });
+        assert!(err.contains("audited 1152921504606846976 transactions"), "{err}");
 
-        let recover = || recover_round_auditor(&dir, small_window(), None).err();
-        let newest = dir.join(frontier_file(2));
-        let intact = std::fs::read_to_string(&newest).unwrap();
-        let v1 = intact.replace("{\"frontier-snapshot\":2,", "{\"frontier-snapshot\":1,");
-        std::fs::write(&newest, v1).unwrap();
-        let err = recover().expect("v1 snapshot");
-        assert!(err.contains("unsupported frontier snapshot version 1"), "{err}");
-        std::fs::write(&newest, intact).unwrap();
-
-        assert!(recover().is_none(), "the intact round recovers");
-        std::fs::remove_file(dir.join(frontier_file(1))).unwrap();
-        let err = recover().expect("gap");
-        assert!(err.contains("a gap in the snapshot chain"), "{err}");
+        assert!(
+            recover_round_auditor(&dir, small_window(), None).is_ok(),
+            "the intact round recovers"
+        );
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

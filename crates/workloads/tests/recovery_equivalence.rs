@@ -126,7 +126,7 @@ fn fifty_seeded_histories_recover_to_the_uninterrupted_verdict() {
 }
 
 /// A resumed stream certifies the windows an uninterrupted one does.  The
-/// frontier snapshot does not persist the retained writers' hints;
+/// boundary record does not persist the retained writers' hints;
 /// `recover_round_auditor` reads them back off the log, so every window —
 /// carried in the snapshot or audited after the resume — comes out with the
 /// same provenance and the same witness, not merely the same verdict.
@@ -190,8 +190,8 @@ fn resumed_healthy_streams_certify_the_same_windows_with_the_same_witness() {
     std::fs::remove_dir_all(&base).expect("cleanup");
 }
 
-/// The log is the frontier's durable form, and the snapshots beside it hold
-/// one verdict and a handful of scalars each: on a healthy 20 000-transaction
+/// The log is the frontier's durable form, and the seals beside it hold one
+/// verdict and a handful of scalars each: on a healthy 20 000-transaction
 /// round at 2 048-transaction windows they stay under 5% of the segments'
 /// bytes.  A second copy of the frontier in them would be ~200%.
 #[test]
@@ -226,7 +226,7 @@ fn snapshots_stay_a_sliver_of_the_log() {
             .map(|e| e.metadata().expect("metadata").len())
             .sum()
     };
-    let (snapshots, segments) = (bytes_of("frontier-", ".json"), bytes_of("segment-", ".tmh"));
+    let (snapshots, segments) = (bytes_of("segment-", ".seal"), bytes_of("segment-", ".tmh"));
     assert!(snapshots > 0 && snapshots * 20 < segments, "{snapshots} B beside {segments} B");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

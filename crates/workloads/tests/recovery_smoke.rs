@@ -1,14 +1,17 @@
 //! End-to-end crash-recovery smoke: spawn the real audit binary as a WAL
-//! endpoint (`--serve --wal DIR`), SIGKILL it mid-round once a few frontier
-//! snapshots are durable, then run `--recover DIR` and require a green
-//! recovered verdict covering both the snapshot prefix and the replayed
-//! post-snapshot suffix.  A final `--serve --wal --recover` run proves a
+//! endpoint (`--serve --wal DIR`), SIGKILL it mid-round once a few
+//! window-closing seals are durable, then run `--recover DIR` and require a
+//! green recovered verdict covering both the sealed prefix and the replayed
+//! post-seal suffix.  A final `--serve --wal --recover` run proves a
 //! restarted endpoint skips the completed round and continues at the next
-//! durable round index.
+//! durable round index.  Hostile seals must fail `--recover` with exit 2.
 
 use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
+use tm_audit::{TxnSink, WindowConfig, WindowedAuditor};
+use tm_history::{generate, GenConfig};
+use workloads::WalTee;
 
 /// Extract the number following `"key":` in a hand-rolled JSON document.
 fn json_u64(text: &str, key: &str) -> u64 {
@@ -56,11 +59,11 @@ fn sigkill_mid_round_then_recover_reports_a_green_continuation() {
         .spawn()
         .expect("spawning the audit binary");
 
-    // Let the endpoint seal a few segments (each seal persists a frontier
-    // snapshot), then give the appenders a beat so records accumulate past
-    // the newest snapshot, and kill -9.
+    // Let the endpoint seal a few segments (each seal carries its window's
+    // boundary record), then give the appenders a beat so records accumulate
+    // past the newest seal, and kill -9.
     let round0 = wal.join("round-0000");
-    await_file(&round0.join("frontier-000002.json"), 120);
+    await_file(&round0.join("segment-000002.seal"), 120);
     std::thread::sleep(Duration::from_millis(100));
     child.kill().expect("SIGKILL");
     child.wait().expect("reaping the killed endpoint");
@@ -148,5 +151,63 @@ fn sigkill_mid_round_then_recover_reports_a_green_continuation() {
     assert!(stdout.contains("\"reason\":\"rounds-exhausted\""), "{stdout}");
     assert!(wal.join("round-0001").join("complete.json").exists());
 
+    std::fs::remove_dir_all(&wal).expect("cleanup");
+}
+
+/// Hostile seals reach the CLI as an error with exit 2 — never a panic,
+/// never a verdict: a garbled record, a verdict out of its place in the
+/// chain, a seal an older build wrote.
+#[test]
+fn hostile_seals_exit_2_without_a_verdict() {
+    let wal =
+        std::env::temp_dir().join(format!("workloads-recovery-hostile-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal);
+    let wal_arg = wal.to_str().expect("utf-8 temp path");
+    let history = generate(&GenConfig {
+        sessions: 3,
+        vars: 8,
+        txns_per_session: 60,
+        seed: 11,
+        ..GenConfig::default()
+    })
+    .history;
+    let window = WindowConfig { overlap: 4, ..WindowConfig::sized(32) };
+    let auditor = WindowedAuditor::new(history.n_vars, history.initial, window);
+    let round = wal.join("round-0000");
+    let mut tee = WalTee::create(&round, 3, history.n_vars, auditor, || {}).expect("wal tee");
+    for (s, t) in history.recording_order().into_iter().take(100) {
+        tee.push_txn(s, t.clone());
+    }
+    drop(tee); // kill -9 after three window-closing seals
+
+    let seal = round.join("segment-000001.seal");
+    let intact = std::fs::read_to_string(&seal).expect("seal 1");
+    let (line, record) = intact.trim_end().split_once('\n').expect("seal line + record");
+    let misplaced = record.replace("\"verdict\":{\"index\":1,", "\"verdict\":{\"index\":0,");
+    assert_ne!(misplaced, record);
+    for (hostile, expect) in [
+        (format!("{line}\n{{\"config\":\n"), "the record in seal 1"),
+        (format!("{line}\n{misplaced}\n"), "holds the verdict of window 0 (expected 1)"),
+        (
+            format!("{}\n{record}\n", line.replace("{\"wal-seal\":2,", "{\"wal-seal\":1,")),
+            "unsupported WAL seal version 1",
+        ),
+    ] {
+        std::fs::write(&seal, hostile).expect("edit seal");
+        let out = Command::new(env!("CARGO_BIN_EXE_audit"))
+            .args(["--recover", wal_arg])
+            .output()
+            .expect("running --recover");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{expect}: {stderr}");
+        assert!(stderr.contains(expect) && !stderr.contains("panicked"), "{stderr}");
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("recovered-verdict"));
+    }
+    std::fs::write(&seal, intact).expect("restore seal");
+    let out = Command::new(env!("CARGO_BIN_EXE_audit"))
+        .args(["--recover", wal_arg])
+        .output()
+        .expect("running --recover");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     std::fs::remove_dir_all(&wal).expect("cleanup");
 }
