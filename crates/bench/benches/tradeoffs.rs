@@ -25,18 +25,6 @@
 //!   encounter-time lock.  Expected shape: victims on the blocking backends commit
 //!   almost nothing during the stall; the non-blocking backends — `mvcc`'s readers
 //!   included — are unaffected.
-//! * **DAPCOST — metadata ablation**: read-mostly workloads comparing the per-var
-//!   metadata cost of the two consistent DAP backends.
-//! * **POLICY — retry-policy ablation**: the kv-zipf hotspot scenario across
-//!   the whole contention-manager matrix (immediate / backoff / karma /
-//!   timestamp / adaptive), with the attempt-histogram percentiles that make
-//!   the difference visible; a second 8-thread family on the blocking backend
-//!   (`policy8-…`) captures the oversubscribed regime where immediate retry
-//!   livelocks and annotates each entry with `commits_per_sec` and
-//!   `attempts_p99`.
-//! * **SEP — consistency-axis ablation**: the `write-skew` scenario across the
-//!   consistency spectrum (`mvcc` admits the skew and never blocks its readers;
-//!   the serializable designs pay validation aborts to refuse it).
 //!
 //! Environment knobs (both used by CI's bench-smoke job):
 //!
@@ -49,43 +37,30 @@
 //! * `PCL_BENCH_ONLY=substring` — run only the families whose name contains
 //!   the substring (e.g. `trade1-disjoint-scaling`).
 //!
-//! Experiment ids (see DESIGN.md / EXPERIMENTS.md): TRADE1, TRADE2, TRADE3,
-//! DAPCOST, POLICY, SEP.  Audit throughput (batch, windowed, sharded) is
-//! `benchmark/`'s job, not a family here.
+//! Audit throughput (batch, windowed, sharded) and the commit hot path's
+//! per-backend rate are `benchmark/`'s job, not families here.
 
 use bench::harness::{bench, bench_interleaved, black_box, samples_to_json_annotated, Samples};
-use std::sync::Arc;
 use std::time::Duration;
-use stm_runtime::{policy, registry, BackendId, Stm};
+use stm_runtime::{registry, BackendId};
 use workloads::{
-    run_scenario, stalled_writer_experiment, BankConfig, BankScenario, KvZipfScenario,
-    ScenarioConfig, ScenarioRunReport, WriteSkewScenario,
+    run_scenario, stalled_writer_experiment, BankConfig, BankScenario, ScenarioConfig,
+    ScenarioRunReport,
 };
 
 /// Sizing of one bench run (full by default, shrunk by `PCL_BENCH_TINY`).
 struct Sizes {
     samples: usize,
     tx_per_thread: usize,
-    scenario_txns: usize,
     stall: Duration,
 }
 
 impl Sizes {
     fn from_env() -> Self {
         let mut sizes = if std::env::var("PCL_BENCH_TINY").is_ok_and(|v| v != "0") {
-            Sizes {
-                samples: 2,
-                tx_per_thread: 60,
-                scenario_txns: 50,
-                stall: Duration::from_millis(10),
-            }
+            Sizes { samples: 2, tx_per_thread: 60, stall: Duration::from_millis(10) }
         } else {
-            Sizes {
-                samples: 10,
-                tx_per_thread: 300,
-                scenario_txns: 250,
-                stall: Duration::from_millis(40),
-            }
+            Sizes { samples: 10, tx_per_thread: 300, stall: Duration::from_millis(40) }
         };
         if let Ok(raw) = std::env::var("PCL_BENCH_SAMPLES") {
             sizes.samples = raw.parse().expect("PCL_BENCH_SAMPLES must be a sample count");
@@ -231,169 +206,6 @@ fn bench_stalled_writer(sizes: &Sizes, sink: &mut Vec<Samples>) {
     }
 }
 
-/// DAPCOST: read-mostly workload comparing the consistent backends' metadata cost.
-fn bench_read_mostly_ablation(sizes: &Sizes, sink: &mut Vec<Samples>) {
-    for backend in [registry::TL2_BLOCKING, registry::OBSTRUCTION_FREE] {
-        for read_pct in [50usize, 90, 100] {
-            let stm = Stm::new(backend);
-            let vars: Vec<_> = (0..16i64).map(|i| stm.alloc(i)).collect();
-            sink.push(bench(
-                &format!("dapcost-read-mostly/{backend}/{read_pct}%reads"),
-                sizes.samples,
-                || {
-                    let mut acc = 0i64;
-                    for (i, _) in vars.iter().enumerate() {
-                        acc += stm.run(|tx| {
-                            let mut sum = 0;
-                            for v in &vars {
-                                sum += tx.read(*v)?;
-                            }
-                            if i * 100 / vars.len() >= read_pct {
-                                tx.write(vars[i], sum)?;
-                            }
-                            Ok(sum)
-                        });
-                    }
-                    black_box(acc)
-                },
-            ));
-        }
-    }
-}
-
-/// The contention-manager policy matrix benched by [`bench_retry_policies`].
-fn policy_matrix() -> [(&'static str, Arc<dyn stm_runtime::RetryPolicy>); 5] {
-    [
-        ("immediate", Arc::new(policy::ImmediateRetry) as Arc<dyn stm_runtime::RetryPolicy>),
-        ("backoff", Arc::new(policy::ExponentialBackoff::default()) as _),
-        ("karma", Arc::new(policy::Karma::default()) as _),
-        ("timestamp", Arc::new(policy::Timestamp::default()) as _),
-        ("adaptive", Arc::new(policy::Adaptive::default()) as _),
-    ]
-}
-
-/// POLICY: the full contention-manager matrix on the write-heavy Zipf
-/// hotspot, with the attempt percentiles that justify (or refute) pacing.
-///
-/// Two families:
-///
-/// * `policy-kv-zipf-hotspot/obstruction-free/{policy}` — the original
-///   4-thread family on the non-blocking backend (conflicts surface as
-///   validation aborts);
-/// * `policy8-kv-zipf-hotspot/tl2-blocking/vs-{policy}/{immediate|policy}` —
-///   8 threads on the encounter-locking backend, the regime where
-///   immediate retry livelocks: with more threads than cores a preempted
-///   lock holder leaves every victim burning its own timeslice on doomed
-///   re-attempts, which is exactly the timeslice the holder needs to
-///   finish.  The pacing policies (karma / timestamp / adaptive)
-///   spin-then-yield, so their `commits_per_sec` beats their interleaved
-///   immediate twin's while worst-case attempts (`attempts_max`) drop.
-///   Each entry carries both figures as JSON annotations taken from the
-///   median run across samples.
-fn bench_retry_policies(
-    sizes: &Sizes,
-    sink: &mut Vec<Samples>,
-    annotations: &mut Vec<(String, String, f64)>,
-) {
-    let scenario = KvZipfScenario { theta: 0.99, read_fraction: 0.2 };
-    for (label, retry) in policy_matrix() {
-        sink.push(bench(
-            &format!("policy-kv-zipf-hotspot/obstruction-free/{label}"),
-            sizes.samples,
-            || {
-                let config = ScenarioConfig {
-                    threads: 4,
-                    txns_per_thread: sizes.scenario_txns,
-                    vars: 8,
-                    policy: Arc::clone(&retry),
-                    ..ScenarioConfig::new(registry::OBSTRUCTION_FREE)
-                };
-                let report = run_scenario(&scenario, &config);
-                black_box((report.throughput, report.attempts_p50, report.attempts_p99))
-            },
-        ));
-    }
-    // The oversubscribed regime only exists when the run spans many
-    // scheduler timeslices: at the default scenario size an 8-thread run
-    // finishes inside one slice per thread, nobody is preempted
-    // mid-transaction, and every policy measures identical.  40× the
-    // transactions keeps each sample in the low tens of milliseconds while
-    // guaranteeing lock holders get preempted with victims runnable.
-    //
-    // Each managed policy is measured *interleaved against immediate
-    // retry* (the trade1-metrics-overhead protocol): preemption storms are
-    // stochastic, so two policies benched minutes apart mostly measure
-    // which one got the quieter machine.  Back-to-back pairs face the same
-    // storms, making the medians — and the annotations taken from them —
-    // honestly comparable.  The min is a preemption-free lucky sample on
-    // every policy and shows nothing.
-    let storm_txns = sizes.scenario_txns * 40;
-    let storm = |retry: &Arc<dyn stm_runtime::RetryPolicy>, stats: &mut Vec<(f64, u32, u32)>| {
-        let config = ScenarioConfig {
-            threads: 8,
-            txns_per_thread: storm_txns,
-            vars: 8,
-            policy: Arc::clone(retry),
-            ..ScenarioConfig::new(registry::TL2_BLOCKING)
-        };
-        let report = run_scenario(&scenario, &config);
-        stats.push((report.throughput, report.attempts_p99, report.attempts_max));
-        black_box((report.throughput, report.attempts_p50, report.attempts_p99))
-    };
-    let annotate = |name: &str,
-                    stats: &mut Vec<(f64, u32, u32)>,
-                    annotations: &mut Vec<(String, String, f64)>| {
-        stats.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let (tp, _, _) = stats[stats.len() / 2];
-        annotations.push((name.to_string(), "commits_per_sec".to_string(), tp));
-        let mut maxes: Vec<u32> = stats.iter().map(|&(_, _, m)| m).collect();
-        maxes.sort_unstable();
-        annotations.push((
-            name.to_string(),
-            "attempts_max".to_string(),
-            f64::from(maxes[maxes.len() / 2]),
-        ));
-    };
-    let immediate: Arc<dyn stm_runtime::RetryPolicy> = Arc::new(policy::ImmediateRetry);
-    for (label, retry) in policy_matrix().into_iter().skip(1) {
-        let imm_name = format!("policy8-kv-zipf-hotspot/tl2-blocking/vs-{label}/immediate");
-        let pol_name = format!("policy8-kv-zipf-hotspot/tl2-blocking/vs-{label}/{label}");
-        let mut imm_stats: Vec<(f64, u32, u32)> = Vec::new();
-        let mut pol_stats: Vec<(f64, u32, u32)> = Vec::new();
-        let (imm_samples, pol_samples) = bench_interleaved(
-            &imm_name,
-            || storm(&immediate, &mut imm_stats),
-            &pol_name,
-            || storm(&retry, &mut pol_stats),
-            sizes.samples,
-        );
-        sink.push(imm_samples);
-        sink.push(pol_samples);
-        annotate(&imm_name, &mut imm_stats, annotations);
-        annotate(&pol_name, &mut pol_stats, annotations);
-    }
-}
-
-/// SEP: the write-skew scenario across the consistency spectrum — what the
-/// serializable designs pay (validation aborts) for refusing the anomaly
-/// `mvcc` admits.
-fn bench_consistency_separation(sizes: &Sizes, sink: &mut Vec<Samples>) {
-    for backend in
-        [registry::MVCC, registry::TL2_BLOCKING, registry::SHARD_LOCK, registry::OBSTRUCTION_FREE]
-    {
-        sink.push(bench(&format!("sep-write-skew/{backend}"), sizes.samples, || {
-            let config = ScenarioConfig {
-                threads: 4,
-                txns_per_thread: sizes.scenario_txns,
-                vars: 16,
-                ..ScenarioConfig::new(backend)
-            };
-            let report = run_scenario(&WriteSkewScenario, &config);
-            black_box((report.throughput, report.aborts))
-        }));
-    }
-}
-
 fn main() {
     // Pull in the backends other crates contribute (global-lock) before
     // snapshotting the registry.
@@ -417,15 +229,6 @@ fn main() {
     }
     if want("trade3-stalled-writer") {
         bench_stalled_writer(&sizes, &mut sink);
-    }
-    if want("dapcost-read-mostly") {
-        bench_read_mostly_ablation(&sizes, &mut sink);
-    }
-    if want("policy-kv-zipf-hotspot") || want("policy8-kv-zipf-hotspot") {
-        bench_retry_policies(&sizes, &mut sink, &mut annotations);
-    }
-    if want("sep-write-skew") {
-        bench_consistency_separation(&sizes, &mut sink);
     }
     if let Ok(path) = std::env::var("PCL_BENCH_JSON") {
         std::fs::write(&path, samples_to_json_annotated(&sink, &annotations))

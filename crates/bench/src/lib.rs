@@ -1,5 +1,5 @@
-//! Benchmark harness crate: hand-rolled benches live in `benches/`, one per
-//! paper figure / experiment family.
+//! Benchmark harness crate: the hand-rolled P/C/L trade-off bench lives in
+//! `benches/tradeoffs.rs`.
 //!
 //! The build container has no registry access, so instead of Criterion the
 //! benches use the tiny measurement harness in [`harness`]: warm-up, a fixed
@@ -168,11 +168,6 @@ pub mod harness {
         }
         out.push_str("]}");
         out
-    }
-
-    /// Write [`samples_to_json`] to `path` (CI artifact helper).
-    pub fn write_json(path: &str, all: &[Samples]) -> std::io::Result<()> {
-        std::fs::write(path, samples_to_json(all))
     }
 
     #[cfg(test)]

@@ -5,8 +5,9 @@
 //! and 2 define the critical steps `s1`/`s2`, Figures 3 and 4 the executions β and β′,
 //! and Figures 5 and 6 tabulate the values each transaction reads and writes in those
 //! executions.  Each `figure*` function returns a plain-text rendering (plus the
-//! underlying data lives in the report), so the bench harness can print the same
-//! rows the paper shows and EXPERIMENTS.md can diff them against the paper's values.
+//! underlying data lives in the report), so `examples/theorem_walkthrough.rs` can print
+//! the same rows the paper shows and [`t7_deviations`] can diff them against the
+//! paper's values.
 
 use crate::construction::{ConstructionReport, CriticalStep, ReadTable};
 use crate::transactions::tx;
@@ -128,7 +129,7 @@ pub fn figure6(report: &ConstructionReport) -> String {
 }
 
 /// The values the *paper* says T7 must read in β and β′ under weak adaptive
-/// consistency (Figures 5 and 6): used by EXPERIMENTS.md to contrast "what WAC would
+/// consistency (Figures 5 and 6): used by [`t7_deviations`] to contrast "what WAC would
 /// force" against "what the candidate algorithm actually returned".
 pub fn paper_expected_t7_reads() -> (ExpectedReads, ExpectedReads) {
     (vec![("a", 2), ("c1", 1), ("c2", 2)], vec![("a", 1), ("c1", 1), ("c2", 2)])

@@ -177,7 +177,8 @@ impl Stm {
         TVar::from_base(self.backend.alloc_words(&words))
     }
 
-    /// Cumulative statistics (commits, aborts, retries, attempt histogram).
+    /// Cumulative statistics (abort taxonomy, attempt histogram, and the
+    /// commit / abort totals derived from them).
     pub fn stats(&self) -> &StmStats {
         &self.stats
     }
@@ -213,7 +214,7 @@ impl Stm {
     /// One raw attempt: begin, run the body, commit or clean up.  `Err`
     /// carries the abort's classified reason (already recorded); callers
     /// surface it to users as [`StmError::Aborted`].  `data` is caller-owned
-    /// so the retry loops reuse one allocation (read/write-set capacity)
+    /// so the retry loop reuses one allocation (read/write-set capacity)
     /// across every attempt of a transaction; `begin` resets it.
     fn attempt<T>(
         &self,
@@ -237,7 +238,6 @@ impl Stm {
                 let t_body_ok = t_begin.map(|_| Instant::now());
                 match self.backend.commit(data) {
                     Ok(()) => {
-                        self.stats.record_commit();
                         if let Some(tele) = &self.tele {
                             match t_begin {
                                 Some(t_begin) => tele.on_commit(
@@ -278,32 +278,7 @@ impl Stm {
     /// immediate retry here — use [`Stm::run_policy`] to let the policy
     /// actually stop the loop.
     pub fn run<T>(&self, body: impl Fn(&mut Txn<'_>) -> Result<T, StmError>) -> T {
-        let mut attempts = 1u32;
-        let mut data = TxnData::default();
-        let mut scratch = PolicyScratch::default();
-        loop {
-            match self.attempt(&mut data, &body) {
-                Ok(v) => {
-                    self.stats.record_attempts(attempts);
-                    self.policy.on_commit(&mut scratch);
-                    return v;
-                }
-                Err(reason) => {
-                    self.stats.record_retry();
-                    let ctx = RetryCtx {
-                        attempt: attempts,
-                        reason,
-                        stats: &self.stats,
-                        scratch: &mut scratch,
-                    };
-                    match self.policy.decide_ctx(ctx) {
-                        Decision::RetryNow | Decision::GiveUp => std::hint::spin_loop(),
-                        Decision::SpinThen(spins) => policy::spin_wait(spins),
-                    }
-                    attempts = attempts.saturating_add(1);
-                }
-            }
-        }
+        self.retry_loop::<false, T>(body).expect("run never gives up")
     }
 
     /// Run a transaction until it commits **or the retry policy gives up**,
@@ -313,43 +288,46 @@ impl Stm {
         &self,
         body: impl Fn(&mut Txn<'_>) -> Result<T, StmError>,
     ) -> Result<T, StmError> {
+        self.retry_loop::<true, T>(body).ok_or(StmError::Aborted)
+    }
+
+    /// The one retry loop behind [`Stm::run`] and [`Stm::run_policy`]:
+    /// attempt, and on an abort ask the policy what to do.  Only with
+    /// `MAY_GIVE_UP` does a [`RetryDecision::GiveUp`] end the loop (`None`);
+    /// otherwise it retries at once.
+    fn retry_loop<const MAY_GIVE_UP: bool, T>(
+        &self,
+        body: impl Fn(&mut Txn<'_>) -> Result<T, StmError>,
+    ) -> Option<T> {
         let mut attempts = 1u32;
         let mut data = TxnData::default();
         let mut scratch = PolicyScratch::default();
         loop {
-            match self.attempt(&mut data, &body) {
+            let reason = match self.attempt(&mut data, &body) {
                 Ok(v) => {
                     self.stats.record_attempts(attempts);
                     self.policy.on_commit(&mut scratch);
-                    return Ok(v);
+                    return Some(v);
                 }
-                Err(reason) => match self.policy.decide_ctx(RetryCtx {
-                    attempt: attempts,
-                    reason,
-                    stats: &self.stats,
-                    scratch: &mut scratch,
-                }) {
-                    Decision::GiveUp => {
-                        self.stats.record_attempts(attempts);
-                        // The final attempt's abort was recorded under its
-                        // conflict reason; the policy stopping the loop is
-                        // what makes it a give-up, so reclassify it.
-                        self.stats.reclassify_abort(reason, AbortReason::Giveup);
-                        if let Some(tele) = &self.tele {
-                            tele.on_giveup(reason);
-                        }
-                        return Err(StmError::Aborted);
+                Err(reason) => reason,
+            };
+            let ctx = RetryCtx { attempt: attempts, stats: &self.stats, scratch: &mut scratch };
+            match self.policy.decide(ctx) {
+                Decision::GiveUp if MAY_GIVE_UP => {
+                    self.stats.record_attempts(attempts);
+                    // The final attempt's abort was recorded under its
+                    // conflict reason; the policy stopping the loop is what
+                    // makes it a give-up, so reclassify it.
+                    self.stats.reclassify_abort(reason, AbortReason::Giveup);
+                    if let Some(tele) = &self.tele {
+                        tele.on_giveup(reason);
                     }
-                    decision => {
-                        self.stats.record_retry();
-                        match decision {
-                            Decision::SpinThen(spins) => policy::spin_wait(spins),
-                            _ => std::hint::spin_loop(),
-                        }
-                        attempts = attempts.saturating_add(1);
-                    }
-                },
+                    return None;
+                }
+                Decision::SpinThen(spins) => policy::spin_wait(spins),
+                Decision::RetryNow | Decision::GiveUp => std::hint::spin_loop(),
             }
+            attempts = attempts.saturating_add(1);
         }
     }
 
@@ -532,6 +510,43 @@ mod tests {
         assert_eq!(stm.stats().attempts_p50(), 3);
         // A committing body still succeeds.
         assert_eq!(stm.run_policy(|tx| tx.update(x, |v| v + 1)), Ok(1));
+    }
+
+    #[test]
+    fn run_retries_past_a_give_up_that_run_policy_honours() {
+        use crate::policy::BoundedRetry;
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let stm = Stm::new(registry::OBSTRUCTION_FREE)
+            .with_policy(Arc::new(BoundedRetry { max_attempts: 2 }));
+        let calls = AtomicU32::new(0);
+        // Aborts on its first four calls and commits from the fifth on.
+        let flaky = |_: &mut Txn<'_>| {
+            if calls.fetch_add(1, Ordering::Relaxed) < 4 {
+                Err(StmError::Aborted)
+            } else {
+                Ok(7)
+            }
+        };
+        let stats = stm.stats();
+        assert_eq!(stm.run(flaky), 7);
+        assert_eq!(calls.load(Ordering::Relaxed), 5);
+        assert_eq!(stats.attempts_recorded(), 1);
+        assert_eq!(stats.attempts_quantile(1.0), 5, "5 lands in [5,8]");
+        assert_eq!(stats.aborts_by(AbortReason::Giveup), 0);
+
+        calls.store(0, Ordering::Relaxed);
+        assert_eq!(stm.run_policy(flaky), Err(StmError::Aborted));
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.attempts_recorded(), 2);
+        assert_eq!(stats.attempts_p50(), 2, "the give-up lands at the bound");
+        assert_eq!(stats.aborts_by(AbortReason::Giveup), 1);
+
+        // One `Ok` result, and the taxonomy holds all 4 + 2 aborts.
+        assert_eq!(stats.commits(), 1);
+        assert_eq!(stats.aborts_by(AbortReason::Explicit), 5);
+        let sum: u64 = stats.abort_reason_counts().iter().map(|(_, n)| n).sum();
+        assert_eq!(stats.aborts(), sum);
+        assert_eq!(sum, 6);
     }
 
     #[test]

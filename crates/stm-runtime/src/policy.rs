@@ -23,17 +23,15 @@
 //!   attempts-p99 of the [`crate::StmStats`] attempt histogram: near-zero
 //!   pacing on quiet workloads, deep backoff once the tail grows.
 //!
-//! Contention-aware policies see more than the attempt counter: the
-//! front-end threads a [`RetryCtx`] (abort reason, live stats, per-
-//! transaction [`PolicyScratch`]) through [`RetryPolicy::decide_ctx`], and
-//! tells the policy when a transaction finally commits via
-//! [`RetryPolicy::on_commit`] so priority state can be released.  Policies
-//! are measurable, not just selectable: the per-transaction attempt
-//! histogram in [`crate::StmStats`] (p50/p99 attempts) shows what a policy
-//! actually did to the retry distribution.
+//! Every policy answers through one hook, [`RetryPolicy::decide`], which
+//! sees a [`RetryCtx`] (attempt count, live stats, per-transaction
+//! [`PolicyScratch`]); the front-end tells the policy when a transaction
+//! finally commits via [`RetryPolicy::on_commit`] so priority state can be
+//! released.  Policies are measurable, not just selectable: the
+//! per-transaction attempt histogram in [`crate::StmStats`] (p50/p99
+//! attempts) shows what a policy actually did to the retry distribution.
 
 use crate::stats::StmStats;
-use crate::txn::AbortReason;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,7 +51,7 @@ pub enum RetryDecision {
 
 /// Per-transaction scratch state a policy may use across the attempts of
 /// **one** `run` call.  The front-end zeroes it per transaction and hands it
-/// back to the policy on every [`RetryPolicy::decide_ctx`] and the final
+/// back to the policy on every [`RetryPolicy::decide`] and the final
 /// [`RetryPolicy::on_commit`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PolicyScratch {
@@ -70,8 +68,6 @@ pub struct PolicyScratch {
 pub struct RetryCtx<'a> {
     /// Failed attempts so far in this transaction (first call sees `1`).
     pub attempt: u32,
-    /// Why the last attempt aborted.
-    pub reason: AbortReason,
     /// Live counters for the whole `Stm` instance (the attempts histogram
     /// drives [`Adaptive`]).
     pub stats: &'a StmStats,
@@ -81,22 +77,14 @@ pub struct RetryCtx<'a> {
 
 /// A retry strategy consulted once per failed attempt.
 ///
-/// `attempt` is the number of attempts that have failed so far (so the first
-/// call receives `1`).  Implementations must be cheap and thread-safe: the
-/// same policy instance is consulted concurrently from every worker thread.
+/// Implementations must be cheap and thread-safe: the same policy instance
+/// is consulted concurrently from every worker thread.
 pub trait RetryPolicy: Send + Sync {
     /// Short machine-readable name (appears in reports).
     fn name(&self) -> &'static str;
 
-    /// Decide what to do after the `attempt`-th consecutive failure.
-    fn decide(&self, attempt: u32) -> RetryDecision;
-
-    /// Context-aware variant the front-end actually calls; the default
-    /// delegates to [`RetryPolicy::decide`] so attempt-count-only policies
-    /// need not implement it.
-    fn decide_ctx(&self, ctx: RetryCtx<'_>) -> RetryDecision {
-        self.decide(ctx.attempt)
-    }
+    /// Decide what to do after the `ctx.attempt`-th consecutive failure.
+    fn decide(&self, ctx: RetryCtx<'_>) -> RetryDecision;
 
     /// Called once when the transaction finally commits, so policies can
     /// release any shared priority state tied to `scratch`.
@@ -118,7 +106,7 @@ impl RetryPolicy for ImmediateRetry {
         "immediate"
     }
 
-    fn decide(&self, _attempt: u32) -> RetryDecision {
+    fn decide(&self, _ctx: RetryCtx<'_>) -> RetryDecision {
         RetryDecision::RetryNow
     }
 }
@@ -135,8 +123,8 @@ impl RetryPolicy for BoundedRetry {
         "bounded"
     }
 
-    fn decide(&self, attempt: u32) -> RetryDecision {
-        if attempt >= self.max_attempts.max(1) {
+    fn decide(&self, ctx: RetryCtx<'_>) -> RetryDecision {
+        if ctx.attempt >= self.max_attempts.max(1) {
             RetryDecision::GiveUp
         } else {
             RetryDecision::RetryNow
@@ -177,11 +165,7 @@ impl RetryPolicy for ExponentialBackoff {
         "backoff"
     }
 
-    fn decide(&self, attempt: u32) -> RetryDecision {
-        RetryDecision::SpinThen(self.per_attempt_spins(attempt))
-    }
-
-    fn decide_ctx(&self, ctx: RetryCtx<'_>) -> RetryDecision {
+    fn decide(&self, ctx: RetryCtx<'_>) -> RetryDecision {
         let remaining = self.max_total_spins.saturating_sub(ctx.scratch.spun);
         let spins = (self.per_attempt_spins(ctx.attempt) as u64).min(remaining) as u32;
         if spins == 0 {
@@ -238,11 +222,7 @@ impl RetryPolicy for Karma {
         "karma"
     }
 
-    fn decide(&self, _attempt: u32) -> RetryDecision {
-        RetryDecision::RetryNow
-    }
-
-    fn decide_ctx(&self, ctx: RetryCtx<'_>) -> RetryDecision {
+    fn decide(&self, ctx: RetryCtx<'_>) -> RetryDecision {
         if ctx.scratch.ticket == 0 {
             ctx.scratch.ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed) + 1;
         }
@@ -298,11 +278,7 @@ impl RetryPolicy for Timestamp {
         "timestamp"
     }
 
-    fn decide(&self, _attempt: u32) -> RetryDecision {
-        RetryDecision::RetryNow
-    }
-
-    fn decide_ctx(&self, ctx: RetryCtx<'_>) -> RetryDecision {
+    fn decide(&self, ctx: RetryCtx<'_>) -> RetryDecision {
         if ctx.scratch.ticket == 0 {
             ctx.scratch.ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed) + 1;
         }
@@ -330,7 +306,7 @@ impl RetryPolicy for Timestamp {
     }
 }
 
-/// How many `decide_ctx` calls [`Adaptive`] waits between gain recomputes.
+/// How many `decide` calls [`Adaptive`] waits between gain recomputes.
 const ADAPTIVE_REFRESH: u32 = 256;
 
 /// Adaptive backoff: exponential pacing whose depth (gain) is steered live
@@ -379,23 +355,18 @@ impl RetryPolicy for Adaptive {
         "adaptive"
     }
 
-    fn decide(&self, attempt: u32) -> RetryDecision {
-        let gain = self.gain.load(Ordering::Relaxed);
+    fn decide(&self, ctx: RetryCtx<'_>) -> RetryDecision {
+        if self.decides.fetch_add(1, Ordering::Relaxed).is_multiple_of(ADAPTIVE_REFRESH) {
+            self.refresh_gain(ctx.stats);
+        }
+        let gain = self.gain();
         if gain == 0 {
             return RetryDecision::RetryNow;
         }
-        let exponent = attempt.saturating_sub(1).min(gain);
+        let exponent = ctx.attempt.saturating_sub(1).min(gain);
         let spins =
             self.base_spins.saturating_mul(1u32 << exponent.min(24)).min(self.max_spins.max(1));
         RetryDecision::SpinThen(spins)
-    }
-
-    fn decide_ctx(&self, ctx: RetryCtx<'_>) -> RetryDecision {
-        let n = self.decides.fetch_add(1, Ordering::Relaxed);
-        if n.is_multiple_of(ADAPTIVE_REFRESH) {
-            self.refresh_gain(ctx.stats);
-        }
-        self.decide(ctx.attempt)
     }
 }
 
@@ -406,11 +377,10 @@ const SPIN_YIELD_EVERY: u32 = 1 << 10;
 /// Wait `spins` iterations (what [`RetryDecision::SpinThen`] asks for).
 ///
 /// Short waits busy-spin; long waits yield to the scheduler every
-/// `SPIN_YIELD_EVERY` iterations.  The yield is what makes pacing
-/// policies *win throughput* — not just bound attempts — when threads
-/// outnumber cores: the conflicting transaction (often a preempted
-/// encounter-lock holder) can only finish on a core a paced waiter gives
-/// up, and a pure busy-spin burns the exact timeslice it needs.
+/// `SPIN_YIELD_EVERY` iterations: when threads outnumber cores, the
+/// conflicting transaction (often a preempted encounter-lock holder) can
+/// only finish on a core a paced waiter gives up, and a pure busy-spin
+/// burns the exact timeslice it needs.
 pub fn spin_wait(spins: u32) {
     let mut remaining = spins;
     while remaining > 0 {
@@ -494,32 +464,41 @@ mod tests {
     use super::*;
 
     fn ctx<'a>(attempt: u32, stats: &'a StmStats, scratch: &'a mut PolicyScratch) -> RetryCtx<'a> {
-        RetryCtx { attempt, reason: AbortReason::LockConflict, stats, scratch }
+        RetryCtx { attempt, stats, scratch }
     }
 
     #[test]
     fn immediate_always_retries() {
+        let stats = StmStats::default();
+        let mut scratch = PolicyScratch::default();
         for attempt in [1, 5, 1_000] {
-            assert_eq!(ImmediateRetry.decide(attempt), RetryDecision::RetryNow);
+            assert_eq!(
+                ImmediateRetry.decide(ctx(attempt, &stats, &mut scratch)),
+                RetryDecision::RetryNow
+            );
         }
     }
 
     #[test]
     fn bounded_gives_up_at_the_limit() {
         let policy = BoundedRetry { max_attempts: 3 };
-        assert_eq!(policy.decide(1), RetryDecision::RetryNow);
-        assert_eq!(policy.decide(2), RetryDecision::RetryNow);
-        assert_eq!(policy.decide(3), RetryDecision::GiveUp);
-        assert_eq!(policy.decide(9), RetryDecision::GiveUp);
+        let stats = StmStats::default();
+        let mut scratch = PolicyScratch::default();
+        assert_eq!(policy.decide(ctx(1, &stats, &mut scratch)), RetryDecision::RetryNow);
+        assert_eq!(policy.decide(ctx(2, &stats, &mut scratch)), RetryDecision::RetryNow);
+        assert_eq!(policy.decide(ctx(3, &stats, &mut scratch)), RetryDecision::GiveUp);
+        assert_eq!(policy.decide(ctx(9, &stats, &mut scratch)), RetryDecision::GiveUp);
     }
 
     #[test]
     fn backoff_doubles_and_caps() {
         let policy = ExponentialBackoff { base_spins: 10, max_spins: 35, ..Default::default() };
-        assert_eq!(policy.decide(1), RetryDecision::SpinThen(10));
-        assert_eq!(policy.decide(2), RetryDecision::SpinThen(20));
-        assert_eq!(policy.decide(3), RetryDecision::SpinThen(35));
-        assert_eq!(policy.decide(30), RetryDecision::SpinThen(35));
+        let stats = StmStats::default();
+        let mut scratch = PolicyScratch::default();
+        assert_eq!(policy.decide(ctx(1, &stats, &mut scratch)), RetryDecision::SpinThen(10));
+        assert_eq!(policy.decide(ctx(2, &stats, &mut scratch)), RetryDecision::SpinThen(20));
+        assert_eq!(policy.decide(ctx(3, &stats, &mut scratch)), RetryDecision::SpinThen(35));
+        assert_eq!(policy.decide(ctx(30, &stats, &mut scratch)), RetryDecision::SpinThen(35));
         spin_wait(3); // must terminate
     }
 
@@ -530,11 +509,11 @@ mod tests {
         let mut scratch = PolicyScratch::default();
         // 10 + 20 spend 30 of the 40 budget; attempt 3 is clipped to the
         // remaining 10; attempt 4 onward has nothing left.
-        assert_eq!(policy.decide_ctx(ctx(1, &stats, &mut scratch)), RetryDecision::SpinThen(10));
-        assert_eq!(policy.decide_ctx(ctx(2, &stats, &mut scratch)), RetryDecision::SpinThen(20));
-        assert_eq!(policy.decide_ctx(ctx(3, &stats, &mut scratch)), RetryDecision::SpinThen(10));
-        assert_eq!(policy.decide_ctx(ctx(4, &stats, &mut scratch)), RetryDecision::RetryNow);
-        assert_eq!(policy.decide_ctx(ctx(5, &stats, &mut scratch)), RetryDecision::RetryNow);
+        assert_eq!(policy.decide(ctx(1, &stats, &mut scratch)), RetryDecision::SpinThen(10));
+        assert_eq!(policy.decide(ctx(2, &stats, &mut scratch)), RetryDecision::SpinThen(20));
+        assert_eq!(policy.decide(ctx(3, &stats, &mut scratch)), RetryDecision::SpinThen(10));
+        assert_eq!(policy.decide(ctx(4, &stats, &mut scratch)), RetryDecision::RetryNow);
+        assert_eq!(policy.decide(ctx(5, &stats, &mut scratch)), RetryDecision::RetryNow);
         assert_eq!(scratch.spun, 40);
     }
 
@@ -545,19 +524,19 @@ mod tests {
         let mut a = PolicyScratch::default();
         let mut b = PolicyScratch::default();
         // Same attempt count: the earlier ticket (a) wins the tie; b waits.
-        let da = policy.decide_ctx(ctx(1, &stats, &mut a));
-        let db = policy.decide_ctx(ctx(1, &stats, &mut b));
+        let da = policy.decide(ctx(1, &stats, &mut a));
+        let db = policy.decide(ctx(1, &stats, &mut b));
         assert_eq!(da, RetryDecision::RetryNow);
         assert!(matches!(db, RetryDecision::SpinThen(_)), "{db:?}");
         // b accumulates more attempts than a and takes the lead.
-        let db = policy.decide_ctx(ctx(5, &stats, &mut b));
+        let db = policy.decide(ctx(5, &stats, &mut b));
         assert_eq!(db, RetryDecision::RetryNow);
-        let da = policy.decide_ctx(ctx(1, &stats, &mut a));
+        let da = policy.decide(ctx(1, &stats, &mut a));
         assert!(matches!(da, RetryDecision::SpinThen(_)), "{da:?}");
         // b commits: the leaderboard clears and a proceeds immediately again.
         policy.on_commit(&mut b);
         assert_eq!(b.ticket, 0);
-        assert_eq!(policy.decide_ctx(ctx(1, &stats, &mut a)), RetryDecision::RetryNow);
+        assert_eq!(policy.decide(ctx(1, &stats, &mut a)), RetryDecision::RetryNow);
     }
 
     #[test]
@@ -566,14 +545,14 @@ mod tests {
         let stats = StmStats::default();
         let mut old = PolicyScratch::default();
         let mut young = PolicyScratch::default();
-        assert_eq!(policy.decide_ctx(ctx(1, &stats, &mut old)), RetryDecision::RetryNow);
-        assert_eq!(policy.decide_ctx(ctx(1, &stats, &mut young)), RetryDecision::SpinThen(8));
+        assert_eq!(policy.decide(ctx(1, &stats, &mut old)), RetryDecision::RetryNow);
+        assert_eq!(policy.decide(ctx(1, &stats, &mut young)), RetryDecision::SpinThen(8));
         // No matter how many attempts the young one burns, age rules.
-        assert_eq!(policy.decide_ctx(ctx(50, &stats, &mut young)), RetryDecision::SpinThen(8));
+        assert_eq!(policy.decide(ctx(50, &stats, &mut young)), RetryDecision::SpinThen(8));
         // The oldest commits and releases its ticket; the young one is now
         // the oldest live transaction and proceeds immediately.
         policy.on_commit(&mut old);
-        assert_eq!(policy.decide_ctx(ctx(51, &stats, &mut young)), RetryDecision::RetryNow);
+        assert_eq!(policy.decide(ctx(51, &stats, &mut young)), RetryDecision::RetryNow);
     }
 
     #[test]
@@ -582,7 +561,7 @@ mod tests {
         let stats = StmStats::default();
         let mut scratch = PolicyScratch::default();
         // Empty histogram: gain 0, immediate retries.
-        assert_eq!(policy.decide_ctx(ctx(1, &stats, &mut scratch)), RetryDecision::RetryNow);
+        assert_eq!(policy.decide(ctx(1, &stats, &mut scratch)), RetryDecision::RetryNow);
         assert_eq!(policy.gain(), 0);
         // A heavy tail (p99 lands in the [9,16] bucket ⇒ lower bound 9,
         // bit-length 4 ⇒ gain 3) engages exponential pacing.
@@ -590,13 +569,14 @@ mod tests {
             stats.record_attempts(12);
         }
         let fresh = Adaptive::new(4, 64);
-        assert!(matches!(
-            fresh.decide_ctx(ctx(1, &stats, &mut scratch)),
-            RetryDecision::SpinThen(4)
-        ));
+        assert!(matches!(fresh.decide(ctx(1, &stats, &mut scratch)), RetryDecision::SpinThen(4)));
         assert_eq!(fresh.gain(), 3);
-        assert_eq!(fresh.decide(2), RetryDecision::SpinThen(8));
-        assert_eq!(fresh.decide(10), RetryDecision::SpinThen(32), "exponent capped at gain");
+        assert_eq!(fresh.decide(ctx(2, &stats, &mut scratch)), RetryDecision::SpinThen(8));
+        assert_eq!(
+            fresh.decide(ctx(10, &stats, &mut scratch)),
+            RetryDecision::SpinThen(32),
+            "exponent capped at gain"
+        );
     }
 
     #[test]

@@ -58,13 +58,11 @@ fn attempt_bucket_lower_bound(i: usize) -> u32 {
 }
 
 /// One thread-stripe of counters, padded out to its own cache lines so
-/// commits on different threads never write the same line.
+/// commits on different threads never write the same line.  It holds two
+/// distributions and nothing else: every total is derived from them.
 #[repr(align(128))]
 #[derive(Debug)]
 struct StatStripe {
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    retries: AtomicU64,
     abort_reasons: [AtomicU64; AbortReason::ALL.len()],
     attempts: [AtomicU64; ATTEMPT_BUCKETS],
 }
@@ -72,17 +70,15 @@ struct StatStripe {
 impl Default for StatStripe {
     fn default() -> Self {
         StatStripe {
-            commits: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
             abort_reasons: std::array::from_fn(|_| AtomicU64::new(0)),
             attempts: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 }
 
-/// Commit / abort / retry counters, the per-reason abort taxonomy, and the
-/// attempts-per-transaction histogram for one [`crate::Stm`] instance.
+/// The per-reason abort taxonomy and the attempts-per-transaction histogram
+/// for one [`crate::Stm`] instance, and the commit / abort totals they
+/// determine.
 #[derive(Debug)]
 pub struct StmStats {
     stripes: Box<[StatStripe; STRIPES]>,
@@ -104,16 +100,9 @@ impl StmStats {
         self.stripes.iter().map(|s| field(s).load(Ordering::Relaxed)).sum()
     }
 
-    /// Record a successful commit.
-    pub fn record_commit(&self) {
-        self.local().commits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record an aborted attempt and why it aborted.
     pub fn record_abort(&self, reason: AbortReason) {
-        let stripe = self.local();
-        stripe.aborts.fetch_add(1, Ordering::Relaxed);
-        stripe.abort_reasons[reason.index()].fetch_add(1, Ordering::Relaxed);
+        self.local().abort_reasons[reason.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Move one recorded abort from one reason to another (the front-end
@@ -130,25 +119,26 @@ impl StmStats {
         }
     }
 
-    /// Record a retry (an abort followed by another attempt).
-    pub fn record_retry(&self) {
-        self.local().retries.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record how many attempts one transaction took to finish (commit or
-    /// give up).  `attempts` is 1-based; 0 is treated as 1.
+    /// give up).  `attempts` is 1-based; 0 is treated as 1.  This is also
+    /// what counts a commit: see [`StmStats::commits`].
     pub fn record_attempts(&self, attempts: u32) {
         self.local().attempts[attempt_bucket(attempts)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of commits so far.
+    /// Number of commits so far: every finished transaction lands in the
+    /// attempts histogram once, and the ones that did not commit are
+    /// exactly the aborts reclassified as [`AbortReason::Giveup`].
     pub fn commits(&self) -> u64 {
-        self.sum(|s| &s.commits)
+        // A give-up records its attempts before it is reclassified, so
+        // reading the give-ups first never counts one the histogram lacks.
+        let gave_up = self.aborts_by(AbortReason::Giveup);
+        self.attempts_recorded().saturating_sub(gave_up)
     }
 
-    /// Number of aborted attempts so far.
+    /// Number of aborted attempts so far (the sum of the taxonomy).
     pub fn aborts(&self) -> u64 {
-        self.sum(|s| &s.aborts)
+        self.abort_reason_counts().iter().map(|(_, n)| n).sum()
     }
 
     /// Aborts recorded for one specific reason.
@@ -159,22 +149,6 @@ impl StmStats {
     /// The whole abort taxonomy, in [`AbortReason::ALL`] order.
     pub fn abort_reason_counts(&self) -> [(AbortReason, u64); AbortReason::ALL.len()] {
         std::array::from_fn(|i| (AbortReason::ALL[i], self.aborts_by(AbortReason::ALL[i])))
-    }
-
-    /// Number of retries so far.
-    pub fn retries(&self) -> u64 {
-        self.sum(|s| &s.retries)
-    }
-
-    /// Abort ratio: aborts / (commits + aborts); 0.0 when nothing ran.
-    pub fn abort_ratio(&self) -> f64 {
-        let c = self.commits() as f64;
-        let a = self.aborts() as f64;
-        if c + a == 0.0 {
-            0.0
-        } else {
-            a / (c + a)
-        }
     }
 
     /// A snapshot of the attempts histogram: `snapshot[i]` transactions
@@ -241,17 +215,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_ratio_is_computed() {
+    fn counters_accumulate() {
         let s = StmStats::default();
-        assert_eq!(s.abort_ratio(), 0.0);
-        s.record_commit();
-        s.record_commit();
+        s.record_attempts(1);
+        s.record_attempts(2);
         s.record_abort(AbortReason::LockConflict);
-        s.record_retry();
         assert_eq!(s.commits(), 2);
         assert_eq!(s.aborts(), 1);
-        assert_eq!(s.retries(), 1);
-        assert!((s.abort_ratio() - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -281,9 +251,7 @@ mod tests {
                 let s = std::sync::Arc::clone(&s);
                 scope.spawn(move || {
                     for _ in 0..1_000 {
-                        s.record_commit();
                         s.record_abort(AbortReason::LockConflict);
-                        s.record_retry();
                         s.record_attempts(2);
                     }
                 });
@@ -292,7 +260,6 @@ mod tests {
         assert_eq!(s.commits(), 8_000);
         assert_eq!(s.aborts(), 8_000);
         assert_eq!(s.aborts_by(AbortReason::LockConflict), 8_000);
-        assert_eq!(s.retries(), 8_000);
         assert_eq!(s.attempts_recorded(), 8_000);
         assert_eq!(s.attempts_p50(), 2);
     }

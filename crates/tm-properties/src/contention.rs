@@ -52,7 +52,7 @@ pub fn all_contentions(execution: &Execution) -> Vec<Contention> {
 }
 
 /// The number of distinct base objects each transaction accessed (a cheap measure of
-/// metadata footprint reported by the ablation benchmarks).
+/// metadata footprint).
 pub fn objects_touched(execution: &Execution) -> BTreeMap<TxId, usize> {
     execution
         .transactions()

@@ -186,12 +186,6 @@ impl Solver {
         self.stats
     }
 
-    /// `true` once a root-level contradiction is known (adding the empty
-    /// clause, or two conflicting unit clauses).
-    pub fn known_unsat(&self) -> bool {
-        self.root_unsat
-    }
-
     fn lit_value(&self, lit: Lit) -> i8 {
         let v = self.assign[lit.var()];
         if lit.is_neg() {

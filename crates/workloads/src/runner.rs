@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use stm_runtime::{recorder, BackendId, Stm, StreamingRecorder};
+use stm_runtime::{recorder, AbortReason, BackendId, Stm, StreamingRecorder};
 use tm_audit::{
     audit_streamed, audit_with_options, AuditEvent, AuditHistory, AuditOptions, AuditReport,
     HistoryCollector, StreamMerger, StreamReport, TeeSink, TxnSink, WindowConfig, WindowedAuditor,
@@ -55,9 +55,9 @@ pub struct ScenarioRunReport {
     /// (always 0 under `immediate`/`backoff`; bounded policies drop work
     /// here instead of retrying forever).
     pub gave_up: u64,
-    /// Aborts broken down by [`stm_runtime::AbortReason`], in reporting
+    /// Aborts broken down by [`AbortReason`], in reporting
     /// order; the counts sum to [`ScenarioRunReport::aborts`].
-    pub abort_reasons: [(stm_runtime::AbortReason, u64); stm_runtime::AbortReason::ALL.len()],
+    pub abort_reasons: [(AbortReason, u64); AbortReason::ALL.len()],
     /// The scenario's post-run self-check.
     pub check: ScenarioCheck,
 }
@@ -108,9 +108,7 @@ fn finish_scenario_report(
         attempts_p99: stats.attempts_p99(),
         attempts_max: stats.attempts_quantile(1.0),
         attempts_mean: stats.attempts_mean(),
-        // Every scenario transaction ends in a commit or a policy give-up,
-        // and both record an attempt count — the difference is the give-ups.
-        gave_up: stats.attempts_recorded().saturating_sub(commits),
+        gave_up: stats.aborts_by(AbortReason::Giveup),
         abort_reasons: stats.abort_reason_counts(),
         check: state.verify(stm),
     }

@@ -3,8 +3,8 @@
 //! Re-exports every crate of the workspace under one roof so that examples,
 //! integration tests and downstream users can depend on a single package.
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! per-figure reproduction index.
+//! See `README.md` for the system inventory; `examples/theorem_walkthrough.rs`
+//! regenerates the paper's figures and `tests/theorem_claims.rs` asserts them.
 
 pub use pcl_theorem as theorem;
 pub use stm_runtime as stm;
