@@ -1,6 +1,12 @@
 //! The backend interface shared by every STM implementation.
+//!
+//! A backend is its shared-memory protocol and nothing else.  The
+//! transaction front end ([`crate::Txn`] and [`crate::Stm`]) owns what an
+//! attempt records about itself — its reads, its buffered writes and why it
+//! aborted — so the methods below are exactly the shared base objects a
+//! design touches: the paper's P is a statement about these and only these.
 
-use crate::txn::TxnData;
+use crate::txn::{AbortReason, TxnData};
 use std::fmt;
 
 /// Identifier of a transactional variable within one [`crate::Stm`] instance.
@@ -20,8 +26,15 @@ impl fmt::Display for VarId {
     }
 }
 
-/// The operations a backend must provide.  `TxnData` carries the per-transaction
-/// bookkeeping (read set, write set, snapshot timestamp) that all backends share.
+/// The shared-memory protocol of one STM design.
+///
+/// Per attempt the front end resets [`TxnData`], calls [`Backend::begin`],
+/// runs the body, then calls [`Backend::commit`] — or [`Backend::cleanup`]
+/// after any abort.  It answers a read of a variable the attempt already
+/// wrote or read from its own record, so [`Backend::read`] runs only on a
+/// miss, and it buffers every written value itself: commit installs
+/// [`TxnData::writes`].  Every method that can fail returns the
+/// [`AbortReason`] of the failure.
 pub trait Backend: Send + Sync {
     /// Allocate `initials.len()` **consecutive** variables in one atomic step
     /// (returns the first id).  Multi-word [`crate::TVar`]s rely on the ids
@@ -32,14 +45,18 @@ pub trait Backend: Send + Sync {
     fn alloc(&self, initial: i64) -> VarId {
         self.alloc_words(&[initial])
     }
-    /// Initialize per-transaction state.
-    fn begin(&self, data: &mut TxnData);
-    /// Transactional read.
-    fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, crate::StmError>;
-    /// Transactional write (buffered until commit on most backends).
-    fn write(&self, data: &mut TxnData, var: VarId, value: i64) -> Result<(), crate::StmError>;
-    /// Attempt to commit.
-    fn commit(&self, data: &mut TxnData) -> Result<(), crate::StmError>;
+    /// Start an attempt on freshly reset `data` (e.g. take a snapshot).
+    fn begin(&self, _data: &mut TxnData) {}
+    /// Read `var` from shared memory.  Called only on a miss: the attempt
+    /// has neither written nor read `var` yet.
+    fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, AbortReason>;
+    /// Encounter-time hook of a write to `var`, before the front end
+    /// buffers the value (e.g. take the variable's lock).
+    fn write(&self, _data: &mut TxnData, _var: VarId) -> Result<(), AbortReason> {
+        Ok(())
+    }
+    /// Validate the attempt and install [`TxnData::writes`].
+    fn commit(&self, data: &mut TxnData) -> Result<(), AbortReason>;
     /// Release any resources after an abort (locks, ownership records).
     fn cleanup(&self, data: &mut TxnData);
 }

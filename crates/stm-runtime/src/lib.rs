@@ -15,7 +15,11 @@
 //!    Five designs ship built in — the three corners plus two interior
 //!    points that populate the consistency and parallelism axes — and other
 //!    crates add more (the `workloads` crate registers a coarse-global-lock
-//!    "give up P" backend through the same public API):
+//!    "give up P" backend through the same public API).  A [`Backend`] is
+//!    only its shared-memory protocol: the front end ([`Txn`], [`Stm`])
+//!    keeps each attempt's reads and buffered writes, serves repeated and
+//!    own-write reads itself, and records the [`AbortReason`] every
+//!    fallible backend method returns.
 //!
 //!    | Backend | P (disjoint-access) | C | L |
 //!    |---|---|---|---|
@@ -74,6 +78,7 @@ pub mod tvar;
 pub mod txn;
 pub mod value;
 pub mod vartable;
+mod vlock;
 pub mod wal;
 
 pub use backend::{Backend, VarId};
@@ -200,10 +205,10 @@ impl Stm {
         }
     }
 
-    /// Record an abort in the stats (and the telemetry mirror, when on) and
-    /// surface its classified reason to the retry loop.
-    fn record_abort(&self, data: &mut TxnData) -> AbortReason {
-        let reason = data.abort_reason.take().unwrap_or(AbortReason::Explicit);
+    /// Clean up after an abort, record it in the stats (and the telemetry
+    /// mirror, when on) and surface its reason to the retry loop.
+    fn abort(&self, data: &mut TxnData, reason: AbortReason) -> AbortReason {
+        self.backend.cleanup(data);
         self.stats.record_abort(reason);
         if let Some(tele) = &self.tele {
             tele.on_abort(reason);
@@ -211,16 +216,17 @@ impl Stm {
         reason
     }
 
-    /// One raw attempt: begin, run the body, commit or clean up.  `Err`
-    /// carries the abort's classified reason (already recorded); callers
-    /// surface it to users as [`StmError::Aborted`].  `data` is caller-owned
-    /// so the retry loop reuses one allocation (read/write-set capacity)
-    /// across every attempt of a transaction; `begin` resets it.
+    /// One raw attempt: reset, begin, run the body, commit or clean up.
+    /// `Err` carries the abort's reason (already recorded); callers surface
+    /// it to users as [`StmError::Aborted`].  `data` is caller-owned so the
+    /// retry loop reuses one allocation (read/write-set capacity) across
+    /// every attempt of a transaction.
     fn attempt<T>(
         &self,
         data: &mut TxnData,
         body: &impl Fn(&mut Txn<'_>) -> Result<T, StmError>,
     ) -> Result<T, AbortReason> {
+        data.reset();
         self.backend.begin(data);
         // The one metrics branch on the hot path: with telemetry off,
         // `timing` stays false and every stamp below is skipped.  With it
@@ -234,6 +240,10 @@ impl Stm {
         });
         let mut txn = Txn::new(self.backend.as_ref(), data);
         match body(&mut txn) {
+            Err(_) => {
+                let reason = txn.abort_reason();
+                Err(self.abort(data, reason))
+            }
             Ok(value) => {
                 let t_body_ok = t_begin.map(|_| Instant::now());
                 match self.backend.commit(data) {
@@ -253,21 +263,14 @@ impl Stm {
                         if let Some(rec) = &self.recorder {
                             rec.on_commit(CommitRecord {
                                 session: recorder::current_session(),
-                                reads: &data.read_cache,
-                                writes: &data.write_set,
+                                reads: data.reads(),
+                                writes: data.writes(),
                             });
                         }
                         Ok(value)
                     }
-                    Err(_) => {
-                        self.backend.cleanup(data);
-                        Err(self.record_abort(data))
-                    }
+                    Err(reason) => Err(self.abort(data, reason)),
                 }
-            }
-            Err(_) => {
-                self.backend.cleanup(data);
-                Err(self.record_abort(data))
             }
         }
     }
@@ -359,6 +362,16 @@ mod tests {
 
     fn all_kinds() -> [BackendId; 3] {
         [registry::TL2_BLOCKING, registry::OBSTRUCTION_FREE, registry::PRAM_LOCAL]
+    }
+
+    fn all_builtins() -> [BackendId; 5] {
+        [
+            registry::TL2_BLOCKING,
+            registry::OBSTRUCTION_FREE,
+            registry::PRAM_LOCAL,
+            registry::MVCC,
+            registry::SHARD_LOCK,
+        ]
     }
 
     #[test]
@@ -588,18 +601,20 @@ mod tests {
             }
         }
 
-        for kind in all_kinds() {
+        for kind in all_builtins() {
             let capture = Arc::new(Capture::default());
             let stm = Stm::with_recorder(kind, Arc::clone(&capture) as Arc<dyn Recorder>);
             recorder::set_session(5);
             let x = stm.alloc(10i64);
             let y = stm.alloc(0i64);
             // Read-modify-write: x is an external read then a write; y is
-            // write-then-read, so it must NOT appear in the read set.
+            // write-then-read, so it must NOT appear in the read set.  The
+            // second read of x adds no second read-set entry.
             stm.run(|tx| {
                 let vx = tx.read(x)?;
                 tx.write(y, vx + 1)?;
                 let vy = tx.read(y)?;
+                assert_eq!(tx.read(x)?, vx, "{kind:?}");
                 tx.write(x, vy)?;
                 Ok(())
             });
@@ -617,6 +632,91 @@ mod tests {
             assert_eq!(reads.as_slice(), &[(x.base(), 10)], "{kind:?}");
             assert_eq!(writes.as_slice(), &[(x.base(), 11), (y.base(), 11)], "{kind:?}");
         }
+    }
+
+    #[test]
+    fn the_front_end_owns_the_read_cache_the_write_buffer_and_the_abort_reason() {
+        use crate::registry::{register, Axis, BackendSpec, Triangle};
+        use parking_lot::Mutex;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Calls of `Counting::read` (only this test constructs one).
+        static BACKEND_READS: AtomicUsize = AtomicUsize::new(0);
+        /// A word holding this refuses both hooks, each with its own reason.
+        const POISON: i64 = -1;
+
+        #[derive(Default)]
+        struct Counting(Mutex<Vec<i64>>);
+        impl Backend for Counting {
+            fn alloc_words(&self, initials: &[i64]) -> VarId {
+                let mut words = self.0.lock();
+                words.extend_from_slice(initials);
+                VarId(words.len() - initials.len())
+            }
+            fn read(&self, _data: &mut TxnData, var: VarId) -> Result<i64, AbortReason> {
+                BACKEND_READS.fetch_add(1, Ordering::Relaxed);
+                match self.0.lock()[var.index()] {
+                    POISON => Err(AbortReason::ReadValidation),
+                    value => Ok(value),
+                }
+            }
+            fn write(&self, _data: &mut TxnData, var: VarId) -> Result<(), AbortReason> {
+                match self.0.lock()[var.index()] {
+                    POISON => Err(AbortReason::FirstCommitterWins),
+                    _ => Ok(()),
+                }
+            }
+            fn commit(&self, data: &mut TxnData) -> Result<(), AbortReason> {
+                let mut words = self.0.lock();
+                for (var, &value) in data.writes() {
+                    words[var.index()] = value;
+                }
+                Ok(())
+            }
+            fn cleanup(&self, _data: &mut TxnData) {}
+        }
+
+        let id = register(BackendSpec {
+            name: "test-counting-front-end",
+            aliases: &[],
+            summary: "counts the reads that reach the backend",
+            triangle: Triangle {
+                sacrificed: Axis::Parallelism,
+                parallelism: "-",
+                consistency: "-",
+                liveness: "-",
+            },
+            constructor: || Arc::new(Counting::default()) as Arc<dyn Backend>,
+        })
+        .unwrap();
+        let stm = Stm::new(id);
+        let x = stm.alloc(3i64);
+        let poisoned = stm.alloc(POISON);
+
+        // Repeated reads and reads of the attempt's own writes never reach
+        // the backend: one backend read serves the whole transaction.
+        let last = stm.run(|tx| {
+            let a = tx.read(x)?;
+            let b = tx.read(x)?;
+            tx.write(x, a + b)?;
+            assert_eq!(tx.read(x)?, 6);
+            tx.write(x, 7)?;
+            tx.read(x)
+        });
+        assert_eq!(last, 7);
+        assert_eq!(BACKEND_READS.load(Ordering::Relaxed), 1);
+        assert_eq!(stm.read_now(x), 7);
+
+        // A failed hook's reason is the abort's reason; a body that aborts
+        // by itself is the only source of `Explicit`.
+        assert!(stm.try_run(|tx| tx.read(poisoned)).is_err());
+        assert!(stm.try_run(|tx| tx.write(poisoned, 1)).is_err());
+        assert!(stm.try_run(|tx| tx.abort::<()>()).is_err());
+        let stats = stm.stats();
+        assert_eq!(stats.aborts_by(AbortReason::ReadValidation), 1);
+        assert_eq!(stats.aborts_by(AbortReason::FirstCommitterWins), 1);
+        assert_eq!(stats.aborts_by(AbortReason::Explicit), 1);
+        assert_eq!(stats.aborts(), 3);
     }
 
     #[test]

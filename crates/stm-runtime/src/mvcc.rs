@@ -44,7 +44,7 @@
 
 use crate::backend::{Backend, VarId};
 use crate::stats::thread_stripe;
-use crate::txn::{AbortReason, StmError, TxnData};
+use crate::txn::{AbortReason, TxnData};
 use crate::vartable::VarTable;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -234,7 +234,6 @@ impl Backend for MvccBackend {
     }
 
     fn begin(&self, data: &mut TxnData) {
-        data.reset();
         let stripe = self.stripe();
         // Register, then re-validate the stable clock: a concurrent GC that
         // missed the registration must have read the stable clock before our
@@ -253,34 +252,19 @@ impl Backend for MvccBackend {
         data.held_locks.push(SNAPSHOT);
     }
 
-    fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, StmError> {
-        if let Some(v) = data.write_set.get(&var) {
-            return Ok(*v);
-        }
-        if let Some(v) = data.read_cache.get(&var) {
-            return Ok(*v);
-        }
+    fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, AbortReason> {
         let versions = self.chains.get(var.index()).versions.lock();
         // The newest version no newer than the snapshot.  GC keeps the
         // newest version visible to the oldest active snapshot, and ours is
         // registered, so this always exists.
         let idx = versions.partition_point(|v| v.ts <= data.start_ts);
-        let version = versions[idx - 1];
-        drop(versions);
-        // No read validation ever runs (snapshots need none), so the cache
-        // alone carries the read set.
-        data.read_cache.insert(var, version.value);
-        Ok(version.value)
+        Ok(versions[idx - 1].value)
     }
 
-    fn write(&self, data: &mut TxnData, var: VarId, value: i64) -> Result<(), StmError> {
-        // Buffered; conflicts are detected at commit (first-committer-wins).
-        data.write_set.insert(var, value);
-        Ok(())
-    }
-
-    fn commit(&self, data: &mut TxnData) -> Result<(), StmError> {
-        if data.write_set.is_empty() {
+    fn commit(&self, data: &mut TxnData) -> Result<(), AbortReason> {
+        // Writes were buffered; conflicts are detected here
+        // (first-committer-wins).
+        if data.writes().is_empty() {
             // Read-only transactions commit for free: their snapshot was
             // consistent by construction.
             self.end_snapshot(data);
@@ -289,14 +273,13 @@ impl Backend for MvccBackend {
         // Lock the written chains in ascending VarId order (the write set is
         // sorted) — every committer sorts the same way, so no deadlock.
         let mut guards: Vec<_> =
-            data.write_set.keys().map(|v| self.chains.get(v.index()).versions.lock()).collect();
+            data.writes().keys().map(|v| self.chains.get(v.index()).versions.lock()).collect();
         // First-committer-wins: any version newer than our snapshot on a
         // variable we write means someone committed first.
         for guard in &guards {
             let newest = guard.last().expect("chains always hold at least one version");
             if newest.ts > data.start_ts {
-                data.set_abort_reason(AbortReason::FirstCommitterWins);
-                return Err(StmError::Aborted); // guards drop; cleanup ends the snapshot
+                return Err(AbortReason::FirstCommitterWins); // guards drop; cleanup ends the snapshot
             }
         }
         data.mark_validated();
@@ -316,7 +299,7 @@ impl Backend for MvccBackend {
         // stable clock never waits on a gap that will not fill.
         let commit_ts = self.alloc_clock.fetch_add(1, Ordering::AcqRel) + 1;
         let oldest = self.oldest_active_snapshot();
-        for (guard, &value) in guards.iter_mut().zip(data.write_set.values()) {
+        for (guard, &value) in guards.iter_mut().zip(data.writes().values()) {
             guard.push(Version { ts: commit_ts, value });
             gc_chain(guard, oldest);
         }
@@ -355,6 +338,7 @@ impl Backend for MvccBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::txn::Txn;
 
     fn txn(backend: &MvccBackend) -> TxnData {
         let mut data = TxnData::default();
@@ -371,11 +355,10 @@ mod tests {
 
         // A writer commits a new version mid-flight.
         let mut writer = txn(&b);
-        b.write(&mut writer, v, 2).unwrap();
+        Txn::new(&b, &mut writer).write_word(v, 2).unwrap();
         b.commit(&mut writer).unwrap();
 
-        // The reader's snapshot is stable — even after dropping its cache.
-        reader.read_cache.clear();
+        // The reader's snapshot is stable when read again from the backend.
         assert_eq!(b.read(&mut reader, v).unwrap(), 1);
         assert!(b.commit(&mut reader).is_ok(), "read-only snapshots always commit");
 
@@ -393,10 +376,14 @@ mod tests {
         let mut t2 = txn(&b);
         b.read(&mut t1, v).unwrap();
         b.read(&mut t2, v).unwrap();
-        b.write(&mut t1, v, 10).unwrap();
-        b.write(&mut t2, v, 20).unwrap();
+        Txn::new(&b, &mut t1).write_word(v, 10).unwrap();
+        Txn::new(&b, &mut t2).write_word(v, 20).unwrap();
         assert!(b.commit(&mut t1).is_ok(), "first committer wins");
-        assert_eq!(b.commit(&mut t2), Err(StmError::Aborted), "second conflicting commit loses");
+        assert_eq!(
+            b.commit(&mut t2),
+            Err(AbortReason::FirstCommitterWins),
+            "second conflicting commit loses"
+        );
         b.cleanup(&mut t2);
         let mut check = txn(&b);
         assert_eq!(b.read(&mut check, v).unwrap(), 10);
@@ -416,8 +403,8 @@ mod tests {
         assert_eq!(b.read(&mut t1, y).unwrap(), 0);
         assert_eq!(b.read(&mut t2, x).unwrap(), 0);
         assert_eq!(b.read(&mut t2, y).unwrap(), 0);
-        b.write(&mut t1, x, 7).unwrap();
-        b.write(&mut t2, y, 8).unwrap();
+        Txn::new(&b, &mut t1).write_word(x, 7).unwrap();
+        Txn::new(&b, &mut t2).write_word(y, 8).unwrap();
         assert!(b.commit(&mut t1).is_ok());
         assert!(b.commit(&mut t2).is_ok(), "disjoint writes from one snapshot both commit");
         let mut check = txn(&b);
@@ -433,7 +420,7 @@ mod tests {
         // 50 commits before the long-lived reader exists.
         for i in 1..=50 {
             let mut w = txn(&b);
-            b.write(&mut w, v, i).unwrap();
+            Txn::new(&b, &mut w).write_word(v, i).unwrap();
             b.commit(&mut w).unwrap();
         }
         let mut reader = txn(&b);
@@ -442,7 +429,7 @@ mod tests {
         // 50 more commits while the reader pins its snapshot.
         for i in 51..=100 {
             let mut w = txn(&b);
-            b.write(&mut w, v, i).unwrap();
+            Txn::new(&b, &mut w).write_word(v, i).unwrap();
             b.commit(&mut w).unwrap();
         }
         // Everything older than the pinned version was collected; the pin
@@ -451,13 +438,12 @@ mod tests {
         assert!(pinned <= 51, "chain holds the pin + newer versions, got {pinned}");
         assert!(pinned >= 51, "nothing newer than the pin may be collected, got {pinned}");
         // The reader still sees its snapshot, consistently.
-        reader.read_cache.clear();
         assert_eq!(b.read(&mut reader, v).unwrap(), 50);
         b.cleanup(&mut reader);
 
         // Once the reader ends, the next commit collapses the chain.
         let mut w = txn(&b);
-        b.write(&mut w, v, 101).unwrap();
+        Txn::new(&b, &mut w).write_word(v, 101).unwrap();
         b.commit(&mut w).unwrap();
         assert!(b.chain_len(v) <= 2, "chain after GC: {}", b.chain_len(v));
         let mut check = txn(&b);
@@ -470,15 +456,15 @@ mod tests {
         let b = MvccBackend::new();
         let v = b.alloc(3);
         let mut t = txn(&b);
-        b.write(&mut t, v, 99).unwrap();
+        Txn::new(&b, &mut t).write_word(v, 99).unwrap();
         b.cleanup(&mut t); // user abort
         assert_eq!(b.chain_len(v), 1, "buffered writes never land");
         assert_eq!(b.active_snapshots(), 0, "snapshot registry drained");
         // Commit-path failure also drains the registry.
         let mut t1 = txn(&b);
         let mut t2 = txn(&b);
-        b.write(&mut t1, v, 1).unwrap();
-        b.write(&mut t2, v, 2).unwrap();
+        Txn::new(&b, &mut t1).write_word(v, 1).unwrap();
+        Txn::new(&b, &mut t2).write_word(v, 2).unwrap();
         b.commit(&mut t1).unwrap();
         assert!(b.commit(&mut t2).is_err());
         b.cleanup(&mut t2);
@@ -498,7 +484,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 1..=200 {
                         let mut d = txn(&b);
-                        b.write(&mut d, var, (t as i64) * 1_000 + i).unwrap();
+                        Txn::new(&*b, &mut d).write_word(var, (t as i64) * 1_000 + i).unwrap();
                         b.commit(&mut d).unwrap();
                     }
                 });

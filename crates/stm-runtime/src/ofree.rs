@@ -1,6 +1,6 @@
 //! The obstruction-free backend: never waits, aborts on any contention.
 //!
-//! Same per-variable layout as the blocking backend (lock bit, version, value) and
+//! Same per-variable cells as the blocking backend (lock bit, version, value) and
 //! the same per-variable-only metadata discipline, but every potentially blocking
 //! wait is replaced by an immediate abort:
 //!
@@ -15,131 +15,59 @@
 //! contention managers in practice.
 
 use crate::backend::{Backend, VarId};
-use crate::txn::{AbortReason, StmError, TxnData};
-use crate::vartable::VarTable;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-
-#[derive(Default)]
-struct Cell {
-    locked: AtomicBool,
-    version: AtomicU64,
-    value: AtomicI64,
-}
+use crate::txn::{AbortReason, TxnData};
+use crate::vlock::Cells;
 
 /// The obstruction-free backend.
+#[derive(Default)]
 pub struct OFreeBackend {
-    cells: VarTable<Cell>,
+    cells: Cells,
 }
 
 impl OFreeBackend {
     /// Create an empty backend.
     pub fn new() -> Self {
-        OFreeBackend { cells: VarTable::new() }
-    }
-
-    fn cell(&self, var: VarId) -> &Cell {
-        self.cells.get(var.index())
-    }
-
-    fn release_all(&self, data: &mut TxnData) {
-        for var in std::mem::take(&mut data.held_locks) {
-            self.cell(var).locked.store(false, Ordering::Release);
-        }
-    }
-}
-
-impl Default for OFreeBackend {
-    fn default() -> Self {
-        OFreeBackend::new()
+        OFreeBackend::default()
     }
 }
 
 impl Backend for OFreeBackend {
     fn alloc_words(&self, initials: &[i64]) -> VarId {
-        VarId(self.cells.alloc_init(initials.len(), |k, cell| {
-            cell.value.store(initials[k], Ordering::Relaxed);
-        }))
+        self.cells.alloc_words(initials)
     }
 
-    fn begin(&self, data: &mut TxnData) {
-        data.reset();
+    fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, AbortReason> {
+        // One try: a locked or changing variable aborts, never waits.
+        self.cells.read(data, var, 1)
     }
 
-    fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, StmError> {
-        if let Some(v) = data.write_set.get(&var) {
-            return Ok(*v);
-        }
-        if let Some(v) = data.read_cache.get(&var) {
-            return Ok(*v);
-        }
-        let cell = self.cell(var);
-        if cell.locked.load(Ordering::Acquire) {
-            data.set_abort_reason(AbortReason::LockConflict);
-            return Err(StmError::Aborted); // never wait
-        }
-        let v1 = cell.version.load(Ordering::Acquire);
-        let value = cell.value.load(Ordering::Acquire);
-        let v2 = cell.version.load(Ordering::Acquire);
-        if v1 != v2 || cell.locked.load(Ordering::Acquire) {
-            data.set_abort_reason(AbortReason::LockConflict);
-            return Err(StmError::Aborted);
-        }
-        data.read_versions.insert(var, v1);
-        data.read_cache.insert(var, value);
-        Ok(value)
-    }
-
-    fn write(&self, data: &mut TxnData, var: VarId, value: i64) -> Result<(), StmError> {
-        data.write_set.insert(var, value);
-        Ok(())
-    }
-
-    fn commit(&self, data: &mut TxnData) -> Result<(), StmError> {
+    fn commit(&self, data: &mut TxnData) -> Result<(), AbortReason> {
         // Acquire write locks in variable order, aborting on the first busy one.
-        for i in 0..data.write_set.len() {
-            let var = data.write_set.key_at(i);
-            let cell = self.cell(var);
-            if cell
-                .locked
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                self.release_all(data);
-                data.set_abort_reason(AbortReason::LockConflict);
-                return Err(StmError::Aborted);
+        for i in 0..data.writes().len() {
+            let var = data.writes().key_at(i);
+            if !self.cells.lock(data, var, 1) {
+                self.cells.release_all(data);
+                return Err(AbortReason::LockConflict);
             }
-            data.held_locks.push(var);
         }
-        // Validate the read set.
-        for (var, recorded) in &data.read_versions {
-            let cell = self.cell(*var);
-            let locked_by_other =
-                cell.locked.load(Ordering::Acquire) && !data.held_locks.contains(var);
-            if locked_by_other || cell.version.load(Ordering::Acquire) != *recorded {
-                self.release_all(data);
-                data.set_abort_reason(AbortReason::ReadValidation);
-                return Err(StmError::Aborted);
-            }
+        if !self.cells.validate(data) {
+            self.cells.release_all(data);
+            return Err(AbortReason::ReadValidation);
         }
         data.mark_validated();
-        // Install and release.
-        for (&var, &value) in &data.write_set {
-            let cell = self.cell(var);
-            cell.value.store(value, Ordering::Release);
-            cell.version.fetch_add(1, Ordering::AcqRel);
-        }
-        self.release_all(data);
+        self.cells.install(data);
         Ok(())
     }
 
     fn cleanup(&self, data: &mut TxnData) {
-        self.release_all(data);
+        self.cells.release_all(data);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::txn::Txn;
     use std::sync::Arc;
 
     #[test]
@@ -148,9 +76,10 @@ mod tests {
         let v = b.alloc(1);
         let mut d = TxnData::default();
         b.begin(&mut d);
-        assert_eq!(b.read(&mut d, v).unwrap(), 1);
-        b.write(&mut d, v, 2).unwrap();
-        assert_eq!(b.read(&mut d, v).unwrap(), 2); // read-your-own-write
+        let mut tx = Txn::new(&b, &mut d);
+        assert_eq!(tx.read_word(v).unwrap(), 1);
+        tx.write_word(v, 2).unwrap();
+        assert_eq!(tx.read_word(v).unwrap(), 2); // read-your-own-write
         assert!(b.commit(&mut d).is_ok());
 
         let mut d2 = TxnData::default();
@@ -170,15 +99,15 @@ mod tests {
 
         let mut t2 = TxnData::default();
         b.begin(&mut t2);
-        b.write(&mut t2, v, 7).unwrap();
+        Txn::new(&b, &mut t2).write_word(v, 7).unwrap();
         assert!(b.commit(&mut t2).is_ok());
 
-        b.write(&mut t1, w, 1).unwrap();
-        assert_eq!(b.commit(&mut t1), Err(StmError::Aborted));
+        Txn::new(&b, &mut t1).write_word(w, 1).unwrap();
+        assert_eq!(b.commit(&mut t1), Err(AbortReason::ReadValidation));
         // Nothing leaked: w is still writable by a fresh transaction.
         let mut t3 = TxnData::default();
         b.begin(&mut t3);
-        b.write(&mut t3, w, 2).unwrap();
+        Txn::new(&b, &mut t3).write_word(w, 2).unwrap();
         assert!(b.commit(&mut t3).is_ok());
     }
 
@@ -190,20 +119,16 @@ mod tests {
         // half-finished commit.
         let mut stalled = TxnData::default();
         b.begin(&mut stalled);
-        b.write(&mut stalled, v, 5).unwrap();
+        Txn::new(&b, &mut stalled).write_word(v, 5).unwrap();
         // Take the lock as commit would, but do not finish.
-        let cell = b.cell(v);
-        assert!(cell
-            .locked
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok());
+        assert!(b.cells.lock(&mut stalled, v, 1));
 
         let mut reader = TxnData::default();
         b.begin(&mut reader);
         let start = std::time::Instant::now();
-        assert_eq!(b.read(&mut reader, v), Err(StmError::Aborted));
+        assert_eq!(b.read(&mut reader, v), Err(AbortReason::LockConflict));
         assert!(start.elapsed() < std::time::Duration::from_millis(50));
-        cell.locked.store(false, Ordering::Release);
+        b.cells.release_all(&mut stalled);
     }
 
     #[test]
@@ -218,11 +143,12 @@ mod tests {
                     loop {
                         let mut d = TxnData::default();
                         b.begin(&mut d);
-                        let cur = match b.read(&mut d, v) {
+                        let mut tx = Txn::new(&*b, &mut d);
+                        let cur = match tx.read_word(v) {
                             Ok(c) => c,
                             Err(_) => continue,
                         };
-                        if b.write(&mut d, v, cur + i + 1).is_err() {
+                        if tx.write_word(v, cur + i + 1).is_err() {
                             continue;
                         }
                         if b.commit(&mut d).is_ok() {

@@ -12,7 +12,7 @@
 //! triangle is rarely what an application wants).
 
 use crate::backend::{Backend, VarId};
-use crate::txn::{StmError, TxnData};
+use crate::txn::{AbortReason, TxnData};
 use crate::vartable::VarTable;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -67,35 +67,15 @@ impl Backend for PramLocalBackend {
         }))
     }
 
-    fn begin(&self, data: &mut TxnData) {
-        data.reset();
+    fn read(&self, _data: &mut TxnData, var: VarId) -> Result<i64, AbortReason> {
+        Ok(self.local_read(var))
     }
 
-    fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, StmError> {
-        if let Some(v) = data.write_set.get(&var) {
-            return Ok(*v);
-        }
-        if let Some(v) = data.read_cache.get(&var) {
-            return Ok(*v);
-        }
-        let value = self.local_read(var);
-        // Cache the first external read so (a) repeated reads are stable within
-        // the attempt, matching the other backends, and (b) the commit-time
-        // recorder hook sees this transaction's external read set.
-        data.read_cache.insert(var, value);
-        Ok(value)
-    }
-
-    fn write(&self, data: &mut TxnData, var: VarId, value: i64) -> Result<(), StmError> {
-        data.write_set.insert(var, value);
-        Ok(())
-    }
-
-    fn commit(&self, data: &mut TxnData) -> Result<(), StmError> {
+    fn commit(&self, data: &mut TxnData) -> Result<(), AbortReason> {
         // No validation ever runs (PRAM needs none): all commit time is publish.
         data.mark_validated();
         // Publish the buffered writes to *this thread's* replica only.
-        for (var, value) in &data.write_set {
+        for (var, value) in data.writes() {
             self.local_write(*var, *value);
         }
         Ok(())
@@ -107,6 +87,7 @@ impl Backend for PramLocalBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::txn::Txn;
 
     #[test]
     fn a_thread_sees_its_own_committed_writes() {
@@ -114,9 +95,10 @@ mod tests {
         let v = b.alloc(3);
         let mut d = TxnData::default();
         b.begin(&mut d);
-        assert_eq!(b.read(&mut d, v).unwrap(), 3);
-        b.write(&mut d, v, 8).unwrap();
-        assert_eq!(b.read(&mut d, v).unwrap(), 8);
+        let mut tx = Txn::new(&b, &mut d);
+        assert_eq!(tx.read_word(v).unwrap(), 3);
+        tx.write_word(v, 8).unwrap();
+        assert_eq!(tx.read_word(v).unwrap(), 8);
         b.commit(&mut d).unwrap();
 
         let mut d2 = TxnData::default();
@@ -130,7 +112,7 @@ mod tests {
         let v = b.alloc(0);
         let mut d = TxnData::default();
         b.begin(&mut d);
-        b.write(&mut d, v, 5).unwrap();
+        Txn::new(&b, &mut d).write_word(v, 5).unwrap();
         b.cleanup(&mut d); // aborted
 
         let mut d2 = TxnData::default();
@@ -144,7 +126,7 @@ mod tests {
         let v = b.alloc(1);
         let mut d = TxnData::default();
         b.begin(&mut d);
-        b.write(&mut d, v, 100).unwrap();
+        Txn::new(&b, &mut d).write_word(v, 100).unwrap();
         b.commit(&mut d).unwrap();
 
         std::thread::scope(|s| {
@@ -164,7 +146,7 @@ mod tests {
         let v2 = b2.alloc(0);
         let mut d = TxnData::default();
         b1.begin(&mut d);
-        b1.write(&mut d, v1, 9).unwrap();
+        Txn::new(&b1, &mut d).write_word(v1, 9).unwrap();
         b1.commit(&mut d).unwrap();
 
         let mut d2 = TxnData::default();

@@ -21,7 +21,7 @@
 //! be measured, not assumed.
 
 use crate::backend::{Backend, VarId};
-use crate::txn::{AbortReason, StmError, TxnData};
+use crate::txn::{AbortReason, TxnData};
 use crate::vartable::VarTable;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -138,17 +138,7 @@ impl Backend for ShardLockBackend {
         }))
     }
 
-    fn begin(&self, data: &mut TxnData) {
-        data.reset();
-    }
-
-    fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, StmError> {
-        if let Some(v) = data.write_set.get(&var) {
-            return Ok(*v);
-        }
-        if let Some(v) = data.read_cache.get(&var) {
-            return Ok(*v);
-        }
+    fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, AbortReason> {
         let shard = &self.shards[shard_of(var)];
         for _ in 0..self.spin_limit {
             if shard.state.load(Ordering::Acquire) & WRITER != 0 {
@@ -165,32 +155,22 @@ impl Backend for ShardLockBackend {
                 // anyway — abort early.
                 let key = VarId(shard_of(var));
                 match data.read_versions.get(&key) {
-                    Some(&pinned) if pinned != v1 => {
-                        data.set_abort_reason(AbortReason::ReadValidation);
-                        return Err(StmError::Aborted);
-                    }
+                    Some(&pinned) if pinned != v1 => return Err(AbortReason::ReadValidation),
                     Some(_) => {}
                     None => {
                         data.read_versions.insert(key, v1);
                     }
                 }
-                data.read_cache.insert(var, value);
                 return Ok(value);
             }
             std::hint::spin_loop();
         }
-        data.set_abort_reason(AbortReason::LockConflict);
-        Err(StmError::Aborted)
+        Err(AbortReason::LockConflict)
     }
 
-    fn write(&self, data: &mut TxnData, var: VarId, value: i64) -> Result<(), StmError> {
-        // Buffered; the locks are taken at commit (sorted two-phase).
-        data.write_set.insert(var, value);
-        Ok(())
-    }
-
-    fn commit(&self, data: &mut TxnData) -> Result<(), StmError> {
-        let write_shards: BTreeSet<usize> = data.write_set.keys().map(|&v| shard_of(v)).collect();
+    fn commit(&self, data: &mut TxnData) -> Result<(), AbortReason> {
+        // Writes were buffered; the locks are taken here (sorted two-phase).
+        let write_shards: BTreeSet<usize> = data.writes().keys().map(|&v| shard_of(v)).collect();
         let touched: BTreeSet<usize> = data
             .read_versions
             .keys()
@@ -210,8 +190,7 @@ impl Backend for ShardLockBackend {
             };
             if !ok {
                 self.release(&acquired);
-                data.set_abort_reason(AbortReason::LockConflict);
-                return Err(StmError::Aborted);
+                return Err(AbortReason::LockConflict);
             }
             acquired.push((shard, write));
         }
@@ -220,14 +199,13 @@ impl Backend for ShardLockBackend {
         for (key, &pinned) in &data.read_versions {
             if self.shards[key.index()].version.load(Ordering::Acquire) != pinned {
                 self.release(&acquired);
-                data.set_abort_reason(AbortReason::ReadValidation);
-                return Err(StmError::Aborted);
+                return Err(AbortReason::ReadValidation);
             }
         }
         data.mark_validated();
         // Install under all the locks (the single atomic commit point).
-        if !data.write_set.is_empty() {
-            for (&var, &value) in &data.write_set {
+        if !data.writes().is_empty() {
+            for (&var, &value) in data.writes() {
                 self.values.get(var.index()).store(value, Ordering::Release);
             }
             for &shard in &write_shards {
@@ -247,6 +225,7 @@ impl Backend for ShardLockBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::txn::Txn;
     use std::sync::Arc;
 
     fn txn(backend: &ShardLockBackend) -> TxnData {
@@ -267,9 +246,10 @@ mod tests {
         let b = ShardLockBackend::new();
         let v = b.alloc(5);
         let mut t = txn(&b);
-        assert_eq!(b.read(&mut t, v).unwrap(), 5);
-        b.write(&mut t, v, 6).unwrap();
-        assert_eq!(b.read(&mut t, v).unwrap(), 6, "read-your-own-writes");
+        let mut tx = Txn::new(&b, &mut t);
+        assert_eq!(tx.read_word(v).unwrap(), 5);
+        tx.write_word(v, 6).unwrap();
+        assert_eq!(tx.read_word(v).unwrap(), 6, "read-your-own-writes");
         b.commit(&mut t).unwrap();
         let mut check = txn(&b);
         assert_eq!(b.read(&mut check, v).unwrap(), 6);
@@ -283,17 +263,17 @@ mod tests {
         assert_eq!(b.read(&mut t1, v).unwrap(), 0);
 
         let mut t2 = txn(&b);
-        b.write(&mut t2, v, 9).unwrap();
+        Txn::new(&b, &mut t2).write_word(v, 9).unwrap();
         b.commit(&mut t2).unwrap();
 
         // t1's pinned shard version is stale now.
         let other = b.alloc(0);
-        b.write(&mut t1, other, 1).unwrap();
-        assert_eq!(b.commit(&mut t1), Err(StmError::Aborted));
+        Txn::new(&b, &mut t1).write_word(other, 1).unwrap();
+        assert_eq!(b.commit(&mut t1), Err(AbortReason::ReadValidation));
         b.cleanup(&mut t1);
         // The aborted commit released every lock: a fresh commit goes through.
         let mut t3 = txn(&b);
-        b.write(&mut t3, other, 2).unwrap();
+        Txn::new(&b, &mut t3).write_word(other, 2).unwrap();
         assert!(b.commit(&mut t3).is_ok());
     }
 
@@ -320,9 +300,13 @@ mod tests {
         let mut reader = txn(&b);
         b.read(&mut reader, a).unwrap();
         let mut writer = txn(&b);
-        b.write(&mut writer, c, 1).unwrap();
+        Txn::new(&b, &mut writer).write_word(c, 1).unwrap();
         b.commit(&mut writer).unwrap();
-        assert_eq!(b.commit(&mut reader), Err(StmError::Aborted), "false sharing by design");
+        assert_eq!(
+            b.commit(&mut reader),
+            Err(AbortReason::ReadValidation),
+            "false sharing by design"
+        );
     }
 
     #[test]
@@ -351,10 +335,11 @@ mod tests {
                         loop {
                             let mut data = TxnData::default();
                             b.begin(&mut data);
+                            let mut tx = Txn::new(&*b, &mut data);
                             let ok = (0..4).try_for_each(|_| {
                                 let var = vars[(next() % vars.len() as u64) as usize];
-                                let x = b.read(&mut data, var)?;
-                                b.write(&mut data, var, x + 1)
+                                let x = tx.read_word(var)?;
+                                tx.write_word(var, x + 1)
                             });
                             let done = ok.is_ok() && b.commit(&mut data).is_ok();
                             if !done {

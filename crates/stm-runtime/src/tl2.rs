@@ -18,74 +18,27 @@
 //! while remaining safe to run unattended.
 
 use crate::backend::{Backend, VarId};
-use crate::txn::{AbortReason, StmError, TxnData};
-use crate::vartable::VarTable;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use crate::txn::{AbortReason, TxnData};
+use crate::vlock::Cells;
 
 /// How long a transaction spins on a busy lock before giving up with an abort.
 pub const SPIN_LIMIT: usize = 50_000;
 
-#[derive(Default)]
-struct Cell {
-    locked: AtomicBool,
-    version: AtomicU64,
-    value: AtomicI64,
-}
-
-impl Cell {
-    /// Consistent unlocked snapshot of (version, value); `None` if the cell stayed
-    /// locked or changed under us for the whole spin budget.
-    fn snapshot(&self, spin_limit: usize) -> Option<(u64, i64)> {
-        for _ in 0..spin_limit {
-            if self.locked.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-                continue;
-            }
-            let v1 = self.version.load(Ordering::Acquire);
-            let value = self.value.load(Ordering::Acquire);
-            let v2 = self.version.load(Ordering::Acquire);
-            if v1 == v2 && !self.locked.load(Ordering::Acquire) {
-                return Some((v1, value));
-            }
-            std::hint::spin_loop();
-        }
-        None
-    }
-
-    fn try_lock(&self) -> bool {
-        self.locked.compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire).is_ok()
-    }
-
-    fn unlock(&self) {
-        self.locked.store(false, Ordering::Release);
-    }
-}
-
 /// The eager-locking (blocking) backend.
 pub struct Tl2Backend {
-    cells: VarTable<Cell>,
+    cells: Cells,
     spin_limit: usize,
 }
 
 impl Tl2Backend {
     /// Create an empty backend.
     pub fn new() -> Self {
-        Tl2Backend { cells: VarTable::new(), spin_limit: SPIN_LIMIT }
+        Tl2Backend::with_spin_limit(SPIN_LIMIT)
     }
 
     /// Create a backend with a custom spin budget (used by tests).
     pub fn with_spin_limit(spin_limit: usize) -> Self {
-        Tl2Backend { cells: VarTable::new(), spin_limit }
-    }
-
-    fn cell(&self, var: VarId) -> &Cell {
-        self.cells.get(var.index())
-    }
-
-    fn release_all(&self, data: &mut TxnData) {
-        for var in std::mem::take(&mut data.held_locks) {
-            self.cell(var).unlock();
-        }
+        Tl2Backend { cells: Cells::default(), spin_limit }
     }
 }
 
@@ -97,94 +50,45 @@ impl Default for Tl2Backend {
 
 impl Backend for Tl2Backend {
     fn alloc_words(&self, initials: &[i64]) -> VarId {
-        VarId(self.cells.alloc_init(initials.len(), |k, cell| {
-            cell.value.store(initials[k], Ordering::Relaxed);
-        }))
+        self.cells.alloc_words(initials)
     }
 
-    fn begin(&self, data: &mut TxnData) {
-        data.reset();
+    fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, AbortReason> {
+        // A locked variable is spun on within the budget.
+        self.cells.read(data, var, self.spin_limit)
     }
 
-    fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, StmError> {
-        if let Some(v) = data.write_set.get(&var) {
-            return Ok(*v);
+    fn write(&self, data: &mut TxnData, var: VarId) -> Result<(), AbortReason> {
+        // Lock at encounter time, once per variable per attempt.
+        if data.held_locks.contains(&var) || self.cells.lock(data, var, self.spin_limit) {
+            Ok(())
+        } else {
+            Err(AbortReason::LockConflict)
         }
-        if let Some(v) = data.read_cache.get(&var) {
-            return Ok(*v);
-        }
-        let cell = self.cell(var);
-        // If we already hold the lock (possible after write-then-read of a var that is
-        // not yet in the write set — cannot happen, but stay safe), or the variable is
-        // locked by someone else, spin within the budget.
-        let (version, value) = match cell.snapshot(self.spin_limit) {
-            Some(s) => s,
-            None => {
-                data.set_abort_reason(AbortReason::LockConflict);
-                return Err(StmError::Aborted);
-            }
-        };
-        data.read_versions.insert(var, version);
-        data.read_cache.insert(var, value);
-        Ok(value)
     }
 
-    fn write(&self, data: &mut TxnData, var: VarId, value: i64) -> Result<(), StmError> {
-        if !data.held_locks.contains(&var) {
-            let cell = self.cell(var);
-            let mut acquired = false;
-            for _ in 0..self.spin_limit {
-                if cell.try_lock() {
-                    acquired = true;
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-            if !acquired {
-                data.set_abort_reason(AbortReason::LockConflict);
-                return Err(StmError::Aborted);
-            }
-            data.held_locks.push(var);
-        }
-        data.write_set.insert(var, value);
-        Ok(())
-    }
-
-    fn commit(&self, data: &mut TxnData) -> Result<(), StmError> {
-        // Validate the read set: every read version must still be current, and the
-        // variable must not be locked by another transaction.
-        for (var, recorded) in &data.read_versions {
-            let cell = self.cell(*var);
-            let we_hold_it = data.held_locks.contains(var);
-            // If another transaction committed to this variable between our read and
-            // our lock acquisition (or still holds its lock), the snapshot is stale.
-            if (!we_hold_it && cell.locked.load(Ordering::Acquire))
-                || cell.version.load(Ordering::Acquire) != *recorded
-            {
-                self.release_all(data);
-                data.set_abort_reason(AbortReason::ReadValidation);
-                return Err(StmError::Aborted);
-            }
+    fn commit(&self, data: &mut TxnData) -> Result<(), AbortReason> {
+        // Validate the read set: if another transaction committed to a
+        // variable between our read and now (or still holds its lock), the
+        // snapshot is stale.
+        if !self.cells.validate(data) {
+            self.cells.release_all(data);
+            return Err(AbortReason::ReadValidation);
         }
         data.mark_validated();
-        // Install the writes and release the locks.
-        for (&var, &value) in &data.write_set {
-            let cell = self.cell(var);
-            cell.value.store(value, Ordering::Release);
-            cell.version.fetch_add(1, Ordering::AcqRel);
-        }
-        self.release_all(data);
+        self.cells.install(data);
         Ok(())
     }
 
     fn cleanup(&self, data: &mut TxnData) {
-        self.release_all(data);
+        self.cells.release_all(data);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::txn::Txn;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -194,9 +98,10 @@ mod tests {
         let v = backend.alloc(3);
         let mut data = TxnData::default();
         backend.begin(&mut data);
-        assert_eq!(backend.read(&mut data, v).unwrap(), 3);
+        let mut tx = Txn::new(&backend, &mut data);
+        assert_eq!(tx.read_word(v).unwrap(), 3);
         // Cached on the second read.
-        assert_eq!(backend.read(&mut data, v).unwrap(), 3);
+        assert_eq!(tx.read_word(v).unwrap(), 3);
         assert!(backend.commit(&mut data).is_ok());
     }
 
@@ -207,19 +112,19 @@ mod tests {
 
         let mut writer = TxnData::default();
         backend.begin(&mut writer);
-        backend.write(&mut writer, v, 1).unwrap();
+        Txn::new(&*backend, &mut writer).write_word(v, 1).unwrap();
 
         // A second writer cannot acquire the lock and eventually gives up.
         let b2 = Arc::clone(&backend);
         let handle = std::thread::spawn(move || {
             let mut other = TxnData::default();
             b2.begin(&mut other);
-            let res = b2.write(&mut other, v, 2);
+            let res = b2.write(&mut other, v);
             b2.cleanup(&mut other);
             res
         });
         let res = handle.join().unwrap();
-        assert_eq!(res, Err(StmError::Aborted));
+        assert_eq!(res, Err(AbortReason::LockConflict));
 
         // Once the first writer commits, the value is visible.
         backend.commit(&mut writer).unwrap();
@@ -234,7 +139,7 @@ mod tests {
         let v = backend.alloc(0);
         let mut writer = TxnData::default();
         backend.begin(&mut writer);
-        backend.write(&mut writer, v, 9).unwrap();
+        Txn::new(&*backend, &mut writer).write_word(v, 9).unwrap();
 
         // While the writer holds the lock, a reader spins and ultimately aborts.
         let b2 = Arc::clone(&backend);
@@ -245,7 +150,7 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(10));
         let res = reader.join().unwrap();
-        assert_eq!(res, Err(StmError::Aborted));
+        assert_eq!(res, Err(AbortReason::LockConflict));
         backend.cleanup(&mut writer);
     }
 
@@ -260,17 +165,17 @@ mod tests {
         // Another transaction commits a new value in between.
         let mut t2 = TxnData::default();
         backend.begin(&mut t2);
-        backend.write(&mut t2, v, 5).unwrap();
+        Txn::new(&backend, &mut t2).write_word(v, 5).unwrap();
         backend.commit(&mut t2).unwrap();
 
         // t1 now writes something else and must fail validation at commit.
         let other = backend.alloc(0);
-        backend.write(&mut t1, other, 1).unwrap();
-        assert_eq!(backend.commit(&mut t1), Err(StmError::Aborted));
+        Txn::new(&backend, &mut t1).write_word(other, 1).unwrap();
+        assert_eq!(backend.commit(&mut t1), Err(AbortReason::ReadValidation));
         // The aborted commit released its lock.
         let mut t3 = TxnData::default();
         backend.begin(&mut t3);
-        backend.write(&mut t3, other, 2).unwrap();
+        Txn::new(&backend, &mut t3).write_word(other, 2).unwrap();
         assert!(backend.commit(&mut t3).is_ok());
     }
 }

@@ -96,14 +96,6 @@ impl<T: TxnValue> fmt::Display for TVar<T> {
     }
 }
 
-/// A single-word `i64` handle converts to its raw word id (migration aid for
-/// code still on the deprecated [`VarId`] API).
-impl From<TVar<i64>> for VarId {
-    fn from(var: TVar<i64>) -> VarId {
-        var.base()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +121,5 @@ mod tests {
         assert_eq!(pair.words(), 2);
         assert_eq!(pair.word(0), VarId(10));
         assert_eq!(pair.word(1), VarId(11));
-        assert_eq!(VarId::from(TVar::<i64>::from_base(VarId(7))), VarId(7));
     }
 }

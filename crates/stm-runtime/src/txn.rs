@@ -115,10 +115,10 @@ impl fmt::Display for StmError {
 
 impl std::error::Error for StmError {}
 
-/// Why an attempt aborted — the taxonomy every backend's commit path reports
-/// through [`TxnData::abort_reason`].  [`StmError`] stays a single variant
-/// (callers only need "retryable"); the reason travels out-of-band so the
-/// per-reason counters in [`crate::StmStats`] can show *which* defence each
+/// Why an attempt aborted.  Every fallible [`Backend`] method returns its
+/// reason as the `Err`, and the front end records it in the per-reason
+/// counters of [`crate::StmStats`]; [`StmError`] stays a single variant
+/// (callers only need "retryable").  The taxonomy shows *which* defence each
 /// backend mounted: validation aborts are consistency being defended,
 /// lock/band conflicts are parallelism being rationed, give-ups are liveness
 /// being bounded.
@@ -135,7 +135,8 @@ pub enum AbortReason {
     /// A bounded retry policy stopped the transaction: the *final* attempt's
     /// abort is reclassified to this so give-ups are visible in the taxonomy.
     Giveup,
-    /// The transaction body itself asked to abort (user code).
+    /// The transaction body aborted by itself (user code), not because a
+    /// backend read or write hook failed.
     Explicit,
 }
 
@@ -178,24 +179,27 @@ impl fmt::Display for AbortReason {
     }
 }
 
-/// The bookkeeping every backend shares for one transaction attempt.
+/// The record of one transaction attempt.
+///
+/// The front end owns what the attempt records about itself: the values it
+/// read (each variable's first observed value) and the values it wrote.
+/// Both are private to this module, so no backend can alter them; backends
+/// and the recorder read them through [`TxnData::reads`] and
+/// [`TxnData::writes`].  The public fields are the backends' own
+/// per-attempt protocol state.
 #[derive(Debug, Default)]
 pub struct TxnData {
     /// Snapshot timestamp (read of the global clock at begin), where applicable.
     pub start_ts: u64,
     /// Read set: variable → version observed at first read.
     pub read_versions: VarMap<u64>,
-    /// Write set: variable → value to install at commit (also serves as the
-    /// read-your-own-writes cache).
-    pub write_set: VarMap<i64>,
-    /// Values read so far (cache, so repeated reads are stable within the attempt).
-    pub read_cache: VarMap<i64>,
-    /// Locks currently held (populated only during commit, used by `cleanup`).
+    /// Variable → value to install at commit (also the read-your-own-writes
+    /// source).
+    write_set: VarMap<i64>,
+    /// Variable → value the attempt's first read of it observed.
+    read_cache: VarMap<i64>,
+    /// Locks currently held (released by commit or `cleanup`).
     pub held_locks: Vec<VarId>,
-    /// Set by the backend immediately before it returns
-    /// [`StmError::Aborted`]; taken by the front-end when it records the
-    /// abort.  `None` on an abort means the body aborted explicitly.
-    pub abort_reason: Option<AbortReason>,
     /// Set by the front-end when phase-latency telemetry is on.  Backends
     /// that split commit into validate-then-publish stamp
     /// [`TxnData::validated_at`] when this is set — one never-taken branch
@@ -207,22 +211,31 @@ pub struct TxnData {
 }
 
 impl TxnData {
-    /// Reset the state for a fresh attempt.
-    pub fn reset(&mut self) {
+    /// Reset the state for a fresh attempt (the front end does this before
+    /// [`Backend::begin`]).
+    #[inline]
+    pub(crate) fn reset(&mut self) {
         self.start_ts = 0;
         self.read_versions.clear();
         self.write_set.clear();
         self.read_cache.clear();
         self.held_locks.clear();
-        self.abort_reason = None;
         self.timing = false;
         self.validated_at = None;
     }
 
-    /// Record why the current attempt is about to abort (backend commit
-    /// paths call this just before returning [`StmError::Aborted`]).
-    pub fn set_abort_reason(&mut self, reason: AbortReason) {
-        self.abort_reason = Some(reason);
+    /// The buffered writes, in ascending [`VarId`] order: what commit
+    /// installs.
+    #[inline]
+    pub fn writes(&self) -> &VarMap<i64> {
+        &self.write_set
+    }
+
+    /// The external reads: each variable read before this attempt wrote it,
+    /// with the first value observed.
+    #[inline]
+    pub fn reads(&self) -> &VarMap<i64> {
+        &self.read_cache
     }
 
     /// Stamp the validate→publish boundary if phase timing is on (one
@@ -238,12 +251,52 @@ impl TxnData {
 pub struct Txn<'a> {
     backend: &'a dyn Backend,
     data: &'a mut TxnData,
+    /// Why the last failed backend read or write hook aborted, if one did.
+    failed: Option<AbortReason>,
 }
 
 impl<'a> Txn<'a> {
     /// Create a transaction handle (used by [`crate::Stm`]).
+    #[inline]
     pub fn new(backend: &'a dyn Backend, data: &'a mut TxnData) -> Self {
-        Txn { backend, data }
+        Txn { backend, data, failed: None }
+    }
+
+    /// Why a body that returned `Err` aborted: the reason of the last failed
+    /// backend hook, or [`AbortReason::Explicit`] if none failed.
+    pub(crate) fn abort_reason(&self) -> AbortReason {
+        self.failed.unwrap_or(AbortReason::Explicit)
+    }
+
+    fn failing(&mut self, reason: AbortReason) -> StmError {
+        self.failed = Some(reason);
+        StmError::Aborted
+    }
+
+    /// Read one word: the attempt's own write, else its first read, else
+    /// the backend (whose answer is then kept as the first read).
+    #[inline]
+    pub(crate) fn read_word(&mut self, var: VarId) -> Result<i64, StmError> {
+        if let Some(&v) = self.data.write_set.get(&var).or_else(|| self.data.read_cache.get(&var)) {
+            return Ok(v);
+        }
+        match self.backend.read(self.data, var) {
+            Ok(v) => {
+                self.data.read_cache.insert(var, v);
+                Ok(v)
+            }
+            Err(reason) => Err(self.failing(reason)),
+        }
+    }
+
+    /// Write one word: the backend's encounter-time hook, then the buffer.
+    #[inline]
+    pub(crate) fn write_word(&mut self, var: VarId, value: i64) -> Result<(), StmError> {
+        if let Err(reason) = self.backend.write(self.data, var) {
+            return Err(self.failing(reason));
+        }
+        self.data.write_set.insert(var, value);
+        Ok(())
     }
 
     /// Read a typed transactional variable.
@@ -252,24 +305,19 @@ impl<'a> Txn<'a> {
     /// [`VarId`] slots within this transaction, so the value is observed
     /// atomically (all words from the same snapshot or the attempt aborts).
     pub fn read<T: TxnValue>(&mut self, var: TVar<T>) -> Result<T, StmError> {
-        let backend = self.backend;
-        let data = &mut *self.data;
         let mut k = 0usize;
         T::decode(&mut || {
-            let word = backend.read(data, var.word(k))?;
+            let word = self.read_word(var.word(k))?;
             k += 1;
             Ok(word)
         })
     }
 
-    /// Write a typed transactional variable (buffered until commit on most
-    /// backends).
+    /// Write a typed transactional variable (buffered until commit).
     pub fn write<T: TxnValue>(&mut self, var: TVar<T>, value: T) -> Result<(), StmError> {
-        let backend = self.backend;
-        let data = &mut *self.data;
         let mut k = 0usize;
         value.encode(&mut |word| {
-            backend.write(data, var.word(k), word)?;
+            self.write_word(var.word(k), word)?;
             k += 1;
             Ok(())
         })
@@ -304,7 +352,6 @@ mod tests {
         d.write_set.insert(VarId(0), 5);
         d.read_cache.insert(VarId(1), 2);
         d.held_locks.push(VarId(0));
-        d.set_abort_reason(AbortReason::LockConflict);
         d.timing = true;
         d.mark_validated();
         assert!(d.validated_at.is_some());
@@ -314,7 +361,6 @@ mod tests {
         assert!(d.write_set.is_empty());
         assert!(d.read_cache.is_empty());
         assert!(d.held_locks.is_empty());
-        assert_eq!(d.abort_reason, None);
         assert!(!d.timing);
         assert!(d.validated_at.is_none());
     }

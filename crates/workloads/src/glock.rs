@@ -8,8 +8,8 @@
 //! * the first read or write of an attempt spin-acquires the instance's
 //!   single lock flag (bounded spin, then abort — same hang-free discipline
 //!   as the blocking TL2 backend);
-//! * while the lock is held, reads come straight from the store and writes
-//!   buffer in the write set (so an abort rolls back for free);
+//! * while the lock is held, reads come straight from the store and the
+//!   front end buffers the writes (so an abort rolls back for free);
 //! * commit installs the write set and releases the lock.
 //!
 //! The result is trivially serializable (there is never any concurrency to
@@ -23,7 +23,7 @@ use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use stm_runtime::registry::{self, Axis, BackendSpec, Triangle};
-use stm_runtime::{AbortReason, Backend, BackendId, StmError, TxnData, VarId};
+use stm_runtime::{AbortReason, Backend, BackendId, TxnData, VarId};
 
 /// How long an attempt spins on the global lock before aborting.
 pub const SPIN_LIMIT: usize = 100_000;
@@ -54,7 +54,7 @@ impl GlobalLockBackend {
 
     /// Spin-acquire the instance lock for this attempt (idempotent within
     /// the attempt); abort once the spin budget is exhausted.
-    fn acquire(&self, data: &mut TxnData) -> Result<(), StmError> {
+    fn acquire(&self, data: &mut TxnData) -> Result<(), AbortReason> {
         if Self::holds_lock(data) {
             return Ok(());
         }
@@ -66,8 +66,7 @@ impl GlobalLockBackend {
             }
             std::hint::spin_loop();
         }
-        data.set_abort_reason(AbortReason::LockConflict);
-        Err(StmError::Aborted)
+        Err(AbortReason::LockConflict)
     }
 
     fn release(&self, data: &mut TxnData) {
@@ -92,36 +91,22 @@ impl Backend for GlobalLockBackend {
         VarId(base)
     }
 
-    fn begin(&self, data: &mut TxnData) {
-        data.reset();
-    }
-
-    fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, StmError> {
-        if let Some(v) = data.write_set.get(&var) {
-            return Ok(*v);
-        }
-        if let Some(v) = data.read_cache.get(&var) {
-            return Ok(*v);
-        }
+    fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, AbortReason> {
         self.acquire(data)?;
-        let value = self.store.read()[var.index()];
-        data.read_cache.insert(var, value);
-        Ok(value)
+        Ok(self.store.read()[var.index()])
     }
 
-    fn write(&self, data: &mut TxnData, var: VarId, value: i64) -> Result<(), StmError> {
-        self.acquire(data)?;
-        data.write_set.insert(var, value);
-        Ok(())
+    fn write(&self, data: &mut TxnData, _var: VarId) -> Result<(), AbortReason> {
+        self.acquire(data)
     }
 
-    fn commit(&self, data: &mut TxnData) -> Result<(), StmError> {
+    fn commit(&self, data: &mut TxnData) -> Result<(), AbortReason> {
         // Holding the exclusive lock since first access means no validation
         // is ever needed: install and release.
         data.mark_validated();
-        if !data.write_set.is_empty() {
+        if !data.writes().is_empty() {
             let mut store = self.store.write();
-            for (var, value) in &data.write_set {
+            for (var, value) in data.writes() {
                 store[var.index()] = *value;
             }
         }
@@ -158,7 +143,7 @@ pub fn register() -> BackendId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stm_runtime::Stm;
+    use stm_runtime::{Stm, StmError};
 
     #[test]
     fn registers_through_the_open_registry_and_parses_by_name() {
@@ -218,13 +203,13 @@ mod tests {
         let blocked = std::thread::spawn(move || {
             let mut other = TxnData::default();
             b2.begin(&mut other);
-            let res = b2.write(&mut other, b, 7);
+            let res = b2.write(&mut other, b);
             b2.cleanup(&mut other);
             res
         })
         .join()
         .unwrap();
-        assert_eq!(blocked, Err(StmError::Aborted));
+        assert_eq!(blocked, Err(AbortReason::LockConflict));
         backend.cleanup(&mut holder);
     }
 }

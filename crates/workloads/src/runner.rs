@@ -201,9 +201,9 @@ impl Verdict {
 
 /// A crash-consistent WAL round attached to a windowed run: the merged
 /// commit stream is appended to a [`stm_runtime::wal::WalSink`] round at
-/// `dir` *before* each record reaches the auditor, segments seal (and the
-/// auditor's frontier is snapshotted) at every window boundary, and the
-/// round ends with a `complete.json` marker.  A process killed mid-round
+/// `dir` *before* each record reaches the auditor, segments seal at every
+/// window boundary (the seal carries that window's boundary record), and
+/// the round ends with a `complete.json` marker.  A process killed mid-round
 /// leaves a directory [`crate::recovery::recover_round_report`] can finish
 /// auditing.
 pub struct WalRound<'a> {
@@ -452,12 +452,10 @@ pub fn stalled_writer_experiment(
             });
         }
         // Victims: each repeatedly reads the hot variable and bumps its own counter.
-        for (i, private) in privates.iter().enumerate() {
+        for &private in &privates {
             let stm = Arc::clone(&stm);
             let stop = Arc::clone(&stop);
             let committed = Arc::clone(&committed);
-            let private = *private;
-            let _ = i;
             scope.spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
                     let ok = stm.try_run(|tx| {
