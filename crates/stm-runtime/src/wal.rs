@@ -6,8 +6,7 @@
 //! **round directory**, in publish order.  The log is *partially
 //! constrained* in the sense of Zhou et al. (*Guaranteeing Recoverability
 //! via Partially Constrained Transaction Logs*): it totally orders commits
-//! only within a session (and, through the recorded values, along each
-//! variable's write chain); racing commits of different sessions may land in
+//! only within a session; racing commits of different sessions may land in
 //! either order, which is exactly the constraint set the windowed auditor's
 //! verdicts are sound under.
 //!
@@ -15,9 +14,11 @@
 //! transaction, with the document header opening segment 0 — so the
 //! concatenation of a round's segments **is** a valid wire document and the
 //! log can be re-ingested by any tool that reads histories, no conversion
-//! step.  This crate cannot depend on `tm-history`, so the format's two line
-//! shapes are written here ([`push_header_line`], [`push_txn_line`]) and
-//! `tm-history`'s encoder calls them: there is one writer of wire lines.
+//! step.  (After a crash, a reader logged ahead of its writer can outlive
+//! it: `tm_history`'s `Decoder::next_log_prefix` reads such a log.)  This
+//! crate cannot depend on `tm-history`, so the format's two line shapes are
+//! written here ([`push_header_line`], [`push_txn_line`]) and `tm-history`'s
+//! encoder calls them: there is one writer of wire lines.
 //!
 //! # Durability and torn tails
 //!
@@ -38,7 +39,6 @@
 //! rule**: a record either ends in a newline or it never happened), so a
 //! crash mid-append is detected and dropped rather than decoded as garbage.
 
-use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -48,36 +48,94 @@ pub const WIRE_VERSION: u64 = 1;
 
 /// Append a wire document's header line (newline included) to `out`:
 /// `sessions` sessions over variables `0..vars`, all starting at `initial`.
-pub fn push_header_line(out: &mut String, sessions: usize, vars: usize, initial: i64) {
-    let _ = writeln!(
-        out,
-        "{{\"tm-history\":{WIRE_VERSION},\"sessions\":{sessions},\"vars\":{vars},\"initial\":{initial}}}"
-    );
+pub fn push_header_line(out: &mut Vec<u8>, sessions: usize, vars: usize, initial: i64) {
+    out.extend_from_slice(b"{\"tm-history\":");
+    push_u64(out, WIRE_VERSION);
+    out.extend_from_slice(b",\"sessions\":");
+    push_u64(out, sessions as u64);
+    out.extend_from_slice(b",\"vars\":");
+    push_u64(out, vars as u64);
+    out.extend_from_slice(b",\"initial\":");
+    push_i64(out, initial);
+    out.extend_from_slice(b"}\n");
 }
 
 /// Append one committed transaction's wire line (newline included) to `out`:
 /// session `s`, session sequence `q`, recording hint `h`, external reads `r`
 /// and writes `w` as `[variable,value]` pairs, in that fixed field order and
-/// without whitespace.
+/// without whitespace.  Every byte is ASCII.
 pub fn push_txn_line(
-    out: &mut String,
+    out: &mut Vec<u8>,
     session: usize,
     seq: u64,
     hint: u64,
     reads: &[(usize, i64)],
     writes: &[(usize, i64)],
 ) {
-    let _ = write!(out, "{{\"s\":{session},\"q\":{seq},\"h\":{hint},\"r\":[");
+    out.extend_from_slice(b"{\"s\":");
+    push_u64(out, session as u64);
+    out.extend_from_slice(b",\"q\":");
+    push_u64(out, seq);
+    out.extend_from_slice(b",\"h\":");
+    push_u64(out, hint);
+    out.extend_from_slice(b",\"r\":[");
     push_pairs(out, reads);
-    out.push_str("],\"w\":[");
+    out.extend_from_slice(b"],\"w\":[");
     push_pairs(out, writes);
-    out.push_str("]}\n");
+    out.extend_from_slice(b"]}\n");
 }
 
-fn push_pairs(out: &mut String, pairs: &[(usize, i64)]) {
+fn push_pairs(out: &mut Vec<u8>, pairs: &[(usize, i64)]) {
     for (i, &(var, value)) in pairs.iter().enumerate() {
-        let _ = write!(out, "{}[{var},{value}]", if i > 0 { "," } else { "" });
+        out.extend_from_slice(if i > 0 { b",[" } else { b"[" });
+        push_u64(out, var as u64);
+        out.push(b',');
+        push_i64(out, value);
+        out.push(b']');
     }
+}
+
+/// `"00" "01" … "99"`: two decimal digits per table lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Append `n` in decimal: the canonical form, no sign, no leading zeros.
+#[inline]
+fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + n as u8;
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Append `n` in decimal: a `-` for negatives only, so zero is `0`.
+#[inline]
+fn push_i64(out: &mut Vec<u8>, n: i64) {
+    if n < 0 {
+        out.push(b'-');
+    }
+    push_u64(out, n.unsigned_abs());
 }
 
 /// Version of the seal line [`WalSink::seal_segment`] writes; version 1
@@ -95,31 +153,52 @@ fn seal_name(index: u64) -> String {
     format!("segment-{index:0SEG_WIDTH$}.seal")
 }
 
-/// CRC32 (IEEE 802.3, the zlib polynomial), byte-at-a-time.
+/// CRC32 (IEEE 802.3, the zlib polynomial), slice-by-8: `table[0]` is the
+/// byte-at-a-time table, and `table[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes, so eight table lookups fold in eight input bytes.
 ///
-/// Hand-rolled because the WAL cannot pull in a checksum crate; the table is
-/// built once on first use.
-fn crc32_table() -> &'static [u32; 256] {
+/// Hand-rolled because the WAL cannot pull in a checksum crate; the tables
+/// are built once on first use.
+fn crc32_tables() -> &'static [[u32; 256]; 8] {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut tables = [[0u32; 256]; 8];
+        for (i, entry) in tables[0].iter_mut().enumerate() {
             let mut crc = i as u32;
             for _ in 0..8 {
                 crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
             }
             *entry = crc;
         }
-        table
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = tables[k - 1][i];
+                tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            }
+        }
+        tables
     })
 }
 
 /// Extend a running CRC32 (start from [`CRC_INIT`], finish with [`crc_done`]).
 fn crc_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    let table = crc32_table();
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let t = crc32_tables();
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
 }
@@ -150,6 +229,8 @@ pub struct WalSink {
     segment_lines: u64,
     segment_crc: u32,
     total_lines: u64,
+    /// The line being written, reused so an append allocates nothing.
+    line: Vec<u8>,
 }
 
 impl WalSink {
@@ -171,17 +252,19 @@ impl WalSink {
             segment_lines: 0,
             segment_crc: CRC_INIT,
             total_lines: 0,
+            line: Vec::new(),
         };
-        let mut header = String::new();
-        push_header_line(&mut header, sessions, vars, initial);
-        sink.write_line_raw(header.as_bytes())?;
+        push_header_line(&mut sink.line, sessions, vars, initial);
+        sink.write_line()?;
         Ok(sink)
     }
 
-    fn write_line_raw(&mut self, line: &[u8]) -> io::Result<()> {
+    /// Write the line formatted into `self.line`.
+    fn write_line(&mut self) -> io::Result<()> {
         // One write call per line: either the whole record reaches the page
         // cache or (on a short write error) the caller learns about it —
         // never an interleaved half-line from this process's perspective.
+        let line = &self.line[..];
         self.file.write_all(line)?;
         self.segment_crc = crc_update(self.segment_crc, line);
         self.segment_len += line.len() as u64;
@@ -201,9 +284,9 @@ impl WalSink {
         reads: &[(usize, i64)],
         writes: &[(usize, i64)],
     ) -> io::Result<()> {
-        let mut line = String::new();
-        push_txn_line(&mut line, session, seq, hint, reads, writes);
-        self.write_line_raw(line.as_bytes())?;
+        self.line.clear();
+        push_txn_line(&mut self.line, session, seq, hint, reads, writes);
+        self.write_line()?;
         self.total_lines += 1;
         Ok(())
     }
@@ -486,6 +569,120 @@ mod tests {
         // The canonical check value for CRC-32/ISO-HDLC.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// A seeded splitmix64 stream, enough randomness for the oracles below.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// A value of a random bit width, so every digit count (and, cast
+        /// to `i64`, both signs) appears.
+        fn any_width(&mut self) -> u64 {
+            let raw = self.next();
+            raw >> (self.next() % 64)
+        }
+    }
+
+    /// The CRC32 definition, one bit at a time: the oracle for the tables.
+    fn crc_bitwise(mut crc: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        crc
+    }
+
+    #[test]
+    fn slice_by_8_matches_the_bitwise_crc_at_every_length_and_split() {
+        let mut mix = Mix(0x5eed);
+        let bytes: Vec<u8> = (0..=300).map(|_| mix.next() as u8).collect();
+        for len in 0..=bytes.len() {
+            assert_eq!(crc_update(CRC_INIT, &bytes[..len]), crc_bitwise(CRC_INIT, &bytes[..len]));
+        }
+        // The segment CRC runs across records of every length: an update
+        // split anywhere must land on the one-shot value.
+        let whole = crc_bitwise(CRC_INIT, &bytes);
+        for at in 0..=bytes.len() {
+            let (head, tail) = bytes.split_at(at);
+            assert_eq!(crc_update(crc_update(CRC_INIT, head), tail), whole, "split at {at}");
+        }
+    }
+
+    /// The line writer as `format!` spells it: the oracle for the digits.
+    fn reference_txn_line(
+        session: usize,
+        seq: u64,
+        hint: u64,
+        reads: &[(usize, i64)],
+        writes: &[(usize, i64)],
+    ) -> String {
+        let pairs = |set: &[(usize, i64)]| {
+            set.iter().map(|(var, value)| format!("[{var},{value}]")).collect::<Vec<_>>().join(",")
+        };
+        format!(
+            "{{\"s\":{session},\"q\":{seq},\"h\":{hint},\"r\":[{}],\"w\":[{}]}}\n",
+            pairs(reads),
+            pairs(writes)
+        )
+    }
+
+    fn assert_txn_line(
+        session: usize,
+        seq: u64,
+        hint: u64,
+        reads: &[(usize, i64)],
+        writes: &[(usize, i64)],
+    ) {
+        let mut line = b"prefix:".to_vec();
+        push_txn_line(&mut line, session, seq, hint, reads, writes);
+        let expected = reference_txn_line(session, seq, hint, reads, writes);
+        assert_eq!(line.strip_prefix(b"prefix:"), Some(expected.as_bytes()));
+    }
+
+    #[test]
+    fn line_writer_matches_format_on_extremes_and_random_lines() {
+        let values = [i64::MIN, i64::MIN + 1, -1, 0, 1, 9, 10, i64::MAX];
+        assert_txn_line(0, 0, 0, &[], &[]);
+        assert_txn_line(usize::MAX, u64::MAX, u64::MAX, &[(usize::MAX, i64::MIN)], &[]);
+        let extremes: Vec<(usize, i64)> = values.iter().enumerate().map(|(v, &x)| (v, x)).collect();
+        assert!(extremes.len() > crate::AccessSet::INLINE);
+        assert_txn_line(3, 7, 1 << 40, &extremes, &extremes[..2]);
+        assert_txn_line(1, u64::MAX - 1, 10, &[], &extremes);
+
+        let mut mix = Mix(20140623);
+        let set = |mix: &mut Mix| -> Vec<(usize, i64)> {
+            let len = (mix.next() % 6) as usize;
+            (0..len).map(|_| (mix.any_width() as usize, mix.any_width() as i64)).collect()
+        };
+        for _ in 0..10_000 {
+            let (reads, writes) = (set(&mut mix), set(&mut mix));
+            let (session, seq, hint) = (mix.any_width() as usize, mix.any_width(), mix.any_width());
+            assert_txn_line(session, seq, hint, &reads, &writes);
+        }
+    }
+
+    #[test]
+    fn header_writer_matches_format() {
+        for initial in [i64::MIN, -1, 0, 42, i64::MAX] {
+            let mut line = Vec::new();
+            push_header_line(&mut line, 2, 16, initial);
+            assert_eq!(
+                String::from_utf8(line).unwrap(),
+                format!(
+                    "{{\"tm-history\":{WIRE_VERSION},\"sessions\":2,\"vars\":16,\"initial\":{initial}}}\n"
+                )
+            );
+        }
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //!
 //! The decoder is *hardened*: every rejection is a positioned
 //! [`WireError`] (`line`, `col`, message) and malformed input never panics.
+//! It accepts integers only in the canonical spelling the encoder writes
+//! (no leading zeros, no `+`, no `-0`), so re-encoding never changes bytes.
 //! Beyond the grammar it enforces the recording contract the auditor's
 //! write-read inference needs — unique write values, no writes of the
 //! initial value, no reads of never-written values, per-session `q`/`h`
@@ -79,14 +81,14 @@ impl std::error::Error for WireError {}
 /// recorder, the generator and [`AuditHistory::push_txn`]; a history that
 /// breaks it would re-read as out-of-order and be rejected by the decoder.
 pub fn encode(history: &AuditHistory) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     wal::push_header_line(&mut out, history.sessions.len(), history.n_vars, history.initial);
     let mut seqs = vec![0u64; history.sessions.len()];
     for (s, txn) in history.recording_order() {
         wal::push_txn_line(&mut out, s, seqs[s], txn.hint, &txn.reads, &txn.writes);
         seqs[s] += 1;
     }
-    out
+    String::from_utf8(out).expect("the line writers emit ASCII")
 }
 
 /// Decode exactly one document (leading/trailing blank lines allowed).
@@ -99,8 +101,8 @@ pub fn decode(text: &str) -> Result<AuditHistory, WireError> {
             message: "empty input: expected a tm-history header".into(),
         });
     };
-    while let Some(line) = decoder.read_line()? {
-        if !line.trim().is_empty() {
+    while decoder.read_line()? {
+        if !decoder.buf.trim().is_empty() {
             return Err(WireError {
                 line: decoder.line_no,
                 col: 1,
@@ -130,12 +132,14 @@ pub fn decode_all(text: &str) -> Result<Vec<AuditHistory>, WireError> {
 pub struct Decoder<R> {
     reader: R,
     line_no: u64,
+    /// The last line read, without its line ending; reused across lines.
+    buf: String,
 }
 
 impl<R: BufRead> Decoder<R> {
     /// A decoder at line 0 of `reader`.
     pub fn new(reader: R) -> Self {
-        Decoder { reader, line_no: 0 }
+        Decoder { reader, line_no: 0, buf: String::new() }
     }
 
     /// The 1-based number of the last line read (0 before any read).
@@ -143,16 +147,17 @@ impl<R: BufRead> Decoder<R> {
         self.line_no
     }
 
-    fn read_line(&mut self) -> Result<Option<String>, WireError> {
-        let mut buf = String::new();
-        match self.reader.read_line(&mut buf) {
-            Ok(0) => Ok(None),
+    /// Read the next line into `buf`; `Ok(false)` at end of input.
+    fn read_line(&mut self) -> Result<bool, WireError> {
+        self.buf.clear();
+        match self.reader.read_line(&mut self.buf) {
+            Ok(0) => Ok(false),
             Ok(_) => {
                 self.line_no += 1;
-                while buf.ends_with('\n') || buf.ends_with('\r') {
-                    buf.pop();
+                while self.buf.ends_with('\n') || self.buf.ends_with('\r') {
+                    self.buf.pop();
                 }
-                Ok(Some(buf))
+                Ok(true)
             }
             Err(err) => {
                 // Includes invalid UTF-8: surfaced as a positioned error,
@@ -167,8 +172,8 @@ impl<R: BufRead> Decoder<R> {
     /// the resynchronization step after a rejected document in a
     /// multi-document stream.
     pub fn skip_document(&mut self) -> Result<(), WireError> {
-        while let Some(line) = self.read_line()? {
-            if line.trim().is_empty() {
+        while self.read_line()? {
+            if self.buf.trim().is_empty() {
                 break;
             }
         }
@@ -177,32 +182,50 @@ impl<R: BufRead> Decoder<R> {
 
     /// Read the next document; `Ok(None)` at end of input.
     pub fn next_history(&mut self) -> Result<Option<AuditHistory>, WireError> {
-        Ok(self.next_history_arrival()?.map(|(history, _)| history))
+        Ok(self.next_document(true)?.map(|(history, _)| history))
     }
 
-    /// Like [`Decoder::next_history`], but also return the document's
-    /// **arrival order** — each transaction's [`TxnId`] in source line
-    /// order.  A WAL round is only partially constrained (racing sessions
-    /// may interleave either way), so recovery replays records in exactly
-    /// this order rather than re-sorting by hint, which could differ.
-    pub fn next_history_arrival(
+    /// Read the next document as a **log prefix** — what survives of a WAL
+    /// round — and also return its **arrival order**: each transaction's
+    /// [`TxnId`] in source line order.  A WAL round is only partially
+    /// constrained (racing sessions may interleave either way), so recovery
+    /// replays records in exactly this order rather than re-sorting by
+    /// hint, which could differ.
+    ///
+    /// Every rule of [`Decoder::next_history`] holds except one: a read may
+    /// observe a value no transaction in the document wrote.  The recorder
+    /// stamps a commit's hint after its writes are visible, so a reader can
+    /// be logged before its writer, and a crash between the two cuts the
+    /// writer off.  The windowed auditor that saw the log live attributed
+    /// such a read to a stand-in at its window's close; replaying the log
+    /// does the same.
+    pub fn next_log_prefix(&mut self) -> Result<Option<(AuditHistory, Vec<TxnId>)>, WireError> {
+        self.next_document(false)
+    }
+
+    /// One document, with its arrival order; `reads_closed` enforces that
+    /// every read value is the initial one or written in the document.
+    fn next_document(
         &mut self,
+        reads_closed: bool,
     ) -> Result<Option<(AuditHistory, Vec<TxnId>)>, WireError> {
-        let header = loop {
-            match self.read_line()? {
-                None => return Ok(None),
-                Some(line) if line.trim().is_empty() => continue,
-                Some(line) => break line,
+        loop {
+            if !self.read_line()? {
+                return Ok(None);
             }
-        };
-        let header_line = self.line_no;
-        let (sessions, vars, initial) = parse_header(&header, header_line)?;
+            if !self.buf.trim().is_empty() {
+                break;
+            }
+        }
+        let (sessions, vars, initial) = parse_header(&self.buf, self.line_no)?;
         let mut history = AuditHistory::new(vars, initial, sessions);
         // Arrival order with source lines, for the document-wide validation
         // pass below.
         let mut arrival: Vec<(TxnId, u64)> = Vec::new();
         let mut last_hint: Vec<Option<u64>> = vec![None; sessions];
-        while let Some(line) = self.read_line()? {
+        let mut writes_total = 0;
+        while self.read_line()? {
+            let line = self.buf.as_str();
             if line.trim().is_empty() {
                 break;
             }
@@ -217,14 +240,15 @@ impl<R: BufRead> Decoder<R> {
             }
             let mut seqs = SeqView { history: &history };
             let (s, q, h, reads, writes) =
-                parse_txn(&line, self.line_no, vars, &mut seqs, &last_hint)?;
+                parse_txn(line, self.line_no, vars, &mut seqs, &last_hint)?;
             last_hint[s] = Some(h);
+            writes_total += writes.len();
             let footprint =
                 stm_runtime::footprint_of(reads.iter().chain(writes.iter()).map(|&(var, _)| var));
             history.sessions[s].push(AuditTxn { reads, writes, hint: h, footprint });
             arrival.push((TxnId { session: s, seq: q }, self.line_no));
         }
-        validate_document(&history, &arrival)?;
+        validate_document(&history, &arrival, writes_total, reads_closed)?;
         Ok(Some((history, arrival.into_iter().map(|(id, _)| id).collect())))
     }
 }
@@ -241,12 +265,19 @@ impl SeqView<'_> {
     }
 }
 
-/// The recording-contract validation pass: unique write values, no writes
-/// of the initial value, every read attributable.  Errors reuse
-/// [`HistoryError`]'s wording, positioned at the offending transaction's
-/// line.
-fn validate_document(history: &AuditHistory, arrival: &[(TxnId, u64)]) -> Result<(), WireError> {
-    let mut writers: HashMap<(usize, i64), TxnId> = HashMap::new();
+/// The recording-contract validation pass over a document holding `writes`
+/// writes: unique write values, no writes of the initial value, and, when
+/// `reads_closed`, every read attributable.  Errors reuse [`HistoryError`]'s
+/// wording, positioned at the offending transaction's line.
+fn validate_document(
+    history: &AuditHistory,
+    arrival: &[(TxnId, u64)],
+    writes: usize,
+    reads_closed: bool,
+) -> Result<(), WireError> {
+    // Keyed by values from the input, so it keeps std's keyed hasher: a
+    // fixed hash would let a hostile document collide every write.
+    let mut writers: HashMap<(usize, i64), TxnId> = HashMap::with_capacity(writes);
     for &(id, line) in arrival {
         let txn = history.txn(id).expect("arrival list indexes the history");
         for &(var, value) in &txn.writes {
@@ -254,12 +285,14 @@ fn validate_document(history: &AuditHistory, arrival: &[(TxnId, u64)]) -> Result
                 let err = HistoryError::InitialValueWritten { writer: id, var, value };
                 return Err(WireError { line, col: 1, message: err.to_string() });
             }
-            if let Some(&first) = writers.get(&(var, value)) {
+            if let Some(first) = writers.insert((var, value), id) {
                 let err = HistoryError::AmbiguousWrite { var, value, first, second: id };
                 return Err(WireError { line, col: 1, message: err.to_string() });
             }
-            writers.insert((var, value), id);
         }
+    }
+    if !reads_closed {
+        return Ok(());
     }
     for &(id, line) in arrival {
         let txn = history.txn(id).expect("arrival list indexes the history");
@@ -312,23 +345,44 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn digits(&mut self) -> &'a str {
+    /// Consume a run of ASCII digits: its length and its value, `None` when
+    /// the value overflows `u64`.
+    fn digits(&mut self) -> (usize, Option<u64>) {
         let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let mut value = Some(0u64);
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            value = value.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(d - b'0')));
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits")
+        (self.pos - start, value)
+    }
+
+    /// The integer spelled by `start..pos`, for messages.
+    fn text_from(&self, start: usize) -> String {
+        String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned()
+    }
+
+    fn out_of_range(&self, start: usize) -> WireError {
+        self.err_at(start, format!("integer {} out of range", self.text_from(start)))
+    }
+
+    /// An integer that decodes but is not the one spelling the encoder
+    /// writes — re-encoding it would change the bytes.
+    fn not_canonical(&self, start: usize, why: &str) -> WireError {
+        self.err_at(start, format!("integer {} is not canonical ({why})", self.text_from(start)))
     }
 
     fn parse_u64(&mut self) -> Result<u64, WireError> {
         let start = self.pos;
-        let digits = self.digits();
-        if digits.is_empty() {
+        let (len, value) = self.digits();
+        if len == 0 {
             return Err(self.err_at(start, "expected an unsigned integer"));
         }
-        digits
-            .parse::<u64>()
-            .map_err(|_| self.err_at(start, format!("integer {digits} out of range")))
+        let value = value.ok_or_else(|| self.out_of_range(start))?;
+        if len > 1 && self.bytes[start] == b'0' {
+            return Err(self.not_canonical(start, "leading zero"));
+        }
+        Ok(value)
     }
 
     fn parse_i64(&mut self) -> Result<i64, WireError> {
@@ -337,12 +391,26 @@ impl<'a> Cursor<'a> {
         if negative {
             self.pos += 1;
         }
-        let digits = self.digits();
-        if digits.is_empty() {
+        let digits_at = self.pos;
+        let (len, magnitude) = self.digits();
+        if len == 0 {
             return Err(self.err_at(start, "expected an integer"));
         }
-        let text = &std::str::from_utf8(self.bytes).expect("line is valid UTF-8")[start..self.pos];
-        text.parse::<i64>().map_err(|_| self.err_at(start, format!("integer {text} out of range")))
+        let value = magnitude.and_then(|m| {
+            if negative {
+                0i64.checked_sub_unsigned(m)
+            } else {
+                i64::try_from(m).ok()
+            }
+        });
+        let value = value.ok_or_else(|| self.out_of_range(start))?;
+        if len > 1 && self.bytes[digits_at] == b'0' {
+            return Err(self.not_canonical(start, "leading zero"));
+        }
+        if negative && value == 0 {
+            return Err(self.not_canonical(start, "zero has no sign"));
+        }
+        Ok(value)
     }
 }
 
@@ -568,7 +636,7 @@ mod tests {
                     {\"s\":0,\"q\":0,\"h\":2,\"r\":[],\"w\":[[1,8]]}\n\
                     {\"s\":1,\"q\":1,\"h\":6,\"r\":[],\"w\":[[2,9]]}\n";
         let mut decoder = Decoder::new(text.as_bytes());
-        let (history, arrival) = decoder.next_history_arrival().unwrap().expect("document");
+        let (history, arrival) = decoder.next_log_prefix().unwrap().expect("document");
         assert_eq!(history.txn_count(), 3);
         let ids: Vec<(usize, usize)> = arrival.iter().map(|id| (id.session, id.seq)).collect();
         assert_eq!(ids, vec![(1, 0), (0, 0), (1, 1)]);
@@ -679,6 +747,24 @@ mod tests {
         assert!(decoder.next_history().unwrap().is_none());
         // Further skips at EOF stay Ok (idempotent resync).
         decoder.skip_document().expect("skip at EOF");
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_positioned_error_and_the_stream_resyncs() {
+        let good = encode(&sample());
+        let mut bytes = good.clone().into_bytes();
+        bytes.extend_from_slice(b"\n{\"s\":0,\xff}\nmore\n\n");
+        bytes.extend_from_slice(good.as_bytes());
+        let mut decoder = Decoder::new(&bytes[..]);
+        assert_eq!(decoder.next_history().unwrap().expect("first document").txn_count(), 3);
+        let err = decoder.next_history().unwrap_err();
+        assert_eq!(
+            (err.line, err.col, err.message.as_str()),
+            (6, 1, "read error: stream did not contain valid UTF-8")
+        );
+        decoder.skip_document().unwrap();
+        assert_eq!(decoder.next_history().unwrap().expect("after the skip").txn_count(), 3);
+        assert!(decoder.next_history().unwrap().is_none());
     }
 
     #[test]

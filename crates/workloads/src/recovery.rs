@@ -9,7 +9,7 @@
 //!   record, and truncates torn tails on recovery
 //!   ([`stm_runtime::wal::recover_round`]);
 //! * [`tm_history::wire`] — the decoder, whose arrival-order API
-//!   (`Decoder::next_history_arrival`) replays the log in the exact order
+//!   (`Decoder::next_log_prefix`) replays the log in the exact order
 //!   the auditor originally ingested it;
 //! * [`tm_audit::recovery`] — the [`BoundaryRecord`] each window-closing
 //!   seal carries: the closed window's verdict, the window shape and three
@@ -51,7 +51,8 @@ pub const WAL_META_FILE: &str = "wal-meta.json";
 ///
 /// Log I/O errors do not panic the audit thread: the first error is
 /// stored, further WAL writes stop, the auditor keeps running, and
-/// [`WalTee::finish`] surfaces the error.
+/// [`WalTee::finish`] surfaces the error.  A record for a session the
+/// round's header does not declare is such an error (`InvalidInput`).
 pub struct WalTee<F: FnMut()> {
     wal: WalSink,
     auditor: WindowedAuditor,
@@ -119,11 +120,20 @@ impl<F: FnMut()> WalTee<F> {
         if self.io_error.is_some() {
             return;
         }
-        if session >= self.seqs.len() {
-            self.seqs.resize(session + 1, 0);
-        }
-        let seq = self.seqs[session];
-        self.seqs[session] += 1;
+        // A session the header does not declare would log a record that
+        // recovery refuses, leaving the round unrecoverable: log nothing.
+        let Some(next) = self.seqs.get_mut(session) else {
+            self.io_error = Some(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "session {session} out of range (the round's header declares {} sessions)",
+                    self.seqs.len()
+                ),
+            ));
+            return;
+        };
+        let seq = *next;
+        *next += 1;
         if let Err(err) = self.wal.append_txn(session, seq, txn.hint, &txn.reads, &txn.writes) {
             self.io_error = Some(err);
         }
@@ -207,7 +217,7 @@ fn resume_round(
     }
     let mut decoder = Decoder::new(round.text.as_bytes());
     let (history, arrival) = decoder
-        .next_history_arrival()
+        .next_log_prefix()
         .map_err(|e| format!("{}: recovered log does not decode: {e}", dir.display()))?
         .ok_or_else(|| format!("{}: recovered log holds no history document", dir.display()))?;
 
@@ -448,7 +458,7 @@ impl WalMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_audit::audit_streamed;
+    use tm_audit::{audit_streamed, AccessSet};
     use tm_history::{generate, GenConfig};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -571,6 +581,78 @@ mod tests {
         let replayed = recovery.auditor.finish();
         assert_eq!(replayed.merged, baseline.merged);
         assert_eq!(replayed.total_txns, baseline.total_txns);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A session past the header's count is refused before it reaches the
+    /// log: `finish` reports it, and the round stays recoverable.
+    #[test]
+    fn an_undeclared_session_is_an_error_not_an_unrecoverable_record() {
+        let dir = temp_dir("undeclared");
+        let round_dir = dir.join(round_dir_name(0));
+        let auditor = WindowedAuditor::new(4, 0, small_window());
+        let mut tee = WalTee::create(&round_dir, 2, 4, auditor, || {}).unwrap();
+        let txn = |hint: u64, value: i64| AuditTxn {
+            reads: AccessSet::new(),
+            writes: [(0, value)].into(),
+            hint,
+            footprint: 0,
+        };
+        tee.push_txn(1, txn(0, 1));
+        tee.push_txn(2, txn(1, 2));
+        tee.push_txn(0, txn(2, 3));
+        let err = tee.finish().expect_err("the undeclared session is reported");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(
+            err.to_string(),
+            "session 2 out of range (the round's header declares 2 sessions)"
+        );
+        let log = std::fs::read_to_string(round_dir.join("segment-000000.tmh")).unwrap();
+        assert_eq!(log.lines().count(), 2, "the header and the one record before it: {log}");
+        let recovery = recover_round_auditor(&round_dir, small_window(), None).unwrap();
+        assert_eq!(recovery.replayed_txns, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A reader logged before its writer (the recorder stamps hints after a
+    /// commit's writes are visible) and a crash in between: the durable log
+    /// is not a closed wire document, yet the round recovers to the verdict
+    /// the live auditor reached over the same records.
+    #[test]
+    fn a_reader_whose_writer_the_crash_cut_off_still_recovers() {
+        let dir = temp_dir("dangling");
+        let round_dir = dir.join(round_dir_name(0));
+        let txn = |hint: u64, reads: &[(usize, i64)], writes: &[(usize, i64)]| AuditTxn {
+            reads: reads.to_vec().into(),
+            writes: writes.to_vec().into(),
+            hint,
+            footprint: 0,
+        };
+        // Session 0 increments v0; session 1's one transaction, early in
+        // the first window, read v1 = 99 from a writer that never arrives.
+        let mut records: Vec<(usize, AuditTxn)> =
+            (0..40).map(|i| (0, txn(i + 1, &[(0, i as i64)], &[(0, i as i64 + 1)]))).collect();
+        records.insert(5, (1, txn(0, &[(1, 99)], &[(2, 7)])));
+        let mut live = WindowedAuditor::new(4, 0, small_window());
+        let auditor = WindowedAuditor::new(4, 0, small_window());
+        let mut tee = WalTee::create(&round_dir, 2, 4, auditor, || {}).unwrap();
+        for (s, t) in &records {
+            live.push(*s, t.clone());
+            tee.push_txn(*s, t.clone());
+        }
+        drop(tee); // kill -9 before the writer of v1 = 99 commits
+        let live = live.finish();
+        assert_eq!(live.evicted_attributions, 1, "the live auditor attributed the read");
+
+        let text = recover_round(&round_dir).unwrap().text;
+        let err = tm_history::decode(&text).expect_err("not a closed document");
+        assert!(err.message.contains("thin-air read"), "{err}");
+        let recovery = recover_round_auditor(&round_dir, small_window(), None).unwrap();
+        assert_eq!(recovery.resumed_from_segment, Some(0), "the reader is in a sealed window");
+        let recovered = recovery.auditor.finish();
+        assert_eq!(recovered.merged, live.merged);
+        assert_eq!(recovered.total_txns, live.total_txns);
+        assert_eq!(recovered.evicted_attributions, live.evicted_attributions);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
