@@ -24,7 +24,7 @@
 //!    | Backend | P (disjoint-access) | C | L |
 //!    |---|---|---|---|
 //!    | `tl2-blocking`     | per-var metadata only | serializable | blocking commit (spins on locks) |
-//!    | `obstruction-free` | per-var metadata only | serializable | never blocks, aborts under contention |
+//!    | `obstruction-free` | per-var metadata only | serializable | never waits, aborts; not obstruction-free (see [`ofree`]) |
 //!    | `pram-local`       | no shared memory at all | PRAM only | wait-free |
 //!    | `mvcc`             | per-var version chains | **snapshot isolation** (admits write skew) | reads never block; first committer wins |
 //!    | `shard-lock`       | 16 hash bands (band-grain DAP only) | serializable | blocking on shard locks |
@@ -84,8 +84,8 @@ pub mod wal;
 pub use backend::{Backend, VarId};
 pub use policy::{RetryDecision, RetryPolicy};
 pub use recorder::{
-    footprint_of, route_band, Access, AccessSet, CommitBatch, CommitRecord, CommittedTxn, Recorder,
-    StreamConsumer, StreamingRecorder, ROUTE_BANDS,
+    Access, AccessSet, CommitBatch, CommitRecord, CommittedTxn, Recorder, StreamConsumer,
+    StreamingRecorder,
 };
 pub use registry::{BackendId, BackendSpec};
 pub use stats::StmStats;

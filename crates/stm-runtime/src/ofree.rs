@@ -1,4 +1,4 @@
-//! The obstruction-free backend: never waits, aborts on any contention.
+//! The backend named obstruction-free: never waits, aborts on any contention.
 //!
 //! Same per-variable cells as the blocking backend (lock bit, version, value) and
 //! the same per-variable-only metadata discipline, but every potentially blocking
@@ -9,10 +9,14 @@
 //! * reads of a locked variable abort instead of waiting;
 //! * commit validates the read set and installs the write set, exactly like TL2.
 //!
-//! A transaction running without contention commits in a bounded number of its own
-//! steps (obstruction-freedom); under contention progress is probabilistic (the
-//! retry loop in [`crate::Stm::run`]), mirroring how obstruction-free STMs rely on
-//! contention managers in practice.
+//! Despite the name it gives up L: it is **not** obstruction-free in the paper's
+//! sense.  `commit` holds its write locks across validation and install, and a
+//! read of a locked cell aborts, so a transaction that runs solo after a
+//! committer parked between those steps reads the locked cell and aborts on
+//! every retry — it never commits until the parked committer resumes.  Under
+//! ordinary contention progress is probabilistic (the retry loop in
+//! [`crate::Stm::run`]).  ROADMAP item 2's liveness probe (a solo run after any
+//! prefix of a peer's commit) is what will measure it.
 
 use crate::backend::{Backend, VarId};
 use crate::txn::{AbortReason, TxnData};

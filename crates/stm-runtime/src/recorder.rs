@@ -90,40 +90,6 @@ pub trait Recorder: Send + Sync {
     fn on_commit(&self, record: CommitRecord<'_>);
 }
 
-/// Number of hash bands variables are grouped into for audit routing.
-///
-/// A sharded audit pipeline with `K` partitions owns `ROUTE_BANDS / K`
-/// contiguous runs of bands (so any `K ≤ 64` divides the variable space
-/// without re-hashing), and the [`CommittedTxn::footprint`] bitmask —
-/// one bit per band — lets a router decide which partitions a record touches
-/// without re-walking its read/write sets.
-pub const ROUTE_BANDS: usize = 64;
-
-/// The routing band a variable belongs to.
-///
-/// Word indices are pair-aligned before hashing, so the two words of a
-/// two-word object (`TVar<(i64, i64)>` and friends, allocated contiguously
-/// by `Backend::alloc_words`) share a band *when the object starts at an
-/// even word index* — which holds whenever multi-word objects are allocated
-/// before (or without) odd runs of single words, as every built-in scenario
-/// does, but is not enforced by the allocators: an odd allocation base
-/// shifts the pairing and such an object's transactions then straddle bands
-/// (still audited soundly, via the escalation lane, just less cheaply).
-/// The pair index is mixed (splitmix64 finalizer) so adjacent pairs still
-/// spread across bands.
-pub fn route_band(var_index: usize) -> usize {
-    let mut z = ((var_index >> 1) as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((z ^ (z >> 31)) % ROUTE_BANDS as u64) as usize
-}
-
-/// The band bitmask of a variable set: bit [`route_band`]`(v)` is set for
-/// every `v` in `vars`.
-pub fn footprint_of(vars: impl IntoIterator<Item = usize>) -> u64 {
-    vars.into_iter().fold(0u64, |mask, v| mask | 1u64 << route_band(v))
-}
-
 /// One `(variable index, value)` pair of a read or write set.
 pub type Access = (usize, i64);
 
@@ -294,26 +260,10 @@ pub struct CommittedTxn {
     /// A global recording-order index: a cheap guess at the commit order used
     /// only to seed the serializability search, never for correctness.
     pub hint: u64,
-    /// Band bitmask of every variable touched (reads ∪ writes): bit
-    /// [`route_band`]`(v)` is set for each touched `v`.  [`StreamingRecorder`]
-    /// computes it on the committing thread so a sharded audit router never
-    /// re-walks the sets.  `0` means "not precomputed" (hand-built and adapted
-    /// histories) — [`CommittedTxn::band_mask`] then derives it on demand; the
-    /// two are indistinguishable because a transaction with an empty
-    /// footprint touches nothing and routes the same either way.
+    /// Always `0`: no producer stamps it and no auditor reads it.  It is
+    /// kept only because `benchmark/`'s input hash still hashes it, and goes
+    /// once that hash stops (ROADMAP item 4, step B).
     pub footprint: u64,
-}
-
-impl CommittedTxn {
-    /// The band bitmask of every touched variable: the precomputed
-    /// [`CommittedTxn::footprint`] when present, derived from the read/write
-    /// sets otherwise.
-    pub fn band_mask(&self) -> u64 {
-        if self.footprint != 0 {
-            return self.footprint;
-        }
-        footprint_of(self.reads.iter().chain(&self.writes).map(|&(var, _)| var))
-    }
 }
 
 /// A flushed shard: one session's consecutive commits, in session order.
@@ -454,10 +404,9 @@ impl Recorder for StreamingRecorder {
         let pairs =
             |set: &VarMap<i64>| -> AccessSet { set.iter().map(|(v, x)| (v.index(), *x)).collect() };
         let (reads, writes) = (pairs(record.reads), pairs(record.writes));
-        let footprint = footprint_of(reads.iter().chain(&writes).map(|&(var, _)| var));
         let flushed = {
             let mut shard = self.shards[session].0.lock();
-            shard.push(CommittedTxn { reads, writes, hint, footprint });
+            shard.push(CommittedTxn { reads, writes, hint, footprint: 0 });
             // The next batch is as long as this one: size it once.
             (shard.len() >= self.batch_size)
                 .then(|| std::mem::replace(&mut *shard, Vec::with_capacity(self.batch_size)))
@@ -679,58 +628,6 @@ mod tests {
         let x = stm.alloc(0);
         clear_session();
         stm.run(|tx| tx.write(x, 1));
-    }
-
-    #[test]
-    fn route_bands_pair_align_and_spread() {
-        // The two words of a pair-aligned object share a band…
-        for pair in 0..256usize {
-            assert_eq!(route_band(2 * pair), route_band(2 * pair + 1), "pair {pair}");
-        }
-        // …and the bands of distinct pairs actually spread (no degenerate
-        // constant hash): 64 vars must hit well over a handful of bands.
-        let distinct: std::collections::HashSet<usize> = (0..64).map(route_band).collect();
-        assert!(distinct.len() > 8, "only {} distinct bands", distinct.len());
-        for v in 0..1024 {
-            assert!(route_band(v) < ROUTE_BANDS);
-        }
-    }
-
-    #[test]
-    fn footprints_are_band_bitmasks() {
-        assert_eq!(footprint_of([]), 0);
-        let mask = footprint_of([0usize, 1, 17]);
-        assert_ne!(mask, 0);
-        assert_eq!(mask & (1 << route_band(0)), 1 << route_band(0));
-        assert_eq!(mask & (1 << route_band(17)), 1 << route_band(17));
-        // Pair-aligned words contribute the same bit.
-        assert_eq!(footprint_of([6usize]), footprint_of([7usize]));
-    }
-
-    #[test]
-    fn streamed_records_carry_their_footprint() {
-        let rec = Arc::new(StreamingRecorder::new(1, 64));
-        let consumer = rec.consumer();
-        let stm = crate::Stm::with_recorder(crate::registry::TL2_BLOCKING, Arc::clone(&rec) as _);
-        let x = stm.alloc(0);
-        let y = stm.alloc(0);
-        set_session(0);
-        stm.run(|tx| {
-            let _ = tx.read(x)?;
-            tx.write(y, 5)
-        });
-        clear_session();
-        rec.finish();
-        let batch = consumer.recv().expect("one batch");
-        let record = &batch.records[0];
-        let (x, y) = (x.base().index(), y.base().index());
-        assert_eq!((&record.reads[..], &record.writes[..]), (&[(x, 0)][..], &[(y, 5)][..]));
-        let expected = footprint_of([x, y]);
-        assert_eq!(record.footprint, expected);
-        assert_ne!(record.footprint, 0);
-        assert_eq!(record.band_mask(), expected);
-        let unstamped = CommittedTxn { footprint: 0, ..record.clone() };
-        assert_eq!(unstamped.band_mask(), expected, "derived on demand when not precomputed");
     }
 
     #[test]

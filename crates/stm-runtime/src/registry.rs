@@ -109,8 +109,10 @@ impl fmt::Display for BackendId {
 
 /// The built-in blocking TL2-style backend ("give up Liveness").
 pub const TL2_BLOCKING: BackendId = BackendId("tl2-blocking");
-/// The built-in obstruction-free backend (gives up *strict* liveness
-/// guarantees under contention while never blocking).
+/// The built-in backend named obstruction-free ("give up Liveness"): it
+/// never waits, it aborts — and a solo transaction that reads a cell a
+/// parked committer locked aborts on every retry, so it is not
+/// obstruction-free in the paper's sense.
 pub const OBSTRUCTION_FREE: BackendId = BackendId("obstruction-free");
 /// The built-in thread-local-replica backend ("give up Consistency").
 pub const PRAM_LOCAL: BackendId = BackendId("pram-local");
@@ -202,7 +204,8 @@ fn builtin_specs() -> Vec<BackendSpec> {
                 sacrificed: Axis::Liveness,
                 parallelism: "per-var metadata only (strict DAP)",
                 consistency: "serializable",
-                liveness: "obstruction-free (aborts under contention)",
+                liveness: "aborts instead of waiting; not obstruction-free (a solo reader \
+                           of a cell a parked committer locked aborts on every retry)",
             },
             constructor: || Arc::new(crate::ofree::OFreeBackend::new()),
         },

@@ -8,9 +8,10 @@
 //! to a private [`tm_telemetry::Registry`] via [`crate::Stm::with_telemetry`]
 //! so their assertions never see another test's samples.
 
+use crate::stats::thread_stripe;
 use crate::txn::AbortReason;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use tm_telemetry::{Counter, Gauge, Histogram, Registry, RingTracer};
 
@@ -18,25 +19,14 @@ use tm_telemetry::{Counter, Gauge, Histogram, Registry, RingTracer};
 /// counts it as stalled.
 pub const WATCHDOG_STALL_THRESHOLD: u64 = 64;
 
-/// Per-thread slots the watchdog tracks.  Threads are assigned slots from a
-/// process-wide counter; processes that ever create more than this many
-/// threads wrap around and share slots (the gauge stays a lower bound).
+/// Per-thread slots the watchdog tracks.  A thread's slot is its crate-wide
+/// stripe index (`stats::thread_stripe`) modulo this; processes that ever
+/// create more than this many threads wrap around and share slots (the
+/// gauge stays a lower bound).
 pub const WATCHDOG_SLOTS: usize = 64;
 
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
-thread_local! {
-    static THREAD_SLOT: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
 fn thread_slot() -> usize {
-    THREAD_SLOT.with(|s| match s.get() {
-        Some(slot) => slot,
-        None => {
-            let slot = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) % WATCHDOG_SLOTS;
-            s.set(Some(slot));
-            slot
-        }
-    })
+    thread_stripe() % WATCHDOG_SLOTS
 }
 
 /// The liveness watchdog: per-thread no-commit-progress detection ("What's

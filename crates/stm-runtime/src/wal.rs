@@ -382,8 +382,6 @@ pub struct RecoveredSegment {
     pub index: u64,
     /// Whether a verified seal covered it.
     pub sealed: bool,
-    /// Bytes kept (after any torn-tail truncation).
-    pub kept_bytes: u64,
     /// Bytes dropped from a torn tail (unsealed segment only).
     pub torn_bytes: u64,
     /// The record its seal carried ([`WalSink::seal_segment`]), if any.
@@ -512,7 +510,6 @@ pub fn recover_round(dir: &Path) -> io::Result<RecoveredRound> {
             segments.push(RecoveredSegment {
                 index,
                 sealed: true,
-                kept_bytes: bytes.len() as u64,
                 torn_bytes: 0,
                 record: (!record.is_empty()).then(|| record.to_string()),
             });
@@ -540,7 +537,6 @@ pub fn recover_round(dir: &Path) -> io::Result<RecoveredRound> {
             segments.push(RecoveredSegment {
                 index,
                 sealed: false,
-                kept_bytes: keep as u64,
                 torn_bytes: torn,
                 record: None,
             });

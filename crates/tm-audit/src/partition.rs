@@ -14,15 +14,16 @@
 //! per-variable / communication-graph decomposition of dbcop-style checking
 //! (Biswas & Enea, *"On the Complexity of Checking Transactional
 //! Consistency"*), a [`ShardedAuditor`] splits the
-//! variable space into [`stm_runtime::ROUTE_BANDS`] hash bands
-//! ([`stm_runtime::route_band`]: pair-aligned so two-word objects at even
-//! word bases — the allocation pattern of every built-in scenario — never
-//! straddle, then mixed so bands spread) and assigns each of `K` partitions
-//! a contiguous run of bands:
+//! variable space into 64 hash bands (pair-aligned so two-word objects at
+//! even word bases — the allocation pattern of every built-in scenario —
+//! never straddle, then mixed so bands spread; no recorder, decoder or
+//! generator computes a band) and assigns each of `K` partitions a
+//! contiguous run of bands:
 //!
 //! * every committed transaction is **routed** to each partition whose band
-//!   set intersects its footprint, carrying only the *projection* of its read
-//!   and write sets onto that partition's variables;
+//!   set intersects the bands of the variables it touched, carrying only the
+//!   *projection* of its read and write sets onto that partition's
+//!   variables;
 //! * each partition runs its own [`WindowedAuditor`] on its own thread over
 //!   the projected sub-history (bounded queues between router and partitions
 //!   apply backpressure, so memory stays bounded end to end).  Partition
@@ -30,12 +31,12 @@
 //!   *global* window shape, and each partition — seeing ~`1/K` of the
 //!   stream — audits windows of `size / K` of its own sub-stream, the same
 //!   span of global history per window as the unsharded engine;
-//! * transactions whose footprint spans **two or more bands** are
+//! * transactions whose variables span **two or more partitions** are
 //!   additionally **escalated whole** to a dedicated cross-partition lane — a
 //!   further windowed auditor over the unprojected straddlers — so the
 //!   anomalies a projection cannot see (a write-skew pair over two bands, a
 //!   fractured read split across partitions) are re-checked against the full
-//!   footprints of everyone who straddles.  The lane is a **bounded,
+//!   read and write sets of everyone who straddles.  The lane is a **bounded,
 //!   refutation-only recheck**: its polynomial refutations (cross-window
 //!   lost update, same-source write skew, causal-cycle saturation) run at
 //!   full strength and its convictions win the merge, but its SI/SER
@@ -85,14 +86,44 @@ use crate::window::{Conviction, StreamReport, WindowConfig, WindowedAuditor};
 use crate::AuditHistory;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
-use stm_runtime::{route_band, ROUTE_BANDS};
+
+/// Number of hash bands variables are grouped into for routing.  A `K`-way
+/// split owns `ROUTE_BANDS / K` contiguous runs of bands, so any `K ≤ 64`
+/// divides the variable space without re-hashing, and a transaction's bands
+/// fit one `u64` mask ([`footprint_of`]).
+const ROUTE_BANDS: usize = 64;
+
+/// The routing band a variable belongs to.
+///
+/// Word indices are pair-aligned before hashing, so the two words of a
+/// two-word object (`TVar<(i64, i64)>` and friends, allocated contiguously
+/// by `Backend::alloc_words`) share a band *when the object starts at an
+/// even word index* — which holds whenever multi-word objects are allocated
+/// before (or without) odd runs of single words, as every built-in scenario
+/// does, but is not enforced by the allocators: an odd allocation base
+/// shifts the pairing and such an object's transactions then straddle bands
+/// (still audited soundly, via the escalation lane, just less cheaply).
+/// The pair index is mixed (splitmix64 finalizer) so adjacent pairs still
+/// spread across bands.
+fn route_band(var_index: usize) -> usize {
+    let mut z = ((var_index >> 1) as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) % ROUTE_BANDS as u64) as usize
+}
+
+/// The band bitmask of a variable set: bit [`route_band`]`(v)` is set for
+/// every `v` in `vars`.
+fn footprint_of(vars: impl IntoIterator<Item = usize>) -> u64 {
+    vars.into_iter().fold(0u64, |mask, v| mask | 1u64 << route_band(v))
+}
 
 /// Shape of a sharded audit pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
-    /// Number of variable partitions `K` (clamped to `1..=`
-    /// [`ROUTE_BANDS`]).  Partition `p` owns the contiguous run of hash
-    /// bands `b` with `b·K / ROUTE_BANDS == p`.
+    /// Number of variable partitions `K` (clamped to `1..=64`).  Partition
+    /// `p` owns the contiguous run of the 64 hash bands `b` with
+    /// `b·K / 64 == p`.
     pub shards: usize,
     /// The **global history horizon**: the window shape an unsharded
     /// [`WindowedAuditor`] would use.  Each partition sees roughly `1/K` of
@@ -129,9 +160,9 @@ const ESCALATION_WINDOW_CAP: usize = 256;
 
 /// The per-partition window for a K-way split: `1/K` of the configured
 /// global-horizon window (floored so degenerate test windows stay usable),
-/// with overlap and probe batch scaled alike.  `retain_windows` is kept:
-/// `retain × size/K` partition transactions span the same *global* history
-/// as the unsharded `retain × size`.
+/// with overlap and probe batch scaled alike.  The retention horizon counts
+/// windows, so `RETAIN_WINDOWS × size/K` partition transactions span the
+/// same *global* history as the unsharded `RETAIN_WINDOWS × size`.
 fn scaled_window(base: WindowConfig, k: usize) -> WindowConfig {
     if k <= 1 {
         return base;
@@ -141,7 +172,6 @@ fn scaled_window(base: WindowConfig, k: usize) -> WindowConfig {
         size,
         overlap: (base.overlap / k).min(size.saturating_sub(1)),
         budget: base.budget,
-        retain_windows: base.retain_windows,
         batch: (base.batch / k).clamp(1, size),
         sat: base.sat,
     }
@@ -167,8 +197,8 @@ impl Default for ShardConfig {
 }
 
 /// The partition owning a variable under a `shards`-way split: partitions own
-/// contiguous runs of [`route_band`] bands.  Routing is this formula and
-/// nothing else, so it is reproducible across runs.
+/// contiguous runs of hash bands.  Routing is this formula and nothing else,
+/// so it is reproducible across runs.
 pub fn partition_of(var: usize, shards: usize) -> usize {
     band_owner(route_band(var), shards)
 }
@@ -212,7 +242,7 @@ pub struct ShardedStreamReport {
     pub partitions: Vec<PartitionVerdict>,
     /// Total transactions pushed into the router.
     pub total_txns: u64,
-    /// Transactions whose footprint straddled bands (escalated whole).
+    /// Transactions whose variables straddled partitions (escalated whole).
     pub escalated_txns: u64,
     /// The earliest definite violation across partitions, if any.
     pub first_conviction: Option<ShardConviction>,
@@ -336,12 +366,9 @@ impl ShardedAuditor {
             self.buffer(0, session, txn);
             return;
         }
-        // The band mask — carried precomputed on streamed records
-        // ([`AuditTxn::footprint`]), derived on demand for hand-built
-        // histories — folds into the touched partitions without re-walking
-        // the read/write sets.
+        // The transaction's band mask folds into the partitions it touches.
         let mut touched: u64 = 0;
-        let mut bands = txn.band_mask();
+        let mut bands = footprint_of(txn.reads.iter().chain(&txn.writes).map(|&(var, _)| var));
         while bands != 0 {
             let band = bands.trailing_zeros() as usize;
             bands &= bands - 1;
@@ -428,8 +455,7 @@ impl ShardedAuditor {
 }
 
 /// The projection of a transaction onto partition `p`'s variables under a
-/// `shards`-way split.  Projections route no further, so they carry no
-/// precomputed footprint.
+/// `shards`-way split.
 fn project(txn: &AuditTxn, p: usize, shards: usize) -> AuditTxn {
     let owned = |&(v, _): &(usize, i64)| partition_of(v, shards) == p;
     AuditTxn {
@@ -556,6 +582,32 @@ mod tests {
             groups[partition_of(v, shards)].push(v);
         }
         groups
+    }
+
+    #[test]
+    fn route_bands_pair_align_and_spread() {
+        // The two words of a pair-aligned object share a band…
+        for pair in 0..256usize {
+            assert_eq!(route_band(2 * pair), route_band(2 * pair + 1), "pair {pair}");
+        }
+        // …and the bands of distinct pairs actually spread (no degenerate
+        // constant hash): 64 vars must hit well over a handful of bands.
+        let distinct: std::collections::HashSet<usize> = (0..64).map(route_band).collect();
+        assert!(distinct.len() > 8, "only {} distinct bands", distinct.len());
+        for v in 0..1024 {
+            assert!(route_band(v) < ROUTE_BANDS);
+        }
+    }
+
+    #[test]
+    fn footprints_are_band_bitmasks() {
+        assert_eq!(footprint_of([]), 0);
+        let mask = footprint_of([0usize, 1, 17]);
+        assert_ne!(mask, 0);
+        assert_eq!(mask & (1 << route_band(0)), 1 << route_band(0));
+        assert_eq!(mask & (1 << route_band(17)), 1 << route_band(17));
+        // Pair-aligned words contribute the same bit.
+        assert_eq!(footprint_of([6usize]), footprint_of([7usize]));
     }
 
     #[test]

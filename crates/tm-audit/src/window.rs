@@ -39,8 +39,8 @@
 //! * between windows a **committed frontier** carries write attribution
 //!   forward: the last absorbed write per variable (materialized at window
 //!   open as real, session-chained stand-in transactions) plus all writes
-//!   from the most recent `retain_windows` windows (materialized on demand,
-//!   detached, when a cross-window read observes them).  A stand-in keeps
+//!   from the most recent eight windows (`RETAIN_WINDOWS`; materialized on
+//!   demand, detached, when a cross-window read observes them).  A stand-in keeps
 //!   its writer's recording-order hint, so it sorts where the real
 //!   transaction did.  Reads of values older than the retention horizon are
 //!   attributed to synthetic `past?n` stand-ins and counted in
@@ -89,8 +89,8 @@
 //!   frontier — e.g. a lost-update pair whose two read-modify-writes are
 //!   more than a window apart — can escape; the merged report therefore
 //!   words per-level passes as *attested per window*, not certified
-//!   end-to-end.  Growing `size`, `overlap` or `retain_windows` trades
-//!   memory for coverage, up to the batch auditor at the limit.
+//!   end-to-end.  Growing `size` or `overlap` trades memory for coverage,
+//!   up to the batch auditor at the limit.
 //!
 //! The randomized equivalence suite (`tests/audit_window_equivalence.rs`)
 //! checks that on seeded live runs from every backend the windowed verdicts
@@ -113,6 +113,10 @@ use std::time::{Duration, Instant};
 use stm_runtime::{CommitBatch, StreamConsumer};
 use tm_telemetry::json::{self, ParseError, Value};
 
+/// How many windows of absorbed writes the frontier keeps resolvable (the
+/// latest write per variable is kept regardless).
+const RETAIN_WINDOWS: usize = 8;
+
 /// Shape of the rolling windows a [`WindowedAuditor`] audits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowConfig {
@@ -124,9 +128,6 @@ pub struct WindowConfig {
     pub overlap: usize,
     /// DFS state budget for each window's SI/SER searches.
     pub budget: u64,
-    /// How many windows of absorbed writes the frontier keeps resolvable
-    /// (the latest write per variable is kept regardless).
-    pub retain_windows: usize,
     /// Probe granularity, in transactions: how often the in-flight window
     /// re-verifies its recording order — or, once that has failed, refreshes
     /// its causal verdict and lost-update probe.  A verify-first probe sorts
@@ -160,7 +161,6 @@ impl WindowConfig {
             size,
             overlap: size / 8,
             budget: DEFAULT_STATE_BUDGET,
-            retain_windows: 8,
             batch: (size / 8).max(1),
             sat: None,
         }
@@ -177,20 +177,20 @@ impl WindowConfig {
     /// records carry.  `sat` is a run-time concern and is not written.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"size\":{},\"overlap\":{},\"budget\":{},\"retain_windows\":{},\"batch\":{}}}",
-            self.size, self.overlap, self.budget, self.retain_windows, self.batch
+            "{{\"size\":{},\"overlap\":{},\"budget\":{},\"batch\":{}}}",
+            self.size, self.overlap, self.budget, self.batch
         )
     }
 
     /// Read back what [`WindowConfig::to_json`] wrote (`sat` comes back
-    /// `None`).
+    /// `None`).  Unknown keys are ignored, so a config written with the
+    /// retired `retain_windows` key still parses.
     pub fn from_json(value: &Value) -> Result<WindowConfig, ParseError> {
         let field = |key| value.field(key, Value::as_u64);
         Ok(WindowConfig {
             size: field("size")? as usize,
             overlap: field("overlap")? as usize,
             budget: field("budget")?,
-            retain_windows: field("retain_windows")? as usize,
             batch: field("batch")? as usize,
             sat: None,
         })
@@ -497,18 +497,17 @@ impl Frontier {
     }
 
     /// Close out `window`: take in the records it absorbed (its non-overlap
-    /// prefix, in arrival order), then drop what fell off the `retain`
-    /// horizon.
+    /// prefix, in arrival order), then drop what fell off the
+    /// [`RETAIN_WINDOWS`] horizon.
     fn absorb_window(
         &mut self,
         window: usize,
         records: impl IntoIterator<Item = (TxnId, AuditTxn)>,
-        retain: usize,
     ) {
         for (id, txn) in records {
             self.absorb(id, txn, window);
         }
-        self.evict(window + 1, retain);
+        self.evict(window + 1);
     }
 
     fn absorb(&mut self, id: TxnId, txn: AuditTxn, window: usize) {
@@ -578,8 +577,8 @@ impl Frontier {
     /// Drop writes older than the retention horizon (keeping every
     /// latest-per-var write): the buckets that fell off it, plus whatever
     /// outlived its bucket as a latest value and has since been superseded.
-    fn evict(&mut self, window: usize, retain: usize) {
-        let horizon = window.saturating_sub(retain);
+    fn evict(&mut self, window: usize) {
+        let horizon = window.saturating_sub(RETAIN_WINDOWS);
         while self.buckets.front().is_some_and(|&(w, _)| w < horizon) {
             let (_, slots) = self.buckets.pop_front().expect("checked non-empty");
             for slot in slots {
@@ -893,7 +892,7 @@ impl WindowedAuditor {
                 None => Err(RecoveryError::new(format!("arrival id {id} is not in the log"))),
             });
             let records = records.collect::<Result<Vec<_>, _>>()?;
-            auditor.frontier.absorb_window(window, records, config.retain_windows);
+            auditor.frontier.absorb_window(window, records);
         }
         for id in &arrival[..replay_from] {
             *auditor.seqs.entry(id.session).or_insert(0) += 1;
@@ -1287,11 +1286,7 @@ impl WindowedAuditor {
         self.audited_through = self.total_txns;
 
         let absorb = if fin { self.cur.len() } else { self.cur.len() - self.config.overlap };
-        self.frontier.absorb_window(
-            self.window_index,
-            self.cur.drain(..absorb),
-            self.config.retain_windows,
-        );
+        self.frontier.absorb_window(self.window_index, self.cur.drain(..absorb));
         self.window_index += 1;
     }
 
@@ -1366,7 +1361,7 @@ impl<T: TxnSink + ?Sized> TxnSink for &mut T {
 /// Fans one transaction stream out to two sinks — the capture hook the
 /// history-export path is built on: a [`StreamMerger`] releases into a
 /// `TeeSink` of the live auditor and a [`HistoryCollector`], so the captured
-/// history carries **exactly** the hints and footprints the auditor saw
+/// history carries **exactly** the hints the auditor saw
 /// (unlike a recorder-level tee, where two recorders would assign
 /// independent hints to racing commits).
 #[derive(Debug)]
@@ -1392,7 +1387,7 @@ impl<A: TxnSink, B: TxnSink> TxnSink for TeeSink<A, B> {
 }
 
 /// A [`TxnSink`] that rebuilds the [`AuditHistory`] a stream describes —
-/// hints and footprints preserved verbatim, so replaying the collected
+/// records kept as they arrived, hints included, so replaying the collected
 /// history through [`audit_streamed`] (or any topology) reproduces the live
 /// pipeline's verdicts exactly.
 #[derive(Debug)]
@@ -1852,7 +1847,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         for seed in 0..20u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let (n_vars, retain) = (5usize, 3usize);
+            let n_vars = 5usize;
             let mut frontier = Frontier::new(n_vars, 0);
             let mut source_of: HashMap<(usize, i64), (TxnId, usize)> = HashMap::new();
             let mut rmw_of: HashMap<(usize, i64), (TxnId, i64)> = HashMap::new();
@@ -1885,12 +1880,12 @@ mod tests {
                     frontier.absorb(id, t, window);
                 }
                 source_of.retain(|&(var, value), &mut (_, w)| {
-                    w + retain > window || latest[var] == Some(value)
+                    w + RETAIN_WINDOWS > window || latest[var] == Some(value)
                 });
                 rmw_of.retain(|&(var, source), _| {
                     source == 0 || source_of.contains_key(&(var, source))
                 });
-                frontier.evict(window + 1, retain);
+                frontier.evict(window + 1);
 
                 let attributed: HashMap<(usize, i64), (TxnId, usize)> = frontier
                     .source_of
@@ -2007,13 +2002,16 @@ mod tests {
     /// stand-ins (attested) instead of exploding as thin air.
     #[test]
     fn reads_past_the_retention_horizon_become_evicted_attributions() {
+        // Filler pushing the read well past the horizon of 8-transaction
+        // windows.
+        let filler = 8 * (RETAIN_WINDOWS as i64 + 4);
         let mut h = AuditHistory::new(2, 0, 2);
         h.push_txn(0, [], [(0, 7)]); // the write that will be evicted
-        for i in 0..60i64 {
-            h.push_txn(0, [], [(1, 100 + i)]); // filler pushing many windows
+        for i in 0..filler {
+            h.push_txn(0, [], [(1, 100 + i)]);
         }
         h.push_txn(1, [(0, 7)], []); // a very stale (but real) read
-        let config = WindowConfig { retain_windows: 1, ..cfg(8, 0) };
+        let config = cfg(8, 0);
         let stream = audit_streamed(&h, config);
         // v0 = 7 stays latest-per-var for v0, so it actually stays resolvable;
         // overwrite it early to force true eviction.
@@ -2022,7 +2020,7 @@ mod tests {
         let mut h2 = AuditHistory::new(2, 0, 2);
         h2.push_txn(0, [], [(0, 7)]);
         h2.push_txn(0, [], [(0, 8)]); // supersedes 7 as latest
-        for i in 0..60i64 {
+        for i in 0..filler {
             h2.push_txn(0, [], [(1, 100 + i)]);
         }
         h2.push_txn(1, [(0, 7)], []); // reads the evicted value
@@ -2141,7 +2139,7 @@ mod tests {
 
     /// What outlives the retention horizon is rebuilt too: a variable last
     /// written, and an initial-value rmw fact recorded, many more than
-    /// `retain_windows` windows before the crash.  The lost-update partner
+    /// `RETAIN_WINDOWS` windows before the crash.  The lost-update partner
     /// of that fact and a read of that latest value arrive after recovery;
     /// the recovered stream convicts exactly as the uninterrupted one does.
     #[test]
@@ -2150,12 +2148,13 @@ mod tests {
         let mut h = AuditHistory::new(3, 0, 2);
         h.push_txn(0, [], [(u, 10)]); // u's latest value, forever
         h.push_txn(0, [(v, 0)], [(v, 100)]); // the rmw fact over v's initial value
-        for i in 0..60i64 {
+        let n_filler = 12 * RETAIN_WINDOWS; // twice the horizon of 6-transaction strides
+        for i in 0..n_filler as i64 {
             h.push_txn(0, [], [(filler, 300 + i)]);
         }
         h.push_txn(1, [(u, 10)], []); // resolves against the kept latest writer
         h.push_txn(1, [(v, 0)], [(v, 200)]); // the far half of the lost update
-        let config = WindowConfig { retain_windows: 2, ..cfg(8, 2) };
+        let config = cfg(8, 2);
         let baseline = audit_streamed(&h, config);
         let conviction = baseline.first_conviction.as_ref().expect("convicted");
         assert_eq!(conviction.level, Level::SnapshotIsolation);
@@ -2163,8 +2162,8 @@ mod tests {
         assert_eq!(baseline.evicted_attributions, 0, "the latest write of u stays resolvable");
 
         let order = h.recording_order();
-        let (_, chain, arrival) = crash_after(&order, 60, 3, config);
-        assert!(chain.len() > 2 + config.retain_windows, "both facts are past the horizon");
+        let (_, chain, arrival) = crash_after(&order, n_filler, 3, config);
+        assert!(chain.len() > 2 + RETAIN_WINDOWS, "both facts are past the horizon");
         let report = recover_and_finish(&h, &order, config, &chain, &arrival);
         assert_eq!(report.first_conviction, baseline.first_conviction);
         assert_eq!(report.merged, baseline.merged);
@@ -2564,7 +2563,6 @@ mod tests {
             expected.sort_unstable();
             assert_eq!(writes, expected, "transaction {i}");
             assert!(big.writes.len() > AccessSet::INLINE);
-            assert_eq!(big.footprint, stm_runtime::footprint_of([x, a, a + 1, b, b + 1]));
         }
     }
 }

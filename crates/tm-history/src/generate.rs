@@ -137,8 +137,7 @@ impl Planted {
 /// A generated history plus its oracle.
 #[derive(Debug, Clone)]
 pub struct Generated {
-    /// The history (footprints precomputed, like live-captured ones, so it
-    /// round-trips the wire format field-for-field).
+    /// The history (it round-trips the wire format field-for-field).
     pub history: AuditHistory,
     /// What was planted, for expected-verdict computation.
     pub planted: Planted,
@@ -164,11 +163,9 @@ impl Gen {
     /// Emit one transaction into `session`, consuming one slot.
     fn emit(&mut self, session: usize, reads: impl Into<AccessSet>, writes: impl Into<AccessSet>) {
         let (reads, writes) = (reads.into(), writes.into());
-        let footprint =
-            stm_runtime::footprint_of(reads.iter().chain(writes.iter()).map(|&(v, _)| v));
         let hint = self.next_hint;
         self.next_hint += 1;
-        self.history.sessions[session].push(AuditTxn { reads, writes, hint, footprint });
+        self.history.sessions[session].push(AuditTxn { reads, writes, hint, footprint: 0 });
         self.remaining[session] -= 1;
     }
 

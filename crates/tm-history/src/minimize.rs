@@ -24,19 +24,11 @@ struct Flat {
 }
 
 /// Rebuild a history from a subset of flattened transactions (order
-/// preserved), renumbering hints and recomputing footprints.
+/// preserved), renumbering hints.
 fn rebuild(n_vars: usize, initial: i64, n_sessions: usize, kept: &[Flat]) -> AuditHistory {
     let mut history = AuditHistory::new(n_vars, initial, n_sessions);
     for (hint, flat) in kept.iter().enumerate() {
-        let footprint = stm_runtime::footprint_of(
-            flat.txn.reads.iter().chain(flat.txn.writes.iter()).map(|&(v, _)| v),
-        );
-        history.sessions[flat.session].push(AuditTxn {
-            reads: flat.txn.reads.clone(),
-            writes: flat.txn.writes.clone(),
-            hint: hint as u64,
-            footprint,
-        });
+        history.sessions[flat.session].push(AuditTxn { hint: hint as u64, ..flat.txn.clone() });
     }
     history
 }

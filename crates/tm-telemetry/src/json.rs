@@ -4,8 +4,8 @@
 //! no registry access), so every machine-readable artifact — audit reports,
 //! serve records, bench artifacts, metric snapshots — is hand-assembled JSON.
 //! Before this module existed each crate hand-rolled its own string escaping
-//! with subtly different rules; everything now funnels through [`escape`],
-//! and new emitters can use [`JsonBuf`] instead of raw `format!` plumbing.
+//! with subtly different rules; every emitter now writes its object with
+//! `format!` and passes each string through [`escape`].
 //!
 //! The reader ([`parse`] → [`Value`]) is a plain RFC 8259 value parser for
 //! the documents the workspace reads back whole (the boundary records in WAL
@@ -32,154 +32,6 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// `s` as a complete JSON string literal, quotes included.
-pub fn quote(s: &str) -> String {
-    format!("\"{}\"", escape(s))
-}
-
-/// Render an `f64` the way every emitter in the workspace does: finite
-/// numbers as-is, non-finite values (JSON has no NaN/Infinity) as `0`.
-pub fn number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// A minimal push-style JSON object/array builder: tracks whether a comma is
-/// needed so emitters stop hand-counting separators.
-#[derive(Debug, Default)]
-pub struct JsonBuf {
-    out: String,
-    need_comma: Vec<bool>,
-}
-
-impl JsonBuf {
-    /// Start an empty buffer.
-    pub fn new() -> Self {
-        JsonBuf::default()
-    }
-
-    fn pre_value(&mut self) {
-        if let Some(need) = self.need_comma.last_mut() {
-            if *need {
-                self.out.push(',');
-            }
-            *need = true;
-        }
-    }
-
-    /// Open an object (as a value in the enclosing container).
-    pub fn begin_obj(&mut self) -> &mut Self {
-        self.pre_value();
-        self.out.push('{');
-        self.need_comma.push(false);
-        self
-    }
-
-    /// Close the innermost object.
-    pub fn end_obj(&mut self) -> &mut Self {
-        self.need_comma.pop();
-        self.out.push('}');
-        self
-    }
-
-    /// Open an array (as a value in the enclosing container).
-    pub fn begin_array(&mut self) -> &mut Self {
-        self.pre_value();
-        self.out.push('[');
-        self.need_comma.push(false);
-        self
-    }
-
-    /// Close the innermost array.
-    pub fn end_array(&mut self) -> &mut Self {
-        self.need_comma.pop();
-        self.out.push(']');
-        self
-    }
-
-    /// Emit `"key":` inside an object; follow with exactly one value call.
-    pub fn key(&mut self, key: &str) -> &mut Self {
-        self.pre_value();
-        self.out.push_str(&quote(key));
-        self.out.push(':');
-        // The value that follows must not add its own comma.
-        if let Some(need) = self.need_comma.last_mut() {
-            *need = false;
-        }
-        self
-    }
-
-    /// A string value.
-    pub fn string(&mut self, s: &str) -> &mut Self {
-        self.pre_value();
-        self.out.push_str(&quote(s));
-        self
-    }
-
-    /// An unsigned integer value.
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.pre_value();
-        self.out.push_str(&v.to_string());
-        self
-    }
-
-    /// A signed integer value.
-    pub fn i64(&mut self, v: i64) -> &mut Self {
-        self.pre_value();
-        self.out.push_str(&v.to_string());
-        self
-    }
-
-    /// A float value (non-finite renders as `0`).
-    pub fn f64(&mut self, v: f64) -> &mut Self {
-        self.pre_value();
-        self.out.push_str(&number(v));
-        self
-    }
-
-    /// A bool value.
-    pub fn bool(&mut self, v: bool) -> &mut Self {
-        self.pre_value();
-        self.out.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    /// Splice a pre-rendered JSON fragment in value position (trusted input).
-    pub fn raw(&mut self, json: &str) -> &mut Self {
-        self.pre_value();
-        self.out.push_str(json);
-        self
-    }
-
-    /// `"key":"value"` shorthand.
-    pub fn kv_str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.key(key).string(value)
-    }
-
-    /// `"key":n` shorthand for unsigned integers.
-    pub fn kv_u64(&mut self, key: &str, value: u64) -> &mut Self {
-        self.key(key).u64(value)
-    }
-
-    /// `"key":n` shorthand for signed integers.
-    pub fn kv_i64(&mut self, key: &str, value: i64) -> &mut Self {
-        self.key(key).i64(value)
-    }
-
-    /// `"key":x` shorthand for floats.
-    pub fn kv_f64(&mut self, key: &str, value: f64) -> &mut Self {
-        self.key(key).f64(value)
-    }
-
-    /// Consume the builder and return the JSON text.
-    pub fn finish(self) -> String {
-        self.out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -468,27 +320,6 @@ mod tests {
         assert_eq!(escape("a\\b"), "a\\\\b");
         assert_eq!(escape("a\nb\tc\r"), "a\\nb\\tc\\r");
         assert_eq!(escape("\u{01}"), "\\u0001");
-        assert_eq!(quote("x\"y"), "\"x\\\"y\"");
-    }
-
-    #[test]
-    fn builder_places_commas_in_nested_containers() {
-        let mut b = JsonBuf::new();
-        b.begin_obj().kv_str("name", "t\"est").kv_u64("count", 3).key("inner");
-        b.begin_array().u64(1).u64(2);
-        b.begin_obj().key("ok").bool(true);
-        b.end_obj().end_array().end_obj();
-        let json = b.finish();
-        assert_eq!(json, "{\"name\":\"t\\\"est\",\"count\":3,\"inner\":[1,2,{\"ok\":true}]}");
-    }
-
-    #[test]
-    fn non_finite_floats_render_as_zero() {
-        assert_eq!(number(f64::NAN), "0");
-        assert_eq!(number(1.5), "1.5");
-        let mut b = JsonBuf::new();
-        b.begin_obj().kv_f64("x", f64::INFINITY).end_obj();
-        assert_eq!(b.finish(), "{\"x\":0}");
     }
 
     #[test]

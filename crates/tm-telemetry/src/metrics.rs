@@ -5,7 +5,7 @@
 //! handle is first created (instrument setup) and when a snapshot is cut
 //! (exposition), neither of which sits on a transaction's commit path.
 
-use crate::json::JsonBuf;
+use crate::json;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -384,6 +384,35 @@ pub struct MetricSnapshot {
 }
 
 impl MetricSnapshot {
+    fn to_json(&self) -> String {
+        let labels: Vec<String> = self
+            .labels
+            .iter()
+            .map(|(k, v)| format!("\"{}\":\"{}\"", json::escape(k), json::escape(v)))
+            .collect();
+        let value = match &self.value {
+            MetricValue::Counter(v) => format!("\"kind\":\"counter\",\"value\":{v}"),
+            MetricValue::Gauge(v) => format!("\"kind\":\"gauge\",\"value\":{v}"),
+            MetricValue::Histogram { count, sum, mean, p50, p99, buckets } => {
+                // JSON has no NaN/Infinity: a non-finite mean renders as 0.
+                let mean = if mean.is_finite() { *mean } else { 0.0 };
+                let buckets: Vec<String> =
+                    buckets.iter().map(|(lo, c)| format!("[{lo},{c}]")).collect();
+                format!(
+                    "\"kind\":\"histogram\",\"count\":{count},\"sum\":{sum},\"mean\":{mean},\
+                     \"p50\":{p50},\"p99\":{p99},\"buckets\":[{}]",
+                    buckets.join(",")
+                )
+            }
+        };
+        format!(
+            "{{\"name\":\"{}\",\"labels\":{{{}}},\"unit\":\"{}\",{value}}}",
+            json::escape(&self.name),
+            labels.join(","),
+            json::escape(self.unit)
+        )
+    }
+
     fn label_text(&self) -> String {
         if self.labels.is_empty() {
             String::new()
@@ -429,40 +458,8 @@ impl Snapshot {
 
     /// Machine-readable exposition: `{"metrics":[...]}`.
     pub fn to_json(&self) -> String {
-        let mut b = JsonBuf::new();
-        b.begin_obj().key("metrics").begin_array();
-        for m in &self.metrics {
-            b.begin_obj().kv_str("name", &m.name).key("labels").begin_obj();
-            for (k, v) in &m.labels {
-                b.kv_str(k, v);
-            }
-            b.end_obj().kv_str("unit", m.unit);
-            match &m.value {
-                MetricValue::Counter(v) => {
-                    b.kv_str("kind", "counter").kv_u64("value", *v);
-                }
-                MetricValue::Gauge(v) => {
-                    b.kv_str("kind", "gauge").kv_i64("value", *v);
-                }
-                MetricValue::Histogram { count, sum, mean, p50, p99, buckets } => {
-                    b.kv_str("kind", "histogram")
-                        .kv_u64("count", *count)
-                        .kv_u64("sum", *sum)
-                        .kv_f64("mean", *mean)
-                        .kv_u64("p50", *p50)
-                        .kv_u64("p99", *p99)
-                        .key("buckets")
-                        .begin_array();
-                    for (lo, c) in buckets {
-                        b.begin_array().u64(*lo).u64(*c).end_array();
-                    }
-                    b.end_array();
-                }
-            }
-            b.end_obj();
-        }
-        b.end_array().end_obj();
-        b.finish()
+        let metrics: Vec<String> = self.metrics.iter().map(MetricSnapshot::to_json).collect();
+        format!("{{\"metrics\":[{}]}}", metrics.join(","))
     }
 }
 
@@ -537,6 +534,59 @@ mod tests {
         assert!(json.contains("\"name\":\"commits_total\""), "{json}");
         assert!(json.contains("\"kind\":\"gauge\",\"value\":-2"), "{json}");
         assert!(json.contains("\"buckets\":[[2,1],[512,1]]"), "{json}");
+    }
+
+    /// The exposition's exact bytes: escaped names and labels, every kind,
+    /// a fractional and a non-finite mean (rendered `0`), an empty
+    /// histogram and an empty snapshot.
+    #[test]
+    fn snapshot_json_bytes_are_pinned() {
+        let metric = |name: &str, labels: &[(&str, &str)], value| MetricSnapshot {
+            name: name.to_string(),
+            labels: labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect(),
+            unit: "ns",
+            value,
+        };
+        let histogram = |count, sum, mean, buckets: &[(u64, u64)]| MetricValue::Histogram {
+            count,
+            sum,
+            mean,
+            p50: buckets.first().map_or(0, |b| b.0),
+            p99: buckets.last().map_or(0, |b| b.0),
+            buckets: buckets.to_vec(),
+        };
+        let snap = Snapshot {
+            metrics: vec![
+                metric(
+                    "commits\"total",
+                    &[("backend", "tl2"), ("note", "a\nb")],
+                    MetricValue::Counter(7),
+                ),
+                metric("depth", &[], MetricValue::Gauge(-2)),
+                metric(
+                    "latency",
+                    &[("phase", "validate")],
+                    histogram(4, 10, 2.5, &[(2, 3), (512, 1)]),
+                ),
+                metric("odd", &[], histogram(1, 1, f64::NAN, &[(1, 1)])),
+                metric("idle", &[], histogram(0, 0, 0.0, &[])),
+            ],
+        };
+        let expected = concat!(
+            r#"{"metrics":["#,
+            r#"{"name":"commits\"total","labels":{"backend":"tl2","note":"a\nb"},"unit":"ns","#,
+            r#""kind":"counter","value":7},"#,
+            r#"{"name":"depth","labels":{},"unit":"ns","kind":"gauge","value":-2},"#,
+            r#"{"name":"latency","labels":{"phase":"validate"},"unit":"ns","kind":"histogram","#,
+            r#""count":4,"sum":10,"mean":2.5,"p50":2,"p99":512,"buckets":[[2,3],[512,1]]},"#,
+            r#"{"name":"odd","labels":{},"unit":"ns","kind":"histogram","#,
+            r#""count":1,"sum":1,"mean":0,"p50":1,"p99":1,"buckets":[[1,1]]},"#,
+            r#"{"name":"idle","labels":{},"unit":"ns","kind":"histogram","#,
+            r#""count":0,"sum":0,"mean":0,"p50":0,"p99":0,"buckets":[]}"#,
+            r#"]}"#
+        );
+        assert_eq!(snap.to_json(), expected);
+        assert_eq!(Snapshot { metrics: Vec::new() }.to_json(), r#"{"metrics":[]}"#);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! event, so it is **off** unless explicitly enabled (`--serve` with
 //! `--metrics`); the metrics registry itself never takes this path.
 
-use crate::json::JsonBuf;
+use crate::json;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -83,17 +83,21 @@ impl RingTracer {
 
     /// The retained events as a JSON array of objects.
     pub fn to_json(&self) -> String {
-        let mut b = JsonBuf::new();
-        b.begin_array();
-        for e in self.recent() {
-            b.begin_obj().kv_u64("seq", e.seq).kv_str("kind", e.kind).kv_str("origin", &e.origin);
-            for (k, v) in &e.fields {
-                b.kv_u64(k, *v);
-            }
-            b.end_obj();
-        }
-        b.end_array();
-        b.finish()
+        let events: Vec<String> = self
+            .recent()
+            .iter()
+            .map(|e| {
+                let fields: String =
+                    e.fields.iter().map(|(k, v)| format!(",\"{}\":{v}", json::escape(k))).collect();
+                format!(
+                    "{{\"seq\":{},\"kind\":\"{}\",\"origin\":\"{}\"{fields}}}",
+                    e.seq,
+                    json::escape(e.kind),
+                    json::escape(&e.origin)
+                )
+            })
+            .collect();
+        format!("[{}]", events.join(","))
     }
 }
 
@@ -118,5 +122,22 @@ mod tests {
         t.clear();
         assert!(t.recent().is_empty());
         assert_eq!(t.pushed(), 5, "sequence numbers survive a clear");
+    }
+
+    /// The ring's exact bytes: escaped origins, events with no fields and
+    /// with several, and the empty ring.
+    #[test]
+    fn ring_json_bytes_are_pinned() {
+        let t = RingTracer::new(4);
+        assert_eq!(t.to_json(), "[]");
+        t.push("abort", "of\"ree", &[]);
+        t.push("commit", "tl2\n", &[("attempts", 3), ("ns", u64::MAX)]);
+        assert_eq!(
+            t.to_json(),
+            concat!(
+                r#"[{"seq":0,"kind":"abort","origin":"of\"ree"},"#,
+                r#"{"seq":1,"kind":"commit","origin":"tl2\n","attempts":3,"ns":18446744073709551615}]"#
+            )
+        );
     }
 }

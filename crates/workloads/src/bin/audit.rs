@@ -813,16 +813,7 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
     };
     let mut wal_field = String::new();
     if let Some(dir) = wal_dir {
-        let meta = workloads::WalMeta {
-            scenario: args.scenarios[0].name().to_string(),
-            backend: args.backends[0].to_string(),
-            threads: args.threads,
-            txns_per_thread: args.txns,
-            vars: args.vars,
-            seed: args.seed,
-            window: shape,
-        };
-        meta.store(dir).map_err(wal_error)?;
+        workloads::WalMeta { window: shape }.store(dir).map_err(wal_error)?;
         wal_field = format!("\"wal\":\"{}\",", json::escape(&dir.display().to_string()));
     }
     emitter.emit(&format!(

@@ -374,23 +374,11 @@ pub fn next_round_index(wal_dir: &Path) -> io::Result<u64> {
     Ok(round_dirs(wal_dir)?.last().map_or(0, |(index, _)| index + 1))
 }
 
-/// The WAL directory's metadata: the round shape and window config every
-/// round under it was produced with — what recovery falls back to when a
-/// crash landed before the first window-closing seal.
+/// The WAL directory's metadata: the window config every round under it was
+/// produced with — what recovery falls back to when a crash landed before
+/// the first window-closing seal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalMeta {
-    /// Scenario name the serve loop runs.
-    pub scenario: String,
-    /// Backend name the serve loop runs on.
-    pub backend: String,
-    /// Worker threads (= audit sessions) per round.
-    pub threads: usize,
-    /// Committed transactions per thread per round.
-    pub txns_per_thread: usize,
-    /// Scenario variable pool size.
-    pub vars: usize,
-    /// Base workload seed (round `r` runs with `seed + r`).
-    pub seed: u64,
     /// The window shape rounds are audited with (`sat` is a CLI concern and
     /// not persisted).
     pub window: WindowConfig,
@@ -399,20 +387,12 @@ pub struct WalMeta {
 impl WalMeta {
     /// Serialize to the single-line JSON stored as [`WAL_META_FILE`].
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"wal-meta\":1,\"scenario\":\"{}\",\"backend\":\"{}\",\"threads\":{},\
-             \"txns_per_thread\":{},\"vars\":{},\"seed\":{},\"window\":{}}}",
-            json::escape(&self.scenario),
-            json::escape(&self.backend),
-            self.threads,
-            self.txns_per_thread,
-            self.vars,
-            self.seed,
-            self.window.to_json(),
-        )
+        format!("{{\"wal-meta\":1,\"window\":{}}}", self.window.to_json())
     }
 
-    /// Parse what [`WalMeta::to_json`] wrote.
+    /// Parse what [`WalMeta::to_json`] wrote.  Unknown keys are ignored, so
+    /// files that also carry the serve loop's scenario, backend, threads,
+    /// transactions per thread, variables and seed still parse.
     pub fn parse(text: &str) -> Result<WalMeta, String> {
         let read = || -> Result<WalMeta, json::ParseError> {
             let doc = json::parse(text)?;
@@ -421,17 +401,7 @@ impl WalMeta {
                 let message = format!("unsupported version {version}");
                 return Err(json::ParseError { message });
             }
-            let text_field = |key| doc.field(key, Value::as_str).map(str::to_string);
-            let number = |key| doc.field(key, Value::as_u64);
-            Ok(WalMeta {
-                scenario: text_field("scenario")?,
-                backend: text_field("backend")?,
-                threads: number("threads")? as usize,
-                txns_per_thread: number("txns_per_thread")? as usize,
-                vars: number("vars")? as usize,
-                seed: number("seed")?,
-                window: WindowConfig::from_json(doc.field("window", Some)?)?,
-            })
+            Ok(WalMeta { window: WindowConfig::from_json(doc.field("window", Some)?)? })
         };
         read().map_err(|e| format!("wal-meta: {e}"))
     }
@@ -473,26 +443,24 @@ mod tests {
     fn wal_meta_round_trips() {
         let mut window = WindowConfig::sized(512);
         window.overlap = 64;
-        let meta = WalMeta {
-            scenario: "registers".into(),
-            backend: "ofree".into(),
-            threads: 4,
-            txns_per_thread: 1_000,
-            vars: 64,
-            seed: 2_024,
-            window,
-        };
+        let meta = WalMeta { window };
         assert_eq!(WalMeta::parse(&meta.to_json()).unwrap(), meta);
-        // Byte for byte the form earlier builds wrote, so their files parse.
+        let budget = meta.window.budget;
         assert_eq!(
             meta.to_json(),
             format!(
-                "{{\"wal-meta\":1,\"scenario\":\"registers\",\"backend\":\"ofree\",\"threads\":4,\
-                 \"txns_per_thread\":1000,\"vars\":64,\"seed\":2024,\"window\":{{\"size\":512,\
-                 \"overlap\":64,\"budget\":{},\"retain_windows\":8,\"batch\":64}}}}",
-                meta.window.budget
+                "{{\"wal-meta\":1,\"window\":{{\"size\":512,\"overlap\":64,\"budget\":{budget},\
+                 \"batch\":64}}}}"
             )
         );
+        // The form earlier builds wrote, with the serve loop's shape and the
+        // retired `retain_windows` key, still parses to the same window.
+        let old = format!(
+            "{{\"wal-meta\":1,\"scenario\":\"registers\",\"backend\":\"ofree\",\"threads\":4,\
+             \"txns_per_thread\":1000,\"vars\":64,\"seed\":2024,\"window\":{{\"size\":512,\
+             \"overlap\":64,\"budget\":{budget},\"retain_windows\":8,\"batch\":64}}}}"
+        );
+        assert_eq!(WalMeta::parse(&old).unwrap(), meta);
         let dir = temp_dir("meta");
         meta.store(&dir).unwrap();
         assert_eq!(WalMeta::load(&dir).unwrap(), Some(meta));
