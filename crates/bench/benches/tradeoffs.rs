@@ -87,8 +87,9 @@ fn run_bank(
     run_scenario(&BankScenario { template }, &config)
 }
 
-/// TRADE1: fully disjoint transfers, 1–4 threads, **strong scaling** — a
-/// fixed *total* transaction count split evenly across the thread count.
+/// TRADE1: fully disjoint transfers, 1–4 threads (those that fit the host's
+/// cores), **strong scaling** — a fixed *total* transaction count split
+/// evenly across the thread count.
 ///
 /// The family used to fix the *per-thread* count (weak scaling), under
 /// which an N-thread run does N× the work and its wall time is only
@@ -111,9 +112,14 @@ fn bench_disjoint_scaling(
     annotations: &mut Vec<(String, String, f64)>,
 ) {
     let total_txns = sizes.tx_per_thread * 4;
+    // A thread count above the host's cores measures the scheduler, not the
+    // commit path: keep 1 and whatever else fits (scripts/scaling_gate.sh
+    // reads the largest count present).
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let counts: Vec<usize> = [1usize, 2, 4].into_iter().filter(|&n| n == 1 || n <= cores).collect();
     for backend in all_backends() {
         let mut one_thread_min = None;
-        for threads in [1usize, 2, 4] {
+        for &threads in &counts {
             let name = format!("trade1-disjoint-scaling/{backend}/{threads}");
             let samples = bench(&name, sizes.samples, || {
                 let disjoint = BankConfig { cross_fraction: 0.0, ..Default::default() };

@@ -19,6 +19,7 @@
 //! * deterministic simulator runs, via [`crate::adapter`];
 //! * hand-written scenarios in tests, via [`AuditHistory::push_txn`].
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 
 /// Identifies a transaction by its place in the history: `session` is the
@@ -116,6 +117,50 @@ impl AuditHistory {
             self.txn_count(),
             self.n_vars
         )
+    }
+}
+
+/// Finds, for each access of one access set in order, the value of the first
+/// earlier access to the same variable: the question behind the
+/// repeated-read rule of [`crate::po::TxnPartialOrder::extend`] and the wire
+/// decoder's duplicate checks.
+///
+/// A set of up to [`FirstAccess::SCAN_LIMIT`] accesses is scanned backwards
+/// (a handful of entries is the common case, and the scan allocates
+/// nothing); past that, a map from variable to first value keeps the whole
+/// set's check linear instead of quadratic in its width.  The map uses std's
+/// keyed hasher: the variables may come from a hostile document.
+#[derive(Debug, Default)]
+pub struct FirstAccess {
+    firsts: Option<HashMap<usize, i64>>,
+}
+
+impl FirstAccess {
+    /// Accesses checked by the backward scan before the map takes over.
+    pub const SCAN_LIMIT: usize = 32;
+
+    /// The value of the first access to `set[i]`'s variable among
+    /// `set[..i]`, if any.  Call it for `i = 0, 1, 2, …` in turn, on one set.
+    #[inline]
+    pub fn earlier(&mut self, set: &[(usize, i64)], i: usize) -> Option<i64> {
+        let (var, value) = set[i];
+        if i < Self::SCAN_LIMIT {
+            return set[..i].iter().find(|&&(v, _)| v == var).map(|&(_, first)| first);
+        }
+        let firsts = self.firsts.get_or_insert_with(|| {
+            let mut firsts = HashMap::with_capacity(2 * i);
+            for &(v, first) in &set[..i] {
+                firsts.entry(v).or_insert(first);
+            }
+            firsts
+        });
+        match firsts.entry(var) {
+            Entry::Occupied(first) => Some(*first.get()),
+            Entry::Vacant(slot) => {
+                slot.insert(value);
+                None
+            }
+        }
     }
 }
 
@@ -238,5 +283,19 @@ mod tests {
         let t =
             HistoryError::ThinAirRead { reader: TxnId { session: 0, seq: 1 }, var: 2, value: 5 };
         assert!(t.to_string().contains("thin-air"));
+    }
+
+    /// The map past the scan limit answers exactly what the scan would.
+    #[test]
+    fn first_access_agrees_with_the_scan_at_every_width() {
+        let n = 3 * FirstAccess::SCAN_LIMIT;
+        // Variables repeat with period 40 (so repeats start past the limit)
+        // and values never do, so every answer names one exact access.
+        let set: Vec<(usize, i64)> = (0..n).map(|i| (i % 40, i as i64)).collect();
+        let mut firsts = FirstAccess::default();
+        for i in 0..n {
+            let scan = set[..i].iter().find(|&&(v, _)| v == set[i].0).map(|&(_, first)| first);
+            assert_eq!(firsts.earlier(&set, i), scan, "access {i}");
+        }
     }
 }

@@ -125,7 +125,7 @@ pub mod telemetry;
 pub mod window;
 
 pub use adapter::from_execution;
-pub use history::{AccessSet, AuditHistory, AuditTxn, HistoryError, TxnId};
+pub use history::{AccessSet, AuditHistory, AuditTxn, FirstAccess, HistoryError, TxnId};
 pub use partition::{
     audit_sharded, partition_of, PartitionVerdict, ShardConfig, ShardConviction, ShardedAuditor,
     ShardedStreamReport,

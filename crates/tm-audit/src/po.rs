@@ -28,7 +28,7 @@
 //! of a reachability closure.
 
 use crate::digraph::DiGraph;
-use crate::history::{AuditHistory, AuditTxn, HistoryError, TxnId};
+use crate::history::{AuditHistory, AuditTxn, FirstAccess, HistoryError, TxnId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -261,13 +261,12 @@ impl TxnPartialOrder {
             }
         }
 
+        let mut firsts = FirstAccess::default();
         for (i, &(var, value)) in txn.reads.iter().enumerate() {
-            // Read sets are a handful of entries: scanning the ones before
-            // this beats a per-transaction hash map on the ingest hot path.
-            match txn.reads[..i].iter().find(|&&(v, _)| v == var) {
+            match firsts.earlier(&txn.reads, i) {
                 None => {}
-                Some(&(_, first)) if first == value => continue, // repeated read
-                Some(&(_, first)) => {
+                Some(first) if first == value => continue, // repeated read
+                Some(first) => {
                     return Err(HistoryError::NonRepeatableRead {
                         reader: id,
                         var,

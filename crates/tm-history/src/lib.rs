@@ -40,4 +40,4 @@ pub mod wire;
 
 pub use generate::{generate, generate_wire, GenConfig, Generated, Planted};
 pub use minimize::minimize;
-pub use wire::{decode, decode_all, encode, Decoder, WireError, WIRE_VERSION};
+pub use wire::{decode, encode, Decoder, WireError, WIRE_VERSION};

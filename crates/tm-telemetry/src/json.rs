@@ -131,12 +131,19 @@ impl Value {
     }
 }
 
+/// How deep [`parse`] lets arrays and objects nest.  The workspace's own
+/// documents nest a few levels; the reader recurses once per level, so a
+/// hostile document of nested `[` (a WAL seal's record is not covered by
+/// its CRC) must be refused before it overflows the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document (object, array or scalar); trailing whitespace
-/// allowed, anything else after the value is an error.
+/// allowed, anything else after the value is an error, and so is nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(ParseError::new(format!(
@@ -152,10 +159,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// One value at `*pos`; `depth` is how many more levels may open.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(ParseError::new("unexpected end of JSON input")),
+        Some(b'{' | b'[') if depth == 0 => Err(ParseError::new(format!(
+            "arrays and objects nest deeper than {MAX_DEPTH} levels at byte {pos}"
+        ))),
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -169,7 +180,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect_byte(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth - 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -195,7 +206,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -334,5 +345,15 @@ mod tests {
         assert_eq!(arr[2], Value::Null);
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("deeper than 128 levels"), "{err}");
+        let err = parse(&"[{\"a\":".repeat(200_000)).unwrap_err();
+        assert!(err.message.contains("deeper than 128 levels"), "{err}");
     }
 }

@@ -12,121 +12,63 @@
 //! Every invocation parses into one description — **what to audit** (a
 //! scenario × backend run, `--ingest`ed documents, or a `--recover`ed WAL
 //! directory) under **which plan** (`workloads::AuditPlan`: off, batch or
-//! windowed, with `--budget` / `--sat` / `--overlap` folded in) —
-//! and live runs, replays and every `--serve` endpoint execute that one plan
-//! through `workloads::run_live` / `workloads::Verdict::audit`.  Flags:
+//! windowed, with `--budget` / `--sat` / `--overlap` folded in) — and every
+//! job executes that one plan through `workloads::run_live` /
+//! `workloads::Verdict::audit`.  Flags (README and `docs/` hold the detail):
 //!
 //! * `--backend NAME|all` — any backend registered with
-//!   `stm_runtime::registry` (canonical name or alias: `tl2`, `ofree`,
-//!   `pram`, `mvcc`, `shard-lock`, `global-lock`, …; default `all`).
-//!   `all` iterates the registry **sorted by name**, so multi-backend output
-//!   and `--json` reports are diff-stable;
+//!   `stm_runtime::registry`, by canonical name or alias (default `all`,
+//!   iterated sorted by name so output is diff-stable);
 //! * `--scenario NAME|all` — any scenario from `workloads::all_scenarios()`
-//!   (`registers`, `kv-zipf`, `scan-writers`, `write-skew`, `bank`; default
-//!   `registers`).  `write-skew` on `mvcc` is the SI/SER separator: the
-//!   audited run reports SI pass and a serializability violation with a
-//!   write-skew witness;
-//! * `--retry POLICY` — contention-manager retry pacing: `immediate`,
-//!   `bounded:N`, `backoff[:BASE:MAX[:TOTAL]]`, `karma[:BASE]`,
-//!   `timestamp[:BASE]` or `adaptive[:BASE:MAX]` (default `immediate`; see
-//!   `stm_runtime::policy::POLICY_SPECS` for every spelling);
-//! * `--threads N` — worker threads = audit sessions (default 4);
-//! * `--txns N` — committed transactions per thread (default 2500);
-//! * `--vars N` — scenario variable pool size (default 64);
-//! * `--seed N` — workload seed (default 2024);
-//! * `--audit[=SPEC]` — the audit plan.  Absent: `Off`.  Bare `--audit`:
-//!   `Batch`, the whole history checked at once.  `--audit=WINDOW` (a
-//!   number): `Windowed`, rolling windows of `WINDOW` transactions audited
-//!   concurrently with the workload, with bounded memory (the plan that
-//!   scales past ~10⁵ transactions).
-//!   `--audit=window[:size=N][:overlap=M]` is the full streaming spec; any
-//!   other key is a usage error.  Only *recordable* scenarios (unique write
-//!   values) can be audited: asking for an audited `bank` run is an error,
-//!   and `--scenario all` skips it with a note;
+//!   (default `registers`);
+//! * `--retry POLICY` — contention-manager retry pacing (default `immediate`;
+//!   `stm_runtime::policy::POLICY_SPECS` lists every spelling);
+//! * `--threads N`, `--txns N` (per thread), `--vars N`, `--seed N` — the
+//!   workload's shape (defaults 4, 2500, 64, 2024);
+//! * `--audit[=SPEC]` — the plan: absent `Off`; bare `Batch` (the whole
+//!   history at once); `--audit=WINDOW` or `window[:size=N][:overlap=M]`
+//!   `Windowed` (rolling windows audited beside the workload, bounded
+//!   memory).  Only *recordable* scenarios (unique write values) can be
+//!   audited; `--scenario all` skips the others with a note;
 //! * `--overlap N` — transactions re-audited at the head of the next window
-//!   (default WINDOW/8; wins over the spec's `overlap=`).  Must be smaller
-//!   than the window: an overlap ≥ the size would mean a stride of one
-//!   transaction, and is refused rather than clamped;
-//! * `--budget N` — SI/SER search state budget of the plan (default
-//!   2,000,000);
-//! * `--sat[=conflicts=N[:force]]` — put the `tm-sat` commit-order solver
-//!   behind the NP-hard levels: the DFS runs as a probe linear in the
-//!   window, what it leaves `Unknown` goes to the solver, and only what the
-//!   solver gives up on gets the DFS at the full `--budget`.  The encoding
-//!   grows with the unordered writer pairs, not the window, so this reaches
-//!   the default live window (2 048).  UNSAT convicts (with the forced cycle
-//!   as witness), a model passes (with the decoded commit order), and
-//!   verdicts carry `decided_by:
-//!   "hint"|"dfs"|"sat"` provenance everywhere a report lands (stdout,
-//!   `--json`, serve records) — `"hint"` for a history or window whose
-//!   recording order verified as a serial order, which certifies all six
-//!   levels in one pass and runs neither the DFS nor the solver.
-//!   `conflicts=N` bounds solver effort per window and level (when both
-//!   engines exhaust the verdict stays `Unknown`, with the retry hint
-//!   recomputed as a conflict budget); `force` decides every NP-hard level
-//!   by SAT alone (the differential cross-check lane).  Part of every plan:
-//!   batch or windowed, live or replayed;
-//! * `--export PATH` — capture the run's commit history exactly as the
-//!   auditor saw it (post-merge order, auditor-assigned hints) and write it
-//!   to PATH in the `tm-history` wire format (see `docs/history-format.md`).
-//!   Needs exactly one scenario and one backend, both recordable; composes
-//!   with every plan — without `--audit` the run is recorded but not
-//!   checked;
-//! * `--ingest FILE|-` — skip the workload entirely: decode wire-format
-//!   history documents from FILE (or stdin when the argument is `-`) and
-//!   audit each one under the plan (batch unless a windowed `--audit=` spec
-//!   is given).  Verdicts print per document and land under `"ingest"` in
-//!   the `--json` report; `--fail-on-violation`
-//!   covers ingested documents exactly like live runs.  Combined with
-//!   `--serve`, the endpoint audits newline-delimited history documents
-//!   from stdin instead of generating traffic: one `ingest-verdict` record
-//!   per document, and a positioned `ingest-error` record (followed by a
-//!   resync at the next blank line) for each malformed document;
-//! * `--serve` — the long-running ops endpoint: keep the process alive
-//!   running audited rounds of the chosen scenario back to back, tailing
-//!   line-delimited JSON records (per-window verdicts, convictions,
-//!   per-round merged verdicts) to stdout — and to `--sink PATH` — until
-//!   SIGTERM/ctrl-c, which finishes the current round and shuts down
-//!   cleanly.  Requires one scenario and one backend; implies
-//!   `--audit=window:size=2048` unless a streaming spec is given, with or
-//!   without `--wal`;
-//! * `--serve-rounds N` — stop serving after N rounds (0 = until signal).
-//!   A second SIGTERM/SIGINT while a round is still draining exits
-//!   immediately with status 130 instead of waiting for the boundary;
-//! * `--wal DIR` — crash-consistent commit logging for `--serve`: every
-//!   committed transaction is appended to `DIR/round-NNNN/` (in the
-//!   `tm-history` wire format, so the concatenated segments of a round are
-//!   ingestible as-is) *before* it reaches the auditor; segments seal with
-//!   length+CRC framing at window boundaries and each seal persists the
-//!   closed window's verdict (the frontier itself lives in the log).  The
-//!   round streams the same window / conviction / metrics records as one
-//!   without a log.  See `docs/recovery.md`;
+//!   (default WINDOW/8; must be smaller than the window);
+//! * `--budget N` — SI/SER search state budget (default 2,000,000);
+//! * `--sat[=conflicts=N[:force]]` — decide what the DFS probe leaves
+//!   `Unknown` with the `tm-sat` commit-order solver; verdicts carry
+//!   `decided_by: "hint"|"dfs"|"sat"` provenance everywhere they land;
+//! * `--export PATH` — write the run's history, exactly as the auditor saw
+//!   it, in the `tm-history` wire format (`docs/history-format.md`); one
+//!   scenario and one backend;
+//! * `--ingest FILE|-` — audit wire documents from FILE (or stdin) instead of
+//!   running a workload, one document at a time (batch plan unless a
+//!   windowed `--audit=` is given).  Alone it prints each verdict, lists them
+//!   under `"ingest"` in `--json`, and stops at the first malformed document
+//!   with its positioned error (exit 2).  Under `--serve` each document
+//!   yields an `ingest-verdict` record and a malformed one a positioned
+//!   `ingest-error` record, then a resync at the next blank line;
+//! * `--serve` — the long-running ops endpoint: audited rounds of the one
+//!   chosen scenario × backend back to back (default
+//!   `--audit=window:size=2048`), line-delimited JSON records on stdout until
+//!   SIGTERM/ctrl-c finishes the current round (a second signal exits 130);
+//! * `--serve-rounds N` — stop serving after N rounds or documents (0 = until
+//!   signal); `--serve` only;
+//! * `--wal DIR` — log every committed transaction of a serve round to
+//!   `DIR/round-NNNN/` before the auditor sees it, sealed at window
+//!   boundaries (`docs/recovery.md`); `--serve` only;
 //! * `--recover DIR` — finish auditing the rounds a killed process left
-//!   behind: torn tails are truncated to the last sealed-or-complete line,
-//!   the seals' verdict records are read back, the auditor's frontier is
-//!   re-absorbed from the log prefix they cover and the suffix replayed.
-//!   Standalone it prints one `recovered-verdict` record per round (and a
-//!   `--json` report with `"recovered":true`); combined with `--serve
-//!   --wal` the endpoint recovers first, then keeps serving at the next free
-//!   round index;
-//! * `--sink PATH` — also append every serve record to PATH (a file another
-//!   process can tail);
-//! * `--metrics` — turn the telemetry spine on (`tm-telemetry`): runs report
-//!   per-backend commit/abort counters (aborts broken down by reason),
-//!   per-phase latency histograms and auditor gauges.  Live runs, `--ingest`
-//!   replays and `--recover` print the full snapshot at the end and embed it
-//!   under `"telemetry"` in the `--json` document; `--serve` additionally streams periodic
-//!   `{"type":"metrics"}` records, and dumps the runtime's bounded event
-//!   ring as one `{"type":"post-mortem"}` record on the first conviction;
-//! * `--json PATH` — additionally write the machine-readable report
-//!   (throughput, attempt percentiles, per-level verdicts) to PATH;
-//! * `--fail-on-violation` — exit 1 if any audited run shows a definite
-//!   violation or a scenario self-check fails;
+//!   behind: one `recovered-verdict` record per round; with `--serve --wal`
+//!   the endpoint recovers first, then serves the next round index;
+//! * `--sink PATH` — also append every serve or recovery record to PATH;
+//!   `--serve` or `--recover` only;
+//! * `--metrics` — turn the `tm-telemetry` spine on: the snapshot prints at
+//!   the end and lands under `"telemetry"` in `--json`; `--serve` also
+//!   streams `metrics` records and one `post-mortem` on the first
+//!   conviction;
+//! * `--json PATH` — also write the machine-readable report to PATH;
+//! * `--fail-on-violation` — exit 1 on a definite violation, a failed
+//!   scenario self-check or (under `--serve --ingest`) a malformed document;
 //! * `--list` — print the registered backends (with their P/C/L triangle
 //!   positions) and scenarios, then exit.
-//!
-//! Without `--audit` the workload runs unrecorded and only throughput,
-//! attempt percentiles and the scenario's own invariant are reported.
 
 use std::io::{BufRead, Write};
 use std::path::Path;
@@ -136,31 +78,22 @@ use std::sync::{Arc, Mutex};
 use stm_runtime::{policy, BackendId, RetryPolicy};
 use tm_audit::linearization::DEFAULT_STATE_BUDGET;
 use tm_audit::{AuditEvent, AuditHistory, AuditOptions, SatConfig, WindowConfig};
-use tm_history::{decode_all, encode, Decoder};
+use tm_history::{encode, Decoder};
 use tm_telemetry::json;
 use workloads::{
     all_scenarios, run_live, scenario_by_name, AuditPlan, LivePlan, LiveReport, Scenario,
     ScenarioConfig, Verdict, WalRound,
 };
 
-/// What `--audit[=SPEC]` asked for, before the knob flags are folded in:
-/// `parse_args` turns it into the [`AuditPlan`] everything else runs on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum AuditMode {
-    Off,
-    Batch,
-    Streaming { window: usize },
-}
-
 /// Parse the value of `--audit=SPEC`: a bare number (legacy window size) or
-/// `window[:size=N][:overlap=M]`.  Returns the mode plus the spec's overlap
-/// override, if any.
-fn parse_audit_spec(spec: &str) -> Result<(AuditMode, Option<usize>), String> {
+/// `window[:size=N][:overlap=M]`.  Returns the windowed plan (knobs not yet
+/// folded in) plus the spec's overlap override, if any.
+fn parse_audit_spec(spec: &str) -> Result<(AuditPlan, Option<usize>), String> {
     if let Ok(window) = spec.parse::<usize>() {
         if window < 2 {
             return Err("--audit=WINDOW needs WINDOW ≥ 2".into());
         }
-        return Ok((AuditMode::Streaming { window }, None));
+        return Ok((AuditPlan::Windowed(WindowConfig::sized(window)), None));
     }
     let mut parts = spec.split(':');
     if parts.next() != Some("window") {
@@ -184,7 +117,7 @@ fn parse_audit_spec(spec: &str) -> Result<(AuditMode, Option<usize>), String> {
     if size < 2 {
         return Err("--audit=window:size=N needs N ≥ 2".into());
     }
-    Ok((AuditMode::Streaming { window: size }, overlap))
+    Ok((AuditPlan::Windowed(WindowConfig::sized(size)), overlap))
 }
 
 struct Args {
@@ -211,7 +144,7 @@ struct Args {
     fail_on_violation: bool,
     list: bool,
     serve: bool,
-    serve_rounds: u64,
+    serve_rounds: Option<u64>,
     sink: Option<String>,
     metrics: bool,
     wal: Option<String>,
@@ -239,7 +172,7 @@ impl Default for Args {
             fail_on_violation: false,
             list: false,
             serve: false,
-            serve_rounds: 0,
+            serve_rounds: None,
             sink: None,
             metrics: false,
             wal: None,
@@ -297,7 +230,6 @@ where
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
-    let mut mode = AuditMode::Off;
     let mut spec_overlap = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -314,7 +246,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--seed" => args.seed = value_of(&mut it, arg)?,
             "--overlap" => args.overlap = Some(value_of(&mut it, arg)?),
             "--budget" => args.budget = value_of(&mut it, arg)?,
-            "--serve-rounds" => args.serve_rounds = value_of(&mut it, arg)?,
+            "--serve-rounds" => args.serve_rounds = Some(value_of(&mut it, arg)?),
             "--json" => args.json = Some(value_of(&mut it, arg)?),
             "--ingest" => args.ingest = Some(value_of(&mut it, arg)?),
             "--export" => args.export = Some(value_of(&mut it, arg)?),
@@ -323,13 +255,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--recover" => args.recover = Some(value_of(&mut it, arg)?),
             "--fail-on-violation" => args.fail_on_violation = true,
             "--metrics" => args.metrics = true,
-            "--audit" => mode = AuditMode::Batch,
+            "--audit" => args.plan = AuditPlan::Batch(AuditOptions::default()),
             "--sat" => args.sat = Some(SatConfig::default()),
             "--serve" => args.serve = true,
             "--list" => args.list = true,
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with("--audit=") => {
-                (mode, spec_overlap) = parse_audit_spec(&other["--audit=".len()..])?;
+                (args.plan, spec_overlap) = parse_audit_spec(&other["--audit=".len()..])?;
             }
             other if other.starts_with("--sat=") => {
                 args.sat = Some(parse_sat_spec(&other["--sat=".len()..])?);
@@ -347,10 +279,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     --export (nothing runs, so there is nothing to capture)"
             .into());
     }
-    if args.ingest.is_some() && mode == AuditMode::Off && !args.serve {
+    if args.ingest.is_some() && matches!(args.plan, AuditPlan::Off) && !args.serve {
         // Ingesting without auditing would be a no-op; default to batch.
         // (Under --serve the streaming default below applies instead.)
-        mode = AuditMode::Batch;
+        args.plan = AuditPlan::Batch(AuditOptions::default());
     }
     if args.export.is_some() {
         if args.serve {
@@ -372,6 +304,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .into());
         }
     }
+    if args.serve_rounds.is_some() && !args.serve {
+        return Err("--serve-rounds bounds a --serve endpoint; combine it with --serve".into());
+    }
+    if args.sink.is_some() && !args.serve && args.recover.is_none() {
+        return Err("--sink mirrors serve and recovery records; combine it with --serve or \
+                    --recover"
+            .into());
+    }
     if args.recover.is_some() {
         if args.ingest.is_some() || args.export.is_some() {
             return Err("--recover audits a crashed WAL directory; it cannot be combined \
@@ -383,14 +323,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
     }
     if args.serve {
-        match mode {
-            AuditMode::Off => mode = AuditMode::Streaming { window: 2_048 },
-            AuditMode::Batch => {
+        match args.plan {
+            AuditPlan::Off => args.plan = AuditPlan::Windowed(WindowConfig::sized(2_048)),
+            AuditPlan::Batch(_) => {
                 return Err("--serve streams windowed verdicts; combine it with \
                             --audit=window[:size=N], not batch --audit"
                     .into())
             }
-            AuditMode::Streaming { .. } => {}
+            AuditPlan::Windowed(_) => {}
         }
         if args.ingest.is_none() {
             if args.scenarios.len() != 1 || args.backends.len() != 1 {
@@ -404,10 +344,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
         }
     }
-    args.plan = match mode {
-        AuditMode::Off => AuditPlan::Off,
-        AuditMode::Batch => AuditPlan::Batch(AuditOptions { budget: args.budget, sat: args.sat }),
-        AuditMode::Streaming { window } => AuditPlan::Windowed(window_config(window, &args)?),
+    // Fold the knob flags in, wherever they stood relative to --audit.
+    args.plan = match args.plan {
+        AuditPlan::Off => AuditPlan::Off,
+        AuditPlan::Batch(_) => {
+            AuditPlan::Batch(AuditOptions { budget: args.budget, sat: args.sat })
+        }
+        AuditPlan::Windowed(window) => AuditPlan::Windowed(window_config(window.size, &args)?),
     };
     Ok(args)
 }
@@ -542,11 +485,8 @@ extern "C" fn handle_stop_signal(_signum: i32) {
     // Only an atomic swap and (on repeat) `_exit`: async-signal-safe.
     if STOP.swap(true, Ordering::SeqCst) {
         // A second SIGTERM/SIGINT means the operator is done waiting for
-        // the round-boundary shutdown — exit immediately with the
-        // conventional 128+SIGINT code.  `_exit` skips atexit/unwinding,
-        // which is exactly what a handler may do; re-storing the flag (the
-        // old behavior) made the second ctrl-c a silent no-op for the rest
-        // of a long round.
+        // the round-boundary shutdown: exit at once with the conventional
+        // 128+SIGINT code (`_exit` skips atexit/unwinding, as a handler may).
         extern "C" {
             fn _exit(code: i32) -> !;
         }
@@ -586,16 +526,11 @@ struct ServeEmitter {
 
 impl ServeEmitter {
     fn open(sink: Option<&str>) -> Result<Self, String> {
-        let sink = match sink {
-            Some(path) => Some(Mutex::new(std::io::BufWriter::new(
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .map_err(|e| format!("--sink {path}: {e}"))?,
-            ))),
-            None => None,
-        };
+        let open = |path| std::fs::OpenOptions::new().create(true).append(true).open(path);
+        let sink = sink
+            .map(|path| open(path).map_err(|e| format!("--sink {path}: {e}")))
+            .transpose()?
+            .map(|file| Mutex::new(std::io::BufWriter::new(file)));
         Ok(ServeEmitter { sink })
     }
 
@@ -788,12 +723,74 @@ fn recover_cli(args: &Args) -> Result<ExitCode, Failure> {
     finish_report(args, "recovered", &json_entries, violated)
 }
 
+/// What one step of a serve endpoint did, as [`serve_lifecycle`] counts it.
+enum Served {
+    /// A round or a document was audited; `violated` when its verdict holds
+    /// a definite violation.
+    Audited { violated: bool },
+    /// A malformed document was reported and skipped: it fails
+    /// `--fail-on-violation` but does not count toward `--serve-rounds`.
+    Rejected,
+    /// The source ran dry (end of `--ingest` input).
+    Exhausted,
+}
+
+/// The lifecycle every `--serve` endpoint shares: open the emitter, install
+/// the signal handlers, emit `serve-start` (`start_fields`, then the pid),
+/// run `resume` once, then `step` one unit at a time — the unit index is the
+/// count of units audited so far — until a signal, `--serve-rounds` or an
+/// exhausted source, flushing the sink mirror at every unit boundary; then
+/// `serve-stop` (`stop_fields` of the audited and rejected counts, then the
+/// reason) and the exit code.
+fn serve_lifecycle(
+    args: &Args,
+    start_fields: &str,
+    resume: impl FnOnce(&ServeEmitter) -> Result<bool, Failure>,
+    mut step: impl FnMut(&ServeEmitter, u64) -> Result<Served, Failure>,
+    stop_fields: fn(u64, u64) -> String,
+) -> Result<ExitCode, Failure> {
+    let emitter = ServeEmitter::open(args.sink.as_deref())?;
+    install_stop_handlers();
+    emitter.emit(&format!(
+        "{{\"type\":\"serve-start\",{start_fields}\"pid\":{}}}",
+        std::process::id()
+    ));
+    let mut violated = resume(&emitter)?;
+    let limit = args.serve_rounds.unwrap_or(0);
+    let (mut audited, mut rejected, mut exhausted) = (0u64, 0u64, false);
+    while !exhausted && !STOP.load(Ordering::SeqCst) && (limit == 0 || audited < limit) {
+        match step(&emitter, audited)? {
+            Served::Audited { violated: v } => {
+                violated |= v;
+                audited += 1;
+            }
+            Served::Rejected => rejected += 1,
+            Served::Exhausted => exhausted = true,
+        }
+        // Unit boundary: the sink mirror is durable up to the last full unit
+        // before the next one (a round, a possibly blocking read) begins.
+        emitter.flush();
+    }
+    let reason = if STOP.load(Ordering::SeqCst) {
+        "signal"
+    } else if exhausted {
+        "eof"
+    } else {
+        "rounds-exhausted"
+    };
+    emitter.emit(&format!(
+        "{{\"type\":\"serve-stop\",{}\"reason\":\"{reason}\"}}",
+        stop_fields(audited, rejected)
+    ));
+    emitter.flush();
+    Ok(violation_exit(args, violated || rejected > 0))
+}
+
 /// The `--serve` ops endpoint for generated traffic — plain, `--wal DIR`, or
-/// `--wal DIR --recover DIR`: audited rounds back to back until
-/// SIGTERM/SIGINT or `--serve-rounds`, each round's window verdicts and
-/// convictions streamed as JSON lines while the workload runs, then one
-/// `verdict` record (and, under `--metrics`, one guaranteed `metrics`
-/// record), the sink mirror flushed at every round boundary.
+/// `--wal DIR --recover DIR`: audited rounds back to back, each round's
+/// window verdicts and convictions streamed as JSON lines while the workload
+/// runs, then one `verdict` record (and, under `--metrics`, one guaranteed
+/// `metrics` record).
 ///
 /// `--wal` adds exactly three things: the directory's `wal-meta.json`, an
 /// optional recovery pass over the rounds a previous process left behind,
@@ -802,9 +799,6 @@ fn recover_cli(args: &Args) -> Result<ExitCode, Failure> {
 /// one stopped — sealing at window boundaries after flushing + fsyncing the
 /// `--sink` mirror.
 fn serve(args: &Args) -> Result<ExitCode, Failure> {
-    let emitter = ServeEmitter::open(args.sink.as_deref())?;
-    let emitter = &emitter;
-    install_stop_handlers();
     let wal_dir = args.wal.as_deref().map(Path::new);
     let wal_error =
         |err: std::io::Error| format!("--wal {}: {err}", args.wal.as_deref().unwrap_or_default());
@@ -816,30 +810,29 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
         workloads::WalMeta { window: shape }.store(dir).map_err(wal_error)?;
         wal_field = format!("\"wal\":\"{}\",", json::escape(&dir.display().to_string()));
     }
-    emitter.emit(&format!(
-        "{{\"type\":\"serve-start\",\"scenario\":\"{}\",\"backend\":\"{}\",\
-         \"window\":{},\"threads\":{},\"txns_per_round\":{},\
-         {wal_field}\"pid\":{}}}",
+    let start_fields = format!(
+        "\"scenario\":\"{}\",\"backend\":\"{}\",\"window\":{},\"threads\":{},\
+         \"txns_per_round\":{},{wal_field}",
         args.scenarios[0].name(),
         args.backends[0],
         shape.size,
         args.threads,
         args.threads * args.txns,
-        std::process::id()
-    ));
-    let mut violated = match (wal_dir, &args.recover) {
-        (Some(dir), Some(_)) => recover_rounds(args, dir, emitter, &mut Vec::new())?,
-        _ => false,
+    );
+    let resume = |emitter: &ServeEmitter| -> Result<bool, Failure> {
+        match (wal_dir, &args.recover) {
+            (Some(dir), Some(_)) => Ok(recover_rounds(args, dir, emitter, &mut Vec::new())?),
+            _ => Ok(false),
+        }
     };
     // One post-mortem per serve lifetime: the bounded event ring is dumped on
     // the *first* conviction and never again (the flight recorder's contents
     // after that point describe post-violation traffic).
     let post_mortem_done = &AtomicBool::new(false);
-    let mut rounds = 0u64;
-    while !STOP.load(Ordering::SeqCst) && (args.serve_rounds == 0 || rounds < args.serve_rounds) {
+    let round = |emitter: &ServeEmitter, served: u64| -> Result<Served, Failure> {
         let round = match wal_dir {
             Some(dir) => workloads::next_round_index(dir).map_err(wal_error)?,
-            None => rounds,
+            None => served,
         };
         let round_dir = wal_dir.map(|dir| dir.join(workloads::round_dir_name(round)));
         // A fresh seed per round: sustained traffic, not one replayed run.
@@ -891,7 +884,6 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
             }
             report
         })?;
-        violated |= report.violated();
         let logged = match (&round_dir, report.wal) {
             (Some(dir), Some(stats)) => format!(
                 "\"wal\":{{\"dir\":\"{}\",\"logged_txns\":{},\"sealed_segments\":{}}},",
@@ -916,75 +908,53 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
             // inside the ticker's first 500 ms.
             emitter.emit(&metrics_record(round));
         }
-        // Round boundary: the sink mirror is durable up to the last full round
-        // even if the next one is cut short.
-        emitter.flush();
-        rounds += 1;
-    }
-    let reason = if STOP.load(Ordering::SeqCst) { "signal" } else { "rounds-exhausted" };
-    emitter
-        .emit(&format!("{{\"type\":\"serve-stop\",\"rounds\":{rounds},\"reason\":\"{reason}\"}}"));
-    emitter.flush();
-    Ok(violation_exit(args, violated))
+        Ok(Served::Audited { violated: report.violated() })
+    };
+    serve_lifecycle(args, &start_fields, resume, round, |rounds, _| format!("\"rounds\":{rounds},"))
 }
 
-/// Print one ingested document's verdict in its plan's words; returns the
-/// `"mode"` label of its `--json` entry.
-fn print_ingested(verdict: &Verdict) -> &'static str {
-    match verdict {
-        Verdict::Batch(report) => {
-            for level in &report.levels {
-                println!("  {level}");
-            }
-            println!("  verdict: {}\n", report.summary());
-            "batch"
-        }
-        Verdict::Windowed(stream) => {
-            println!(
-                "  verdict: {} ({} txns through {} windows)\n",
-                stream.merged.summary(),
-                stream.total_txns,
-                stream.windows.len()
-            );
-            "streaming"
-        }
-    }
+/// `--ingest FILE|-` as a streaming document decoder: one document is
+/// decoded (and audited) at a time, whatever the input's size.
+fn open_ingest(source: &str) -> Result<Decoder<Box<dyn BufRead>>, Failure> {
+    let reader: Box<dyn BufRead> = if source == "-" {
+        Box::new(std::io::BufReader::new(std::io::stdin()))
+    } else {
+        let file = std::fs::File::open(source).map_err(|e| format!("{source}: {e}"))?;
+        Box::new(std::io::BufReader::new(file))
+    };
+    Ok(Decoder::new(reader))
 }
 
-/// `--ingest FILE|-` (batch invocation): decode every wire document from the
-/// file (or stdin), audit each under the plan, and report like a live run —
-/// per-document verdicts on stdout, `"ingest"` entries in the `--json`
-/// document, `--fail-on-violation` semantics intact.
+/// `--ingest FILE|-` (batch invocation): decode the wire documents from the
+/// file (or stdin) one at a time, audit each under the plan, and report like
+/// a live run — per-document verdicts on stdout, `"ingest"` entries in the
+/// `--json` document, `--fail-on-violation` semantics intact.  The first
+/// malformed document ends the run with its positioned error (exit 2),
+/// after the documents before it are reported.
 fn ingest(args: &Args) -> Result<ExitCode, Failure> {
     let source = args.ingest.as_deref().expect("ingest dispatch");
-    let text = if source == "-" {
-        let mut text = String::new();
-        std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut text)
-            .map_err(|e| format!("reading stdin: {e}"))?;
-        text
-    } else {
-        std::fs::read_to_string(source).map_err(|e| format!("{source}: {e}"))?
-    };
-    let histories = decode_all(&text).map_err(|e| format!("{source}: {e}"))?;
-    if histories.is_empty() {
-        return Err(format!("{source}: no history documents").into());
-    }
+    let mut decoder = open_ingest(source)?;
     let mut violated = false;
     let mut json_entries: Vec<String> = Vec::new();
-    for (doc, history) in histories.iter().enumerate() {
+    while let Some(history) = decoder.next_history().map_err(|e| format!("{source}: {e}"))? {
+        let doc = json_entries.len();
         println!("history #{doc} from {source}: {}", history.shape());
-        let verdict = Verdict::audit(history, &args.plan)
+        let verdict = Verdict::audit(&history, &args.plan)
             .expect("parse_args defaults --ingest to the batch plan");
         violated |= verdict.violated();
-        let mode_label = print_ingested(&verdict);
+        println!("{verdict}");
         // The merged report is timing-free, so ingest replays of the same
         // document produce byte-identical JSON.
         json_entries.push(format!(
-            "{{\"source\":\"ingest\",\"doc\":{doc},\"mode\":\"{mode_label}\",\"shape\":\"{}\",\
+            "{{\"source\":\"ingest\",\"doc\":{doc},\"mode\":\"{}\",\"shape\":\"{}\",\
              \"report\":{}}}",
+            verdict.mode(),
             json::escape(&history.shape()),
             verdict.merged().to_json()
         ));
+    }
+    if json_entries.is_empty() {
+        return Err(format!("{source}: no history documents").into());
     }
     finish_report(args, "ingest", &json_entries, violated)
 }
@@ -996,82 +966,55 @@ fn ingest(args: &Args) -> Result<ExitCode, Failure> {
 /// going — one bad batch does not take the endpoint down.
 fn serve_ingest(args: &Args) -> Result<ExitCode, Failure> {
     let source = args.ingest.as_deref().expect("serve-ingest dispatch");
-    let emitter = ServeEmitter::open(args.sink.as_deref())?;
-    install_stop_handlers();
-    let reader: Box<dyn BufRead> = if source == "-" {
-        Box::new(std::io::BufReader::new(std::io::stdin()))
-    } else {
-        let file = std::fs::File::open(source).map_err(|e| format!("{source}: {e}"))?;
-        Box::new(std::io::BufReader::new(file))
-    };
-    let mut decoder = Decoder::new(reader);
+    let mut decoder = open_ingest(source)?;
     let AuditPlan::Windowed(shape) = args.plan else {
         unreachable!("parse_args forces the windowed plan under --serve")
     };
-    emitter.emit(&format!(
-        "{{\"type\":\"serve-start\",\"mode\":\"ingest\",\"source\":\"{}\",\"window\":{},\
-         \"pid\":{}}}",
+    let start_fields = format!(
+        "\"mode\":\"ingest\",\"source\":\"{}\",\"window\":{},",
         json::escape(source),
-        shape.size,
-        std::process::id()
-    ));
-    let mut docs = 0u64;
-    let mut errors = 0u64;
-    let mut violated = false;
-    let mut eof = false;
-    while !STOP.load(Ordering::SeqCst) {
-        if args.serve_rounds > 0 && docs >= args.serve_rounds {
-            break;
+        shape.size
+    );
+    // Set when a resync hits a read error: the stream cannot be trusted to
+    // make progress, so the next step ends it.
+    let mut dry = false;
+    let document = |emitter: &ServeEmitter, doc: u64| -> Result<Served, Failure> {
+        if dry {
+            return Ok(Served::Exhausted);
         }
-        match decoder.next_history() {
+        Ok(match decoder.next_history() {
             Ok(Some(history)) => {
                 let verdict = Verdict::audit(&history, &args.plan)
                     .expect("parse_args forces a streaming plan under --serve");
-                violated |= verdict.violated();
                 emitter.emit(&format!(
-                    "{{\"type\":\"ingest-verdict\",\"doc\":{docs},\"shape\":\"{}\",\
+                    "{{\"type\":\"ingest-verdict\",\"doc\":{doc},\"shape\":\"{}\",\
                      \"summary\":\"{}\",\"report\":{}}}",
                     json::escape(&history.shape()),
                     json::escape(&verdict.merged().summary()),
                     verdict.to_json()
                 ));
-                docs += 1;
+                Served::Audited { violated: verdict.violated() }
             }
-            Ok(None) => {
-                eof = true;
-                break;
-            }
+            Ok(None) => Served::Exhausted,
             Err(e) => {
-                errors += 1;
                 emitter.emit(&format!(
                     "{{\"type\":\"ingest-error\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
                     e.line,
                     e.col,
                     json::escape(&e.message)
                 ));
-                if decoder.skip_document().is_err() {
-                    eof = true;
-                    break;
-                }
+                dry = decoder.skip_document().is_err();
+                Served::Rejected
             }
-        }
-        // Document boundary: verdicts and errors are durable in the sink
-        // mirror before the next (possibly blocking) stdin read.
-        emitter.flush();
-    }
-    let reason = if STOP.load(Ordering::SeqCst) {
-        "signal"
-    } else if eof {
-        "eof"
-    } else {
-        "rounds-exhausted"
+        })
     };
-    emitter.emit(&format!(
-        "{{\"type\":\"serve-stop\",\"docs\":{docs},\"decode_errors\":{errors},\
-         \"reason\":\"{reason}\"}}"
-    ));
-    emitter.flush();
-    Ok(violation_exit(args, violated || errors > 0))
+    serve_lifecycle(
+        args,
+        &start_fields,
+        |_| Ok(false),
+        document,
+        |docs, errors| format!("\"docs\":{docs},\"decode_errors\":{errors},"),
+    )
 }
 
 /// Print a live run's audit lines in its plan's words and render its
@@ -1079,36 +1022,30 @@ fn serve_ingest(args: &Args) -> Result<ExitCode, Failure> {
 fn print_live(report: &LiveReport) -> String {
     print_run_line(&report.run);
     let run = json_run_fields(&report.run);
-    let tail_ms = report.tail.as_secs_f64() * 1e3;
-    match &report.verdict {
-        None => {
-            println!();
-            format!("{{{run},\"mode\":\"off\"}}")
-        }
-        Some(Verdict::Batch(audit)) => {
+    let Some(verdict) = &report.verdict else {
+        println!();
+        return format!("{{{run},\"mode\":\"off\"}}");
+    };
+    let timing = match verdict {
+        Verdict::Batch(_) => {
             println!("  checked in {:.3?}", report.tail);
-            for level in &audit.levels {
-                println!("  {level}");
-            }
-            println!("  verdict: {}\n", audit.summary());
-            format!(
-                "{{{run},\"mode\":\"batch\",\"audit_ms\":{tail_ms:.3},\"report\":{}}}",
-                audit.to_json()
-            )
+            "audit_ms"
         }
-        Some(Verdict::Windowed(stream)) => {
+        Verdict::Windowed(stream) => {
             println!(
                 "  merged verdict {:.3?} after run end ({} windowed txns)",
                 report.tail, stream.total_txns
             );
-            print!("  {stream}");
-            println!("  verdict: {}\n", stream.summary());
-            format!(
-                "{{{run},\"mode\":\"streaming\",\"drain_ms\":{tail_ms:.3},\"report\":{}}}",
-                stream.to_json()
-            )
+            "drain_ms"
         }
-    }
+    };
+    println!("{verdict}");
+    format!(
+        "{{{run},\"mode\":\"{}\",\"{timing}\":{:.3},\"report\":{}}}",
+        verdict.mode(),
+        report.tail.as_secs_f64() * 1e3,
+        verdict.to_json()
+    )
 }
 
 /// The default invocation: run every chosen scenario × backend under the

@@ -197,6 +197,31 @@ impl Verdict {
             Verdict::Windowed(stream) => stream.to_json(),
         }
     }
+
+    /// The plan's name in `--json` entries: `"batch"` or `"streaming"`.
+    pub fn mode(&self) -> &'static str {
+        match self {
+            Verdict::Batch(_) => "batch",
+            Verdict::Windowed(_) => "streaming",
+        }
+    }
+}
+
+/// The human-readable verdict, indented two spaces: per-level lines (the
+/// windowed plan adds its window and latency lines first), then the
+/// one-line summary.
+impl std::fmt::Display for Verdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Verdict::Batch(report) => {
+                for level in &report.levels {
+                    writeln!(f, "  {level}")?;
+                }
+            }
+            Verdict::Windowed(stream) => write!(f, "  {stream}")?,
+        }
+        writeln!(f, "  verdict: {}", self.merged().summary())
+    }
 }
 
 /// A crash-consistent WAL round attached to a windowed run: the merged

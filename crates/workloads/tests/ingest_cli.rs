@@ -130,6 +130,61 @@ fn malformed_ingest_input_exits_with_a_positioned_error() {
     let _ = std::fs::remove_file(&wire);
 }
 
+/// Batch `--ingest` streams: the documents before a malformed one are
+/// audited and printed (and a violation among them is reported), then the
+/// malformed one ends the run with its positioned error and exit 2.
+#[test]
+fn batch_ingest_audits_the_documents_before_a_malformed_one_then_exits_2() {
+    let wire = temp_path("then-bad.tmh");
+    let report = temp_path("then-bad.json");
+    std::fs::write(&wire, format!("{LOST_UPDATE_DOC}\n{LOST_UPDATE_DOC}\nnot a header\n"))
+        .expect("writing the corpus doc");
+    let out = Command::new(env!("CARGO_BIN_EXE_audit"))
+        .args(["--ingest", wire.to_str().unwrap(), "--fail-on-violation", "--json"])
+        .arg(&report)
+        .output()
+        .expect("running the audit binary");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("history #0 from") && stdout.contains("history #1 from"), "{stdout}");
+    assert_eq!(stdout.matches("verdict: RC ✓").count(), 2, "{stdout}");
+    assert!(stdout.contains("SER ✗"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 9, col 1: expected"), "{stderr}");
+    assert!(!report.exists(), "a run cut short by malformed input writes no --json report");
+    let _ = std::fs::remove_file(&wire);
+}
+
+/// `--sink` and `--serve-rounds` are refused, exit 2, outside the modes that
+/// read them (`--serve`, and `--recover` for `--sink`) instead of being
+/// accepted and ignored.
+#[test]
+fn flags_nothing_reads_are_usage_errors() {
+    let sink = temp_path("unread-sink.jsonl");
+    let sink = sink.to_str().unwrap();
+    let wire = temp_path("unread.tmh");
+    std::fs::write(&wire, LOST_UPDATE_DOC).expect("writing the corpus doc");
+    let wire = wire.to_str().unwrap();
+    for (args, expect) in [
+        (&["--ingest", wire, "--sink", sink][..], "--sink"),
+        (&["--ingest", wire, "--serve-rounds", "3"][..], "--serve-rounds"),
+        (&["--audit", "--txns", "10", "--sink", sink][..], "--sink"),
+        (&["--audit", "--txns", "10", "--serve-rounds", "0"][..], "--serve-rounds"),
+        (&["--recover", wire, "--serve-rounds", "1"][..], "--serve-rounds"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_audit"))
+            .args(args)
+            .output()
+            .expect("running the audit binary");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("error: {expect} ")), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+    }
+    assert!(!std::path::Path::new(sink).exists(), "a refused --sink is never created");
+    let _ = std::fs::remove_file(wire);
+}
+
 /// The serve-ingest endpoint: verdict records per document, a positioned
 /// error record for garbage (then resync), a sink mirror that holds every
 /// record after shutdown, and an `eof` stop reason.

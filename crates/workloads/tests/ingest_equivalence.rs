@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use stm_runtime::{policy, BackendId};
 use tm_audit::{AuditHistory, AuditOptions, WindowConfig};
-use tm_history::{decode, decode_all, encode};
+use tm_history::{decode, encode, Decoder};
 use workloads::{run_live, scenario_by_name, AuditPlan, LivePlan, ScenarioConfig, Verdict};
 
 const BUDGET: u64 = 2_000_000;
@@ -69,9 +69,10 @@ fn fifty_live_histories_round_trip_identically() {
     }
 }
 
-/// `decode_all` on a multi-document export returns every history in order.
+/// A [`Decoder`] over a multi-document export returns every history in
+/// order.
 #[test]
-fn decode_all_handles_multi_document_exports() {
+fn the_decoder_streams_multi_document_exports() {
     let histories = [7, 8].map(|seed| {
         captured(&ScenarioConfig {
             threads: 4,
@@ -85,10 +86,11 @@ fn decode_all_handles_multi_document_exports() {
         doc.push_str(&encode(history));
         doc.push('\n');
     }
-    let decoded = decode_all(&doc).expect("multi-document export decodes");
-    assert_eq!(decoded.len(), 2);
-    assert_eq!(decoded[0], histories[0]);
-    assert_eq!(decoded[1], histories[1]);
+    let mut decoder = Decoder::new(doc.as_bytes());
+    for history in &histories {
+        assert_eq!(&decoder.next_history().expect("document decodes").expect("document"), history);
+    }
+    assert_eq!(decoder.next_history(), Ok(None));
 }
 
 /// Run `scenario` live under `plan` with capture on; returns the live

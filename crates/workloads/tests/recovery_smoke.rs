@@ -154,9 +154,10 @@ fn sigkill_mid_round_then_recover_reports_a_green_continuation() {
     std::fs::remove_dir_all(&wal).expect("cleanup");
 }
 
-/// Hostile seals reach the CLI as an error with exit 2 — never a panic,
-/// never a verdict: a garbled record, a verdict out of its place in the
-/// chain, a seal an older build wrote.
+/// Hostile seals reach the CLI as an error with exit 2 — never a panic or a
+/// stack overflow, never a verdict: a garbled record, a record of 200k
+/// nested `[` (the seal's CRC covers its segment, not the record), a
+/// verdict out of its place in the chain, a seal an older build wrote.
 #[test]
 fn hostile_seals_exit_2_without_a_verdict() {
     let wal =
@@ -187,6 +188,7 @@ fn hostile_seals_exit_2_without_a_verdict() {
     assert_ne!(misplaced, record);
     for (hostile, expect) in [
         (format!("{line}\n{{\"config\":\n"), "the record in seal 1"),
+        (format!("{line}\n{}\n", "[".repeat(200_000)), "deeper than 128 levels"),
         (format!("{line}\n{misplaced}\n"), "holds the verdict of window 0 (expected 1)"),
         (
             format!("{}\n{record}\n", line.replace("{\"wal-seal\":2,", "{\"wal-seal\":1,")),

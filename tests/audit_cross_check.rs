@@ -3,8 +3,8 @@
 //! the resulting execution is checked by `tm-consistency`'s value-based
 //! serializability search **and**, after conversion through `tm-audit`'s
 //! adapter, by the history-based constrained-linearization search.  The two
-//! verdicts must agree on every case, and every adapter-built history the
-//! wire decoder accepts must decode back to itself.
+//! verdicts must agree on every case, and every adapter-built history must
+//! cross the wire format unchanged.
 //!
 //! Scenarios use one transaction per process (both definitions then quantify
 //! over the same commit orders) and globally-unique write values (the
@@ -59,7 +59,7 @@ fn random_schedule(rng: &mut StdRng) -> Schedule {
 }
 
 fn cross_check(algo: &dyn TmAlgorithm, seed_base: u64) {
-    let (mut agreements, mut round_trips) = (0u64, 0u64);
+    let mut agreements = 0u64;
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed_base + seed);
         let scenario = random_scenario(&mut rng);
@@ -75,11 +75,11 @@ fn cross_check(algo: &dyn TmAlgorithm, seed_base: u64) {
 
         let execution_verdict = check_serializability(&out.execution).satisfied;
         let history = from_execution(&out.execution, 0);
-        // An adapter-built history that keeps the wire's recording contract
-        // (a simulated run may read one item twice) crosses it unchanged.
-        if let Ok(decoded) = tm_history::decode(&tm_history::encode(&history)) {
-            assert_eq!(decoded, history, "seed {seed}: wire round trip");
-            round_trips += 1;
+        // Every comparable run crosses the wire unchanged, a simulated
+        // transaction that read one item twice and saw two values included.
+        match tm_history::decode(&tm_history::encode(&history)) {
+            Ok(decoded) => assert_eq!(decoded, history, "seed {seed}: wire round trip"),
+            Err(e) => panic!("seed {seed}: the adapter-built history does not decode: {e}"),
         }
         let report = audit(&history);
         let history_verdict = report.passes(Level::Serializable);
@@ -100,7 +100,6 @@ fn cross_check(algo: &dyn TmAlgorithm, seed_base: u64) {
         agreements += 1;
     }
     assert!(agreements >= CASES / 2, "too few comparable runs: {agreements}");
-    assert!(round_trips >= agreements / 2, "too few wire round trips: {round_trips}");
 }
 
 #[test]
