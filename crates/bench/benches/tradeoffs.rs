@@ -1,10 +1,9 @@
 //! The P/C/L trade-off benchmarks on the real multi-threaded STM runtime.
 //!
 //! The paper's Section 5 argues the trade-off qualitatively; these benchmarks put
-//! numbers on it using **every backend in the open registry** — the five
-//! built-ins (the three corners plus the interior `mvcc` and `shard-lock`
-//! points) plus whatever other crates registered (the `workloads` crate
-//! contributes the coarse-global-lock "give up P" backend):
+//! numbers on it using **every backend in the registry** — the three corners,
+//! the interior `mvcc` and `shard-lock` points, and the coarse-global-lock
+//! "give up P" extreme:
 //!
 //! * **TRADE1 — disjoint workloads**: per-thread account partitions, zero
 //!   conflicts, *strong scaling* — a fixed total transaction count split across
@@ -69,10 +68,6 @@ impl Sizes {
     }
 }
 
-fn all_backends() -> Vec<BackendId> {
-    registry::all_ids()
-}
-
 /// One unaudited bank run: `threads × txns_per_thread` transfers over
 /// `accounts` accounts shaped by `template`.
 fn run_bank(
@@ -117,7 +112,7 @@ fn bench_disjoint_scaling(
     // reads the largest count present).
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let counts: Vec<usize> = [1usize, 2, 4].into_iter().filter(|&n| n == 1 || n <= cores).collect();
-    for backend in all_backends() {
+    for backend in registry::all_ids() {
         let mut one_thread_min = None;
         for &threads in &counts {
             let name = format!("trade1-disjoint-scaling/{backend}/{threads}");
@@ -152,7 +147,7 @@ fn bench_disjoint_scaling(
 /// its `off/4` twin.
 fn bench_metrics_overhead(sizes: &Sizes, sink: &mut Vec<Samples>) {
     let samples = sizes.samples * 4;
-    for backend in all_backends() {
+    for backend in registry::all_ids() {
         let run = || {
             let disjoint = BankConfig { cross_fraction: 0.0, ..Default::default() };
             let report = run_bank(backend, 4, sizes.tx_per_thread, 64, disjoint);
@@ -179,7 +174,7 @@ fn bench_metrics_overhead(sizes: &Sizes, sink: &mut Vec<Samples>) {
 
 /// TRADE2: Zipfian hotspot contention.
 fn bench_contention(sizes: &Sizes, sink: &mut Vec<Samples>) {
-    for backend in all_backends() {
+    for backend in registry::all_ids() {
         for theta in [0.5f64, 0.99] {
             sink.push(bench(
                 &format!("trade2-zipf-contention/{backend}/theta={theta}"),
@@ -200,7 +195,7 @@ fn bench_contention(sizes: &Sizes, sink: &mut Vec<Samples>) {
 
 /// TRADE3: victim commits during a stalled writer's stall.
 fn bench_stalled_writer(sizes: &Sizes, sink: &mut Vec<Samples>) {
-    for backend in all_backends() {
+    for backend in registry::all_ids() {
         sink.push(bench(
             &format!("trade3-stalled-writer/{backend}/stall={:?}", sizes.stall),
             sizes.samples,
@@ -213,9 +208,6 @@ fn bench_stalled_writer(sizes: &Sizes, sink: &mut Vec<Samples>) {
 }
 
 fn main() {
-    // Pull in the backends other crates contribute (global-lock) before
-    // snapshotting the registry.
-    workloads::register_workload_backends();
     let sizes = Sizes::from_env();
     let mut sink: Vec<Samples> = Vec::new();
     let mut annotations: Vec<(String, String, f64)> = Vec::new();

@@ -1,7 +1,6 @@
-//! The coarse-global-lock backend: the "give up Parallelism" corner,
-//! registered from **outside** `stm-runtime` through the open
-//! [`stm_runtime::registry`] — the proof that backends are pluggable data,
-//! not a closed enum.
+//! The coarse-global-lock backend: the "give up Parallelism" corner, the
+//! extreme end of the parallelism axis that [`crate::shardlock`] sits in
+//! the middle of.
 //!
 //! One process-wide lock serializes every transaction on the instance:
 //!
@@ -19,17 +18,13 @@
 //! benchmarks show what that costs: disjoint workloads stop scaling with
 //! threads.
 
+use crate::backend::{Backend, VarId};
+use crate::txn::{AbortReason, TxnData};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use stm_runtime::registry::{self, Axis, BackendSpec, Triangle};
-use stm_runtime::{AbortReason, Backend, BackendId, TxnData, VarId};
 
 /// How long an attempt spins on the global lock before aborting.
 pub const SPIN_LIMIT: usize = 100_000;
-
-/// Canonical registry name of the backend.
-pub const NAME: &str = "global-lock";
 
 /// The coarse-global-lock backend.
 pub struct GlobalLockBackend {
@@ -119,45 +114,15 @@ impl Backend for GlobalLockBackend {
     }
 }
 
-/// Register the backend (idempotent) and return its id.  Anything that wants
-/// `"global-lock"` resolvable by name — the audit CLI, benches, examples —
-/// calls this once at startup, usually via
-/// [`crate::register_workload_backends`].
-pub fn register() -> BackendId {
-    registry::register(BackendSpec {
-        name: NAME,
-        aliases: &["glock", "global"],
-        summary: "one process-wide lock serializes every transaction; \
-                  trivially consistent, zero disjoint-access-parallelism",
-        triangle: Triangle {
-            sacrificed: Axis::Parallelism,
-            parallelism: "none — disjoint transactions still contend on the one lock",
-            consistency: "serializable (fully serial execution)",
-            liveness: "blocking on the global lock (bounded spin, then abort)",
-        },
-        constructor: || Arc::new(GlobalLockBackend::new()) as Arc<dyn Backend>,
-    })
-    .expect("the global-lock spec never conflicts with itself")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stm_runtime::{Stm, StmError};
-
-    #[test]
-    fn registers_through_the_open_registry_and_parses_by_name() {
-        let id = register();
-        assert_eq!(id.name(), NAME);
-        assert_eq!("glock".parse::<BackendId>().unwrap(), id);
-        assert_eq!(id.spec().triangle.sacrificed, Axis::Parallelism);
-        // Registration is idempotent.
-        assert_eq!(register(), id);
-    }
+    use crate::registry::GLOBAL_LOCK;
+    use crate::{Stm, StmError};
 
     #[test]
     fn transactions_are_serializable_across_threads() {
-        let stm = std::sync::Arc::new(Stm::new(register()));
+        let stm = std::sync::Arc::new(Stm::new(GLOBAL_LOCK));
         let counter = stm.alloc(0i64);
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -174,7 +139,7 @@ mod tests {
 
     #[test]
     fn aborted_attempts_roll_back_and_release_the_lock() {
-        let stm = Stm::new(register());
+        let stm = Stm::new(GLOBAL_LOCK);
         let x = stm.alloc(1i64);
         let result: Result<(), StmError> = stm.try_run(|tx| {
             tx.write(x, 99)?;

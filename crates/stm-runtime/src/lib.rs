@@ -1,4 +1,4 @@
-//! # stm-runtime — a typed, multi-threaded word STM with an open backend registry
+//! # stm-runtime — a typed, multi-threaded word STM with a P/C/L backend table
 //!
 //! While `tm-model` / `tm-algorithms` reproduce the paper's *formal* model inside a
 //! deterministic simulator, this crate is the artifact a downstream user would
@@ -9,17 +9,16 @@
 //!    [`TxnValue`] (ints, `bool`, fixed arrays, tuples) encodes to one or
 //!    more consecutive words and is read/written atomically inside a
 //!    transaction.
-//! 2. **Open backends** — [`Stm::new`] takes anything `Into<BackendId>` and
-//!    resolves it through the [`registry`]: a [`registry::BackendSpec`] names
-//!    a backend, declares its P/C/L triangle position and constructs it.
-//!    Five designs ship built in — the three corners plus two interior
-//!    points that populate the consistency and parallelism axes — and other
-//!    crates add more (the `workloads` crate registers a coarse-global-lock
-//!    "give up P" backend through the same public API).  A [`Backend`] is
-//!    only its shared-memory protocol: the front end ([`Txn`], [`Stm`])
-//!    keeps each attempt's reads and buffered writes, serves repeated and
-//!    own-write reads itself, and records the [`AbortReason`] every
-//!    fallible backend method returns.
+//! 2. **Backends as data** — [`Stm::new`] takes anything `Into<BackendId>`
+//!    and resolves it through the [`registry`]: a [`registry::BackendSpec`]
+//!    names a backend, declares its P/C/L triangle position and constructs
+//!    it.  Six designs make up the fixed table — the three corners, the
+//!    interior points that populate the consistency and parallelism axes,
+//!    and the coarse-global-lock extreme of the parallelism axis.  A
+//!    [`Backend`] is only its shared-memory protocol: the front
+//!    end ([`Txn`], [`Stm`]) keeps each attempt's reads and buffered
+//!    writes, serves repeated and own-write reads itself, and records the
+//!    [`AbortReason`] every fallible backend method returns.
 //!
 //!    | Backend | P (disjoint-access) | C | L |
 //!    |---|---|---|---|
@@ -28,6 +27,7 @@
 //!    | `pram-local`       | no shared memory at all | PRAM only | wait-free |
 //!    | `mvcc`             | per-var version chains | **snapshot isolation** (admits write skew) | reads never block; first committer wins |
 //!    | `shard-lock`       | 16 hash bands (band-grain DAP only) | serializable | blocking on shard locks |
+//!    | `global-lock`      | none: one lock for everything | serializable | blocking on the one lock |
 //! 3. **Pluggable retry** — the retry-until-commit loop consults a
 //!    [`RetryPolicy`] ([`policy::ImmediateRetry`] by default;
 //!    [`policy::BoundedRetry`] and [`policy::ExponentialBackoff`] ship too),
@@ -64,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod glock;
 pub mod mvcc;
 pub mod ofree;
 pub mod policy;
@@ -114,13 +115,18 @@ pub struct Stm {
 
 impl Stm {
     /// Create an STM instance with the given backend (a [`registry`]
-    /// constant, a [`BackendId`] parsed from a name, or the id returned by
-    /// [`registry::register`]).
+    /// constant or a [`BackendId`] parsed from a name).
     pub fn new(backend: impl Into<BackendId>) -> Self {
         let id = backend.into();
-        let spec = id.spec();
+        Stm::from_backend(id, (id.spec().constructor)())
+    }
+
+    /// Create an STM instance over a backend built by the caller — say, a
+    /// [`tl2::Tl2Backend::with_spin_limit`] — reported under `id` in stats
+    /// and telemetry.
+    pub fn from_backend(id: BackendId, backend: Arc<dyn Backend>) -> Self {
         Stm {
-            backend: (spec.constructor)(),
+            backend,
             id,
             stats: Arc::new(StmStats::default()),
             recorder: None,
@@ -364,16 +370,6 @@ mod tests {
         [registry::TL2_BLOCKING, registry::OBSTRUCTION_FREE, registry::PRAM_LOCAL]
     }
 
-    fn all_builtins() -> [BackendId; 5] {
-        [
-            registry::TL2_BLOCKING,
-            registry::OBSTRUCTION_FREE,
-            registry::PRAM_LOCAL,
-            registry::MVCC,
-            registry::SHARD_LOCK,
-        ]
-    }
-
     #[test]
     fn single_threaded_read_write_round_trip_on_every_backend() {
         for kind in all_kinds() {
@@ -601,7 +597,7 @@ mod tests {
             }
         }
 
-        for kind in all_builtins() {
+        for kind in registry::all_ids() {
             let capture = Arc::new(Capture::default());
             let stm = Stm::with_recorder(kind, Arc::clone(&capture) as Arc<dyn Recorder>);
             recorder::set_session(5);
@@ -636,7 +632,6 @@ mod tests {
 
     #[test]
     fn the_front_end_owns_the_read_cache_the_write_buffer_and_the_abort_reason() {
-        use crate::registry::{register, Axis, BackendSpec, Triangle};
         use parking_lot::Mutex;
         use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -676,20 +671,7 @@ mod tests {
             fn cleanup(&self, _data: &mut TxnData) {}
         }
 
-        let id = register(BackendSpec {
-            name: "test-counting-front-end",
-            aliases: &[],
-            summary: "counts the reads that reach the backend",
-            triangle: Triangle {
-                sacrificed: Axis::Parallelism,
-                parallelism: "-",
-                consistency: "-",
-                liveness: "-",
-            },
-            constructor: || Arc::new(Counting::default()) as Arc<dyn Backend>,
-        })
-        .unwrap();
-        let stm = Stm::new(id);
+        let stm = Stm::from_backend(registry::TL2_BLOCKING, Arc::new(Counting::default()));
         let x = stm.alloc(3i64);
         let poisoned = stm.alloc(POISON);
 

@@ -43,7 +43,6 @@
 //!   collapse.
 
 use crate::backend::{Backend, VarId};
-use crate::stats::thread_stripe;
 use crate::txn::{AbortReason, TxnData};
 use crate::vartable::VarTable;
 use parking_lot::Mutex;
@@ -60,7 +59,7 @@ const SNAPSHOT: VarId = VarId(usize::MAX);
 const RING: usize = 1024;
 
 /// How many stripes the snapshot registry uses (threads map onto stripes via
-/// [`thread_stripe`]).
+/// [`tm_telemetry::thread_index`]).
 const SNAP_STRIPES: usize = 16;
 
 /// One committed version of one variable.
@@ -142,7 +141,7 @@ impl MvccBackend {
     }
 
     fn stripe(&self) -> &SnapStripe {
-        &self.snap_stripes[thread_stripe() % SNAP_STRIPES]
+        &self.snap_stripes[tm_telemetry::thread_index() % SNAP_STRIPES]
     }
 
     /// Fold every consecutive announced ticket into the stable clock.  Any

@@ -4,15 +4,15 @@
 //! visible.
 //!
 //! The counters are **striped**: each thread writes its own cache-line-padded
-//! stripe (assigned round-robin on first use) and readers sum across stripes.
+//! stripe (its [`tm_telemetry::thread_index`], round-robin) and readers sum
+//! across stripes.
 //! Counts stay exact — a read sums whatever every stripe holds at that moment
 //! — but the hot path never bounces a shared cache line between committing
 //! threads, which used to serialize disjoint transactions through the stats
 //! block even with telemetry off.
 
 use crate::txn::AbortReason;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// log2-spaced attempt buckets: bucket 0 holds exactly 1 attempt, bucket
 /// `i >= 1` holds `[2^(i-1) + 1, 2^i]` attempts.  33 buckets cover the whole
@@ -23,25 +23,6 @@ const ATTEMPT_BUCKETS: usize = 33;
 /// How many cache-line-padded counter stripes a [`StmStats`] carries (power
 /// of two so the stripe pick is a mask).
 const STRIPES: usize = 16;
-
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static THREAD_STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// The calling thread's stable stripe index (assigned round-robin on first
-/// use, shared by every striped structure in the crate).
-pub(crate) fn thread_stripe() -> usize {
-    THREAD_STRIPE.with(|s| {
-        let mut id = s.get();
-        if id == usize::MAX {
-            id = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed);
-            s.set(id);
-        }
-        id
-    })
-}
 
 fn attempt_bucket(attempts: u32) -> usize {
     // 1 → 0, 2 → 1, 3..4 → 2, 5..8 → 3, …, (2^31+1).. → 32.
@@ -93,7 +74,7 @@ impl Default for StmStats {
 impl StmStats {
     #[inline]
     fn local(&self) -> &StatStripe {
-        &self.stripes[thread_stripe() & (STRIPES - 1)]
+        &self.stripes[tm_telemetry::thread_index() & (STRIPES - 1)]
     }
 
     fn sum(&self, field: impl Fn(&StatStripe) -> &AtomicU64) -> u64 {

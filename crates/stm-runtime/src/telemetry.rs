@@ -8,7 +8,6 @@
 //! to a private [`tm_telemetry::Registry`] via [`crate::Stm::with_telemetry`]
 //! so their assertions never see another test's samples.
 
-use crate::stats::thread_stripe;
 use crate::txn::AbortReason;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,14 +18,14 @@ use tm_telemetry::{Counter, Gauge, Histogram, Registry, RingTracer};
 /// counts it as stalled.
 pub const WATCHDOG_STALL_THRESHOLD: u64 = 64;
 
-/// Per-thread slots the watchdog tracks.  A thread's slot is its crate-wide
-/// stripe index (`stats::thread_stripe`) modulo this; processes that ever
+/// Per-thread slots the watchdog tracks.  A thread's slot is its
+/// [`tm_telemetry::thread_index`] modulo this; processes that ever
 /// create more than this many threads wrap around and share slots (the
 /// gauge stays a lower bound).
 pub const WATCHDOG_SLOTS: usize = 64;
 
 fn thread_slot() -> usize {
-    thread_stripe() % WATCHDOG_SLOTS
+    tm_telemetry::thread_index() % WATCHDOG_SLOTS
 }
 
 /// The liveness watchdog: per-thread no-commit-progress detection ("What's

@@ -27,9 +27,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 use stm_runtime::policy::{ImmediateRetry, Karma, RetryPolicy, Timestamp};
-use stm_runtime::registry::{register, Axis, BackendSpec, Triangle};
+use stm_runtime::registry::TL2_BLOCKING;
 use stm_runtime::tl2::Tl2Backend;
-use stm_runtime::{Backend, BackendId, Stm};
+use stm_runtime::Stm;
 
 const VICTIMS: usize = 8;
 const ROUNDS: usize = 5;
@@ -38,32 +38,13 @@ const STALL: Duration = Duration::from_millis(30);
 /// policies stay under it, immediate retry blows through it.
 const BOUND: u32 = 512;
 
-fn tiny_spin_tl2() -> Arc<dyn Backend> {
+/// Run the hot-pair storm under `policy`; returns (commits, attempts_p50).
+fn hot_pair_storm(policy: Arc<dyn RetryPolicy>) -> (u64, u32) {
     // A tiny spin budget makes every attempt against the locked hot
     // variable abort quickly, so attempt counts — not wall time — are what
     // the policies differ in.
-    Arc::new(Tl2Backend::with_spin_limit(64))
-}
-
-fn storm_backend() -> BackendId {
-    register(BackendSpec {
-        name: "tl2-tiny-spin",
-        aliases: &[],
-        summary: "tl2-blocking with a 64-iteration spin budget (livelock regression storms)",
-        triangle: Triangle {
-            sacrificed: Axis::Liveness,
-            parallelism: "per-var metadata only (strict DAP)",
-            consistency: "serializable",
-            liveness: "blocking (tiny spin budget, then abort)",
-        },
-        constructor: tiny_spin_tl2,
-    })
-    .expect("registering the tiny-spin storm backend")
-}
-
-/// Run the hot-pair storm under `policy`; returns (commits, attempts_p50).
-fn hot_pair_storm(policy: Arc<dyn RetryPolicy>) -> (u64, u32) {
-    let stm = Arc::new(Stm::new(storm_backend()).with_policy(policy));
+    let tiny_spin = Arc::new(Tl2Backend::with_spin_limit(64));
+    let stm = Arc::new(Stm::from_backend(TL2_BLOCKING, tiny_spin).with_policy(policy));
     let hot_a = stm.alloc(0i64);
     let hot_b = stm.alloc(0i64);
     // Monotone round counter: window `r` is open once it reads `r + 1`.

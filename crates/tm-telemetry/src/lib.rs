@@ -32,7 +32,8 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    Counter, Gauge, Histogram, MetricSnapshot, MetricValue, Registry, Snapshot, HISTOGRAM_BUCKETS,
+    thread_index, Counter, Gauge, Histogram, MetricSnapshot, MetricValue, Registry, Snapshot,
+    HISTOGRAM_BUCKETS,
 };
 pub use trace::{RingTracer, TraceEvent, DEFAULT_TRACE_CAPACITY};
 

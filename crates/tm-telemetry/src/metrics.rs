@@ -44,23 +44,30 @@ const COUNTER_STRIPES: usize = 16;
 #[derive(Debug, Default)]
 struct PaddedU64(AtomicU64);
 
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
-    static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
+    static THREAD_INDEX: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
-/// The calling thread's stripe slot, assigned once per thread from a
-/// process-wide counter (threads beyond [`COUNTER_STRIPES`] share slots —
-/// correctness never depends on exclusivity, only contention does).
-fn stripe_index() -> usize {
-    STRIPE.with(|s| {
+/// The calling thread's index: 0, 1, 2, … in the order threads first ask,
+/// stable for the thread's lifetime.  Every per-thread striped structure in
+/// the workspace picks its slot as this index modulo its own slot count, so
+/// threads beyond that count share slots — correctness never depends on
+/// exclusivity, only contention does.
+#[inline]
+pub fn thread_index() -> usize {
+    THREAD_INDEX.with(|s| {
         let mut i = s.get();
         if i == usize::MAX {
-            i = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed);
+            i = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
             s.set(i);
         }
-        i % COUNTER_STRIPES
+        i
     })
+}
+
+fn stripe_index() -> usize {
+    thread_index() % COUNTER_STRIPES
 }
 
 /// A monotonically increasing counter, striped across cache lines so

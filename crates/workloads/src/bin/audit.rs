@@ -12,13 +12,13 @@
 //! Every invocation parses into one description — **what to audit** (a
 //! scenario × backend run, `--ingest`ed documents, or a `--recover`ed WAL
 //! directory) under **which plan** (`workloads::AuditPlan`: off, batch or
-//! windowed, with `--budget` / `--sat` / `--overlap` folded in) — and every
+//! windowed, with `--budget` / `--sat` folded in) — and every
 //! job executes that one plan through `workloads::run_live` /
 //! `workloads::Verdict::audit`.  Flags (README and `docs/` hold the detail):
 //!
-//! * `--backend NAME|all` — any backend registered with
-//!   `stm_runtime::registry`, by canonical name or alias (default `all`,
-//!   iterated sorted by name so output is diff-stable);
+//! * `--backend NAME|all` — any backend of `stm_runtime::registry`, by
+//!   canonical name or alias (default `all`, iterated sorted by name so
+//!   output is diff-stable);
 //! * `--scenario NAME|all` — any scenario from `workloads::all_scenarios()`
 //!   (default `registers`);
 //! * `--retry POLICY` — contention-manager retry pacing (default `immediate`;
@@ -28,10 +28,10 @@
 //! * `--audit[=SPEC]` — the plan: absent `Off`; bare `Batch` (the whole
 //!   history at once); `--audit=WINDOW` or `window[:size=N][:overlap=M]`
 //!   `Windowed` (rolling windows audited beside the workload, bounded
-//!   memory).  Only *recordable* scenarios (unique write values) can be
-//!   audited; `--scenario all` skips the others with a note;
-//! * `--overlap N` — transactions re-audited at the head of the next window
-//!   (default WINDOW/8; must be smaller than the window);
+//!   memory; `overlap` is the transactions re-audited at the head of the
+//!   next window, default size/8, and must be smaller than the window).
+//!   Only *recordable* scenarios (unique write values) can be audited;
+//!   `--scenario all` skips the others with a note;
 //! * `--budget N` — SI/SER search state budget (default 2,000,000);
 //! * `--sat[=conflicts=N[:force]]` — decide what the DFS probe leaves
 //!   `Unknown` with the `tm-sat` commit-order solver; verdicts carry
@@ -86,14 +86,17 @@ use workloads::{
 };
 
 /// Parse the value of `--audit=SPEC`: a bare number (legacy window size) or
-/// `window[:size=N][:overlap=M]`.  Returns the windowed plan (knobs not yet
-/// folded in) plus the spec's overlap override, if any.
-fn parse_audit_spec(spec: &str) -> Result<(AuditPlan, Option<usize>), String> {
+/// `window[:size=N][:overlap=M]`, into the window shape (`--budget` and
+/// `--sat` not yet folded in).  An overlap that does not fit inside the
+/// window is refused here: the auditor would clamp it to `size − 1`, a
+/// stride of one transaction, and audit hundreds of times more windows
+/// without a word.
+fn parse_audit_spec(spec: &str) -> Result<WindowConfig, String> {
     if let Ok(window) = spec.parse::<usize>() {
         if window < 2 {
             return Err("--audit=WINDOW needs WINDOW ≥ 2".into());
         }
-        return Ok((AuditPlan::Windowed(WindowConfig::sized(window)), None));
+        return Ok(WindowConfig::sized(window));
     }
     let mut parts = spec.split(':');
     if parts.next() != Some("window") {
@@ -117,7 +120,17 @@ fn parse_audit_spec(spec: &str) -> Result<(AuditPlan, Option<usize>), String> {
     if size < 2 {
         return Err("--audit=window:size=N needs N ≥ 2".into());
     }
-    Ok((AuditPlan::Windowed(WindowConfig::sized(size)), overlap))
+    let mut window = WindowConfig::sized(size);
+    if let Some(overlap) = overlap {
+        if overlap >= size {
+            return Err(format!(
+                "--audit spec overlap={overlap} must be smaller than the window of {size} \
+                 transactions"
+            ));
+        }
+        window.overlap = overlap;
+    }
+    Ok(window)
 }
 
 struct Args {
@@ -131,11 +144,10 @@ struct Args {
     txns: usize,
     vars: usize,
     seed: u64,
-    /// `--audit[=SPEC]` with `--budget`, `--sat` and `--overlap` folded in:
-    /// the one description live runs, `--ingest` replays and every `--serve`
+    /// `--audit[=SPEC]` with `--budget` and `--sat` folded in: the one
+    /// description live runs, `--ingest` replays and every `--serve`
     /// endpoint execute.
     plan: AuditPlan,
-    overlap: Option<usize>,
     budget: u64,
     sat: Option<SatConfig>,
     json: Option<String>,
@@ -163,7 +175,6 @@ impl Default for Args {
             vars: 64,
             seed: 2_024,
             plan: AuditPlan::Off,
-            overlap: None,
             budget: DEFAULT_STATE_BUDGET,
             sat: None,
             json: None,
@@ -230,7 +241,6 @@ where
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
-    let mut spec_overlap = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -244,7 +254,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--txns" => args.txns = value_of(&mut it, arg)?,
             "--vars" => args.vars = value_of(&mut it, arg)?,
             "--seed" => args.seed = value_of(&mut it, arg)?,
-            "--overlap" => args.overlap = Some(value_of(&mut it, arg)?),
             "--budget" => args.budget = value_of(&mut it, arg)?,
             "--serve-rounds" => args.serve_rounds = Some(value_of(&mut it, arg)?),
             "--json" => args.json = Some(value_of(&mut it, arg)?),
@@ -261,7 +270,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--list" => args.list = true,
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with("--audit=") => {
-                (args.plan, spec_overlap) = parse_audit_spec(&other["--audit=".len()..])?;
+                args.plan = AuditPlan::Windowed(parse_audit_spec(&other["--audit=".len()..])?);
             }
             other if other.starts_with("--sat=") => {
                 args.sat = Some(parse_sat_spec(&other["--sat=".len()..])?);
@@ -269,8 +278,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    // An explicit --overlap flag wins over the spec's overlap= element.
-    args.overlap = args.overlap.or(spec_overlap);
     if args.threads == 0 || args.txns == 0 || args.vars == 0 {
         return Err("--threads, --txns and --vars must be positive".into());
     }
@@ -350,7 +357,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         AuditPlan::Batch(_) => {
             AuditPlan::Batch(AuditOptions { budget: args.budget, sat: args.sat })
         }
-        AuditPlan::Windowed(window) => AuditPlan::Windowed(window_config(window.size, &args)?),
+        AuditPlan::Windowed(window) => AuditPlan::Windowed(with_knobs(window, &args)),
     };
     Ok(args)
 }
@@ -360,7 +367,7 @@ fn usage() {
         "usage: audit [--backend NAME|all] [--scenario NAME|all] [--retry POLICY]\n\
          \x20            [--threads N] [--txns N] [--vars N] [--seed N]\n\
          \x20            [--audit[=WINDOW | window[:size=N][:overlap=M]]]\n\
-         \x20            [--overlap N] [--budget N] [--sat[=conflicts=N[:force]]]\n\
+         \x20            [--budget N] [--sat[=conflicts=N[:force]]]\n\
          \x20            [--json PATH] [--fail-on-violation]\n\
          \x20            [--export PATH] [--ingest FILE|-]\n\
          \x20            [--serve] [--serve-rounds N] [--sink PATH] [--metrics]\n\
@@ -457,24 +464,9 @@ fn print_run_line(run: &workloads::ScenarioRunReport) {
     }
 }
 
-/// The window shape `--audit=…`, `--budget`, `--sat` and `--overlap` add
-/// up to.  An overlap that does not fit inside the window is refused here:
-/// the auditor would clamp it to `size − 1`, a stride of one transaction,
-/// and audit hundreds of times more windows without a word.
-fn window_config(window: usize, args: &Args) -> Result<WindowConfig, String> {
-    let mut wc = WindowConfig::sized(window);
-    wc.budget = args.budget;
-    wc.sat = args.sat;
-    if let Some(overlap) = args.overlap {
-        if overlap >= wc.size {
-            return Err(format!(
-                "--overlap {overlap} must be smaller than the window of {} transactions",
-                wc.size
-            ));
-        }
-        wc.overlap = overlap;
-    }
-    Ok(wc)
+/// `window` with the `--budget` and `--sat` knobs folded in.
+fn with_knobs(window: WindowConfig, args: &Args) -> WindowConfig {
+    WindowConfig { budget: args.budget, sat: args.sat, ..window }
 }
 
 /// Set by the SIGTERM/SIGINT handler; the serve loop finishes its current
@@ -670,20 +662,19 @@ fn recovered_record(report: &workloads::RecoveredRoundReport) -> String {
 }
 
 /// The fallback window shape for recovering rounds whose crash landed
-/// before the first window-closing seal: an explicit `--audit=window...`
-/// spec wins, then the WAL directory's own `wal-meta.json` (the shape the
-/// round was actually produced with), then the serve default.  Rounds with a
-/// window-closing seal ignore this — its recorded config wins.
+/// before the first window-closing seal: the WAL directory's own
+/// `wal-meta.json` (the shape the rounds were produced with) wins — so a
+/// recovered round reaches the verdict the uninterrupted round would have —
+/// then an explicit `--audit=window...` spec, then the serve default.
+/// Rounds with a window-closing seal ignore this — its recorded config wins.
 fn recover_fallback_window(args: &Args, wal_dir: &Path) -> Result<WindowConfig, String> {
-    if let AuditPlan::Windowed(window) = args.plan {
-        return Ok(window);
-    }
     if let Some(meta) = workloads::WalMeta::load(wal_dir)? {
-        let mut window = meta.window;
-        window.sat = args.sat;
-        return Ok(window);
+        return Ok(WindowConfig { sat: args.sat, ..meta.window });
     }
-    window_config(2_048, args)
+    Ok(match args.plan {
+        AuditPlan::Windowed(window) => window,
+        _ => with_knobs(WindowConfig::default(), args),
+    })
 }
 
 /// Recover every incomplete round under `wal_dir`, emitting one
@@ -792,12 +783,13 @@ fn serve_lifecycle(
 /// runs, then one `verdict` record (and, under `--metrics`, one guaranteed
 /// `metrics` record).
 ///
-/// `--wal` adds exactly three things: the directory's `wal-meta.json`, an
-/// optional recovery pass over the rounds a previous process left behind,
-/// and rounds that log to `DIR/round-NNNN/` — numbered (and seeded) by the
-/// durable round index, so a restarted endpoint continues where the killed
-/// one stopped — sealing at window boundaries after flushing + fsyncing the
-/// `--sink` mirror.
+/// `--wal` adds exactly three things: an optional recovery pass over the
+/// rounds a previous process left behind; then the directory's
+/// `wal-meta.json`, stored only after that pass, which must read the shape
+/// the crashed rounds were produced with; and rounds that log to
+/// `DIR/round-NNNN/` — numbered (and seeded) by the durable round index, so
+/// a restarted endpoint continues where the killed one stopped — sealing at
+/// window boundaries after flushing + fsyncing the `--sink` mirror.
 fn serve(args: &Args) -> Result<ExitCode, Failure> {
     let wal_dir = args.wal.as_deref().map(Path::new);
     let wal_error =
@@ -805,11 +797,9 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
     let AuditPlan::Windowed(shape) = args.plan else {
         unreachable!("parse_args forces the windowed plan under --serve")
     };
-    let mut wal_field = String::new();
-    if let Some(dir) = wal_dir {
-        workloads::WalMeta { window: shape }.store(dir).map_err(wal_error)?;
-        wal_field = format!("\"wal\":\"{}\",", json::escape(&dir.display().to_string()));
-    }
+    let wal_field = wal_dir.map_or(String::new(), |dir| {
+        format!("\"wal\":\"{}\",", json::escape(&dir.display().to_string()))
+    });
     let start_fields = format!(
         "\"scenario\":\"{}\",\"backend\":\"{}\",\"window\":{},\"threads\":{},\
          \"txns_per_round\":{},{wal_field}",
@@ -820,10 +810,13 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
         args.threads * args.txns,
     );
     let resume = |emitter: &ServeEmitter| -> Result<bool, Failure> {
-        match (wal_dir, &args.recover) {
-            (Some(dir), Some(_)) => Ok(recover_rounds(args, dir, emitter, &mut Vec::new())?),
-            _ => Ok(false),
-        }
+        let Some(dir) = wal_dir else { return Ok(false) };
+        let violated = match args.recover {
+            Some(_) => recover_rounds(args, dir, emitter, &mut Vec::new())?,
+            None => false,
+        };
+        workloads::WalMeta { window: shape }.store(dir).map_err(wal_error)?;
+        Ok(violated)
     };
     // One post-mortem per serve lifetime: the bounded event ring is dumped on
     // the *first* conviction and never again (the flight recorder's contents
@@ -1108,10 +1101,6 @@ fn live(args: &Args) -> Result<ExitCode, Failure> {
 }
 
 fn main() -> ExitCode {
-    // Make this crate's contributed backends ("global-lock") resolvable
-    // before any name parsing happens.
-    workloads::register_workload_backends();
-
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
         Ok(args) => args,

@@ -1,4 +1,4 @@
-//! # workloads — scenarios, backends-from-outside, and the runner for the STM runtime
+//! # workloads — scenarios and the runner for the STM runtime
 //!
 //! The PCL paper has no performance evaluation (it is an impossibility result), but
 //! its discussion section is all about the *practical* trade-off the theorem
@@ -7,16 +7,14 @@
 //! that question:
 //!
 //! * [`scenario`] / [`scenarios`] — the **Scenario API**: workloads as pluggable
-//!   data ([`Scenario`] + [`ScenarioState`]), with a registry mirroring the
-//!   backend registry.  Built-ins: the RMW-heavy `registers` mix (the audit
-//!   workhorse), a read-heavy `kv-zipf` hotspot store, `scan-writers` (one long
-//!   read-only scan racing short writers), `write-skew` (read-a-pair,
-//!   write-one-half — the shape whose audited run separates the SI and SER
-//!   verdicts on the `mvcc` backend) and the classic `bank`;
-//! * [`glock`] — a coarse-global-lock backend (**"give up Parallelism"**)
-//!   registered into [`stm_runtime::registry`] *from this crate*: the proof the
-//!   backend registry is open.  [`register_workload_backends`] makes its name
-//!   resolvable; CLI/bench/example entry points call it at startup;
+//!   data ([`Scenario`] + [`ScenarioState`]), resolved by name like the
+//!   backends of [`stm_runtime::registry`] (every backend, `global-lock`
+//!   included, is a row of that crate's static table).  Built-ins: the
+//!   RMW-heavy `registers` mix (the audit workhorse), a read-heavy `kv-zipf`
+//!   hotspot store, `scan-writers` (one long read-only scan racing short
+//!   writers), `write-skew` (read-a-pair, write-one-half — the shape whose
+//!   audited run separates the SI and SER verdicts on the `mvcc` backend)
+//!   and the classic `bank`;
 //! * [`bank`] / [`zipf`] — the transfer workload and a Zipfian sampler;
 //! * [`runner`] — the thread-pool runners: unaudited scenario runs
 //!   ([`run_scenario`]) and [`run_live`], which executes one description of
@@ -39,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod bank;
-pub mod glock;
 pub mod recovery;
 pub mod runner;
 pub mod scenario;
@@ -64,10 +61,8 @@ pub use scenarios::{
 };
 pub use zipf::Zipf;
 
-/// Register every backend this crate contributes (currently [`glock`]) with
-/// the open [`stm_runtime::registry`].  Idempotent and cheap — CLI, bench and
-/// example entry points call it once at startup so names like
-/// `"global-lock"` parse.
-pub fn register_workload_backends() {
-    glock::register();
-}
+/// Does nothing.  Every backend, `global-lock` included, is a row of
+/// [`stm_runtime::registry`]'s static table and resolves by name from the
+/// start; this crate no longer contributes one.  Kept only because the
+/// `benchmark/` package still calls it.
+pub fn register_workload_backends() {}

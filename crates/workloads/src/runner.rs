@@ -136,8 +136,8 @@ fn require_recordable(scenario: &dyn Scenario) -> Result<(), String> {
 }
 
 /// How a run — or a finished history — is audited: the plan and its
-/// knobs.  The audit CLI parses `--audit[=SPEC]`, `--budget`, `--sat` and
-/// `--overlap` into one of these.
+/// knobs.  The audit CLI parses `--audit[=SPEC]`, `--budget` and `--sat`
+/// into one of these.
 #[derive(Debug, Clone, Copy)]
 pub enum AuditPlan {
     /// No audit: throughput, attempt percentiles and the scenario's own
@@ -715,17 +715,13 @@ mod tests {
     }
 
     #[test]
-    fn scenarios_run_on_an_externally_registered_backend() {
-        // The coarse-global-lock backend comes from this crate, not from
-        // stm-runtime: running the bank scenario on it end-to-end proves the
-        // registry is open.
-        let glock = crate::glock::register();
+    fn scenarios_run_on_the_global_lock_backend() {
         let scenario = crate::scenarios::BankScenario::default();
         let config = ScenarioConfig {
             threads: 4,
             txns_per_thread: 150,
             vars: 16,
-            ..ScenarioConfig::new(glock)
+            ..ScenarioConfig::new(stm_runtime::registry::GLOBAL_LOCK)
         };
         let report = run_scenario(&scenario, &config);
         // Self-transfers commit nothing, so commits ≤ threads × txns.

@@ -241,25 +241,33 @@ fn serve_ingest_fail_on_violation_exits_nonzero() {
 }
 
 /// An overlap that does not fit inside the window used to be clamped to
-/// `size − 1` — a stride of one transaction — without a word; both spellings
-/// are refused at parse time, naming the two numbers.
+/// `size − 1` — a stride of one transaction — without a word; it is refused
+/// at parse time, naming the two numbers.  The spec is the one spelling of
+/// the knob: a separate `--overlap` flag is an unknown flag.
 #[test]
 fn overlap_not_smaller_than_the_window_is_a_usage_error() {
-    for args in [&["--audit=window:size=512:overlap=512"][..], &["--audit=64", "--overlap", "999"]]
-    {
+    for (spec, overlap, window) in [
+        ("--audit=window:size=512:overlap=512", "512", "512"),
+        ("--audit=window:size=64:overlap=999", "999", "64"),
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_audit"))
-            .args(args)
+            .arg(spec)
             .output()
             .expect("running the audit binary");
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert_eq!(out.status.code(), Some(2), "{spec}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let (overlap, window) = if args.len() == 1 { ("512", "512") } else { ("999", "64") };
         assert!(
-            stderr.contains(&format!("--overlap {overlap}"))
+            stderr.contains(&format!("overlap={overlap}"))
                 && stderr.contains(&format!("window of {window}")),
-            "{args:?}: {stderr}"
+            "{spec}: {stderr}"
         );
     }
+    let out = Command::new(env!("CARGO_BIN_EXE_audit"))
+        .args(["--audit=64", "--overlap", "8"])
+        .output()
+        .expect("running the audit binary");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag \"--overlap\""));
 }
 
 /// `shards=` is not a key of the streaming spec: like any unknown key it is

@@ -4,14 +4,17 @@
 //! green recovered verdict covering both the sealed prefix and the replayed
 //! post-seal suffix.  A final `--serve --wal --recover` run proves a
 //! restarted endpoint skips the completed round and continues at the next
-//! durable round index.  Hostile seals must fail `--recover` with exit 2.
+//! durable round index, and a round that crashed before its first seal is
+//! recovered with the window shape it was served at, whatever the restart's
+//! `--audit=` spec says.  Hostile seals must fail `--recover` with exit 2.
 
 use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
+use stm_runtime::wal::WalSink;
 use tm_audit::{TxnSink, WindowConfig, WindowedAuditor};
 use tm_history::{generate, GenConfig};
-use workloads::WalTee;
+use workloads::{WalMeta, WalTee};
 
 /// Extract the number following `"key":` in a hand-rolled JSON document.
 fn json_u64(text: &str, key: &str) -> u64 {
@@ -151,6 +154,72 @@ fn sigkill_mid_round_then_recover_reports_a_green_continuation() {
     assert!(stdout.contains("\"reason\":\"rounds-exhausted\""), "{stdout}");
     assert!(wal.join("round-0001").join("complete.json").exists());
 
+    std::fs::remove_dir_all(&wal).expect("cleanup");
+}
+
+/// A restarted endpoint (`--serve --wal --recover`) finishes a round that
+/// crashed before its first seal — so no seal records the round's shape —
+/// with the shape in `wal-meta.json`, the one the round was served at, not
+/// with the restart's own `--audit=window…` spec: recovery must reach the
+/// verdict the uninterrupted round would have.
+#[test]
+fn a_restart_recovers_an_unsealed_round_with_the_served_window_shape() {
+    let wal = std::env::temp_dir().join(format!("workloads-recovery-meta-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal);
+    let wal_arg = wal.to_str().expect("utf-8 temp path");
+    WalMeta { window: WindowConfig::sized(64) }.store(&wal).expect("wal-meta.json");
+    let history = generate(&GenConfig {
+        sessions: 2,
+        vars: 8,
+        txns_per_session: 20,
+        seed: 5,
+        ..GenConfig::default()
+    })
+    .history;
+    let round = wal.join("round-0000");
+    let mut sink = WalSink::create(&round, 2, history.n_vars, history.initial).expect("wal sink");
+    let mut seq = [0u64; 2];
+    for (s, t) in history.recording_order() {
+        sink.append_txn(s, seq[s], t.hint, &t.reads, &t.writes).expect("append");
+        seq[s] += 1;
+    }
+    drop(sink); // kill -9 before the first seal
+
+    let out = Command::new(env!("CARGO_BIN_EXE_audit"))
+        .args([
+            "--serve",
+            "--serve-rounds",
+            "1",
+            "--wal",
+            wal_arg,
+            "--recover",
+            wal_arg,
+            "--scenario",
+            "registers",
+            "--backend",
+            "obstruction-free",
+            "--threads",
+            "2",
+            "--txns",
+            "50",
+            "--vars",
+            "32",
+            "--audit=window:size=16",
+        ])
+        .output()
+        .expect("restarting the endpoint");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let recovered = stdout
+        .lines()
+        .find(|line| line.contains("\"type\":\"recovered-verdict\""))
+        .unwrap_or_else(|| panic!("no recovered-verdict record:\n{stdout}"));
+    assert_eq!(json_u64(recovered, "total_txns"), 40, "{recovered}");
+    assert_eq!(json_u64(recovered, "windows"), 1, "{recovered}");
+    assert_eq!(json_u64(recovered, "window_size"), 64, "{recovered}");
+    // Once recovery is done, the stored shape is the restarted endpoint's.
+    let stored = WalMeta::load(&wal).expect("wal-meta.json parses").expect("wal-meta.json");
+    assert_eq!(stored.window.size, 16);
     std::fs::remove_dir_all(&wal).expect("cleanup");
 }
 

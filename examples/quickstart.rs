@@ -1,6 +1,7 @@
 //! Quickstart: use the typed multi-threaded STM runtime for concurrent bank
-//! transfers on **every registered backend**, and watch where each backend
-//! sits in the P/C/L triangle.
+//! transfers on **every backend of the registry** — its fixed table of six,
+//! one row per design — and watch where each backend sits in the P/C/L
+//! triangle.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -10,13 +11,9 @@ use stm_runtime::{registry, Stm, TVar};
 use workloads::{run_scenario, stalled_writer_experiment, BankScenario, ScenarioConfig};
 
 fn main() {
-    // Backends are registry entries, not an enum: this also picks up the
-    // coarse-global-lock backend the `workloads` crate registers.
-    workloads::register_workload_backends();
-
-    println!("== PCL quickstart: one bank, every registered backend ==\n");
-    for spec in registry::all() {
-        let backend: stm_runtime::BackendId = spec.name.parse().expect("registered name parses");
+    println!("== PCL quickstart: one bank, every backend ==\n");
+    for backend in registry::all_ids() {
+        let spec = backend.spec();
         // 4 threads over 64 accounts, one transfer in five crossing partitions.
         let config = ScenarioConfig { txns_per_thread: 2_000, ..ScenarioConfig::new(backend) };
         let report = run_scenario(&BankScenario::default(), &config);
@@ -33,12 +30,12 @@ fn main() {
     }
 
     println!("== the liveness axis: a writer stalls for 100 ms mid-transaction ==\n");
-    for spec in registry::all() {
-        let backend: stm_runtime::BackendId = spec.name.parse().unwrap();
+    for backend in registry::all_ids() {
         let commits = stalled_writer_experiment(backend, 2, Duration::from_millis(100));
         println!(
             "{:<18} victims committed {:>7} transactions while the writer was stalled",
-            spec.name, commits
+            backend.name(),
+            commits
         );
     }
 

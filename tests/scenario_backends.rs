@@ -1,7 +1,8 @@
-//! End-to-end acceptance for the open-API redesign: a backend registered
-//! *outside* `stm-runtime` and scenarios other than `bank` run through the
-//! scenario runner's audit plans and produce verdicts; names parse through
-//! the registries (with helpful unknown-name errors); retry policies and the
+//! End-to-end acceptance for the scenario and backend APIs: every row of the
+//! backend table resolves by name with no set-up call, README's P/C/L table
+//! is that table, scenarios other than `bank` run through the scenario
+//! runner's audit plans and produce verdicts, names parse through the
+//! registries (with helpful unknown-name errors), and retry policies and the
 //! attempt histogram flow into the reports.
 
 use pcl_tm::audit::{Level, WindowConfig};
@@ -15,10 +16,40 @@ fn config(backend: impl Into<BackendId>, threads: usize, txns: usize) -> Scenari
 }
 
 #[test]
-fn externally_registered_backend_is_audited_end_to_end() {
-    workloads::register_workload_backends();
+fn the_backend_table_is_six_fixed_rows_that_resolve_without_set_up(
+) -> Result<(), Box<dyn std::error::Error>> {
+    let stm = pcl_tm::stm::Stm::new("global-lock".parse::<BackendId>()?);
+    let x = stm.alloc(1i64);
+    stm.run(|tx| tx.update(x, |v| v + 1));
+    assert_eq!(stm.read_now(x), 2);
+    let names: Vec<&str> = registry::all_ids().into_iter().map(BackendId::name).collect();
+    assert_eq!(
+        names,
+        ["global-lock", "mvcc", "obstruction-free", "pram-local", "shard-lock", "tl2-blocking"]
+    );
+    Ok(())
+}
+
+/// README's "which backend gives up what" table is the registry's rows,
+/// verbatim: a spec edit that README does not follow fails here.
+#[test]
+fn readme_backend_table_is_the_registry() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("reading README.md");
+    for spec in registry::all() {
+        let t = &spec.triangle;
+        let row = format!(
+            "| `{}` | {} | {} | {} | {} |",
+            spec.name, t.sacrificed, t.parallelism, t.consistency, t.liveness
+        );
+        assert!(readme.lines().any(|line| line == row), "README.md lacks the row\n{row}");
+    }
+}
+
+#[test]
+fn global_lock_backend_is_audited_end_to_end() {
     // The name resolves through the registry (not an enum) …
-    let glock: BackendId = "global-lock".parse().expect("workloads registered it");
+    let glock: BackendId = "global-lock".parse().expect("a row of the table");
     // … and a non-bank scenario runs and is proven serializable on it.
     let scenario = scenario_by_name("kv-zipf").unwrap();
     let plan = LivePlan::new(AuditPlan::Batch(Default::default()));
@@ -55,7 +86,6 @@ fn scan_writers_scenario_streams_to_a_verdict_on_every_builtin() {
 
 #[test]
 fn unknown_names_fail_with_the_registered_lists() {
-    workloads::register_workload_backends();
     let backend_err = "no-such-backend".parse::<BackendId>().unwrap_err();
     assert!(backend_err.known.contains(&"global-lock"), "{backend_err}");
     let scenario_err = scenario_by_name("no-such-scenario").unwrap_err();
