@@ -3,7 +3,7 @@
 //! While `tm-model` / `tm-algorithms` reproduce the paper's *formal* model inside a
 //! deterministic simulator, this crate is the artifact a downstream user would
 //! actually link against: a shared-memory software transactional memory runnable on
-//! real threads.  The public API has three layers, each pluggable:
+//! real threads.  The public API has two layers:
 //!
 //! 1. **Typed variables** — [`TVar<T>`] handles over the word STM.  Any
 //!    [`TxnValue`] (ints, `bool`, fixed arrays, tuples) encodes to one or
@@ -28,11 +28,14 @@
 //!    | `mvcc`             | per-var version chains | **snapshot isolation** (admits write skew) | reads never block; first committer wins |
 //!    | `shard-lock`       | 16 hash bands (band-grain DAP only) | serializable | blocking on shard locks |
 //!    | `global-lock`      | none: one lock for everything | serializable | blocking on the one lock |
-//! 3. **Pluggable retry** — the retry-until-commit loop consults a
-//!    [`RetryPolicy`] ([`policy::ImmediateRetry`] by default;
-//!    [`policy::BoundedRetry`] and [`policy::ExponentialBackoff`] ship too),
-//!    and [`StmStats`] keeps an attempts-per-transaction histogram
-//!    (p50/p99) so policies are measurable, not just selectable.
+//!
+//! [`Stm::run`] is one retry loop: attempt, and on an abort spin once
+//! ([`std::hint::spin_loop`]) and attempt again until the transaction
+//! commits; [`Stm::try_run`] is a single attempt.  A transaction shares
+//! memory through its backend and, outside it, only through three things
+//! the front end touches: the optional [`Recorder`] (on commit), the
+//! calling thread's stripe of [`StmStats`] (one relaxed increment per abort
+//! and per commit) and the optional [`StmTelemetry`] handle.
 //!
 //! ```
 //! use stm_runtime::{registry, Stm, StmError, TVar};
@@ -67,7 +70,6 @@ pub mod backend;
 pub mod glock;
 pub mod mvcc;
 pub mod ofree;
-pub mod policy;
 pub mod pramlocal;
 pub mod recorder;
 pub mod registry;
@@ -83,7 +85,6 @@ mod vlock;
 pub mod wal;
 
 pub use backend::{Backend, VarId};
-pub use policy::{RetryDecision, RetryPolicy};
 pub use recorder::{
     Access, AccessSet, CommitBatch, CommitRecord, CommittedTxn, Recorder, StreamConsumer,
     StreamingRecorder,
@@ -96,18 +97,15 @@ pub use txn::{AbortReason, StmError, Txn, TxnData, VarMap};
 pub use value::TxnValue;
 pub use vartable::VarTable;
 
-use policy::{ImmediateRetry, PolicyScratch, RetryCtx, RetryDecision as Decision};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The front-end: a transactional memory instance with a chosen backend and
-/// retry policy.
+/// The front-end: a transactional memory instance with a chosen backend.
 pub struct Stm {
     backend: Arc<dyn Backend>,
     id: BackendId,
     stats: Arc<StmStats>,
     recorder: Option<Arc<dyn Recorder>>,
-    policy: Arc<dyn RetryPolicy>,
     /// `Some` only when metrics are on: the metrics-off commit path pays
     /// exactly one never-taken branch on this option.
     tele: Option<Arc<StmTelemetry>>,
@@ -130,7 +128,6 @@ impl Stm {
             id,
             stats: Arc::new(StmStats::default()),
             recorder: None,
-            policy: Arc::new(ImmediateRetry),
             tele: tm_telemetry::enabled()
                 .then(|| Arc::new(StmTelemetry::from_registry(tm_telemetry::global(), id.name()))),
         }
@@ -151,13 +148,6 @@ impl Stm {
         self.recorder.take()
     }
 
-    /// Replace the retry policy (builder style).  The default is
-    /// [`policy::ImmediateRetry`], the historical retry-until-commit loop.
-    pub fn with_policy(mut self, policy: Arc<dyn RetryPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Attach a telemetry handle (builder style), regardless of the global
     /// [`tm_telemetry::enabled`] flag.  Tests bind one to a private
     /// [`tm_telemetry::Registry`] so metric-invariant assertions are exact.
@@ -169,11 +159,6 @@ impl Stm {
     /// The telemetry handle, when metrics are on for this instance.
     pub fn telemetry(&self) -> Option<&StmTelemetry> {
         self.tele.as_deref()
-    }
-
-    /// The retry policy in effect.
-    pub fn policy(&self) -> &dyn RetryPolicy {
-        self.policy.as_ref()
     }
 
     /// Which backend this instance uses.
@@ -194,44 +179,40 @@ impl Stm {
         &self.stats
     }
 
-    /// Run one attempt of a transaction (no retries, no policy).
+    /// Run one attempt of a transaction (no retries).
     /// `Err(StmError::Aborted)` means the attempt failed and the caller may
     /// retry.
     pub fn try_run<T>(
         &self,
         body: impl Fn(&mut Txn<'_>) -> Result<T, StmError>,
     ) -> Result<T, StmError> {
-        let mut data = TxnData::default();
-        match self.attempt(&mut data, &body) {
-            Ok(v) => {
-                self.stats.record_attempts(1);
-                Ok(v)
-            }
-            Err(_) => Err(StmError::Aborted),
+        let result = self.attempt(&mut TxnData::default(), &body);
+        if result.is_ok() {
+            self.stats.record_attempts(1);
         }
+        result
     }
 
-    /// Clean up after an abort, record it in the stats (and the telemetry
-    /// mirror, when on) and surface its reason to the retry loop.
-    fn abort(&self, data: &mut TxnData, reason: AbortReason) -> AbortReason {
+    /// Clean up after an abort and record its reason in the stats (and the
+    /// telemetry mirror, when on).
+    fn abort(&self, data: &mut TxnData, reason: AbortReason) -> StmError {
         self.backend.cleanup(data);
         self.stats.record_abort(reason);
         if let Some(tele) = &self.tele {
             tele.on_abort(reason);
         }
-        reason
+        StmError::Aborted
     }
 
     /// One raw attempt: reset, begin, run the body, commit or clean up.
-    /// `Err` carries the abort's reason (already recorded); callers surface
-    /// it to users as [`StmError::Aborted`].  `data` is caller-owned so the
-    /// retry loop reuses one allocation (read/write-set capacity) across
-    /// every attempt of a transaction.
+    /// An abort's reason is recorded before it returns `Err`.  `data` is
+    /// caller-owned so the retry loop reuses one allocation (read/write-set
+    /// capacity) across every attempt of a transaction.
     fn attempt<T>(
         &self,
         data: &mut TxnData,
         body: &impl Fn(&mut Txn<'_>) -> Result<T, StmError>,
-    ) -> Result<T, AbortReason> {
+    ) -> Result<T, StmError> {
         data.reset();
         self.backend.begin(data);
         // The one metrics branch on the hot path: with telemetry off,
@@ -281,61 +262,18 @@ impl Stm {
         }
     }
 
-    /// Run a transaction until it commits and return its result.  Failed
-    /// attempts consult the [`RetryPolicy`] for pacing; because `run`
-    /// promises a value, a [`RetryDecision::GiveUp`] is treated as an
-    /// immediate retry here — use [`Stm::run_policy`] to let the policy
-    /// actually stop the loop.
+    /// Run a transaction until it commits and return its result: after
+    /// each aborted attempt, one [`std::hint::spin_loop`] and a fresh
+    /// attempt.  The attempt count lands in the [`StmStats`] histogram.
     pub fn run<T>(&self, body: impl Fn(&mut Txn<'_>) -> Result<T, StmError>) -> T {
-        self.retry_loop::<false, T>(body).expect("run never gives up")
-    }
-
-    /// Run a transaction until it commits **or the retry policy gives up**,
-    /// in which case the last abort is returned.  Attempt counts land in the
-    /// [`StmStats`] histogram either way.
-    pub fn run_policy<T>(
-        &self,
-        body: impl Fn(&mut Txn<'_>) -> Result<T, StmError>,
-    ) -> Result<T, StmError> {
-        self.retry_loop::<true, T>(body).ok_or(StmError::Aborted)
-    }
-
-    /// The one retry loop behind [`Stm::run`] and [`Stm::run_policy`]:
-    /// attempt, and on an abort ask the policy what to do.  Only with
-    /// `MAY_GIVE_UP` does a [`RetryDecision::GiveUp`] end the loop (`None`);
-    /// otherwise it retries at once.
-    fn retry_loop<const MAY_GIVE_UP: bool, T>(
-        &self,
-        body: impl Fn(&mut Txn<'_>) -> Result<T, StmError>,
-    ) -> Option<T> {
         let mut attempts = 1u32;
         let mut data = TxnData::default();
-        let mut scratch = PolicyScratch::default();
         loop {
-            let reason = match self.attempt(&mut data, &body) {
-                Ok(v) => {
-                    self.stats.record_attempts(attempts);
-                    self.policy.on_commit(&mut scratch);
-                    return Some(v);
-                }
-                Err(reason) => reason,
-            };
-            let ctx = RetryCtx { attempt: attempts, stats: &self.stats, scratch: &mut scratch };
-            match self.policy.decide(ctx) {
-                Decision::GiveUp if MAY_GIVE_UP => {
-                    self.stats.record_attempts(attempts);
-                    // The final attempt's abort was recorded under its
-                    // conflict reason; the policy stopping the loop is what
-                    // makes it a give-up, so reclassify it.
-                    self.stats.reclassify_abort(reason, AbortReason::Giveup);
-                    if let Some(tele) = &self.tele {
-                        tele.on_giveup(reason);
-                    }
-                    return None;
-                }
-                Decision::SpinThen(spins) => policy::spin_wait(spins),
-                Decision::RetryNow | Decision::GiveUp => std::hint::spin_loop(),
+            if let Ok(v) = self.attempt(&mut data, &body) {
+                self.stats.record_attempts(attempts);
+                return v;
             }
+            std::hint::spin_loop();
             attempts = attempts.saturating_add(1);
         }
     }
@@ -353,11 +291,7 @@ impl Stm {
 
 impl std::fmt::Debug for Stm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Stm")
-            .field("backend", &self.id)
-            .field("policy", &self.policy.name())
-            .field("stats", &self.stats)
-            .finish()
+        f.debug_struct("Stm").field("backend", &self.id).field("stats", &self.stats).finish()
     }
 }
 
@@ -496,37 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn bounded_policies_give_up_through_run_policy() {
-        use crate::policy::BoundedRetry;
-        let stm = Stm::new(registry::OBSTRUCTION_FREE)
-            .with_policy(Arc::new(BoundedRetry { max_attempts: 3 }));
-        assert_eq!(stm.policy().name(), "bounded");
-        let x = stm.alloc(0i64);
-        // A body that always asks to abort: run_policy must stop after 3 attempts.
-        let result: Result<(), StmError> = stm.run_policy(|tx| {
-            tx.write(x, 1)?;
-            Err(StmError::Aborted)
-        });
-        assert_eq!(result, Err(StmError::Aborted));
-        assert_eq!(stm.stats().aborts(), 3);
-        // The taxonomy classifies the first two aborts as explicit (the body
-        // asked) and reclassifies the final one as the policy's give-up.
-        assert_eq!(stm.stats().aborts_by(AbortReason::Explicit), 2);
-        assert_eq!(stm.stats().aborts_by(AbortReason::Giveup), 1);
-        let sum: u64 = stm.stats().abort_reason_counts().iter().map(|(_, n)| n).sum();
-        assert_eq!(sum, stm.stats().aborts());
-        // The give-up landed in the attempts histogram at 3 attempts.
-        assert_eq!(stm.stats().attempts_p50(), 3);
-        // A committing body still succeeds.
-        assert_eq!(stm.run_policy(|tx| tx.update(x, |v| v + 1)), Ok(1));
-    }
-
-    #[test]
-    fn run_retries_past_a_give_up_that_run_policy_honours() {
-        use crate::policy::BoundedRetry;
+    fn run_retries_until_the_body_commits() {
         use std::sync::atomic::{AtomicU32, Ordering};
-        let stm = Stm::new(registry::OBSTRUCTION_FREE)
-            .with_policy(Arc::new(BoundedRetry { max_attempts: 2 }));
+        let stm = Stm::new(registry::OBSTRUCTION_FREE);
         let calls = AtomicU32::new(0);
         // Aborts on its first four calls and commits from the fifth on.
         let flaky = |_: &mut Txn<'_>| {
@@ -541,41 +447,8 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 5);
         assert_eq!(stats.attempts_recorded(), 1);
         assert_eq!(stats.attempts_quantile(1.0), 5, "5 lands in [5,8]");
-        assert_eq!(stats.aborts_by(AbortReason::Giveup), 0);
-
-        calls.store(0, Ordering::Relaxed);
-        assert_eq!(stm.run_policy(flaky), Err(StmError::Aborted));
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.attempts_recorded(), 2);
-        assert_eq!(stats.attempts_p50(), 2, "the give-up lands at the bound");
-        assert_eq!(stats.aborts_by(AbortReason::Giveup), 1);
-
-        // One `Ok` result, and the taxonomy holds all 4 + 2 aborts.
-        assert_eq!(stats.commits(), 1);
-        assert_eq!(stats.aborts_by(AbortReason::Explicit), 5);
-        let sum: u64 = stats.abort_reason_counts().iter().map(|(_, n)| n).sum();
-        assert_eq!(stats.aborts(), sum);
-        assert_eq!(sum, 6);
-    }
-
-    #[test]
-    fn backoff_policies_still_commit_under_contention() {
-        use crate::policy::ExponentialBackoff;
-        let stm = Arc::new(Stm::new(registry::OBSTRUCTION_FREE).with_policy(Arc::new(
-            ExponentialBackoff { base_spins: 4, max_spins: 64, ..Default::default() },
-        )));
-        let counter = stm.alloc(0i64);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let stm = Arc::clone(&stm);
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        stm.run(|tx| tx.update(counter, |v| v + 1));
-                    }
-                });
-            }
-        });
-        assert_eq!(stm.read_now(counter), 400);
+        assert_eq!(stats.aborts_by(AbortReason::Explicit), 4);
+        assert_eq!(stats.aborts(), 4);
     }
 
     #[test]
@@ -750,7 +623,6 @@ mod tests {
             let sum: u64 = stats.abort_reason_counts().iter().map(|(_, n)| n).sum();
             assert_eq!(sum, stats.aborts(), "{kind:?}");
             assert_eq!(stats.aborts_by(AbortReason::Explicit), 0, "{kind:?}: no unclassified");
-            assert_eq!(stats.aborts_by(AbortReason::Giveup), 0, "{kind:?}: nothing gave up");
         }
     }
 

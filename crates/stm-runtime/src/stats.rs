@@ -1,7 +1,7 @@
 //! Lightweight, thread-safe statistics counters, including the
-//! per-transaction attempt histogram that makes retry policies measurable
-//! and the per-reason abort taxonomy that makes each backend's sacrifice
-//! visible.
+//! per-transaction attempt histogram that measures how long the retry loop
+//! ran (the livelock statistic) and the per-reason abort taxonomy that
+//! makes each backend's sacrifice visible.
 //!
 //! The counters are **striped**: each thread writes its own cache-line-padded
 //! stripe (its [`tm_telemetry::thread_index`], round-robin) and readers sum
@@ -86,35 +86,17 @@ impl StmStats {
         self.local().abort_reasons[reason.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Move one recorded abort from one reason to another (the front-end
-    /// reclassifies a bounded-retry transaction's final abort as
-    /// [`AbortReason::Giveup`] once the policy stops it).  The total abort
-    /// count is untouched, so `sum(reasons) == aborts()` holds at rest.
-    /// Must run on the thread that recorded the abort (the retry loop does),
-    /// so the decrement lands on the stripe that holds the count.
-    pub fn reclassify_abort(&self, from: AbortReason, to: AbortReason) {
-        if from != to {
-            let stripe = self.local();
-            stripe.abort_reasons[from.index()].fetch_sub(1, Ordering::Relaxed);
-            stripe.abort_reasons[to.index()].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record how many attempts one transaction took to finish (commit or
-    /// give up).  `attempts` is 1-based; 0 is treated as 1.  This is also
-    /// what counts a commit: see [`StmStats::commits`].
+    /// Record how many attempts one transaction took to commit.
+    /// `attempts` is 1-based; 0 is treated as 1.  This is also what counts
+    /// a commit: see [`StmStats::commits`].
     pub fn record_attempts(&self, attempts: u32) {
         self.local().attempts[attempt_bucket(attempts)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of commits so far: every finished transaction lands in the
-    /// attempts histogram once, and the ones that did not commit are
-    /// exactly the aborts reclassified as [`AbortReason::Giveup`].
+    /// Number of commits so far: every committed transaction lands in the
+    /// attempts histogram once, so this is [`StmStats::attempts_recorded`].
     pub fn commits(&self) -> u64 {
-        // A give-up records its attempts before it is reclassified, so
-        // reading the give-ups first never counts one the histogram lacks.
-        let gave_up = self.aborts_by(AbortReason::Giveup);
-        self.attempts_recorded().saturating_sub(gave_up)
+        self.attempts_recorded()
     }
 
     /// Number of aborted attempts so far (the sum of the taxonomy).
@@ -214,12 +196,6 @@ mod tests {
         s.record_abort(AbortReason::FirstCommitterWins);
         s.record_abort(AbortReason::Explicit);
         assert_eq!(s.aborts_by(AbortReason::ReadValidation), 2);
-        let sum: u64 = s.abort_reason_counts().iter().map(|(_, n)| n).sum();
-        assert_eq!(sum, s.aborts());
-        // Reclassification moves one abort without changing the total.
-        s.reclassify_abort(AbortReason::Explicit, AbortReason::Giveup);
-        assert_eq!(s.aborts_by(AbortReason::Explicit), 0);
-        assert_eq!(s.aborts_by(AbortReason::Giveup), 1);
         let sum: u64 = s.abort_reason_counts().iter().map(|(_, n)| n).sum();
         assert_eq!(sum, s.aborts());
     }

@@ -223,17 +223,6 @@ impl StmTelemetry {
         self.aborts[reason.index()].inc();
         self.watchdog.on_abort();
     }
-
-    /// Mirror [`crate::StmStats::reclassify_abort`] in the registry
-    /// counters: move the final attempt's abort from its conflict reason to
-    /// the `giveup` series, keeping `sum(stm_aborts_total) ==` the true
-    /// abort count.
-    pub fn on_giveup(&self, from: AbortReason) {
-        if from != AbortReason::Giveup {
-            self.aborts[from.index()].sub(1);
-            self.aborts[AbortReason::Giveup.index()].inc();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -120,8 +120,7 @@ impl std::error::Error for StmError {}
 /// counters of [`crate::StmStats`]; [`StmError`] stays a single variant
 /// (callers only need "retryable").  The taxonomy shows *which* defence each
 /// backend mounted: validation aborts are consistency being defended,
-/// lock/band conflicts are parallelism being rationed, give-ups are liveness
-/// being bounded.
+/// lock/band conflicts are parallelism being rationed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// Commit-time read-set validation failed (a concurrent commit changed
@@ -132,9 +131,6 @@ pub enum AbortReason {
     LockConflict,
     /// A snapshot-isolation first-committer-wins check lost (mvcc).
     FirstCommitterWins,
-    /// A bounded retry policy stopped the transaction: the *final* attempt's
-    /// abort is reclassified to this so give-ups are visible in the taxonomy.
-    Giveup,
     /// The transaction body aborted by itself (user code), not because a
     /// backend read or write hook failed.
     Explicit,
@@ -142,11 +138,10 @@ pub enum AbortReason {
 
 impl AbortReason {
     /// Every reason, in reporting order.
-    pub const ALL: [AbortReason; 5] = [
+    pub const ALL: [AbortReason; 4] = [
         AbortReason::ReadValidation,
         AbortReason::LockConflict,
         AbortReason::FirstCommitterWins,
-        AbortReason::Giveup,
         AbortReason::Explicit,
     ];
 
@@ -156,7 +151,6 @@ impl AbortReason {
             AbortReason::ReadValidation => "read-validation",
             AbortReason::LockConflict => "lock-conflict",
             AbortReason::FirstCommitterWins => "first-committer-wins",
-            AbortReason::Giveup => "giveup",
             AbortReason::Explicit => "explicit",
         }
     }
@@ -167,8 +161,7 @@ impl AbortReason {
             AbortReason::ReadValidation => 0,
             AbortReason::LockConflict => 1,
             AbortReason::FirstCommitterWins => 2,
-            AbortReason::Giveup => 3,
-            AbortReason::Explicit => 4,
+            AbortReason::Explicit => 3,
         }
     }
 }

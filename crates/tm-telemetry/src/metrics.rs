@@ -97,21 +97,9 @@ impl Counter {
         self.0[stripe_index()].0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Subtract `n` (wrapping).  Counters are conceptually monotonic; the
-    /// single sanctioned use is *reclassification* — moving an already
-    /// recorded event between two series of the same family (e.g. a
-    /// bounded-retry give-up re-labeling its final abort) so the family's
-    /// sum is preserved.  An individual stripe may wrap below zero when the
-    /// subtracting thread is not the one that recorded the event;
-    /// [`Counter::get`] sums with wrapping arithmetic, so the total stays
-    /// exact.
-    pub fn sub(&self, n: u64) {
-        self.0[stripe_index()].0.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Current value (the wrapping sum over all stripes).
+    /// Current value (the sum over all stripes).
     pub fn get(&self) -> u64 {
-        self.0.iter().fold(0u64, |acc, s| acc.wrapping_add(s.0.load(Ordering::Relaxed)))
+        self.0.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -594,27 +582,6 @@ mod tests {
         );
         assert_eq!(snap.to_json(), expected);
         assert_eq!(Snapshot { metrics: Vec::new() }.to_json(), r#"{"metrics":[]}"#);
-    }
-
-    #[test]
-    fn striped_counter_stays_exact_across_threads_and_reclassification() {
-        let c = Counter::new();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let c = c.clone();
-                s.spawn(move || {
-                    for _ in 0..10_000 {
-                        c.inc();
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get(), 80_000);
-        // Reclassification subtracts on the *caller's* stripe, which may not
-        // be the stripe the event was recorded on; the wrapping sum is exact
-        // regardless.
-        c.sub(80_000);
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::zipf::Zipf;
 use rand::Rng;
-use stm_runtime::{Stm, StmError, TVar};
+use stm_runtime::{Stm, TVar};
 
 /// Configuration of the bank workload.
 #[derive(Debug, Clone, Copy)]
@@ -100,37 +100,14 @@ impl Bank {
         if from == to {
             return 0;
         }
-        stm.run(|tx| Self::transfer_body(tx, from, to, amount))
-    }
-
-    /// Like [`Bank::transfer`], but retries are paced by the instance's
-    /// [`stm_runtime::RetryPolicy`] and a policy give-up surfaces as `Err`
-    /// (the transfer simply does not happen, which preserves the total).
-    pub fn try_transfer(
-        &self,
-        stm: &Stm,
-        from: TVar<i64>,
-        to: TVar<i64>,
-        amount: i64,
-    ) -> Result<i64, StmError> {
-        if from == to {
-            return Ok(0);
-        }
-        stm.run_policy(|tx| Self::transfer_body(tx, from, to, amount))
-    }
-
-    fn transfer_body(
-        tx: &mut stm_runtime::Txn<'_>,
-        from: TVar<i64>,
-        to: TVar<i64>,
-        amount: i64,
-    ) -> Result<i64, StmError> {
-        let balance = tx.read(from)?;
-        let moved = amount.min(balance.max(0));
-        tx.write(from, balance - moved)?;
-        let dest = tx.read(to)?;
-        tx.write(to, dest + moved)?;
-        Ok(moved)
+        stm.run(|tx| {
+            let balance = tx.read(from)?;
+            let moved = amount.min(balance.max(0));
+            tx.write(from, balance - moved)?;
+            let dest = tx.read(to)?;
+            tx.write(to, dest + moved)?;
+            Ok(moved)
+        })
     }
 
     /// Sum all accounts in one transaction.

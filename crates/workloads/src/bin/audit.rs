@@ -6,7 +6,7 @@
 //! cargo run --release -p workloads --bin audit -- --backend all --scenario kv-zipf \
 //!     --threads 4 --txns 2500 --audit --json audit-report.json
 //! cargo run --release -p workloads --bin audit -- --backend global-lock \
-//!     --scenario scan-writers --retry backoff --audit
+//!     --scenario scan-writers --audit
 //! ```
 //!
 //! Every invocation parses into one description — **what to audit** (a
@@ -21,8 +21,6 @@
 //!   output is diff-stable);
 //! * `--scenario NAME|all` — any scenario from `workloads::all_scenarios()`
 //!   (default `registers`);
-//! * `--retry POLICY` — contention-manager retry pacing (default `immediate`;
-//!   `stm_runtime::policy::POLICY_SPECS` lists every spelling);
 //! * `--threads N`, `--txns N` (per thread), `--vars N`, `--seed N` — the
 //!   workload's shape (defaults 4, 2500, 64, 2024);
 //! * `--audit[=SPEC]` — the plan: absent `Off`; bare `Batch` (the whole
@@ -57,7 +55,9 @@
 //!   boundaries (`docs/recovery.md`); `--serve` only;
 //! * `--recover DIR` — finish auditing the rounds a killed process left
 //!   behind: one `recovered-verdict` record per round; with `--serve --wal`
-//!   the endpoint recovers first, then serves the next round index;
+//!   the endpoint recovers first, then serves the next round index, so
+//!   there `--recover` must name the `--wal` directory (any other path
+//!   exits 2);
 //! * `--sink PATH` — also append every serve or recovery record to PATH;
 //!   `--serve` or `--recover` only;
 //! * `--metrics` — turn the `tm-telemetry` spine on: the snapshot prints at
@@ -75,7 +75,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use stm_runtime::{policy, BackendId, RetryPolicy};
+use stm_runtime::BackendId;
 use tm_audit::linearization::DEFAULT_STATE_BUDGET;
 use tm_audit::{AuditEvent, AuditHistory, AuditOptions, SatConfig, WindowConfig};
 use tm_history::{encode, Decoder};
@@ -139,7 +139,6 @@ struct Args {
     /// `true` when `--scenario all` chose the list (non-recordable scenarios
     /// are then skipped, not errors, in audit modes).
     scenarios_are_all: bool,
-    policy: Arc<dyn RetryPolicy>,
     threads: usize,
     txns: usize,
     vars: usize,
@@ -169,7 +168,6 @@ impl Default for Args {
             backends: stm_runtime::registry::all_ids(),
             scenarios: vec![scenario_by_name("registers").expect("built-in scenario")],
             scenarios_are_all: false,
-            policy: Arc::new(policy::ImmediateRetry),
             threads: 4,
             txns: 2_500,
             vars: 64,
@@ -249,7 +247,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 (args.scenarios, args.scenarios_are_all) =
                     parse_scenarios(&value_of::<String>(&mut it, arg)?)?;
             }
-            "--retry" => args.policy = policy::parse_policy(&value_of::<String>(&mut it, arg)?)?,
             "--threads" => args.threads = value_of(&mut it, arg)?,
             "--txns" => args.txns = value_of(&mut it, arg)?,
             "--vars" => args.vars = value_of(&mut it, arg)?,
@@ -319,14 +316,24 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     --recover"
             .into());
     }
-    if args.recover.is_some() {
+    if let Some(recover) = &args.recover {
         if args.ingest.is_some() || args.export.is_some() {
             return Err("--recover audits a crashed WAL directory; it cannot be combined \
                         with --ingest or --export"
                 .into());
         }
-        if args.serve && args.wal.is_none() {
-            return Err("--serve --recover resumes a WAL endpoint; it also needs --wal DIR".into());
+        if args.serve {
+            let Some(wal) = &args.wal else {
+                return Err(
+                    "--serve --recover resumes a WAL endpoint; it also needs --wal DIR".into()
+                );
+            };
+            if Path::new(wal) != Path::new(recover) {
+                return Err(format!(
+                    "--serve resumes the rounds under its --wal directory {wal:?}, but \
+                     --recover names {recover:?}; give both the same directory"
+                ));
+            }
         }
     }
     if args.serve {
@@ -364,7 +371,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 
 fn usage() {
     eprintln!(
-        "usage: audit [--backend NAME|all] [--scenario NAME|all] [--retry POLICY]\n\
+        "usage: audit [--backend NAME|all] [--scenario NAME|all]\n\
          \x20            [--threads N] [--txns N] [--vars N] [--seed N]\n\
          \x20            [--audit[=WINDOW | window[:size=N][:overlap=M]]]\n\
          \x20            [--budget N] [--sat[=conflicts=N[:force]]]\n\
@@ -374,8 +381,7 @@ fn usage() {
          \x20            [--wal DIR] [--recover DIR] [--list]\n\
          \n\
          backends and scenarios resolve through their registries; run `audit --list`\n\
-         to see what is registered.  --retry POLICY is one of immediate, bounded:N,\n\
-         backoff[:BASE:MAX[:TOTAL]], karma[:BASE], timestamp[:BASE], adaptive[:BASE:MAX].\n\
+         to see what is registered.\n\
          --export PATH writes the audited run's commit history in the tm-history wire\n\
          format; --ingest FILE|- audits wire-format documents instead of running a\n\
          workload (see docs/history-format.md).  --sat escalates budget-exhausted\n\
@@ -389,7 +395,7 @@ fn usage() {
          traffic.  --wal DIR logs every commit of a serve round to DIR/round-NNNN before\n\
          the auditor sees it (crash-consistent: each seal carries its window's verdict);\n\
          --recover DIR finishes auditing the rounds a killed process left behind (see\n\
-         docs/recovery.md)."
+         docs/recovery.md); with --serve --wal DIR it must name that same DIR."
     );
 }
 
@@ -416,18 +422,16 @@ fn json_run_fields(run: &workloads::ScenarioRunReport) -> String {
     let reasons: Vec<String> =
         run.abort_reasons.iter().map(|(r, n)| format!("\"{}\":{n}", r.name())).collect();
     format!(
-        "\"scenario\":\"{}\",\"backend\":\"{}\",\"retry\":\"{}\",\"commits\":{},\
-         \"throughput\":{:.0},\"aborts\":{},\"abort_reasons\":{{{}}},\"gave_up\":{},\
+        "\"scenario\":\"{}\",\"backend\":\"{}\",\"commits\":{},\
+         \"throughput\":{:.0},\"aborts\":{},\"abort_reasons\":{{{}}},\
          \"attempts_p50\":{},\"attempts_p99\":{},\"attempts_max\":{},\
          \"attempts_mean\":{:.3},\"invariant\":{}",
         run.scenario,
         run.config.backend,
-        run.config.policy.name(),
         run.commits,
         run.throughput,
         run.aborts,
         reasons.join(","),
-        run.gave_up,
         run.attempts_p50,
         run.attempts_p99,
         run.attempts_max,
@@ -438,15 +442,8 @@ fn json_run_fields(run: &workloads::ScenarioRunReport) -> String {
 
 fn print_run_line(run: &workloads::ScenarioRunReport) {
     println!(
-        "  {} commits in {:.3?} ({:.0} commits/s); aborts {}; gave up {}; \
-         attempts p50/p99 {}/{}",
-        run.commits,
-        run.elapsed,
-        run.throughput,
-        run.aborts,
-        run.gave_up,
-        run.attempts_p50,
-        run.attempts_p99
+        "  {} commits in {:.3?} ({:.0} commits/s); aborts {}; attempts p50/p99 {}/{}",
+        run.commits, run.elapsed, run.throughput, run.aborts, run.attempts_p50, run.attempts_p99
     );
     if run.aborts > 0 {
         let reasons: Vec<String> = run
@@ -642,7 +639,6 @@ fn scenario_config(args: &Args, backend: BackendId, seed: u64) -> ScenarioConfig
         txns_per_thread: args.txns,
         vars: args.vars,
         seed,
-        policy: Arc::clone(&args.policy),
     }
 }
 
@@ -1052,13 +1048,12 @@ fn live(args: &Args) -> Result<ExitCode, Failure> {
         for &backend in &args.backends {
             println!(
                 "scenario {} on {backend}: {} threads × {} txns over {} vars \
-                 (seed {}, retry {})",
+                 (seed {})",
                 scenario.name(),
                 args.threads,
                 args.txns,
                 args.vars,
-                args.seed,
-                args.policy.name()
+                args.seed
             );
             if audited && !scenario.recordable() {
                 if args.scenarios_are_all {

@@ -25,12 +25,12 @@
 //!   [`LiveReport`] with one [`Verdict`].  [`Verdict::audit`] audits a
 //!   finished history under the same plans, so an exported run replays to
 //!   the verdict it got live.  Reports carry the attempt histogram
-//!   percentiles (p50/p99) so retry policies are measurable;
+//!   percentiles (p50/p99), the retry loop's livelock statistic;
 //! * [`recovery`] — the WAL tee a logged round runs through and the recovery
 //!   of a round a killed process left behind.
 //!
 //! The `audit` binary (`cargo run -p workloads --bin audit`) wraps the whole
-//! `scenario × backend × retry-policy × audit-mode` product behind a CLI so
+//! `scenario × backend × audit-mode` product behind a CLI so
 //! operators can audit any combination without writing Rust.
 
 #![forbid(unsafe_code)]

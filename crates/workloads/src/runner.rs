@@ -51,10 +51,6 @@ pub struct ScenarioRunReport {
     pub attempts_max: u32,
     /// Mean attempts per transaction.
     pub attempts_mean: f64,
-    /// Transactions abandoned because the retry policy gave up
-    /// (always 0 under `immediate`/`backoff`; bounded policies drop work
-    /// here instead of retrying forever).
-    pub gave_up: u64,
     /// Aborts broken down by [`AbortReason`], in reporting
     /// order; the counts sum to [`ScenarioRunReport::aborts`].
     pub abort_reasons: [(AbortReason, u64); AbortReason::ALL.len()],
@@ -108,7 +104,6 @@ fn finish_scenario_report(
         attempts_p99: stats.attempts_p99(),
         attempts_max: stats.attempts_quantile(1.0),
         attempts_mean: stats.attempts_mean(),
-        gave_up: stats.aborts_by(AbortReason::Giveup),
         abort_reasons: stats.abort_reason_counts(),
         check: state.verify(stm),
     }
@@ -117,7 +112,7 @@ fn finish_scenario_report(
 /// Run a scenario unaudited: throughput, attempt percentiles and the
 /// scenario's own invariant check.
 pub fn run_scenario(scenario: &dyn Scenario, config: &ScenarioConfig) -> ScenarioRunReport {
-    let stm = Stm::new(config.backend).with_policy(Arc::clone(&config.policy));
+    let stm = Stm::new(config.backend);
     let state = scenario.build(&stm, config);
     let elapsed = execute_scenario(&stm, state.as_ref(), config);
     finish_scenario_report(scenario, config, &stm, state.as_ref(), elapsed)
@@ -404,8 +399,7 @@ fn stream_into<S: TxnSink + Send>(
     require_recordable(scenario)?;
     let recorder_arc = Arc::new(StreamingRecorder::new(config.threads, RECORDER_BATCH));
     let consumer = recorder_arc.consumer();
-    let mut stm = Stm::with_recorder(config.backend, Arc::clone(&recorder_arc) as _)
-        .with_policy(Arc::clone(&config.policy));
+    let mut stm = Stm::with_recorder(config.backend, Arc::clone(&recorder_arc) as _);
     let state = scenario.build(&stm, config);
     let vars = state.words();
     let sessions = config.threads;
@@ -731,85 +725,20 @@ mod tests {
     }
 
     #[test]
-    fn retry_policies_shape_the_attempt_histogram() {
-        use stm_runtime::policy::ExponentialBackoff;
+    fn the_retry_loop_fills_the_attempt_histogram() {
         let scenario = crate::scenarios::KvZipfScenario { theta: 0.99, read_fraction: 0.0 };
-        let mut config = ScenarioConfig {
+        let config = ScenarioConfig {
             threads: 4,
             txns_per_thread: 250,
             vars: 4,
             ..ScenarioConfig::new(OBSTRUCTION_FREE)
         };
-        config.policy = Arc::new(ExponentialBackoff::default());
         let report = run_scenario(&scenario, &config);
         assert_eq!(report.commits, 1_000);
         // All-write hotspot traffic: the histogram must have been populated
-        // and be internally consistent; backoff never gives up.
+        // and be internally consistent.
         assert!(report.attempts_mean >= 1.0);
         assert!(report.attempts_p99 >= report.attempts_p50);
-        assert_eq!(report.gave_up, 0);
-        assert_eq!(report.config.policy.name(), "backoff");
-    }
-
-    #[test]
-    fn bounded_policies_actually_give_up_in_scenario_runs() {
-        use crate::scenario::{Scenario, ScenarioCheck, ScenarioState};
-        use stm_runtime::policy::BoundedRetry;
-        use stm_runtime::TVar;
-
-        // A scenario whose transactions always request an abort: under a
-        // bounded policy every one must be dropped after exactly the bound,
-        // deterministically — the regression shape for GiveUp being treated
-        // as "retry forever".
-        struct AlwaysAbort;
-        struct AlwaysAbortState {
-            var: TVar<i64>,
-        }
-        impl Scenario for AlwaysAbort {
-            fn name(&self) -> &'static str {
-                "always-abort"
-            }
-            fn summary(&self) -> &'static str {
-                "test-only"
-            }
-            fn recordable(&self) -> bool {
-                false
-            }
-            fn build(&self, stm: &Stm, _config: &ScenarioConfig) -> Box<dyn ScenarioState> {
-                Box::new(AlwaysAbortState { var: stm.alloc(0i64) })
-            }
-        }
-        impl ScenarioState for AlwaysAbortState {
-            fn run_txn(&self, stm: &Stm, _thread: usize, _seq: u64, _rng: &mut StdRng) {
-                let _ = stm.run_policy(|tx| {
-                    tx.write(self.var, 1)?;
-                    tx.abort::<()>()
-                });
-            }
-            fn words(&self) -> usize {
-                1
-            }
-            fn verify(&self, stm: &Stm) -> ScenarioCheck {
-                ScenarioCheck {
-                    invariant: Some(stm.read_now(self.var) == 0),
-                    detail: "aborted writes never land".into(),
-                }
-            }
-        }
-
-        let mut config = ScenarioConfig {
-            threads: 2,
-            txns_per_thread: 50,
-            vars: 1,
-            ..ScenarioConfig::new(OBSTRUCTION_FREE)
-        };
-        config.policy = Arc::new(BoundedRetry { max_attempts: 3 });
-        let report = run_scenario(&AlwaysAbort, &config);
-        assert_eq!(report.commits, 0);
-        assert_eq!(report.gave_up, 100, "{report:?}");
-        assert_eq!(report.attempts_p50, 3, "give-ups land at the bound in the histogram");
-        assert_eq!(report.aborts, 300, "3 attempts per transaction, no more");
-        assert_eq!(report.check.invariant, Some(true));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! A [`Scenario`] describes one workload shape — what state it allocates in
 //! the STM and what one transaction does — independently of which backend
-//! runs it, how retries are paced, or whether the run is audited.  The
-//! runner ([`crate::runner::run_scenario`], [`crate::runner::run_live`]) supplies
-//! those axes, so every `scenario × backend × retry-policy × audit-plan`
-//! combination comes for free; the `audit` CLI exposes the whole product.
+//! runs it or whether the run is audited.  The runner
+//! ([`crate::runner::run_scenario`], [`crate::runner::run_live`]) supplies
+//! those axes, so every `scenario × backend × audit-plan` combination comes
+//! for free; the `audit` CLI exposes the whole product.
 //!
 //! Scenarios declare whether they keep the **recording contract**
 //! ([`Scenario::recordable`]): every committed write value is globally
@@ -21,11 +21,10 @@
 use rand::rngs::StdRng;
 use std::fmt;
 use std::sync::Arc;
-use stm_runtime::policy::ImmediateRetry;
-use stm_runtime::{BackendId, RetryPolicy, Stm};
+use stm_runtime::{BackendId, Stm};
 
 /// Configuration shared by every scenario run.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// Which backend to run against.
     pub backend: BackendId,
@@ -37,13 +36,11 @@ pub struct ScenarioConfig {
     pub vars: usize,
     /// Workload seed; per-thread streams derive from it.
     pub seed: u64,
-    /// Retry policy installed on the [`Stm`] instance.
-    pub policy: Arc<dyn RetryPolicy>,
 }
 
 impl ScenarioConfig {
     /// A default-shaped config for the given backend: 4 threads × 1,000
-    /// transactions over 64 variables, immediate retries.
+    /// transactions over 64 variables.
     pub fn new(backend: impl Into<BackendId>) -> Self {
         ScenarioConfig {
             backend: backend.into(),
@@ -51,21 +48,7 @@ impl ScenarioConfig {
             txns_per_thread: 1_000,
             vars: 64,
             seed: 2_024,
-            policy: Arc::new(ImmediateRetry),
         }
-    }
-}
-
-impl fmt::Debug for ScenarioConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ScenarioConfig")
-            .field("backend", &self.backend)
-            .field("threads", &self.threads)
-            .field("txns_per_thread", &self.txns_per_thread)
-            .field("vars", &self.vars)
-            .field("seed", &self.seed)
-            .field("policy", &self.policy.name())
-            .finish()
     }
 }
 
@@ -100,7 +83,7 @@ pub trait Scenario: Send + Sync {
 /// A built scenario: per-run state plus the transaction body.
 pub trait ScenarioState: Send + Sync {
     /// Execute the `seq`-th transaction of worker `thread` (retry loop
-    /// included — implementations call [`Stm::run`] or [`Stm::run_policy`]).
+    /// included — implementations call [`Stm::run`]).
     fn run_txn(&self, stm: &Stm, thread: usize, seq: u64, rng: &mut StdRng);
 
     /// STM words the scenario allocated (recorded histories need the count).

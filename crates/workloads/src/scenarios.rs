@@ -85,10 +85,7 @@ impl ScenarioState for RegistersState {
         let shape = rng.gen_range(0..10u32);
         let value = token(thread, seq * 2 + 1);
         let second = token(thread, seq * 2 + 2);
-        // `run_policy` so a bounded/backoff policy can actually give up: a
-        // given-up transaction is simply dropped (and counted in the
-        // report's `gave_up`).
-        let _ = stm.run_policy(|tx| match shape {
+        stm.run(|tx| match shape {
             // Read-only observer.
             0..=1 => {
                 let _ = tx.read(a)?;
@@ -126,8 +123,8 @@ impl ScenarioState for RegistersState {
 
 /// A read-heavy KV workload whose keys are drawn from a Zipfian hotspot:
 /// most transactions read two hot keys, a minority read-modify-write one.
-/// The regime where backends separate on read scalability — and where
-/// backoff policies earn their keep on the hot keys.
+/// The regime where backends separate on read scalability and where the
+/// hot keys push up the attempt histogram.
 pub struct KvZipfScenario {
     /// Zipf exponent for key choice (≈0.99 = heavily skewed).
     pub theta: f64,
@@ -176,14 +173,14 @@ impl ScenarioState for KvZipfState {
         let hot = self.keys[self.zipf.sample(rng)];
         if rng.gen_bool(self.read_fraction) {
             let other = self.keys[self.zipf.sample(rng)];
-            let _ = stm.run_policy(|tx| {
+            stm.run(|tx| {
                 let _ = tx.read(hot)?;
                 let _ = tx.read(other)?;
                 Ok(())
             });
         } else {
             let value = token(thread, seq + 1);
-            let _ = stm.run_policy(|tx| {
+            stm.run(|tx| {
                 let _ = tx.read(hot)?;
                 tx.write(hot, value)
             });
@@ -241,7 +238,7 @@ impl ScenarioState for ScanWritersState {
     fn run_txn(&self, stm: &Stm, thread: usize, seq: u64, rng: &mut StdRng) {
         if thread == 0 && self.threads > 1 {
             // The long transaction: one read-only scan of every slot.
-            let sum = stm.run_policy(|tx| {
+            let sum = stm.run(|tx| {
                 let mut acc = 0i64;
                 for &slot in &self.slots {
                     acc = acc.wrapping_add(tx.read(slot)?);
@@ -252,7 +249,7 @@ impl ScenarioState for ScanWritersState {
         } else {
             let slot = self.slots[rng.gen_range(0..self.slots.len())];
             let value = token(thread, seq + 1);
-            let _ = stm.run_policy(|tx| {
+            stm.run(|tx| {
                 let _ = tx.read(slot)?;
                 tx.write(slot, value)
             });
@@ -327,7 +324,7 @@ impl ScenarioState for WriteSkewState {
         let pair = self.pairs[idx];
         let half = self.halves[idx][thread % 2];
         let value = token(thread, seq + 1);
-        let _ = stm.run_policy(|tx| {
+        stm.run(|tx| {
             // The whole pair from one snapshot — the "check the invariant
             // over both accounts" read of the classic anomaly …
             let (a, b) = tx.read(pair)?;
@@ -401,7 +398,7 @@ impl Scenario for BankScenario {
 impl ScenarioState for BankState {
     fn run_txn(&self, stm: &Stm, thread: usize, _seq: u64, rng: &mut StdRng) {
         let (from, to) = self.bank.pick_accounts(thread, self.threads, rng);
-        let _ = self.bank.try_transfer(stm, from, to, 5);
+        self.bank.transfer(stm, from, to, 5);
     }
 
     fn words(&self) -> usize {

@@ -157,7 +157,8 @@ fn batch_ingest_audits_the_documents_before_a_malformed_one_then_exits_2() {
 
 /// `--sink` and `--serve-rounds` are refused, exit 2, outside the modes that
 /// read them (`--serve`, and `--recover` for `--sink`) instead of being
-/// accepted and ignored.
+/// accepted and ignored; so is a `--serve --wal D --recover E` whose E is not
+/// D, since the endpoint only ever resumes the rounds under D.
 #[test]
 fn flags_nothing_reads_are_usage_errors() {
     let sink = temp_path("unread-sink.jsonl");
@@ -171,6 +172,11 @@ fn flags_nothing_reads_are_usage_errors() {
         (&["--audit", "--txns", "10", "--sink", sink][..], "--sink"),
         (&["--audit", "--txns", "10", "--serve-rounds", "0"][..], "--serve-rounds"),
         (&["--recover", wire, "--serve-rounds", "1"][..], "--serve-rounds"),
+        (
+            &["--serve", "--serve-rounds", "1", "--wal", "wa", "--recover", "wb/nonexistent"][..],
+            "--serve resumes the rounds under its --wal directory \"wa\", but --recover names \
+             \"wb/nonexistent\";",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_audit"))
             .args(args)
@@ -268,6 +274,22 @@ fn overlap_not_smaller_than_the_window_is_a_usage_error() {
         .expect("running the audit binary");
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag \"--overlap\""));
+}
+
+/// There is one retry loop, so there is no retry knob: the old retry flag is
+/// an unknown flag.  (Spelled in two pieces so that a search of the tree for
+/// the flag finds no place that still accepts it.)
+#[test]
+fn the_retry_flag_is_an_unknown_flag() {
+    let flag = concat!("--", "retry");
+    let out = Command::new(env!("CARGO_BIN_EXE_audit"))
+        .args([flag, "immediate"])
+        .output()
+        .expect("running the audit binary");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("unknown flag {flag:?}")), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
 }
 
 /// `shards=` is not a key of the streaming spec: like any unknown key it is

@@ -8,8 +8,7 @@
 //! order, same hints); replaying it under the same plan must therefore
 //! reproduce the live verdicts, not merely agree on pass/fail.
 
-use std::sync::Arc;
-use stm_runtime::{policy, BackendId};
+use stm_runtime::BackendId;
 use tm_audit::{AuditHistory, AuditOptions, WindowConfig};
 use tm_history::{decode, encode, Decoder};
 use workloads::{run_live, scenario_by_name, AuditPlan, LivePlan, ScenarioConfig, Verdict};
@@ -23,14 +22,7 @@ const BACKENDS: [BackendId; 4] = [
 ];
 
 fn run_config(backend: BackendId, seed: u64) -> ScenarioConfig {
-    ScenarioConfig {
-        backend,
-        threads: 2,
-        txns_per_thread: 60,
-        vars: 12,
-        seed,
-        policy: Arc::new(policy::ImmediateRetry),
-    }
+    ScenarioConfig { backend, threads: 2, txns_per_thread: 60, vars: 12, seed }
 }
 
 /// Batch and rolling windows.

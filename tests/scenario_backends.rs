@@ -2,8 +2,8 @@
 //! backend table resolves by name with no set-up call, README's P/C/L table
 //! is that table, scenarios other than `bank` run through the scenario
 //! runner's audit plans and produce verdicts, names parse through the
-//! registries (with helpful unknown-name errors), and retry policies and the
-//! attempt histogram flow into the reports.
+//! registries (with helpful unknown-name errors), and the retry loop's
+//! attempt histogram flows into the reports.
 
 use pcl_tm::audit::{Level, WindowConfig};
 use pcl_tm::stm::{registry, BackendId};
@@ -93,13 +93,10 @@ fn unknown_names_fail_with_the_registered_lists() {
 }
 
 #[test]
-fn retry_policies_and_attempt_percentiles_reach_the_report() {
-    use pcl_tm::stm::policy::parse_policy;
+fn attempt_percentiles_reach_the_report() {
     let scenario = scenario_by_name("registers").unwrap();
-    let mut cfg = config(registry::OBSTRUCTION_FREE, 4, 250);
-    cfg.policy = parse_policy("backoff:8:512").unwrap();
+    let cfg = config(registry::OBSTRUCTION_FREE, 4, 250);
     let report = run_scenario(scenario.as_ref(), &cfg);
-    assert_eq!(report.config.policy.name(), "backoff");
     assert_eq!(report.commits, 1_000);
     assert!(report.attempts_p50 >= 1);
     assert!(report.attempts_p99 >= report.attempts_p50);
