@@ -1,11 +1,21 @@
-//! A compact digraph over dense transaction indices, sized for windowed
-//! streaming audits over histories of millions of transactions.
+//! The saturation graph: a compact digraph over dense transaction indices
+//! that takes arbitrary edges, plus the two graph walks every order over
+//! dense indices shares.
 //!
-//! Everything the saturation checkers need lives here:
+//! [`DiGraph`] serves only the saturation graph and the graphs derived from
+//! it (causal saturation's [`crate::saturation::Saturated::graph`], Read
+//! Atomic's one-pass derivation, the write-skew check's forced edges).
+//! Saturation derives edges between any two vertices, so it keeps one
+//! out-list per vertex and a global edge set to deduplicate them.  The
+//! partial order's own base relation does not: it lives in
+//! [`crate::po::BaseGraph`], an edge arena whose every edge touches the
+//! vertex being appended, so it needs no edge set.  A saturation graph
+//! starts as a copy of that base ([`crate::po::BaseGraph::to_digraph`], or
+//! edge by edge from the edge log).
 //!
-//! * deduplicated edge insertion ([`DiGraph::add_edge`]) and incremental
-//!   vertex growth ([`DiGraph::add_vertex`]) — the streaming pipeline extends
-//!   the graph batch by batch instead of rebuilding it,
+//! Both graphs answer the same two walks, written once over any
+//! out-neighbour function:
+//!
 //! * cycle detection with a short witness path ([`DiGraph::find_cycle`]),
 //! * topological orders with a caller-chosen tie-break key
 //!   ([`DiGraph::topo_order_by`]) — the serializability fast path feeds the
@@ -131,89 +141,105 @@ impl DiGraph {
     /// continues an order that already placed `0..from`: no edge may enter
     /// that prefix from `from..` (it panics if one does).
     pub fn topo_order_by(&self, tie_break: &[u64], from: u32) -> Option<Vec<u32>> {
-        let (from, n) = (from as usize, self.adj.len());
-        let key = |v: u32| Reverse((tie_break.get(v as usize).copied().unwrap_or(0), v));
-        let mut indegree = vec![0u32; n - from];
-        for nbrs in &self.adj[from..] {
-            for &b in nbrs {
-                indegree[b as usize - from] += 1;
-            }
-        }
-        // Min-heap over (key, vertex) via Reverse ordering.
-        let mut ready: BinaryHeap<Reverse<(u64, u32)>> =
-            (from..n).filter(|&v| indegree[v - from] == 0).map(|v| key(v as u32)).collect();
-        let mut order = Vec::with_capacity(n - from);
-        while let Some(Reverse((_, v))) = ready.pop() {
-            order.push(v);
-            for &b in &self.adj[v as usize] {
-                let d = &mut indegree[b as usize - from];
-                *d -= 1;
-                if *d == 0 {
-                    ready.push(key(b));
-                }
-            }
-        }
-        (order.len() == n - from).then_some(order)
+        topo_order_by(self.len(), |v| self.neighbors(v).iter().copied(), tie_break, from)
     }
 
     /// A cycle as a vertex path `v0 → v1 → … → v0` starting at its smallest
     /// vertex, if one exists.
     pub fn find_cycle(&self) -> Option<Vec<u32>> {
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let n = self.adj.len();
-        let mut color = vec![WHITE; n];
-        let mut parent = vec![u32::MAX; n];
-        for start in 0..n as u32 {
-            if color[start as usize] != WHITE {
-                continue;
-            }
-            // Iterative DFS keeping (vertex, next-child-index) frames.
-            let mut stack: Vec<(u32, usize)> = vec![(start, 0)];
-            color[start as usize] = GRAY;
-            while let Some(&mut (v, ref mut idx)) = stack.last_mut() {
-                if let Some(&child) = self.adj[v as usize].get(*idx) {
-                    *idx += 1;
-                    match color[child as usize] {
-                        WHITE => {
-                            color[child as usize] = GRAY;
-                            parent[child as usize] = v;
-                            stack.push((child, 0));
-                        }
-                        GRAY => {
-                            // Back edge v → child closes a cycle.
-                            let mut path = vec![child];
-                            let mut cur = v;
-                            while cur != child {
-                                path.push(cur);
-                                cur = parent[cur as usize];
-                            }
-                            path.reverse();
-                            // Start the cycle at its smallest vertex: which
-                            // back edge the DFS meets first depends on the
-                            // order edges were inserted in (eagerly per
-                            // probe, or caught up at once), and the same
-                            // cycle must not read differently for it.
-                            let (at, &first) = path
-                                .iter()
-                                .enumerate()
-                                .min_by_key(|&(_, &v)| v)
-                                .expect("non-empty");
-                            path.rotate_left(at);
-                            path.push(first);
-                            return Some(path);
-                        }
-                        _ => {}
-                    }
-                } else {
-                    color[v as usize] = BLACK;
-                    stack.pop();
-                }
+        find_cycle(self.len(), |v| self.neighbors(v).iter().copied())
+    }
+}
+
+/// [`DiGraph::topo_order_by`] over the graph on `0..n` whose out-neighbours
+/// `neighbors` lists.
+pub(crate) fn topo_order_by<I: Iterator<Item = u32>>(
+    n: usize,
+    neighbors: impl Fn(u32) -> I,
+    tie_break: &[u64],
+    from: u32,
+) -> Option<Vec<u32>> {
+    let from = from as usize;
+    let key = |v: u32| Reverse((tie_break.get(v as usize).copied().unwrap_or(0), v));
+    let mut indegree = vec![0u32; n - from];
+    for v in from..n {
+        for b in neighbors(v as u32) {
+            indegree[b as usize - from] += 1;
+        }
+    }
+    // Min-heap over (key, vertex) via Reverse ordering.
+    let mut ready: BinaryHeap<Reverse<(u64, u32)>> =
+        (from..n).filter(|&v| indegree[v - from] == 0).map(|v| key(v as u32)).collect();
+    let mut order = Vec::with_capacity(n - from);
+    while let Some(Reverse((_, v))) = ready.pop() {
+        order.push(v);
+        for b in neighbors(v) {
+            let d = &mut indegree[b as usize - from];
+            *d -= 1;
+            if *d == 0 {
+                ready.push(key(b));
             }
         }
-        None
     }
+    (order.len() == n - from).then_some(order)
+}
+
+/// [`DiGraph::find_cycle`] over the graph on `0..n` whose out-neighbours
+/// `neighbors` lists.
+pub(crate) fn find_cycle<I: Iterator<Item = u32>>(
+    n: usize,
+    neighbors: impl Fn(u32) -> I,
+) -> Option<Vec<u32>> {
+    const WHITE: u8 = 0;
+    const GRAY: u8 = 1;
+    const BLACK: u8 = 2;
+    let mut color = vec![WHITE; n];
+    let mut parent = vec![u32::MAX; n];
+    for start in 0..n as u32 {
+        if color[start as usize] != WHITE {
+            continue;
+        }
+        // Iterative DFS keeping (vertex, children still to visit) frames.
+        let mut stack = vec![(start, neighbors(start))];
+        color[start as usize] = GRAY;
+        while let Some((v, children)) = stack.last_mut() {
+            let v = *v;
+            let Some(child) = children.next() else {
+                color[v as usize] = BLACK;
+                stack.pop();
+                continue;
+            };
+            match color[child as usize] {
+                WHITE => {
+                    color[child as usize] = GRAY;
+                    parent[child as usize] = v;
+                    stack.push((child, neighbors(child)));
+                }
+                GRAY => {
+                    // Back edge v → child closes a cycle.
+                    let mut path = vec![child];
+                    let mut cur = v;
+                    while cur != child {
+                        path.push(cur);
+                        cur = parent[cur as usize];
+                    }
+                    path.reverse();
+                    // Start the cycle at its smallest vertex: which back
+                    // edge the DFS meets first depends on the order edges
+                    // were inserted in (eagerly per probe, or caught up at
+                    // once), and the same cycle must not read differently
+                    // for it.
+                    let (at, &first) =
+                        path.iter().enumerate().min_by_key(|&(_, &v)| v).expect("non-empty");
+                    path.rotate_left(at);
+                    path.push(first);
+                    return Some(path);
+                }
+                _ => {}
+            }
+        }
+    }
+    None
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ pub fn find_lost_update(po: &TxnPartialOrder) -> Option<LostUpdate> {
         std::collections::HashMap::new();
     for (var, wr_edges) in po.wr_by_var.iter().enumerate() {
         for &(src, reader) in wr_edges {
-            if !po.writes[reader as usize].contains(&(var as u32)) {
+            if !po.writes(reader).contains(&(var as u32)) {
                 continue; // a plain read never loses an update
             }
             if let Some(&prev) = rmw_reader_of.get(&(var as u32, src)) {
@@ -129,7 +129,7 @@ pub fn find_same_source_skew(po: &TxnPartialOrder, sat: &Saturated) -> Option<Ve
         let mut by_src: HashMap<u32, (Vec<u32>, Option<u32>)> = HashMap::new();
         for &(src, reader) in wr_edges {
             let entry = by_src.entry(src).or_default();
-            if po.writes[reader as usize].contains(&(var as u32)) {
+            if po.writes(reader).contains(&(var as u32)) {
                 entry.1 = Some(reader); // at most one, or lost-update fired
             } else {
                 entry.0.push(reader);
@@ -239,7 +239,7 @@ fn verify_split_order(
         let i = pos[t];
         let mut lo = pred_max[t];
         let mut hi = i - 1;
-        for &(var, src) in &po.reads[t] {
+        for &(var, src) in po.reads(t as u32) {
             let ps = pos[src as usize];
             lo = lo.max(ps);
             // The snapshot must predate the next writer of `var` after `src`.
@@ -253,7 +253,7 @@ fn verify_split_order(
             }
         }
         if first_committer_wins {
-            for &var in &po.writes[t] {
+            for &var in po.writes(t as u32) {
                 // First-committer-wins: the snapshot must include the latest
                 // other writer of `var` committing before us.
                 let writers = &writer_positions[var as usize];
@@ -279,7 +279,10 @@ fn zobrist(v: u64) -> u128 {
 
 /// Per-variable version bookkeeping shared by the SER and SI searches.
 struct VersionState<'a> {
-    po: &'a TxnPartialOrder,
+    /// Per transaction: its reads and its written variables, looked up in
+    /// the partial order once, since the search asks at every step.
+    reads: Vec<&'a [(u32, u32)]>,
+    writes: Vec<&'a [u32]>,
     /// `(writer, var)` → transactions that read `var` from `writer`; only
     /// the searches ask, so they build it, not ingest.
     readers: HashMap<(u32, u32), Vec<u32>>,
@@ -303,24 +306,31 @@ impl<'a> VersionState<'a> {
         let pending = (0..n_vars as u32)
             .map(|var| readers.get(&(ROOT, var)).cloned().unwrap_or_default())
             .collect();
-        VersionState { po, readers, last_writer: vec![ROOT; n_vars], pending }
+        let reads = (0..po.len() as u32).map(|t| po.reads(t)).collect();
+        let writes = (0..po.len() as u32).map(|t| po.writes(t)).collect();
+        VersionState { reads, writes, readers, last_writer: vec![ROOT; n_vars], pending }
+    }
+
+    /// The variables `t` wrote.
+    fn writes(&self, t: u32) -> &'a [u32] {
+        self.writes[t as usize]
     }
 
     /// All reads of `t` observe the currently-installed versions.
     fn reads_current(&self, t: u32) -> bool {
-        self.po.reads[t as usize].iter().all(|&(var, src)| self.last_writer[var as usize] == src)
+        self.reads[t as usize].iter().all(|&(var, src)| self.last_writer[var as usize] == src)
     }
 
     /// `t` overwrites no version that still has pending readers besides `t`.
     fn writes_unblocked(&self, t: u32) -> bool {
-        self.po.writes[t as usize].iter().all(|&var| {
+        self.writes(t).iter().all(|&var| {
             let p = &self.pending[var as usize];
             p.is_empty() || (p.len() == 1 && p[0] == t)
         })
     }
 
     fn apply_reads(&mut self, t: u32) {
-        for &(var, _) in &self.po.reads[t as usize] {
+        for &(var, _) in self.reads[t as usize] {
             let p = &mut self.pending[var as usize];
             let i = p.iter().position(|&r| r == t).expect("reader was pending");
             p.swap_remove(i);
@@ -328,14 +338,14 @@ impl<'a> VersionState<'a> {
     }
 
     fn undo_reads(&mut self, t: u32) {
-        for &(var, _) in &self.po.reads[t as usize] {
+        for &(var, _) in self.reads[t as usize] {
             self.pending[var as usize].push(t);
         }
     }
 
     fn apply_writes(&mut self, t: u32) -> WriteUndo {
-        let mut undo = Vec::with_capacity(self.po.writes[t as usize].len());
-        for &var in &self.po.writes[t as usize] {
+        let mut undo = Vec::with_capacity(self.writes(t).len());
+        for &var in self.writes(t) {
             let fresh = self.readers.get(&(t, var)).cloned().unwrap_or_default();
             let old_writer = std::mem::replace(&mut self.last_writer[var as usize], t);
             let old_pending = std::mem::replace(&mut self.pending[var as usize], fresh);
@@ -476,10 +486,10 @@ fn verify_serial_order(po: &TxnPartialOrder, last_writer: &mut [u32], order: &[u
         if t == ROOT {
             continue;
         }
-        if !po.reads[t as usize].iter().all(|&(var, src)| last_writer[var as usize] == src) {
+        if !po.reads(t).iter().all(|&(var, src)| last_writer[var as usize] == src) {
             return false;
         }
-        for &var in &po.writes[t as usize] {
+        for &var in po.writes(t) {
             last_writer[var as usize] = t;
         }
     }
@@ -670,11 +680,9 @@ impl Model for SiModel<'_> {
         if is_write_point(v) {
             self.versions.writes_unblocked(t)
         } else {
+            let unopened = |&var: &u32| !self.open_writer[var as usize];
             self.versions.reads_current(t)
-                && (!self.first_committer_wins
-                    || self.versions.po.writes[t as usize]
-                        .iter()
-                        .all(|&var| !self.open_writer[var as usize]))
+                && (!self.first_committer_wins || self.versions.writes(t).iter().all(unopened))
         }
     }
 
@@ -683,12 +691,12 @@ impl Model for SiModel<'_> {
         if is_write_point(v) {
             let undo = self.versions.apply_writes(t);
             self.undo_logs.push(undo);
-            for &var in &self.versions.po.writes[t as usize] {
+            for &var in self.versions.writes(t) {
                 self.open_writer[var as usize] = false;
             }
         } else {
             self.versions.apply_reads(t);
-            for &var in &self.versions.po.writes[t as usize] {
+            for &var in self.versions.writes(t) {
                 self.open_writer[var as usize] = true;
             }
         }
@@ -699,12 +707,12 @@ impl Model for SiModel<'_> {
         if is_write_point(v) {
             let undo = self.undo_logs.pop().expect("one undo log per write point");
             self.versions.undo_writes(undo);
-            for &var in &self.versions.po.writes[t as usize] {
+            for &var in self.versions.writes(t) {
                 self.open_writer[var as usize] = true;
             }
         } else {
             self.versions.undo_reads(t);
-            for &var in &self.versions.po.writes[t as usize] {
+            for &var in self.versions.writes(t) {
                 self.open_writer[var as usize] = false;
             }
         }
@@ -754,25 +762,34 @@ fn search_split(
     // order, it is W(a) → W(b) and b's snapshot may predate a's commit (a
     // long-running b).
     let point_after = |a: u32, b: u32| {
-        if first_committer_wins || po.base.has_edge(a, b) {
+        if first_committer_wins || po.has_edge(a, b) {
             read_point(b)
         } else {
             write_point(b)
         }
     };
+    // The points after each commit, resolved once: the search enumerates
+    // them at every step.
+    let mut after_starts = Vec::with_capacity(n + 1);
+    let mut after = Vec::with_capacity(sat.graph.edge_count());
+    for a in 0..n as u32 {
+        after_starts.push(after.len());
+        after.extend(sat.graph.neighbors(a).iter().map(|&b| point_after(a, b)));
+    }
+    after_starts.push(after.len());
+    let points_after = |a: u32| &after[after_starts[a as usize]..after_starts[a as usize + 1]];
     let mut indegree = vec![0u32; 2 * n];
     for a in 0..n as u32 {
         indegree[write_point(a) as usize] += 1; // from R(a)
-        for &b in sat.graph.neighbors(a) {
-            indegree[point_after(a, b) as usize] += 1;
+        for &p in points_after(a) {
+            indegree[p as usize] += 1;
         }
     }
     indegree[write_point(ROOT) as usize] -= 1;
     // Pre-place the initial transaction.  A commit point it releases still
     // waits for its own snapshot, so only snapshots can become ready here.
     let mut initial: Vec<u32> = Vec::new();
-    for &b in sat.graph.neighbors(ROOT) {
-        let p = point_after(ROOT, b);
+    for &p in points_after(ROOT) {
         indegree[p as usize] -= 1;
         if indegree[p as usize] == 0 {
             initial.push(p);
@@ -791,9 +808,8 @@ fn search_split(
     };
     let succs = |v: u32, f: &mut dyn FnMut(u32)| {
         if is_write_point(v) {
-            let a = txn_of(v);
-            for &b in sat.graph.neighbors(a) {
-                f(point_after(a, b));
+            for &p in points_after(txn_of(v)) {
+                f(p);
             }
         } else {
             f(write_point(txn_of(v)));

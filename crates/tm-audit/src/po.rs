@@ -26,11 +26,44 @@
 //! a chain that reach any given vertex are always a prefix of it — which is
 //! what lets the causal saturation keep one `u32` per (vertex, chain) instead
 //! of a reachability closure.
+//!
+//! # Layout
+//!
+//! The order is a few flat arrays that grow at their ends, not a heap object
+//! per transaction, so building one costs a handful of allocations and
+//! dropping it a handful of frees:
+//!
+//! * **Reads and writes** live in two arenas — `(var, source)` read slots
+//!   and written variables — with one offset per transaction into each
+//!   ([`TxnPartialOrder::reads`], [`TxnPartialOrder::writes`]).  A read
+//!   parked on a writer that has not arrived keeps a reserved slot at the
+//!   end of its reader's range; the writer fills the first reserved slot
+//!   when it arrives, so a range never moves and a transaction's reads stay
+//!   in the order they were wired.
+//! * **Parked readers** wait in one arena of circular lists, a list per
+//!   awaited `(var, value)`.
+//! * **The base graph** ([`BaseGraph`]) is an append-only edge arena — the
+//!   edge log itself — threaded with per-vertex out-lists that keep
+//!   insertion order.  It keeps no edge set.  Every edge one `extend` adds
+//!   touches the vertex that call appends (`prev → dense`, `src → dense`,
+//!   or `dense → reader` when a parked read resolves), so a duplicate can
+//!   only come from the same call: a per-vertex stamp naming the last call
+//!   that drew an edge from the vertex catches a repeated `src → dense`,
+//!   and a reader whose previous slot already names `dense` a repeated
+//!   `dense → reader`.  [`TxnPartialOrder::has_edge`] is "`a` is `b`'s chain
+//!   predecessor or one of its read sources".
+//!
+//! Extension keeps two maps keyed by values from the input — each written
+//! or awaited `(var, value)` with its writer or its parked readers, and the
+//! session tails — on std's keyed hasher.  A complete order
+//! ([`TxnPartialOrder::build`]) drops them with the rest of what only
+//! extension reads.
 
-use crate::digraph::DiGraph;
+use crate::digraph::{self, DiGraph};
 use crate::history::{AuditHistory, AuditTxn, FirstAccess, HistoryError, TxnId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Dense index of the synthetic initial transaction.
 pub const ROOT: u32 = 0;
@@ -39,17 +72,167 @@ pub const ROOT: u32 = 0;
 /// true origin fell off the retention horizon; rendered as `past?seq`.
 pub const EVICTED_SESSION: usize = usize::MAX;
 
+/// The end of an arena list.
+const NIL: u32 = u32::MAX;
+
+/// A read slot reserved for a read whose writer has not been extended yet.
+const PARKED: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// An arena length as a `u32` offset.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a partial order holds fewer than 2^32 reads, writes and edges")
+}
+
+/// The range of item `t` in an arena where each item's range starts at
+/// `starts[t]` and ends where the next one's starts.
+fn range(starts: &[u32], t: u32) -> Range<usize> {
+    let t = t as usize;
+    starts[t] as usize..starts[t + 1] as usize
+}
+
+/// End the last item's range at the arena's length `len`.
+fn end_last(starts: &mut [u32], len: usize) {
+    if let Some(end) = starts.last_mut() {
+        *end = offset(len);
+    }
+}
+
+/// The base relation `so ∪ wr` of a [`TxnPartialOrder`]: an append-only
+/// edge arena in insertion order, threaded with one out-list per vertex.
+///
+/// It takes only edges its partial order has already deduplicated, and
+/// answers the walks the certification and the polynomial checkers run on
+/// the base itself.  A saturation graph, which derives arbitrary edges,
+/// starts from [`BaseGraph::to_digraph`].
+#[derive(Debug)]
+pub struct BaseGraph {
+    /// Every edge, in insertion order (the partial order's edge log).
+    edges: Vec<(u32, u32)>,
+    /// Per edge: the next edge out of the same vertex, or [`NIL`].
+    next: Vec<u32>,
+    /// Per vertex: its first and last out-edge, or [`NIL`].
+    ends: Vec<(u32, u32)>,
+}
+
+impl BaseGraph {
+    fn with_capacity(vertices: usize, edges: usize) -> Self {
+        BaseGraph {
+            edges: Vec::with_capacity(edges),
+            next: Vec::with_capacity(edges),
+            ends: Vec::with_capacity(vertices),
+        }
+    }
+
+    /// Number of vertices.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` if the graph has no vertices.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Number of edges (all distinct).
+    pub fn edge_count(&self) -> usize {
+        self.edges.len()
+    }
+
+    fn add_vertex(&mut self) -> u32 {
+        self.ends.push((NIL, NIL));
+        offset(self.ends.len() - 1)
+    }
+
+    /// Append `a → b`, which the caller knows to be new.
+    fn add_edge(&mut self, a: u32, b: u32) {
+        let edge = offset(self.edges.len());
+        self.edges.push((a, b));
+        self.next.push(NIL);
+        let (first, last) = &mut self.ends[a as usize];
+        match *last {
+            NIL => *first = edge,
+            tail => self.next[tail as usize] = edge,
+        }
+        *last = edge;
+    }
+
+    /// Out-neighbours of `v`, in the order their edges were added.
+    pub fn neighbors(&self, v: u32) -> Neighbors<'_> {
+        Neighbors { graph: self, edge: self.ends[v as usize].0 }
+    }
+
+    /// [`DiGraph::topo_order_by`] over the base.
+    pub fn topo_order_by(&self, tie_break: &[u64], from: u32) -> Option<Vec<u32>> {
+        digraph::topo_order_by(self.len(), |v| self.neighbors(v), tie_break, from)
+    }
+
+    /// [`DiGraph::find_cycle`] over the base.
+    pub fn find_cycle(&self) -> Option<Vec<u32>> {
+        digraph::find_cycle(self.len(), |v| self.neighbors(v))
+    }
+
+    /// The base as a [`DiGraph`] with the same out-lists in the same order,
+    /// to saturate.
+    pub fn to_digraph(&self) -> DiGraph {
+        let mut graph = DiGraph::with_capacity(self.len(), self.edges.len());
+        for _ in 0..self.len() {
+            graph.add_vertex();
+        }
+        for &(a, b) in &self.edges {
+            graph.add_edge(a, b);
+        }
+        graph
+    }
+}
+
+/// The out-neighbours of one [`BaseGraph`] vertex, oldest edge first.
+#[derive(Debug, Clone)]
+pub struct Neighbors<'a> {
+    graph: &'a BaseGraph,
+    edge: u32,
+}
+
+impl Iterator for Neighbors<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let edge = self.edge as usize;
+        let &(_, b) = self.graph.edges.get(edge)?;
+        self.edge = self.graph.next[edge];
+        Some(b)
+    }
+}
+
+/// What the order knows of one written or awaited `(var, value)`.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// The dense transaction that wrote it.
+    Writer(u32),
+    /// Nobody extended so far wrote it: the last entry of the circular list
+    /// of readers waiting for it in `parked`, whose next is the first.
+    Awaited(u32),
+}
+
 /// The `(T, so, wr)` structure of a history over dense indices; input to every
 /// checker.
 #[derive(Debug)]
 pub struct TxnPartialOrder {
     n_vars: usize,
     initial: i64,
-    names: Vec<Option<TxnId>>,
-    /// Per-transaction external reads as `(var, source transaction)`.
-    pub reads: Vec<Vec<(u32, u32)>>,
-    /// Per-transaction written variables.
-    pub writes: Vec<Vec<u32>>,
+    /// Per-transaction ids; the initial transaction's entry is unused.
+    names: Vec<TxnId>,
+    /// External reads as `(var, source transaction)`, one range per
+    /// transaction ([`Self::reads`]); a range ends in one [`PARKED`] slot per
+    /// read still waiting for its writer.
+    read_slots: Vec<(u32, u32)>,
+    /// Per transaction: where its range in `read_slots` starts; one more
+    /// entry ends the last one.
+    read_starts: Vec<u32>,
+    /// Written variables, one range per transaction ([`Self::writes`]).
+    write_vars: Vec<u32>,
+    /// Per transaction: where its range in `write_vars` starts; one more
+    /// entry ends the last one.
+    write_starts: Vec<u32>,
     /// Per-variable writers, the initial transaction first.
     pub writers_by_var: Vec<Vec<u32>>,
     /// Per-variable write-read edges as `(source, reader)` pairs, in the
@@ -59,19 +242,38 @@ pub struct TxnPartialOrder {
     pub hints: Vec<u64>,
     /// `so ∪ wr` plus the initial transaction's edges — the base relation any
     /// commit order must extend.
-    pub base: DiGraph,
-    /// `(var, value)` → dense writer (the unique-writer table).
-    writer_of: HashMap<(usize, i64), u32>,
-    /// Session → (dense index of its most recently extended txn, its chain).
-    session_tail: HashMap<usize, (u32, u32)>,
+    pub base: BaseGraph,
     /// Per-transaction `(chain, 1-based position in it)`; the initial
     /// transaction, which precedes every chain, is `(0, 0)`.
     chain_pos: Vec<(u32, u32)>,
     n_chains: u32,
-    /// `(var, value)` → readers waiting for that writer to arrive.
-    pending_reads: HashMap<(usize, i64), Vec<u32>>,
-    /// Every base edge in insertion order, for incremental re-saturation.
-    edge_log: Vec<(u32, u32)>,
+    /// What only extension reads; [`TxnPartialOrder::build`] drops it once
+    /// the history is in.
+    growth: Growth,
+}
+
+/// The tables an order needs only while it is being extended.
+#[derive(Debug, Default)]
+struct Growth {
+    /// A complete order ([`TxnPartialOrder::build`]) takes no more
+    /// transactions.
+    complete: bool,
+    /// `(var, value)` → its writer, or the readers awaiting one: the
+    /// unique-writer table and the parked reads in one lookup.
+    sources: HashMap<(usize, i64), Source>,
+    /// Session → (dense index of its most recently extended txn, its chain).
+    session_tail: HashMap<usize, (u32, u32)>,
+    /// Per transaction: the last transaction whose extension drew an edge
+    /// from it — the per-call stamp that deduplicates `src → dense`.
+    stamps: Vec<u32>,
+    /// Parked readers as `(reader, next entry)` entries of circular lists; a
+    /// resolved list's first entry reads [`NIL`] as its reader.
+    parked: Vec<(u32, u32)>,
+    /// Every awaited value with its list's first entry, resolved ones
+    /// included until the next compaction.
+    awaited: Vec<((usize, i64), u32)>,
+    /// Lists in `awaited` still waiting.
+    n_awaited: usize,
 }
 
 impl TxnPartialOrder {
@@ -82,34 +284,41 @@ impl TxnPartialOrder {
 
     /// [`TxnPartialOrder::new`] with room for `txns` transactions before the
     /// per-transaction tables reallocate — a window knows its size up front.
+    /// It plans for 1.5 reads and 1.5 writes per transaction.
     pub(crate) fn with_capacity(n_vars: usize, initial: i64, txns: usize) -> Self {
+        Self::sized(n_vars, initial, txns, 3 * txns / 2, 3 * txns / 2)
+    }
+
+    /// An order with room for `txns` transactions holding `reads` reads and
+    /// `writes` writes in all.
+    fn sized(n_vars: usize, initial: i64, txns: usize, reads: usize, writes: usize) -> Self {
         let vertices = txns + 1;
         // A session edge per transaction plus one write-read edge per source
-        // it reads: room for 2.5 edges and 1.5 writes per transaction.
-        let edges = 5 * txns / 2;
+        // it reads.
+        let edges = txns + reads;
         let mut po = TxnPartialOrder {
             n_vars,
             initial,
             names: Vec::with_capacity(vertices),
-            reads: Vec::with_capacity(vertices),
-            writes: Vec::with_capacity(vertices),
+            read_slots: Vec::with_capacity(reads),
+            read_starts: Vec::with_capacity(vertices + 1),
+            write_vars: Vec::with_capacity(writes),
+            write_starts: Vec::with_capacity(vertices + 1),
             writers_by_var: vec![vec![ROOT]; n_vars],
             wr_by_var: vec![Vec::new(); n_vars],
             hints: Vec::with_capacity(vertices),
-            base: DiGraph::with_capacity(vertices, edges),
-            writer_of: HashMap::with_capacity(3 * txns / 2),
-            session_tail: HashMap::new(),
+            base: BaseGraph::with_capacity(vertices, edges),
             chain_pos: Vec::with_capacity(vertices),
             n_chains: 0,
-            pending_reads: HashMap::new(),
-            edge_log: Vec::with_capacity(edges),
+            growth: Growth {
+                sources: HashMap::with_capacity(writes),
+                stamps: Vec::with_capacity(vertices),
+                ..Growth::default()
+            },
         };
-        po.base.add_vertex();
-        po.names.push(None);
-        po.reads.push(Vec::new());
-        po.writes.push(Vec::new());
-        po.hints.push(0);
-        po.chain_pos.push((0, 0));
+        po.read_starts.push(0);
+        po.write_starts.push(0);
+        po.push_vertex(TxnId { session: 0, seq: 0 }, 0, (0, 0));
         po
     }
 
@@ -128,13 +337,45 @@ impl TxnPartialOrder {
         self.n_vars
     }
 
+    /// The external reads of a transaction as `(var, source transaction)`:
+    /// those resolved when it was extended, in its read order, then those
+    /// resolved since, in the order their writers arrived.  Reads still
+    /// parked on a writer that has not arrived are not listed.
+    pub fn reads(&self, dense: u32) -> &[(u32, u32)] {
+        let slots = &self.read_slots[range(&self.read_starts, dense)];
+        match slots.last() {
+            Some(&PARKED) => &slots[..slots.partition_point(|&slot| slot != PARKED)],
+            _ => slots,
+        }
+    }
+
+    /// The variables a transaction wrote.
+    pub fn writes(&self, dense: u32) -> &[u32] {
+        &self.write_vars[range(&self.write_starts, dense)]
+    }
+
+    /// Whether `a → b` is a base edge: `a` is `b`'s chain predecessor (the
+    /// initial transaction precedes each chain's first member) or one of
+    /// its read sources.
+    pub fn has_edge(&self, a: u32, b: u32) -> bool {
+        if b == ROOT {
+            return false; // no base edge enters the initial transaction
+        }
+        let (chain, pos) = self.chain_pos[b as usize];
+        let chained = match a {
+            ROOT => pos == 1,
+            _ => self.chain_pos[a as usize] == (chain, pos - 1),
+        };
+        chained || self.reads(b).iter().any(|&(_, src)| src == a)
+    }
+
     /// Human-readable name of a dense index (`init` for the initial
     /// transaction, `past?seq` for an evicted-origin stand-in).
     pub fn name(&self, dense: u32) -> String {
         match self.names[dense as usize] {
-            Some(id) if id.session == EVICTED_SESSION => format!("past?{}", id.seq),
-            Some(id) => id.to_string(),
-            None => "init".to_string(),
+            _ if dense == ROOT => "init".to_string(),
+            id if id.session == EVICTED_SESSION => format!("past?{}", id.seq),
+            id => id.to_string(),
         }
     }
 
@@ -159,34 +400,85 @@ impl TxnPartialOrder {
     /// the windowed verify-first pass each keep a cursor into this log to
     /// absorb only what is new.
     pub fn edge_log(&self) -> &[(u32, u32)] {
-        &self.edge_log
+        &self.base.edges
+    }
+
+    /// The awaited values with the first entry of their reader lists.
+    fn awaited(&self) -> impl Iterator<Item = ((usize, i64), u32)> + '_ {
+        let growth = &self.growth;
+        growth.awaited.iter().copied().filter(|&(_, first)| growth.parked[first as usize].0 != NIL)
     }
 
     /// The `(var, value)` pairs some extended transaction read but no
     /// extended transaction wrote (yet).  The windowed auditor materializes
     /// frontier stand-ins for these before sealing.
     pub fn pending_values(&self) -> Vec<(usize, i64)> {
-        let mut values: Vec<(usize, i64)> = self.pending_reads.keys().copied().collect();
+        let mut values: Vec<(usize, i64)> = self.awaited().map(|(value, _)| value).collect();
         values.sort_unstable();
         values
     }
 
-    fn add_base_edge(&mut self, a: u32, b: u32) {
-        if self.base.add_edge(a, b) {
-            self.edge_log.push((a, b));
+    /// Append a vertex's per-transaction entries, its ranges empty: the
+    /// entry that ended the last range starts this one.
+    fn push_vertex(&mut self, id: TxnId, hint: u64, chain_pos: (u32, u32)) -> u32 {
+        let dense = self.base.add_vertex();
+        self.names.push(id);
+        self.hints.push(hint);
+        self.chain_pos.push(chain_pos);
+        self.read_starts.push(offset(self.read_slots.len()));
+        self.write_starts.push(offset(self.write_vars.len()));
+        self.growth.stamps.push(ROOT);
+        dense
+    }
+
+    fn new_chain(&mut self) -> u32 {
+        self.n_chains += 1;
+        self.n_chains - 1
+    }
+
+    /// Draw `src → dense` for the transaction `dense` being extended, unless
+    /// this call already drew it.
+    fn add_edge_into(&mut self, src: u32, dense: u32) {
+        let stamp = &mut self.growth.stamps[src as usize];
+        if *stamp != dense {
+            *stamp = dense;
+            self.base.add_edge(src, dense);
         }
     }
 
-    fn wire_read(&mut self, reader: u32, var: usize, src: u32) {
-        self.reads[reader as usize].push((var as u32, src));
-        self.wr_by_var[var].push((src, reader));
-        self.add_base_edge(src, reader);
+    /// The writer `dense` being extended has arrived for a read `reader`
+    /// parked on its write of `var`: fill the reader's first reserved slot.
+    /// Every slot this call fills names `dense`, so the edge `dense →
+    /// reader` exists exactly when the slot before it names `dense` too.
+    fn resolve_parked(&mut self, reader: u32, var: usize, dense: u32) {
+        let slots = range(&self.read_starts, reader);
+        let at = slots.start + self.read_slots[slots.clone()].partition_point(|&s| s != PARKED);
+        let drawn = at > slots.start && self.read_slots[at - 1].1 == dense;
+        self.read_slots[at] = (var as u32, dense);
+        self.wr_by_var[var].push((dense, reader));
+        if !drawn {
+            self.base.add_edge(dense, reader);
+        }
     }
 
     /// Append one committed transaction, chained to its session's previous
     /// transaction by a session-order edge.  Returns the dense index.
     pub fn extend(&mut self, id: TxnId, txn: &AuditTxn) -> Result<u32, HistoryError> {
-        self.extend_inner(id, txn, true)
+        let dense = offset(self.len());
+        let (prev, chain) = match self.growth.session_tail.entry(id.session) {
+            Entry::Occupied(mut tail) => {
+                let (prev, chain) = *tail.get();
+                tail.get_mut().0 = dense;
+                (prev, chain)
+            }
+            Entry::Vacant(slot) => {
+                let chain = self.n_chains;
+                slot.insert((dense, chain));
+                self.n_chains += 1;
+                (ROOT, chain)
+            }
+        };
+        self.append(id, txn, prev, chain)
     }
 
     /// Append a transaction **without** a session-order edge (only the
@@ -195,35 +487,22 @@ impl TxnPartialOrder {
     /// on: a fabricated session edge could invent a violation, a dropped one
     /// only weakens the constraint set.
     pub fn extend_detached(&mut self, id: TxnId, txn: &AuditTxn) -> Result<u32, HistoryError> {
-        self.extend_inner(id, txn, false)
+        let chain = self.new_chain();
+        self.append(id, txn, ROOT, chain)
     }
 
-    fn extend_inner(
+    /// Append `txn` as the member of `chain` after `prev`.
+    fn append(
         &mut self,
         id: TxnId,
         txn: &AuditTxn,
-        chain: bool,
+        prev: u32,
+        chain: u32,
     ) -> Result<u32, HistoryError> {
-        let dense = self.base.add_vertex();
-        self.names.push(Some(id));
-        self.reads.push(Vec::new());
-        self.writes.push(Vec::new());
-        self.hints.push(txn.hint + 1);
-
-        let tail = if chain { self.session_tail.get_mut(&id.session) } else { None };
-        let (prev, chain_id) = match tail {
-            Some(tail) => (std::mem::replace(&mut tail.0, dense), tail.1),
-            None => {
-                let fresh = self.n_chains;
-                self.n_chains += 1;
-                if chain {
-                    self.session_tail.insert(id.session, (dense, fresh));
-                }
-                (ROOT, fresh)
-            }
-        };
-        self.chain_pos.push((chain_id, self.chain_pos[prev as usize].1 + 1));
-        self.add_base_edge(prev, dense);
+        assert!(!self.growth.complete, "a built partial order is complete and takes no more");
+        let dense =
+            self.push_vertex(id, txn.hint + 1, (chain, self.chain_pos[prev as usize].1 + 1));
+        self.add_edge_into(prev, dense);
 
         // Writes first, mirroring the batch path's writer-table-before-reads
         // order so a transaction observing its own write resolves to itself
@@ -232,35 +511,55 @@ impl TxnPartialOrder {
             if value == self.initial {
                 return Err(HistoryError::InitialValueWritten { writer: id, var, value });
             }
-            match self.writer_of.entry((var, value)) {
-                Entry::Occupied(other) => {
-                    return Err(HistoryError::AmbiguousWrite {
-                        var,
-                        value,
-                        first: self.names[*other.get() as usize].expect("initial txn never writes"),
-                        second: id,
-                    });
-                }
+            let awaited = match self.growth.sources.entry((var, value)) {
+                Entry::Occupied(mut source) => match *source.get() {
+                    Source::Writer(other) => {
+                        return Err(HistoryError::AmbiguousWrite {
+                            var,
+                            value,
+                            first: self.names[other as usize],
+                            second: id,
+                        });
+                    }
+                    Source::Awaited(last) => {
+                        source.insert(Source::Writer(dense));
+                        last
+                    }
+                },
                 Entry::Vacant(slot) => {
-                    slot.insert(dense);
+                    slot.insert(Source::Writer(dense));
+                    NIL
                 }
-            }
-            self.writes[dense as usize].push(var as u32);
+            };
+            self.write_vars.push(var as u32);
+            end_last(&mut self.write_starts, self.write_vars.len());
             self.writers_by_var[var].push(dense);
-            // The writer some earlier reader was parked on has arrived: the
-            // only way a read is wired into an already extended reader, and
-            // it always logs a new edge into that reader (the writer is
+            // The writer some earlier readers were parked on has arrived:
+            // the only way a read is wired into an already extended reader,
+            // and it always logs a new edge into that reader (the writer is
             // newer, so no edge from it can exist yet).
-            if self.pending_reads.is_empty() {
-                continue;
-            }
-            if let Some(parked) = self.pending_reads.remove(&(var, value)) {
-                for reader in parked {
-                    self.wire_read(reader, var, dense);
+            if awaited != NIL {
+                let first = self.growth.parked[awaited as usize].1;
+                let mut entry = first;
+                loop {
+                    let (reader, next) = self.growth.parked[entry as usize];
+                    self.resolve_parked(reader, var, dense);
+                    if entry == awaited {
+                        break;
+                    }
+                    entry = next;
                 }
+                self.growth.parked[first as usize].0 = NIL;
+                self.growth.n_awaited -= 1;
             }
         }
 
+        // A slot per read: resolved reads fill them from the front, a parked
+        // read keeps one reserved, and what neither used is given back.
+        let start = self.read_slots.len();
+        self.read_slots.resize(start + txn.reads.len(), PARKED);
+        end_last(&mut self.read_starts, self.read_slots.len());
+        let (mut filled, mut parked) = (start, 0);
         let mut firsts = FirstAccess::default();
         for (i, &(var, value)) in txn.reads.iter().enumerate() {
             match firsts.earlier(&txn.reads, i) {
@@ -275,52 +574,114 @@ impl TxnPartialOrder {
                     })
                 }
             }
-            if value == self.initial {
-                self.wire_read(dense, var, ROOT);
-                continue;
-            }
-            match self.writer_of.get(&(var, value)) {
-                // A transaction observing its own write is an internal read;
-                // recorders exclude these, adapters may not.
-                Some(&src) if src == dense => continue,
-                Some(&src) => self.wire_read(dense, var, src),
-                None => self.pending_reads.entry((var, value)).or_default().push(dense),
-            }
+            let src = if value == self.initial {
+                ROOT
+            } else {
+                match self.park_unless_written(var, value, dense) {
+                    // A transaction observing its own write is an internal
+                    // read; recorders exclude these, adapters may not.
+                    Some(src) if src == dense => continue,
+                    Some(src) => src,
+                    None => {
+                        parked += 1;
+                        continue;
+                    }
+                }
+            };
+            self.read_slots[filled] = (var as u32, src);
+            filled += 1;
+            self.wr_by_var[var].push((src, dense));
+            self.add_edge_into(src, dense);
         }
+        self.read_slots.truncate(filled + parked);
+        end_last(&mut self.read_starts, self.read_slots.len());
         Ok(dense)
+    }
+
+    /// The writer of `(var, value)`, or `None` after queueing `reader` on it.
+    fn park_unless_written(&mut self, var: usize, value: i64, reader: u32) -> Option<u32> {
+        let growth = &mut self.growth;
+        let entry = offset(growth.parked.len());
+        let first = match growth.sources.entry((var, value)) {
+            Entry::Occupied(mut source) => match source.get_mut() {
+                Source::Writer(src) => return Some(*src),
+                Source::Awaited(last) => {
+                    let first = std::mem::replace(&mut growth.parked[*last as usize].1, entry);
+                    *last = entry;
+                    first
+                }
+            },
+            Entry::Vacant(slot) => {
+                slot.insert(Source::Awaited(entry));
+                // Resolved lists are dropped from `awaited` once they
+                // outnumber the waiting ones, so it stays proportional to
+                // what waits.
+                if growth.awaited.len() >= 2 * growth.n_awaited + 64 {
+                    let parked = &growth.parked;
+                    growth.awaited.retain(|&(_, first)| parked[first as usize].0 != NIL);
+                }
+                growth.awaited.push(((var, value), entry));
+                growth.n_awaited += 1;
+                entry
+            }
+        };
+        growth.parked.push((reader, first));
+        None
+    }
+
+    /// The readers on one parked list, in the order they were parked.
+    fn parked_readers(&self, first: u32) -> impl Iterator<Item = u32> + '_ {
+        let parked = &self.growth.parked;
+        let mut entry = Some(first);
+        std::iter::from_fn(move || {
+            let (reader, next) = parked[entry? as usize];
+            entry = (next != first).then_some(next);
+            Some(reader)
+        })
     }
 
     /// Declare the order complete: any read still waiting for its writer is a
     /// thin-air read (nobody wrote the observed value).
     pub fn seal(&self) -> Result<(), HistoryError> {
         let defect = self
-            .pending_reads
-            .iter()
-            .flat_map(|(&(var, value), readers)| {
-                readers.iter().map(move |&reader| (var, value, reader))
+            .awaited()
+            .flat_map(|((var, value), first)| {
+                self.parked_readers(first).map(move |reader| (var, value, reader))
             })
             .min();
         match defect {
             None => Ok(()),
-            Some((var, value, reader)) => Err(HistoryError::ThinAirRead {
-                reader: self.names[reader as usize].expect("initial txn never reads"),
-                var,
-                value,
-            }),
+            Some((var, value, reader)) => {
+                Err(HistoryError::ThinAirRead { reader: self.names[reader as usize], var, value })
+            }
         }
     }
 
     /// Build the partial order of a complete history, resolving write-read
-    /// edges via unique write values.
+    /// edges via unique write values.  The order is complete: the tables
+    /// only extension reads are dropped, and it takes no more transactions.
     pub fn build(history: &AuditHistory) -> Result<Self, HistoryError> {
-        let mut po =
-            TxnPartialOrder::with_capacity(history.n_vars, history.initial, history.txn_count());
-        for (s, session) in history.sessions.iter().enumerate() {
+        let txns = history.sessions.iter().flatten();
+        let (reads, writes) =
+            txns.fold((0, 0), |(r, w), txn| (r + txn.reads.len(), w + txn.writes.len()));
+        let mut po = TxnPartialOrder::sized(
+            history.n_vars,
+            history.initial,
+            history.txn_count(),
+            reads,
+            writes,
+        );
+        // Session by session, each one chain: what `extend` would do, with
+        // no session lookup per transaction.
+        for (s, session) in history.sessions.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
+            let chain = po.new_chain();
+            let mut prev = ROOT;
             for (seq, txn) in session.iter().enumerate() {
-                po.extend(TxnId { session: s, seq }, txn)?;
+                prev = po.append(TxnId { session: s, seq }, txn, prev, chain)?;
             }
         }
         po.seal()?;
+        po.growth = Growth { complete: true, ..Growth::default() };
         Ok(po)
     }
 }
@@ -348,12 +709,12 @@ mod tests {
         assert_eq!(po.name(1), "s0:0");
         assert_eq!(po.name(3), "s1:0");
         // Session chains.
-        assert!(po.base.has_edge(0, 1));
-        assert!(po.base.has_edge(1, 2));
-        assert!(po.base.has_edge(0, 3));
+        assert!(po.has_edge(0, 1));
+        assert!(po.has_edge(1, 2));
+        assert!(po.has_edge(0, 3));
         // wr: init → s0:0 (v0), init → s0:1 (v1), s0:0 → s1:0 (v0).
-        assert!(po.base.has_edge(1, 3));
-        assert_eq!(po.reads[3], vec![(0, 1)]);
+        assert!(po.has_edge(1, 3));
+        assert_eq!(po.reads(3), vec![(0, 1)]);
         assert_eq!(po.writers_by_var[0], vec![0, 1, 3]);
         assert_eq!(po.wr_by_var[0], vec![(0, 1), (1, 3)]);
         assert_eq!(po.wr_by_var[1], vec![(0, 2)]);
@@ -414,7 +775,7 @@ mod tests {
         h2.push_txn(0, [], [(0, 5)]);
         h2.push_txn(1, [(0, 5), (0, 5)], []);
         let po = TxnPartialOrder::build(&h2).unwrap();
-        assert_eq!(po.reads[2], vec![(0, 1)]);
+        assert_eq!(po.reads(2), vec![(0, 1)]);
     }
 
     #[test]
@@ -425,8 +786,8 @@ mod tests {
         // create a self wr edge.
         h.sessions[0][0].reads.push((0, 5));
         let po = TxnPartialOrder::build(&h).unwrap();
-        assert!(po.reads[1].is_empty());
-        assert!(!po.base.has_edge(1, 1));
+        assert!(po.reads(1).is_empty());
+        assert!(!po.has_edge(1, 1));
     }
 
     #[test]
@@ -440,8 +801,8 @@ mod tests {
         let writer = po.extend(TxnId { session: 1, seq: 0 }, &write_txn(0, 99, 1)).unwrap();
         assert!(po.pending_values().is_empty());
         po.seal().unwrap();
-        assert_eq!(po.reads[reader as usize], vec![(0, writer)]);
-        assert!(po.base.has_edge(writer, reader));
+        assert_eq!(po.reads(reader), vec![(0, writer)]);
+        assert!(po.has_edge(writer, reader));
         assert_eq!(po.wr_by_var[0], vec![(writer, reader)]);
     }
 
@@ -451,13 +812,13 @@ mod tests {
         let a = po.extend(TxnId { session: 0, seq: 5 }, &write_txn(0, 1, 0)).unwrap();
         let b = po.extend_detached(TxnId { session: 0, seq: 2 }, &write_txn(0, 2, 0)).unwrap();
         // The detached vertex hangs off the initial transaction only.
-        assert!(po.base.has_edge(ROOT, b));
-        assert!(!po.base.has_edge(a, b));
-        assert!(!po.base.has_edge(b, a));
+        assert!(po.has_edge(ROOT, b));
+        assert!(!po.has_edge(a, b));
+        assert!(!po.has_edge(b, a));
         // The session tail was not disturbed: the next chained txn follows `a`.
         let c = po.extend(TxnId { session: 0, seq: 6 }, &read_txn(0, 2, 1)).unwrap();
-        assert!(po.base.has_edge(a, c));
-        assert!(po.base.has_edge(b, c), "wr edge from the detached writer");
+        assert!(po.has_edge(a, c));
+        assert!(po.has_edge(b, c), "wr edge from the detached writer");
         // Session 0 is one chain, the detached vertex a chain of its own.
         assert_eq!(po.chains(), 2);
         assert_eq!([a, b, c].map(|v| po.chain_pos(v)), [(0, 1), (1, 1), (0, 2)]);

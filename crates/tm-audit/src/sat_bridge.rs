@@ -24,7 +24,6 @@
 
 use crate::po::{TxnPartialOrder, ROOT};
 use crate::saturation::Saturated;
-use std::collections::HashSet;
 use tm_sat::OrderInstance;
 
 /// Build the per-window solver instance for `po` under the saturated causal
@@ -42,16 +41,14 @@ pub(crate) fn build_instance(po: &TxnPartialOrder, sat: &Saturated) -> (OrderIns
         .iter()
         .map(|&t| {
             let read = |&(var, src): &(u32, u32)| (var, (src != ROOT).then(|| map(src)));
-            po.reads[t as usize].iter().map(read).collect()
+            po.reads(t).iter().map(read).collect()
         })
         .collect();
-    let writes = dense.iter().map(|&t| po.writes[t as usize].clone()).collect();
+    let writes = dense.iter().map(|&t| po.writes(t).to_vec()).collect();
     let mut visibility_edges = Vec::new();
     let mut commit_edges = Vec::new();
-    let mut base_set: HashSet<(u32, u32)> = HashSet::new();
     for a in 0..n as u32 {
-        for &b in po.base.neighbors(a) {
-            base_set.insert((a, b));
+        for b in po.base.neighbors(a) {
             if a != ROOT && b != ROOT {
                 visibility_edges.push((map(a), map(b)));
             }
@@ -59,7 +56,7 @@ pub(crate) fn build_instance(po: &TxnPartialOrder, sat: &Saturated) -> (OrderIns
     }
     for a in 0..n as u32 {
         for &b in sat.graph.neighbors(a) {
-            if a != ROOT && b != ROOT && !base_set.contains(&(a, b)) {
+            if a != ROOT && b != ROOT && !po.has_edge(a, b) {
                 commit_edges.push((map(a), map(b)));
             }
         }

@@ -111,8 +111,8 @@ pub struct CycleViolation {
 }
 
 impl CycleViolation {
-    fn from_graph(graph: &DiGraph) -> Self {
-        CycleViolation { path: graph.find_cycle().expect("called only when the graph is cyclic") }
+    fn from_path(path: Option<Vec<u32>>) -> Self {
+        CycleViolation { path: path.expect("called only when the graph is cyclic") }
     }
 
     /// Render with history transaction names.
@@ -345,13 +345,15 @@ impl Saturated {
 
     fn poison(&mut self) -> CycleViolation {
         self.poisoned = true;
-        CycleViolation::from_graph(&self.graph)
+        CycleViolation::from_path(self.graph.find_cycle())
     }
 }
 
 /// Read Committed: the base relation `so ∪ wr` admits a total commit order.
 pub fn check_read_committed(po: &TxnPartialOrder) -> Result<Vec<u32>, CycleViolation> {
-    po.base.topo_order_by(&po.hints, 0).ok_or_else(|| CycleViolation::from_graph(&po.base))
+    po.base
+        .topo_order_by(&po.hints, 0)
+        .ok_or_else(|| CycleViolation::from_path(po.base.find_cycle()))
 }
 
 /// Read Atomic: one derivation pass with direct-edge visibility.
@@ -362,7 +364,7 @@ pub fn check_read_atomic(po: &TxnPartialOrder) -> Result<Vec<u32>, CycleViolatio
     let n = po.len();
     let mut starts = vec![0usize; n + 1];
     for v in 0..n as u32 {
-        for &b in po.base.neighbors(v) {
+        for b in po.base.neighbors(v) {
             starts[b as usize + 1] += 1;
         }
     }
@@ -372,24 +374,24 @@ pub fn check_read_atomic(po: &TxnPartialOrder) -> Result<Vec<u32>, CycleViolatio
     let mut preds = vec![0u32; starts[n]];
     let mut next = starts.clone();
     for v in 0..n as u32 {
-        for &b in po.base.neighbors(v) {
+        for b in po.base.neighbors(v) {
             preds[next[b as usize]] = v;
             next[b as usize] += 1;
         }
     }
 
-    let mut graph = po.base.clone();
+    let mut graph = po.base.to_digraph();
     for (var, wr_edges) in po.wr_by_var.iter().enumerate() {
         for &(t1, t3) in wr_edges {
             for &t2 in &preds[starts[t3 as usize]..starts[t3 as usize + 1]] {
-                let writes_var = t2 == ROOT || po.writes[t2 as usize].contains(&(var as u32));
+                let writes_var = t2 == ROOT || po.writes(t2).contains(&(var as u32));
                 if t2 != t1 && writes_var {
                     graph.add_edge(t2, t1);
                 }
             }
         }
     }
-    graph.topo_order_by(&po.hints, 0).ok_or_else(|| CycleViolation::from_graph(&graph))
+    graph.topo_order_by(&po.hints, 0).ok_or_else(|| CycleViolation::from_path(graph.find_cycle()))
 }
 
 /// Causal: saturate write-write edges against reachability to a fixpoint.
@@ -407,7 +409,7 @@ pub fn check_causal(po: &TxnPartialOrder) -> Result<Saturated, CycleViolation> {
 /// call.
 pub fn resaturate(sat: &mut Saturated, po: &TxnPartialOrder) -> Result<(), CycleViolation> {
     if sat.poisoned {
-        return Err(CycleViolation::from_graph(&sat.graph));
+        return Err(CycleViolation::from_path(sat.graph.find_cycle()));
     }
     let known = sat.graph.len() as u32;
     while sat.graph.len() < po.len() {
@@ -442,7 +444,7 @@ pub fn resaturate(sat: &mut Saturated, po: &TxnPartialOrder) -> Result<(), Cycle
     let mut derived = Vec::new();
     loop {
         sat.rounds += 1;
-        pending.extend(grown.iter().flat_map(|&v| po.reads[v as usize].iter().copied()));
+        pending.extend(grown.iter().flat_map(|&v| po.reads(v).iter().copied()));
         apply_rule(po, &sat.clocks, &sat.vars, &mut pending, &mut derived);
         if derived.is_empty() {
             return Ok(());
@@ -619,7 +621,7 @@ mod tests {
     /// The causal fixpoint written the obvious way: every visible writer,
     /// DFS reachability, until a round derives nothing or closes a cycle.
     fn reference_fixpoint(po: &TxnPartialOrder) -> Result<Vec<Vec<bool>>, ()> {
-        let mut graph = po.base.clone();
+        let mut graph = po.base.to_digraph();
         loop {
             if graph.find_cycle().is_some() {
                 return Err(());
@@ -744,7 +746,7 @@ mod tests {
 
         fn resaturate(&mut self, po: &TxnPartialOrder) -> Result<(), CycleViolation> {
             if self.poisoned {
-                return Err(CycleViolation::from_graph(&self.graph));
+                return Err(CycleViolation::from_path(self.graph.find_cycle()));
             }
             while self.graph.len() < po.len() {
                 self.graph.add_vertex();
@@ -787,7 +789,7 @@ mod tests {
         fn refresh(&mut self, po: &TxnPartialOrder) -> Result<(), CycleViolation> {
             let Some(topo) = self.graph.topo_order_by(&po.hints, 0) else {
                 self.poisoned = true;
-                return Err(CycleViolation::from_graph(&self.graph));
+                return Err(CycleViolation::from_path(self.graph.find_cycle()));
             };
             let k = po.chains();
             self.chains = k;

@@ -179,6 +179,14 @@ impl Gen {
         }
         picked
     }
+
+    /// One session with capacity: the session `pick_sessions(rng, 1)` picks,
+    /// from the same draw, without listing the open sessions.
+    fn pick_session(&self, rng: &mut StdRng) -> usize {
+        let open = self.remaining.iter().filter(|&&r| r > 0).count();
+        let nth = rng.gen_range(0..open);
+        (0..self.remaining.len()).filter(|&s| self.remaining[s] > 0).nth(nth).expect("nth < open")
+    }
 }
 
 /// Two distinct variables for a cross-variable plant, honoring
@@ -216,8 +224,13 @@ pub fn generate(config: &GenConfig) -> Generated {
         "write-skew, causal-cycle and long-fork plants need at least 2 variables"
     );
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x7A11_9E5E_D0C5_F00D);
+    // Every session gets exactly `txns_per_session` transactions.
+    let mut history = AuditHistory::new(config.vars, 0, config.sessions);
+    for session in &mut history.sessions {
+        session.reserve_exact(config.txns_per_session);
+    }
     let mut gen = Gen {
-        history: AuditHistory::new(config.vars, 0, config.sessions),
+        history,
         current: vec![0; config.vars],
         remaining: vec![config.txns_per_session; config.sessions],
         next_value: 1,
@@ -265,8 +278,7 @@ pub fn generate(config: &GenConfig) -> Generated {
 /// the transaction's own write is internal and not recorded), writes
 /// installing fresh unique values.
 fn base_txn(gen: &mut Gen, rng: &mut StdRng, events: usize) {
-    let sessions = gen.pick_sessions(rng, 1);
-    let session = sessions[0];
+    let session = gen.pick_session(rng);
     let mut reads = AccessSet::new();
     let mut writes = AccessSet::new();
     for _ in 0..events {
