@@ -20,15 +20,19 @@
 
 use crate::backend::{Backend, VarId};
 use crate::txn::{AbortReason, TxnData};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::vartable::VarTable;
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
 /// How long an attempt spins on the global lock before aborting.
 pub const SPIN_LIMIT: usize = 100_000;
 
 /// The coarse-global-lock backend.
+#[derive(Default)]
 pub struct GlobalLockBackend {
-    store: RwLock<Vec<i64>>,
+    /// The values.  Only the lock holder touches them, and the lock's
+    /// Acquire/Release orders one holder's installs before the next
+    /// holder's reads, so every access is `Relaxed`.
+    values: VarTable<AtomicI64>,
     lock: AtomicBool,
 }
 
@@ -40,7 +44,7 @@ const GLOBAL: VarId = VarId(usize::MAX);
 impl GlobalLockBackend {
     /// Create an empty backend.
     pub fn new() -> Self {
-        GlobalLockBackend { store: RwLock::new(Vec::new()), lock: AtomicBool::new(false) }
+        GlobalLockBackend::default()
     }
 
     fn holds_lock(data: &TxnData) -> bool {
@@ -72,23 +76,16 @@ impl GlobalLockBackend {
     }
 }
 
-impl Default for GlobalLockBackend {
-    fn default() -> Self {
-        GlobalLockBackend::new()
-    }
-}
-
 impl Backend for GlobalLockBackend {
     fn alloc_words(&self, initials: &[i64]) -> VarId {
-        let mut store = self.store.write();
-        let base = store.len();
-        store.extend_from_slice(initials);
-        VarId(base)
+        VarId(self.values.alloc_init(initials.len(), |k, value| {
+            value.store(initials[k], Ordering::Relaxed);
+        }))
     }
 
     fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, AbortReason> {
         self.acquire(data)?;
-        Ok(self.store.read()[var.index()])
+        Ok(self.values.get(var.index()).load(Ordering::Relaxed))
     }
 
     fn write(&self, data: &mut TxnData, _var: VarId) -> Result<(), AbortReason> {
@@ -99,11 +96,8 @@ impl Backend for GlobalLockBackend {
         // Holding the exclusive lock since first access means no validation
         // is ever needed: install and release.
         data.mark_validated();
-        if !data.writes().is_empty() {
-            let mut store = self.store.write();
-            for (var, value) in data.writes() {
-                store[var.index()] = *value;
-            }
+        for (var, &value) in data.writes() {
+            self.values.get(var.index()).store(value, Ordering::Relaxed);
         }
         self.release(data);
         Ok(())

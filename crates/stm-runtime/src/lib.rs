@@ -25,7 +25,7 @@
 //!    | `tl2-blocking`     | per-var metadata only | serializable | blocking commit (spins on locks) |
 //!    | `obstruction-free` | per-var metadata only | serializable | never waits, aborts; not obstruction-free (see [`ofree`]) |
 //!    | `pram-local`       | no shared memory at all | PRAM only | wait-free |
-//!    | `mvcc`             | per-var version chains | **snapshot isolation** (admits write skew) | reads never block; first committer wins |
+//!    | `mvcc`             | per-var version chains + one global commit clock | **snapshot isolation** (admits write skew) | reads wait out a committer on their chain; first committer wins |
 //!    | `shard-lock`       | 16 hash bands (band-grain DAP only) | serializable | blocking on shard locks |
 //!    | `global-lock`      | none: one lock for everything | serializable | blocking on the one lock |
 //!

@@ -2,10 +2,11 @@
 //! **serializability** — and nothing an SI audit can see.
 //!
 //! Every STM word keeps a bounded chain of timestamped committed versions.
-//! A transaction takes a **begin-timestamp snapshot** (the published commit
-//! clock at `begin`) and every read returns the newest version no newer than
-//! that snapshot — reads never block, never abort and never tear, even
-//! across the words of a multi-word [`crate::TVar`].  Writes buffer until
+//! A transaction takes a **begin-timestamp snapshot** (the commit clock at
+//! `begin`) and every read returns the newest version no newer than that
+//! snapshot — reads never abort and never tear, even across the words of a
+//! multi-word [`crate::TVar`]; a read waits only while a committer holds
+//! that variable's chain.  Writes buffer until
 //! commit, where **first-committer-wins** write-write conflict detection
 //! runs: if any written variable gained a version newer than the snapshot,
 //! the transaction aborts.  That is textbook snapshot isolation: lost
@@ -17,25 +18,25 @@
 //!
 //! Mechanics:
 //!
-//! * **Commit tickets and the done ring** — a committer acquires the
-//!   per-variable chain locks of its write set in sorted order
-//!   (deadlock-free), runs the first-committer-wins check, draws a ticket
-//!   from the allocation clock, installs its versions, then announces the
-//!   ticket in a fixed-size **done ring** and helps fold consecutive
-//!   announced tickets into the stable clock.  Any committer can fold any
-//!   prefix, so publication is cooperative instead of a serial chain of
-//!   per-thread hand-offs; a committer only waits (yielding) for
-//!   predecessors that are still *installing*.  Snapshots read the stable
-//!   clock, so a snapshot never observes a half-installed commit, and a
-//!   committer returns only once its own ticket is stable (read-your-writes
+//! * **One commit clock** — a committer acquires the per-variable chain
+//!   locks of its write set in sorted order (deadlock-free), runs the
+//!   first-committer-wins check, draws its ticket from the commit clock,
+//!   installs its versions and only then drops the chain locks.  A snapshot
+//!   is the clock's value, so it may include a ticket whose versions are not
+//!   installed yet — but that committer held the ticket's chains from before
+//!   the draw until after the install, and `read` takes the chain lock, so a
+//!   reader reaches those chains only after the install.  A snapshot
+//!   therefore never observes a half-installed commit, and a committer that
+//!   parks mid-commit holds up only the transactions that touch its chains.
+//!   The ticket is in the clock before `commit` returns (read-your-writes
 //!   across a session's transactions).
 //! * **Striped snapshot registry** — `begin` joins and commit/abort leave a
 //!   registry of active snapshot timestamps, striped by thread so
 //!   registration is an uncontended per-stripe lock instead of one global
-//!   mutex on every transaction.  GC reads the stable clock *first* and the
-//!   stripe minima second; `begin` re-validates the stable clock after
-//!   publishing its stripe minimum, so a concurrent GC either sees the
-//!   registration or used an older (safe) stable bound.
+//!   mutex on every transaction.  GC reads the clock *first* and the stripe
+//!   minima second; `begin` re-validates the clock after publishing its
+//!   stripe minimum, so a concurrent GC either sees the registration or used
+//!   an older (safe) clock bound.
 //! * **Version-chain GC** — each commit prunes the chains it touched down to
 //!   the newest version visible to the **oldest active snapshot**.  A
 //!   long-lived reader pins exactly one old version per chain; everything
@@ -52,11 +53,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Sentinel pushed into [`TxnData::held_locks`] while the attempt's snapshot
 /// is registered (the backend has no per-variable locks to track there).
 const SNAPSHOT: VarId = VarId(usize::MAX);
-
-/// Capacity of the done ring.  The allocation clock is held fewer than
-/// `RING / 2` tickets ahead of the stable clock, so a slot can never be
-/// claimed by two in-flight tickets at once.
-const RING: usize = 1024;
 
 /// How many stripes the snapshot registry uses (threads map onto stripes via
 /// [`tm_telemetry::thread_index`]).
@@ -116,14 +112,9 @@ impl SnapStripe {
 /// The multi-version snapshot-isolation backend.
 pub struct MvccBackend {
     chains: VarTable<Chain>,
-    /// Ticket source: the next commit timestamp is `alloc_clock + 1`.
-    alloc_clock: AtomicU64,
-    /// Highest commit timestamp whose versions — and all predecessors — are
-    /// fully installed; begin snapshots read this.
-    stable_clock: AtomicU64,
-    /// Announced-but-not-yet-folded commit tickets: slot `t % RING` holds
-    /// `t` once ticket `t`'s versions are installed, 0 otherwise.
-    done_ring: Box<[AtomicU64]>,
+    /// The last commit ticket drawn; begin snapshots read this.  Drawn
+    /// under the committer's chain locks (see the module docs).
+    clock: AtomicU64,
     /// Active snapshot timestamps, striped by registering thread.
     snap_stripes: Box<[SnapStripe]>,
 }
@@ -133,38 +124,13 @@ impl MvccBackend {
     pub fn new() -> Self {
         MvccBackend {
             chains: VarTable::new(),
-            alloc_clock: AtomicU64::new(0),
-            stable_clock: AtomicU64::new(0),
-            done_ring: (0..RING).map(|_| AtomicU64::new(0)).collect(),
+            clock: AtomicU64::new(0),
             snap_stripes: (0..SNAP_STRIPES).map(|_| SnapStripe::new()).collect(),
         }
     }
 
     fn stripe(&self) -> &SnapStripe {
         &self.snap_stripes[tm_telemetry::thread_index() % SNAP_STRIPES]
-    }
-
-    /// Fold every consecutive announced ticket into the stable clock.  Any
-    /// thread may fold any prefix; the loop stops at the first gap (a ticket
-    /// drawn but not yet announced — its owner is still installing).
-    fn advance_stable(&self) {
-        loop {
-            let stable = self.stable_clock.load(Ordering::SeqCst);
-            let next = stable + 1;
-            let slot = &self.done_ring[(next % RING as u64) as usize];
-            if slot.load(Ordering::SeqCst) != next {
-                return;
-            }
-            if self
-                .stable_clock
-                .compare_exchange(stable, next, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                // Hygiene only: a stale slot value is overwritten by the
-                // ticket that reuses the slot a full ring later.
-                let _ = slot.compare_exchange(next, 0, Ordering::SeqCst, Ordering::SeqCst);
-            }
-        }
     }
 
     /// Deregister the attempt's snapshot (idempotent within the attempt:
@@ -183,19 +149,19 @@ impl MvccBackend {
     /// The oldest snapshot any live transaction still reads from; versions
     /// strictly older than the newest one visible to it are garbage.
     ///
-    /// The stable clock is read **before** the stripe minima: if this scan
-    /// raced a `begin` and missed its registration, the `SeqCst` order puts
-    /// our stable read before that begin's post-registration re-read, so the
+    /// The clock is read **before** the stripe minima: if this scan raced a
+    /// `begin` and missed its registration, the `SeqCst` order puts our
+    /// clock read before that begin's post-registration re-read, so the
     /// bound we return is at most the timestamp that begin settled on.
     fn oldest_active_snapshot(&self) -> u64 {
-        let stable = self.stable_clock.load(Ordering::SeqCst);
+        let clock = self.clock.load(Ordering::SeqCst);
         let registered = self
             .snap_stripes
             .iter()
             .map(|s| s.min.load(Ordering::SeqCst))
             .min()
             .unwrap_or(u64::MAX);
-        stable.min(registered)
+        clock.min(registered)
     }
 
     /// How many snapshots are currently registered (diagnostics and tests).
@@ -234,15 +200,15 @@ impl Backend for MvccBackend {
 
     fn begin(&self, data: &mut TxnData) {
         let stripe = self.stripe();
-        // Register, then re-validate the stable clock: a concurrent GC that
-        // missed the registration must have read the stable clock before our
-        // re-read (SeqCst), so its pruning bound was ≤ the timestamp we keep.
-        // If the clock moved we re-register at the newer value — nothing has
-        // been read yet, so switching snapshots is free.
+        // Register, then re-validate the clock: a concurrent GC that missed
+        // the registration must have read the clock before our re-read
+        // (SeqCst), so its pruning bound was ≤ the timestamp we keep.  If the
+        // clock moved we re-register at the newer value — nothing has been
+        // read yet, so switching snapshots is free.
         loop {
-            let ts = self.stable_clock.load(Ordering::SeqCst);
+            let ts = self.clock.load(Ordering::SeqCst);
             stripe.register(ts);
-            if self.stable_clock.load(Ordering::SeqCst) == ts {
+            if self.clock.load(Ordering::SeqCst) == ts {
                 data.start_ts = ts;
                 break;
             }
@@ -252,6 +218,8 @@ impl Backend for MvccBackend {
     }
 
     fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, AbortReason> {
+        // The chain lock waits out a committer that holds this chain, so
+        // every ticket in the snapshot is installed here by now.
         let versions = self.chains.get(var.index()).versions.lock();
         // The newest version no newer than the snapshot.  GC keeps the
         // newest version visible to the oldest active snapshot, and ours is
@@ -282,49 +250,16 @@ impl Backend for MvccBackend {
             }
         }
         data.mark_validated();
-        // Bound the allocation clock's lead so ring slots are never shared
-        // by two in-flight tickets (needs lead < RING; enforced at RING/2
-        // with plenty of slack for racing committers past the check).
-        while self
-            .alloc_clock
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.stable_clock.load(Ordering::Relaxed))
-            >= RING as u64 / 2
-        {
-            self.advance_stable();
-            std::thread::yield_now();
-        }
-        // Every drawn ticket is announced (nothing below can fail), so the
-        // stable clock never waits on a gap that will not fill.
-        let commit_ts = self.alloc_clock.fetch_add(1, Ordering::AcqRel) + 1;
+        // The ticket is drawn under the guards and installed before they
+        // drop: a snapshot that includes it reads these chains only after
+        // the install.
+        let commit_ts = self.clock.fetch_add(1, Ordering::SeqCst) + 1;
         let oldest = self.oldest_active_snapshot();
         for (guard, &value) in guards.iter_mut().zip(data.writes().values()) {
             guard.push(Version { ts: commit_ts, value });
             gc_chain(guard, oldest);
         }
         drop(guards);
-        // Announce the installed ticket and fold ready prefixes
-        // cooperatively; then wait (helping) until our own ticket is stable
-        // so a session's next snapshot includes this commit.  The only wait
-        // is for predecessors still installing — announced predecessors are
-        // folded by whoever gets here first.
-        self.done_ring[(commit_ts % RING as u64) as usize].store(commit_ts, Ordering::SeqCst);
-        let mut spins = 0u32;
-        loop {
-            self.advance_stable();
-            if self.stable_clock.load(Ordering::Acquire) >= commit_ts {
-                break;
-            }
-            // Progress depends on the earlier ticket holder being scheduled:
-            // yield periodically so an oversubscribed host runs it instead
-            // of burning the quantum spinning.
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
         self.end_snapshot(data);
         Ok(())
     }
@@ -471,10 +406,10 @@ mod tests {
     }
 
     #[test]
-    fn stable_clock_follows_the_done_ring_exactly() {
-        // Commits from many threads over disjoint variables: every ticket is
-        // announced and folded, so afterwards both clocks agree and every
-        // write is visible at its variable's head version.
+    fn the_clock_counts_exactly_the_update_commits() {
+        // Update and read-only commits from many threads over disjoint
+        // variables: one ticket per update commit, and every write is
+        // visible at its variable's head version.
         let b = std::sync::Arc::new(MvccBackend::new());
         let vars: Vec<VarId> = (0..8).map(|_| b.alloc(0)).collect();
         std::thread::scope(|s| {
@@ -485,19 +420,61 @@ mod tests {
                         let mut d = txn(&b);
                         Txn::new(&*b, &mut d).write_word(var, (t as i64) * 1_000 + i).unwrap();
                         b.commit(&mut d).unwrap();
+                        let mut r = txn(&b);
+                        b.read(&mut r, var).unwrap();
+                        b.commit(&mut r).unwrap();
                     }
                 });
             }
         });
-        let alloc = b.alloc_clock.load(Ordering::SeqCst);
-        let stable = b.stable_clock.load(Ordering::SeqCst);
-        assert_eq!(alloc, stable, "every announced ticket was folded");
-        assert_eq!(stable, 8 * 200);
+        assert_eq!(b.clock.load(Ordering::SeqCst), 8 * 200);
         let mut check = txn(&b);
         for (t, &var) in vars.iter().enumerate() {
             assert_eq!(b.read(&mut check, var).unwrap(), (t as i64) * 1_000 + 200);
         }
         b.cleanup(&mut check);
+    }
+
+    #[test]
+    fn a_parked_committer_holds_up_only_its_own_chains() {
+        use std::sync::{mpsc, Arc};
+        use std::time::Duration;
+        fn on_thread<T: Send + 'static>(
+            f: impl FnOnce() -> T + Send + 'static,
+        ) -> mpsc::Receiver<T> {
+            let (done, rx) = mpsc::channel();
+            std::thread::spawn(move || done.send(f()));
+            rx
+        }
+        let b = Arc::new(MvccBackend::new());
+        let (x, y) = (b.alloc(0), b.alloc(0));
+        // A committer parked between its ticket and its install holds x's
+        // chain guard, and its ticket is in the clock.
+        let mut parked = b.chains.get(x.index()).versions.lock();
+        let ticket = b.clock.fetch_add(1, Ordering::SeqCst) + 1;
+
+        let b2 = Arc::clone(&b);
+        let writer = on_thread(move || {
+            let mut d = txn(&b2);
+            Txn::new(&*b2, &mut d).write_word(y, 5).unwrap();
+            b2.commit(&mut d)
+        });
+        let secs = Duration::from_secs(10);
+        assert_eq!(writer.recv_timeout(secs), Ok(Ok(())), "a disjoint commit waits for no ticket");
+
+        let b3 = Arc::clone(&b);
+        let reader = on_thread(move || {
+            let mut r = txn(&b3);
+            let read = (b3.read(&mut r, y), b3.read(&mut r, x));
+            b3.cleanup(&mut r);
+            (r.start_ts, read)
+        });
+        assert!(reader.recv_timeout(Duration::from_millis(50)).is_err(), "x's read waits");
+        parked.push(Version { ts: ticket, value: 7 });
+        drop(parked);
+        let (snapshot, read) = reader.recv_timeout(secs).expect("the reader finished");
+        assert!(snapshot > ticket, "the reader began after the ticket");
+        assert_eq!(read, (Ok(5), Ok(7)), "it sees the parked commit once the guard drops");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The backend named obstruction-free: never waits, aborts on any contention.
 //!
-//! Same per-variable cells as the blocking backend (lock bit, version, value) and
-//! the same per-variable-only metadata discipline, but every potentially blocking
-//! wait is replaced by an immediate abort:
+//! Same per-variable cells as the blocking backend (one versioned-lock word and the
+//! value) and the same per-variable-only metadata discipline, but every potentially
+//! blocking wait is replaced by an immediate abort:
 //!
 //! * writes are buffered and the write locks are only taken at commit, with a single
 //!   `try_lock` each — a busy lock aborts the attempt instead of spinning;
@@ -25,7 +25,7 @@ use crate::vlock::Cells;
 /// The obstruction-free backend.
 #[derive(Default)]
 pub struct OFreeBackend {
-    cells: Cells,
+    pub(crate) cells: Cells,
 }
 
 impl OFreeBackend {

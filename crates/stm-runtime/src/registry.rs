@@ -189,9 +189,11 @@ static BACKENDS: [BackendSpec; 6] = [
                   first-committer-wins commits, GC'd version chains",
         triangle: Triangle {
             sacrificed: Axis::Consistency,
-            parallelism: "per-var version chains (strict DAP); commit locks written vars only",
+            parallelism: "per-var version chains, but every update commit draws \
+                          one global clock (not strict DAP)",
             consistency: "snapshot isolation — admits write skew, never an SI anomaly",
-            liveness: "reads never block or abort; commits lock briefly, first committer wins",
+            liveness: "reads never abort but wait out a committer holding their \
+                       chain; first committer wins",
         },
         constructor: || Arc::new(crate::mvcc::MvccBackend::new()),
     },

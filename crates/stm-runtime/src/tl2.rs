@@ -8,9 +8,9 @@
 //! * **Reads are optimistic**: they snapshot `(version, value)` of an unlocked
 //!   variable and are re-validated at commit time, which gives serializability
 //!   without read locks.
-//! * All metadata is **per variable** (a lock bit, a version and the value): two
-//!   transactions accessing disjoint variables never touch a common atomic — the
-//!   runtime analogue of strict disjoint-access-parallelism.
+//! * All metadata is **per variable** (one `version << 1 | locked` word and the
+//!   value): two transactions accessing disjoint variables never touch a common
+//!   atomic — the runtime analogue of strict disjoint-access-parallelism.
 //!
 //! To keep the test-suite and benchmarks hang-free the spin loops are *bounded*
 //! ([`SPIN_LIMIT`] iterations) and give up with an abort once exhausted; this models

@@ -1,10 +1,12 @@
 //! Lock-free growable storage for per-variable backend metadata.
 //!
-//! Every backend used to keep its per-variable state in a
-//! `RwLock<Vec<…>>`, which put one shared reader-writer lock on **every
-//! transactional read and write**: even transactions over disjoint
-//! variables met in that lock's cache line, and an allocation write-locked
-//! the whole table against the data path.  `VarTable` removes that rendezvous:
+//! Every backend used to keep its per-variable state in a `Vec` behind one
+//! reader-writer lock, which put that lock on **every transactional read
+//! and write**: even transactions over disjoint variables met in its cache
+//! line, and an allocation write-locked the whole table against the data
+//! path.  Every backend with shared per-variable state keeps it here —
+//! global-lock's values too, which its own lock already orders.  `VarTable`
+//! removes that rendezvous:
 //!
 //! * **Reads are lock-free.**  Storage is a ladder of chunks whose sizes
 //!   double (`FIRST_CHUNK`, then `2×`, `4×`, …).  A chunk, once created,

@@ -1,9 +1,9 @@
 //! Minimal, API-compatible stand-in for the `parking_lot` crate.
 //!
 //! The build container has no access to crates.io, so this shim provides the
-//! subset of the `parking_lot` API the workspace actually uses — `Mutex`,
-//! `RwLock` and `Condvar` with non-poisoning, infallible operations — backed
-//! by `std::sync`.  Poisoning is translated into the `parking_lot` behaviour
+//! subset of the `parking_lot` API the workspace actually uses — `Mutex` and
+//! `Condvar` with non-poisoning, infallible operations — backed by
+//! `std::sync`.  Poisoning is translated into the `parking_lot` behaviour
 //! of simply handing out the guard (a panic while holding one of these locks
 //! only ever happens after the protected data is back in a consistent state
 //! in this codebase).
@@ -15,7 +15,7 @@
 #![warn(missing_docs)]
 
 use std::ops::{Deref, DerefMut};
-use std::sync::{self, RwLockReadGuard, RwLockWriteGuard};
+use std::sync;
 
 /// A mutual-exclusion lock with `parking_lot`'s infallible API.
 #[derive(Debug, Default)]
@@ -59,11 +59,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard(Some(self.0.lock().unwrap_or_else(sync::PoisonError::into_inner)))
     }
-
-    /// Get a mutable reference without locking (requires exclusive access).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(sync::PoisonError::into_inner)
-    }
 }
 
 /// A condition variable with `parking_lot`'s `wait(&mut guard)` API.
@@ -95,39 +90,6 @@ impl Condvar {
     }
 }
 
-/// A reader-writer lock with `parking_lot`'s infallible API.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Create a new lock protecting `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    /// Consume the lock and return the protected value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Get a mutable reference without locking (requires exclusive access).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,27 +102,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_allows_concurrent_readers() {
-        let l = Arc::new(RwLock::new(vec![1, 2, 3]));
-        let g1 = l.read();
-        let g2 = l.read();
-        assert_eq!(g1.len() + g2.len(), 6);
-        drop((g1, g2));
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
-    }
-
-    #[test]
-    fn get_mut_and_into_inner() {
-        let mut l = RwLock::new(5);
-        *l.get_mut() = 7;
-        assert_eq!(l.into_inner(), 7);
-        let mut m = Mutex::new(5);
-        *m.get_mut() = 9;
-        assert_eq!(*m.lock(), 9);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! The paper's placement of each backend, as measurable history properties:
 //!
-//! * the consistent backends (`tl2-blocking`, `obstruction-free`) must produce
-//!   serializable histories under arbitrary contention;
+//! * the consistent backends (`tl2-blocking`, `obstruction-free`,
+//!   `global-lock`) must produce serializable histories under arbitrary
+//!   contention, and `mvcc` snapshot-isolated ones;
 //! * the no-synchronization `pram-local` backend must be *convicted*: its
 //!   histories stay (vacuously) causal but lose updates, so snapshot
 //!   isolation and serializability must fail with a concrete witness.
@@ -12,7 +13,7 @@
 mod common;
 
 use pcl_tm::audit::{audit, Level, Outcome};
-use pcl_tm::stm::registry::{OBSTRUCTION_FREE, PRAM_LOCAL, TL2_BLOCKING};
+use pcl_tm::stm::registry::{GLOBAL_LOCK, MVCC, OBSTRUCTION_FREE, PRAM_LOCAL, TL2_BLOCKING};
 use pcl_tm::stm::BackendId;
 
 fn run(backend: BackendId, seed: u64) -> pcl_tm::audit::AuditReport {
@@ -35,6 +36,43 @@ fn obstruction_free_histories_are_serializable_under_contention() {
         let report = run(OBSTRUCTION_FREE, seed);
         for level in Level::ALL {
             assert!(report.passes(level), "seed {seed}, {level}:\n{report}");
+        }
+    }
+}
+
+#[test]
+fn global_lock_histories_are_serializable_under_contention() {
+    for seed in [1, 2, 3] {
+        let report = run(GLOBAL_LOCK, seed);
+        for level in Level::ALL {
+            assert!(report.passes(level), "seed {seed}, {level}:\n{report}");
+        }
+    }
+}
+
+#[test]
+fn mvcc_histories_are_snapshot_isolated_under_contention() {
+    for seed in [1, 2, 3] {
+        let report = run(MVCC, seed);
+        for level in Level::ALL.into_iter().filter(|&level| level <= Level::SnapshotIsolation) {
+            assert!(report.passes(level), "seed {seed}, {level}:\n{report}");
+        }
+    }
+}
+
+/// Eight threads on a two-core host keep workers parked mid-commit while
+/// others run: each backend still holds its floor.
+#[test]
+fn eight_thread_histories_hold_each_backends_floor() {
+    for (backend, floor) in [
+        (TL2_BLOCKING, Level::Serializable),
+        (OBSTRUCTION_FREE, Level::Serializable),
+        (GLOBAL_LOCK, Level::Serializable),
+        (MVCC, Level::SnapshotIsolation),
+    ] {
+        let report = audit(&common::live_history(backend, 8, 250, 24, 8));
+        for level in Level::ALL.into_iter().filter(|&level| level <= floor) {
+            assert!(report.passes(level), "{backend}, {level}:\n{report}");
         }
     }
 }
