@@ -439,12 +439,17 @@ fn stream_into<S: TxnSink + Send>(
 }
 
 /// The stalled-writer liveness experiment: one thread opens a transaction, writes the
-/// hot variable and then stalls for `stall` (holding its encounter-time lock on the
-/// blocking backend), while `victims` other threads keep incrementing their own
-/// private variables *plus* one read of the hot variable.  Returns the number of
-/// victim transactions that managed to commit during the stall — the experimental
-/// face of the liveness axis: near zero for the blocking backend, unaffected for the
-/// obstruction-free and PRAM backends.
+/// hot variable and then stalls for `stall` inside the transaction body, while
+/// `victims` other threads keep incrementing their own private variables *plus* one
+/// read of the hot variable.  Returns the number of victim transactions that managed
+/// to commit during the stall.
+///
+/// The writer parks before `commit`, so it holds the victims up only on a backend
+/// that locks at encounter time: `tl2-blocking` locks the hot variable in its
+/// `write` hook and `global-lock` takes its one lock on the first access, and there
+/// the victims commit next to nothing.  `obstruction-free`, `shard-lock` and `mvcc`
+/// lock only inside `commit`, and `pram-local` never locks, so their victims run
+/// free.  Stalling those takes a writer parked mid-commit.
 pub fn stalled_writer_experiment(
     backend: impl Into<BackendId>,
     victims: usize,
@@ -497,7 +502,7 @@ mod tests {
     use super::*;
     use crate::bank::BankConfig;
     use crate::scenarios::{BankScenario, RegistersScenario};
-    use stm_runtime::registry::{OBSTRUCTION_FREE, PRAM_LOCAL, TL2_BLOCKING};
+    use stm_runtime::registry::{GLOBAL_LOCK, OBSTRUCTION_FREE, PRAM_LOCAL, TL2_BLOCKING};
     use tm_audit::Level;
 
     /// An unaudited bank run: `accounts` accounts, every transfer crossing
@@ -743,14 +748,19 @@ mod tests {
 
     #[test]
     fn stalled_writer_starves_victims_only_on_the_blocking_backend() {
+        // The writer parks inside its body, so only the two backends that
+        // lock before `commit` hold the victims up; the other four run free.
         let stall = Duration::from_millis(120);
-        let blocking = stalled_writer_experiment(TL2_BLOCKING, 2, stall);
-        let ofree = stalled_writer_experiment(OBSTRUCTION_FREE, 2, stall);
-        // The obstruction-free backend keeps committing while the writer sleeps; the
-        // blocking backend's victims spend the stall spinning on the hot lock.
+        let (lockers, free): (Vec<_>, Vec<_>) = stm_runtime::registry::all_ids()
+            .into_iter()
+            .map(|backend| (backend, stalled_writer_experiment(backend, 2, stall)))
+            .partition(|(backend, _)| [TL2_BLOCKING, GLOBAL_LOCK].contains(backend));
+        let most_held = lockers.iter().map(|&(_, commits)| commits).max().unwrap_or(0);
+        let least_free = free.iter().map(|&(_, commits)| commits).min().unwrap_or(0);
+        assert_eq!((lockers.len(), free.len()), (2, 4));
         assert!(
-            ofree > blocking.saturating_mul(3).max(10),
-            "expected OF ({ofree}) to dominate blocking ({blocking})"
+            least_free > most_held.saturating_mul(3).max(10),
+            "victim commits: held {lockers:?}, free {free:?}"
         );
     }
 }
