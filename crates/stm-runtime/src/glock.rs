@@ -5,8 +5,8 @@
 //! One process-wide lock serializes every transaction on the instance:
 //!
 //! * the first read or write of an attempt spin-acquires the instance's
-//!   single lock flag (bounded spin, then abort — same hang-free discipline
-//!   as the blocking TL2 backend);
+//!   single lock, one `VLock` word (bounded spin, then abort — same
+//!   hang-free discipline as the blocking TL2 backend);
 //! * while the lock is held, reads come straight from the store and the
 //!   front end buffers the writes (so an abort rolls back for free);
 //! * commit installs the write set and releases the lock.
@@ -21,7 +21,8 @@
 use crate::backend::{Backend, VarId};
 use crate::txn::{AbortReason, TxnData};
 use crate::vartable::VarTable;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use crate::vlock::VLock;
+use std::sync::atomic::{AtomicI64, Ordering};
 
 /// How long an attempt spins on the global lock before aborting.
 pub const SPIN_LIMIT: usize = 100_000;
@@ -33,7 +34,7 @@ pub struct GlobalLockBackend {
     /// Acquire/Release orders one holder's installs before the next
     /// holder's reads, so every access is `Relaxed`.
     values: VarTable<AtomicI64>,
-    lock: AtomicBool,
+    lock: VLock,
 }
 
 /// Sentinel pushed into [`TxnData::held_locks`] while the global lock is
@@ -57,21 +58,17 @@ impl GlobalLockBackend {
         if Self::holds_lock(data) {
             return Ok(());
         }
-        for _ in 0..SPIN_LIMIT {
-            if self.lock.compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire).is_ok()
-            {
-                data.held_locks.push(GLOBAL);
-                return Ok(());
-            }
-            std::hint::spin_loop();
+        if !self.lock.lock(SPIN_LIMIT) {
+            return Err(AbortReason::LockConflict);
         }
-        Err(AbortReason::LockConflict)
+        data.held_locks.push(GLOBAL);
+        Ok(())
     }
 
     fn release(&self, data: &mut TxnData) {
         if Self::holds_lock(data) {
             data.held_locks.pop();
-            self.lock.store(false, Ordering::Release);
+            self.lock.unlock();
         }
     }
 }

@@ -26,7 +26,7 @@
 //!    | `obstruction-free` | per-var metadata only | serializable | never waits, aborts; not obstruction-free (see [`ofree`]) |
 //!    | `pram-local`       | no shared memory at all | PRAM only | wait-free |
 //!    | `mvcc`             | per-var version chains + one global commit clock | **snapshot isolation** (admits write skew) | reads wait out a committer on their chain; first committer wins |
-//!    | `shard-lock`       | 16 hash bands (band-grain DAP only) | serializable | blocking on shard locks |
+//!    | `shard-lock`       | 16 hash bands, one versioned lock each (band-grain DAP only) | serializable | blocking on band locks |
 //!    | `global-lock`      | none: one lock for everything | serializable | blocking on the one lock |
 //!
 //! [`Stm::run`] is one retry loop: attempt, and on an abort spin once

@@ -5,7 +5,7 @@
 //! blocking wait is replaced by an immediate abort:
 //!
 //! * writes are buffered and the write locks are only taken at commit, with a single
-//!   `try_lock` each — a busy lock aborts the attempt instead of spinning;
+//!   try each — a busy lock aborts the attempt instead of spinning;
 //! * reads of a locked variable abort instead of waiting;
 //! * commit validates the read set and installs the write set, exactly like TL2.
 //!
@@ -46,21 +46,8 @@ impl Backend for OFreeBackend {
     }
 
     fn commit(&self, data: &mut TxnData) -> Result<(), AbortReason> {
-        // Acquire write locks in variable order, aborting on the first busy one.
-        for i in 0..data.writes().len() {
-            let var = data.writes().key_at(i);
-            if !self.cells.lock(data, var, 1) {
-                self.cells.release_all(data);
-                return Err(AbortReason::LockConflict);
-            }
-        }
-        if !self.cells.validate(data) {
-            self.cells.release_all(data);
-            return Err(AbortReason::ReadValidation);
-        }
-        data.mark_validated();
-        self.cells.install(data);
-        Ok(())
+        // One try per write lock: a busy one aborts the attempt.
+        self.cells.commit(data, 1)
     }
 
     fn cleanup(&self, data: &mut TxnData) {

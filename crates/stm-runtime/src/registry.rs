@@ -130,9 +130,8 @@ pub const MVCC: BackendId = BackendId(1);
 pub const OBSTRUCTION_FREE: BackendId = BackendId(2);
 /// The thread-local-replica backend ("give up Consistency").
 pub const PRAM_LOCAL: BackendId = BackendId(3);
-/// The sharded reader-writer-lock backend (gives up *full*
-/// disjoint-access-parallelism: per-band metadata between `global-lock` and
-/// TL2).
+/// The sharded backend (gives up *full* disjoint-access-parallelism: one
+/// versioned lock per hash band, between `global-lock` and TL2).
 pub const SHARD_LOCK: BackendId = BackendId(4);
 /// The blocking TL2-style backend ("give up Liveness").
 pub const TL2_BLOCKING: BackendId = BackendId(5);
@@ -226,13 +225,13 @@ static BACKENDS: [BackendSpec; 6] = [
     BackendSpec {
         name: "shard-lock",
         aliases: &["shardlock", "sharded", "slock"],
-        summary: "per-shard reader-writer locks (16 hash bands) with sorted \
-                  two-phase commit acquisition",
+        summary: "one versioned lock per hash band (16 bands): commit locks the \
+                  written bands in order and validates the read ones",
         triangle: Triangle {
             sacrificed: Axis::Parallelism,
             parallelism: "shard-band metadata: disjoint vars in one band still conflict",
-            consistency: "serializable (commit-time shard validation under 2PL)",
-            liveness: "blocking on shard locks (bounded spin, then abort)",
+            consistency: "serializable (commit-time band validation under the write locks)",
+            liveness: "blocking on band locks (bounded spin, then abort)",
         },
         constructor: || Arc::new(crate::shardlock::ShardLockBackend::new()),
     },

@@ -1,93 +1,42 @@
-//! The sharded reader-writer-lock backend: the point *between*
-//! `global-lock` and TL2 on the parallelism axis.
+//! The sharded backend: the point *between* `global-lock` and TL2 on the
+//! parallelism axis.
 //!
-//! Variables hash into a fixed number of **shards** ([`SHARDS`] bands of the
-//! var-id hash); each shard carries one reader-writer spin lock and one
-//! version counter.  Execution is optimistic and lock-free: reads take a
-//! seqlock-consistent `(shard version, value)` snapshot and writes buffer.
-//! Commit is **sorted two-phase acquisition**: the touched shards are locked
-//! in ascending shard order — write locks for written shards, read locks for
-//! read-only shards — so two committers can never deadlock, then every
-//! recorded shard version is re-validated and the writes are installed.
+//! Variables hash into a fixed number of **bands** ([`SHARDS`] bands of the
+//! var-id hash); each band is one versioned-lock word, a `VLock`, beside
+//! the values.  Execution is optimistic and lock-free: a read is the band
+//! word's seqlock read of the value, the first read of a band pinning its
+//! version for the attempt, and writes buffer.  Commit is obstruction-free's
+//! commit-time protocol at band grain: lock the written bands in ascending
+//! band order (bounded spin each), check that every read band is still at
+//! its pinned version and held by no other committer, install the values
+//! and publish the written bands.  Read-only bands are validated, never
+//! locked, so a read-only commit only loads band words.
 //!
-//! The result is serializable (commit-time validation under all the locks is
-//! a single atomic commit point) and blocking (bounded spin on busy shard
-//! locks, then abort — the same hang-free discipline as the other locking
-//! backends).  What it pays is **parallelism**: two transactions over
-//! disjoint variables that land in the same hash band still conflict, a
-//! 1/[`SHARDS`] false-conflict rate that sits exactly between the
-//! global-lock backend (one band) and TL2 (one band per variable) — the
-//! spectrum "Distributed Transactional Systems Cannot Be Fast" argues must
-//! be measured, not assumed.
+//! The result is serializable (the reads are all current while every
+//! written band is locked, a single atomic commit point) and blocking
+//! (bounded spin on a busy band, then abort — the same hang-free discipline
+//! as the other locking backends).  What it pays is **parallelism**: two
+//! transactions over disjoint variables that land in the same hash band
+//! still conflict, a 1/[`SHARDS`] false-conflict rate that sits exactly
+//! between the global-lock backend (one band) and TL2 (one band per
+//! variable) — the spectrum "Distributed Transactional Systems Cannot Be
+//! Fast" argues must be measured, not assumed.
 
 use crate::backend::{Backend, VarId};
 use crate::txn::{AbortReason, TxnData};
 use crate::vartable::VarTable;
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use crate::vlock::VLock;
+use std::sync::atomic::{AtomicI64, Ordering};
 
-/// How many hash bands (shards) the backend uses (must be a power of two:
-/// [`shard_of`] derives its band extraction from it).
+/// How many hash bands (shards) the backend uses (a power of two, so
+/// [`shard_of`] derives its band extraction from it, and at most 32, so a
+/// commit's written bands fit one `u32` mask).
 pub const SHARDS: usize = 16;
 
-const _: () = assert!(SHARDS.is_power_of_two());
+const _: () = assert!(SHARDS.is_power_of_two() && SHARDS <= 32);
 
-/// How long an attempt spins on a busy shard lock before aborting.
+/// How long an attempt spins on a busy band before aborting.
 pub const SPIN_LIMIT: usize = 50_000;
-
-/// Writer bit of a shard's lock state; the low bits count readers.
-const WRITER: u64 = 1 << 63;
-
-struct Shard {
-    /// Reader-writer spin lock: [`WRITER`] bit + reader count.
-    state: AtomicU64,
-    /// Bumped once per committed write to the shard (while write-locked).
-    version: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard { state: AtomicU64::new(0), version: AtomicU64::new(0) }
-    }
-
-    fn try_read_lock(&self, spin_limit: usize) -> bool {
-        for _ in 0..spin_limit {
-            let s = self.state.load(Ordering::Acquire);
-            if s & WRITER == 0
-                && self
-                    .state
-                    .compare_exchange_weak(s, s + 1, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                return true;
-            }
-            std::hint::spin_loop();
-        }
-        false
-    }
-
-    fn try_write_lock(&self, spin_limit: usize) -> bool {
-        for _ in 0..spin_limit {
-            if self
-                .state
-                .compare_exchange_weak(0, WRITER, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return true;
-            }
-            std::hint::spin_loop();
-        }
-        false
-    }
-
-    fn unlock(&self, write: bool) {
-        if write {
-            self.state.store(0, Ordering::Release);
-        } else {
-            self.state.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-}
 
 /// Which hash band a variable belongs to (a multiplicative hash, so
 /// consecutive var ids spread across bands instead of striding).
@@ -96,10 +45,15 @@ pub fn shard_of(var: VarId) -> usize {
     ((var.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - band_bits)) as usize
 }
 
-/// The sharded reader-writer-lock backend.
+/// The bands set in `mask`, ascending.
+fn bands(mask: u32) -> impl Iterator<Item = usize> {
+    (0..SHARDS).filter(move |&band| mask & 1 << band != 0)
+}
+
+/// The sharded backend.
 pub struct ShardLockBackend {
     values: VarTable<AtomicI64>,
-    shards: Vec<Shard>,
+    bands: [VLock; SHARDS],
     spin_limit: usize,
 }
 
@@ -111,16 +65,12 @@ impl ShardLockBackend {
 
     /// Create a backend with a custom spin budget (used by tests).
     pub fn with_spin_limit(spin_limit: usize) -> Self {
-        ShardLockBackend {
-            values: VarTable::new(),
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
-            spin_limit,
-        }
+        ShardLockBackend { values: VarTable::new(), bands: Default::default(), spin_limit }
     }
 
-    fn release(&self, acquired: &[(usize, bool)]) {
-        for &(shard, write) in acquired {
-            self.shards[shard].unlock(write);
+    fn unlock(&self, mask: u32) {
+        for band in bands(mask) {
+            self.bands[band].unlock();
         }
     }
 }
@@ -139,80 +89,49 @@ impl Backend for ShardLockBackend {
     }
 
     fn read(&self, data: &mut TxnData, var: VarId) -> Result<i64, AbortReason> {
-        let shard = &self.shards[shard_of(var)];
-        for _ in 0..self.spin_limit {
-            if shard.state.load(Ordering::Acquire) & WRITER != 0 {
-                std::hint::spin_loop();
-                continue;
+        let band = shard_of(var);
+        let slot = self.values.get(var.index());
+        let (version, value) = self.bands[band]
+            .read(self.spin_limit, || slot.load(Ordering::Acquire))
+            .ok_or(AbortReason::LockConflict)?;
+        // One consistent version per band per attempt: the first read pins
+        // it, and a later read observing a newer band version is a conflict
+        // the commit validation would reject anyway — abort early.
+        let key = VarId(band);
+        match data.read_versions.get(&key) {
+            Some(&pinned) if pinned != version => return Err(AbortReason::ReadValidation),
+            Some(_) => {}
+            None => {
+                data.read_versions.insert(key, version);
             }
-            let v1 = shard.version.load(Ordering::Acquire);
-            let value = self.values.get(var.index()).load(Ordering::Acquire);
-            let v2 = shard.version.load(Ordering::Acquire);
-            if v1 == v2 && shard.state.load(Ordering::Acquire) & WRITER == 0 {
-                // One consistent version per shard per attempt: the first
-                // read pins it, and a later read observing a newer shard
-                // version is a conflict the commit validation would reject
-                // anyway — abort early.
-                let key = VarId(shard_of(var));
-                match data.read_versions.get(&key) {
-                    Some(&pinned) if pinned != v1 => return Err(AbortReason::ReadValidation),
-                    Some(_) => {}
-                    None => {
-                        data.read_versions.insert(key, v1);
-                    }
-                }
-                return Ok(value);
-            }
-            std::hint::spin_loop();
         }
-        Err(AbortReason::LockConflict)
+        Ok(value)
     }
 
     fn commit(&self, data: &mut TxnData) -> Result<(), AbortReason> {
-        // Writes were buffered; the locks are taken here (sorted two-phase).
-        let write_shards: BTreeSet<usize> = data.writes().keys().map(|&v| shard_of(v)).collect();
-        let touched: BTreeSet<usize> = data
-            .read_versions
-            .keys()
-            .map(|k| k.index())
-            .chain(write_shards.iter().copied())
-            .collect();
-        // Sorted two-phase acquisition: ascending shard order, write locks
-        // for written shards, read locks otherwise.  Every committer sorts
-        // identically, so the acquisition order is deadlock-free.
-        let mut acquired: Vec<(usize, bool)> = Vec::with_capacity(touched.len());
-        for &shard in &touched {
-            let write = write_shards.contains(&shard);
-            let ok = if write {
-                self.shards[shard].try_write_lock(self.spin_limit)
-            } else {
-                self.shards[shard].try_read_lock(self.spin_limit)
-            };
-            if !ok {
-                self.release(&acquired);
+        let written = data.writes().keys().fold(0u32, |mask, &var| mask | 1 << shard_of(var));
+        // Ascending band order: every committer locks in the same order, so
+        // two never wait on each other's bands in a cycle.
+        for band in bands(written) {
+            if !self.bands[band].lock(self.spin_limit) {
+                self.unlock(written & ((1 << band) - 1));
                 return Err(AbortReason::LockConflict);
             }
-            acquired.push((shard, write));
         }
-        // Validate: every shard read during execution is still at the
-        // version the attempt pinned (no commit slipped in between).
-        for (key, &pinned) in &data.read_versions {
-            if self.shards[key.index()].version.load(Ordering::Acquire) != pinned {
-                self.release(&acquired);
-                return Err(AbortReason::ReadValidation);
-            }
+        let current = data.read_versions.iter().all(|(key, &pinned)| {
+            self.bands[key.index()].is_current(pinned, || written & 1 << key.index() != 0)
+        });
+        if !current {
+            self.unlock(written);
+            return Err(AbortReason::ReadValidation);
         }
         data.mark_validated();
-        // Install under all the locks (the single atomic commit point).
-        if !data.writes().is_empty() {
-            for (&var, &value) in data.writes() {
-                self.values.get(var.index()).store(value, Ordering::Release);
-            }
-            for &shard in &write_shards {
-                self.shards[shard].version.fetch_add(1, Ordering::AcqRel);
-            }
+        for (&var, &value) in data.writes() {
+            self.values.get(var.index()).store(value, Ordering::Release);
         }
-        self.release(&acquired);
+        for band in bands(written) {
+            self.bands[band].publish();
+        }
         Ok(())
     }
 
@@ -226,6 +145,8 @@ impl Backend for ShardLockBackend {
 mod tests {
     use super::*;
     use crate::txn::Txn;
+    use std::collections::BTreeSet;
+    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     fn txn(backend: &ShardLockBackend) -> TxnData {
@@ -307,6 +228,62 @@ mod tests {
             Err(AbortReason::ReadValidation),
             "false sharing by design"
         );
+    }
+
+    /// Every band word's raw `version << 1 | locked` value.
+    fn band_words(b: &ShardLockBackend) -> Vec<u64> {
+        b.bands.iter().map(VLock::word).collect()
+    }
+
+    /// Allocate fresh variables until one lands in `band`.
+    fn var_in_band(b: &ShardLockBackend, band: usize) -> VarId {
+        (0..).map(|_| b.alloc(0)).find(|&var| shard_of(var) == band).expect("the hash spreads ids")
+    }
+
+    #[test]
+    fn read_only_commits_leave_every_band_word_unchanged() {
+        let b = ShardLockBackend::new();
+        let vars: Vec<VarId> = (0..64).map(|i| b.alloc(i)).collect();
+        let mut writer = txn(&b);
+        Txn::new(&b, &mut writer).write_word(vars[0], 100).unwrap();
+        b.commit(&mut writer).unwrap();
+
+        let before = band_words(&b);
+        let mut reader = txn(&b);
+        let sum: i64 = vars.iter().map(|&v| b.read(&mut reader, v).unwrap()).sum();
+        assert_eq!(sum, 100 + (1..64).sum::<i64>());
+        assert!(reader.read_versions.len() > 1, "the reads span several bands");
+        b.commit(&mut reader).unwrap();
+        assert_eq!(band_words(&b), before, "a read-only commit only loads band words");
+    }
+
+    #[test]
+    fn a_reader_of_a_band_a_parked_committer_locked_aborts_with_lock_conflict() {
+        let b = ShardLockBackend::with_spin_limit(500);
+        let var = b.alloc(0);
+        let band = &b.bands[shard_of(var)];
+        // A committer parked after its lock step.
+        assert!(band.lock(1));
+        assert_eq!(b.read(&mut txn(&b), var), Err(AbortReason::LockConflict));
+        band.unlock();
+        assert_eq!(b.read(&mut txn(&b), var), Ok(0));
+    }
+
+    #[test]
+    fn a_commit_whose_read_band_another_committer_holds_fails_validation_at_once() {
+        // With the default budget a lock wait would spin 50 000 times and
+        // end in `LockConflict`; validation fails on the first load.
+        let b = ShardLockBackend::new();
+        let (read, write) = (var_in_band(&b, 0), var_in_band(&b, 1));
+        let mut t = txn(&b);
+        assert_eq!(b.read(&mut t, read), Ok(0));
+        Txn::new(&b, &mut t).write_word(write, 1).unwrap();
+        // Another committer holds the read band.
+        assert!(b.bands[0].lock(1));
+        assert_eq!(b.commit(&mut t), Err(AbortReason::ReadValidation));
+        b.bands[0].unlock();
+        assert_eq!(band_words(&b), vec![0; SHARDS], "the failed commit released its band");
+        assert_eq!(b.read(&mut txn(&b), write), Ok(0), "and installed nothing");
     }
 
     #[test]

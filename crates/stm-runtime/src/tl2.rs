@@ -68,16 +68,9 @@ impl Backend for Tl2Backend {
     }
 
     fn commit(&self, data: &mut TxnData) -> Result<(), AbortReason> {
-        // Validate the read set: if another transaction committed to a
-        // variable between our read and now (or still holds its lock), the
-        // snapshot is stale.
-        if !self.cells.validate(data) {
-            self.cells.release_all(data);
-            return Err(AbortReason::ReadValidation);
-        }
-        data.mark_validated();
-        self.cells.install(data);
-        Ok(())
+        // Every write lock is held since the write hook; validate the read
+        // set and install.
+        self.cells.commit(data, self.spin_limit)
     }
 
     fn cleanup(&self, data: &mut TxnData) {

@@ -1,11 +1,15 @@
-//! The versioned-lock cell the blocking and obstruction-free backends share:
-//! per variable one versioned-lock word and the value, and nothing else —
-//! two transactions over disjoint variables never touch a common atomic.
+//! The runtime's one spin lock, [`VLock`], and the per-variable cells the
+//! blocking and obstruction-free backends build from it.
 //!
-//! The word is `version << 1 | locked`, so a seqlock read is two loads of
-//! it, validation is one, and an install's version bump and unlock are one
-//! store.  The backends differ only in *when* they lock and *how long* they
-//! wait, which the callers pass in as a number of tries.
+//! A [`VLock`] is one word, `version << 1 | locked`, so a seqlock read is
+//! two loads of it, validation is one, and a publish's version bump and
+//! unlock are one store.  Every lock in the runtime is one: a variable's
+//! cell here, a band of `shard-lock`, the instance lock of `global-lock`.
+//! Backends differ only in what a word guards, *when* they lock it and
+//! *how long* they wait, which they pass in as a number of tries.
+//!
+//! [`Cells`] keeps per variable one word and the value, and nothing else —
+//! two transactions over disjoint variables never touch a common atomic.
 
 use crate::backend::VarId;
 use crate::txn::{AbortReason, TxnData};
@@ -15,10 +19,86 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 /// The lock bit of a versioned-lock word; the version sits above it.
 const LOCKED: u64 = 1;
 
+/// A versioned spin lock: one `version << 1 | locked` word.
+///
+/// Only the holder publishes or unlocks; nothing checks that, so each
+/// caller keeps its own record of what it holds.
+#[derive(Default)]
+pub(crate) struct VLock(AtomicU64);
+
+impl VLock {
+    /// Seqlock read: run `load` between two loads of an unlocked, unchanged
+    /// word within `tries` attempts, returning the word's version and what
+    /// `load` read; `None` if the word stayed locked or moved every time.
+    /// `load` must read with `Acquire`, pairing with the holder's `Release`
+    /// stores before [`VLock::publish`], so a new value implies a moved word.
+    #[inline]
+    pub(crate) fn read<T>(&self, tries: usize, load: impl Fn() -> T) -> Option<(u64, T)> {
+        for _ in 0..tries {
+            let before = self.0.load(Ordering::Acquire);
+            if before & LOCKED == 0 {
+                let value = load();
+                if self.0.load(Ordering::Acquire) == before {
+                    return Some((before >> 1, value));
+                }
+            }
+            std::hint::spin_loop();
+        }
+        None
+    }
+
+    /// Take the lock within `tries` attempts; `false` if it stayed busy.
+    ///
+    /// A try is one `fetch_or`, which leaves a held word as it was; between
+    /// tries a waiter only loads, so it does not write the holder's cache
+    /// line while it spins.
+    #[inline]
+    pub(crate) fn lock(&self, tries: usize) -> bool {
+        let mut word = 0;
+        for _ in 0..tries {
+            if word & LOCKED == 0 && self.0.fetch_or(LOCKED, Ordering::AcqRel) & LOCKED == 0 {
+                return true;
+            }
+            std::hint::spin_loop();
+            word = self.0.load(Ordering::Relaxed);
+        }
+        false
+    }
+
+    /// `true` if the word is still at `version` and either unlocked or,
+    /// as `held` answers when it is locked, held by the caller.
+    #[inline]
+    pub(crate) fn is_current(&self, version: u64, held: impl FnOnce() -> bool) -> bool {
+        let word = self.0.load(Ordering::Acquire);
+        word >> 1 == version && (word & LOCKED == 0 || held())
+    }
+
+    /// Bump the version and unlock, in one store.  Holder only.
+    #[inline]
+    pub(crate) fn publish(&self) {
+        // Locked, so `word` is odd and `word + 1` is the next version,
+        // unlocked.
+        let word = self.0.load(Ordering::Relaxed);
+        self.0.store(word + 1, Ordering::Release);
+    }
+
+    /// Unlock, the version unchanged.  Holder only.
+    #[inline]
+    pub(crate) fn unlock(&self) {
+        let word = self.0.load(Ordering::Relaxed);
+        self.0.store(word & !LOCKED, Ordering::Release);
+    }
+
+    /// The raw word, for tests that check what a step leaves behind.
+    #[cfg(test)]
+    pub(crate) fn word(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
 #[derive(Default)]
 struct Cell {
-    /// `version << 1 | locked`.
-    vlock: AtomicU64,
+    vlock: VLock,
     value: AtomicI64,
 }
 
@@ -38,9 +118,9 @@ impl Cells {
         }))
     }
 
-    /// Seqlock read: a consistent unlocked `(version, value)` snapshot within
-    /// `tries` attempts, its version kept in the read set; a conflict if the
-    /// cell stayed locked or changed under us every time.
+    /// Seqlock read of `var` within `tries` attempts, its version kept in
+    /// the read set; a conflict if the cell stayed locked or changed under
+    /// us every time.
     #[inline]
     pub(crate) fn read(
         &self,
@@ -49,78 +129,61 @@ impl Cells {
         tries: usize,
     ) -> Result<i64, AbortReason> {
         let cell = self.cell(var);
-        for _ in 0..tries {
-            let before = cell.vlock.load(Ordering::Acquire);
-            if before & LOCKED == 0 {
-                let value = cell.value.load(Ordering::Acquire);
-                if cell.vlock.load(Ordering::Acquire) == before {
-                    data.read_versions.insert(var, before >> 1);
-                    return Ok(value);
-                }
-            }
-            std::hint::spin_loop();
-        }
-        Err(AbortReason::LockConflict)
+        let (version, value) = cell
+            .vlock
+            .read(tries, || cell.value.load(Ordering::Acquire))
+            .ok_or(AbortReason::LockConflict)?;
+        data.read_versions.insert(var, version);
+        Ok(value)
     }
 
     /// Take `var`'s lock within `tries` attempts, recording it in
     /// [`TxnData::held_locks`]; `false` if it stayed busy.
     #[inline]
     pub(crate) fn lock(&self, data: &mut TxnData, var: VarId, tries: usize) -> bool {
-        let cell = self.cell(var);
-        for _ in 0..tries {
-            let word = cell.vlock.load(Ordering::Relaxed);
-            if word & LOCKED == 0
-                && cell
-                    .vlock
-                    .compare_exchange(word, word | LOCKED, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            {
-                data.held_locks.push(var);
-                return true;
-            }
-            std::hint::spin_loop();
+        let locked = self.cell(var).vlock.lock(tries);
+        if locked {
+            data.held_locks.push(var);
         }
-        false
+        locked
     }
 
-    /// `true` if every read version is still current and no other
-    /// transaction holds the lock of a variable read.
+    /// Commit: lock every written cell not yet held within `tries`
+    /// attempts each, check that every read version is current and no
+    /// other transaction holds a cell read, then install.  Any failure
+    /// releases every held lock.
     #[inline]
-    pub(crate) fn validate(&self, data: &TxnData) -> bool {
-        data.read_versions.iter().all(|(var, &version)| {
-            let word = self.cell(*var).vlock.load(Ordering::Acquire);
-            word >> 1 == version && (word & LOCKED == 0 || data.held_locks.contains(var))
-        })
-    }
-
-    /// Install the buffered writes, whose locks are exactly the held ones:
-    /// each cell's new value, then one store that bumps its version and
-    /// unlocks it.
-    #[inline]
-    pub(crate) fn install(&self, data: &mut TxnData) {
-        debug_assert!(
-            data.held_locks.len() == data.writes().len()
-                && data.held_locks.iter().all(|var| data.writes().contains_key(var)),
-            "install runs with exactly the write set locked"
-        );
+    pub(crate) fn commit(&self, data: &mut TxnData, tries: usize) -> Result<(), AbortReason> {
+        for i in 0..data.writes().len() {
+            let var = data.writes().key_at(i);
+            if !data.held_locks.contains(&var) && !self.lock(data, var, tries) {
+                self.release_all(data);
+                return Err(AbortReason::LockConflict);
+            }
+        }
+        let current = data.read_versions.iter().all(|(var, &version)| {
+            self.cell(*var).vlock.is_current(version, || data.held_locks.contains(var))
+        });
+        if !current {
+            self.release_all(data);
+            return Err(AbortReason::ReadValidation);
+        }
+        data.mark_validated();
+        debug_assert_eq!(data.held_locks.len(), data.writes().len(), "exactly the writes are held");
         for (&var, &value) in data.writes() {
             let cell = self.cell(var);
             cell.value.store(value, Ordering::Release);
-            // Locked by us, so `word` is odd and `word + 1` is the next
-            // version, unlocked.
-            let word = cell.vlock.load(Ordering::Relaxed);
-            cell.vlock.store(word + 1, Ordering::Release);
+            cell.vlock.publish();
         }
         data.held_locks.clear();
+        Ok(())
     }
 
     /// Unlock every held cell, its version unchanged.
     #[inline]
     pub(crate) fn release_all(&self, data: &mut TxnData) {
         for var in data.held_locks.drain(..) {
-            let vlock = &self.cell(var).vlock;
-            vlock.store(vlock.load(Ordering::Relaxed) & !LOCKED, Ordering::Release);
+            self.cell(var).vlock.unlock();
         }
     }
 }
@@ -128,41 +191,32 @@ impl Cells {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ofree::OFreeBackend;
-    use crate::{Backend, Txn};
 
     #[test]
     fn one_word_carries_the_lock_bit_and_the_version() {
-        // obstruction-free's write hook only buffers, so its cells are bare.
-        let b = OFreeBackend::new();
-        let (x, y) = (b.alloc(10), b.alloc(20));
-        let (cells, word) = (&b.cells, |var| b.cells.cell(var).vlock.load(Ordering::Relaxed));
-        let mut reader = TxnData::default();
-        assert_eq!(cells.read(&mut reader, x, 1), Ok(10));
-        assert_eq!(cells.read(&mut reader, y, 1), Ok(20));
+        let (lock, value) = (VLock::default(), AtomicI64::new(10));
+        let word = || lock.word();
+        let load = || value.load(Ordering::Acquire);
+        assert_eq!(lock.read(1, load), Some((0, 10)));
 
-        // Validation passes on a cell locked by the validator itself …
-        assert!(cells.lock(&mut reader, x, 1));
-        assert_eq!(word(x), LOCKED);
-        assert!(cells.validate(&reader));
-        cells.release_all(&mut reader);
-        assert_eq!(word(x), 0, "release keeps the version");
+        // The caller's own lock passes the currency check, another's fails.
+        assert!(lock.lock(1));
+        assert_eq!(word(), LOCKED);
+        assert!(!lock.lock(3), "a held word stays held");
+        assert_eq!(word(), LOCKED, "a failed try leaves the word as it was");
+        assert_eq!(lock.read(3, load), None);
+        assert!(lock.is_current(0, || true));
+        assert!(!lock.is_current(0, || false));
+        lock.unlock();
+        assert_eq!(word(), 0, "unlock keeps the version");
 
-        // … and fails on one locked by another.
-        let mut writer = TxnData::default();
-        Txn::new(&b, &mut writer).write_word(y, 21).unwrap();
-        assert!(cells.lock(&mut writer, y, 1));
-        assert!(!cells.lock(&mut reader, y, 1));
-        assert!(!cells.validate(&reader));
-        assert_eq!(cells.read(&mut TxnData::default(), y, 3), Err(AbortReason::LockConflict));
-
-        // Install bumps the version and unlocks in one store.
-        cells.install(&mut writer);
-        assert!(writer.held_locks.is_empty());
-        assert_eq!(word(y), 1 << 1);
-        assert!(!cells.validate(&reader), "the version moved");
-        let mut after = TxnData::default();
-        assert_eq!(cells.read(&mut after, y, 1), Ok(21));
-        assert_eq!(after.read_versions.get(&y), Some(&1));
+        // Publish bumps the version and unlocks in one store.
+        assert!(lock.lock(1));
+        value.store(11, Ordering::Release);
+        lock.publish();
+        assert_eq!(word(), 1 << 1);
+        assert!(!lock.is_current(0, || true), "the version moved");
+        assert!(lock.is_current(1, || false));
+        assert_eq!(lock.read(1, load), Some((1, 11)));
     }
 }

@@ -4,8 +4,8 @@
 //! The paper's placement of each backend, as measurable history properties:
 //!
 //! * the consistent backends (`tl2-blocking`, `obstruction-free`,
-//!   `global-lock`) must produce serializable histories under arbitrary
-//!   contention, and `mvcc` snapshot-isolated ones;
+//!   `shard-lock`, `global-lock`) must produce serializable histories under
+//!   arbitrary contention, and `mvcc` snapshot-isolated ones;
 //! * the no-synchronization `pram-local` backend must be *convicted*: its
 //!   histories stay (vacuously) causal but lose updates, so snapshot
 //!   isolation and serializability must fail with a concrete witness.
@@ -13,7 +13,9 @@
 mod common;
 
 use pcl_tm::audit::{audit, Level, Outcome};
-use pcl_tm::stm::registry::{GLOBAL_LOCK, MVCC, OBSTRUCTION_FREE, PRAM_LOCAL, TL2_BLOCKING};
+use pcl_tm::stm::registry::{
+    GLOBAL_LOCK, MVCC, OBSTRUCTION_FREE, PRAM_LOCAL, SHARD_LOCK, TL2_BLOCKING,
+};
 use pcl_tm::stm::BackendId;
 
 fn run(backend: BackendId, seed: u64) -> pcl_tm::audit::AuditReport {
@@ -34,6 +36,16 @@ fn tl2_blocking_histories_are_serializable_under_contention() {
 fn obstruction_free_histories_are_serializable_under_contention() {
     for seed in [1, 2, 3] {
         let report = run(OBSTRUCTION_FREE, seed);
+        for level in Level::ALL {
+            assert!(report.passes(level), "seed {seed}, {level}:\n{report}");
+        }
+    }
+}
+
+#[test]
+fn shard_lock_histories_are_serializable_under_contention() {
+    for seed in [1, 2, 3] {
+        let report = run(SHARD_LOCK, seed);
         for level in Level::ALL {
             assert!(report.passes(level), "seed {seed}, {level}:\n{report}");
         }
@@ -67,6 +79,7 @@ fn eight_thread_histories_hold_each_backends_floor() {
     for (backend, floor) in [
         (TL2_BLOCKING, Level::Serializable),
         (OBSTRUCTION_FREE, Level::Serializable),
+        (SHARD_LOCK, Level::Serializable),
         (GLOBAL_LOCK, Level::Serializable),
         (MVCC, Level::SnapshotIsolation),
     ] {
