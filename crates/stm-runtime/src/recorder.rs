@@ -262,7 +262,7 @@ pub struct CommittedTxn {
     pub hint: u64,
     /// Always `0`: no producer stamps it and no auditor reads it.  It is
     /// kept only because `benchmark/`'s input hash still hashes it, and goes
-    /// once that hash stops (ROADMAP item 4, step B).
+    /// once that hash stops (ROADMAP item 10).
     pub footprint: u64,
 }
 

@@ -31,7 +31,8 @@
 //!    witness for all six levels ([`DecidedBy::Hint`]) and nothing else
 //!    runs.  Only a history (or window) whose recording order does *not*
 //!    verify enters the engine proper: Read Committed / Read Atomic / Causal
-//!    by polynomial saturation on a transaction digraph; Prefix / Snapshot
+//!    by polynomial saturation on the partial order's edge arena
+//!    ([`po::BaseGraph`], the one graph type); Prefix / Snapshot
 //!    Isolation / Serializability by polynomial lost-update and write-skew
 //!    refutations, then the constrained-linearization DFS — and, when a
 //!    solver is configured ([`SatConfig`]), in three stages ordered by cost:
@@ -112,7 +113,6 @@
 #![warn(missing_docs)]
 
 pub mod adapter;
-pub mod digraph;
 pub mod history;
 pub mod linearization;
 pub mod partition;

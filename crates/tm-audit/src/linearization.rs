@@ -36,8 +36,7 @@
 //!    placed set is sound), and bounded by an explicit state budget: an
 //!    exhausted budget reports *unknown*, never a verdict.
 
-use crate::digraph::{splitmix64, DiGraph};
-use crate::po::{TxnPartialOrder, ROOT};
+use crate::po::{find_cycle, OutLists, TxnPartialOrder, ROOT};
 use crate::saturation::Saturated;
 use std::collections::{HashMap, HashSet};
 
@@ -155,20 +154,11 @@ pub fn find_same_source_skew(po: &TxnPartialOrder, sat: &Saturated) -> Option<Ve
     if let Some(&(r, w)) = forced.iter().find(|&&(r, w)| pairs.contains(&(w, r))) {
         return Some(vec![r, w, r]);
     }
-    let mut graph = DiGraph::new(po.len());
-    for a in 0..po.len() as u32 {
-        for &b in sat.graph.neighbors(a) {
-            graph.add_edge(a, b);
-        }
-    }
-    let mut added = false;
-    for (reader, writer) in forced {
-        added |= graph.add_edge(reader, writer);
-    }
-    if !added {
-        return None; // every forced edge was already a saturated constraint
-    }
-    graph.find_cycle()
+    // The saturated out-list, then the forced edges: one may repeat a
+    // saturated edge or another, which changes nothing the walk finds.
+    let n = po.len();
+    let forced = OutLists::new(n, forced.into_iter());
+    find_cycle(n, |v| sat.graph.neighbors(v).chain(forced.get(v).iter().copied()))
 }
 
 /// Verify a full candidate **commit order** against snapshot-isolation
@@ -231,7 +221,7 @@ fn verify_split_order(
     // Latest-committing saturated predecessor of each transaction.
     let mut pred_max = vec![0usize; n];
     for a in 0..n as u32 {
-        for &b in sat.graph.neighbors(a) {
+        for b in sat.graph.neighbors(a) {
             pred_max[b as usize] = pred_max[b as usize].max(pos[a as usize]);
         }
     }
@@ -270,7 +260,17 @@ fn verify_split_order(
     true
 }
 
-// Deterministic per-vertex Zobrist keys (SplitMix64, two streams xor-combined
+/// The splitmix64 output function: a fixed, well-mixed 64-bit hash.  It keys
+/// the DFS's Zobrist table and spreads the partition's routing bands — never
+/// a key read from input, which a fixed hash would let input flood.
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+// Deterministic per-vertex Zobrist keys (two splitmix64 streams xor-combined
 // into a u128 so accidental collisions need 128 matching bits).
 fn zobrist(v: u64) -> u128 {
     let high = splitmix64(v.wrapping_mul(2).wrapping_add(1));
@@ -624,13 +624,13 @@ pub fn search_serializable(
     let n = po.len();
     let mut indegree = vec![0u32; n];
     for v in 0..n as u32 {
-        for &b in sat.graph.neighbors(v) {
+        for b in sat.graph.neighbors(v) {
             indegree[b as usize] += 1;
         }
     }
     // Pre-place the initial transaction.
     let mut initial: Vec<u32> = Vec::new();
-    for &b in sat.graph.neighbors(ROOT) {
+    for b in sat.graph.neighbors(ROOT) {
         indegree[b as usize] -= 1;
         if indegree[b as usize] == 0 {
             initial.push(b);
@@ -638,7 +638,7 @@ pub fn search_serializable(
     }
     let mut model = SerModel { versions: VersionState::new(po, n_vars), undo_logs: Vec::new() };
     let succs = |v: u32, f: &mut dyn FnMut(u32)| {
-        for &b in sat.graph.neighbors(v) {
+        for b in sat.graph.neighbors(v) {
             f(b);
         }
     };
@@ -774,7 +774,7 @@ fn search_split(
     let mut after = Vec::with_capacity(sat.graph.edge_count());
     for a in 0..n as u32 {
         after_starts.push(after.len());
-        after.extend(sat.graph.neighbors(a).iter().map(|&b| point_after(a, b)));
+        after.extend(sat.graph.neighbors(a).map(|b| point_after(a, b)));
     }
     after_starts.push(after.len());
     let points_after = |a: u32| &after[after_starts[a as usize]..after_starts[a as usize + 1]];
@@ -901,6 +901,27 @@ mod tests {
         // SI is untouched by the rule: the search still finds an order.
         let si = search_snapshot_isolation(&po, &sat, 2, DEFAULT_STATE_BUDGET);
         assert!(matches!(si, Search::Order(_)), "{si:?}");
+    }
+
+    /// A forced edge that repeats a saturated one: `s0:0` reads x from init
+    /// before its session successor read-modify-writes x, so the forced
+    /// `s0:0 → s0:1` is the session edge.  The three-way skew around it —
+    /// each transaction a plain reader of what the next one rewrites — still
+    /// closes, with the witness it always had.
+    #[test]
+    fn same_source_skew_forces_edges_that_repeat_saturated_ones() {
+        let (x, y, z) = (0, 1, 2);
+        let mut h = AuditHistory::new(3, 0, 2);
+        h.push_txn(0, [(x, 0), (y, 0)], [(y, 1)]); // s0:0 rewrites y
+        h.push_txn(0, [(z, 0), (x, 0)], [(x, 1)]); // s0:1 rewrites x
+        h.push_txn(1, [(y, 0), (z, 0)], [(z, 1)]); // s1:0 rewrites z
+        let po = TxnPartialOrder::build(&h).unwrap();
+        assert_eq!(find_lost_update(&po), None);
+        let sat = check_causal(&po).expect("the skew is causal");
+        assert!(po.has_edge(1, 2), "the forced s0:0 → s0:1 is a session edge");
+        let cycle = find_same_source_skew(&po, &sat).expect("the rule must fire");
+        assert_eq!(po.render_path(&cycle), "s0:0 → s0:1 → s1:0 → s0:0");
+        assert_eq!(solve(&h).0, Search::NoOrder);
     }
 
     /// The rule stays silent on serializable histories and on anomalies it

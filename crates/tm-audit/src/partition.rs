@@ -81,6 +81,7 @@
 //! replay ([`audit_sharded`]).
 
 use crate::history::AuditTxn;
+use crate::linearization::splitmix64;
 use crate::report::{fold_outcomes, AuditReport, DecidedBy, Level, LevelReport, Outcome};
 use crate::window::{Conviction, StreamReport, WindowConfig, WindowedAuditor};
 use crate::AuditHistory;
@@ -103,13 +104,10 @@ const ROUTE_BANDS: usize = 64;
 /// does, but is not enforced by the allocators: an odd allocation base
 /// shifts the pairing and such an object's transactions then straddle bands
 /// (still audited soundly, via the escalation lane, just less cheaply).
-/// The pair index is mixed (splitmix64 finalizer) so adjacent pairs still
-/// spread across bands.
+/// The pair index is mixed ([`splitmix64`]) so adjacent pairs still spread
+/// across bands.
 fn route_band(var_index: usize) -> usize {
-    let mut z = ((var_index >> 1) as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((z ^ (z >> 31)) % ROUTE_BANDS as u64) as usize
+    (splitmix64((var_index >> 1) as u64) % ROUTE_BANDS as u64) as usize
 }
 
 /// The band bitmask of a variable set: bit [`route_band`]`(v)` is set for

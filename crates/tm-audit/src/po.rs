@@ -51,7 +51,9 @@
 //!   that drew an edge from the vertex catches a repeated `src → dense`,
 //!   and a reader whose previous slot already names `dense` a repeated
 //!   `dense → reader`.  [`TxnPartialOrder::has_edge`] is "`a` is `b`'s chain
-//!   predecessor or one of its read sources".
+//!   predecessor or one of its read sources".  It is the audit core's only
+//!   graph type: the saturated order is one too
+//!   ([`crate::saturation::Saturated::graph`]).
 //!
 //! Extension keeps two maps keyed by values from the input — each written
 //! or awaited `(var, value)` with its writer or its parked readers, and the
@@ -59,9 +61,10 @@
 //! ([`TxnPartialOrder::build`]) drops them with the rest of what only
 //! extension reads.
 
-use crate::digraph::{self, DiGraph};
 use crate::history::{AuditHistory, AuditTxn, FirstAccess, HistoryError, TxnId};
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
+use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -97,14 +100,18 @@ fn end_last(starts: &mut [u32], len: usize) {
     }
 }
 
-/// The base relation `so ∪ wr` of a [`TxnPartialOrder`]: an append-only
-/// edge arena in insertion order, threaded with one out-list per vertex.
+/// The audit core's one graph type: an append-only edge arena in insertion
+/// order, threaded with one out-list per vertex.  It is the base relation
+/// `so ∪ wr` of a [`TxnPartialOrder`] and, grown from the base edges and
+/// then the derived ones, the saturated order of
+/// [`crate::saturation::Saturated`].
 ///
-/// It takes only edges its partial order has already deduplicated, and
-/// answers the walks the certification and the polynomial checkers run on
-/// the base itself.  A saturation graph, which derives arbitrary edges,
-/// starts from [`BaseGraph::to_digraph`].
-#[derive(Debug)]
+/// It keeps no edge set: it takes only edges its owner knows to be new.  The
+/// partial order deduplicates its base edges as it draws them (see the
+/// module docs); saturation derives an edge only between two vertices that
+/// do not reach each other yet, and drops a round's repeats before adding
+/// them.
+#[derive(Debug, Default)]
 pub struct BaseGraph {
     /// Every edge, in insertion order (the partial order's edge log).
     edges: Vec<(u32, u32)>,
@@ -138,13 +145,15 @@ impl BaseGraph {
         self.edges.len()
     }
 
-    fn add_vertex(&mut self) -> u32 {
+    /// Append a fresh isolated vertex and return its index.
+    pub(crate) fn add_vertex(&mut self) -> u32 {
         self.ends.push((NIL, NIL));
         offset(self.ends.len() - 1)
     }
 
-    /// Append `a → b`, which the caller knows to be new.
-    fn add_edge(&mut self, a: u32, b: u32) {
+    /// Append `a → b`, which the caller knows to be new.  A self-loop is an
+    /// edge too (it makes the graph cyclic, which is the point).
+    pub(crate) fn add_edge(&mut self, a: u32, b: u32) {
         let edge = offset(self.edges.len());
         self.edges.push((a, b));
         self.next.push(NIL);
@@ -161,27 +170,24 @@ impl BaseGraph {
         Neighbors { graph: self, edge: self.ends[v as usize].0 }
     }
 
-    /// [`DiGraph::topo_order_by`] over the base.
+    /// A topological order of the vertices `from..` minimising the given
+    /// per-vertex key, then the index, among the ready vertices
+    /// (deterministic Kahn), or `None` if they hold a cycle.  `from = 0`
+    /// orders the whole graph.
+    ///
+    /// The key steers *which* valid order is produced — the serializability
+    /// fast path passes recording-order hints so the result is the closest
+    /// topological order to the observed commit order.  A `from` above 0
+    /// continues an order that already placed `0..from`: no edge may enter
+    /// that prefix from `from..` (it panics if one does).
     pub fn topo_order_by(&self, tie_break: &[u64], from: u32) -> Option<Vec<u32>> {
-        digraph::topo_order_by(self.len(), |v| self.neighbors(v), tie_break, from)
+        topo_order_by(self.len(), |v| self.neighbors(v), tie_break, from)
     }
 
-    /// [`DiGraph::find_cycle`] over the base.
+    /// A cycle as a vertex path `v0 → v1 → … → v0` starting at its smallest
+    /// vertex, if one exists.
     pub fn find_cycle(&self) -> Option<Vec<u32>> {
-        digraph::find_cycle(self.len(), |v| self.neighbors(v))
-    }
-
-    /// The base as a [`DiGraph`] with the same out-lists in the same order,
-    /// to saturate.
-    pub fn to_digraph(&self) -> DiGraph {
-        let mut graph = DiGraph::with_capacity(self.len(), self.edges.len());
-        for _ in 0..self.len() {
-            graph.add_vertex();
-        }
-        for &(a, b) in &self.edges {
-            graph.add_edge(a, b);
-        }
-        graph
+        find_cycle(self.len(), |v| self.neighbors(v))
     }
 }
 
@@ -686,6 +692,135 @@ impl TxnPartialOrder {
     }
 }
 
+/// Edges grouped by tail in one flat array, each group in the order its
+/// edges were given: the few extra edges a check walks after a
+/// [`BaseGraph`]'s own out-lists, without copying the graph.
+#[derive(Debug)]
+pub(crate) struct OutLists {
+    /// `heads[starts[v]..starts[v + 1]]` are the heads of `v`'s edges.
+    starts: Vec<u32>,
+    heads: Vec<u32>,
+}
+
+impl OutLists {
+    /// The edges over vertices `0..n`.
+    pub(crate) fn new(n: usize, edges: impl Iterator<Item = (u32, u32)> + Clone) -> Self {
+        let mut starts = vec![0u32; n + 1];
+        for (a, _) in edges.clone() {
+            starts[a as usize + 1] += 1;
+        }
+        for v in 0..n {
+            starts[v + 1] += starts[v];
+        }
+        let mut heads = vec![0u32; starts[n] as usize];
+        let mut next = starts.clone();
+        for (a, b) in edges {
+            heads[next[a as usize] as usize] = b;
+            next[a as usize] += 1;
+        }
+        OutLists { starts, heads }
+    }
+
+    /// The heads of `v`'s edges.
+    pub(crate) fn get(&self, v: u32) -> &[u32] {
+        &self.heads[range(&self.starts, v)]
+    }
+}
+
+/// [`BaseGraph::topo_order_by`] over the graph on `0..n` whose
+/// out-neighbours `neighbors` lists — a graph's out-lists, or those followed
+/// by a check's own [`OutLists`].  A repeated edge changes nothing: its head
+/// becomes ready while its tail is being placed either way.
+pub(crate) fn topo_order_by<I: Iterator<Item = u32>>(
+    n: usize,
+    neighbors: impl Fn(u32) -> I,
+    tie_break: &[u64],
+    from: u32,
+) -> Option<Vec<u32>> {
+    let from = from as usize;
+    let key = |v: u32| Reverse((tie_break.get(v as usize).copied().unwrap_or(0), v));
+    let mut indegree = vec![0u32; n - from];
+    for v in from..n {
+        for b in neighbors(v as u32) {
+            indegree[b as usize - from] += 1;
+        }
+    }
+    // Min-heap over (key, vertex) via Reverse ordering.
+    let mut ready: BinaryHeap<Reverse<(u64, u32)>> =
+        (from..n).filter(|&v| indegree[v - from] == 0).map(|v| key(v as u32)).collect();
+    let mut order = Vec::with_capacity(n - from);
+    while let Some(Reverse((_, v))) = ready.pop() {
+        order.push(v);
+        for b in neighbors(v) {
+            let d = &mut indegree[b as usize - from];
+            *d -= 1;
+            if *d == 0 {
+                ready.push(key(b));
+            }
+        }
+    }
+    (order.len() == n - from).then_some(order)
+}
+
+/// [`BaseGraph::find_cycle`] over the graph on `0..n` whose out-neighbours
+/// `neighbors` lists.  A repeated edge changes nothing: the walk finishes
+/// its head (or closes the cycle) the first time it meets the edge.
+pub(crate) fn find_cycle<I: Iterator<Item = u32>>(
+    n: usize,
+    neighbors: impl Fn(u32) -> I,
+) -> Option<Vec<u32>> {
+    const WHITE: u8 = 0;
+    const GRAY: u8 = 1;
+    const BLACK: u8 = 2;
+    let mut color = vec![WHITE; n];
+    let mut parent = vec![u32::MAX; n];
+    for start in 0..n as u32 {
+        if color[start as usize] != WHITE {
+            continue;
+        }
+        // Iterative DFS keeping (vertex, children still to visit) frames.
+        let mut stack = vec![(start, neighbors(start))];
+        color[start as usize] = GRAY;
+        while let Some((v, children)) = stack.last_mut() {
+            let v = *v;
+            let Some(child) = children.next() else {
+                color[v as usize] = BLACK;
+                stack.pop();
+                continue;
+            };
+            match color[child as usize] {
+                WHITE => {
+                    color[child as usize] = GRAY;
+                    parent[child as usize] = v;
+                    stack.push((child, neighbors(child)));
+                }
+                GRAY => {
+                    // Back edge v → child closes a cycle.
+                    let mut path = vec![child];
+                    let mut cur = v;
+                    while cur != child {
+                        path.push(cur);
+                        cur = parent[cur as usize];
+                    }
+                    path.reverse();
+                    // Start the cycle at its smallest vertex: which back
+                    // edge the DFS meets first depends on the order edges
+                    // were inserted in (eagerly per probe, or caught up at
+                    // once), and the same cycle must not read differently
+                    // for it.
+                    let (at, &first) =
+                        path.iter().enumerate().min_by_key(|&(_, &v)| v).expect("non-empty");
+                    path.rotate_left(at);
+                    path.push(first);
+                    return Some(path);
+                }
+                _ => {}
+            }
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,6 +965,97 @@ mod tests {
         let mut po = TxnPartialOrder::new(1, 0);
         let v = po.extend_detached(TxnId { session: EVICTED_SESSION, seq: 3 }, &write_txn(0, 9, 0));
         assert_eq!(po.name(v.unwrap()), "past?3");
+    }
+
+    fn graph(n: usize, edges: &[(u32, u32)]) -> BaseGraph {
+        let mut g = BaseGraph::default();
+        for _ in 0..n {
+            g.add_vertex();
+        }
+        for &(a, b) in edges {
+            g.add_edge(a, b);
+        }
+        g
+    }
+
+    /// 0 → 1 → 3, 0 → 2 → 3
+    const DIAMOND: [(u32, u32); 4] = [(0, 1), (0, 2), (1, 3), (2, 3)];
+
+    #[test]
+    fn out_lists_keep_insertion_order_as_vertices_grow() {
+        let mut g = graph(4, &[(0, 2), (1, 3), (0, 1), (2, 3)]);
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), [2, 1]);
+        assert_eq!(g.edge_count(), 4);
+        assert!(!g.is_empty());
+        let v = g.add_vertex();
+        assert_eq!((v, g.len()), (4, 5));
+        g.add_edge(3, v);
+        assert_eq!(*g.topo_order_by(&[0; 5], 0).unwrap().last().unwrap(), v);
+    }
+
+    #[test]
+    fn topo_respects_edges_and_tie_break() {
+        let order = graph(4, &DIAMOND).topo_order_by(&[0, 9, 1, 0], 0).unwrap();
+        // 0 first, 3 last; hint prefers 2 over 1.
+        assert_eq!(order, vec![0, 2, 1, 3]);
+    }
+
+    /// Grown only by vertices whose edges point forward, an ordered prefix
+    /// continues: the order from its end is the tail of the whole order.
+    #[test]
+    fn topo_resumes_at_a_vertex() {
+        let mut g = graph(4, &DIAMOND);
+        let hints = [0, 9, 1, 0, 4, 2];
+        let head = g.topo_order_by(&hints, 0).unwrap();
+        for _ in 0..2 {
+            g.add_vertex();
+        }
+        for (a, b) in [(3, 5), (1, 4), (5, 4)] {
+            g.add_edge(a, b);
+        }
+        let tail = g.topo_order_by(&hints, 4).unwrap();
+        assert_eq!(tail, vec![5, 4]);
+        assert_eq!([head, tail].concat(), g.topo_order_by(&hints, 0).unwrap());
+        g.add_edge(4, 5);
+        assert!(g.topo_order_by(&hints, 4).is_none(), "a cycle in the tail");
+    }
+
+    #[test]
+    fn cycles_are_detected_with_a_path() {
+        let mut g = graph(4, &DIAMOND);
+        assert!(g.find_cycle().is_none());
+        g.add_edge(3, 0);
+        assert!(g.topo_order_by(&[0; 4], 0).is_none());
+        assert_eq!(g.find_cycle().unwrap(), vec![0, 1, 3, 0]);
+        let mut g = graph(2, &[]);
+        g.add_edge(1, 1);
+        assert!(g.topo_order_by(&[0, 0], 0).is_none());
+        assert_eq!(g.find_cycle().unwrap(), vec![1, 1], "a self-loop is a cycle");
+    }
+
+    /// The walks over a graph's out-lists followed by extra edges — some
+    /// repeating an edge of the graph or each other — answer as over the
+    /// graph holding each edge once, in first-occurrence order.
+    #[test]
+    fn repeated_edges_change_no_walk() {
+        let g = graph(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]);
+        let hints = [0, 3, 1, 2, 0];
+        for extra in [vec![(0, 2), (2, 1), (2, 1), (4, 2)], vec![(1, 3), (4, 0), (3, 4)]] {
+            let lists = OutLists::new(5, extra.iter().copied());
+            let walked = |v: u32| g.neighbors(v).chain(lists.get(v).iter().copied());
+            let mut once = Vec::new();
+            for v in 0..5 {
+                once.push(Vec::new());
+                for b in walked(v) {
+                    if !once[v as usize].contains(&b) {
+                        once[v as usize].push(b);
+                    }
+                }
+            }
+            let listed = |v: u32| once[v as usize].iter().copied();
+            assert_eq!(topo_order_by(5, walked, &hints, 0), topo_order_by(5, listed, &hints, 0));
+            assert_eq!(find_cycle(5, walked), find_cycle(5, listed), "{extra:?}");
+        }
     }
 
     fn read_txn(var: usize, value: i64, hint: u64) -> AuditTxn {

@@ -55,7 +55,7 @@ pub(crate) fn build_instance(po: &TxnPartialOrder, sat: &Saturated) -> (OrderIns
         }
     }
     for a in 0..n as u32 {
-        for &b in sat.graph.neighbors(a) {
+        for b in sat.graph.neighbors(a) {
             if a != ROOT && b != ROOT && !po.has_edge(a, b) {
                 commit_edges.push((map(a), map(b)));
             }

@@ -101,7 +101,7 @@ use crate::linearization::{find_lost_update, HintOrder, DEFAULT_STATE_BUDGET};
 use crate::po::{TxnPartialOrder, EVICTED_SESSION};
 use crate::recovery::{BoundaryRecord, RecoveryError};
 use crate::report::{fold_outcomes, AuditReport, DecidedBy, Level, LevelReport, Outcome};
-use crate::saturation::{resaturate, CycleViolation, Saturated};
+use crate::saturation::{resaturate, Saturated};
 use crate::telemetry::{AuditTelemetry, NP_CELL_STAGES};
 use crate::{
     certified_report, defect_report, forces_search, searched_report, AuditHistory, SatConfig,
@@ -669,7 +669,6 @@ impl Frontier {
 struct ActiveWindow {
     po: TxnPartialOrder,
     sat: Saturated,
-    causal_failure: Option<CycleViolation>,
     defect: Option<HistoryError>,
     /// When the window opened — the start of its verdict-latency span.
     opened_at: Instant,
@@ -970,7 +969,6 @@ impl WindowedAuditor {
         self.active = Some(ActiveWindow {
             po,
             sat: Saturated::empty(),
-            causal_failure: None,
             defect,
             opened_at: Instant::now(),
             extended: 0,
@@ -1086,15 +1084,13 @@ impl WindowedAuditor {
             return true;
         }
         aw.searching = true;
-        if aw.causal_failure.is_none() {
-            if let Err(cycle) = resaturate(&mut aw.sat, &aw.po) {
-                aw.causal_failure = Some(cycle);
-            }
-        }
+        // A cycle, found now or by an earlier probe, stays in `sat`: the
+        // conviction below and the window's close read it there.
+        let _ = resaturate(&mut aw.sat, &aw.po);
         self.peak_closure_bytes = self.peak_closure_bytes.max(aw.sat.peak_closure_bytes());
         if self.first_conviction.is_none() {
             let aw = self.active.as_ref().expect("active window");
-            let conviction = if let Some(cycle) = &aw.causal_failure {
+            let conviction = if let Some(cycle) = aw.sat.cycle() {
                 // The cycle could even refute RC/RA; Causal is the weakest
                 // level the *saturated* cycle certainly refutes.
                 Some((Level::Causal, cycle.render(&aw.po)))
@@ -1205,8 +1201,8 @@ impl WindowedAuditor {
             Some(err) => defect_report(shape, &err),
             None if certified => certified_report(&aw.po, shape, aw.hint_order.order()),
             None => {
-                let causal = match aw.causal_failure {
-                    Some(cycle) => Err(cycle),
+                let causal = match aw.sat.cycle() {
+                    Some(cycle) => Err(cycle.clone()),
                     None => Ok(aw.sat),
                 };
                 let (report, spent) =

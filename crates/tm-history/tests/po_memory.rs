@@ -64,7 +64,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Bytes per transaction the order may hold (ROADMAP item 5's target).
+/// Bytes per transaction the order may hold (ROADMAP item 8's target).
 const BUDGET: usize = 128;
 
 #[test]

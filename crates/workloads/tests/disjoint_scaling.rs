@@ -12,6 +12,9 @@
 //!
 //! Each round runs every backend's points back to back, and the figure is
 //! the median over [`ROUNDS`] of the round's N-thread over 1-thread ratio.
+//! Beside it the test prints each point's median loop time per transfer
+//! (the loop time over [`TXNS_PER_THREAD`], in ns), so a ratio can be told
+//! apart from a fast or slow 1-thread run.
 //! A stretch of time in which the host lends the process less than its
 //! cores lifts the ratios of the rounds it covers, not the median; a
 //! minimum over rounds would instead let a serialized commit through on a
@@ -65,10 +68,10 @@ fn loop_time(backend: BackendId, threads: usize) -> Duration {
     report.elapsed
 }
 
-/// The lower quartile, median and upper quartile of `ratios`.
-fn quartiles(mut ratios: Vec<f64>) -> [f64; 3] {
-    ratios.sort_by(f64::total_cmp);
-    [1, 2, 3].map(|q| ratios[q * (ratios.len() - 1) / 4])
+/// The lower quartile, median and upper quartile of `samples`.
+fn quartiles(mut samples: Vec<f64>) -> [f64; 3] {
+    samples.sort_by(f64::total_cmp);
+    [1, 2, 3].map(|q| samples[q * (samples.len() - 1) / 4])
 }
 
 #[test]
@@ -81,30 +84,39 @@ fn disjoint_transfers_do_not_serialize_the_commit_path() {
         return;
     };
     let backends = registry::all_ids();
-    // ratios[backend][count]: one N-thread over 1-thread ratio per round.
+    // ratios[backend][count]: one N-thread over 1-thread ratio per round;
+    // nanos[backend][point]: one loop time per transfer (ns) per round, the
+    // 1-thread point first.
     let mut ratios = vec![vec![Vec::with_capacity(ROUNDS); counts.len()]; backends.len()];
+    let mut nanos = vec![vec![Vec::with_capacity(ROUNDS); counts.len() + 1]; backends.len()];
+    let per_transfer = |secs: f64| secs * 1e9 / TXNS_PER_THREAD as f64;
     for round in 0..=ROUNDS {
-        for (&backend, ratios) in backends.iter().zip(&mut ratios) {
+        for ((&backend, ratios), nanos) in backends.iter().zip(&mut ratios).zip(&mut nanos) {
             let one = loop_time(backend, 1).as_secs_f64();
-            for (&n, ratios) in counts.iter().zip(ratios) {
-                let ratio = loop_time(backend, n).as_secs_f64() / one;
-                if round > 0 {
-                    ratios.push(ratio);
+            let times: Vec<f64> =
+                counts.iter().map(|&n| loop_time(backend, n).as_secs_f64()).collect();
+            if round > 0 {
+                nanos[0].push(per_transfer(one));
+                for ((&time, ratios), nanos) in times.iter().zip(ratios).zip(&mut nanos[1..]) {
+                    ratios.push(time / one);
+                    nanos.push(per_transfer(time));
                 }
             }
         }
     }
     let mut faults = Vec::new();
-    for (&backend, ratios) in backends.iter().zip(ratios) {
+    for ((&backend, ratios), nanos) in backends.iter().zip(ratios).zip(nanos) {
         let spreads: Vec<[f64; 3]> = ratios.into_iter().map(quartiles).collect();
+        let nanos: Vec<f64> = nanos.into_iter().map(|point| quartiles(point)[1]).collect();
         let cells: Vec<String> = counts
             .iter()
             .zip(&spreads)
-            .map(|(n, [q1, median, q3])| {
-                format!("{n}: {median:.2}× (middle half {q1:.2}–{q3:.2}×)")
+            .zip(&nanos[1..])
+            .map(|((n, [q1, median, q3]), ns)| {
+                format!("{n}: {median:.2}× {ns:.0} ns (middle half {q1:.2}–{q3:.2}×)")
             })
             .collect();
-        println!("{:<18} {}", backend.name(), cells.join("   "));
+        println!("{:<18} 1: {:.0} ns   {}", backend.name(), nanos[0], cells.join("   "));
         let [_, ratio, _] = *spreads.last().expect("one count fits");
         if GATED.contains(&backend) && ratio > MAX_RATIO {
             faults.push(format!("{backend} {top}-thread median ratio is {ratio:.2}×"));
