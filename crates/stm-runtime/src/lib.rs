@@ -238,7 +238,6 @@ impl Stm {
                         if let Some(tele) = &self.tele {
                             match t_begin {
                                 Some(t_begin) => tele.on_commit(
-                                    self.id.name(),
                                     t_begin,
                                     t_body_ok.expect("timing on"),
                                     data.validated_at,

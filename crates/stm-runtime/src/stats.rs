@@ -13,30 +13,18 @@
 
 use crate::txn::AbortReason;
 use std::sync::atomic::{AtomicU64, Ordering};
+use tm_telemetry::metrics::{bucket_lower_bound, bucket_of, quantile_bucket};
 
-/// log2-spaced attempt buckets: bucket 0 holds exactly 1 attempt, bucket
-/// `i >= 1` holds `[2^(i-1) + 1, 2^i]` attempts.  33 buckets cover the whole
-/// `u32` attempt range, so p99/mean no longer flatten at a "17+" overflow
-/// bucket the way the old 17 linear buckets did.
+/// The attempts histogram is the spine's log2 histogram over retries: a
+/// transaction of `a` attempts lands in [`bucket_of`]`(a − 1)`, so bucket 0
+/// holds exactly 1 attempt and bucket `i >= 1` holds `[2^(i-1) + 1, 2^i]`
+/// attempts, reported as their lower bound [`bucket_lower_bound`]`(i) + 1`.
+/// 33 buckets cover the whole `u32` attempt range.
 const ATTEMPT_BUCKETS: usize = 33;
 
 /// How many cache-line-padded counter stripes a [`StmStats`] carries (power
 /// of two so the stripe pick is a mask).
 const STRIPES: usize = 16;
-
-fn attempt_bucket(attempts: u32) -> usize {
-    // 1 → 0, 2 → 1, 3..4 → 2, 5..8 → 3, …, (2^31+1).. → 32.
-    32 - (attempts.max(1) - 1).leading_zeros() as usize
-}
-
-/// Lower bound (in attempts) of bucket `i` — the value quantiles and the
-/// mean report for that bucket, so tails keep their "at least" semantics.
-fn attempt_bucket_lower_bound(i: usize) -> u32 {
-    match i {
-        0 => 1,
-        _ => (1u32 << (i - 1)) + 1,
-    }
-}
 
 /// One thread-stripe of counters, padded out to its own cache lines so
 /// commits on different threads never write the same line.  It holds two
@@ -90,7 +78,8 @@ impl StmStats {
     /// `attempts` is 1-based; 0 is treated as 1.  This is also what counts
     /// a commit: see [`StmStats::commits`].
     pub fn record_attempts(&self, attempts: u32) {
-        self.local().attempts[attempt_bucket(attempts)].fetch_add(1, Ordering::Relaxed);
+        let retries = u64::from(attempts.max(1) - 1);
+        self.local().attempts[bucket_of(retries)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of commits so far: every committed transaction lands in the
@@ -130,20 +119,8 @@ impl StmStats {
     /// nothing was recorded.  Buckets report their lower bound, so extreme
     /// tails read "at least".
     pub fn attempts_quantile(&self, q: f64) -> u32 {
-        let histogram = self.attempts_histogram();
-        let total: u64 = histogram.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, count) in histogram.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return attempt_bucket_lower_bound(i);
-            }
-        }
-        attempt_bucket_lower_bound(ATTEMPT_BUCKETS - 1)
+        quantile_bucket(&self.attempts_histogram(), q)
+            .map_or(0, |i| bucket_lower_bound(i) as u32 + 1)
     }
 
     /// Median attempts per transaction.
@@ -167,7 +144,7 @@ impl StmStats {
         let weighted: u64 = histogram
             .iter()
             .enumerate()
-            .map(|(i, count)| attempt_bucket_lower_bound(i) as u64 * count)
+            .map(|(i, count)| (bucket_lower_bound(i) + 1) * count)
             .sum();
         weighted as f64 / total as f64
     }
@@ -221,20 +198,27 @@ mod tests {
         assert_eq!(s.attempts_p50(), 2);
     }
 
+    /// The bucket one transaction of `attempts` attempts lands in.
+    fn bucket_of_attempts(attempts: u32) -> usize {
+        let s = StmStats::default();
+        s.record_attempts(attempts);
+        s.attempts_histogram().iter().position(|&n| n == 1).expect("one recorded transaction")
+    }
+
     #[test]
     fn attempt_buckets_are_log2_spaced() {
-        assert_eq!(attempt_bucket(1), 0);
-        assert_eq!(attempt_bucket(2), 1);
-        assert_eq!(attempt_bucket(3), 2);
-        assert_eq!(attempt_bucket(4), 2);
-        assert_eq!(attempt_bucket(5), 3);
-        assert_eq!(attempt_bucket(8), 3);
-        assert_eq!(attempt_bucket(9), 4);
-        assert_eq!(attempt_bucket(u32::MAX), 32);
+        assert_eq!(bucket_of_attempts(1), 0);
+        assert_eq!(bucket_of_attempts(2), 1);
+        assert_eq!(bucket_of_attempts(3), 2);
+        assert_eq!(bucket_of_attempts(4), 2);
+        assert_eq!(bucket_of_attempts(5), 3);
+        assert_eq!(bucket_of_attempts(8), 3);
+        assert_eq!(bucket_of_attempts(9), 4);
+        assert_eq!(bucket_of_attempts(u32::MAX), 32);
         for i in 1..ATTEMPT_BUCKETS - 1 {
-            let lo = attempt_bucket_lower_bound(i);
-            assert_eq!(attempt_bucket(lo), i);
-            assert_eq!(attempt_bucket(1 << i), i, "upper bound of bucket {i}");
+            let lo = bucket_lower_bound(i) as u32 + 1;
+            assert_eq!(bucket_of_attempts(lo), i);
+            assert_eq!(bucket_of_attempts(1 << i), i, "upper bound of bucket {i}");
         }
     }
 

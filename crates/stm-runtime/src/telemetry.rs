@@ -1,6 +1,7 @@
 //! The runtime's telemetry handles: phase-latency histograms, abort-reason
-//! counters mirrored into a metrics registry, the liveness watchdog, and the
-//! optional commit tracer.
+//! counters mirrored into a metrics registry, and the liveness watchdog.
+//! Every record is a relaxed atomic on a handle the [`crate::Stm`] owns; no
+//! commit takes a lock or allocates for telemetry.
 //!
 //! [`crate::Stm::new`] attaches an [`StmTelemetry`] only when
 //! [`tm_telemetry::enabled`] is set, so a metrics-off run carries a `None`
@@ -12,7 +13,7 @@ use crate::txn::AbortReason;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use tm_telemetry::{Counter, Gauge, Histogram, Registry, RingTracer};
+use tm_telemetry::{Counter, Gauge, Histogram, Registry};
 
 /// Aborts-without-a-commit a thread must accumulate before the watchdog
 /// counts it as stalled.
@@ -128,8 +129,6 @@ pub struct StmTelemetry {
     pub aborts: [Counter; AbortReason::ALL.len()],
     /// The per-thread liveness watchdog.
     pub watchdog: LivenessWatchdog,
-    /// The post-mortem commit tracer, when tracing is enabled.
-    pub tracer: Option<&'static RingTracer>,
 }
 
 impl StmTelemetry {
@@ -172,20 +171,17 @@ impl StmTelemetry {
                 registry.counter("stm_stall_events_total", &labelled(backend, &[]), "events"),
                 WATCHDOG_STALL_THRESHOLD,
             ),
-            tracer: tm_telemetry::trace_enabled().then(tm_telemetry::tracer),
         }
     }
 
     /// Record a phase-timed committed attempt: the three phase spans, the
-    /// commit counter, watchdog progress, and (when tracing) a
-    /// flight-recorder event.  `t_begin` is attempt start, `t_body_ok` the
-    /// body returning `Ok`, `validated_at` the backend's optional
-    /// validate→publish mark, `t_done` commit return.  Only 1 in
+    /// commit counter and watchdog progress.  `t_begin` is attempt start,
+    /// `t_body_ok` the body returning `Ok`, `validated_at` the backend's
+    /// optional validate→publish mark, `t_done` commit return.  Only 1 in
     /// [`PHASE_SAMPLE_EVERY`] commits takes this path; the rest go through
     /// [`StmTelemetry::on_commit_untimed`].
     pub fn on_commit(
         &self,
-        backend: &str,
         t_begin: Instant,
         t_body_ok: Instant,
         validated_at: Option<Instant>,
@@ -197,17 +193,6 @@ impl StmTelemetry {
         self.phase_publish.record_duration(t_done.duration_since(mark));
         self.commits.inc();
         self.watchdog.on_commit();
-        if let Some(tracer) = self.tracer {
-            let total = t_done.duration_since(t_begin);
-            tracer.push(
-                "commit",
-                backend,
-                &[
-                    ("duration_ns", u64::try_from(total.as_nanos()).unwrap_or(u64::MAX)),
-                    ("thread_slot", thread_slot() as u64),
-                ],
-            );
-        }
     }
 
     /// Record an unsampled committed attempt: exact counting and watchdog
@@ -255,7 +240,7 @@ mod tests {
         let tele = StmTelemetry::from_registry(&registry, "test-backend");
         let t0 = Instant::now();
         for _ in 0..10 {
-            tele.on_commit("test-backend", t0, t0, None, t0);
+            tele.on_commit(t0, t0, None, t0);
         }
         tele.on_abort(AbortReason::ReadValidation);
         assert_eq!(tele.phase_read.count(), 10);

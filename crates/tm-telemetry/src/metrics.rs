@@ -15,12 +15,10 @@ use std::sync::{Arc, Mutex};
 /// so nanosecond latencies never saturate an overflow bucket.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-fn bucket_of(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        64 - value.leading_zeros() as usize
-    }
+/// The log2 bucket `value` lands in.  `stm-runtime`'s attempts histogram
+/// buckets retries (`attempts − 1`) by this same rule.
+pub fn bucket_of(value: u64) -> usize {
+    64 - value.leading_zeros() as usize
 }
 
 /// Lower bound of histogram bucket `i` (the value quantiles report, so tails
@@ -30,6 +28,24 @@ pub fn bucket_lower_bound(i: usize) -> u64 {
         0 => 0,
         _ => 1u64 << (i - 1),
     }
+}
+
+/// The bucket the `q`-quantile (0.0..=1.0) rank lands in, walking the
+/// per-bucket `counts` from the lowest; `None` when every count is 0.
+pub fn quantile_bucket(counts: &[u64], q: f64) -> Option<usize> {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return None;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (i, count) in counts.iter().enumerate() {
+        seen += count;
+        if seen >= rank {
+            return Some(i);
+        }
+    }
+    Some(counts.len() - 1)
 }
 
 /// Cache-line stripes per [`Counter`].  Counters sit on commit paths where
@@ -155,8 +171,8 @@ impl Default for HistogramCore {
 /// A log2-bucketed histogram of `u64` samples (typically nanoseconds).
 ///
 /// `record` is three relaxed atomic adds; concurrent recorders never lose
-/// samples.  Quantiles report the lower bound of the bucket the rank falls
-/// in, mirroring the "at least" semantics of `StmStats::attempts_quantile`.
+/// samples.  Quantiles report the lower bound of the bucket
+/// [`quantile_bucket`] picks, so tails read "at least".
 #[derive(Debug, Clone, Default)]
 pub struct Histogram(Arc<HistogramCore>);
 
@@ -207,20 +223,7 @@ impl Histogram {
     /// The `q`-quantile (0.0..=1.0) as the lower bound of the bucket the
     /// rank lands in; 0 with no samples.
     pub fn quantile(&self, q: f64) -> u64 {
-        let buckets = self.buckets();
-        let total: u64 = buckets.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, count) in buckets.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return bucket_lower_bound(i);
-            }
-        }
-        bucket_lower_bound(HISTOGRAM_BUCKETS - 1)
+        quantile_bucket(&self.buckets(), q).map_or(0, bucket_lower_bound)
     }
 }
 

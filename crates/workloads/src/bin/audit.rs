@@ -62,8 +62,7 @@
 //!   `--serve` or `--recover` only;
 //! * `--metrics` — turn the `tm-telemetry` spine on: the snapshot prints at
 //!   the end and lands under `"telemetry"` in `--json`; `--serve` also
-//!   streams `metrics` records and one `post-mortem` on the first
-//!   conviction;
+//!   streams `metrics` records;
 //! * `--json PATH` — also write the machine-readable report to PATH;
 //! * `--fail-on-violation` — exit 1 on a definite violation, a failed
 //!   scenario self-check or (under `--serve --ingest`) a malformed document;
@@ -565,14 +564,12 @@ fn emit_event(emitter: &ServeEmitter, round: u64, event: &AuditEvent) {
                 elapsed.as_secs_f64() * 1e3
             ));
         }
+        // The auditor's own conviction JSON behind `type` and `round`: one
+        // conviction shape in reports and serve records.
         AuditEvent::Conviction { conviction } => {
             emitter.emit(&format!(
-                "{{\"type\":\"conviction\",\"round\":{round},\"level\":\"{}\",\"window\":{},\
-                 \"txns_seen\":{},\"violation\":\"{}\"}}",
-                conviction.level.name(),
-                conviction.window,
-                conviction.txns_seen,
-                json::escape(&conviction.violation)
+                "{{\"type\":\"conviction\",\"round\":{round},{}",
+                &conviction.to_json()[1..]
             ));
         }
     }
@@ -814,10 +811,6 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
         workloads::WalMeta { window: shape }.store(dir).map_err(wal_error)?;
         Ok(violated)
     };
-    // One post-mortem per serve lifetime: the bounded event ring is dumped on
-    // the *first* conviction and never again (the flight recorder's contents
-    // after that point describe post-violation traffic).
-    let post_mortem_done = &AtomicBool::new(false);
     let round = |emitter: &ServeEmitter, served: u64| -> Result<Served, Failure> {
         let round = match wal_dir {
             Some(dir) => workloads::next_round_index(dir).map_err(wal_error)?,
@@ -839,17 +832,6 @@ fn serve(args: &Args) -> Result<ExitCode, Failure> {
             let printer = scope.spawn(move || {
                 while let Ok(event) = events_rx.recv() {
                     emit_event(emitter, round, &event);
-                    if matches!(event, AuditEvent::Conviction { .. })
-                        && tm_telemetry::trace_enabled()
-                        && !post_mortem_done.swap(true, Ordering::SeqCst)
-                    {
-                        emitter.emit(&format!(
-                            "{{\"type\":\"post-mortem\",\"round\":{round},\"pushed\":{},\
-                             \"events\":{}}}",
-                            tm_telemetry::tracer().pushed(),
-                            tm_telemetry::tracer().to_json()
-                        ));
-                    }
                 }
             });
             let ticker = args.metrics.then(|| {
@@ -1116,11 +1098,6 @@ fn main() -> ExitCode {
         // checks the flag once, at construction, and carries `None` handles
         // (one never-taken branch) when it is off.
         tm_telemetry::set_enabled(true);
-        if args.serve {
-            // The bounded event ring backs --serve post-mortems only; it
-            // takes a mutex per event, so batch runs leave it off.
-            tm_telemetry::set_trace_enabled(true);
-        }
     }
     let outcome = if args.recover.is_some() && !args.serve {
         recover_cli(&args)

@@ -2,8 +2,8 @@
 //! binary under the `kv-zipf` scenario, read streamed line-delimited JSON
 //! records off its stdout, assert the record schema (window verdicts with
 //! window ids), then SIGTERM it and require a clean shutdown with a
-//! `serve-stop` record.  Bounded one-round runs cover the default plan and
-//! `--wal` rounds.
+//! `serve-stop` record.  Bounded one-round runs cover the default plan,
+//! `--wal` rounds and a convicting round's record feed.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
@@ -146,14 +146,64 @@ fn serve_rounds_limit_stops_the_endpoint_cleanly() {
 /// Run a bounded one-round generating endpoint (`registers` on tl2, 2 × 300
 /// transactions) with `extra` flags; returns its stdout.
 fn serve_one_round(extra: &[&str]) -> String {
+    serve_one_round_on("tl2", extra)
+}
+
+/// [`serve_one_round`] on `backend`.
+fn serve_one_round_on(backend: &str, extra: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_audit"))
-        .args(["--serve", "--serve-rounds", "1", "--scenario", "registers", "--backend", "tl2"])
+        .args(["--serve", "--serve-rounds", "1", "--scenario", "registers", "--backend", backend])
         .args(["--threads", "2", "--txns", "300", "--vars", "16"])
         .args(extra)
         .output()
         .expect("running the audit binary");
     assert!(output.status.success(), "{extra:?}: {output:?}");
     String::from_utf8_lossy(&output.stdout).into_owned()
+}
+
+/// A convicting round's whole feed: pram-local's sessions never see each
+/// other's writes, so 600 `registers` transactions convict within the
+/// round.  The endpoint streams the six documented record types and nothing
+/// else, and the conviction record is the auditor's own conviction JSON
+/// (the verdict report's `first_conviction`) behind `type` and `round`.
+#[test]
+fn a_convicting_round_streams_only_the_documented_records() {
+    let stdout = serve_one_round_on("pram-local", &["--audit=window:size=64", "--metrics"]);
+    let types: Vec<&str> = stdout
+        .lines()
+        .map(|line| {
+            let rest = line.strip_prefix("{\"type\":\"").unwrap_or_else(|| panic!("{line}"));
+            &rest[..rest.find('"').expect("closing quote")]
+        })
+        .collect();
+    assert_eq!(types.first(), Some(&"serve-start"), "{stdout}");
+    assert_eq!(types.last(), Some(&"serve-stop"), "{stdout}");
+    let mut kinds = types.clone();
+    kinds.sort_unstable();
+    kinds.dedup();
+    assert_eq!(
+        kinds,
+        ["conviction", "metrics", "serve-start", "serve-stop", "verdict", "window"],
+        "{stdout}"
+    );
+
+    let conviction =
+        stdout.lines().find(|l| l.contains("\"type\":\"conviction\"")).expect("conviction");
+    let prefix = "{\"type\":\"conviction\",\"round\":0,";
+    assert!(conviction.starts_with(prefix), "{conviction}");
+    let keys = ["\"level\":\"", ",\"window\":", ",\"txns_seen\":", ",\"violation\":\""];
+    let at: Vec<usize> = keys
+        .iter()
+        .map(|k| conviction.find(k).unwrap_or_else(|| panic!("{k}: {conviction}")))
+        .collect();
+    assert!(at.windows(2).all(|w| w[0] < w[1]), "key order: {conviction}");
+    assert_eq!(at[0], prefix.len(), "{conviction}");
+    let verdict = stdout.lines().find(|l| l.contains("\"type\":\"verdict\"")).expect("verdict");
+    let first_conviction = format!("\"first_conviction\":{{{}", &conviction[prefix.len()..]);
+    assert!(verdict.contains(&first_conviction), "{conviction}\n{verdict}");
+
+    let metrics = stdout.lines().find(|l| l.contains("\"type\":\"metrics\"")).expect("metrics");
+    assert!(metrics.contains("\"name\":\"stm_phase_ns\""), "{metrics}");
 }
 
 /// Without `--audit=` the endpoint serves from the windowed auditor at its
